@@ -36,7 +36,7 @@ from .transfer import (
     transfer_coefficient,
     transfer_series,
 )
-from .words import Word, enumerate_words, reverse
+from .words import Word, enumerate_words, prepend_levels, reverse
 
 
 class IllDefined(ValueError):
@@ -46,17 +46,12 @@ class IllDefined(ValueError):
 
 def _suffix_adjoints(instance: LiftingInstance, depth: int) -> dict[Word, np.ndarray]:
     """Adjoints of corner word products, built by prepending letters."""
-    na = instance.dim_a
-    adj: dict[Word, np.ndarray] = {(): np.eye(na, dtype=np.complex128)}
-    level: list[Word] = [()]
-    for _ in range(depth):
-        deeper: list[Word] = []
-        for w in level:
-            for j in range(1, instance.d + 1):
-                adj[(j,) + w] = adj[w] @ instance.a.ops[j - 1].conj().T
-                deeper.append((j,) + w)
-        level = deeper
-    return adj
+    return prepend_levels(
+        np.eye(instance.dim_a, dtype=np.complex128),
+        instance.d,
+        depth,
+        lambda j, _, adj: adj @ instance.a.ops[j - 1].conj().T,
+    )
 
 
 def symbol_blocks(instance: LiftingInstance, depth: int) -> dict[Word, np.ndarray]:

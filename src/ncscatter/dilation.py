@@ -230,10 +230,3 @@ class Dilation:
             m[cod.slot((j,) + w), dom.slot(w)] = np.eye(r)
         return m
 
-
-def dilate_apply(dil: Dilation, j: int, v: GradedVector) -> GradedVector:
-    return dil.apply(j, v)
-
-
-def dilate_adjoint_apply(dil: Dilation, j: int, v: GradedVector) -> GradedVector:
-    return dil.adjoint_apply(j, v)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import TOL_EQ, TOL_RANK
-from .rowtuple import DefectData, OperatorTuple, defect, psd_sqrt_clamped
+from .rowtuple import DefectData, OperatorTuple, defect
 
 
 class NotCoisometricC(ValueError):
@@ -150,15 +150,37 @@ def gamma_isometry(
     return defect_c_basis.conj().T @ bstar @ qs @ linalg.pseudo_inverse(restricted)
 
 
-def extract_gamma(instance: LiftingInstance, tol: float = TOL_EQ) -> np.ndarray:
-    """Recover gamma from the stored blocks (see :func:`gamma_isometry`)."""
-    return gamma_isometry(
-        instance.defect_c.basis,
-        instance.dstar,
-        instance.dstar_basis,
-        instance.b_star(),
-        tol,
+def _block_violations(c: OperatorTuple, a: OperatorTuple, b) -> dict[str, float]:
+    """The three identities that involve only the blocks C, A and B."""
+    c_row = c.row()
+    a_row = a.row()
+    b_row = np.hstack(b)
+    cross = sum(c.ops[j] @ b[j].conj().T for j in range(c.d))
+    return {
+        "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - np.eye(c.dim)),
+        "cross_block": linalg.operator_norm(cross),
+        "complement_block": linalg.operator_norm(
+            b_row @ b_row.conj().T + a_row @ a_row.conj().T - np.eye(a.dim)
+        ),
+    }
+
+
+def _derived_violations(instance: LiftingInstance) -> dict[str, float]:
+    """The identities of the assembled tuple E and of gamma."""
+    e_row = instance.e.row()
+    g = instance.gamma
+    lifted = instance.defect_c.basis @ g @ (
+        instance.dstar_basis.conj().T @ instance.dstar
     )
+    kernel = linalg.complement_onb(instance.dstar_basis)
+    return {
+        "e_coisometry": linalg.operator_norm(
+            e_row @ e_row.conj().T - np.eye(instance.dim_e)
+        ),
+        "gamma_isometry": linalg.operator_norm(g.conj().T @ g - np.eye(g.shape[1])),
+        "gamma_intertwine": linalg.operator_norm(lifted - instance.b_star()),
+        "gamma_kernel": linalg.operator_norm(instance.b_star() @ kernel),
+    }
 
 
 def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
@@ -169,38 +191,10 @@ def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
     ``gamma_isometry``, ``gamma_intertwine`` (gamma D* = B*) and
     ``gamma_kernel`` (B* vanishes on ker D*).
     """
-    c_row = instance.c.row()
-    e_row = instance.e.row()
-    a_row = instance.a.row()
-    b_row = instance.b_row()
-    eye_c = np.eye(instance.dim_c)
-    eye_a = np.eye(instance.dim_a)
-    cross = sum(
-        instance.c.ops[j] @ instance.b[j].conj().T for j in range(instance.d)
-    )
-    out = {
-        "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - eye_c),
-        "cross_block": linalg.operator_norm(cross),
-        "complement_block": linalg.operator_norm(
-            b_row @ b_row.conj().T + a_row @ a_row.conj().T - eye_a
-        ),
-        "e_coisometry": linalg.operator_norm(
-            e_row @ e_row.conj().T - np.eye(instance.dim_e)
-        ),
+    return {
+        **_block_violations(instance.c, instance.a, instance.b),
+        **_derived_violations(instance),
     }
-    g = instance.gamma
-    out["gamma_isometry"] = linalg.operator_norm(
-        g.conj().T @ g - np.eye(g.shape[1])
-    )
-    lifted = instance.defect_c.basis @ g @ (
-        instance.dstar_basis.conj().T @ instance.dstar
-    )
-    out["gamma_intertwine"] = linalg.operator_norm(lifted - instance.b_star())
-    kernel = linalg.complement_onb(instance.dstar_basis)
-    out["gamma_kernel"] = (
-        linalg.operator_norm(instance.b_star() @ kernel) if kernel.shape[1] else 0.0
-    )
-    return out
 
 
 def assemble(
@@ -230,27 +224,17 @@ def assemble(
                 f"coupling blocks must be {a.dim}x{c.dim}, got {m.shape}"
             )
 
-    c_row = c.row()
-    c_viol = linalg.operator_norm(c_row @ c_row.conj().T - np.eye(c.dim))
-    if strict and c_viol > tol:
-        raise NotCoisometricC(f"sum C_j C_j* - I has norm {c_viol:.3e}")
+    if strict:
+        viols = _block_violations(c, a, b)
+        for key, error, message in (
+            ("c_coisometry", NotCoisometricC, "sum C_j C_j* - I has norm {:.3e}"),
+            ("cross_block", NotCoisometricE, "sum C_j B_j* has norm {:.3e}, should vanish"),
+            ("complement_block", NotCoisometricE, "B B* + A A* - I has norm {:.3e}"),
+        ):
+            if viols[key] > tol:
+                raise error(message.format(viols[key]))
 
     e = _block_lifting_ops(c, a, b)
-    if strict:
-        cross = sum(c.ops[j] @ b[j].conj().T for j in range(c.d))
-        cross_viol = linalg.operator_norm(cross)
-        if cross_viol > tol:
-            raise NotCoisometricE(
-                f"sum C_j B_j* has norm {cross_viol:.3e}, should vanish"
-            )
-        b_row = np.hstack(b)
-        a_row = a.row()
-        comp_viol = linalg.operator_norm(
-            b_row @ b_row.conj().T + a_row @ a_row.conj().T - np.eye(a.dim)
-        )
-        if comp_viol > tol:
-            raise NotCoisometricE(f"B B* + A A* - I has norm {comp_viol:.3e}")
-
     defect_c = defect(c, tol, clamp=not strict)
     defect_e = defect(e, tol, clamp=not strict)
     a_row = a.row()
@@ -258,14 +242,14 @@ def assemble(
     if strict:
         dstar = linalg.hermitian_sqrt(star_gram, TOL_RANK, floor_scale=1.0)
     else:
-        dstar = psd_sqrt_clamped(star_gram)
+        dstar = linalg.clamped_sqrt(star_gram)
     dstar_basis = linalg.range_onb(dstar)
     bstar = np.hstack(b).conj().T
     gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, bstar, tol, strict)
 
     inst = LiftingInstance(c, a, b, e, defect_c, defect_e, dstar, dstar_basis, gamma, seed)
     if strict:
-        viols = lifting_violations(inst)
+        viols = _derived_violations(inst)
         worst = max(viols, key=viols.get)
         if viols[worst] > tol:
             raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")
@@ -337,29 +321,3 @@ def generate(
     )
     return assemble(c, a, b, tol, seed=seed)
 
-
-def lifting_block_violation(e: OperatorTuple, dim_c: int) -> float:
-    """Largest norm of the forbidden upper-right block of any E_j.
-
-    The lifting property says the base space is co-invariant: each
-    E_j must map H_A into H_A, so the H_A -> H_C corner has to vanish.
-    """
-    worst = 0.0
-    for op in e.ops:
-        worst = max(worst, linalg.operator_norm(op[:dim_c, dim_c:]))
-    return worst
-
-
-def lifting_property_check(instance: LiftingInstance, tol: float = TOL_EQ):
-    """Verify the block structure of E against the stored C, A, B."""
-    nc = instance.dim_c
-    worst = lifting_block_violation(instance.e, nc)
-    for j in range(instance.d):
-        op = instance.e.ops[j]
-        worst = max(
-            worst,
-            linalg.operator_norm(op[:nc, :nc] - instance.c.ops[j]),
-            linalg.operator_norm(op[nc:, :nc] - instance.b[j]),
-            linalg.operator_norm(op[nc:, nc:] - instance.a.ops[j]),
-        )
-    return worst <= tol, worst

@@ -77,8 +77,22 @@ def hermitian_sqrt(m: np.ndarray, tol: float = TOL_RANK, floor_scale: float = 0.
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     if w[0] < -tol * max(scale, floor_scale):
         raise NotPSD(f"eigenvalue {w[0]:.3e} below the PSD tolerance band")
-    w = np.where(w <= tol * floor_scale, 0.0, np.maximum(w, 0.0))
-    root = (v * np.sqrt(w)) @ v.conj().T
+    return _eigen_root(w, v, tol * floor_scale)
+
+
+def clamped_sqrt(m: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
+    """``hermitian_sqrt(m, tol, floor_scale=1)`` without its checks.
+
+    Every eigenvalue at or below ``tol`` is zeroed, negative ones
+    included.  For defect operators of loaded data that may fail the
+    contraction property; validation reports that separately.
+    """
+    return _eigen_root(*np.linalg.eigh((m + m.conj().T) / 2.0), tol)
+
+
+def _eigen_root(w: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray:
+    """Root of ``v diag(w) v*`` with eigenvalues at or below ``floor >= 0`` zeroed."""
+    root = (v * np.sqrt(np.where(w <= floor, 0.0, w))) @ v.conj().T
     return (root + root.conj().T) / 2.0
 
 

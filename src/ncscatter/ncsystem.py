@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .transfer import Colligation, DimMismatch, NCSeries, series_multiply, transfer_series
-from .words import Word
+from .words import Word, enumerate_words, prepend_levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,30 +51,15 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
     if depth > signal.depth:
         raise DimMismatch(f"signal is only known to depth {signal.depth}")
 
-    zero_state = np.zeros((coll.state_dim, 1), dtype=np.complex128)
-    u = {w: signal.coeff(w) for w in _all_words(coll.d, depth)}
-    x: dict[Word, np.ndarray] = {(): zero_state}
-    level = [()]
-    for _ in range(depth):
-        deeper = []
-        for w in level:
-            for j in range(1, coll.d + 1):
-                x[(j,) + w] = coll.state_ops[j - 1] @ x[w] + coll.input_ops[
-                    j - 1
-                ] @ u[w]
-                deeper.append((j,) + w)
-        level = deeper
+    u = {w: signal.coeff(w) for w in enumerate_words(coll.d, depth).words}
+    x = prepend_levels(
+        np.zeros((coll.state_dim, 1), dtype=np.complex128),
+        coll.d,
+        depth,
+        lambda j, w, xw: coll.state_ops[j - 1] @ xw + coll.input_ops[j - 1] @ u[w],
+    )
     y = {w: coll.output_map @ x[w] + coll.feedthrough @ u[w] for w in u}
     return Trajectory(depth, u, x, y)
-
-
-def _all_words(d: int, depth: int) -> list[Word]:
-    out: list[Word] = [()]
-    level: list[Word] = [()]
-    for _ in range(depth):
-        level = [w + (j,) for w in level for j in range(1, d + 1)]
-        out.extend(level)
-    return out
 
 
 def io_violation(coll: Colligation, signal: NCSeries, depth: int | None = None) -> float:

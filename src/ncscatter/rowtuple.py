@@ -70,10 +70,6 @@ class OperatorTuple:
         return out
 
 
-def zero_tuple(d: int, n: int) -> OperatorTuple:
-    return OperatorTuple(tuple(np.zeros((n, n), dtype=np.complex128) for _ in range(d)))
-
-
 @dataclass(frozen=True)
 class TupleKind:
     contraction: bool
@@ -139,20 +135,6 @@ class DefectData:
         return self._components[j - 1]
 
 
-def psd_sqrt_clamped(gram: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """Square root of a nearly-PSD Hermitian matrix on natural scale 1.
-
-    Eigenvalues at or below ``tol_rank`` are zeroed, including small
-    negative ones.  Used for defect operators of loaded data that may
-    fail the contraction property by more than rounding; validation
-    reports the violation separately instead of refusing to build.
-    """
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    w = np.where(w <= tol_rank, 0.0, w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
-
-
 def defect(
     t: OperatorTuple,
     tol: float = TOL_EQ,
@@ -174,7 +156,7 @@ def defect(
     row = t.row()
     gram = np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row
     if clamp:
-        op = psd_sqrt_clamped(gram, tol_rank)
+        op = linalg.clamped_sqrt(gram, tol_rank)
     else:
         if not classify(t, tol).contraction:
             raise NotContraction("row operator norm exceeds 1 beyond tolerance")

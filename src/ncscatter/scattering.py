@@ -24,7 +24,7 @@ from . import linalg
 from .dilation import Dilation, GradedVector
 from .intertwiner import apply_intertwiner_adjoint, lift_space
 from .lifting import LiftingInstance
-from .words import Word
+from .words import Word, prepend_levels
 
 
 class DepthError(ValueError):
@@ -76,17 +76,10 @@ def shifted_star_frames(
     frame = lift_space(instance, base_depth).unflatten(
         star_wandering_frame(instance, base_depth)
     )
-    frames = {(): sp.flatten(frame, width=instance.rank_c)}
-    level = {(): frame}
-    for _ in range(max_len):
-        deeper: dict[Word, GradedVector] = {}
-        for w, v in level.items():
-            for j in range(1, instance.d + 1):
-                deeper[(j,) + w] = dil.apply(j, v)
-        level = deeper
-        for w, v in level.items():
-            frames[w] = sp.flatten(v, width=instance.rank_c)
-    return frames
+    translates = prepend_levels(
+        frame, instance.d, max_len, lambda j, _, v: dil.apply(j, v)
+    )
+    return {w: sp.flatten(v, width=instance.rank_c) for w, v in translates.items()}
 
 
 def wandering_violation(frames: dict[Word, np.ndarray]) -> float:
@@ -158,18 +151,12 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     dil = Dilation(instance.e, instance.defect_e)
     sp = lift_space(instance, depth)
     r = instance.rank_e
+    root = GradedVector(0, None, {(): np.eye(r, dtype=np.complex128)})
+    translates = prepend_levels(root, instance.d, depth, lambda j, _, v: dil.apply(j, v))
     worst = 0.0
-    level = {(): GradedVector(0, None, {(): np.eye(r, dtype=np.complex128)})}
-    for m in range(depth + 1):
-        for w, v in sorted(level.items()):
-            flat = sp.flatten(v, width=r)
-            want = np.zeros_like(flat)
-            want[sp.slot(w)] = np.eye(r)
-            worst = max(worst, linalg.operator_norm(flat - want))
-        if m < depth:
-            level = {
-                (j,) + w: dil.apply(j, v)
-                for w, v in level.items()
-                for j in range(1, instance.d + 1)
-            }
+    for w, v in translates.items():
+        flat = sp.flatten(v, width=r)
+        want = np.zeros_like(flat)
+        want[sp.slot(w)] = np.eye(r)
+        worst = max(worst, linalg.operator_norm(flat - want))
     return worst

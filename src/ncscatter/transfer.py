@@ -17,7 +17,7 @@ The transfer function assigns to every word a coefficient matrix,
 coeff(()) = D and coeff(g_1..g_k) = C E_{g_1}* .. E_{g_{k-1}}*
 (D-coords)_{g_k}*.  Its Toeplitz (right-convolution) action on
 truncated series is a contraction, with norm exactly one when the
-corner is absent.
+corner is absent and the base defect space is not zero.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .lifting import LiftingInstance
-from .words import Word, enumerate_words, splits
+from .words import Word, enumerate_words, prepend_levels, splits
 
 
 class DimMismatch(ValueError):
@@ -173,19 +173,16 @@ class NCSeries:
 
 def transfer_series(coll: Colligation, depth: int) -> NCSeries:
     """All transfer coefficients up to ``depth``, sharing suffix work."""
-    coeffs: dict[Word, np.ndarray] = {(): coll.feedthrough.copy()}
-    suffix: dict[Word, np.ndarray] = {}
-    for m in range(1, depth + 1):
-        deeper: dict[Word, np.ndarray] = {}
-        for j in range(1, coll.d + 1):
-            if m == 1:
-                deeper[(j,)] = coll.input_ops[j - 1]
-            else:
-                for w, s in suffix.items():
-                    deeper[(j,) + w] = coll.state_ops[j - 1] @ s
-        for w, s in deeper.items():
-            coeffs[w] = coll.output_map @ s
-        suffix = deeper
+    suffix = prepend_levels(
+        None,
+        coll.d,
+        depth,
+        lambda j, w, s: coll.state_ops[j - 1] @ s if w else coll.input_ops[j - 1],
+    )
+    coeffs = {
+        w: coll.output_map @ s if w else coll.feedthrough.copy()
+        for w, s in suffix.items()
+    }
     return NCSeries(coll.out_dim, coll.in_dim, depth, coeffs)
 
 

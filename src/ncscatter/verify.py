@@ -22,6 +22,7 @@ from .lifting import LiftingInstance, lifting_violations
 from .linalg import operator_norm
 from .ncsystem import io_violation
 from .transfer import build_colligation, colligation_violations
+from .words import prepend_levels
 
 
 @dataclass(frozen=True)
@@ -90,19 +91,12 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     """P_H V_w restricted to H equals the word product of the tuple."""
     worst = 0.0
     for dil in _dilation_pair(instance):
-        t = dil.t
-        level = [((), GradedVector(0, np.eye(t.dim, dtype=np.complex128), {}))]
-        for _ in range(min(3, depth)):
-            deeper = []
-            for w, v in level:
-                for j in range(1, dil.d + 1):
-                    deeper.append(((j,) + w, dil.apply(j, v)))
-            level = deeper
-            for w, v in level:
-                want = np.eye(t.dim, dtype=np.complex128)
-                for k in w:
-                    want = want @ t.ops[k - 1]
-                worst = max(worst, operator_norm(v.h - want))
+        root = GradedVector(0, np.eye(dil.t.dim, dtype=np.complex128), {})
+        translates = prepend_levels(
+            root, dil.d, min(3, depth), lambda j, _, v: dil.apply(j, v)
+        )
+        for w, v in translates.items():
+            worst = max(worst, operator_norm(v.h - dil.t.word_product(w)))
     return worst
 
 
@@ -239,7 +233,7 @@ def run_all_checks(
         ),
         ("transfer_contraction", 1e-8, lambda: _transfer_contraction(instance, depth)),
     ]
-    if instance.dim_a == 0:
+    if instance.dim_a == 0 and instance.rank_c > 0:
         plan.append(
             ("transfer_norm_one", 1e-10, lambda: _transfer_norm_one(instance, depth))
         )

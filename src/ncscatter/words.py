@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 Word = tuple[int, ...]
+T = TypeVar("T")
 
 EMPTY: Word = ()
 
@@ -82,6 +84,22 @@ class WordIndex:
 
 def enumerate_words(d: int, depth: int) -> WordIndex:
     return WordIndex(d, depth)
+
+
+def prepend_levels(
+    root: T, d: int, depth: int, step: Callable[[int, Word, T], T]
+) -> dict[Word, T]:
+    """Values on all words of length <= depth, built by prepending letters.
+
+    ``out[()] = root`` and ``out[(j,) + w] = step(j, w, out[w])``; each
+    level is filled from the one below, and the keys come in the
+    graded-lexicographic order of ``enumerate_words(d, depth).words``.
+    """
+    out: dict[Word, T] = {EMPTY: root}
+    for m in range(1, depth + 1):
+        for w in words_of_length(d, m):
+            out[w] = step(w[0], w[1:], out[w[1:]])
+    return out
 
 
 def validate_word(word, d: int) -> Word:

@@ -8,8 +8,6 @@ from ncscatter.dilation import (
     InnerSpaceMismatch,
     OverDepth,
     creation,
-    dilate_adjoint_apply,
-    dilate_apply,
     graded_space,
 )
 from ncscatter.linalg import operator_norm
@@ -132,11 +130,11 @@ class TestApplyHandValues:
     def test_balanced_pair_first_step(self):
         dil = make_dilation(balanced_pair_tuple())
         v = GradedVector(0, np.array([1.0]))
-        out = dilate_apply(dil, 1, v)
+        out = dil.apply(1, v)
         assert out.depth == 1
         assert out.h[0] == pytest.approx(RT2)
         assert out.fock[()][0] == pytest.approx(RT2)
-        out2 = dilate_apply(dil, 2, v)
+        out2 = dil.apply(2, v)
         assert out2.h[0] == pytest.approx(RT2)
         assert out2.fock[()][0] == pytest.approx(-RT2)
 
@@ -176,12 +174,12 @@ class TestAdjoint:
     def test_adjoint_hand_values(self):
         dil = make_dilation(balanced_pair_tuple())
         v = GradedVector(1, np.array([1.0]), {(): np.array([1.0]), (1,): np.array([2.0])})
-        out = dilate_adjoint_apply(dil, 1, v)
+        out = dil.adjoint_apply(1, v)
         assert out.depth == 0
         # T_1* h + d_1* x_() = 1/sqrt2 + 1/sqrt2
         assert out.h[0] == pytest.approx(2 * RT2)
         assert out.fock[()][0] == 2.0
-        out2 = dilate_adjoint_apply(dil, 2, v)
+        out2 = dil.adjoint_apply(2, v)
         assert out2.h[0] == pytest.approx(0.0)
         assert out2.fock == {}
 

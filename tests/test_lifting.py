@@ -8,11 +8,8 @@ from ncscatter.lifting import (
     NotCoisometricC,
     NotCoisometricE,
     assemble,
-    extract_gamma,
     gamma_isometry,
     generate,
-    lifting_block_violation,
-    lifting_property_check,
     lifting_violations,
 )
 from ncscatter.linalg import operator_norm, random_isometry
@@ -32,6 +29,18 @@ SWEEP = [
     (2, 3, 3, 8),
     (3, 3, 3, 9),
 ]
+
+
+def recover_gamma(inst):
+    """Solve gamma D* = B* again from the stored blocks."""
+    return gamma_isometry(
+        inst.defect_c.basis, inst.dstar, inst.dstar_basis, inst.b_star()
+    )
+
+
+def upper_right_violation(ops, dim_c):
+    """Largest norm of the H_A -> H_C corner, which a lifting must zero."""
+    return max(operator_norm(op[:dim_c, dim_c:]) for op in ops)
 
 
 class TestAssemble:
@@ -89,11 +98,11 @@ class TestAssemble:
 
 class TestGamma:
     def test_hand_extraction(self, hand_instance):
-        g = extract_gamma(hand_instance)
+        g = recover_gamma(hand_instance)
         assert np.allclose(g, [[1.0]], atol=1e-12)
 
     def test_no_corner_empty(self, no_corner_instance):
-        g = extract_gamma(no_corner_instance)
+        g = recover_gamma(no_corner_instance)
         assert g.shape == (no_corner_instance.rank_c, 0)
 
     def test_undefined_when_bstar_hits_kernel(self, coiso_pair):
@@ -115,7 +124,7 @@ class TestGamma:
         rng.standard_normal((dim_a, d * dim_a))
         planted = random_isometry(inst.rank_c, inst.rank_star, rng)
         assert operator_norm(inst.gamma - planted) < 1e-8
-        assert operator_norm(extract_gamma(inst) - planted) < 1e-8
+        assert operator_norm(recover_gamma(inst) - planted) < 1e-8
 
 
 class TestGenerate:
@@ -179,8 +188,16 @@ class TestStarDefect:
 
 class TestLiftingProperty:
     def test_assembled_instance_passes(self, plain_instance):
-        ok, worst = lifting_property_check(plain_instance)
-        assert ok and worst < 1e-14
+        inst, nc = plain_instance, plain_instance.dim_c
+        worst = upper_right_violation(inst.e.ops, nc)
+        for j, op in enumerate(inst.e.ops):
+            worst = max(
+                worst,
+                operator_norm(op[:nc, :nc] - inst.c.ops[j]),
+                operator_norm(op[nc:, :nc] - inst.b[j]),
+                operator_norm(op[nc:, nc:] - inst.a.ops[j]),
+            )
+        assert worst < 1e-14
 
     def test_perturbed_block_fails(self, plain_instance):
         ops = []
@@ -189,4 +206,4 @@ class TestLiftingProperty:
             m[0, -1] += 1e-3
             ops.append(m)
         bad = OperatorTuple(tuple(ops))
-        assert lifting_block_violation(bad, plain_instance.dim_c) > 1e-4
+        assert upper_right_violation(bad.ops, plain_instance.dim_c) > 1e-4

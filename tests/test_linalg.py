@@ -8,6 +8,7 @@ from ncscatter.linalg import (
     DimensionError,
     NotHermitian,
     NotPSD,
+    clamped_sqrt,
     hermitian_sqrt,
     operator_norm,
     principal_angles,
@@ -66,6 +67,24 @@ class TestHermitianSqrt:
 
     def test_empty(self):
         assert hermitian_sqrt(np.zeros((0, 0))).shape == (0, 0)
+
+
+class TestClampedSqrt:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_checked_root_on_psd_input(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_matrix(rng, 4, 3)
+        m = a @ a.conj().T / operator_norm(a) ** 2  # rank 3, scale 1
+        want = hermitian_sqrt(m, floor_scale=1.0)
+        assert np.array_equal(clamped_sqrt(m), want)
+
+    def test_zeroes_negative_eigenvalues(self):
+        q = random_isometry(3, 3, 4)
+        m = q @ np.diag([0.25, -0.5, -1e-3]) @ q.conj().T
+        with pytest.raises(NotPSD):
+            hermitian_sqrt(m, floor_scale=1.0)
+        s = clamped_sqrt(m)
+        assert operator_norm(s - 0.5 * np.outer(q[:, 0], q[:, 0].conj())) < 1e-14
 
 
 class TestRangeOnb:

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from ncscatter.linalg import operator_norm
-from ncscatter.rowtuple import (
-    NotContraction,
-    OperatorTuple,
-    classify,
-    defect,
-    zero_tuple,
-)
+from ncscatter.rowtuple import NotContraction, OperatorTuple, classify, defect
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -50,7 +44,8 @@ class TestClassify:
         assert kind.contraction and kind.coisometric and not kind.row_isometry
 
     def test_zero_tuple(self):
-        kind = classify(zero_tuple(2, 2))
+        zero = OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2))))
+        kind = classify(zero)
         assert kind.contraction and not kind.coisometric and not kind.row_isometry
 
     def test_not_contraction(self):

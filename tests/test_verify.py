@@ -52,6 +52,16 @@ class TestRunAllChecks:
         assert names.index("transfer_norm_one") == names.index("transfer_contraction") + 1
         assert all_passed(results)
 
+    def test_one_letter_without_corner_or_defect(self):
+        # d = 1 makes C unitary, so the base defect and the transfer
+        # series are zero and no norm-one claim applies
+        for seed in range(3):
+            inst = lifting.generate(1, 2, 0, seed=seed)
+            assert inst.rank_c == 0
+            results = run_all_checks(inst, 3)
+            assert "transfer_norm_one" not in [r.name for r in results]
+            assert all_passed(results)
+
     def test_depth_must_be_positive(self, plain_instance):
         with pytest.raises(ValueError):
             run_all_checks(plain_instance, 0)

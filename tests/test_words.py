@@ -3,7 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncscatter import words
-from ncscatter.words import concat, enumerate_words, reverse, splits, validate_word
+from ncscatter.words import (
+    concat,
+    enumerate_words,
+    prepend_levels,
+    reverse,
+    splits,
+    validate_word,
+)
 
 word_st = st.lists(st.integers(1, 3), max_size=6).map(tuple)
 
@@ -85,3 +92,31 @@ def test_validate_word():
 def test_words_of_length():
     assert words.words_of_length(2, 0) == [()]
     assert words.words_of_length(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("d,depth", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 2)])
+def test_prepend_levels_graded_lex_keys(d, depth):
+    out = prepend_levels(0, d, depth, lambda j, w, parent: parent + 1)
+    assert tuple(out) == enumerate_words(d, depth).words
+    assert all(value == len(w) for w, value in out.items())
+
+
+def test_prepend_levels_step_arguments():
+    calls = []
+
+    def step(j, w, parent):
+        calls.append((j, w, parent))
+        return (j,) + parent
+
+    out = prepend_levels((), 2, 2, step)
+    # each value is its own word, so the parent value names the parent word
+    assert all(value == w for w, value in out.items())
+    assert sorted(calls) == sorted(
+        (w[0], w[1:], w[1:]) for w in enumerate_words(2, 2).words if w
+    )
+
+
+def test_prepend_levels_depth_zero_and_one_letter():
+    assert prepend_levels("root", 3, 0, lambda j, w, p: 1 / 0) == {(): "root"}
+    out = prepend_levels(1, 1, 3, lambda j, w, parent: 2 * parent)
+    assert out == {(): 1, (1,): 2, (1, 1): 4, (1, 1, 1): 8}
