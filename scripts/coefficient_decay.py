@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ncscatter.lifting import generate
-from ncscatter.transfer import build_colligation, toeplitz_matrix, transfer_series
+from ncscatter.transfer import build_colligation, transfer_norm, transfer_series
 
 
 def main() -> int:
@@ -39,9 +39,7 @@ def main() -> int:
         peak = {m: 0.0 for m in lengths}
         for w, m in series.coeffs.items():
             peak[len(w)] = max(peak[len(w)], float(np.linalg.norm(m, 2)))
-        norm = float(
-            np.linalg.norm(toeplitz_matrix(series, inst.d, args.max_depth), 2)
-        )
+        norm = transfer_norm(series, inst.d)
         row = " | ".join(f"{peak[m]:.4f}" for m in lengths)
         print(f"{scale:12.2f} | {row} | {norm:.8f}")
         if norm > 1.0 + 1e-8:

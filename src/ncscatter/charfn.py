@@ -26,16 +26,9 @@ import numpy as np
 
 from . import linalg
 from .dilation import GradedVector
-from .intertwiner import base_space, intertwiner_matrix, lift_space
+from .intertwiner import base_space, lift_space
 from .lifting import LiftingInstance
-from .transfer import (
-    NCSeries,
-    build_colligation,
-    random_series,
-    series_multiply,
-    transfer_coefficient,
-    transfer_series,
-)
+from .transfer import Colligation, NCSeries, series_multiply, transfer_coefficient
 from .words import Word, enumerate_words, prepend_levels, reverse
 
 
@@ -121,10 +114,8 @@ def charfn_series(
     return NCSeries(instance.rank_c, instance.rank_e, depth, coeffs)
 
 
-def coincidence_violation(instance: LiftingInstance, depth: int) -> float:
-    """Characteristic blocks against reversed transfer coefficients."""
-    series = charfn_series(instance, depth)
-    coll = build_colligation(instance)
+def coincidence_violation(series: NCSeries, coll: Colligation) -> float:
+    """Characteristic blocks against reversed transfer coefficients of ``coll``."""
     worst = 0.0
     for w, m in series.coeffs.items():
         worst = max(
@@ -134,16 +125,17 @@ def coincidence_violation(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def vacuum_restriction_violation(instance: LiftingInstance, depth: int) -> float:
+def vacuum_restriction_violation(
+    instance: LiftingInstance, series: NCSeries, w_mat: np.ndarray
+) -> float:
     """Intertwiner columns on the vacuum defect copy against the blocks.
 
-    The base-space rows must vanish and the Fock rows must reproduce
-    the characteristic blocks word by word, with no reversal.
+    ``w_mat`` is the intertwiner at the depth of ``series``.  The
+    base-space rows must vanish and the Fock rows must reproduce the
+    characteristic blocks word by word, with no reversal.
     """
-    series = charfn_series(instance, depth)
-    w_mat = intertwiner_matrix(instance, depth)
-    dom = lift_space(instance, depth)
-    cod = base_space(instance, depth)
+    dom = lift_space(instance, series.depth)
+    cod = base_space(instance, series.depth)
     cols = w_mat[:, dom.slot(())]
     worst = linalg.operator_norm(cols[: instance.dim_c])
     for alpha in cod.index.words:
@@ -152,21 +144,23 @@ def vacuum_restriction_violation(instance: LiftingInstance, depth: int) -> float
     return worst
 
 
-def fock_action_violation(instance: LiftingInstance, depth: int, seed=0) -> float:
+def fock_action_violation(
+    instance: LiftingInstance, w_mat: np.ndarray, theta: NCSeries, signal: NCSeries
+) -> float:
     """Intertwiner on Fock-only vectors against reversed convolution.
 
-    Loading a signal into Fock coordinates through word reversal turns
-    the intertwiner's action into convolution by the transfer series:
-    the intertwiner respects prepended letters, convolution respects
-    appended ones.
+    ``w_mat`` and the transfer series ``theta`` reach the depth of the
+    one-column ``signal``.  Loading a signal into Fock coordinates
+    through word reversal turns the intertwiner's action into
+    convolution by the transfer series: the intertwiner respects
+    prepended letters, convolution respects appended ones.
     """
-    signal = random_series(instance.rank_e, 1, instance.d, depth, seed)
+    depth = signal.depth
     dom = lift_space(instance, depth)
     cod = base_space(instance, depth)
     fock = {w: signal.coeff(reverse(w)) for w in dom.index.words}
     flat_in = dom.flatten(GradedVector(depth, None, fock), width=1)
-    got = intertwiner_matrix(instance, depth) @ flat_in
-    theta = transfer_series(build_colligation(instance), depth)
+    got = w_mat @ flat_in
     out = series_multiply(theta, signal)
     worst = float(np.linalg.norm(got[: instance.dim_c]))
     for w in cod.index.words:

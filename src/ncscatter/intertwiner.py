@@ -186,13 +186,7 @@ def apply_intertwiner(
         stages = v.depth + 1
     if stages < v.depth + 1:
         raise StageMismatch(f"need at least {v.depth + 1} stages for depth {v.depth}")
-    sv = stage_zero(v, instance.d)
-    for n in range(1, stages + 1):
-        sv = stage_forward(instance.e, instance.defect_e, n, sv)
-    sv = project_to_base(instance.dim_c, sv)
-    for n in range(stages, 0, -1):
-        sv = stage_backward(instance.c, instance.defect_c, n, sv)
-    return stage_to_graded(sv)
+    return _pipeline(instance, v, stages, adjoint=False)
 
 
 def apply_intertwiner_adjoint(
@@ -203,13 +197,24 @@ def apply_intertwiner_adjoint(
     This direction is exact on the truncation: the output never has
     deeper support than the input.
     """
-    stages = v.depth + 1
+    return _pipeline(instance, v, v.depth + 1, adjoint=True)
+
+
+def _pipeline(
+    instance: LiftingInstance, v: GradedVector, stages: int, adjoint: bool
+) -> GradedVector:
+    """Forward stages of one tuple, project or embed, backward stages of the other."""
+    lifted, base = (instance.e, instance.defect_e), (instance.c, instance.defect_c)
+    first, second = (base, lifted) if adjoint else (lifted, base)
     sv = stage_zero(v, instance.d)
     for n in range(1, stages + 1):
-        sv = stage_forward(instance.c, instance.defect_c, n, sv)
-    sv = embed_from_base(instance.dim_e, sv)
+        sv = stage_forward(*first, n, sv)
+    if adjoint:
+        sv = embed_from_base(instance.dim_e, sv)
+    else:
+        sv = project_to_base(instance.dim_c, sv)
     for n in range(stages, 0, -1):
-        sv = stage_backward(instance.e, instance.defect_e, n, sv)
+        sv = stage_backward(*second, n, sv)
     return stage_to_graded(sv)
 
 
@@ -227,28 +232,34 @@ def intertwiner_matrix(
     instance: LiftingInstance, depth: int, stages: int | None = None
 ) -> np.ndarray:
     """Flat matrix of the depth-truncated intertwiner."""
-    dom = lift_space(instance, depth)
-    cod = base_space(instance, depth)
-    batch = dom.unflatten(np.eye(dom.dim, dtype=np.complex128))
-    out = apply_intertwiner(instance, batch, stages)
-    return cod.flatten(out, width=dom.dim)
+    return _flat_matrix(
+        lift_space(instance, depth),
+        base_space(instance, depth),
+        lambda batch: apply_intertwiner(instance, batch, stages),
+    )
 
 
 def intertwiner_adjoint_matrix(instance: LiftingInstance, depth: int) -> np.ndarray:
     """Flat matrix of the adjoint intertwiner."""
-    dom = base_space(instance, depth)
-    cod = lift_space(instance, depth)
+    return _flat_matrix(
+        base_space(instance, depth),
+        lift_space(instance, depth),
+        lambda batch: apply_intertwiner_adjoint(instance, batch),
+    )
+
+
+def _flat_matrix(dom, cod, apply) -> np.ndarray:
+    """Flat matrix of ``apply`` from the ``dom`` space into ``cod``."""
     batch = dom.unflatten(np.eye(dom.dim, dtype=np.complex128))
-    out = apply_intertwiner_adjoint(instance, batch)
-    return cod.flatten(out, width=dom.dim)
+    return cod.flatten(apply(batch), width=dom.dim)
 
 
-def stabilization_violation(instance: LiftingInstance, depth: int) -> float:
-    """How much one extra stage changes the truncated intertwiner.
+def stabilization_violation(plain: np.ndarray, extra: np.ndarray) -> float:
+    """How much extra stages change the truncated intertwiner matrix.
 
-    Zero in exact arithmetic: content the intertwiner creates beyond
-    the truncation depth never folds back into it.
+    ``plain`` and ``extra`` are :func:`intertwiner_matrix` at one depth
+    with the default and with a larger stage count.  Zero in exact
+    arithmetic: content the intertwiner creates beyond the truncation
+    depth never folds back into it.
     """
-    plain = intertwiner_matrix(instance, depth)
-    extra = intertwiner_matrix(instance, depth, stages=depth + 2)
     return linalg.operator_norm(plain - extra)

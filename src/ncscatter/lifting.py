@@ -48,6 +48,11 @@ class GammaUndefined(ValueError):
     isometry gamma with gamma D* = B* can exist."""
 
 
+class RankClampBand(ValueError):
+    """``a_scale`` is so close to 1 that the rank cut of the star
+    defect would discard true spectrum and break the dilation checks."""
+
+
 class Infeasible(ValueError):
     """Requested dimensions admit no valid instance: the star defect
     rank exceeds the defect rank (d-1)*dimC of the base tuple."""
@@ -271,7 +276,8 @@ def generate(
     than 1 keeps the star defect full rank, 0 gives A = 0), gamma is a
     random isometry between the defect frames, and B is forced by
     B = (gamma D*)*.  Raises :class:`Infeasible` when the star defect
-    rank exceeds (d-1)*dimC.
+    rank exceeds (d-1)*dimC, and :class:`RankClampBand` for a corner
+    with 0 < 1 - a_scale**2 <= 10 * TOL_RANK.
     """
     if d < 1:
         raise ValueError("need at least one operator")
@@ -281,6 +287,11 @@ def generate(
         raise ValueError("corner dimension must be nonnegative")
     if not 0.0 <= a_scale <= 1.0:
         raise ValueError("a_scale must lie in [0, 1]")
+    if dim_a > 0 and 0.0 < 1.0 - a_scale**2 <= 10 * TOL_RANK:
+        raise RankClampBand(
+            f"1 - a_scale**2 = {1.0 - a_scale**2:.1e} lies in the rank-clamp band "
+            f"(0, {10 * TOL_RANK:.0e}], where the star defect loses true spectrum"
+        )
 
     rng = np.random.default_rng(seed)
     cstar = linalg.random_isometry(d * dim_c, dim_c, rng)

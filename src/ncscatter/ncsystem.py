@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transfer import Colligation, DimMismatch, NCSeries, series_multiply, transfer_series
+from .transfer import Colligation, DimMismatch, NCSeries, series_multiply
 from .words import Word, enumerate_words, prepend_levels
 
 
@@ -62,10 +62,9 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
     return Trajectory(depth, u, x, y)
 
 
-def io_violation(coll: Colligation, signal: NCSeries, depth: int | None = None) -> float:
-    """Recursion output against convolution by the transfer series."""
-    traj = simulate(coll, signal, depth)
-    theta = transfer_series(coll, traj.depth)
+def io_violation(coll: Colligation, signal: NCSeries, theta: NCSeries) -> float:
+    """Recursion output against convolution by ``theta``, the transfer series."""
+    traj = simulate(coll, signal)
     want = series_multiply(theta, signal, depth=traj.depth)
     worst = 0.0
     for w, got in traj.y.items():

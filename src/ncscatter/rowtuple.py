@@ -135,12 +135,7 @@ class DefectData:
         return self._components[j - 1]
 
 
-def defect(
-    t: OperatorTuple,
-    tol: float = TOL_EQ,
-    tol_rank: float = TOL_RANK,
-    clamp: bool = False,
-) -> DefectData:
+def defect(t: OperatorTuple, tol: float = TOL_EQ, clamp: bool = False) -> DefectData:
     """Defect data of a row contraction.
 
     Raises :class:`NotContraction` when the row norm exceeds 1 beyond
@@ -156,12 +151,12 @@ def defect(
     row = t.row()
     gram = np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row
     if clamp:
-        op = linalg.clamped_sqrt(gram, tol_rank)
+        op = linalg.clamped_sqrt(gram, TOL_RANK)
     else:
         if not classify(t, tol).contraction:
             raise NotContraction("row operator norm exceeds 1 beyond tolerance")
-        op = linalg.hermitian_sqrt(gram, tol_rank, floor_scale=1.0)
-    basis = linalg.range_onb(op, tol_rank)
+        op = linalg.hermitian_sqrt(gram, TOL_RANK, floor_scale=1.0)
+    basis = linalg.range_onb(op, TOL_RANK)
     comps = tuple(
         basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)
     )

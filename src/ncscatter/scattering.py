@@ -46,9 +46,8 @@ def star_wandering_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     return lift_space(instance, depth).flatten(out, width=instance.rank_c)
 
 
-def base_leak(instance: LiftingInstance, depth: int) -> float:
-    """Norm of the base-space rows of the star-wandering frame."""
-    frame = star_wandering_frame(instance, depth)
+def base_leak(instance: LiftingInstance, frame: np.ndarray) -> float:
+    """Norm of the base-space rows of a star-wandering frame."""
     return linalg.operator_norm(frame[: instance.dim_c])
 
 
@@ -125,15 +124,18 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     return u[:, rank:]
 
 
-def verify_complement(instance: LiftingInstance, depth: int) -> tuple[int, float]:
+def verify_complement(
+    instance: LiftingInstance, depth: int, frame: np.ndarray
+) -> tuple[int, float]:
     """Dimension of the complement and its angle to the star frame.
 
-    Returns ``(dim, max principal angle)``; the star-wandering space
-    equals the complement exactly when the dimension is the base
-    defect rank and the angle vanishes.
+    ``frame`` is :func:`star_wandering_frame` at ``depth``.  Returns
+    ``(dim, max principal angle)``; the star-wandering space equals
+    the complement exactly when the dimension is the base defect rank
+    and the angle vanishes.
     """
     comp = complement_frame(instance, depth)
-    frame = star_wandering_frame(instance, depth)[corner_rows(instance, depth)]
+    frame = frame[corner_rows(instance, depth)]
     if comp.shape[1] != frame.shape[1]:
         return comp.shape[1], float(np.pi / 2)
     angles = linalg.principal_angles(comp, frame)

@@ -227,12 +227,10 @@ def _support_products(left: NCSeries, right: NCSeries, cap: int):
     return sorted(out)
 
 
-def right_translate(series: NCSeries, letter: int, depth: int | None = None) -> NCSeries:
+def right_translate(series: NCSeries, letter: int) -> NCSeries:
     """Append one letter to every support word (formal right shift)."""
-    if depth is None:
-        depth = series.depth + 1
     coeffs = {w + (letter,): m.copy() for w, m in series.coeffs.items()}
-    return NCSeries(series.out_dim, series.in_dim, depth, coeffs)
+    return NCSeries(series.out_dim, series.in_dim, series.depth + 1, coeffs)
 
 
 def toeplitz_matrix(series: NCSeries, d: int, depth: int) -> np.ndarray:
@@ -260,10 +258,9 @@ def toeplitz_matrix(series: NCSeries, d: int, depth: int) -> np.ndarray:
     return out
 
 
-def transfer_norm(instance: LiftingInstance, depth: int) -> float:
-    """Norm of the truncated Toeplitz action of the transfer function."""
-    series = transfer_series(build_colligation(instance), depth)
-    return linalg.operator_norm(toeplitz_matrix(series, instance.d, depth))
+def transfer_norm(series: NCSeries, d: int) -> float:
+    """Norm of the Toeplitz action of a series on words up to its depth."""
+    return linalg.operator_norm(toeplitz_matrix(series, d, series.depth))
 
 
 def multi_analyticity_violation(

@@ -6,12 +6,17 @@ threshold.  Thresholds are absolute: the identities hold exactly in
 the truncated model, so violations are rounding noise and scale only
 mildly with dimension.  A check that raises is reported as failed
 with the error message attached instead of aborting the run.
+
+:func:`run_all_checks` builds each measured object once, through a
+memoised builder dropped after its last check so large matrices do
+not outlive it; a build that raises fails every check that needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -59,30 +64,33 @@ def _dilation_pair(instance: LiftingInstance) -> tuple[Dilation, Dilation]:
     )
 
 
-def _dilation_isometry(instance: LiftingInstance, depth: int) -> float:
+def _dilation_matrices(instance: LiftingInstance, depth: int) -> list[list[np.ndarray]]:
+    """``V_j`` from depth-1 to depth, for the base dilation then the lifted one."""
+    pair = _dilation_pair(instance)
+    return [[dil.matrix(j, depth - 1) for j in range(1, dil.d + 1)] for dil in pair]
+
+
+def _dilation_isometry(mats: list[list[np.ndarray]]) -> float:
     worst = 0.0
-    for dil in _dilation_pair(instance):
-        mats = [dil.matrix(j, depth - 1) for j in range(1, dil.d + 1)]
-        for m in mats:
+    for row in mats:
+        for m in row:
             worst = max(worst, operator_norm(m.conj().T @ m - np.eye(m.shape[1])))
     return worst
 
 
-def _dilation_orthogonal_ranges(instance: LiftingInstance, depth: int) -> float:
+def _dilation_orthogonal_ranges(mats: list[list[np.ndarray]]) -> float:
     worst = 0.0
-    for dil in _dilation_pair(instance):
-        mats = [dil.matrix(j, depth - 1) for j in range(1, dil.d + 1)]
-        for i, mi in enumerate(mats):
-            for mjj in mats[i + 1 :]:
+    for row in mats:
+        for i, mi in enumerate(row):
+            for mjj in row[i + 1 :]:
                 worst = max(worst, operator_norm(mi.conj().T @ mjj))
     return worst
 
 
-def _dilation_row_unitary(instance: LiftingInstance, depth: int) -> float:
+def _dilation_row_unitary(mats: list[list[np.ndarray]]) -> float:
     worst = 0.0
-    for dil in _dilation_pair(instance):
-        mats = [dil.matrix(j, depth - 1) for j in range(1, dil.d + 1)]
-        gram = sum(m @ m.conj().T for m in mats)
+    for row in mats:
+        gram = sum(m @ m.conj().T for m in row)
         worst = max(worst, operator_norm(gram - np.eye(gram.shape[0])))
     return worst
 
@@ -100,68 +108,35 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def _intertwining(instance: LiftingInstance, depth: int) -> float:
+def _intertwining(
+    w_deep: np.ndarray, w_flat: np.ndarray, mats: list[list[np.ndarray]]
+) -> float:
     """Both directions: W against V on the lift, W* against V on the base."""
-    base, lift = _dilation_pair(instance)
-    w_deep = intertwiner_matrix(instance, depth)
-    w_flat = intertwiner_matrix(instance, depth - 1)
     worst = 0.0
-    for j in range(1, instance.d + 1):
-        lhs = w_deep @ lift.matrix(j, depth - 1)
-        rhs = base.matrix(j, depth - 1) @ w_flat
+    for v_base, v_lift in zip(*mats):
+        lhs = w_deep @ v_lift
+        rhs = v_base @ w_flat
         worst = max(worst, operator_norm(lhs - rhs))
-        lhs_star = lift.matrix(j, depth - 1) @ w_flat.conj().T
-        rhs_star = w_deep.conj().T @ base.matrix(j, depth - 1)
+        lhs_star = v_lift @ w_flat.conj().T
+        rhs_star = w_deep.conj().T @ v_base
         worst = max(worst, operator_norm(lhs_star - rhs_star))
     return worst
 
 
-def _intertwiner_coisometry(instance: LiftingInstance, depth: int) -> float:
-    w = intertwiner_matrix(instance, depth)
+def _intertwiner_coisometry(w: np.ndarray) -> float:
     return operator_norm(w @ w.conj().T - np.eye(w.shape[0]))
 
 
-def _base_subspace_fixed(instance: LiftingInstance, depth: int) -> float:
-    w = intertwiner_matrix(instance, depth)
-    nc = instance.dim_c
-    cols = w[:, :nc]
+def _base_subspace_fixed(w: np.ndarray, dim_c: int) -> float:
+    cols = w[:, :dim_c]
     target = np.zeros_like(cols)
-    target[:nc] = np.eye(nc)
+    target[:dim_c] = np.eye(dim_c)
     return operator_norm(cols - target)
 
 
-def _transfer_contraction(instance: LiftingInstance, depth: int) -> float:
-    return max(transfer.transfer_norm(instance, depth) - 1.0, 0.0)
-
-
-def _transfer_norm_one(instance: LiftingInstance, depth: int) -> float:
-    return abs(transfer.transfer_norm(instance, depth) - 1.0)
-
-
-def _multi_analyticity(instance: LiftingInstance, depth: int, seed) -> float:
-    coll = build_colligation(instance)
-    theta = transfer.transfer_series(coll, depth)
-    signal = transfer.random_series(coll.in_dim, 1, instance.d, depth - 1, seed)
+def _multi_analyticity(theta, signal, d: int) -> float:
     return max(
-        transfer.multi_analyticity_violation(theta, signal, j)
-        for j in range(1, instance.d + 1)
-    )
-
-
-def _io_recursion(instance: LiftingInstance, depth: int, seed) -> float:
-    coll = build_colligation(instance)
-    signal = transfer.random_series(coll.in_dim, 1, instance.d, depth, seed)
-    return io_violation(coll, signal)
-
-
-def _colligation_structure(instance: LiftingInstance) -> float:
-    return max(colligation_violations(build_colligation(instance)).values())
-
-
-def _restriction(instance: LiftingInstance, depth: int, seed) -> float:
-    return max(
-        charfn.vacuum_restriction_violation(instance, depth),
-        charfn.fock_action_violation(instance, depth, seed),
+        transfer.multi_analyticity_violation(theta, signal, j) for j in range(1, d + 1)
     )
 
 
@@ -175,92 +150,94 @@ def run_all_checks(
     """
     if depth < 1:
         raise ValueError("verification needs depth >= 1")
-    max_len = max(1, depth - 1)
-    plan = [
-        (
-            "lifting_identities",
-            1e-8,
-            lambda: max(lifting_violations(instance).values()),
-        ),
-        ("dilation_isometry", 1e-12, lambda: _dilation_isometry(instance, depth)),
-        (
-            "dilation_orthogonal_ranges",
-            1e-12,
-            lambda: _dilation_orthogonal_ranges(instance, depth),
-        ),
-        ("dilation_row_unitary", 1e-10, lambda: _dilation_row_unitary(instance, depth)),
-        (
-            "dilation_compression",
-            1e-10,
-            lambda: _dilation_compression(instance, depth),
-        ),
-        ("intertwining", 1e-10, lambda: _intertwining(instance, depth)),
-        (
-            "intertwiner_coisometry",
-            1e-10,
-            lambda: _intertwiner_coisometry(instance, depth),
-        ),
-        ("base_subspace_fixed", 1e-12, lambda: _base_subspace_fixed(instance, depth)),
-        (
-            "intertwiner_stabilization",
-            1e-12,
-            lambda: stabilization_violation(instance, depth),
-        ),
-        (
-            "star_frame_base_leak",
-            1e-12,
-            lambda: scattering.base_leak(instance, depth),
-        ),
-        (
-            "wandering_orthogonality",
-            1e-10,
-            lambda: scattering.verify_wandering(instance, depth, max_len),
-        ),
-        (
-            "complement_dimension_angles",
-            1e-8,
-            lambda: scattering.verify_complement(instance, depth)[1],
-        ),
-        (
-            "shift_decomposition",
-            1e-12,
-            lambda: scattering.verify_shift_decomposition(instance, depth),
-        ),
-        (
-            "colligation_structure",
-            1e-10,
-            lambda: _colligation_structure(instance),
-        ),
-        ("transfer_contraction", 1e-8, lambda: _transfer_contraction(instance, depth)),
-    ]
-    if instance.dim_a == 0 and instance.rank_c > 0:
-        plan.append(
-            ("transfer_norm_one", 1e-10, lambda: _transfer_norm_one(instance, depth))
-        )
-    plan += [
-        (
-            "multi_analyticity",
-            1e-12,
-            lambda: _multi_analyticity(instance, depth, seed),
-        ),
-        ("io_recursion", 1e-10, lambda: _io_recursion(instance, depth, seed)),
-        (
-            "charfn_coincidence",
-            1e-10,
-            lambda: charfn.coincidence_violation(instance, depth),
-        ),
-        (
-            "charfn_restriction",
-            1e-10,
-            lambda: _restriction(instance, depth, seed),
-        ),
-    ]
+    d = instance.d
     results = []
-    for name, threshold, run in plan:
+
+    def check(name: str, threshold: float, run) -> None:
         try:
             results.append(CheckResult.measure(name, run(), threshold))
         except Exception as exc:
             results.append(CheckResult.failure(name, threshold, str(exc)))
+
+    check("lifting_identities", 1e-8, lambda: max(lifting_violations(instance).values()))
+    mats = cache(lambda: _dilation_matrices(instance, depth))
+    check("dilation_isometry", 1e-12, lambda: _dilation_isometry(mats()))
+    check("dilation_orthogonal_ranges", 1e-12, lambda: _dilation_orthogonal_ranges(mats()))
+    check("dilation_row_unitary", 1e-10, lambda: _dilation_row_unitary(mats()))
+    check("dilation_compression", 1e-10, lambda: _dilation_compression(instance, depth))
+    w_mat = cache(lambda: intertwiner_matrix(instance, depth))
+    check(
+        "intertwining",
+        1e-10,
+        lambda: _intertwining(w_mat(), intertwiner_matrix(instance, depth - 1), mats()),
+    )
+    del mats
+    check("intertwiner_coisometry", 1e-10, lambda: _intertwiner_coisometry(w_mat()))
+    check(
+        "base_subspace_fixed", 1e-12, lambda: _base_subspace_fixed(w_mat(), instance.dim_c)
+    )
+    check(
+        "intertwiner_stabilization",
+        1e-12,
+        lambda: stabilization_violation(
+            w_mat(), intertwiner_matrix(instance, depth, stages=depth + 2)
+        ),
+    )
+    del w_mat
+    frame = cache(lambda: scattering.star_wandering_frame(instance, depth))
+    check("star_frame_base_leak", 1e-12, lambda: scattering.base_leak(instance, frame()))
+    check(
+        "wandering_orthogonality",
+        1e-10,
+        lambda: scattering.verify_wandering(instance, depth, max(1, depth - 1)),
+    )
+    check(
+        "complement_dimension_angles",
+        1e-8,
+        lambda: scattering.verify_complement(instance, depth, frame())[1],
+    )
+    del frame
+    check(
+        "shift_decomposition",
+        1e-12,
+        lambda: scattering.verify_shift_decomposition(instance, depth),
+    )
+    coll = cache(lambda: build_colligation(instance))
+    theta = cache(lambda: transfer.transfer_series(coll(), depth))
+    norm = cache(lambda: transfer.transfer_norm(theta(), d))
+    check(
+        "colligation_structure", 1e-10, lambda: max(colligation_violations(coll()).values())
+    )
+    check("transfer_contraction", 1e-8, lambda: max(norm() - 1.0, 0.0))
+    if instance.dim_a == 0 and instance.rank_c > 0:
+        check("transfer_norm_one", 1e-10, lambda: abs(norm() - 1.0))
+    del norm
+    check(
+        "multi_analyticity",
+        1e-12,
+        lambda: _multi_analyticity(
+            theta(), transfer.random_series(instance.rank_e, 1, d, depth - 1, seed), d
+        ),
+    )
+    signal = cache(lambda: transfer.random_series(instance.rank_e, 1, d, depth, seed))
+    check("io_recursion", 1e-10, lambda: io_violation(coll(), signal(), theta()))
+    series = cache(lambda: charfn.charfn_series(instance, depth))
+    check(
+        "charfn_coincidence", 1e-10, lambda: charfn.coincidence_violation(series(), coll())
+    )
+    del coll
+
+    def restriction(blocks, w):
+        return max(
+            charfn.vacuum_restriction_violation(instance, blocks, w),
+            charfn.fock_action_violation(instance, w, theta(), signal()),
+        )
+
+    check(
+        "charfn_restriction",
+        1e-10,
+        lambda: restriction(series(), intertwiner_matrix(instance, depth)),
+    )
     return results
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from ncscatter import lifting, scattering
 from ncscatter.charfn import (
+    charfn_series,
     coincidence_violation,
     fock_action_violation,
     vacuum_restriction_violation,
@@ -28,11 +29,13 @@ from ncscatter.transfer import (
     build_colligation,
     random_series,
     transfer_norm,
+    transfer_series,
 )
 from ncscatter.verify import (
     _base_subspace_fixed,
     _dilation_compression,
     _dilation_isometry,
+    _dilation_matrices,
     _dilation_orthogonal_ranges,
     _dilation_row_unitary,
     _intertwining,
@@ -92,15 +95,17 @@ def test_lifting_validity(sweep):
 
 
 def test_dilation_isometry_and_orthogonal_ranges(sweep):
-    worst = max(
-        max(_dilation_isometry(i, n), _dilation_orthogonal_ranges(i, n))
-        for i, n, _ in sweep
-    )
+    worst = 0.0
+    for i, n, _ in sweep:
+        mats = _dilation_matrices(i, n)
+        worst = max(
+            worst, _dilation_isometry(mats), _dilation_orthogonal_ranges(mats)
+        )
     report("dilation isometry and orthogonal ranges", worst, 1e-12)
 
 
 def test_dilation_row_identity(sweep):
-    worst = max(_dilation_row_unitary(i, n) for i, n, _ in sweep)
+    worst = max(_dilation_row_unitary(_dilation_matrices(i, n)) for i, n, _ in sweep)
     report("dilation row identity on truncated vectors", worst, 1e-10)
 
 
@@ -110,22 +115,34 @@ def test_dilation_compression(sweep):
 
 
 def test_intertwiner_coisometry(sweep):
-    worst = max(_intertwiner_coisometry(i, n) for i, n, _ in sweep)
+    worst = max(_intertwiner_coisometry(intertwiner_matrix(i, n)) for i, n, _ in sweep)
     report("intertwiner times adjoint is the identity", worst, 1e-10)
 
 
 def test_intertwiner_fixes_base(sweep):
-    worst = max(_base_subspace_fixed(i, n) for i, n, _ in sweep)
+    worst = max(
+        _base_subspace_fixed(intertwiner_matrix(i, n), i.dim_c) for i, n, _ in sweep
+    )
     report("intertwiner fixes the base subspace", worst, 1e-12)
 
 
 def test_intertwiner_stabilization(sweep):
-    worst = max(stabilization_violation(i, n) for i, n, _ in sweep)
+    worst = max(
+        stabilization_violation(
+            intertwiner_matrix(i, n), intertwiner_matrix(i, n, stages=n + 2)
+        )
+        for i, n, _ in sweep
+    )
     report("stage count stabilization", worst, 1e-12)
 
 
 def test_intertwining_both_directions(sweep):
-    worst = max(_intertwining(i, n) for i, n, _ in sweep)
+    worst = max(
+        _intertwining(
+            intertwiner_matrix(i, n), intertwiner_matrix(i, n - 1), _dilation_matrices(i, n)
+        )
+        for i, n, _ in sweep
+    )
     report("intertwining with the dilations, both directions", worst, 1e-10)
 
 
@@ -139,7 +156,8 @@ def test_wandering_orthogonality(sweep):
 def test_shift_complement(sweep):
     worst = 0.0
     for inst, depth, _ in sweep:
-        dim, angle = scattering.verify_complement(inst, depth)
+        frame = scattering.star_wandering_frame(inst, depth)
+        dim, angle = scattering.verify_complement(inst, depth, frame)
         if dim != (inst.d - 1) * inst.dim_c:
             worst = max(worst, np.pi / 2)
         worst = max(worst, angle)
@@ -153,15 +171,19 @@ def test_shift_decomposition(sweep):
     report("row shift decomposition of the outgoing space", worst, 1e-12)
 
 
+def _toeplitz_norm(inst, depth):
+    return transfer_norm(transfer_series(build_colligation(inst), depth), inst.d)
+
+
 def test_transfer_contraction(sweep):
-    worst = max(max(transfer_norm(i, n) - 1.0, 0.0) for i, n, _ in sweep)
+    worst = max(max(_toeplitz_norm(i, n) - 1.0, 0.0) for i, n, _ in sweep)
     report("transfer Toeplitz compression is contractive", worst, 1e-8)
 
 
 def test_transfer_norm_one_without_corner(sweep):
     plain = [(i, n) for i, n, _ in sweep if i.dim_a == 0]
     assert plain, "sweep must contain instances without a corner"
-    worst = max(abs(transfer_norm(i, n) - 1.0) for i, n in plain)
+    worst = max(abs(_toeplitz_norm(i, n) - 1.0) for i, n in plain)
     report("transfer norm is one when the corner is trivial", worst, 1e-10)
 
 
@@ -175,33 +197,50 @@ def test_input_output_recursion(sweep):
     worst = 0.0
     for k, (inst, depth, _) in enumerate(sweep):
         coll = build_colligation(inst)
+        theta = transfer_series(coll, depth)
         worst = max(
             worst,
-            io_violation(coll, random_series(coll.in_dim, 1, inst.d, depth, seed=k)),
+            io_violation(
+                coll, random_series(coll.in_dim, 1, inst.d, depth, seed=k), theta
+            ),
         )
         for word in [(), (1,), (2, 1)[: depth or 0]]:
             worst = max(
                 worst,
-                io_violation(coll, _impulse(coll.in_dim, inst.d, depth, word)),
+                io_violation(coll, _impulse(coll.in_dim, inst.d, depth, word), theta),
             )
     report("recursion output equals series convolution", worst, 1e-10)
 
 
 def test_multi_analyticity(sweep):
-    worst = max(_multi_analyticity(i, n, seed=7) for i, n, _ in sweep)
+    worst = 0.0
+    for inst, depth, _ in sweep:
+        coll = build_colligation(inst)
+        signal = random_series(coll.in_dim, 1, inst.d, depth - 1, seed=7)
+        theta = transfer_series(coll, depth)
+        worst = max(worst, _multi_analyticity(theta, signal, inst.d))
     report("convolution commutes with right translation", worst, 1e-12)
 
 
 def test_characteristic_coincidence(sweep):
-    worst = max(coincidence_violation(i, n) for i, n, _ in sweep)
+    worst = max(
+        coincidence_violation(charfn_series(i, n), build_colligation(i))
+        for i, n, _ in sweep
+    )
     report("characteristic blocks equal reversed transfer blocks", worst, 1e-10)
 
 
 def test_characteristic_restriction(sweep):
-    worst = max(
-        max(vacuum_restriction_violation(i, n), fock_action_violation(i, n, seed=3))
-        for i, n, _ in sweep
-    )
+    worst = 0.0
+    for inst, depth, _ in sweep:
+        w_mat = intertwiner_matrix(inst, depth)
+        theta = transfer_series(build_colligation(inst), depth)
+        signal = random_series(inst.rank_e, 1, inst.d, depth, seed=3)
+        worst = max(
+            worst,
+            vacuum_restriction_violation(inst, charfn_series(inst, depth), w_mat),
+            fock_action_violation(inst, w_mat, theta, signal),
+        )
     report("intertwiner restricts to the characteristic function", worst, 1e-10)
 
 

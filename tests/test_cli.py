@@ -39,6 +39,11 @@ class TestGenerate:
         assert first.endswith("\n")
         json.loads(first)
 
+    def test_rank_clamp_band_is_usage_error(self, capsys):
+        argv = ["generate", "--dim-a", "2", "--a-scale", "0.99999999999"]
+        assert main(argv) == 2
+        assert "rank-clamp band" in capsys.readouterr().err
+
     def test_different_seeds_differ(self, capsys):
         main(["generate", "--seed", "1"])
         one = capsys.readouterr().out

@@ -255,7 +255,9 @@ class TestIntertwiner:
             assert operator_norm(lhs - rhs) < 1e-10
 
     def test_stabilization(self, plain_instance):
-        assert stabilization_violation(plain_instance, 2) < 1e-12
+        plain = intertwiner_matrix(plain_instance, 2)
+        extra = intertwiner_matrix(plain_instance, 2, stages=4)
+        assert stabilization_violation(plain, extra) < 1e-12
 
     def test_apply_matches_matrix(self, plain_instance):
         inst = plain_instance

@@ -7,6 +7,7 @@ from ncscatter.lifting import (
     Infeasible,
     NotCoisometricC,
     NotCoisometricE,
+    RankClampBand,
     assemble,
     gamma_isometry,
     generate,
@@ -14,6 +15,7 @@ from ncscatter.lifting import (
 )
 from ncscatter.linalg import operator_norm, random_isometry
 from ncscatter.rowtuple import OperatorTuple, defect
+from ncscatter.verify import all_passed, run_all_checks
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -168,6 +170,28 @@ class TestGenerate:
         assert max(lifting_violations(inst).values()) < 1e-8
         assert inst.rank_c == (d - 1) * dim_c
         assert inst.rank_e == (d - 1) * (dim_c + dim_a)
+
+
+class TestRankClampBand:
+    # 0 < 1 - a_scale**2 <= 1e-9: the star defect's rank cut would
+    # discard true spectrum and the instance would fail verification
+    @pytest.mark.parametrize("delta", [5e-11, 3e-11, 1e-11, 1e-12])
+    def test_band_refused(self, delta):
+        for seed in range(3):
+            with pytest.raises(RankClampBand):
+                generate(2, 2, 2, seed=seed, a_scale=1 - delta)
+        with pytest.raises(RankClampBand):
+            generate(3, 2, 1, seed=0, a_scale=1 - delta)
+
+    @pytest.mark.parametrize("a_scale", [1 - 1e-9, 1.0])
+    def test_band_edges_generate_and_verify(self, a_scale):
+        for seed in range(3):
+            inst = generate(2, 2, 2, seed=seed, a_scale=a_scale)
+            assert all_passed(run_all_checks(inst, 3))
+
+    def test_no_corner_has_no_band(self):
+        inst = generate(2, 2, 0, seed=0, a_scale=1 - 1e-11)
+        assert inst.dim_a == 0
 
 
 class TestStarDefect:

@@ -9,6 +9,7 @@ from ncscatter.transfer import (
     build_colligation,
     random_series,
     transfer_coefficient,
+    transfer_series,
 )
 
 SWEEP = [
@@ -118,12 +119,12 @@ class TestIOAgainstConvolution:
         for k, inst in enumerate(SWEEP):
             coll = build_colligation(inst)
             sig = random_series(coll.in_dim, 1, coll.d, 2, seed=20 + k)
-            assert io_violation(coll, sig) < 1e-10
+            assert io_violation(coll, sig, transfer_series(coll, 2)) < 1e-10
 
     def test_deeper(self, plain_instance):
         coll = build_colligation(plain_instance)
         sig = random_series(coll.in_dim, 1, coll.d, 4, seed=30)
-        assert io_violation(coll, sig) < 1e-10
+        assert io_violation(coll, sig, transfer_series(coll, 4)) < 1e-10
 
     def test_trajectory_type(self, plain_instance):
         coll = build_colligation(plain_instance)

@@ -62,7 +62,7 @@ class TestStarWanderingFrame:
 
     def test_base_rows_vanish(self):
         for inst in SWEEP:
-            assert base_leak(inst, 2) < 1e-12
+            assert base_leak(inst, star_wandering_frame(inst, 2)) < 1e-12
 
     def test_column_count_is_base_defect_rank(self, plain_instance):
         frame = star_wandering_frame(plain_instance, 1)
@@ -97,7 +97,7 @@ class TestWandering:
 class TestComplement:
     def test_dimension_and_angle(self):
         for inst in SWEEP:
-            dim, angle = verify_complement(inst, 2)
+            dim, angle = verify_complement(inst, 2, star_wandering_frame(inst, 2))
             assert dim == inst.rank_c
             assert angle < 1e-8
 

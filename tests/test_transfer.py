@@ -184,16 +184,20 @@ class TestToeplitz:
             toeplitz_matrix(s, 2, 2)
 
 
+def toeplitz_norm(inst, depth):
+    return transfer_norm(transfer_series(build_colligation(inst), depth), inst.d)
+
+
 class TestTransferNorm:
     def test_contraction_across_sweep(self):
         for inst in SWEEP:
-            assert transfer_norm(inst, 2) <= 1.0 + 1e-8
+            assert toeplitz_norm(inst, 2) <= 1.0 + 1e-8
 
     def test_exactly_one_without_corner(self, no_corner_instance):
-        assert abs(transfer_norm(no_corner_instance, 2) - 1.0) < 1e-10
+        assert abs(toeplitz_norm(no_corner_instance, 2) - 1.0) < 1e-10
 
     def test_deeper_truncation_still_contractive(self, plain_instance):
-        assert transfer_norm(plain_instance, 4) <= 1.0 + 1e-8
+        assert toeplitz_norm(plain_instance, 4) <= 1.0 + 1e-8
 
 
 class TestMultiAnalytic:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ncscatter import lifting, serialize
+from ncscatter import charfn, lifting, scattering, serialize, transfer, verify
 from ncscatter.verify import CheckResult, all_passed, render_report, run_all_checks
 
 EXPECTED_ORDER = [
@@ -77,9 +77,62 @@ class TestRunAllChecks:
         # as an error, not a crash of the whole run
         assert by_name["charfn_coincidence"].error is not None
         assert math.isinf(by_name["charfn_coincidence"].max_violation)
+        # the shared series is not memoised when its build raises, so the
+        # restriction check reports the same factorisation error
+        restriction = by_name["charfn_restriction"]
+        assert restriction.error == by_name["charfn_coincidence"].error
+        assert "symbol leaks" in restriction.error
         # identities not involving gamma still hold
         assert by_name["dilation_isometry"].passed
         assert by_name["io_recursion"].passed
+
+
+def count_calls(monkeypatch, targets):
+    counts = {}
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestSharedBuilds:
+    def test_each_object_built_once(self, monkeypatch, plain_instance):
+        counts = count_calls(
+            monkeypatch,
+            [
+                (verify, "intertwiner_matrix"),
+                (verify, "build_colligation"),
+                (transfer, "transfer_series"),
+                (charfn, "charfn_series"),
+                (scattering, "star_wandering_frame"),
+            ],
+        )
+        assert all_passed(run_all_checks(plain_instance, 3))
+        # W at depth, at depth - 1, with one extra stage, and once more
+        # for charfn_restriction after the intertwiner rows released it;
+        # the second star frame is the shallower one behind the translates
+        assert counts == {
+            "intertwiner_matrix": 4,
+            "build_colligation": 1,
+            "transfer_series": 1,
+            "charfn_series": 1,
+            "star_wandering_frame": 2,
+        }
+
+    def test_both_norm_rows_share_one_toeplitz_norm(
+        self, monkeypatch, no_corner_instance
+    ):
+        counts = count_calls(monkeypatch, [(transfer, "transfer_norm")])
+        results = run_all_checks(no_corner_instance, 3)
+        assert {"transfer_contraction", "transfer_norm_one"} <= {r.name for r in results}
+        assert all_passed(results)
+        assert counts == {"transfer_norm": 1}
 
 
 class TestRendering:
