@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .dilation import GradedVector
 from .intertwiner import base_space, lift_space
 from .lifting import LiftingInstance
 from .transfer import Colligation, NCSeries, series_multiply, transfer_coefficient
@@ -158,8 +157,9 @@ def fock_action_violation(
     depth = signal.depth
     dom = lift_space(instance, depth)
     cod = base_space(instance, depth)
-    fock = {w: signal.coeff(reverse(w)) for w in dom.index.words}
-    flat_in = dom.flatten(GradedVector(depth, None, fock), width=1)
+    flat_in = np.zeros((dom.dim, 1), dtype=np.complex128)
+    for w in dom.index.words:
+        flat_in[dom.slot(w)] = signal.coeff(reverse(w))
     got = w_mat @ flat_in
     out = series_multiply(theta, signal)
     worst = float(np.linalg.norm(got[: instance.dim_c]))

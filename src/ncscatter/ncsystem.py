@@ -29,9 +29,6 @@ class Trajectory:
     x: dict[Word, np.ndarray] = field(default_factory=dict)
     y: dict[Word, np.ndarray] = field(default_factory=dict)
 
-    def output_series(self, out_dim: int) -> NCSeries:
-        return NCSeries(out_dim, 1, self.depth, dict(self.y))
-
 
 def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> Trajectory:
     """Run the recursion on a width-one input series.

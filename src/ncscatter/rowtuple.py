@@ -112,23 +112,14 @@ class DefectData:
     adjoint slot map from defect coordinates back to C^n.
     """
 
-    row_op: np.ndarray
     operator: np.ndarray
     basis: np.ndarray
     rank: int
     _components: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
-    @property
-    def d(self) -> int:
-        return self.row_op.shape[1] // self.row_op.shape[0] if self.row_op.shape[0] else 0
-
-    @property
-    def dim(self) -> int:
-        return self.row_op.shape[0]
-
     def component(self, j: int) -> np.ndarray:
         """(D)_j = D restricted to the j-th slot, ambient (d*n) x n."""
-        n = self.dim
+        n = self.operator.shape[0] // len(self._components)
         return self.operator[:, (j - 1) * n : j * n]
 
     def coord_component(self, j: int) -> np.ndarray:
@@ -160,4 +151,4 @@ def defect(t: OperatorTuple, tol: float = TOL_EQ, clamp: bool = False) -> Defect
     comps = tuple(
         basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)
     )
-    return DefectData(row, op, basis, basis.shape[1], comps)
+    return DefectData(op, basis, basis.shape[1], comps)

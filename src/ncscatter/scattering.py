@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .dilation import Dilation, GradedVector
-from .intertwiner import apply_intertwiner_adjoint, lift_space
+from .dilation import Dilation
+from .intertwiner import apply_intertwiner_adjoint, base_space, lift_space
 from .lifting import LiftingInstance
 from .words import Word, prepend_levels
 
@@ -39,22 +39,15 @@ def star_wandering_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     isometry) and their base-space rows vanish up to rounding; see
     :func:`base_leak`.
     """
-    batch = GradedVector(
-        depth, None, {(): np.eye(instance.rank_c, dtype=np.complex128)}
-    )
-    out = apply_intertwiner_adjoint(instance, batch)
-    return lift_space(instance, depth).flatten(out, width=instance.rank_c)
+    sp = base_space(instance, depth)
+    batch = np.zeros((sp.dim, instance.rank_c), dtype=np.complex128)
+    batch[sp.slot(())] = np.eye(instance.rank_c)
+    return apply_intertwiner_adjoint(instance, batch, depth)
 
 
 def base_leak(instance: LiftingInstance, frame: np.ndarray) -> float:
     """Norm of the base-space rows of a star-wandering frame."""
     return linalg.operator_norm(frame[: instance.dim_c])
-
-
-def corner_rows(instance: LiftingInstance, depth: int) -> np.ndarray:
-    """Flat row indices of the corner-plus-Fock part."""
-    sp = lift_space(instance, depth)
-    return np.arange(instance.dim_c, sp.dim)
 
 
 def shifted_star_frames(
@@ -70,15 +63,15 @@ def shifted_star_frames(
     if max_len < 0:
         raise DepthError("word length must be nonnegative")
     dil = Dilation(instance.e, instance.defect_e)
-    sp = lift_space(instance, depth)
     base_depth = depth - max_len
-    frame = lift_space(instance, base_depth).unflatten(
-        star_wandering_frame(instance, base_depth)
-    )
     translates = prepend_levels(
-        frame, instance.d, max_len, lambda j, _, v: dil.apply(j, v)
+        star_wandering_frame(instance, base_depth),
+        instance.d,
+        max_len,
+        lambda j, w, v: dil.apply(j, v, base_depth + len(w)),
     )
-    return {w: sp.flatten(v, width=instance.rank_c) for w, v in translates.items()}
+    sp = lift_space(instance, depth)
+    return {w: sp.pad(v) for w, v in translates.items()}
 
 
 def wandering_violation(frames: dict[Word, np.ndarray]) -> float:
@@ -112,11 +105,8 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     if depth < 1:
         raise DepthError("complement needs depth at least 1")
     dil = Dilation(instance.e, instance.defect_e)
-    rows = corner_rows(instance, depth)
-    cols = corner_rows(instance, depth - 1)
-    stack = np.hstack(
-        [dil.matrix(j, depth - 1)[np.ix_(rows, cols)] for j in range(1, instance.d + 1)]
-    )
+    nc = instance.dim_c
+    stack = np.hstack([dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)])
     u, s, _ = np.linalg.svd(stack, full_matrices=True)
     rank = int(np.sum(s > 0.5))
     if rank != stack.shape[1]:
@@ -135,7 +125,7 @@ def verify_complement(
     and the angle vanishes.
     """
     comp = complement_frame(instance, depth)
-    frame = frame[corner_rows(instance, depth)]
+    frame = frame[instance.dim_c :]
     if comp.shape[1] != frame.shape[1]:
         return comp.shape[1], float(np.pi / 2)
     angles = linalg.principal_angles(comp, frame)
@@ -153,11 +143,15 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     dil = Dilation(instance.e, instance.defect_e)
     sp = lift_space(instance, depth)
     r = instance.rank_e
-    root = GradedVector(0, None, {(): np.eye(r, dtype=np.complex128)})
-    translates = prepend_levels(root, instance.d, depth, lambda j, _, v: dil.apply(j, v))
+    vacuum = dil.space(0)
+    root = np.zeros((vacuum.dim, r), dtype=np.complex128)
+    root[vacuum.slot(())] = np.eye(r)
+    translates = prepend_levels(
+        root, instance.d, depth, lambda j, w, v: dil.apply(j, v, len(w))
+    )
     worst = 0.0
     for w, v in translates.items():
-        flat = sp.flatten(v, width=r)
+        flat = sp.pad(v)
         want = np.zeros_like(flat)
         want[sp.slot(w)] = np.eye(r)
         worst = max(worst, linalg.operator_norm(flat - want))

@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import charfn, scattering, transfer
-from .dilation import Dilation, GradedVector
+from .dilation import Dilation
 from .intertwiner import intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import operator_norm
@@ -99,12 +99,13 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     """P_H V_w restricted to H equals the word product of the tuple."""
     worst = 0.0
     for dil in _dilation_pair(instance):
-        root = GradedVector(0, np.eye(dil.t.dim, dtype=np.complex128), {})
+        n = dil.t.dim
+        root = np.eye(dil.space(0).dim, n, dtype=np.complex128)
         translates = prepend_levels(
-            root, dil.d, min(3, depth), lambda j, _, v: dil.apply(j, v)
+            root, dil.d, min(3, depth), lambda j, w, v: dil.apply(j, v, len(w))
         )
         for w, v in translates.items():
-            worst = max(worst, operator_norm(v.h - dil.t.word_product(w)))
+            worst = max(worst, operator_norm(v[:n] - dil.t.word_product(w)))
     return worst
 
 

@@ -23,10 +23,6 @@ def reverse(word: Word) -> Word:
     return tuple(word)[::-1]
 
 
-def concat(a: Word, b: Word) -> Word:
-    return tuple(a) + tuple(b)
-
-
 def splits(word: Word) -> list[tuple[Word, Word]]:
     """All factorizations ``word == a + b``, ordered by ``len(a)`` ascending.
 
@@ -100,10 +96,3 @@ def prepend_levels(
         for w in words_of_length(d, m):
             out[w] = step(w[0], w[1:], out[w[1:]])
     return out
-
-
-def validate_word(word, d: int) -> Word:
-    w = tuple(int(x) for x in word)
-    if any(x < 1 or x > d for x in w):
-        raise ValueError(f"word {w!r} has letters outside 1..{d}")
-    return w

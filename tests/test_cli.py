@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import ncscatter
 from ncscatter import serialize
 from ncscatter.cli import _configure_threads, main
 
@@ -166,12 +167,19 @@ class TestThreads:
         assert "NCSCATTER_THREADS" in capsys.readouterr().err
 
 
+def package_env(**extra):
+    """The environment with the package's parent directory on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncscatter.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
-        env = dict(os.environ, NCSCATTER_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "ncscatter", "generate", "--seed", "4"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=package_env(NCSCATTER_THREADS="1"),
         )
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)
@@ -180,6 +188,6 @@ class TestSubprocess:
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ncscatter", "no-such-command"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 2

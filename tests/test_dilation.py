@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from conftest import RT2, balanced_pair_tuple, contraction_tuple
 
-from ncscatter.dilation import (
-    Dilation,
-    GradedVector,
-    InnerSpaceMismatch,
-    OverDepth,
-    creation,
-    graded_space,
-)
+from ncscatter.dilation import Dilation, InnerSpaceMismatch, graded_space
+from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.rowtuple import OperatorTuple, defect
 
@@ -18,63 +12,69 @@ def make_dilation(t):
     return Dilation(t, defect(t))
 
 
-def random_graded(space, seed):
+def random_flat(space, seed, width=None):
     rng = np.random.default_rng(seed)
-    h = rng.standard_normal(space.base_dim) + 1j * rng.standard_normal(space.base_dim)
-    fock = {}
-    for w in space.index.words:
-        fock[w] = rng.standard_normal(space.inner_dim) + 1j * rng.standard_normal(
-            space.inner_dim
-        )
-    return GradedVector(space.depth, h, fock)
+    shape = (space.dim,) if width is None else (space.dim, width)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def fock_only(space, values):
+    """Flat vector with the given word coefficients and zero base part."""
+    out = np.zeros(space.dim, dtype=np.complex128)
+    for w, x in values.items():
+        out[space.slot(w)] = x
+    return out
 
 
 class TestGradedVector:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            GradedVector(-1)
+            graded_space(2, -1, 1, 1)
 
     def test_word_beyond_depth_rejected(self):
-        with pytest.raises(OverDepth):
-            GradedVector(1, None, {(1, 2): np.array([1.0])})
+        with pytest.raises(KeyError):
+            graded_space(2, 1, 1, 1).slot((1, 2))
 
     def test_inner_hand_value(self):
-        x = GradedVector(1, np.array([1.0 + 1j]), {(1,): np.array([2.0])})
-        y = GradedVector(1, np.array([1.0]), {(1,): np.array([0.5j]), (2,): np.array([3.0])})
-        # missing words count as zero; vdot conjugates the left argument
-        assert x.inner(y) == pytest.approx((1.0 - 1j) * 1.0 + 2.0 * 0.5j)
+        # a depth-1 vector padded to depth 2: absent words count as zero,
+        # and vdot conjugates the left argument
+        shallow, deep = graded_space(2, 1, 1, 1), graded_space(2, 2, 1, 1)
+        x = np.zeros(shallow.dim, dtype=np.complex128)
+        x[0], x[shallow.slot((1,))] = 1.0 + 1j, 2.0
+        y = np.zeros(deep.dim, dtype=np.complex128)
+        y[0], y[deep.slot((1,))], y[deep.slot((2, 1))] = 1.0, 0.5j, 3.0
+        assert np.vdot(deep.pad(x), y) == pytest.approx((1.0 - 1j) * 1.0 + 2.0 * 0.5j)
 
     def test_norm(self):
-        x = GradedVector(1, np.array([3.0]), {(2,): np.array([4.0])})
-        assert x.norm() == pytest.approx(5.0)
+        shallow, deep = graded_space(2, 1, 1, 1), graded_space(2, 3, 1, 1)
+        x = np.zeros(shallow.dim)
+        x[0], x[shallow.slot((2,))] = 3.0, 4.0
+        assert np.linalg.norm(deep.pad(x)) == pytest.approx(5.0)
 
 
 class TestCreation:
+    # V_j restricted to Fock-only vectors is the creation operator e_w -> e_{jw}
+
     def test_prepends_letter(self):
-        x = GradedVector(2, None, {(): np.array([1.0]), (2,): np.array([2.0])})
-        y = creation(1, x)
-        assert set(y.fock) == {(1,), (1, 2)}
-        assert y.fock[(1, 2)][0] == 2.0
-
-    def test_top_level_support_rejected(self):
-        x = GradedVector(1, None, {(1,): np.array([1.0])})
-        with pytest.raises(OverDepth):
-            creation(2, x)
-
-    def test_base_component_rejected(self):
-        x = GradedVector(1, np.array([1.0]), {})
-        with pytest.raises(InnerSpaceMismatch):
-            creation(1, x)
+        dil = make_dilation(balanced_pair_tuple())
+        sp, cod = dil.space(1), dil.space(2)
+        x = fock_only(sp, {(): 1.0, (2,): 2.0})
+        y = dil.apply(1, x, 1)
+        assert np.array_equal(y, fock_only(cod, {(1,): 1.0, (1, 2): 2.0}))
 
     def test_isometry_with_orthogonal_ranges(self):
         # <L_i x, L_j y> = delta_ij <x, y> on Fock-only vectors
+        dil = make_dilation(contraction_tuple(2, 1, seed=5))
+        sp = dil.space(1)
         rng = np.random.default_rng(5)
         for i in (1, 2):
             for j in (1, 2):
-                x = GradedVector(2, None, {(): rng.standard_normal(2) + 0j})
-                y = GradedVector(2, None, {(): rng.standard_normal(2) + 0j})
-                got = creation(i, x).inner(creation(j, y))
-                want = x.inner(y) if i == j else 0.0
+                x, y = (
+                    fock_only(sp, {w: rng.standard_normal(2) for w in sp.index.words})
+                    for _ in range(2)
+                )
+                got = np.vdot(dil.apply(i, x, 1), dil.apply(j, y, 1))
+                want = np.vdot(x, y) if i == j else 0.0
                 assert got == pytest.approx(want)
 
 
@@ -85,75 +85,72 @@ class TestGradedSpace:
         assert sp.slot(()) == slice(1, 2)
         assert sp.slot((2,)) == slice(3, 4)
         assert sp.slot((1, 2)) == slice(5, 6)
+        assert sp.level(2) == slice(4, 8)
 
-    def test_flatten_unflatten_roundtrip(self):
-        sp = graded_space(2, 2, 2, 3)
-        rng = np.random.default_rng(0)
-        vec = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-        assert np.array_equal(sp.flatten(sp.unflatten(vec)), vec)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_prefix_property(self, d):
+        # level offsets do not depend on the truncation depth
+        for depth in range(5):
+            for k in range(depth + 1):
+                shallow = graded_space(d, k, 2, 3)
+                deep = graded_space(d, depth, 2, 3)
+                for w in shallow.index.words:
+                    assert shallow.slot(w) == deep.slot(w)
+                for m in range(k + 1):
+                    assert shallow.level(m) == deep.level(m)
 
-    def test_flatten_batch(self):
-        sp = graded_space(2, 1, 1, 1)
-        v = GradedVector(1, np.array([[1.0, 2.0]]), {(1,): np.array([[3.0, 4.0]])})
-        flat = sp.flatten(v)
-        assert flat.shape == (sp.dim, 2)
-        assert flat[0, 1] == 2.0
-        assert flat[sp.slot((1,)), 0][0] == 3.0
+    def test_pad_then_slice_roundtrip(self):
+        shallow, deep = graded_space(3, 1, 2, 2), graded_space(3, 3, 2, 2)
+        vec = random_flat(shallow, seed=0, width=3)
+        padded = deep.pad(vec)
+        assert np.array_equal(padded[: shallow.dim], vec)
+        assert not padded[shallow.dim :].any()
 
-    def test_flatten_width_for_empty_vector(self):
-        sp = graded_space(2, 1, 1, 1)
-        assert sp.flatten(GradedVector(1), width=4).shape == (sp.dim, 4)
+    def test_blocks_are_word_slots(self):
+        sp = graded_space(2, 2, 1, 2)
+        vec = random_flat(sp, seed=1, width=3)
+        for m in range(3):
+            blocks = sp.blocks(vec, m)
+            assert blocks.shape == (2**m, 2, 3)
+            words = [w for w in sp.index.words if len(w) == m]
+            for u, w in enumerate(words):
+                assert np.array_equal(blocks[u], vec[sp.slot(w)])
 
     def test_depth_mismatch(self):
         sp = graded_space(2, 1, 1, 1)
-        with pytest.raises(OverDepth):
-            sp.flatten(GradedVector(2))
-
-    def test_dimension_mismatches(self):
-        sp = graded_space(2, 1, 2, 1)
-        with pytest.raises(InnerSpaceMismatch):
-            sp.flatten(GradedVector(1, np.array([1.0])))
-        with pytest.raises(InnerSpaceMismatch):
-            sp.flatten(GradedVector(1, None, {(1,): np.array([1.0, 2.0])}))
-
-    def test_manifest(self):
-        sp = graded_space(2, 1, 1, 2)
-        assert sp.manifest() == {
-            "baseDim": 1,
-            "innerDim": 2,
-            "depth": 1,
-            "words": [[], [1], [2]],
-        }
+        with pytest.raises(ValueError):
+            sp.pad(np.zeros(graded_space(2, 2, 1, 1).dim))
 
 
 class TestApplyHandValues:
     def test_balanced_pair_first_step(self):
         dil = make_dilation(balanced_pair_tuple())
-        v = GradedVector(0, np.array([1.0]))
-        out = dil.apply(1, v)
-        assert out.depth == 1
-        assert out.h[0] == pytest.approx(RT2)
-        assert out.fock[()][0] == pytest.approx(RT2)
-        out2 = dil.apply(2, v)
-        assert out2.h[0] == pytest.approx(RT2)
-        assert out2.fock[()][0] == pytest.approx(-RT2)
+        v = np.array([1.0, 0.0])
+        cod = dil.space(1)
+        out = dil.apply(1, v, 0)
+        assert out.shape == (cod.dim,)
+        assert out[0] == pytest.approx(RT2)
+        assert out[cod.slot(())][0] == pytest.approx(RT2)
+        out2 = dil.apply(2, v, 0)
+        assert out2[0] == pytest.approx(RT2)
+        assert out2[cod.slot(())][0] == pytest.approx(-RT2)
 
     def test_apply_shifts_existing_support(self):
         dil = make_dilation(balanced_pair_tuple())
-        v = GradedVector(1, None, {(2,): np.array([1.0])})
-        out = dil.apply(1, v)
-        assert out.fock[(1, 2)][0] == 1.0
-        assert out.fock[()][0] == pytest.approx(0.0)
+        cod = dil.space(2)
+        out = dil.apply(1, fock_only(dil.space(1), {(2,): 1.0}), 1)
+        assert out[cod.slot((1, 2))][0] == 1.0
+        assert out[cod.slot(())][0] == pytest.approx(0.0)
 
     def test_base_dim_mismatch(self):
         dil = make_dilation(balanced_pair_tuple())
         with pytest.raises(InnerSpaceMismatch):
-            dil.apply(1, GradedVector(0, np.array([1.0, 2.0])))
+            dil.apply(1, np.array([1.0, 2.0, 3.0]), 0)
 
     def test_defect_dim_mismatch(self):
         dil = make_dilation(balanced_pair_tuple())
         with pytest.raises(InnerSpaceMismatch):
-            dil.apply(1, GradedVector(1, None, {(1,): np.array([1.0, 2.0])}))
+            dil.apply(1, np.zeros(dil.space(1).dim + 1), 1)
 
 
 class TestCompression:
@@ -164,35 +161,34 @@ class TestCompression:
         rng = np.random.default_rng(1)
         for w in [(1,), (2, 1), (1, 1, 2), (2, 2, 1)]:
             h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            v = GradedVector(0, h)
-            for letter in reversed(w):
-                v = dil.apply(letter, v)
-            assert np.allclose(v.h, t.word_product(w) @ h, atol=1e-12)
+            v = dil.space(0).pad(h)
+            for depth, letter in enumerate(reversed(w)):
+                v = dil.apply(letter, v, depth)
+            assert np.allclose(v[:3], t.word_product(w) @ h, atol=1e-12)
 
 
 class TestAdjoint:
     def test_adjoint_hand_values(self):
         dil = make_dilation(balanced_pair_tuple())
-        v = GradedVector(1, np.array([1.0]), {(): np.array([1.0]), (1,): np.array([2.0])})
-        out = dil.adjoint_apply(1, v)
-        assert out.depth == 0
+        sp, dom = dil.space(1), dil.space(0)
+        v = fock_only(sp, {(): 1.0, (1,): 2.0})
+        v[0] = 1.0
+        out = dil.matrix(1, 0).conj().T @ v
         # T_1* h + d_1* x_() = 1/sqrt2 + 1/sqrt2
-        assert out.h[0] == pytest.approx(2 * RT2)
-        assert out.fock[()][0] == 2.0
-        out2 = dil.adjoint_apply(2, v)
-        assert out2.h[0] == pytest.approx(0.0)
-        assert out2.fock == {}
+        assert out[0] == pytest.approx(2 * RT2)
+        assert out[dom.slot(())][0] == 2.0
+        out2 = dil.matrix(2, 0).conj().T @ v
+        assert out2[0] == pytest.approx(0.0)
+        assert out2[dom.slot(())][0] == 0.0
 
     def test_adjoint_pairing(self):
         t = contraction_tuple(2, 2, seed=8)
         dil = make_dilation(t)
-        dom = dil.space(2)
-        cod = dil.space(3)
         for j in (1, 2):
-            x = random_graded(dom, seed=10 + j)
-            y = random_graded(cod, seed=20 + j)
-            lhs = dil.apply(j, x).inner(y)
-            rhs = x.inner(dil.adjoint_apply(j, y))
+            x = random_flat(dil.space(2), seed=10 + j)
+            y = random_flat(dil.space(3), seed=20 + j)
+            lhs = np.vdot(dil.apply(j, x, 2), y)
+            rhs = np.vdot(x, dil.matrix(j, 2).conj().T @ y)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -200,25 +196,25 @@ class TestFlatMatrices:
     def test_matrix_matches_apply(self):
         t = contraction_tuple(2, 2, seed=3)
         dil = make_dilation(t)
-        dom = dil.space(2)
-        cod = dil.space(3)
         for j in (1, 2):
             m = dil.matrix(j, 2)
-            v = random_graded(dom, seed=j)
-            assert np.allclose(
-                cod.flatten(dil.apply(j, v)), m @ dom.flatten(v), atol=1e-12
-            )
+            v = random_flat(dil.space(2), seed=j, width=3)
+            assert np.allclose(dil.apply(j, v, 2), m @ v, atol=1e-12)
 
     def test_adjoint_matrix_is_conjugate_transpose(self):
+        # V_j* (ell (+) sum_w e_w x_w) = (T_j* ell + d_j* x_()) (+) sum_w e_w x_{jw}
         t = contraction_tuple(2, 2, seed=4)
         dil = make_dilation(t)
-        dom = dil.space(1)
-        cod = dil.space(2)
+        dom, cod = dil.space(1), dil.space(2)
+        n = t.dim
         for j in (1, 2):
-            m = dil.matrix(j, 1)
-            y = random_graded(cod, seed=30 + j)
-            got = dom.flatten(dil.adjoint_apply(j, y))
-            assert np.allclose(got, m.conj().T @ cod.flatten(y), atol=1e-12)
+            y = random_flat(cod, seed=30 + j)
+            want = np.zeros(dom.dim, dtype=np.complex128)
+            want[:n] = t.op(j).conj().T @ y[:n]
+            want[:n] += dil.defect.coord_component(j).conj().T @ y[cod.slot(())]
+            for w in dom.index.words:
+                want[dom.slot(w)] = y[cod.slot((j,) + w)]
+            assert np.allclose(dil.matrix(j, 1).conj().T @ y, want, atol=1e-12)
 
     def test_isometry_and_orthogonal_ranges(self):
         t = contraction_tuple(3, 2, seed=17)
@@ -253,17 +249,33 @@ class TestSingleOperator:
         t_zero = contraction_tuple(1, 1, seed=0, norm=0.0)
         dil = make_dilation(t_zero)
         assert dil.defect.rank == 1
-        v = GradedVector(0, np.array([1.0]))
+        v = np.array([1.0, 0.0])
         for steps in range(1, 4):
-            v = dil.apply(1, v)
-            live = {w for w, x in v.fock.items() if np.linalg.norm(x) > 1e-14}
+            v = dil.apply(1, v, steps - 1)
+            sp = dil.space(steps)
+            live = {w for w in sp.index.words if np.linalg.norm(v[sp.slot(w)]) > 1e-14}
             assert live == {(1,) * (steps - 1)}
-        assert np.linalg.norm(v.h) < 1e-14
+        assert abs(v[0]) < 1e-14
 
     def test_unitary_has_trivial_dilation(self):
         t = OperatorTuple((np.array([[1j]]),))
         dil = make_dilation(t)
         assert dil.defect.rank == 0
-        out = dil.apply(1, GradedVector(0, np.array([2.0])))
-        assert out.h[0] == 2j
-        assert all(x.size == 0 for x in out.fock.values())
+        out = dil.apply(1, np.array([2.0]), 0)
+        assert out.shape == (1,)
+        assert out[0] == 2j
+
+
+class TestZeroRank:
+    # generate(d, 2, 0) with d = 1 has base defect rank 0; zero-rank
+    # levels and zero-width batches keep their shapes
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_apply_and_matrix_shapes(self, d):
+        inst = generate(d, 2, 0, seed=0)
+        for dil in (Dilation(inst.c, inst.defect_c), Dilation(inst.e, inst.defect_e)):
+            for depth in range(3):
+                dom, cod = dil.space(depth), dil.space(depth + 1)
+                assert dil.matrix(1, depth).shape == (cod.dim, dom.dim)
+                empty = np.zeros((dom.dim, 0))
+                assert dil.apply(d, empty, depth).shape == (cod.dim, 0)

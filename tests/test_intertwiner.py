@@ -4,23 +4,18 @@ from conftest import RT2, balanced_pair_tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncscatter.dilation import Dilation, GradedVector
+from ncscatter.dilation import Dilation, InnerSpaceMismatch
 from ncscatter.intertwiner import (
     StageMismatch,
-    StageVector,
     apply_intertwiner,
     apply_intertwiner_adjoint,
     base_space,
-    embed_from_base,
     intertwiner_adjoint_matrix,
     intertwiner_matrix,
     lift_space,
-    project_to_base,
     stabilization_violation,
     stage_backward,
     stage_forward,
-    stage_to_graded,
-    stage_zero,
 )
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
@@ -32,123 +27,101 @@ def balanced_side():
     return t, defect(t)
 
 
-def random_stage(t, dd, stage, depth, seed, tail_levels=None):
-    rng = np.random.default_rng(seed)
-    tensor = {}
-    for w in _words(t.d, stage):
-        tensor[w] = rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)
-    tail = {}
-    for lvl in tail_levels if tail_levels is not None else range(stage, depth + 1):
-        for w in _words(t.d, lvl):
-            tail[w] = rng.standard_normal(dd.rank) + 1j * rng.standard_normal(dd.rank)
-    return StageVector(t.d, stage, depth, tensor, tail)
+def random_block(rng, words, dim, width=1):
+    """Stage coefficients or a Fock level: one (dim, width) block per word."""
+    shape = (words, dim, width)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _words(d, length):
-    if length == 0:
-        return [()]
-    out = [()]
-    for _ in range(length):
-        out = [w + (j,) for w in out for j in range(1, d + 1)]
-    return out
+def norm_sq(*blocks):
+    return sum(float(np.sum(np.abs(b) ** 2)) for b in blocks)
 
 
 class TestStageVector:
-    def test_wrong_tensor_length(self):
-        with pytest.raises(StageMismatch):
-            StageVector(2, 1, 2, tensor={(): np.array([1.0])})
+    # stage-n form of a flat vector: the coefficients of the length-n
+    # dilation words plus the levels n..depth not yet consumed
 
-    def test_tail_below_stage(self):
-        with pytest.raises(StageMismatch):
-            StageVector(2, 1, 2, tail={(): np.array([1.0])})
+    def test_norm_sq(self, plain_instance):
+        # images of distinct words of equal length are orthogonal, so for
+        # a coisometric tuple the stage form carries the norm
+        t, dd = plain_instance.e, plain_instance.defect_e
+        sp = lift_space(plain_instance, 2)
+        x = np.random.default_rng(7).standard_normal((sp.dim, 2)) + 0j
+        g = x[: t.dim].reshape((1, t.dim, 2))
+        for n in range(1, 5):
+            g = stage_forward(t, dd, g, sp.blocks(x, n - 1) if n <= 3 else None)
+            unconsumed = x[sp.level(n).start :] if n <= 2 else x[:0]
+            assert norm_sq(g, unconsumed) == pytest.approx(norm_sq(x))
 
-    def test_tail_beyond_depth(self):
-        with pytest.raises(StageMismatch):
-            StageVector(2, 0, 1, tail={(1, 2): np.array([1.0])})
-
-    def test_negative_stage(self):
-        with pytest.raises(StageMismatch):
-            StageVector(2, -1, 2)
-
-    def test_norm_sq(self):
-        sv = StageVector(
-            2, 0, 1,
-            tensor={(): np.array([3.0])},
-            tail={(1,): np.array([4.0])},
-        )
-        assert sv.norm_sq() == pytest.approx(25.0)
+    def test_tail_beyond_depth(self, plain_instance):
+        # an input with levels beyond the stated depth, or rows of the
+        # other space, is rejected rather than partly ignored
+        v = np.zeros((lift_space(plain_instance, 2).dim, 1))
+        with pytest.raises(InnerSpaceMismatch):
+            apply_intertwiner(plain_instance, v, 1)
+        with pytest.raises(InnerSpaceMismatch):
+            apply_intertwiner_adjoint(plain_instance, v, 2)
 
 
 class TestStageMaps:
-    def test_graded_roundtrip(self):
-        v = GradedVector(1, np.array([1.0 + 2j]), {(2,): np.array([3.0])})
-        back = stage_to_graded(stage_zero(v, 2))
-        assert np.array_equal(back.h, v.h)
-        assert set(back.fock) == {(2,)}
-
-    def test_graded_read_requires_stage_zero(self):
-        sv = StageVector(2, 1, 1, tensor={(1,): np.array([1.0]), (2,): np.array([0.0])})
-        with pytest.raises(StageMismatch):
-            stage_to_graded(sv)
-
     def test_forward_stage_index_checked(self):
+        # a level must have one word per coefficient
         t, dd = balanced_side()
-        sv = stage_zero(GradedVector(1), 2)
+        rng = np.random.default_rng(0)
         with pytest.raises(StageMismatch):
-            stage_forward(t, dd, 2, sv)
+            stage_forward(t, dd, random_block(rng, 1, 1), random_block(rng, 2, 1))
 
     def test_backward_stage_index_checked(self):
+        # a single coefficient is stage 0 for d = 2: nothing to unwind
         t, dd = balanced_side()
-        sv = stage_zero(GradedVector(1), 2)
         with pytest.raises(StageMismatch):
-            stage_backward(t, dd, 1, sv)
+            stage_backward(t, dd, np.ones((1, 1, 1)))
 
     def test_forward_hand_values(self):
         # base coefficient splits as T_j* h + d_j* x with d = (1/rt2, -1/rt2)
         t, dd = balanced_side()
-        v = GradedVector(0, np.array([1.0]), {(): np.array([1.0])})
-        out = stage_forward(t, dd, 1, stage_zero(v, 2))
-        assert out.tensor[(1,)][0] == pytest.approx(2 * RT2)
-        assert out.tensor[(2,)][0] == pytest.approx(0.0)
-        assert out.tail == {}
+        out = stage_forward(t, dd, np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+        assert out.shape == (2, 1, 1)
+        assert out[0, 0, 0] == pytest.approx(2 * RT2)
+        assert out[1, 0, 0] == pytest.approx(0.0)
 
     def test_forward_without_tail_entry(self):
-        t, dd = balanced_side()
-        v = GradedVector(1, None, {(1,): np.array([1.0])})
-        out = stage_forward(t, dd, 1, stage_zero(v, 2))
-        # nothing at level 0 to consume: no coefficients appear, and
-        # the level-1 tail passes through untouched
-        assert out.tensor == {}
-        assert set(out.tail) == {(1,)}
+        # beyond the truncation no level is consumed: g_uj = T_j* g_u,
+        # stored at index u*d + j-1
+        inst = generate(2, 2, 1, seed=3)
+        t, dd = inst.e, inst.defect_e
+        g = random_block(np.random.default_rng(1), 2, t.dim, width=2)
+        out = stage_forward(t, dd, g, None)
+        for u in range(2):
+            for j in (1, 2):
+                assert np.array_equal(out[2 * u + j - 1], t.op(j).conj().T @ g[u])
 
     def test_stage_beyond_depth_consumes_zeros(self):
         t, dd = balanced_side()
-        sv = stage_zero(GradedVector(0, np.array([1.0])), 2)
-        sv = stage_forward(t, dd, 1, sv)
-        sv = stage_forward(t, dd, 2, sv)
-        assert sv.stage == 2 and sv.tail == {}
-        assert sv.norm_sq() == pytest.approx(1.0)
+        g = stage_forward(t, dd, np.ones((1, 1, 1)), None)
+        g = stage_forward(t, dd, g, None)
+        assert g.shape == (4, 1, 1)
+        assert norm_sq(g) == pytest.approx(1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_forward_preserves_norm_for_coisometric(self, seed):
         t, dd = balanced_side()
-        sv = random_stage(t, dd, 0, 2, seed)
-        out = stage_forward(t, dd, 1, sv)
-        assert out.norm_sq() == pytest.approx(sv.norm_sq())
+        rng = np.random.default_rng(seed)
+        g, x = random_block(rng, 1, t.dim), random_block(rng, 1, dd.rank)
+        out = stage_forward(t, dd, g, x)
+        assert norm_sq(out) == pytest.approx(norm_sq(g, x))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_backward_inverts_forward(self, seed):
         inst = generate(2, 2, 1, seed=3)
         t, dd = inst.e, inst.defect_e
-        sv = random_stage(t, dd, 1, 2, seed)
-        back = stage_backward(t, dd, 2, stage_forward(t, dd, 2, sv))
-        assert back.norm_sq() == pytest.approx(sv.norm_sq())
-        for w, x in sv.tensor.items():
-            assert np.allclose(back.tensor[w], x, atol=1e-12)
-        for w, x in sv.tail.items():
-            assert np.allclose(back.tail[w], x, atol=1e-12)
+        rng = np.random.default_rng(seed)
+        g, x = random_block(rng, 2, t.dim), random_block(rng, 2, dd.rank)
+        back, level = stage_backward(t, dd, stage_forward(t, dd, g, x))
+        assert np.allclose(back, g, atol=1e-12)
+        assert np.allclose(level, x, atol=1e-12)
 
     def test_stage_rep_matches_dilation_words(self):
         # the stage form is sum_u V_u g_u + untouched tail levels;
@@ -158,32 +131,22 @@ class TestStageMaps:
         dil = Dilation(t, dd)
         depth = 2
         sp = dil.space(depth)
-        sv = random_stage(t, dd, 2, depth, seed=5, tail_levels=[2])
-        want = np.zeros(sp.dim, dtype=np.complex128)
-        for u, g in sv.tensor.items():
-            v = GradedVector(0, g)
-            for letter in reversed(u):
-                v = dil.apply(letter, v)
-            want += sp.flatten(v)
-        for w, x in sv.tail.items():
-            want += sp.flatten(GradedVector(depth, None, {w: x}))
-        got = stage_backward(t, dd, 1, stage_backward(t, dd, 2, sv))
-        assert np.allclose(sp.flatten(stage_to_graded(got)), want, atol=1e-12)
-
-    def test_project_drops_tail_and_rows(self):
-        sv = StageVector(
-            2, 1, 1,
-            tensor={(1,): np.array([1.0, 2.0]), (2,): np.array([3.0, 4.0])},
-            tail={(1,): np.array([5.0])},
-        )
-        out = project_to_base(1, sv)
-        assert out.tail == {}
-        assert out.tensor[(2,)].tolist() == [3.0]
-
-    def test_embed_requires_consumed_tail(self):
-        sv = StageVector(2, 1, 1, tail={(1,): np.array([1.0])})
-        with pytest.raises(StageMismatch):
-            embed_from_base(3, sv)
+        rng = np.random.default_rng(5)
+        g, tail = random_block(rng, 4, t.dim), random_block(rng, 4, dd.rank)
+        want = np.zeros((sp.dim, 1), dtype=np.complex128)
+        for u, w in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
+            v = dil.space(0).pad(g[u])
+            for level, letter in enumerate(reversed(w)):
+                v = dil.apply(letter, v, level)
+            want += sp.pad(v)
+        sp.blocks(want, 2)[...] += tail
+        g1, level1 = stage_backward(t, dd, g)
+        g0, level0 = stage_backward(t, dd, g1)
+        got = np.zeros_like(want)
+        got[: t.dim] = g0[0]
+        for m, level in enumerate((level0, level1, tail)):
+            sp.blocks(got, m)[...] = level
+        assert np.allclose(got, want, atol=1e-12)
 
 
 class TestIntertwiner:
@@ -264,16 +227,15 @@ class TestIntertwiner:
         dom = lift_space(inst, 2)
         cod = base_space(inst, 2)
         rng = np.random.default_rng(4)
-        vec = rng.standard_normal(dom.dim) + 1j * rng.standard_normal(dom.dim)
-        out = apply_intertwiner(inst, dom.unflatten(vec))
-        assert np.allclose(
-            cod.flatten(out), intertwiner_matrix(inst, 2) @ vec, atol=1e-12
-        )
+        vec = rng.standard_normal((dom.dim, 2)) + 1j * rng.standard_normal((dom.dim, 2))
+        out = apply_intertwiner(inst, vec, 2)
+        assert out.shape == (cod.dim, 2)
+        assert np.allclose(out, intertwiner_matrix(inst, 2) @ vec, atol=1e-12)
 
     def test_apply_rejects_too_few_stages(self, plain_instance):
-        v = GradedVector(2, np.zeros(plain_instance.dim_e, dtype=np.complex128))
+        v = np.zeros((lift_space(plain_instance, 2).dim, 1))
         with pytest.raises(StageMismatch):
-            apply_intertwiner(plain_instance, v, stages=2)
+            apply_intertwiner(plain_instance, v, 2, stages=2)
 
     def test_adjoint_apply_on_vacuum_defect_batch(self, plain_instance):
         # columns through the apply path agree with the adjoint matrix
@@ -281,10 +243,10 @@ class TestIntertwiner:
         depth = 2
         dom = base_space(inst, depth)
         cod = lift_space(inst, depth)
-        batch = GradedVector(
-            depth, None, {(): np.eye(inst.rank_c, dtype=np.complex128)}
-        )
-        got = cod.flatten(apply_intertwiner_adjoint(inst, batch), width=inst.rank_c)
+        batch = np.zeros((dom.dim, inst.rank_c), dtype=np.complex128)
+        batch[dom.slot(())] = np.eye(inst.rank_c)
+        got = apply_intertwiner_adjoint(inst, batch, depth)
+        assert got.shape == (cod.dim, inst.rank_c)
         mstar = intertwiner_adjoint_matrix(inst, depth)
         want = mstar[:, dom.slot(())]
         assert np.allclose(got, want, atol=1e-12)
@@ -297,3 +259,26 @@ class TestIntertwiner:
         inst = generate(3, 1, 2, seed=4)
         m = intertwiner_matrix(inst, 1)
         assert operator_norm(m @ m.conj().T - np.eye(m.shape[0])) < 1e-12
+
+
+class TestZeroRank:
+    # d = 1 with dimA = 0 has base and lifted defect rank 0: zero-rank
+    # levels and zero-width batches keep explicit shapes
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stage_maps_and_matrices(self, d):
+        inst = generate(d, 2, 0, seed=0)
+        t, dd = inst.c, inst.defect_c
+        for width in (0, 3):
+            g = np.zeros((d, t.dim, width))
+            x = np.zeros((d, dd.rank, width))
+            assert stage_forward(t, dd, g, x).shape == (d * d, t.dim, width)
+            top, low = stage_backward(t, dd, g)
+            assert top.shape == (1, t.dim, width)
+            assert low.shape == (1, dd.rank, width)
+        for depth in range(3):
+            dom, cod = lift_space(inst, depth), base_space(inst, depth)
+            assert intertwiner_matrix(inst, depth).shape == (cod.dim, dom.dim)
+            assert intertwiner_adjoint_matrix(inst, depth).shape == (dom.dim, cod.dim)
+            empty = np.zeros((cod.dim, 0))
+            assert apply_intertwiner_adjoint(inst, empty, depth).shape == (dom.dim, 0)

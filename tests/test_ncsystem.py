@@ -64,13 +64,6 @@ class TestSimulate:
         with pytest.raises(DimMismatch):
             simulate(coll, sig, depth=2)
 
-    def test_output_series(self, plain_instance):
-        coll = build_colligation(plain_instance)
-        sig = random_series(coll.in_dim, 1, coll.d, 2, seed=6)
-        series = simulate(coll, sig).output_series(coll.out_dim)
-        assert series.depth == 2
-        assert series.coeff(()).shape == (coll.out_dim, 1)
-
 
 class TestImpulseResponse:
     def test_matches_transfer_coefficients(self, plain_instance):

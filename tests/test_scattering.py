@@ -8,7 +8,6 @@ from ncscatter.scattering import (
     DepthError,
     base_leak,
     complement_frame,
-    corner_rows,
     shifted_star_frames,
     star_wandering_frame,
     verify_complement,
@@ -68,6 +67,13 @@ class TestStarWanderingFrame:
         frame = star_wandering_frame(plain_instance, 1)
         assert frame.shape[1] == plain_instance.rank_c
 
+    def test_zero_rank_frame_is_empty(self):
+        # d = 1 with dimA = 0 has base defect rank 0
+        inst = generate(1, 2, 0, seed=0)
+        for depth in range(3):
+            frame = star_wandering_frame(inst, depth)
+            assert frame.shape == (lift_space(inst, depth).dim, 0)
+
 
 class TestWandering:
     def test_translates_orthonormal(self, plain_instance):
@@ -103,12 +109,11 @@ class TestComplement:
 
     def test_complement_orthogonal_to_shifts(self, plain_instance):
         comp = complement_frame(plain_instance, 2)
-        rows = corner_rows(plain_instance, 2)
         frames = shifted_star_frames(plain_instance, 2, 1)
         for w, f in frames.items():
             if w == ():
                 continue
-            assert operator_norm(comp.conj().T @ f[rows]) < 1e-10
+            assert operator_norm(comp.conj().T @ f[plain_instance.dim_c :]) < 1e-10
 
     def test_depth_guard(self, plain_instance):
         with pytest.raises(DepthError):

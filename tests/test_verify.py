@@ -1,7 +1,10 @@
 """Full verification runs and their failure reporting."""
 
 import dataclasses
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +170,28 @@ class TestRendering:
         assert rows[1]["error"] == "exploded"
         assert rows[1]["pass"] is False
         serialize.dump_text(serialize.report_to_json([CheckResult.failure("x", 1, "y")]))
+
+
+def load_tracing():
+    """The benchmark's tracer module, loaded from its file without installing it."""
+    path = Path(__file__).resolve().parents[1] / "ncbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("ncbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkNames:
+    # the benchmark traces package functions and check rows by name, so
+    # a rename here would only show up in its own smoke runs
+
+    def test_traced_layers_resolve(self):
+        for module, attr, _, _ in load_tracing().LAYERS:
+            owner = importlib.import_module(f"ncscatter.{module}")
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{module}.{attr}"
+
+    def test_check_names_in_order(self, no_corner_instance):
+        names = [r.name for r in run_all_checks(no_corner_instance, 2)]
+        assert names == list(load_tracing().CHECK_NAMES)

@@ -3,14 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncscatter import words
-from ncscatter.words import (
-    concat,
-    enumerate_words,
-    prepend_levels,
-    reverse,
-    splits,
-    validate_word,
-)
+from ncscatter.words import enumerate_words, prepend_levels, reverse, splits
 
 word_st = st.lists(st.integers(1, 3), max_size=6).map(tuple)
 
@@ -19,12 +12,6 @@ def test_reverse_examples():
     assert reverse(()) == ()
     assert reverse((1, 2, 1)) == (1, 2, 1)
     assert reverse((1, 2, 2)) == (2, 2, 1)
-
-
-def test_concat_examples():
-    assert concat((1,), (2, 1)) == (1, 2, 1)
-    assert concat((), (2,)) == (2,)
-    assert concat((2,), ()) == (2,)
 
 
 def test_splits_examples():
@@ -37,12 +24,12 @@ def test_splits_count_and_order(w):
     s = splits(w)
     assert len(s) == len(w) + 1
     assert [len(a) for a, _ in s] == list(range(len(w) + 1))
-    assert all(concat(a, b) == w for a, b in s)
+    assert all(a + b == w for a, b in s)
 
 
 @given(word_st, word_st)
 def test_reverse_antihomomorphism(a, b):
-    assert reverse(concat(a, b)) == concat(reverse(b), reverse(a))
+    assert reverse(a + b) == reverse(b) + reverse(a)
 
 
 @given(word_st)
@@ -79,14 +66,6 @@ def test_index_unknown_word():
         idx.index((1, 1))
     assert (1, 1) not in idx
     assert (2,) in idx
-
-
-def test_validate_word():
-    assert validate_word([1, 2], 2) == (1, 2)
-    with pytest.raises(ValueError):
-        validate_word([0], 2)
-    with pytest.raises(ValueError):
-        validate_word([3], 2)
 
 
 def test_words_of_length():
