@@ -137,7 +137,7 @@ def vacuum_restriction_violation(
     cod = base_space(instance, series.depth)
     cols = w_mat[:, dom.slot(())]
     worst = linalg.operator_norm(cols[: instance.dim_c])
-    for alpha in cod.index.words:
+    for alpha in cod.words:
         block = cols[cod.slot(alpha)]
         worst = max(worst, linalg.operator_norm(block - series.coeff(alpha)))
     return worst
@@ -158,12 +158,12 @@ def fock_action_violation(
     dom = lift_space(instance, depth)
     cod = base_space(instance, depth)
     flat_in = np.zeros((dom.dim, 1), dtype=np.complex128)
-    for w in dom.index.words:
+    for w in dom.words:
         flat_in[dom.slot(w)] = signal.coeff(reverse(w))
     got = w_mat @ flat_in
     out = series_multiply(theta, signal)
     worst = float(np.linalg.norm(got[: instance.dim_c]))
-    for w in cod.index.words:
+    for w in cod.words:
         want = out.coeff(reverse(w))
         worst = max(worst, float(np.linalg.norm(got[cod.slot(w)] - want)))
     return worst

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rowtuple import DefectData, OperatorTuple
-from .words import Word, WordIndex, enumerate_words
+from .words import Word, enumerate_words
 
 
 class InnerSpaceMismatch(ValueError):
@@ -47,29 +47,38 @@ class GradedSpace:
     """Flat coordinates for H (+) Fock_depth(D): base slot first, then
     one inner_dim-sized slot per word in graded-lex order."""
 
+    d: int
+    depth: int
     base_dim: int
     inner_dim: int
-    index: WordIndex
 
-    @property
-    def depth(self) -> int:
-        return self.index.depth
-
-    @property
-    def d(self) -> int:
-        return self.index.d
+    def __post_init__(self):
+        if self.d < 1 or self.depth < 0:
+            raise ValueError(f"no words over {self.d} letters up to depth {self.depth}")
 
     @property
     def dim(self) -> int:
-        return self.base_dim + self.index.size * self.inner_dim
+        return self.level(self.depth + 1).start
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        return enumerate_words(self.d, self.depth).words
 
     def slot(self, word: Word) -> slice:
-        k = self.index.index(word)
-        start = self.base_dim + k * self.inner_dim
+        """Rows of ``word``: appending letter j sends index u to u*d + j-1."""
+        if len(word) > self.depth or not all(1 <= a <= self.d for a in word):
+            raise KeyError(f"word {word!r} is not enumerated at depth {self.depth}")
+        u = 0
+        for a in word:
+            u = u * self.d + a - 1
+        start = self.level(len(word)).start + u * self.inner_dim
         return slice(start, start + self.inner_dim)
 
     def level(self, m: int) -> slice:
-        """Rows of Fock level m: the slots of its d**m words, in order."""
+        """Rows of Fock level m: the slots of its d**m words, in order.
+
+        Level depth+1 starts at ``dim``, right after the last slot.
+        """
         start = self.base_dim + self.inner_dim * sum(self.d**k for k in range(m))
         return slice(start, start + self.inner_dim * self.d**m)
 
@@ -84,10 +93,6 @@ class GradedSpace:
         return out
 
 
-def graded_space(d: int, depth: int, base_dim: int, inner_dim: int) -> GradedSpace:
-    return GradedSpace(base_dim, inner_dim, enumerate_words(d, depth))
-
-
 @dataclass(frozen=True, eq=False)
 class Dilation:
     """The explicit isometric dilation of a row contraction."""
@@ -100,7 +105,7 @@ class Dilation:
         return self.t.d
 
     def space(self, depth: int) -> GradedSpace:
-        return graded_space(self.t.d, depth, self.t.dim, self.defect.rank)
+        return GradedSpace(self.t.d, depth, self.t.dim, self.defect.rank)
 
     def apply(self, j: int, x: np.ndarray, depth: int) -> np.ndarray:
         """V_j on a flat vector or column batch at ``depth``, landing in depth + 1."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .dilation import InnerSpaceMismatch, graded_space
+from .dilation import GradedSpace, InnerSpaceMismatch
 from .lifting import LiftingInstance
 from .rowtuple import DefectData, OperatorTuple
 
@@ -64,10 +64,9 @@ def stage_forward(
         raise StageMismatch(f"level of {x.shape[0]} words against {words} coefficients")
     out = np.empty((words, t.d, dim, width), dtype=np.complex128)
     for j in range(1, t.d + 1):
-        val = t.op(j).conj().T @ g
+        np.matmul(t.op(j).conj().T, g, out=out[:, j - 1])
         if x is not None:
-            val = val + dd.coord_component(j).conj().T @ x
-        out[:, j - 1] = val
+            out[:, j - 1] += dd.coord_component(j).conj().T @ x
     return out.reshape((words * t.d, dim, width))
 
 
@@ -88,8 +87,8 @@ def stage_backward(
     top = t.op(1) @ children[:, 0]
     low = dd.coord_component(1) @ children[:, 0]
     for j in range(2, t.d + 1):
-        top = top + t.op(j) @ children[:, j - 1]
-        low = low + dd.coord_component(j) @ children[:, j - 1]
+        top += t.op(j) @ children[:, j - 1]
+        low += dd.coord_component(j) @ children[:, j - 1]
     return top, low
 
 
@@ -147,14 +146,14 @@ def _pipeline(
     return out
 
 
-def lift_space(instance: LiftingInstance, depth: int):
+def lift_space(instance: LiftingInstance, depth: int) -> GradedSpace:
     """Flat coordinates of the lifted dilation space at given depth."""
-    return graded_space(instance.d, depth, instance.dim_e, instance.rank_e)
+    return GradedSpace(instance.d, depth, instance.dim_e, instance.rank_e)
 
 
-def base_space(instance: LiftingInstance, depth: int):
+def base_space(instance: LiftingInstance, depth: int) -> GradedSpace:
     """Flat coordinates of the base dilation space at given depth."""
-    return graded_space(instance.d, depth, instance.dim_c, instance.rank_c)
+    return GradedSpace(instance.d, depth, instance.dim_c, instance.rank_c)
 
 
 def intertwiner_matrix(

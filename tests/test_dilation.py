@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import RT2, balanced_pair_tuple, contraction_tuple
 
-from ncscatter.dilation import Dilation, InnerSpaceMismatch, graded_space
+from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.rowtuple import OperatorTuple, defect
@@ -29,16 +29,16 @@ def fock_only(space, values):
 class TestGradedVector:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            graded_space(2, -1, 1, 1)
+            GradedSpace(2, -1, 1, 1)
 
     def test_word_beyond_depth_rejected(self):
         with pytest.raises(KeyError):
-            graded_space(2, 1, 1, 1).slot((1, 2))
+            GradedSpace(2, 1, 1, 1).slot((1, 2))
 
     def test_inner_hand_value(self):
         # a depth-1 vector padded to depth 2: absent words count as zero,
         # and vdot conjugates the left argument
-        shallow, deep = graded_space(2, 1, 1, 1), graded_space(2, 2, 1, 1)
+        shallow, deep = GradedSpace(2, 1, 1, 1), GradedSpace(2, 2, 1, 1)
         x = np.zeros(shallow.dim, dtype=np.complex128)
         x[0], x[shallow.slot((1,))] = 1.0 + 1j, 2.0
         y = np.zeros(deep.dim, dtype=np.complex128)
@@ -46,7 +46,7 @@ class TestGradedVector:
         assert np.vdot(deep.pad(x), y) == pytest.approx((1.0 - 1j) * 1.0 + 2.0 * 0.5j)
 
     def test_norm(self):
-        shallow, deep = graded_space(2, 1, 1, 1), graded_space(2, 3, 1, 1)
+        shallow, deep = GradedSpace(2, 1, 1, 1), GradedSpace(2, 3, 1, 1)
         x = np.zeros(shallow.dim)
         x[0], x[shallow.slot((2,))] = 3.0, 4.0
         assert np.linalg.norm(deep.pad(x)) == pytest.approx(5.0)
@@ -70,7 +70,7 @@ class TestCreation:
         for i in (1, 2):
             for j in (1, 2):
                 x, y = (
-                    fock_only(sp, {w: rng.standard_normal(2) for w in sp.index.words})
+                    fock_only(sp, {w: rng.standard_normal(2) for w in sp.words})
                     for _ in range(2)
                 )
                 got = np.vdot(dil.apply(i, x, 1), dil.apply(j, y, 1))
@@ -80,7 +80,7 @@ class TestCreation:
 
 class TestGradedSpace:
     def test_layout_frozen(self):
-        sp = graded_space(2, 2, 1, 1)
+        sp = GradedSpace(2, 2, 1, 1)
         assert sp.dim == 1 + 7
         assert sp.slot(()) == slice(1, 2)
         assert sp.slot((2,)) == slice(3, 4)
@@ -92,34 +92,34 @@ class TestGradedSpace:
         # level offsets do not depend on the truncation depth
         for depth in range(5):
             for k in range(depth + 1):
-                shallow = graded_space(d, k, 2, 3)
-                deep = graded_space(d, depth, 2, 3)
-                for w in shallow.index.words:
+                shallow = GradedSpace(d, k, 2, 3)
+                deep = GradedSpace(d, depth, 2, 3)
+                for w in shallow.words:
                     assert shallow.slot(w) == deep.slot(w)
                 for m in range(k + 1):
                     assert shallow.level(m) == deep.level(m)
 
     def test_pad_then_slice_roundtrip(self):
-        shallow, deep = graded_space(3, 1, 2, 2), graded_space(3, 3, 2, 2)
+        shallow, deep = GradedSpace(3, 1, 2, 2), GradedSpace(3, 3, 2, 2)
         vec = random_flat(shallow, seed=0, width=3)
         padded = deep.pad(vec)
         assert np.array_equal(padded[: shallow.dim], vec)
         assert not padded[shallow.dim :].any()
 
     def test_blocks_are_word_slots(self):
-        sp = graded_space(2, 2, 1, 2)
+        sp = GradedSpace(2, 2, 1, 2)
         vec = random_flat(sp, seed=1, width=3)
         for m in range(3):
             blocks = sp.blocks(vec, m)
             assert blocks.shape == (2**m, 2, 3)
-            words = [w for w in sp.index.words if len(w) == m]
+            words = [w for w in sp.words if len(w) == m]
             for u, w in enumerate(words):
                 assert np.array_equal(blocks[u], vec[sp.slot(w)])
 
     def test_depth_mismatch(self):
-        sp = graded_space(2, 1, 1, 1)
+        sp = GradedSpace(2, 1, 1, 1)
         with pytest.raises(ValueError):
-            sp.pad(np.zeros(graded_space(2, 2, 1, 1).dim))
+            sp.pad(np.zeros(GradedSpace(2, 2, 1, 1).dim))
 
 
 class TestApplyHandValues:
@@ -212,7 +212,7 @@ class TestFlatMatrices:
             want = np.zeros(dom.dim, dtype=np.complex128)
             want[:n] = t.op(j).conj().T @ y[:n]
             want[:n] += dil.defect.coord_component(j).conj().T @ y[cod.slot(())]
-            for w in dom.index.words:
+            for w in dom.words:
                 want[dom.slot(w)] = y[cod.slot((j,) + w)]
             assert np.allclose(dil.matrix(j, 1).conj().T @ y, want, atol=1e-12)
 
@@ -253,7 +253,7 @@ class TestSingleOperator:
         for steps in range(1, 4):
             v = dil.apply(1, v, steps - 1)
             sp = dil.space(steps)
-            live = {w for w in sp.index.words if np.linalg.norm(v[sp.slot(w)]) > 1e-14}
+            live = {w for w in sp.words if np.linalg.norm(v[sp.slot(w)]) > 1e-14}
             assert live == {(1,) * (steps - 1)}
         assert abs(v[0]) < 1e-14
 

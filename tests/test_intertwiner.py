@@ -194,8 +194,8 @@ class TestIntertwiner:
         dom = base_space(inst, depth)
         cod = lift_space(inst, depth)
         mstar = intertwiner_adjoint_matrix(inst, depth)
-        for w_in in dom.index.words:
-            for w_out in cod.index.words:
+        for w_in in dom.words:
+            for w_out in cod.words:
                 if len(w_out) > len(w_in):
                     block = mstar[cod.slot(w_out), dom.slot(w_in)]
                     assert operator_norm(block) < 1e-12

@@ -60,15 +60,15 @@ class TestClassify:
     def test_truncated_creation_band(self):
         # truncated creation operators are isometric on the subspace of
         # words below the top level; check the Gram identity there
-        from ncscatter.dilation import graded_space
+        from ncscatter.dilation import GradedSpace
 
         d, depth = 2, 2
-        space = graded_space(d, depth, 0, 1)
-        band = graded_space(d, depth - 1, 0, 1).dim
+        space = GradedSpace(d, depth, 0, 1)
+        band = GradedSpace(d, depth - 1, 0, 1).dim
         mats = []
         for j in range(1, d + 1):
             m = np.zeros((space.dim, space.dim), dtype=complex)
-            for w in space.index.words:
+            for w in space.words:
                 if len(w) < depth:
                     m[space.slot((j,) + w), space.slot(w)] = 1.0
             mats.append(m)

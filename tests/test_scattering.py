@@ -67,12 +67,14 @@ class TestStarWanderingFrame:
         frame = star_wandering_frame(plain_instance, 1)
         assert frame.shape[1] == plain_instance.rank_c
 
-    def test_zero_rank_frame_is_empty(self):
-        # d = 1 with dimA = 0 has base defect rank 0
-        inst = generate(1, 2, 0, seed=0)
+    @pytest.mark.parametrize("d,rank_c", [(1, 0), (2, 2)])
+    def test_frame_shape_without_corner(self, d, rank_c):
+        # d = 1 with dimA = 0 has base defect rank 0: the frame is empty
+        inst = generate(d, 2, 0, seed=0)
+        assert inst.rank_c == rank_c
         for depth in range(3):
             frame = star_wandering_frame(inst, depth)
-            assert frame.shape == (lift_space(inst, depth).dim, 0)
+            assert frame.shape == (lift_space(inst, depth).dim, rank_c)
 
 
 class TestWandering:
