@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Sweep seeded random instances through the full verification suite.
 
-Prints the worst violation per check across the sweep and exits
-nonzero if anything fails, so it doubles as a quick soak test:
+Prints the worst violation per check across the sweep and the worst
+headroom, log10(threshold / violation) over passing rows with a
+nonzero violation, and exits nonzero if anything fails, so it doubles
+as a quick soak test:
 
     python3 scripts/seed_sweep.py --seeds 20 --d 2 --dim-c 2 --dim-a 2
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -28,6 +31,7 @@ def main() -> int:
     args = parser.parse_args()
 
     worst: dict[str, CheckResult] = {}
+    headroom = None  # (decades, check, seed) of the tightest passing row
     t0 = time.perf_counter()
     for seed in range(args.seeds):
         inst = generate(args.d, args.dim_c, args.dim_a, seed=seed, a_scale=args.a_scale)
@@ -35,11 +39,19 @@ def main() -> int:
             seen = worst.get(res.name)
             if seen is None or not res.passed or res.max_violation > seen.max_violation:
                 worst[res.name] = res
+            if res.passed and res.max_violation > 0:
+                row = (math.log10(res.threshold / res.max_violation), res.name, seed)
+                if headroom is None or row < headroom:
+                    headroom = row
     elapsed = time.perf_counter() - t0
 
     results = list(worst.values())
     for res in results:
         print(res.line())
+    if headroom is None:
+        print("worst headroom: none (no passing row has a nonzero violation)")
+    else:
+        print(f"worst headroom: {headroom[0]:.3f} decades ({headroom[1]}, seed {headroom[2]})")
     print(
         f"{args.seeds} instances (d={args.d}, dims ({args.dim_c},{args.dim_a}), "
         f"depth {args.depth}) in {elapsed:.2f} s"

@@ -10,6 +10,9 @@ conventions so that repeated runs produce byte-identical results.
 Matrices are plain ``numpy.ndarray`` objects with ``complex128``
 entries.  All tolerances are relative to the largest singular value
 unless stated otherwise.
+
+The spectral kernels decompose only the rows and columns holding a
+nonzero entry: the others add nothing to any spectrum, so this is exact.
 """
 
 from __future__ import annotations
@@ -44,12 +47,21 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
+def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows and columns holding an entry != 0 (NaN and inf count)."""
+    nonzero = m != 0
+    return nonzero.any(axis=1), nonzero.any(axis=0)
+
+
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value; 0.0 for empty matrices."""
+    """Largest singular value (0.0 if none), taken after the exact drop of
+    zero rows and columns; with none dropped it is ``np.linalg.norm(m, 2)``."""
     m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
+    rows, cols = _support(m)
+    block = m if rows.all() and cols.all() else m[np.ix_(rows, cols)]
+    return float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
 
 
 def hermitian_sqrt(m: np.ndarray, tol: float = TOL_RANK, floor_scale: float = 0.0) -> np.ndarray:
@@ -136,12 +148,18 @@ def complement_onb(q: np.ndarray) -> np.ndarray:
     by an eigenvalue threshold of 1/2; this stays correct even when the
     complement is empty and the projector is pure rounding noise,
     where a relative singular-value cutoff would hallucinate columns.
+
+    Only the support block of the projector is decomposed: its zero rows
+    (unit columns of ``q``) are zero columns too and split off exactly.
     """
     q = np.asarray(q, dtype=np.complex128)
-    n = q.shape[0]
-    p = np.eye(n, dtype=np.complex128) - q @ q.conj().T
-    w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
-    return _fix_column_phases(v[:, w > 0.5])
+    p = np.eye(q.shape[0], dtype=np.complex128) - q @ q.conj().T
+    p = (p + p.conj().T) / 2.0
+    live = _support(p)[0]
+    w, v = np.linalg.eigh(p[np.ix_(live, live)])
+    out = np.zeros((q.shape[0], v.shape[1]), dtype=np.complex128)
+    out[live] = v
+    return _fix_column_phases(out[:, w > 0.5])
 
 
 def random_isometry(rows: int, cols: int, seed) -> np.ndarray:

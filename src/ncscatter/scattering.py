@@ -78,17 +78,18 @@ def wandering_violation(frames: dict[Word, np.ndarray]) -> float:
     """Largest deviation of the translate family from orthonormality.
 
     Off-diagonal Gram blocks must vanish and each diagonal block must
-    be the identity.
+    be the identity; one product and one batched SVD measure all pairs.
     """
-    worst = 0.0
-    items = sorted(frames.items())
-    for i, (_, fa) in enumerate(items):
-        for k in range(i, len(items)):
-            gram = fa.conj().T @ items[k][1]
-            if k == i:
-                gram = gram - np.eye(gram.shape[0])
-            worst = max(worst, linalg.operator_norm(gram))
-    return worst
+    items = [f for _, f in sorted(frames.items())]
+    if not items or items[0].shape[1] == 0:
+        return 0.0
+    n, r = len(items), items[0].shape[1]
+    stack = np.hstack(items)
+    grams = (stack.conj().T @ stack).reshape(n, r, n, r).transpose(0, 2, 1, 3)
+    i, k = np.triu_indices(n)
+    pairs = grams[i, k]
+    pairs[i == k] -= np.eye(r)
+    return float(np.linalg.svd(pairs, compute_uv=False).max())
 
 
 def verify_wandering(instance: LiftingInstance, depth: int, max_len: int) -> float:
@@ -98,20 +99,23 @@ def verify_wandering(instance: LiftingInstance, depth: int, max_len: int) -> flo
 def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     """Orthocomplement of the shifted corner part, in corner rows.
 
-    Stacks the corner-restricted dilation matrices from depth-1 and
-    takes the left null space.  The stack is an isometry, so its
-    singular values sit at 1 and the null-space dimension is exact.
+    Stacks the corner-restricted dilation matrices ``S`` from depth-1,
+    orthonormalizes its columns on the support of ``S* S - I`` by the
+    inverse root of their Gram block, and complements the range.  ``S``
+    is an isometry; a Gram eigenvalue <= 1/4 raises :class:`DepthError`.
     """
     if depth < 1:
         raise DepthError("complement needs depth at least 1")
     dil = Dilation(instance.e, instance.defect_e)
     nc = instance.dim_c
     stack = np.hstack([dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)])
-    u, s, _ = np.linalg.svd(stack, full_matrices=True)
-    rank = int(np.sum(s > 0.5))
-    if rank != stack.shape[1]:
+    gram = stack.conj().T @ stack
+    live = np.logical_or(*linalg._support(gram - np.eye(gram.shape[0])))
+    w, v = np.linalg.eigh(gram[np.ix_(live, live)])
+    if not np.all(w > 0.25):
         raise DepthError("shifted corner stack lost injectivity")
-    return u[:, rank:]
+    stack[:, live] = stack[:, live] @ ((v / np.sqrt(w)) @ v.conj().T)
+    return linalg.complement_onb(stack)
 
 
 def verify_complement(

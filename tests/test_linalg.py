@@ -138,6 +138,21 @@ class TestComplementOnb:
         assert comp.shape == (3, 3)
         assert operator_norm(comp.conj().T @ comp - np.eye(3)) < 1e-12
 
+    def test_unit_columns_split_off_exactly(self):
+        # unit columns of q give zero rows of the projector; the
+        # complement must match the dense decomposition's subspace
+        rng = np.random.default_rng(4)
+        q = np.zeros((9, 5), dtype=np.complex128)
+        q[[0, 3, 4, 7], :3] = random_isometry(4, 3, rng)
+        q[2, 3] = q[8, 4] = 1.0
+        comp = linalg.complement_onb(q)
+        p = np.eye(9) - q @ q.conj().T
+        w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
+        dense = v[:, w > 0.5]
+        assert comp.shape == dense.shape == (9, 4)
+        assert np.all(comp[[2, 8]] == 0)
+        assert operator_norm(comp @ comp.conj().T - dense @ dense.conj().T) < 1e-14
+
     def test_noise_perturbed_full_frame_stays_empty(self):
         # a relative singular-value cutoff on I - q q* would keep noise
         # directions here; the eigenvalue threshold must not
@@ -181,6 +196,44 @@ class TestOperatorNorm:
         u = random_isometry(4, 4, 1)
         v = random_isometry(4, 4, 2)
         assert operator_norm(u @ m @ v) == pytest.approx(operator_norm(m), rel=1e-9)
+
+    # the dense norm of the parent implementation is the oracle
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9))
+    def test_bit_equal_to_dense_norm_without_zero_lines(self, seed, rows, cols):
+        m = random_matrix(np.random.default_rng(seed), rows, cols)
+        assert operator_norm(m) == np.linalg.norm(m, 2)
+        assert operator_norm(m.conj().T) == np.linalg.norm(m.conj().T, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+    def test_zero_padded_block_within_rounding(self, seed, rows, cols):
+        # the dense reference rounds differently on the padded input: up
+        # to 8 ulps apart was seen on 12-wide blocks, inside LAPACK's
+        # O(n eps) relative bound, so allow 4 ulps per block dimension
+        rng = np.random.default_rng(seed)
+        big = np.zeros((rows + 7, cols + 5), dtype=np.complex128)
+        keep_rows = np.sort(rng.choice(rows + 7, rows, replace=False))
+        keep_cols = np.sort(rng.choice(cols + 5, cols, replace=False))
+        big[np.ix_(keep_rows, keep_cols)] = random_matrix(rng, rows, cols)
+        want = np.linalg.norm(big, 2)
+        assert abs(operator_norm(big) - want) <= 4 * max(rows, cols) * np.spacing(want)
+
+    def test_empty_and_zero(self):
+        for shape in [(0, 0), (0, 3), (3, 0), (4, 5)]:
+            assert operator_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+    def test_nonfinite_entries_are_kept(self):
+        m = np.ones((3, 4), dtype=complex)
+        m[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(m)
+        m[1, 2] = np.inf
+        assert np.isnan(operator_norm(m))
+
+    def test_vector_input_rejected(self):
+        with pytest.raises(DimensionError):
+            operator_norm(np.ones(3))
 
 
 class TestPseudoInverse:

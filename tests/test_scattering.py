@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncscatter.dilation import Dilation
 from ncscatter.intertwiner import lift_space
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
@@ -22,6 +23,32 @@ SWEEP = [
     generate(3, 2, 1, seed=8),
     generate(2, 2, 0, seed=7),
 ]
+
+
+# the shapes of the benchmark's verify sweep: (d, dimC, dimA)
+SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0)]
+
+
+def pairwise_wandering_violation(frames):
+    # oracle: one norm per pair of translate frames
+    worst = 0.0
+    items = sorted(frames.items())
+    for i, (_, fa) in enumerate(items):
+        for k in range(i, len(items)):
+            gram = fa.conj().T @ items[k][1]
+            if k == i:
+                gram = gram - np.eye(gram.shape[0])
+            worst = max(worst, np.linalg.norm(gram, 2) if gram.size else 0.0)
+    return worst
+
+
+def dense_complement_frame(instance, depth):
+    # oracle: left null space of the stack from a full SVD
+    dil = Dilation(instance.e, instance.defect_e)
+    nc = instance.dim_c
+    stack = np.hstack([dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)])
+    u, s, _ = np.linalg.svd(stack, full_matrices=True)
+    return u[:, int(np.sum(s > 0.5)) :]
 
 
 def closed_form_frame(instance, depth):
@@ -101,6 +128,23 @@ class TestWandering:
         frames[()] = 2.0 * frames[()]
         assert wandering_violation(frames) > 0.5
 
+    def test_matches_pairwise_oracle(self, plain_instance):
+        families = [shifted_star_frames(inst, 3, 2) for inst in SWEEP]
+        skewed = shifted_star_frames(plain_instance, 3, 2)
+        skewed[(2, 1)] = skewed[(2, 1)] + 1e-3 * skewed[(1,)]
+        stretched = shifted_star_frames(plain_instance, 3, 2)
+        stretched[(1, 2)] = 1.001 * stretched[(1, 2)]
+        for frames in families + [skewed, stretched]:
+            want = pairwise_wandering_violation(frames)
+            assert abs(wandering_violation(frames) - want) <= 1e-14
+
+    def test_empty_families(self):
+        inst = generate(1, 2, 0, seed=0)
+        assert inst.rank_c == 0
+        assert wandering_violation(shifted_star_frames(inst, 3, 2)) == 0.0
+        assert wandering_violation({(): np.eye(4, 2, dtype=np.complex128)}) == 0.0
+        assert wandering_violation({}) == 0.0
+
 
 class TestComplement:
     def test_dimension_and_angle(self):
@@ -120,6 +164,18 @@ class TestComplement:
     def test_depth_guard(self, plain_instance):
         with pytest.raises(DepthError):
             complement_frame(plain_instance, 0)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_spans_the_dense_oracle_subspace(self, shape):
+        for seed in range(2):
+            inst = generate(*shape, seed=seed)
+            for depth in range(1, 5):
+                comp = complement_frame(inst, depth)
+                dense = dense_complement_frame(inst, depth)
+                assert comp.shape == dense.shape
+                assert np.linalg.norm(comp.conj().T @ comp - np.eye(comp.shape[1])) < 1e-13
+                gap = comp @ comp.conj().T - dense @ dense.conj().T
+                assert (np.linalg.norm(gap, 2) if gap.size else 0.0) <= 1e-13
 
 
 class TestShiftDecomposition:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ncscatter import charfn, lifting, scattering, serialize, transfer, verify
+from ncscatter.dilation import Dilation
 from ncscatter.verify import CheckResult, all_passed, render_report, run_all_checks
 
 EXPECTED_ORDER = [
@@ -136,6 +137,54 @@ class TestSharedBuilds:
         assert {"transfer_contraction", "transfer_norm_one"} <= {r.name for r in results}
         assert all_passed(results)
         assert counts == {"transfer_norm": 1}
+
+
+class TestMutations:
+    """A 1e-6 defect in what the compressed kernels measure must show."""
+
+    def failing(self, instance, depth=3):
+        return {r.name for r in run_all_checks(instance, depth) if not r.passed}
+
+    def test_fock_entry_of_dilation_matrix(self, monkeypatch, plain_instance):
+        original = Dilation.matrix
+
+        def perturbed(self, j, depth):
+            m = original(self, j, depth)
+            # the unit entry that copies the last Fock column one level up
+            m[np.flatnonzero(m[:, -1])[0], -1] += 1e-6
+            return m
+
+        monkeypatch.setattr(Dilation, "matrix", perturbed)
+        failing = self.failing(plain_instance)
+        assert {"dilation_isometry", "dilation_row_unitary"} <= failing
+
+    def test_one_translate_frame(self, monkeypatch, plain_instance):
+        original = scattering.shifted_star_frames
+
+        def perturbed(*args):
+            frames = original(*args)
+            frame = frames[(2, 1)]
+            frame.flat[np.argmax(np.abs(frame))] += 1e-6
+            return frames
+
+        monkeypatch.setattr(scattering, "shifted_star_frames", perturbed)
+        assert "wandering_orthogonality" in self.failing(plain_instance)
+
+    def test_equal_corner_columns_lose_injectivity(self, monkeypatch, plain_instance):
+        original = Dilation.matrix
+        nc = plain_instance.dim_c
+
+        def perturbed(self, j, depth):
+            m = original(self, j, depth)
+            if j == 2:
+                m[:, nc] = original(self, 1, depth)[:, nc]
+            return m
+
+        monkeypatch.setattr(Dilation, "matrix", perturbed)
+        with pytest.raises(
+            scattering.DepthError, match="shifted corner stack lost injectivity"
+        ):
+            scattering.complement_frame(plain_instance, 3)
 
 
 class TestRendering:
