@@ -28,7 +28,7 @@ from . import linalg
 from .intertwiner import base_space, lift_space
 from .lifting import LiftingInstance
 from .transfer import Colligation, NCSeries, series_multiply, transfer_coefficient
-from .words import Word, enumerate_words, prepend_levels, reverse
+from .words import enumerate_words, reverse
 
 
 class IllDefined(ValueError):
@@ -36,18 +36,19 @@ class IllDefined(ValueError):
     so no function on defect vectors represents it."""
 
 
-def _suffix_adjoints(instance: LiftingInstance, depth: int) -> dict[Word, np.ndarray]:
-    """Adjoints of corner word products, built by prepending letters."""
-    return prepend_levels(
-        np.eye(instance.dim_a, dtype=np.complex128),
-        instance.d,
-        depth,
-        lambda j, _, adj: adj @ instance.a.ops[j - 1].conj().T,
-    )
+def _suffix_adjoints(instance: LiftingInstance, depth: int) -> list[np.ndarray]:
+    """Adjoints of corner word products, one ``(d**m, dimA, dimA)`` stack
+    per length m in graded-lex order; prepending j to w gives adj(w) A_j*."""
+    level = np.eye(instance.dim_a, dtype=np.complex128)[None]
+    out = [level]
+    for _ in range(depth):
+        level = np.concatenate([level @ a.conj().T for a in instance.a.ops])
+        out.append(level)
+    return out
 
 
-def symbol_blocks(instance: LiftingInstance, depth: int) -> dict[Word, np.ndarray]:
-    """Ambient closed form: word -> block on the stacked lifted slots.
+def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
+    """Ambient closed form, stacked over words in graded-lex order.
 
     Each block has shape (base defect rank, d * dimE).  Per input
     slot i the base-space columns read
@@ -59,36 +60,35 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> dict[Word, np.ndarra
 
         vacuum:       - gamma dstar A_i
         word (j,)+w:  gamma dstar (A_w)* (delta_ij - A_j* A_i).
+
+    Every level is filled with batched products over its words.
     """
     d, nc, na, ne = instance.d, instance.dim_c, instance.dim_a, instance.dim_e
-    rc = instance.rank_c
     gs = instance.gamma @ (instance.dstar_basis.conj().T @ instance.dstar)
     adj = _suffix_adjoints(instance, depth)
-    blocks = {
-        w: np.zeros((rc, d * ne), dtype=np.complex128)
-        for w in enumerate_words(d, depth).words
-    }
+    neg = [-gs @ level for level in adj]
+    pos = [gs @ level for level in adj[:-1]]
+    blocks = np.zeros(
+        (sum(len(level) for level in adj), instance.rank_c, d * ne), dtype=np.complex128
+    )
     for i in range(1, d + 1):
         cols_c = slice((i - 1) * ne, (i - 1) * ne + nc)
         cols_a = slice((i - 1) * ne + nc, i * ne)
         b_i = instance.b[i - 1]
         a_i = instance.a.ops[i - 1]
-        blocks[()][:, cols_c] = instance.defect_c.coord_component(i) - gs @ b_i
-        blocks[()][:, cols_a] = -gs @ a_i
-        for w in blocks:
-            if not w:
-                continue
-            blocks[w][:, cols_c] = -gs @ adj[w] @ b_i
-            j, rest = w[0], w[1:]
-            cross = -instance.a.ops[j - 1].conj().T @ a_i
-            if j == i:
-                cross = cross + np.eye(na)
-            blocks[w][:, cols_a] = gs @ adj[rest] @ cross
+        blocks[0][:, cols_c] = instance.defect_c.coord_component(i) - gs @ b_i
+        blocks[0][:, cols_a] = -gs @ a_i
+        crosses = [-a_j.conj().T @ a_i for a_j in instance.a.ops]
+        crosses[i - 1] = crosses[i - 1] + np.eye(na)
+        start = 1
+        for m in range(1, depth + 1):
+            level = blocks[start : start + d**m]
+            level[:, :, cols_c] = neg[m] @ b_i
+            by_letter = level.reshape(d, d ** (m - 1), *level.shape[1:])
+            for j, cross in enumerate(crosses):
+                by_letter[j, :, :, cols_a] = pos[m - 1] @ cross
+            start += d**m
     return blocks
-
-
-def _stacked_symbol(blocks: dict[Word, np.ndarray]) -> np.ndarray:
-    return np.vstack([blocks[w] for w in sorted(blocks, key=lambda w: (len(w), w))])
 
 
 def charfn_series(
@@ -103,13 +103,14 @@ def charfn_series(
     blocks = symbol_blocks(instance, depth)
     kernel = linalg.complement_onb(instance.defect_e.basis)
     if kernel.shape[1]:
-        leak = linalg.operator_norm(_stacked_symbol(blocks) @ kernel)
+        leak = linalg.operator_norm(blocks.reshape(-1, blocks.shape[2]) @ kernel)
         if leak > tol:
             raise IllDefined(
                 f"symbol leaks onto ker of the lifted defect ({leak:.3e} > {tol:.1e})"
             )
     factor = linalg.pseudo_inverse(instance.defect_e.operator) @ instance.defect_e.basis
-    coeffs = {w: m @ factor for w, m in blocks.items()}
+    words = enumerate_words(instance.d, depth).words
+    coeffs = dict(zip(words, blocks @ factor))
     return NCSeries(instance.rank_c, instance.rank_e, depth, coeffs)
 
 

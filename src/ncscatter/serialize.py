@@ -6,6 +6,13 @@ again is byte-stable; non-finite values are rejected both ways.
 Loaders validate shape and type and raise :class:`SchemaError` with
 the offending key, never a bare KeyError.
 
+:func:`dump_text` renders exactly the bytes of ``json.dumps(obj,
+indent=2, sort_keys=True, allow_nan=False) + "\n"`` (keys must be
+strings).  It writes the lists this module builds from templates:
+``[re, im]`` pairs, words, and ``{"word", "matrix"}`` entries whose
+matrices share one shape.  Each list is type-checked in full first;
+anything else goes through one generic recursive writer.
+
 An instance file stores only the three defining blocks (and the
 generator seed when there is one); defect operators, bases and the
 coupling isometry are recomputed on load so a file cannot smuggle in
@@ -15,6 +22,9 @@ inconsistent derived data.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 import numpy as np
 
@@ -48,11 +58,13 @@ def _require(obj, key: str, kind, where: str):
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = linalg.as_matrix(m)
-    data = [
-        [float(z.real), float(z.imag)] for z in np.asarray(m, dtype=np.complex128).ravel()
-    ]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2:
+        raise linalg.DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    data = np.ascontiguousarray(m).reshape(-1).view(np.float64).reshape(-1, 2).tolist()
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
 
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -138,17 +150,35 @@ def instance_from_json(
     )
 
 
-def series_to_json(series: NCSeries) -> dict:
-    coeffs = [
-        {"word": list(w), "matrix": matrix_to_json(series.coeffs[w])}
-        for w in sorted(series.coeffs, key=graded_key)
+def _entries_to_json(values: dict[Word, np.ndarray]) -> list:
+    """``{"word", "matrix"}`` entries in graded-lex order.
+
+    Equal-shape matrices are checked and converted as one stack, with
+    the errors of :func:`matrix_to_json`.
+    """
+    words = sorted(values, key=graded_key)
+    shapes = {np.shape(values[w]) for w in words}
+    if len(shapes) != 1 or len(shape := shapes.pop()) != 2:
+        return [{"word": list(w), "matrix": matrix_to_json(values[w])} for w in words]
+    stack = np.asarray([values[w] for w in words], dtype=np.complex128)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    rows, cols = shape
+    flat = stack.reshape(len(words), rows * cols).view(np.float64)
+    datas = flat.reshape(len(words), rows * cols, 2).tolist()
+    return [
+        {"word": list(w), "matrix": {"rows": rows, "cols": cols, "data": data}}
+        for w, data in zip(words, datas)
     ]
+
+
+def series_to_json(series: NCSeries) -> dict:
     return {
         "schemaVersion": SCHEMA_VERSION,
         "outDim": series.out_dim,
         "inDim": series.in_dim,
         "depth": series.depth,
-        "coeffs": coeffs,
+        "coeffs": _entries_to_json(series.coeffs),
     }
 
 
@@ -174,13 +204,6 @@ def series_from_json(obj, d: int) -> NCSeries:
     return NCSeries(out_dim, in_dim, depth, coeffs)
 
 
-def _signal_block(values: dict[Word, np.ndarray]) -> list:
-    return [
-        {"word": list(w), "matrix": matrix_to_json(values[w])}
-        for w in sorted(values, key=graded_key)
-    ]
-
-
 def _signal_from_json(entries, d: int, where: str) -> dict[Word, np.ndarray]:
     out: dict[Word, np.ndarray] = {}
     for k, entry in enumerate(entries):
@@ -196,9 +219,9 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     return {
         "schemaVersion": SCHEMA_VERSION,
         "depth": traj.depth,
-        "input": _signal_block(traj.u),
-        "state": _signal_block(traj.x),
-        "output": _signal_block(traj.y),
+        "input": _entries_to_json(traj.u),
+        "state": _entries_to_json(traj.x),
+        "output": _entries_to_json(traj.y),
     }
 
 
@@ -238,9 +261,161 @@ def _reject_constant(name: str):
     raise SchemaError(f"non-finite number {name} is not allowed")
 
 
+class _NonFinite(Exception):
+    """A non-finite float met while rendering; located afterwards."""
+
+
+_ENTRY_KEYS = {"word", "matrix"}
+_MATRIX_KEYS = {"rows", "cols", "data"}
+
+
+def _nl(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _floats(flat: list) -> list[str]:
+    if not all(map(isfinite, flat)):
+        raise _NonFinite
+    return list(map(float.__repr__, flat))
+
+
+def _pair_template(level: int, count: int) -> str:
+    """A ``count``-pair list at ``level`` with one ``%s`` per float."""
+    if not count:
+        return "[]"
+    pair = _nl(level + 1) + "[" + _nl(level + 2) + "%s," + _nl(level + 2) + "%s"
+    return "[" + ",".join([pair + _nl(level + 1) + "]"] * count) + _nl(level) + "]"
+
+
+def _is_pairs(rows: list) -> list | None:
+    """The flat floats of a list of ``[float, float]`` lists, else None."""
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {2}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    return flat if set(map(type, flat)) == {float} else None
+
+
+def _is_ints(seq: list) -> bool:
+    return set(map(type, seq)) <= {int}
+
+
+def _render_ints(seq: list, level: int) -> str:
+    if not seq:
+        return "[]"
+    sep = "," + _nl(level + 1)
+    return "[" + _nl(level + 1) + sep.join(map(int.__repr__, seq)) + _nl(level) + "]"
+
+
+def _render_entries(entries: list, level: int) -> str | None:
+    """A list of same-shape ``{"word", "matrix"}`` entries, else None."""
+    if set(map(type, entries)) != {dict} or any(e.keys() != _ENTRY_KEYS for e in entries):
+        return None
+    mats = [e["matrix"] for e in entries]
+    if set(map(type, mats)) != {dict} or any(m.keys() != _MATRIX_KEYS for m in mats):
+        return None
+    rows = [m["rows"] for m in mats]
+    cols = [m["cols"] for m in mats]
+    if set(map(type, rows + cols)) != {int} or len(set(rows)) != 1 or len(set(cols)) != 1:
+        return None
+    datas = [m["data"] for m in mats]
+    if set(map(type, datas)) != {list} or len(set(map(len, datas))) != 1:
+        return None
+    size = len(datas[0])
+    flat = _is_pairs(list(chain.from_iterable(datas))) if size else []
+    words = [e["word"] for e in entries]
+    if flat is None or set(map(type, words)) != {list}:
+        return None
+    if not _is_ints(list(chain.from_iterable(words))):
+        return None
+    inner = _nl(level + 3)
+    entry = (
+        _nl(level + 1) + "{" + _nl(level + 2) + '"matrix": {'
+        + inner + f'"cols": {cols[0]},' + inner + '"data": '
+        + _pair_template(level + 3, size)
+        + "," + inner + f'"rows": {rows[0]}' + _nl(level + 2) + "},"
+        + _nl(level + 2) + '"word": %s' + _nl(level + 1) + "}"
+    )
+    reprs = _floats(flat)
+    step = 2 * size
+    values = []
+    for k, w in enumerate(words):
+        values += reprs[k * step : (k + 1) * step]
+        values.append(_render_ints(w, level + 2))
+    return "[" + ",".join([entry] * len(entries)) % tuple(values) + _nl(level) + "]"
+
+
+def _render_list(seq, level: int) -> str:
+    if not seq:
+        return "[]"
+    if type(seq) is list:
+        head = type(seq[0])
+        if head is int and _is_ints(seq):
+            return _render_ints(seq, level)
+        if head is list:
+            flat = _is_pairs(seq)
+            if flat is not None:
+                return _pair_template(level, len(seq)) % tuple(_floats(flat))
+        if head is dict and seq[0].keys() == _ENTRY_KEYS:
+            text = _render_entries(seq, level)
+            if text is not None:
+                return text
+    sep = "," + _nl(level + 1)
+    body = sep.join([_render(v, level + 1) for v in seq])
+    return "[" + _nl(level + 1) + body + _nl(level) + "]"
+
+
+def _render(obj, level: int) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not isfinite(obj):
+            raise _NonFinite
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        return _render_list(obj, level)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        sep = "," + _nl(level + 1)
+        body = sep.join([_quote(k) + ": " + _render(obj[k], level + 1) for k in sorted(obj)])
+        return "{" + _nl(level + 1) + body + _nl(level) + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _nonfinite_path(obj, path: str = "") -> str | None:
+    """JSON path of the first non-finite float in rendering order."""
+    if isinstance(obj, float):
+        return None if isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = [(f"{path}.{k}" if path else k, obj[k]) for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        items = [(f"{path}[{k}]", v) for k, v in enumerate(obj)]
+    else:
+        return None
+    for spot, value in items:
+        found = _nonfinite_path(value, spot)
+        if found is not None:
+            return found
+    return None
+
+
 def dump_text(obj) -> str:
     """Deterministic rendering: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        return _render(obj, 0) + "\n"
+    except _NonFinite:
+        path = _nonfinite_path(obj)
+        raise SchemaError(
+            f"non-finite number at {path or 'the top level'} is not allowed"
+        ) from None
 
 
 def load_text(text: str):

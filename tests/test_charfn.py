@@ -19,6 +19,7 @@ from ncscatter.charfn import (
 )
 from ncscatter.intertwiner import intertwiner_matrix
 from ncscatter.transfer import build_colligation, random_series, transfer_series
+from ncscatter.words import enumerate_words
 
 SWEEP = [
     lifting.generate(2, 2, 2, seed=42),
@@ -33,14 +34,29 @@ class TestSuffixAdjoints:
     def test_letter_order(self, plain_instance):
         adj = _suffix_adjoints(plain_instance, 2)
         a1, a2 = plain_instance.a.ops
+        assert [level.shape[0] for level in adj] == [1, 2, 4]
+        # graded-lex level 2 is (1,1), (1,2), (2,1), (2,2)
         want = a2.conj().T @ a1.conj().T
-        assert np.allclose(adj[(1, 2)], want, atol=1e-14)
-        assert np.allclose(adj[(2,)], a2.conj().T, atol=1e-14)
+        assert np.allclose(adj[2][1], want, atol=1e-14)
+        assert np.allclose(adj[1][1], a2.conj().T, atol=1e-14)
 
     def test_identity_at_empty_word(self, plain_instance):
         adj = _suffix_adjoints(plain_instance, 0)
-        assert list(adj) == [()]
-        assert np.allclose(adj[()], np.eye(plain_instance.dim_a))
+        assert len(adj) == 1 and adj[0].shape[0] == 1
+        assert np.allclose(adj[0][0], np.eye(plain_instance.dim_a))
+
+
+class TestSymbolStack:
+    def test_graded_lex_layout(self, plain_instance):
+        inst = plain_instance
+        blocks = symbol_blocks(inst, 3)
+        assert blocks.shape == (1 + 2 + 4 + 8, inst.rank_c, 2 * inst.dim_e)
+        gs = inst.gamma @ (inst.dstar_basis.conj().T @ inst.dstar)
+        a1, a2 = inst.a.ops
+        # word (2, 1) has graded-lex index 5; its slot-1 base columns
+        # carry -gamma dstar (A_1* A_2*) B_1
+        want = -gs @ a1.conj().T @ a2.conj().T @ inst.b[0]
+        assert np.allclose(blocks[5][:, : inst.dim_c], want, atol=1e-14)
 
 
 class TestHandValues:
@@ -50,7 +66,7 @@ class TestHandValues:
         # the base tuple here is its own lifting datum: base inputs
         # produce no output at any word
         blocks = symbol_blocks(hand_instance, 3)
-        for w, m in blocks.items():
+        for w, m in zip(enumerate_words(2, 3).words, blocks, strict=True):
             assert np.linalg.norm(m[:, 0:1]) < 1e-14, w
             assert np.linalg.norm(m[:, 2:3]) < 1e-14, w
 
@@ -58,7 +74,7 @@ class TestHandValues:
         # slot-1 corner input responds exactly at the word (1,) with
         # the coupling isometry (here the 1x1 identity)
         blocks = symbol_blocks(hand_instance, 3)
-        col = {w: m[:, 1:2] for w, m in blocks.items()}
+        col = {w: m[:, 1:2] for w, m in zip(enumerate_words(2, 3).words, blocks, strict=True)}
         assert abs(col[(1,)][0, 0] - 1.0) < 1e-12
         for w, m in col.items():
             if w != (1,):

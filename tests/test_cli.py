@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ncscatter
@@ -142,6 +143,92 @@ class TestExports:
         code = main(["simulate", "--input", str(inst_file), "--signal", str(sig_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def oracle_matrix(m) -> dict:
+    """The per-entry matrix rendering that predates the direct writer."""
+    m = np.asarray(m, dtype=np.complex128)
+    data = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
+def oracle_entries(values) -> list:
+    return [
+        {"word": list(w), "matrix": oracle_matrix(values[w])}
+        for w in sorted(values, key=lambda w: (len(w), w))
+    ]
+
+
+def oracle_texts(inst_path, depth, verify) -> dict:
+    """Each CLI output at ``depth``, rebuilt and rendered by ``json.dumps``."""
+    from ncscatter.charfn import charfn_series
+    from ncscatter.ncsystem import simulate
+    from ncscatter.transfer import build_colligation, random_series, transfer_series
+    from ncscatter.verify import run_all_checks
+
+    raw = serialize.load(inst_path)
+    inst = serialize.instance_from_json(raw)
+    coll = build_colligation(inst)
+    traj = simulate(coll, random_series(coll.in_dim, 1, inst.d, depth, 0), depth)
+
+    def series(s):
+        return {"schemaVersion": 1, "outDim": s.out_dim, "inDim": s.in_dim,
+                "depth": s.depth, "coeffs": oracle_entries(s.coeffs)}
+
+    texts = {
+        "generate": {
+            "schemaVersion": 1, "d": inst.d, "dimC": inst.dim_c, "dimA": inst.dim_a,
+            "C": [oracle_matrix(m) for m in inst.c.ops],
+            "A": [oracle_matrix(m) for m in inst.a.ops],
+            "B": [oracle_matrix(m) for m in inst.b], "seed": inst.seed,
+        },
+        "transfer": series(transfer_series(coll, depth)),
+        "charfn": series(charfn_series(inst, depth)),
+        "simulate": {
+            "schemaVersion": 1, "depth": depth, "input": oracle_entries(traj.u),
+            "state": oracle_entries(traj.x), "output": oracle_entries(traj.y),
+        },
+    }
+    if verify and depth >= 1:
+        checks = run_all_checks(serialize.instance_from_json(raw, strict=False), depth)
+        texts["verify"] = serialize.report_to_json(checks)
+    return {cmd: json_oracle(obj) for cmd, obj in texts.items()}
+
+
+SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
+
+
+class TestByteIdentity:
+    """Every CLI output file equals ``json.dumps`` of the same object."""
+
+    def run_all(self, tmp_path, shape, seed, depths, verify=True):
+        d, dim_c, dim_a = shape
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "--d", str(d), "--dim-c", str(dim_c), "--dim-a",
+                     str(dim_a), "--seed", str(seed), "-o", str(inst)]) == 0
+        for depth in depths:
+            want = oracle_texts(inst, depth, verify)
+            assert inst.read_text() == want.pop("generate")
+            for cmd, text in want.items():
+                out = tmp_path / f"{cmd}.json"
+                if cmd == "verify":
+                    argv = ["verify", "--depth", str(depth), "--report", str(out)]
+                else:
+                    argv = [cmd, "--depth", str(depth), "-o", str(out)]
+                assert main(argv + ["--input", str(inst)]) == 0
+                assert out.read_text() == text, (cmd, shape, seed, depth)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_sweep_grid(self, tmp_path, capsys, shape, seed):
+        self.run_all(tmp_path, shape, seed, range(4))
+
+    def test_exports_at_depth_eight(self, tmp_path, capsys):
+        self.run_all(tmp_path, (2, 2, 2), 0, [8], verify=False)
 
 
 class TestThreads:

@@ -1,7 +1,11 @@
 """JSON round trips, determinism, and schema rejection."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncscatter import lifting, serialize
 from ncscatter.ncsystem import Trajectory, simulate
@@ -58,8 +62,17 @@ class TestMatrix:
             serialize.load_text('{"x": NaN}')
 
     def test_nonfinite_rejected_on_dump(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(serialize.SchemaError, match=r"at x is"):
             serialize.dump_text({"x": float("inf")})
+        pairs = {"data": [[0.0, 1.0], [float("nan"), 2.0]]}
+        with pytest.raises(serialize.SchemaError, match=r"at data\[1\]\[0\] is"):
+            serialize.dump_text(pairs)
+        obj = serialize.series_to_json(random_series(2, 1, 2, 2, seed=1))
+        obj["coeffs"][5]["matrix"]["data"][1][1] = float("-inf")
+        with pytest.raises(
+            serialize.SchemaError, match=r"at coeffs\[5\]\.matrix\.data\[1\]\[1\] is"
+        ):
+            serialize.dump_text(obj)
 
 
 class TestWords:
@@ -210,3 +223,104 @@ class TestFiles:
         back = serialize.instance_from_json(serialize.load(path))
         assert back.d == hand_instance.d
         assert path.read_text().endswith("\n")
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e-310, 1e16, 1e-7, 1e22, 0.1, -2.5]
+)
+INTS = st.integers(-3, 3) | st.integers(-(10**40), 10**40)
+TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\n\t\x1f", "é", "\u2603", "\U0001f600"])
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXTS
+LOOSE = FLOATS | st.integers(-2, 2) | st.booleans()
+
+
+def pairs(value=FLOATS, count=None):
+    size = {} if count is None else {"min_size": count, "max_size": count}
+    return st.lists(st.lists(value, min_size=2, max_size=2), **size)
+
+
+def matrices(rows, cols):
+    return st.fixed_dictionaries(
+        {"rows": st.just(rows), "cols": st.just(cols), "data": pairs(count=rows * cols)}
+    )
+
+
+WORDS = st.lists(st.integers(1, 3), max_size=3)
+SHAPES = st.tuples(st.integers(0, 2), st.integers(0, 2))
+ENTRIES = SHAPES.flatmap(
+    lambda s: st.lists(st.fixed_dictionaries({"word": WORDS, "matrix": matrices(*s)}), max_size=4)
+)
+MIXED_ENTRIES = st.lists(
+    SHAPES.flatmap(lambda s: st.fixed_dictionaries({"word": WORDS, "matrix": matrices(*s)})),
+    max_size=4,
+)
+LOOSE_ENTRIES = st.lists(
+    st.fixed_dictionaries(
+        {
+            "word": st.lists(st.integers(0, 3) | st.booleans() | FLOATS, max_size=3),
+            "matrix": st.fixed_dictionaries(
+                {
+                    "rows": st.integers(0, 2) | st.booleans(),
+                    "cols": st.integers(0, 2),
+                    "data": st.lists(st.lists(LOOSE, min_size=1, max_size=3), max_size=4),
+                }
+            ),
+        },
+        optional={"extra": SCALARS},
+    ),
+    max_size=4,
+)
+# Look-alikes of the writer's fast paths, and the real thing.
+LEAVES = (
+    SCALARS
+    | pairs()
+    | pairs(LOOSE)
+    | st.lists(INTS | st.booleans(), max_size=4)
+    | ENTRIES
+    | MIXED_ENTRIES
+    | LOOSE_ENTRIES
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(TEXTS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestWriter:
+    """``dump_text`` renders the bytes of ``json.dumps`` with the same options."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(obj=TREES)
+    @example(obj=[[1, 2.0]])
+    @example(obj={"coeffs": [{"word": [], "matrix": {"rows": 0, "cols": 0, "data": []}}]})
+    @example(obj=[{"word": [1], "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}},
+                  {"word": [2], "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 2.0], [3.0, 4.0]]}}])
+    @example(obj=[{"word": [1], "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}},
+                  {"word": [2], "matrix": {"rows": 1, "cols": 2, "data": [[1.0, 2.0]]}}])
+    @example(obj=[{"word": [True], "matrix": {"rows": 1, "cols": 1, "data": [[-0.0, 1e16]]}}])
+    @example(obj=[{"word": [1], "matrix": {"rows": 1, "cols": 1, "data": [[1, 2.0]]}}])
+    @example(obj=("tuple", [0.5, 1.5], {"": None}))
+    def test_matches_json_dumps(self, obj):
+        assert serialize.dump_text(obj) == json_oracle(obj)
+
+    def test_program_trees(self, plain_instance):
+        coll = build_colligation(plain_instance)
+        traj = simulate(coll, random_series(coll.in_dim, 1, coll.d, 3, seed=2))
+        for obj in (
+            serialize.instance_to_json(plain_instance),
+            serialize.series_to_json(transfer_series(coll, 3)),
+            serialize.trajectory_to_json(traj),
+        ):
+            assert serialize.dump_text(obj) == json_oracle(obj)
+
+    def test_unsupported_values(self):
+        with pytest.raises(TypeError):
+            serialize.dump_text({"x": object()})
+        with pytest.raises(TypeError):
+            serialize.dump_text({1: 2})
