@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .intertwiner import base_space, lift_space
+from .intertwiner import apply_intertwiner, base_space, lift_space
 from .lifting import LiftingInstance
 from .transfer import Colligation, NCSeries, series_multiply, transfer_coefficient
 from .words import enumerate_words, reverse
@@ -125,18 +125,35 @@ def coincidence_violation(series: NCSeries, coll: Colligation) -> float:
     return worst
 
 
+def restriction_probes(instance: LiftingInstance, signal: NCSeries) -> np.ndarray:
+    """The intertwiner on the vacuum defect copy and on the loaded signal.
+
+    One pass of the stage pipeline at the depth of the one-column
+    ``signal`` on ``rank_e + 1`` probe columns: the identity on the
+    vacuum slot, then the signal loaded into Fock coordinates through
+    word reversal.  These are all the intertwiner columns the two
+    restriction identities read.
+    """
+    dom = lift_space(instance, signal.depth)
+    r = instance.rank_e
+    probes = np.zeros((dom.dim, r + 1), dtype=np.complex128)
+    probes[dom.slot(()), :r] = np.eye(r)
+    for w in dom.words:
+        probes[dom.slot(w), r:] = signal.coeff(reverse(w))
+    return apply_intertwiner(instance, probes, signal.depth)
+
+
 def vacuum_restriction_violation(
-    instance: LiftingInstance, series: NCSeries, w_mat: np.ndarray
+    instance: LiftingInstance, series: NCSeries, cols: np.ndarray
 ) -> float:
     """Intertwiner columns on the vacuum defect copy against the blocks.
 
-    ``w_mat`` is the intertwiner at the depth of ``series``.  The
+    ``cols`` are the intertwiner's vacuum columns at the depth of
+    ``series`` (the first ``rank_e`` of :func:`restriction_probes`).  The
     base-space rows must vanish and the Fock rows must reproduce the
     characteristic blocks word by word, with no reversal.
     """
-    dom = lift_space(instance, series.depth)
     cod = base_space(instance, series.depth)
-    cols = w_mat[:, dom.slot(())]
     worst = linalg.operator_norm(cols[: instance.dim_c])
     for alpha in cod.words:
         block = cols[cod.slot(alpha)]
@@ -145,23 +162,19 @@ def vacuum_restriction_violation(
 
 
 def fock_action_violation(
-    instance: LiftingInstance, w_mat: np.ndarray, theta: NCSeries, signal: NCSeries
+    instance: LiftingInstance, got: np.ndarray, theta: NCSeries, signal: NCSeries
 ) -> float:
     """Intertwiner on Fock-only vectors against reversed convolution.
 
-    ``w_mat`` and the transfer series ``theta`` reach the depth of the
-    one-column ``signal``.  Loading a signal into Fock coordinates
-    through word reversal turns the intertwiner's action into
-    convolution by the transfer series: the intertwiner respects
-    prepended letters, convolution respects appended ones.
+    ``got`` is the intertwiner applied to the one-column ``signal``
+    loaded into Fock coordinates through word reversal (the last column
+    of :func:`restriction_probes`), and the transfer series ``theta``
+    reaches the depth of ``signal``.  That loading turns the
+    intertwiner's action into convolution by the transfer series: the
+    intertwiner respects prepended letters, convolution respects
+    appended ones.
     """
-    depth = signal.depth
-    dom = lift_space(instance, depth)
-    cod = base_space(instance, depth)
-    flat_in = np.zeros((dom.dim, 1), dtype=np.complex128)
-    for w in dom.words:
-        flat_in[dom.slot(w)] = signal.coeff(reverse(w))
-    got = w_mat @ flat_in
+    cod = base_space(instance, signal.depth)
     out = series_multiply(theta, signal)
     worst = float(np.linalg.norm(got[: instance.dim_c]))
     for w in cod.words:

@@ -164,12 +164,6 @@ def intertwiner_matrix(
     return apply_intertwiner(instance, eye, depth, stages)
 
 
-def intertwiner_adjoint_matrix(instance: LiftingInstance, depth: int) -> np.ndarray:
-    """Flat matrix of the adjoint intertwiner."""
-    eye = np.eye(base_space(instance, depth).dim, dtype=np.complex128)
-    return apply_intertwiner_adjoint(instance, eye, depth)
-
-
 def stabilization_violation(plain: np.ndarray, extra: np.ndarray) -> float:
     """How much extra stages change the truncated intertwiner matrix.
 

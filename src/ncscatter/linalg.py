@@ -13,9 +13,14 @@ unless stated otherwise.
 
 The spectral kernels decompose only the rows and columns holding a
 nonzero entry: the others add nothing to any spectrum, so this is exact.
+Products with a matrix whose columns are mostly exact standard unit
+vectors go through :func:`unit_split`, which reads those columns off the
+matrix and turns their share of a product into copies.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +67,129 @@ def operator_norm(m: np.ndarray) -> float:
     rows, cols = _support(m)
     block = m if rows.all() and cols.all() else m[np.ix_(rows, cols)]
     return float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class UnitSplit:
+    """A matrix with its exact standard unit columns split off.
+
+    Column ``unit[k]`` of ``m`` holds one nonzero entry, exactly 1.0, in
+    row ``rows[k]``; the columns ``rest`` are everything else, and
+    ``distinct`` says whether no two unit columns share their row.
+    Products copy or scatter on the unit columns and multiply only the
+    rest.  The zeros of a unit column are exact: unlike a dense product
+    they read no entry of the other factor, so its inf or NaN there does
+    not become a NaN (0 * inf).  Non-finite entries of ``m`` sit in rest
+    columns and show as in the dense product.  The same holds for
+    :func:`cross_gram`, :func:`gram_residual` and :func:`row_residual`.
+    """
+
+    m: np.ndarray
+    unit: np.ndarray
+    rows: np.ndarray
+    rest: np.ndarray
+    distinct: bool
+
+    def rmatmul(self, a: np.ndarray) -> np.ndarray:
+        """``a @ m``: a unit column copies one column of ``a``."""
+        out = np.empty((a.shape[0], self.m.shape[1]), dtype=np.result_type(a, self.m))
+        out[:, self.unit] = a[:, self.rows]
+        out[:, self.rest] = a @ self.m[:, self.rest]
+        return out
+
+    def matmul(self, x: np.ndarray) -> np.ndarray:
+        """``m @ x``: a unit column scatters one row of ``x``; dense when rows repeat."""
+        if not self.distinct:
+            return self.m @ x
+        out = self.m[:, self.rest] @ x[self.rest]
+        out[self.rows] += x[self.unit]
+        return out
+
+    def complement(self) -> np.ndarray:
+        """:func:`complement_onb` of ``m``, decomposing :func:`row_residual`."""
+        live, p = row_residual([self])
+        basis = _projector_range(p)
+        out = np.zeros((live.size, basis.shape[1]), dtype=np.complex128)
+        out[live] = basis
+        return out
+
+
+def unit_split(m: np.ndarray) -> UnitSplit:
+    """Split off the columns of ``m`` that are exact standard unit vectors.
+
+    A column qualifies when it holds exactly one entry != 0 (NaN and inf
+    count) and that entry equals 1.0; any other value, however close,
+    leaves the column with the rest.
+    """
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
+    cols = np.arange(m.shape[1])
+    if not m.shape[0]:
+        return UnitSplit(m, cols[:0], cols[:0], cols, True)
+    nonzero = m != 0
+    rows = nonzero.argmax(axis=0)
+    unit = (np.count_nonzero(nonzero, axis=0) == 1) & (m[rows, cols] == 1)
+    rows = rows[unit]
+    return UnitSplit(m, cols[unit], rows, cols[~unit], np.bincount(rows).max(initial=0) <= 1)
+
+
+def _rows_reached(split: UnitSplit) -> np.ndarray:
+    """Mask of the rows where ``m`` holds an entry != 0."""
+    reached = (split.m[:, split.rest] != 0).any(axis=1)
+    reached[split.rows] = True
+    return reached
+
+
+def _meeting(split: UnitSplit, reached: np.ndarray) -> np.ndarray:
+    """Mask of all columns but the unit columns whose row is not ``reached``."""
+    keep = np.ones(split.m.shape[1], dtype=bool)
+    keep[split.unit[~reached[split.rows]]] = False
+    return keep
+
+
+def cross_gram(a: UnitSplit, b: UnitSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a.m* b.m`` on the columns where it can be nonzero.
+
+    A unit column of one matrix whose row the other does not reach meets
+    only zeros, so its line of the product is exactly zero; the other
+    columns are multiplied densely.  Returns the column masks of ``a``
+    and ``b`` and the block on them.
+    """
+    keep_a, keep_b = _meeting(a, _rows_reached(b)), _meeting(b, _rows_reached(a))
+    return keep_a, keep_b, a.m[:, keep_a].conj().T @ b.m[:, keep_b]
+
+
+def gram_residual(split: UnitSplit) -> tuple[np.ndarray, np.ndarray]:
+    """``m* m - I`` on the columns where it can be nonzero.
+
+    With distinct unit rows, a unit column whose row no rest column
+    reaches is exactly zero in the residual, so only the other columns
+    are multiplied, densely: returns their mask and the square block on
+    them.  With a repeated unit row every column is kept.
+    """
+    live = np.ones(split.m.shape[1], dtype=bool)
+    if split.distinct:
+        live = _meeting(split, (split.m[:, split.rest] != 0).any(axis=1))
+    block = split.m[:, live]
+    return live, block.conj().T @ block - np.eye(block.shape[1])
+
+
+def row_residual(splits: list[UnitSplit]) -> tuple[np.ndarray, np.ndarray]:
+    """``I - sum_k m_k m_k*`` on the rows where it can be nonzero.
+
+    The ``m_k`` share their row count; together they are the column
+    blocks of one matrix ``m`` and the sum is ``m m*``.  A row reached by
+    exactly one unit column and no other column is exactly zero in the
+    residual, so only the other rows are formed: returns their mask and
+    the square block on them.
+    """
+    n = splits[0].m.shape[0]
+    count = sum(np.bincount(s.rows, minlength=n) for s in splits)
+    rest = np.hstack([s.m[:, s.rest] for s in splits])
+    live = (count != 1) | (rest != 0).any(axis=1)
+    block = rest[live]
+    return live, np.diag(1.0 - count[live]) - block @ block.conj().T
 
 
 def hermitian_sqrt(m: np.ndarray, tol: float = TOL_RANK, floor_scale: float = 0.0) -> np.ndarray:
@@ -153,11 +281,15 @@ def complement_onb(q: np.ndarray) -> np.ndarray:
     (unit columns of ``q``) are zero columns too and split off exactly.
     """
     q = np.asarray(q, dtype=np.complex128)
-    p = np.eye(q.shape[0], dtype=np.complex128) - q @ q.conj().T
+    return _projector_range(np.eye(q.shape[0], dtype=np.complex128) - q @ q.conj().T)
+
+
+def _projector_range(p: np.ndarray) -> np.ndarray:
+    """Phase-fixed eigenvectors of eigenvalue > 1/2 of a projector, found on its support."""
     p = (p + p.conj().T) / 2.0
     live = _support(p)[0]
     w, v = np.linalg.eigh(p[np.ix_(live, live)])
-    out = np.zeros((q.shape[0], v.shape[1]), dtype=np.complex128)
+    out = np.zeros((p.shape[0], v.shape[1]), dtype=np.complex128)
     out[live] = v
     return _fix_column_phases(out[:, w > 0.5])
 

@@ -77,8 +77,25 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         raise SchemaError(
             f"{where}: expected {rows * cols} entries, found {len(data)}"
         )
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    flat = out.ravel()
+    flat = _float_pairs(data)
+    if flat is None:
+        flat = _checked_pairs(data, where)
+    return flat.reshape((rows, cols))
+
+
+def _float_pairs(data: list) -> np.ndarray | None:
+    """All entries as one complex array when each is a list of two finite
+    floats, by exact type; else None (ints too, which the files never hold)."""
+    flat = _is_pairs(data)
+    if flat is None:
+        return None
+    values = np.array(flat, dtype=np.float64)
+    return values.view(np.complex128) if np.isfinite(values).all() else None
+
+
+def _checked_pairs(data: list, where: str) -> np.ndarray:
+    """Entry by entry, raising :class:`SchemaError` at the first bad one."""
+    flat = np.zeros(len(data), dtype=np.complex128)
     for k, entry in enumerate(data):
         if (
             not isinstance(entry, list)
@@ -89,7 +106,7 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         if not all(np.isfinite(p) for p in entry):
             raise SchemaError(f"{where}: entry {k} is not finite")
         flat[k] = complex(entry[0], entry[1])
-    return out
+    return flat
 
 
 def word_from_json(obj, d: int, where: str = "word") -> Word:

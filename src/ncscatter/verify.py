@@ -24,7 +24,14 @@ from . import charfn, scattering, transfer
 from .dilation import Dilation
 from .intertwiner import intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
-from .linalg import operator_norm
+from .linalg import (
+    UnitSplit,
+    cross_gram,
+    gram_residual,
+    operator_norm,
+    row_residual,
+    unit_split,
+)
 from .ncsystem import io_violation
 from .transfer import build_colligation, colligation_violations
 from .words import prepend_levels
@@ -64,35 +71,28 @@ def _dilation_pair(instance: LiftingInstance) -> tuple[Dilation, Dilation]:
     )
 
 
-def _dilation_matrices(instance: LiftingInstance, depth: int) -> list[list[np.ndarray]]:
-    """``V_j`` from depth-1 to depth, for the base dilation then the lifted one."""
+def _dilation_matrices(instance: LiftingInstance, depth: int) -> list[list[UnitSplit]]:
+    """``V_j`` from depth-1 to depth, for the base dilation then the lifted one,
+    with the unit columns (the plain level copies) split off."""
     pair = _dilation_pair(instance)
-    return [[dil.matrix(j, depth - 1) for j in range(1, dil.d + 1)] for dil in pair]
+    return [[unit_split(dil.matrix(j, depth - 1)) for j in range(1, dil.d + 1)] for dil in pair]
 
 
-def _dilation_isometry(mats: list[list[np.ndarray]]) -> float:
+def _dilation_isometry(mats: list[list[UnitSplit]]) -> float:
+    return max(operator_norm(gram_residual(v)[1]) for row in mats for v in row)
+
+
+def _dilation_orthogonal_ranges(mats: list[list[UnitSplit]]) -> float:
     worst = 0.0
     for row in mats:
-        for m in row:
-            worst = max(worst, operator_norm(m.conj().T @ m - np.eye(m.shape[1])))
+        for i, vi in enumerate(row):
+            for vj in row[i + 1 :]:
+                worst = max(worst, operator_norm(cross_gram(vi, vj)[2]))
     return worst
 
 
-def _dilation_orthogonal_ranges(mats: list[list[np.ndarray]]) -> float:
-    worst = 0.0
-    for row in mats:
-        for i, mi in enumerate(row):
-            for mjj in row[i + 1 :]:
-                worst = max(worst, operator_norm(mi.conj().T @ mjj))
-    return worst
-
-
-def _dilation_row_unitary(mats: list[list[np.ndarray]]) -> float:
-    worst = 0.0
-    for row in mats:
-        gram = sum(m @ m.conj().T for m in row)
-        worst = max(worst, operator_norm(gram - np.eye(gram.shape[0])))
-    return worst
+def _dilation_row_unitary(mats: list[list[UnitSplit]]) -> float:
+    return max(operator_norm(row_residual(row)[1]) for row in mats)
 
 
 def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
@@ -110,16 +110,16 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
 
 
 def _intertwining(
-    w_deep: np.ndarray, w_flat: np.ndarray, mats: list[list[np.ndarray]]
+    w_deep: np.ndarray, w_flat: np.ndarray, mats: list[list[UnitSplit]]
 ) -> float:
     """Both directions: W against V on the lift, W* against V on the base."""
     worst = 0.0
     for v_base, v_lift in zip(*mats):
-        lhs = w_deep @ v_lift
-        rhs = v_base @ w_flat
+        lhs = v_lift.rmatmul(w_deep)
+        rhs = v_base.matmul(w_flat)
         worst = max(worst, operator_norm(lhs - rhs))
-        lhs_star = v_lift @ w_flat.conj().T
-        rhs_star = w_deep.conj().T @ v_base
+        lhs_star = v_lift.matmul(w_flat.conj().T)
+        rhs_star = v_base.rmatmul(w_deep.conj().T)
         worst = max(worst, operator_norm(lhs_star - rhs_star))
     return worst
 
@@ -228,17 +228,15 @@ def run_all_checks(
     )
     del coll
 
-    def restriction(blocks, w):
+    def restriction(blocks):
+        probes = charfn.restriction_probes(instance, signal())
+        r = instance.rank_e
         return max(
-            charfn.vacuum_restriction_violation(instance, blocks, w),
-            charfn.fock_action_violation(instance, w, theta(), signal()),
+            charfn.vacuum_restriction_violation(instance, blocks, probes[:, :r]),
+            charfn.fock_action_violation(instance, probes[:, r:], theta(), signal()),
         )
 
-    check(
-        "charfn_restriction",
-        1e-10,
-        lambda: restriction(series(), intertwiner_matrix(instance, depth)),
-    )
+    check("charfn_restriction", 1e-10, lambda: restriction(series()))
     return results
 
 

@@ -16,6 +16,7 @@ from ncscatter.charfn import (
     charfn_series,
     coincidence_violation,
     fock_action_violation,
+    restriction_probes,
     vacuum_restriction_violation,
 )
 from ncscatter.intertwiner import (
@@ -233,13 +234,14 @@ def test_characteristic_coincidence(sweep):
 def test_characteristic_restriction(sweep):
     worst = 0.0
     for inst, depth, _ in sweep:
-        w_mat = intertwiner_matrix(inst, depth)
         theta = transfer_series(build_colligation(inst), depth)
         signal = random_series(inst.rank_e, 1, inst.d, depth, seed=3)
+        probes = restriction_probes(inst, signal)
+        r = inst.rank_e
         worst = max(
             worst,
-            vacuum_restriction_violation(inst, charfn_series(inst, depth), w_mat),
-            fock_action_violation(inst, w_mat, theta, signal),
+            vacuum_restriction_violation(inst, charfn_series(inst, depth), probes[:, :r]),
+            fock_action_violation(inst, probes[:, r:], theta, signal),
         )
     report("intertwiner restricts to the characteristic function", worst, 1e-10)
 

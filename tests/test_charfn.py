@@ -14,12 +14,13 @@ from ncscatter.charfn import (
     charfn_series,
     coincidence_violation,
     fock_action_violation,
+    restriction_probes,
     symbol_blocks,
     vacuum_restriction_violation,
 )
-from ncscatter.intertwiner import intertwiner_matrix
+from ncscatter.intertwiner import intertwiner_matrix, lift_space
 from ncscatter.transfer import build_colligation, random_series, transfer_series
-from ncscatter.words import enumerate_words
+from ncscatter.words import enumerate_words, reverse
 
 SWEEP = [
     lifting.generate(2, 2, 2, seed=42),
@@ -123,15 +124,16 @@ def coincidence(inst, depth):
 
 
 def vacuum_restriction(inst, depth):
-    return vacuum_restriction_violation(
-        inst, charfn_series(inst, depth), intertwiner_matrix(inst, depth)
-    )
+    # the vacuum columns read off the full matrix, not the probe pass
+    cols = intertwiner_matrix(inst, depth)[:, lift_space(inst, depth).slot(())]
+    return vacuum_restriction_violation(inst, charfn_series(inst, depth), cols)
 
 
 def fock_action(inst, depth, seed):
     theta = transfer_series(build_colligation(inst), depth)
     signal = random_series(inst.rank_e, 1, inst.d, depth, seed)
-    return fock_action_violation(inst, intertwiner_matrix(inst, depth), theta, signal)
+    got = restriction_probes(inst, signal)[:, inst.rank_e :]
+    return fock_action_violation(inst, got, theta, signal)
 
 
 class TestCoincidence:
@@ -157,6 +159,22 @@ class TestIntertwinerRestriction:
 
     def test_hand_vacuum_column_is_single_letter(self, hand_instance):
         assert vacuum_restriction(hand_instance, 2) < 1e-12
+
+    @pytest.mark.parametrize("idx", range(len(SWEEP)))
+    def test_probes_are_matrix_columns(self, idx):
+        # oracle: the full matrix on the vacuum identity and on the
+        # signal loaded word by word through reversal
+        inst, depth = SWEEP[idx], 3
+        signal = random_series(inst.rank_e, 1, inst.d, depth, seed=idx)
+        dom = lift_space(inst, depth)
+        load = np.zeros((dom.dim, inst.rank_e + 1), dtype=np.complex128)
+        load[dom.slot(()), : inst.rank_e] = np.eye(inst.rank_e)
+        for w in dom.words:
+            load[dom.slot(w), inst.rank_e :] = signal.coeff(reverse(w))
+        want = intertwiner_matrix(inst, depth) @ load
+        got = restriction_probes(inst, signal)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 class TestIllDefined:

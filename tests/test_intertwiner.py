@@ -10,7 +10,6 @@ from ncscatter.intertwiner import (
     apply_intertwiner,
     apply_intertwiner_adjoint,
     base_space,
-    intertwiner_adjoint_matrix,
     intertwiner_matrix,
     lift_space,
     stabilization_violation,
@@ -35,6 +34,12 @@ def random_block(rng, words, dim, width=1):
 
 def norm_sq(*blocks):
     return sum(float(np.sum(np.abs(b) ** 2)) for b in blocks)
+
+
+def adjoint_matrix(inst, depth):
+    """Flat matrix of the adjoint intertwiner: the apply path on the identity."""
+    eye = np.eye(base_space(inst, depth).dim, dtype=np.complex128)
+    return apply_intertwiner_adjoint(inst, eye, depth)
 
 
 class TestStageVector:
@@ -180,11 +185,11 @@ class TestIntertwiner:
 
     def test_adjoint_matrix_is_conjugate_transpose(self, plain_instance):
         m = intertwiner_matrix(plain_instance, 2)
-        mstar = intertwiner_adjoint_matrix(plain_instance, 2)
+        mstar = adjoint_matrix(plain_instance, 2)
         assert operator_norm(mstar - m.conj().T) < 1e-12
 
     def test_adjoint_is_isometry(self, zero_a_instance):
-        mstar = intertwiner_adjoint_matrix(zero_a_instance, 2)
+        mstar = adjoint_matrix(zero_a_instance, 2)
         assert operator_norm(mstar.conj().T @ mstar - np.eye(mstar.shape[1])) < 1e-12
 
     def test_adjoint_never_raises_grade(self, plain_instance):
@@ -193,7 +198,7 @@ class TestIntertwiner:
         depth = 2
         dom = base_space(inst, depth)
         cod = lift_space(inst, depth)
-        mstar = intertwiner_adjoint_matrix(inst, depth)
+        mstar = adjoint_matrix(inst, depth)
         for w_in in dom.words:
             for w_out in cod.words:
                 if len(w_out) > len(w_in):
@@ -247,7 +252,7 @@ class TestIntertwiner:
         batch[dom.slot(())] = np.eye(inst.rank_c)
         got = apply_intertwiner_adjoint(inst, batch, depth)
         assert got.shape == (cod.dim, inst.rank_c)
-        mstar = intertwiner_adjoint_matrix(inst, depth)
+        mstar = adjoint_matrix(inst, depth)
         want = mstar[:, dom.slot(())]
         assert np.allclose(got, want, atol=1e-12)
 
@@ -279,6 +284,6 @@ class TestZeroRank:
         for depth in range(3):
             dom, cod = lift_space(inst, depth), base_space(inst, depth)
             assert intertwiner_matrix(inst, depth).shape == (cod.dim, dom.dim)
-            assert intertwiner_adjoint_matrix(inst, depth).shape == (dom.dim, cod.dim)
+            assert adjoint_matrix(inst, depth).shape == (dom.dim, cod.dim)
             empty = np.zeros((cod.dim, 0))
             assert apply_intertwiner_adjoint(inst, empty, depth).shape == (dom.dim, 0)

@@ -162,6 +162,202 @@ class TestComplementOnb:
         assert linalg.complement_onb(q).shape == (4, 0)
 
 
+# column kinds for the unit-split oracle: only "unit" columns qualify
+NEAR_UNITS = {"neg": -1.0, "imag": 1j, "tiny_imag": 1 + 1e-300j}
+SECOND_ENTRY = {"one_plus": 0.5 - 0.25j, "nan": np.nan, "inf": np.inf}
+KINDS = ("unit", "unit", "unit", "rest", *NEAR_UNITS, *SECOND_ENTRY)
+
+
+@st.composite
+def planted(draw):
+    """A sparse random matrix with planted unit and near-unit columns.
+
+    Returns the matrix and the planted ``(column, row)`` unit pairs; unit
+    rows are drawn freely, so repeated rows occur.
+    """
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_matrix(rng, rows, cols) * rng.integers(0, 2, (rows, cols))
+    units = []
+    for c in range(cols if rows else 0):
+        kind = draw(st.sampled_from(KINDS))
+        r = draw(st.integers(0, rows - 1))
+        if kind == "rest" or (kind in SECOND_ENTRY and rows < 2):
+            continue
+        m[:, c] = 0.0
+        m[r, c] = NEAR_UNITS.get(kind, 1.0)
+        if kind == "unit":
+            units.append((c, r))
+        elif kind in SECOND_ENTRY:
+            m[(r + draw(st.integers(1, rows - 1))) % rows, c] = SECOND_ENTRY[kind]
+    return m, units
+
+
+def norm_or_nan(m):
+    try:
+        return operator_norm(m)
+    except np.linalg.LinAlgError:
+        return np.nan
+
+
+def assert_norms_match(got, want, scale):
+    # within a few ulps of the largest finite entry the products round to
+    if np.isfinite(want):
+        assert abs(got - want) <= 16 * np.spacing(max(scale, 1.0))
+    else:
+        assert not np.isfinite(got)
+
+
+def assert_close(got, want):
+    # the same entries are non-finite (inf and NaN may differ there: a
+    # copy keeps an inf that a dense sum turns into NaN); the rest are close
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-14)
+
+
+def finite_scale(*ms):
+    return max(np.abs(m[np.isfinite(m)]).max(initial=0.0) for m in ms) ** 2
+
+
+class TestUnitSplit:
+    # the dense products and the dense operator_norm are the oracle
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted())
+    def test_finds_exactly_the_planted_unit_columns(self, case):
+        m, units = case
+        split = linalg.unit_split(m)
+        assert [(int(c), int(r)) for c, r in zip(split.unit, split.rows)] == units
+        assert sorted([*split.unit, *split.rest]) == list(range(m.shape[1]))
+        rows = [r for _, r in units]
+        assert split.distinct == (len(set(rows)) == len(rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_copies_and_scatters_match_dense_products(self, case, seed, width):
+        m, _ = case
+        split = linalg.unit_split(m)
+        rng = np.random.default_rng(seed)
+        a = random_matrix(rng, width, m.shape[0])
+        x = random_matrix(rng, m.shape[1], width)
+        with np.errstate(invalid="ignore"):
+            left, right = split.rmatmul(a), split.matmul(x)
+            dense_left, dense_right = a @ m, m @ x
+        assert left.shape == dense_left.shape and right.shape == dense_right.shape
+        assert np.array_equal(left[:, split.unit], dense_left[:, split.unit])
+        assert_close(left, dense_left)
+        # rows that only unit columns reach are pure scatters
+        alone = ~(m[:, split.rest] != 0).any(axis=1)
+        if split.distinct:
+            assert np.array_equal(right[alone], dense_right[alone])
+        else:
+            assert np.array_equal(right, dense_right, equal_nan=True)
+        assert_close(right, dense_right)
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted(), planted())
+    def test_cross_gram_matches_dense(self, case, other_case):
+        m, _ = case
+        split = linalg.unit_split(m)
+        other = linalg.unit_split(other_case[0][: m.shape[0]])
+        if other.m.shape[0] != m.shape[0]:
+            other = split
+        with np.errstate(invalid="ignore"):
+            keep_a, keep_b, block = linalg.cross_gram(split, other)
+            dense = m.conj().T @ other.m
+        kept = dense[np.ix_(keep_a, keep_b)]
+        if np.isfinite(m).all() and np.isfinite(other.m).all():
+            # the dropped lines are exactly zero in the dense product
+            assert np.all(dense[~keep_a] == 0) and np.all(dense[:, ~keep_b] == 0)
+            assert np.allclose(block, kept, rtol=1e-14, atol=1e-14)
+            assert_norms_match(operator_norm(block), operator_norm(dense), finite_scale(m))
+        else:
+            # a unit column's zeros are exact: they read no entry of the
+            # other matrix that a dense 0 * inf would turn into NaN
+            shown = np.isfinite(kept)
+            assert np.isfinite(block[shown]).all()
+            assert np.allclose(block[shown], kept[shown], rtol=1e-14, atol=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted(), planted())
+    def test_residuals_match_dense(self, case, other_case):
+        m, _ = case
+        split = linalg.unit_split(m)
+        other = linalg.unit_split(other_case[0][: m.shape[0]])
+        if other.m.shape[0] != m.shape[0]:
+            other = split
+        finite = np.isfinite(m).all() and np.isfinite(other.m).all()
+        scale = finite_scale(m, other.m)
+        with np.errstate(invalid="ignore"):
+            pairs = [
+                (linalg.gram_residual(split), m.conj().T @ m - np.eye(m.shape[1])),
+                (
+                    linalg.row_residual([split, other]),
+                    np.eye(m.shape[0]) - m @ m.conj().T - other.m @ other.m.conj().T,
+                ),
+            ]
+        for (live, block), dense in pairs:
+            assert block.shape == (live.sum(), live.sum())
+            if finite:
+                # the dropped lines are exactly zero in the dense residual
+                assert np.all(dense[~live] == 0) and np.all(dense[:, ~live] == 0)
+                assert np.allclose(block, dense[np.ix_(live, live)], rtol=1e-14, atol=1e-14)
+            # a non-finite entry sits in a rest column and spoils its own
+            # diagonal entry, so the norms agree on finiteness too
+            assert_norms_match(norm_or_nan(block), norm_or_nan(dense), scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4))
+    def test_complement_matches_dense(self, seed, dense_cols, units):
+        # an isometry with planted unit columns on rows it does not use
+        rng = np.random.default_rng(seed)
+        rows = dense_cols + units + int(rng.integers(0, 3))
+        q = np.zeros((rows, dense_cols + units), dtype=np.complex128)
+        order = rng.permutation(rows)
+        q[order[:dense_cols], :dense_cols] = random_isometry(dense_cols, dense_cols, rng)
+        q[order[dense_cols : dense_cols + units], np.arange(dense_cols, q.shape[1])] = 1.0
+        q = q[:, rng.permutation(q.shape[1])]
+        got, want = linalg.unit_split(q).complement(), linalg.complement_onb(q)
+        assert got.shape == want.shape
+        assert operator_norm(got @ got.conj().T - want @ want.conj().T) < 1e-14
+
+    def test_repeated_row_takes_dense_path(self):
+        m = np.zeros((3, 3), dtype=np.complex128)
+        m[1, 0] = m[1, 2] = 1.0
+        m[:, 1] = [0.5, 0.25j, 2.0]
+        split = linalg.unit_split(m)
+        assert split.unit.tolist() == [0, 2] and split.rows.tolist() == [1, 1]
+        assert not split.distinct
+        # columns 0 and 2 overlap: their Gram entry is 1, not 0
+        keep, _, block = linalg.cross_gram(split, split)
+        assert keep.all() and block[0, 2] == 1.0
+        assert np.array_equal(block, m.conj().T @ m)
+        x = np.arange(9.0).reshape(3, 3) * (1 - 1j)
+        assert np.array_equal(split.matmul(x), m @ x)
+        assert linalg.gram_residual(split)[0].all()
+        # the shared row holds two unit entries: 1 - 2 - 0.25**2 there
+        live, block = linalg.row_residual([split])
+        assert live.all() and block[1, 1] == -1.0625
+
+    def test_empty_shapes(self):
+        # 0-row matrices have no unit column, and no argmax is taken
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            m = np.zeros(shape, dtype=np.complex128)
+            split = linalg.unit_split(m)
+            assert split.unit.size == 0 and split.rest.size == shape[1]
+            assert split.rmatmul(np.ones((2, shape[0]))).shape == (2, shape[1])
+            assert split.matmul(np.ones((shape[1], 2))).shape == (shape[0], 2)
+            assert linalg.cross_gram(split, split)[2].shape == (shape[1], shape[1])
+            assert linalg.gram_residual(split)[1].shape == (shape[1], shape[1])
+            assert linalg.row_residual([split])[1].shape == (shape[0], shape[0])
+            assert split.complement().shape == (shape[0], shape[0])
+
+    def test_vector_input_rejected(self):
+        with pytest.raises(DimensionError):
+            linalg.unit_split(np.ones(3))
+
+
 class TestRandomIsometry:
     def test_isometry_property(self):
         v = random_isometry(4, 2, 7)

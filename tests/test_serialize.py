@@ -75,6 +75,69 @@ class TestMatrix:
             serialize.dump_text(obj)
 
 
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(FLOATS, st.integers(-(2**70), 2**70))
+ODD_SCALARS = st.one_of(
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, np.float64(0.5)]),
+)
+ENTRIES = st.one_of(
+    st.lists(SCALARS, min_size=2, max_size=2),
+    st.lists(st.one_of(SCALARS, ODD_SCALARS), min_size=0, max_size=3),
+    ODD_SCALARS,
+    st.dictionaries(st.text(max_size=1), SCALARS, max_size=1),
+)
+
+
+def outcome(load, data):
+    try:
+        return load({"rows": 1, "cols": len(data), "data": data}).tobytes()
+    except (serialize.SchemaError, OverflowError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMatrixLoad:
+    # the entry-by-entry loader is the oracle for the one-pass loader
+
+    @staticmethod
+    def slow(obj):
+        return serialize._checked_pairs(obj["data"], "matrix").reshape((1, -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ENTRIES, max_size=6))
+    def test_same_values_and_messages_as_the_loop(self, data):
+        assert outcome(serialize.matrix_from_json, data) == outcome(self.slow, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=8))
+    def test_float_pairs_take_the_one_pass(self, data):
+        fast = serialize._float_pairs(data)
+        assert fast is not None
+        assert fast.tobytes() == self.slow({"data": data}).tobytes()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([0.0, True], "entry 1 is not an [re, im] pair"),
+            (["1", 0.0], "entry 1 is not an [re, im] pair"),
+            ([0.0], "entry 1 is not an [re, im] pair"),
+            (0.0, "entry 1 is not an [re, im] pair"),
+            ([float("nan"), 0.0], "entry 1 is not finite"),
+            ([0.0, -float("inf")], "entry 1 is not finite"),
+        ],
+    )
+    def test_first_bad_entry_named(self, entry, message):
+        data = [[1, 2.5], entry, [None, None]]
+        obj = {"rows": 3, "cols": 1, "data": data}
+        with pytest.raises(serialize.SchemaError) as fast:
+            serialize.matrix_from_json(obj, "m")
+        with pytest.raises(serialize.SchemaError) as slow:
+            serialize._checked_pairs(data, "m")
+        assert str(fast.value) == str(slow.value) == f"m: {message}"
+
+
 class TestWords:
     def test_valid(self):
         assert serialize.word_from_json([1, 2, 1], 2) == (1, 2, 1)

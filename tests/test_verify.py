@@ -114,18 +114,21 @@ class TestSharedBuilds:
                 (verify, "build_colligation"),
                 (transfer, "transfer_series"),
                 (charfn, "charfn_series"),
+                (charfn, "restriction_probes"),
                 (scattering, "star_wandering_frame"),
             ],
         )
         assert all_passed(run_all_checks(plain_instance, 3))
-        # W at depth, at depth - 1, with one extra stage, and once more
-        # for charfn_restriction after the intertwiner rows released it;
-        # the second star frame is the shallower one behind the translates
+        # W at depth, at depth - 1 and with one extra stage; charfn_restriction
+        # runs its probe columns through the stage pipeline instead of a
+        # fourth build; the second star frame is the shallower one behind
+        # the translates
         assert counts == {
-            "intertwiner_matrix": 4,
+            "intertwiner_matrix": 3,
             "build_colligation": 1,
             "transfer_series": 1,
             "charfn_series": 1,
+            "restriction_probes": 1,
             "star_wandering_frame": 2,
         }
 
@@ -140,7 +143,8 @@ class TestSharedBuilds:
 
 
 class TestMutations:
-    """A 1e-6 defect in what the compressed kernels measure must show."""
+    """A 1e-6 defect in what the compressed kernels and the unit-column
+    products measure must show."""
 
     def failing(self, instance, depth=3):
         return {r.name for r in run_all_checks(instance, depth) if not r.passed}
@@ -157,6 +161,59 @@ class TestMutations:
         monkeypatch.setattr(Dilation, "matrix", perturbed)
         failing = self.failing(plain_instance)
         assert {"dilation_isometry", "dilation_row_unitary"} <= failing
+
+    def test_shared_row_of_one_dilation_matrix(self, monkeypatch, plain_instance):
+        original = Dilation.matrix
+
+        def perturbed(self, j, depth):
+            m = original(self, j, depth)
+            if j == 1:
+                # the last Fock column of V_1 gains an entry below its
+                # unit entry, in the row where V_2 puts its last column
+                m[-1, -1] += 1e-6
+            return m
+
+        monkeypatch.setattr(Dilation, "matrix", perturbed)
+        assert "dilation_orthogonal_ranges" in self.failing(plain_instance)
+
+    def test_one_entry_of_the_shallow_intertwiner(self, monkeypatch, plain_instance):
+        original = verify.intertwiner_matrix
+
+        def perturbed(instance, depth, stages=None):
+            w = original(instance, depth, stages)
+            if depth == 2:
+                # W at depth - 1 is read by the intertwining rows only
+                w[-1, -1] += 1e-6
+            return w
+
+        monkeypatch.setattr(verify, "intertwiner_matrix", perturbed)
+        assert self.failing(plain_instance) == {"intertwining"}
+
+    def test_corner_entry_of_a_fock_column(self, monkeypatch, plain_instance):
+        # only the complement sees this dilation matrix: a unit column of
+        # the corner stack gains a second entry in a corner row
+        class Bumped(Dilation):
+            def matrix(self, j, depth):
+                m = super().matrix(j, depth)
+                if j == 1:
+                    m[self.t.dim - 1, -1] += 1e-6
+                return m
+
+        monkeypatch.setattr(scattering, "Dilation", Bumped)
+        assert self.failing(plain_instance) == {"complement_dimension_angles"}
+
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_one_restriction_probe(self, monkeypatch, plain_instance, column):
+        # column 0 is a vacuum column, the last one the loaded signal
+        original = charfn.apply_intertwiner
+
+        def perturbed(*args):
+            out = original(*args)
+            out[-1, column] += 1e-6
+            return out
+
+        monkeypatch.setattr(charfn, "apply_intertwiner", perturbed)
+        assert self.failing(plain_instance) == {"charfn_restriction"}
 
     def test_one_translate_frame(self, monkeypatch, plain_instance):
         original = scattering.shifted_star_frames
