@@ -15,9 +15,8 @@ stays contractive along the way:
 import argparse
 import sys
 
-import numpy as np
-
 from ncscatter.lifting import generate
+from ncscatter.linalg import stack_norm
 from ncscatter.transfer import build_colligation, transfer_norm, transfer_series
 
 
@@ -36,10 +35,8 @@ def main() -> int:
     for scale in scales:
         inst = generate(args.d, args.dim_c, args.dim_a, seed=args.seed, a_scale=scale)
         series = transfer_series(build_colligation(inst), args.max_depth)
-        peak = {m: 0.0 for m in lengths}
-        for w, m in series.coeffs.items():
-            peak[len(w)] = max(peak[len(w)], float(np.linalg.norm(m, 2)))
-        norm = transfer_norm(series, inst.d)
+        peak = {m: stack_norm(series.level(m)) for m in lengths}
+        norm = transfer_norm(series)
         row = " | ".join(f"{peak[m]:.4f}" for m in lengths)
         print(f"{scale:12.2f} | {row} | {norm:.8f}")
         if norm > 1.0 + 1e-8:

@@ -27,8 +27,8 @@ import numpy as np
 from . import linalg
 from .intertwiner import apply_intertwiner, base_space, lift_space
 from .lifting import LiftingInstance
-from .transfer import Colligation, NCSeries, series_multiply, transfer_coefficient
-from .words import enumerate_words, reverse
+from .transfer import NCSeries, series_multiply
+from .words import level_start, prepend_levels, reversal
 
 
 class IllDefined(ValueError):
@@ -39,12 +39,12 @@ class IllDefined(ValueError):
 def _suffix_adjoints(instance: LiftingInstance, depth: int) -> list[np.ndarray]:
     """Adjoints of corner word products, one ``(d**m, dimA, dimA)`` stack
     per length m in graded-lex order; prepending j to w gives adj(w) A_j*."""
-    level = np.eye(instance.dim_a, dtype=np.complex128)[None]
-    out = [level]
-    for _ in range(depth):
-        level = np.concatenate([level @ a.conj().T for a in instance.a.ops])
-        out.append(level)
-    return out
+    return prepend_levels(
+        np.eye(instance.dim_a, dtype=np.complex128)[None],
+        instance.d,
+        depth,
+        lambda j, m, level: level @ instance.a.ops[j - 1].conj().T,
+    )
 
 
 def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
@@ -68,9 +68,7 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
     adj = _suffix_adjoints(instance, depth)
     neg = [-gs @ level for level in adj]
     pos = [gs @ level for level in adj[:-1]]
-    blocks = np.zeros(
-        (sum(len(level) for level in adj), instance.rank_c, d * ne), dtype=np.complex128
-    )
+    blocks = np.zeros((level_start(d, depth + 1), instance.rank_c, d * ne), dtype=np.complex128)
     for i in range(1, d + 1):
         cols_c = slice((i - 1) * ne, (i - 1) * ne + nc)
         cols_a = slice((i - 1) * ne + nc, i * ne)
@@ -80,14 +78,12 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
         blocks[0][:, cols_a] = -gs @ a_i
         crosses = [-a_j.conj().T @ a_i for a_j in instance.a.ops]
         crosses[i - 1] = crosses[i - 1] + np.eye(na)
-        start = 1
         for m in range(1, depth + 1):
-            level = blocks[start : start + d**m]
+            level = blocks[level_start(d, m) : level_start(d, m + 1)]
             level[:, :, cols_c] = neg[m] @ b_i
             by_letter = level.reshape(d, d ** (m - 1), *level.shape[1:])
             for j, cross in enumerate(crosses):
                 by_letter[j, :, :, cols_a] = pos[m - 1] @ cross
-            start += d**m
     return blocks
 
 
@@ -109,20 +105,14 @@ def charfn_series(
                 f"symbol leaks onto ker of the lifted defect ({leak:.3e} > {tol:.1e})"
             )
     factor = linalg.pseudo_inverse(instance.defect_e.operator) @ instance.defect_e.basis
-    words = enumerate_words(instance.d, depth).words
-    coeffs = dict(zip(words, blocks @ factor))
-    return NCSeries(instance.rank_c, instance.rank_e, depth, coeffs)
+    return NCSeries(instance.d, depth, blocks @ factor)
 
 
-def coincidence_violation(series: NCSeries, coll: Colligation) -> float:
-    """Characteristic blocks against reversed transfer coefficients of ``coll``."""
-    worst = 0.0
-    for w, m in series.coeffs.items():
-        worst = max(
-            worst,
-            linalg.operator_norm(m - transfer_coefficient(coll, reverse(w))),
-        )
-    return worst
+def coincidence_violation(series: NCSeries, theta: NCSeries) -> float:
+    """Characteristic blocks against the transfer series ``theta`` at the
+    reversed words, as the largest norm at one word."""
+    rev = reversal(series.d, series.depth)
+    return linalg.stack_norm(series.coeffs - theta.coeffs[rev])
 
 
 def restriction_probes(instance: LiftingInstance, signal: NCSeries) -> np.ndarray:
@@ -138,8 +128,7 @@ def restriction_probes(instance: LiftingInstance, signal: NCSeries) -> np.ndarra
     r = instance.rank_e
     probes = np.zeros((dom.dim, r + 1), dtype=np.complex128)
     probes[dom.slot(()), :r] = np.eye(r)
-    for w in dom.words:
-        probes[dom.slot(w), r:] = signal.coeff(reverse(w))
+    dom.slots(probes)[:, :, r:] = signal.coeffs[reversal(signal.d, signal.depth)]
     return apply_intertwiner(instance, probes, signal.depth)
 
 
@@ -154,11 +143,10 @@ def vacuum_restriction_violation(
     characteristic blocks word by word, with no reversal.
     """
     cod = base_space(instance, series.depth)
-    worst = linalg.operator_norm(cols[: instance.dim_c])
-    for alpha in cod.words:
-        block = cols[cod.slot(alpha)]
-        worst = max(worst, linalg.operator_norm(block - series.coeff(alpha)))
-    return worst
+    return max(
+        linalg.operator_norm(cols[: instance.dim_c]),
+        linalg.stack_norm(cod.slots(cols) - series.coeffs),
+    )
 
 
 def fock_action_violation(
@@ -176,8 +164,7 @@ def fock_action_violation(
     """
     cod = base_space(instance, signal.depth)
     out = series_multiply(theta, signal)
-    worst = float(np.linalg.norm(got[: instance.dim_c]))
-    for w in cod.words:
-        want = out.coeff(reverse(w))
-        worst = max(worst, float(np.linalg.norm(got[cod.slot(w)] - want)))
-    return worst
+    return max(
+        float(np.linalg.norm(got[: instance.dim_c])),
+        linalg.stack_norm(cod.slots(got) - out.coeffs[reversal(signal.d, signal.depth)]),
+    )

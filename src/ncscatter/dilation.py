@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rowtuple import DefectData, OperatorTuple
-from .words import Word, enumerate_words
+from .words import Word, level_start, position
 
 
 class InnerSpaceMismatch(ValueError):
@@ -60,18 +60,9 @@ class GradedSpace:
     def dim(self) -> int:
         return self.level(self.depth + 1).start
 
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return enumerate_words(self.d, self.depth).words
-
     def slot(self, word: Word) -> slice:
-        """Rows of ``word``: appending letter j sends index u to u*d + j-1."""
-        if len(word) > self.depth or not all(1 <= a <= self.d for a in word):
-            raise KeyError(f"word {word!r} is not enumerated at depth {self.depth}")
-        u = 0
-        for a in word:
-            u = u * self.d + a - 1
-        start = self.level(len(word)).start + u * self.inner_dim
+        """Rows of ``word``, from its graded-lex position."""
+        start = self.base_dim + self.inner_dim * position(self.d, self.depth, word)
         return slice(start, start + self.inner_dim)
 
     def level(self, m: int) -> slice:
@@ -79,12 +70,17 @@ class GradedSpace:
 
         Level depth+1 starts at ``dim``, right after the last slot.
         """
-        start = self.base_dim + self.inner_dim * sum(self.d**k for k in range(m))
+        start = self.base_dim + self.inner_dim * level_start(self.d, m)
         return slice(start, start + self.inner_dim * self.d**m)
 
     def blocks(self, vec: np.ndarray, m: int) -> np.ndarray:
         """Level m of ``vec`` as a (d**m, inner_dim, ...) view, one block per word."""
         return vec[self.level(m)].reshape((self.d**m, self.inner_dim) + vec.shape[1:])
+
+    def slots(self, vec: np.ndarray) -> np.ndarray:
+        """Every word slot of ``vec`` as a (words, inner_dim, ...) view, in graded-lex order."""
+        words = level_start(self.d, self.depth + 1)
+        return vec[self.base_dim : self.dim].reshape((words, self.inner_dim) + vec.shape[1:])
 
     def pad(self, vec: np.ndarray) -> np.ndarray:
         """Embed a vector of a shallower truncation: zero-pad the prefix."""
@@ -122,6 +118,20 @@ class Dilation:
             n = self.d**m
             cod.blocks(out, m + 1)[(j - 1) * n : j * n] = dom.blocks(x, m)
         return out
+
+    def translates(self, x: np.ndarray, depth: int, length: int) -> list[np.ndarray]:
+        """``V_w x`` for every word w of length <= ``length``, one level per length.
+
+        Level m holds the translates of its d**m words side by side in
+        graded-lex order, at depth ``depth + m``; level m+1 applies each
+        V_j to the whole of level m, in letter order.
+        """
+        levels = [x]
+        for m in range(length):
+            levels.append(
+                np.hstack([self.apply(j, levels[-1], depth + m) for j in range(1, self.d + 1)])
+            )
+        return levels
 
     def matrix(self, j: int, depth: int) -> np.ndarray:
         """Flat matrix of V_j from depth ``depth`` to ``depth + 1``."""

@@ -69,6 +69,11 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
 
 
+def stack_norm(stack: np.ndarray) -> float:
+    """Largest spectral norm among the matrices of a (k, rows, cols) stack, 0.0 if none."""
+    return float(np.linalg.svd(stack, compute_uv=False).max()) if stack.size else 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class UnitSplit:
     """A matrix with its exact standard unit columns split off.

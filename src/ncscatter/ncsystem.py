@@ -12,22 +12,26 @@ finite depth, so they are compared at working precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .transfer import Colligation, DimMismatch, NCSeries, series_multiply
-from .words import Word, enumerate_words, prepend_levels
+from .words import level_start, prepend_levels
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Input, state and output values per word, as column batches."""
+    """Input, state and output values per word, as one-column series."""
 
-    depth: int
-    u: dict[Word, np.ndarray] = field(default_factory=dict)
-    x: dict[Word, np.ndarray] = field(default_factory=dict)
-    y: dict[Word, np.ndarray] = field(default_factory=dict)
+    u: NCSeries
+    x: NCSeries
+    y: NCSeries
+
+    @property
+    def depth(self) -> int:
+        return self.u.depth
 
 
 def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> Trajectory:
@@ -39,31 +43,31 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
     """
     if signal.in_dim != 1:
         raise DimMismatch("signals are series with a single column")
-    if signal.out_dim != coll.in_dim:
+    if signal.out_dim != coll.in_dim or signal.d != coll.d:
         raise DimMismatch(
-            f"signal values have dim {signal.out_dim}, colligation takes {coll.in_dim}"
+            f"signal values have dim {signal.out_dim} over {signal.d} letters, "
+            f"colligation takes {coll.in_dim} over {coll.d}"
         )
     if depth is None:
         depth = signal.depth
     if depth > signal.depth:
         raise DimMismatch(f"signal is only known to depth {signal.depth}")
 
-    u = {w: signal.coeff(w) for w in enumerate_words(coll.d, depth).words}
-    x = prepend_levels(
-        np.zeros((coll.state_dim, 1), dtype=np.complex128),
+    u = NCSeries(coll.d, depth, signal.coeffs[: level_start(coll.d, depth + 1)])
+    levels = prepend_levels(
+        np.zeros((1, coll.state_dim, 1), dtype=np.complex128),
         coll.d,
         depth,
-        lambda j, w, xw: coll.state_ops[j - 1] @ xw + coll.input_ops[j - 1] @ u[w],
+        lambda j, m, x: coll.state_ops[j - 1] @ x + coll.input_ops[j - 1] @ u.level(m),
     )
-    y = {w: coll.output_map @ x[w] + coll.feedthrough @ u[w] for w in u}
-    return Trajectory(depth, u, x, y)
+    x = NCSeries(coll.d, depth, np.concatenate(levels))
+    y = NCSeries(coll.d, depth, coll.output_map @ x.coeffs + coll.feedthrough @ u.coeffs)
+    return Trajectory(u, x, y)
 
 
 def io_violation(coll: Colligation, signal: NCSeries, theta: NCSeries) -> float:
-    """Recursion output against convolution by ``theta``, the transfer series."""
+    """Recursion output against convolution by ``theta``, the transfer series,
+    as the largest distance at one word."""
     traj = simulate(coll, signal)
     want = series_multiply(theta, signal, depth=traj.depth)
-    worst = 0.0
-    for w, got in traj.y.items():
-        worst = max(worst, float(np.linalg.norm(got - want.coeff(w))))
-    return worst
+    return linalg.stack_norm(traj.y.coeffs - want.coeffs)

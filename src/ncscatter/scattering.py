@@ -24,7 +24,7 @@ from . import linalg
 from .dilation import Dilation
 from .intertwiner import apply_intertwiner_adjoint, base_space, lift_space
 from .lifting import LiftingInstance
-from .words import Word, prepend_levels
+from .words import level_start
 
 
 class DepthError(ValueError):
@@ -50,13 +50,13 @@ def base_leak(instance: LiftingInstance, frame: np.ndarray) -> float:
     return linalg.operator_norm(frame[: instance.dim_c])
 
 
-def shifted_star_frames(
-    instance: LiftingInstance, depth: int, max_len: int
-) -> dict[Word, np.ndarray]:
-    """Dilation-word translates of the star-wandering frame.
+def shifted_star_frames(instance: LiftingInstance, depth: int, max_len: int) -> np.ndarray:
+    """Dilation-word translates of the star-wandering frame, side by side.
 
+    One ``rank_c``-column block per word of length up to ``max_len``, in
+    graded-lex order, in the flat coordinates of the depth truncation.
     The frame is computed at depth - max_len so that every translate
-    of length up to ``max_len`` lands inside the depth truncation.
+    lands inside it.
     """
     if max_len > depth:
         raise DepthError(f"word length {max_len} does not fit in depth {depth}")
@@ -64,36 +64,29 @@ def shifted_star_frames(
         raise DepthError("word length must be nonnegative")
     dil = Dilation(instance.e, instance.defect_e)
     base_depth = depth - max_len
-    translates = prepend_levels(
-        star_wandering_frame(instance, base_depth),
-        instance.d,
-        max_len,
-        lambda j, w, v: dil.apply(j, v, base_depth + len(w)),
-    )
-    sp = lift_space(instance, depth)
-    return {w: sp.pad(v) for w, v in translates.items()}
+    levels = dil.translates(star_wandering_frame(instance, base_depth), base_depth, max_len)
+    return np.hstack([lift_space(instance, depth).pad(level) for level in levels])
 
 
-def wandering_violation(frames: dict[Word, np.ndarray]) -> float:
-    """Largest deviation of the translate family from orthonormality.
+def wandering_violation(frames: np.ndarray, width: int) -> float:
+    """Largest deviation of a translate family from orthonormality.
 
+    ``frames`` holds the family's ``width``-column frames side by side.
     Off-diagonal Gram blocks must vanish and each diagonal block must
     be the identity; one product and one batched SVD measure all pairs.
     """
-    items = [f for _, f in sorted(frames.items())]
-    if not items or items[0].shape[1] == 0:
+    if not width:
         return 0.0
-    n, r = len(items), items[0].shape[1]
-    stack = np.hstack(items)
-    grams = (stack.conj().T @ stack).reshape(n, r, n, r).transpose(0, 2, 1, 3)
+    n = frames.shape[1] // width
+    grams = (frames.conj().T @ frames).reshape(n, width, n, width).transpose(0, 2, 1, 3)
     i, k = np.triu_indices(n)
     pairs = grams[i, k]
-    pairs[i == k] -= np.eye(r)
-    return float(np.linalg.svd(pairs, compute_uv=False).max())
+    pairs[i == k] -= np.eye(width)
+    return linalg.stack_norm(pairs)
 
 
 def verify_wandering(instance: LiftingInstance, depth: int, max_len: int) -> float:
-    return wandering_violation(shifted_star_frames(instance, depth, max_len))
+    return wandering_violation(shifted_star_frames(instance, depth, max_len), instance.rank_c)
 
 
 def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
@@ -145,7 +138,7 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     Applying every dilation word of length at most ``depth`` to the
     vacuum copy of the lifted defect space must reproduce the
     standard graded basis: identity on the Fock rows, zero on the
-    ambient rows.
+    ambient rows.  Measured as the largest norm at one word.
     """
     dil = Dilation(instance.e, instance.defect_e)
     sp = lift_space(instance, depth)
@@ -153,13 +146,7 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     vacuum = dil.space(0)
     root = np.zeros((vacuum.dim, r), dtype=np.complex128)
     root[vacuum.slot(())] = np.eye(r)
-    translates = prepend_levels(
-        root, instance.d, depth, lambda j, w, v: dil.apply(j, v, len(w))
-    )
-    worst = 0.0
-    for w, v in translates.items():
-        flat = sp.pad(v)
-        want = np.zeros_like(flat)
-        want[sp.slot(w)] = np.eye(r)
-        worst = max(worst, linalg.operator_norm(flat - want))
-    return worst
+    flat = np.hstack([sp.pad(level) for level in dil.translates(root, 0, depth)])
+    flat[sp.base_dim :] -= np.eye(flat.shape[1])
+    words = level_start(instance.d, depth + 1)
+    return linalg.stack_norm(flat.reshape(sp.dim, words, r).transpose(1, 0, 2))

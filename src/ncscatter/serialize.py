@@ -4,7 +4,10 @@ Complex entries travel as ``[re, im]`` pairs in row-major order.
 Floats rely on the shortest-roundtrip repr, so dump, load and dump
 again is byte-stable; non-finite values are rejected both ways.
 Loaders validate shape and type and raise :class:`SchemaError` with
-the offending key, never a bare KeyError.
+the offending key, never a bare KeyError.  A series or trajectory
+file may omit words, which load as exact zeros: the declared depth
+sizes one dense array, and a depth whose array cannot be allocated is
+refused.
 
 :func:`dump_text` renders exactly the bytes of ``json.dumps(obj,
 indent=2, sort_keys=True, allow_nan=False) + "\n"`` (keys must be
@@ -33,7 +36,7 @@ from .lifting import LiftingInstance, assemble
 from .ncsystem import Trajectory
 from .rowtuple import OperatorTuple
 from .transfer import NCSeries
-from .words import Word
+from .words import Word, enumerate_words, level_start, position
 
 SCHEMA_VERSION = 1
 
@@ -42,16 +45,14 @@ class SchemaError(ValueError):
     """Malformed or out-of-contract JSON content."""
 
 
-def graded_key(w: Word):
-    return (len(w), w)
-
-
 def _require(obj, key: str, kind, where: str):
+    """``obj[key]`` of type ``kind``; every integer of the schemas is a
+    size or a count, so a negative one is refused too."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     val = obj[key]
-    if kind is int and isinstance(val, bool):
-        raise SchemaError(f"{where}: key {key!r} must be an integer")
+    if kind is int and (isinstance(val, bool) or isinstance(val, int) and val < 0):
+        raise SchemaError(f"{where}: key {key!r} must be a nonnegative integer")
     if not isinstance(val, kind):
         raise SchemaError(f"{where}: key {key!r} has type {type(val).__name__}")
     return val
@@ -71,8 +72,6 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     rows = _require(obj, "rows", int, where)
     cols = _require(obj, "cols", int, where)
     data = _require(obj, "data", list, where)
-    if rows < 0 or cols < 0:
-        raise SchemaError(f"{where}: negative dimensions")
     if len(data) != rows * cols:
         raise SchemaError(
             f"{where}: expected {rows * cols} entries, found {len(data)}"
@@ -110,12 +109,10 @@ def _checked_pairs(data: list, where: str) -> np.ndarray:
 
 
 def word_from_json(obj, d: int, where: str = "word") -> Word:
-    if not isinstance(obj, list) or not all(
-        isinstance(k, int) and not isinstance(k, bool) for k in obj
-    ):
+    if not isinstance(obj, list) or not set(map(type, obj)) <= {int}:
         raise SchemaError(f"{where}: a word is a list of integers")
     w = tuple(obj)
-    if any(not 1 <= k <= d for k in w):
+    if w and (min(w) < 1 or max(w) > d):
         raise SchemaError(f"{where}: letters of {w} outside 1..{d}")
     return w
 
@@ -140,8 +137,8 @@ def instance_from_json(
     d = _require(obj, "d", int, "instance")
     nc = _require(obj, "dimC", int, "instance")
     na = _require(obj, "dimA", int, "instance")
-    if d < 1 or nc < 0 or na < 0:
-        raise SchemaError("instance: dimensions out of range")
+    if d < 1:
+        raise SchemaError("instance: key 'd' must be at least 1")
     seed = obj.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise SchemaError("instance: seed must be an integer or null")
@@ -167,26 +164,57 @@ def instance_from_json(
     )
 
 
-def _entries_to_json(values: dict[Word, np.ndarray]) -> list:
-    """``{"word", "matrix"}`` entries in graded-lex order.
+def _entries_to_json(series: NCSeries) -> list:
+    """``{"word", "matrix"}`` entries of every word, in graded-lex order.
 
-    Equal-shape matrices are checked and converted as one stack, with
-    the errors of :func:`matrix_to_json`.
+    The coefficients are checked and converted as one stack, with the
+    errors of :func:`matrix_to_json`.
     """
-    words = sorted(values, key=graded_key)
-    shapes = {np.shape(values[w]) for w in words}
-    if len(shapes) != 1 or len(shape := shapes.pop()) != 2:
-        return [{"word": list(w), "matrix": matrix_to_json(values[w])} for w in words]
-    stack = np.asarray([values[w] for w in words], dtype=np.complex128)
+    stack = np.asarray(series.coeffs, dtype=np.complex128)
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    rows, cols = shape
-    flat = stack.reshape(len(words), rows * cols).view(np.float64)
-    datas = flat.reshape(len(words), rows * cols, 2).tolist()
+    words, rows, cols = stack.shape
+    flat = np.ascontiguousarray(stack).reshape(words, rows * cols).view(np.float64)
+    datas = flat.reshape(words, rows * cols, 2).tolist()
     return [
         {"word": list(w), "matrix": {"rows": rows, "cols": cols, "data": data}}
-        for w, data in zip(words, datas)
+        for w, data in zip(enumerate_words(series.d, series.depth), datas)
     ]
+
+
+def _entries_from_json(
+    obj, key: str, d: int, depth: int, shape: tuple[int, int] | None, where: str
+) -> NCSeries:
+    """A dense series from the ``{"word", "matrix"}`` entry list under ``key``.
+
+    Words the list omits get exact zeros.  Each matrix must have
+    ``shape``, or the shape of the first entry when ``shape`` is None.
+    """
+    values = {}
+    for k, entry in enumerate(_require(obj, key, list, where)):
+        spot = f"{where}.{key}[{k}]"
+        w = word_from_json(_require(entry, "word", list, spot), d, spot)
+        if len(w) > depth:
+            raise SchemaError(f"{spot}: word {w} exceeds depth {depth}")
+        if w in values:
+            raise SchemaError(f"{spot}: duplicate word {w}")
+        m = matrix_from_json(_require(entry, "matrix", dict, spot), spot)
+        shape = m.shape if shape is None else shape
+        if m.shape != shape:
+            raise SchemaError(f"{spot}: shape {m.shape}, expected {shape}")
+        values[w] = m
+    if shape is None:
+        raise SchemaError(f"{where}.{key}: no entry to take the matrix shape from")
+    count = level_start(d, depth + 1)
+    try:
+        stack = np.zeros((count,) + shape, dtype=np.complex128)
+    except (MemoryError, ValueError):
+        raise SchemaError(
+            f"{where}: key 'depth' {depth} asks for {count} matrices, more than can be allocated"
+        ) from None
+    if values:
+        stack[[position(d, depth, w) for w in values]] = list(values.values())
+    return NCSeries(d, depth, stack)
 
 
 def series_to_json(series: NCSeries) -> dict:
@@ -195,41 +223,14 @@ def series_to_json(series: NCSeries) -> dict:
         "outDim": series.out_dim,
         "inDim": series.in_dim,
         "depth": series.depth,
-        "coeffs": _entries_to_json(series.coeffs),
+        "coeffs": _entries_to_json(series),
     }
 
 
 def series_from_json(obj, d: int) -> NCSeries:
-    out_dim = _require(obj, "outDim", int, "series")
-    in_dim = _require(obj, "inDim", int, "series")
+    shape = (_require(obj, "outDim", int, "series"), _require(obj, "inDim", int, "series"))
     depth = _require(obj, "depth", int, "series")
-    entries = _require(obj, "coeffs", list, "series")
-    coeffs: dict[Word, np.ndarray] = {}
-    for k, entry in enumerate(entries):
-        where = f"series.coeffs[{k}]"
-        w = word_from_json(_require(entry, "word", list, where), d, where)
-        if w in coeffs:
-            raise SchemaError(f"{where}: duplicate word {w}")
-        if len(w) > depth:
-            raise SchemaError(f"{where}: word {w} exceeds depth {depth}")
-        m = matrix_from_json(_require(entry, "matrix", dict, where), where)
-        if m.shape != (out_dim, in_dim):
-            raise SchemaError(
-                f"{where}: shape {m.shape}, expected ({out_dim}, {in_dim})"
-            )
-        coeffs[w] = m
-    return NCSeries(out_dim, in_dim, depth, coeffs)
-
-
-def _signal_from_json(entries, d: int, where: str) -> dict[Word, np.ndarray]:
-    out: dict[Word, np.ndarray] = {}
-    for k, entry in enumerate(entries):
-        spot = f"{where}[{k}]"
-        w = word_from_json(_require(entry, "word", list, spot), d, spot)
-        if w in out:
-            raise SchemaError(f"{spot}: duplicate word {w}")
-        out[w] = matrix_from_json(_require(entry, "matrix", dict, spot), spot)
-    return out
+    return _entries_from_json(obj, "coeffs", d, depth, shape, "series")
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
@@ -245,10 +246,10 @@ def trajectory_to_json(traj: Trajectory) -> dict:
 def trajectory_from_json(obj, d: int) -> Trajectory:
     depth = _require(obj, "depth", int, "trajectory")
     return Trajectory(
-        depth,
-        _signal_from_json(_require(obj, "input", list, "trajectory"), d, "trajectory.input"),
-        _signal_from_json(_require(obj, "state", list, "trajectory"), d, "trajectory.state"),
-        _signal_from_json(_require(obj, "output", list, "trajectory"), d, "trajectory.output"),
+        *(
+            _entries_from_json(obj, key, d, depth, None, "trajectory")
+            for key in ("input", "state", "output")
+        )
     )
 
 

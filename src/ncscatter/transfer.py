@@ -22,13 +22,14 @@ corner is absent and the base defect space is not zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .lifting import LiftingInstance
-from .words import Word, enumerate_words, prepend_levels, splits
+from .words import Word, enumerate_words, level_start, position, prepend_levels
 
 
 class DimMismatch(ValueError):
@@ -140,50 +141,61 @@ def transfer_coefficient(coll: Colligation, word: Word) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class NCSeries:
-    """Word-indexed matrix series, truncated at ``depth``.
+class NCSeries(Mapping):
+    """Word-indexed matrix series over d letters, truncated at ``depth``.
 
-    Coefficients all have shape (out_dim, in_dim); missing words are
-    zero.  A series with in_dim 1 doubles as a vector-valued signal.
+    ``coeffs`` is one (words, out_dim, in_dim) array holding the
+    coefficient of every word of length <= depth in graded-lex order.
+    The series reads as a mapping from those words to their
+    coefficients; a series with in_dim 1 doubles as a vector-valued
+    signal.
     """
 
-    out_dim: int
-    in_dim: int
+    d: int
     depth: int
-    coeffs: dict[Word, np.ndarray] = field(default_factory=dict)
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise DimMismatch("depth must be nonnegative")
-        for w, m in self.coeffs.items():
-            if len(w) > self.depth:
-                raise DimMismatch(f"word {w} exceeds series depth {self.depth}")
-            if m.shape != (self.out_dim, self.in_dim):
-                raise DimMismatch(
-                    f"coefficient at {w} has shape {m.shape}, expected "
-                    f"({self.out_dim}, {self.in_dim})"
-                )
+        if self.d < 1 or self.depth < 0:
+            raise DimMismatch(f"no words over {self.d} letters up to depth {self.depth}")
+        words = level_start(self.d, self.depth + 1)
+        if self.coeffs.ndim != 3 or len(self.coeffs) != words:
+            raise DimMismatch(
+                f"coefficients of shape {self.coeffs.shape}, expected {words} matrices"
+            )
+
+    @property
+    def out_dim(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def in_dim(self) -> int:
+        return self.coeffs.shape[2]
+
+    def level(self, m: int) -> np.ndarray:
+        """The (d**m, out_dim, in_dim) coefficients of the words of length m."""
+        return self.coeffs[level_start(self.d, m) : level_start(self.d, m + 1)]
 
     def coeff(self, w: Word) -> np.ndarray:
-        got = self.coeffs.get(tuple(w))
-        if got is None:
-            return np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
-        return got
+        """Coefficient at ``w``; KeyError beyond the depth or the alphabet."""
+        return self.coeffs[position(self.d, self.depth, tuple(w))]
+
+    __getitem__ = coeff
+
+    def __iter__(self):
+        return iter(enumerate_words(self.d, self.depth))
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
 
 
 def transfer_series(coll: Colligation, depth: int) -> NCSeries:
     """All transfer coefficients up to ``depth``, sharing suffix work."""
     suffix = prepend_levels(
-        None,
-        coll.d,
-        depth,
-        lambda j, w, s: coll.state_ops[j - 1] @ s if w else coll.input_ops[j - 1],
+        np.stack(coll.input_ops), coll.d, depth - 1, lambda j, m, s: coll.state_ops[j - 1] @ s
     )
-    coeffs = {
-        w: coll.output_map @ s if w else coll.feedthrough.copy()
-        for w, s in suffix.items()
-    }
-    return NCSeries(coll.out_dim, coll.in_dim, depth, coeffs)
+    levels = [coll.feedthrough[None]] + [coll.output_map @ s for s in suffix[:depth]]
+    return NCSeries(coll.d, depth, np.concatenate(levels))
 
 
 def series_multiply(
@@ -191,76 +203,71 @@ def series_multiply(
 ) -> NCSeries:
     """Word convolution: out(g) = sum over g = a.b of left(a) right(b).
 
-    The result is exact only up to the shallower input depth, which is
-    the default; a smaller explicit ``depth`` just truncates further.
+    Level n of the product sums, by ascending ``len(a)``, one batched
+    product per pair of levels: a and b go to index
+    ``idx(a)·d**len(b) + idx(b)`` of level n.  The result is exact only
+    up to the shallower input depth, which is the default; a smaller
+    explicit ``depth`` just truncates further.
     """
-    if left.in_dim != right.out_dim:
+    if left.in_dim != right.out_dim or left.d != right.d:
         raise DimMismatch(
-            f"cannot chain {left.in_dim} inputs with {right.out_dim} outputs"
+            f"cannot chain {left.in_dim} inputs over {left.d} letters with "
+            f"{right.out_dim} outputs over {right.d} letters"
         )
     cap = min(left.depth, right.depth)
     if depth is not None:
         if depth > cap:
             raise DimMismatch(f"product is only exact to depth {cap}")
         cap = depth
-    coeffs: dict[Word, np.ndarray] = {}
-    for g in _support_products(left, right, cap):
-        total = None
-        for a, b in splits(g):
-            la = left.coeffs.get(a)
-            rb = right.coeffs.get(b)
-            if la is None or rb is None:
-                continue
-            term = la @ rb
-            total = term if total is None else total + term
-        if total is not None:
-            coeffs[g] = total
-    return NCSeries(left.out_dim, right.in_dim, cap, coeffs)
-
-
-def _support_products(left: NCSeries, right: NCSeries, cap: int):
-    out = set()
-    for a in left.coeffs:
-        for b in right.coeffs:
-            if len(a) + len(b) <= cap:
-                out.add(a + b)
-    return sorted(out)
+    d = left.d
+    out = np.zeros((level_start(d, cap + 1), left.out_dim, right.in_dim), dtype=np.complex128)
+    for n in range(cap + 1):
+        level = out[level_start(d, n) : level_start(d, n + 1)]
+        for k in range(n + 1):
+            pairs = left.level(k)[:, None] @ right.level(n - k)[None]
+            level += pairs.reshape(level.shape)
+    return NCSeries(d, cap, out)
 
 
 def right_translate(series: NCSeries, letter: int) -> NCSeries:
-    """Append one letter to every support word (formal right shift)."""
-    coeffs = {w + (letter,): m.copy() for w, m in series.coeffs.items()}
-    return NCSeries(series.out_dim, series.in_dim, series.depth + 1, coeffs)
+    """Append one letter to every word (formal right shift).
+
+    Appending ``letter`` sends graded-lex position i to ``d·i + letter``.
+    """
+    d, depth = series.d, series.depth + 1
+    out = np.zeros((level_start(d, depth + 1),) + series.coeffs.shape[1:], dtype=np.complex128)
+    out[d * np.arange(len(series)) + letter] = series.coeffs
+    return NCSeries(d, depth, out)
 
 
-def toeplitz_matrix(series: NCSeries, d: int, depth: int) -> np.ndarray:
+def toeplitz_matrix(series: NCSeries, depth: int) -> np.ndarray:
     """Block matrix of convolution by the series on words up to depth.
 
     Row block g, column block b holds coeff(a) when g = a.b, so the
-    matrix maps stacked input signals to stacked output signals over
-    the d-letter alphabet.
+    matrix maps stacked input signals to stacked output signals.  The
+    blocks from level n - k to level n are coefficient level k copied
+    onto the d**(n-k) diagonal positions ``idx(a)·d**(n-k) + idx(b), idx(b)``.
     """
     if depth > series.depth:
         raise DimMismatch(
             f"need coefficients to depth {depth}, series stops at {series.depth}"
         )
-    index = enumerate_words(d, depth)
-    p, m = series.out_dim, series.in_dim
-    out = np.zeros((index.size * p, index.size * m), dtype=np.complex128)
-    for gi, g in enumerate(index.words):
-        for bi, b in enumerate(index.words):
-            k = len(g) - len(b)
-            if k < 0 or g[k:] != b:
-                continue
-            block = series.coeffs.get(g[:k])
-            if block is not None:
-                out[gi * p : (gi + 1) * p, bi * m : (bi + 1) * m] = block
+    d, p, m = series.d, series.out_dim, series.in_dim
+    size = level_start(d, depth + 1)
+    out = np.zeros((size * p, size * m), dtype=np.complex128)
+    blocks = out.reshape(size, p, size, m)
+    for n in range(depth + 1):
+        for k in range(n + 1):
+            a = np.arange(d**k)[:, None]
+            b = np.arange(d ** (n - k))
+            rows = level_start(d, n) + a * d ** (n - k) + b
+            blocks[rows, :, level_start(d, n - k) + b] = series.level(k)[:, None]
     return out
 
 
-def transfer_norm(series: NCSeries, d: int) -> float:
+def transfer_norm(series: NCSeries) -> float:
     """Norm of the Toeplitz action of a series on words up to its depth."""
-    return linalg.operator_norm(toeplitz_matrix(series, d, series.depth))
+    return linalg.operator_norm(toeplitz_matrix(series, series.depth))
 
 
 def multi_analyticity_violation(
@@ -269,22 +276,15 @@ def multi_analyticity_violation(
     """Convolution must commute with the formal right shift."""
     lhs = series_multiply(theta, right_translate(signal, letter))
     rhs = right_translate(series_multiply(theta, signal), letter)
-    cap = min(lhs.depth, rhs.depth)
-    worst = 0.0
-    for w in set(lhs.coeffs) | set(rhs.coeffs):
-        if len(w) <= cap:
-            worst = max(worst, linalg.operator_norm(lhs.coeff(w) - rhs.coeff(w)))
-    return worst
+    words = level_start(theta.d, min(lhs.depth, rhs.depth) + 1)
+    return linalg.stack_norm(lhs.coeffs[:words] - rhs.coeffs[:words])
 
 
 def random_series(
     out_dim: int, in_dim: int, d: int, depth: int, seed
 ) -> NCSeries:
-    """Dense random series, complex normal entries, for property tests."""
+    """Dense random series, complex normal entries, for property tests;
+    drawn word by word in graded-lex order, real part first."""
     rng = np.random.default_rng(seed)
-    coeffs = {}
-    for w in enumerate_words(d, depth).words:
-        coeffs[w] = rng.standard_normal((out_dim, in_dim)) + 1j * rng.standard_normal(
-            (out_dim, in_dim)
-        )
-    return NCSeries(out_dim, in_dim, depth, coeffs)
+    parts = rng.standard_normal((level_start(d, depth + 1), 2, out_dim, in_dim))
+    return NCSeries(d, depth, parts[:, 0] + 1j * parts[:, 1])

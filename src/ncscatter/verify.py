@@ -30,11 +30,12 @@ from .linalg import (
     gram_residual,
     operator_norm,
     row_residual,
+    stack_norm,
     unit_split,
 )
 from .ncsystem import io_violation
 from .transfer import build_colligation, colligation_violations
-from .words import prepend_levels
+from .words import enumerate_words
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,15 @@ def _dilation_row_unitary(mats: list[list[UnitSplit]]) -> float:
 def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     """P_H V_w restricted to H equals the word product of the tuple."""
     worst = 0.0
+    length = min(3, depth)
     for dil in _dilation_pair(instance):
         n = dil.t.dim
         root = np.eye(dil.space(0).dim, n, dtype=np.complex128)
-        translates = prepend_levels(
-            root, dil.d, min(3, depth), lambda j, w, v: dil.apply(j, v, len(w))
-        )
-        for w, v in translates.items():
-            worst = max(worst, operator_norm(v[:n] - dil.t.word_product(w)))
+        words = enumerate_words(dil.d, length)
+        heads = np.hstack([v[:n] for v in dil.translates(root, 0, length)])
+        got = heads.reshape(n, len(words), n).transpose(1, 0, 2)
+        want = np.array([dil.t.word_product(w) for w in words])
+        worst = max(worst, stack_norm(got - want))
     return worst
 
 
@@ -135,9 +137,9 @@ def _base_subspace_fixed(w: np.ndarray, dim_c: int) -> float:
     return operator_norm(cols - target)
 
 
-def _multi_analyticity(theta, signal, d: int) -> float:
+def _multi_analyticity(theta, signal) -> float:
     return max(
-        transfer.multi_analyticity_violation(theta, signal, j) for j in range(1, d + 1)
+        transfer.multi_analyticity_violation(theta, signal, j) for j in range(1, theta.d + 1)
     )
 
 
@@ -205,7 +207,7 @@ def run_all_checks(
     )
     coll = cache(lambda: build_colligation(instance))
     theta = cache(lambda: transfer.transfer_series(coll(), depth))
-    norm = cache(lambda: transfer.transfer_norm(theta(), d))
+    norm = cache(lambda: transfer.transfer_norm(theta()))
     check(
         "colligation_structure", 1e-10, lambda: max(colligation_violations(coll()).values())
     )
@@ -217,16 +219,16 @@ def run_all_checks(
         "multi_analyticity",
         1e-12,
         lambda: _multi_analyticity(
-            theta(), transfer.random_series(instance.rank_e, 1, d, depth - 1, seed), d
+            theta(), transfer.random_series(instance.rank_e, 1, d, depth - 1, seed)
         ),
     )
     signal = cache(lambda: transfer.random_series(instance.rank_e, 1, d, depth, seed))
     check("io_recursion", 1e-10, lambda: io_violation(coll(), signal(), theta()))
+    del coll
     series = cache(lambda: charfn.charfn_series(instance, depth))
     check(
-        "charfn_coincidence", 1e-10, lambda: charfn.coincidence_violation(series(), coll())
+        "charfn_coincidence", 1e-10, lambda: charfn.coincidence_violation(series(), theta())
     )
-    del coll
 
     def restriction(blocks):
         probes = charfn.restriction_probes(instance, signal())

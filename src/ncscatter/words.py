@@ -5,18 +5,23 @@ coefficients of noncommutative power series.  A word is a plain tuple
 of integers read left to right; the empty tuple is the unit.  The
 canonical enumeration is graded lexicographic: all words of length 0,
 then length 1, ... with 1 < 2 < ... < d inside each grade.
+
+Graded-lex positions are index arithmetic.  Level m starts at
+:func:`level_start` ``(d, m)``, and inside it a word's letters, less
+one, are the base-d digits of its index.  So prepending letter j to
+the level-m word at index u gives index ``(j-1)·d**m + u`` of level
+m+1, appending j to the word at position i gives position ``d·i + j``,
+and concatenating a and b gives index ``idx(a)·d**len(b) + idx(b)``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable
+
+import numpy as np
 
 Word = tuple[int, ...]
-T = TypeVar("T")
-
-EMPTY: Word = ()
 
 
 def reverse(word: Word) -> Word:
@@ -33,66 +38,61 @@ def splits(word: Word) -> list[tuple[Word, Word]]:
     return [(w[:k], w[k:]) for k in range(len(w) + 1)]
 
 
-def words_of_length(d: int, length: int) -> list[Word]:
-    return [tuple(w) for w in itertools.product(range(1, d + 1), repeat=length)]
+def enumerate_words(d: int, depth: int) -> tuple[Word, ...]:
+    """All words of length <= depth in graded-lex order."""
+    letters = range(1, d + 1)
+    return tuple(w for m in range(depth + 1) for w in itertools.product(letters, repeat=m))
 
 
-@dataclass(frozen=True)
-class WordIndex:
-    """Graded-lexicographic enumeration of all words of length <= depth.
+def level_start(d: int, m: int) -> int:
+    """Graded-lex position of the first word of length m: the count of shorter words.
 
-    Maps between words and their flat indices;  index 0 is always the
-    empty word.  The total count is sum(d**m for m <= depth).
+    ``level_start(d, depth + 1)`` is the number of words of length <= depth.
     """
-
-    d: int
-    depth: int
-    words: tuple[Word, ...] = field(init=False)
-    _lookup: dict[Word, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("alphabet size must be at least 1")
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-        ws = []
-        for m in range(self.depth + 1):
-            ws.extend(words_of_length(self.d, m))
-        object.__setattr__(self, "words", tuple(ws))
-        object.__setattr__(self, "_lookup", {w: i for i, w in enumerate(ws)})
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    def index(self, word: Word) -> int:
-        try:
-            return self._lookup[tuple(word)]
-        except KeyError:
-            raise KeyError(f"word {word!r} is not enumerated at depth {self.depth}") from None
-
-    def word(self, i: int) -> Word:
-        return self.words[i]
-
-    def __contains__(self, word) -> bool:
-        return tuple(word) in self._lookup
+    return m if d == 1 else (d**m - 1) // (d - 1)
 
 
-def enumerate_words(d: int, depth: int) -> WordIndex:
-    return WordIndex(d, depth)
+def position(d: int, depth: int, word: Word) -> int:
+    """Graded-lex position of ``word`` among the words of length <= depth.
+
+    Raises KeyError for a longer word or a letter outside 1..d.
+    """
+    if len(word) > depth or word and (min(word) < 1 or max(word) > d):
+        raise KeyError(f"word {word!r} is not enumerated at depth {depth}")
+    u = 0
+    for a in word:
+        u = u * d + a - 1
+    return level_start(d, len(word)) + u
 
 
 def prepend_levels(
-    root: T, d: int, depth: int, step: Callable[[int, Word, T], T]
-) -> dict[Word, T]:
-    """Values on all words of length <= depth, built by prepending letters.
+    root: np.ndarray, d: int, depth: int, step: Callable[[int, int, np.ndarray], np.ndarray]
+) -> list[np.ndarray]:
+    """Value stacks built level by level by prepending letters.
 
-    ``out[()] = root`` and ``out[(j,) + w] = step(j, w, out[w])``; each
-    level is filled from the one below, and the keys come in the
-    graded-lexicographic order of ``enumerate_words(d, depth).words``.
+    ``levels[0]`` is ``root``, and ``levels[m+1]`` concatenates
+    ``step(j, m, levels[m])`` for j = 1..d.  When ``root`` holds the
+    values at the words of one length in graded-lex order and ``step``
+    gives the values at the words (j,)+w in the order of the words w,
+    every level comes out in graded-lex order.
     """
-    out: dict[Word, T] = {EMPTY: root}
-    for m in range(1, depth + 1):
-        for w in words_of_length(d, m):
-            out[w] = step(w[0], w[1:], out[w[1:]])
-    return out
+    levels = [root]
+    for m in range(depth):
+        levels.append(np.concatenate([step(j, m, levels[-1]) for j in range(1, d + 1)]))
+    return levels
+
+
+def reversal(d: int, depth: int) -> np.ndarray:
+    """Entry i is the graded-lex position of the reverse of word i.
+
+    Reversal keeps the level and reverses the base-d digits of the index.
+    """
+    out = []
+    for m in range(depth + 1):
+        u = np.arange(d**m)
+        rev = np.zeros_like(u)
+        for _ in range(m):
+            u, digit = np.divmod(u, d)
+            rev = rev * d + digit
+        out.append(level_start(d, m) + rev)
+    return np.concatenate(out)

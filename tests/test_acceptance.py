@@ -45,6 +45,7 @@ from ncscatter.verify import (
     all_passed,
     run_all_checks,
 )
+from ncscatter.words import level_start
 
 # d, dimC, dimA, depth; three-letter cases run at smaller depth
 CONFIGS = [
@@ -173,7 +174,7 @@ def test_shift_decomposition(sweep):
 
 
 def _toeplitz_norm(inst, depth):
-    return transfer_norm(transfer_series(build_colligation(inst), depth), inst.d)
+    return transfer_norm(transfer_series(build_colligation(inst), depth))
 
 
 def test_transfer_contraction(sweep):
@@ -189,9 +190,10 @@ def test_transfer_norm_one_without_corner(sweep):
 
 
 def _impulse(width: int, d: int, depth: int, word) -> NCSeries:
-    col = np.zeros((width, 1), dtype=np.complex128)
-    col[0, 0] = 1.0
-    return NCSeries(width, 1, depth, {word: col})
+    col = np.zeros((level_start(d, depth + 1), width, 1), dtype=np.complex128)
+    signal = NCSeries(d, depth, col)
+    signal.coeff(word)[0, 0] = 1.0
+    return signal
 
 
 def test_input_output_recursion(sweep):
@@ -219,13 +221,13 @@ def test_multi_analyticity(sweep):
         coll = build_colligation(inst)
         signal = random_series(coll.in_dim, 1, inst.d, depth - 1, seed=7)
         theta = transfer_series(coll, depth)
-        worst = max(worst, _multi_analyticity(theta, signal, inst.d))
+        worst = max(worst, _multi_analyticity(theta, signal))
     report("convolution commutes with right translation", worst, 1e-12)
 
 
 def test_characteristic_coincidence(sweep):
     worst = max(
-        coincidence_violation(charfn_series(i, n), build_colligation(i))
+        coincidence_violation(charfn_series(i, n), transfer_series(build_colligation(i), n))
         for i, n, _ in sweep
     )
     report("characteristic blocks equal reversed transfer blocks", worst, 1e-10)

@@ -67,7 +67,7 @@ class TestHandValues:
         # the base tuple here is its own lifting datum: base inputs
         # produce no output at any word
         blocks = symbol_blocks(hand_instance, 3)
-        for w, m in zip(enumerate_words(2, 3).words, blocks, strict=True):
+        for w, m in zip(enumerate_words(2, 3), blocks, strict=True):
             assert np.linalg.norm(m[:, 0:1]) < 1e-14, w
             assert np.linalg.norm(m[:, 2:3]) < 1e-14, w
 
@@ -75,7 +75,7 @@ class TestHandValues:
         # slot-1 corner input responds exactly at the word (1,) with
         # the coupling isometry (here the 1x1 identity)
         blocks = symbol_blocks(hand_instance, 3)
-        col = {w: m[:, 1:2] for w, m in zip(enumerate_words(2, 3).words, blocks, strict=True)}
+        col = {w: m[:, 1:2] for w, m in zip(enumerate_words(2, 3), blocks, strict=True)}
         assert abs(col[(1,)][0, 0] - 1.0) < 1e-12
         for w, m in col.items():
             if w != (1,):
@@ -87,7 +87,7 @@ class TestHandValues:
 
     def test_deep_coefficients_vanish(self, hand_instance):
         series = charfn_series(hand_instance, 3)
-        for w, m in series.coeffs.items():
+        for w, m in series.items():
             if len(w) >= 2:
                 assert np.linalg.norm(m) < 1e-14, w
 
@@ -114,13 +114,14 @@ class TestSeries:
         series = charfn_series(no_corner_instance, 2)
         r = no_corner_instance.rank_c
         assert np.linalg.norm(series.coeff(()) - np.eye(r)) < 1e-10
-        for w, m in series.coeffs.items():
+        for w, m in series.items():
             if w:
                 assert np.linalg.norm(m) < 1e-12, w
 
 
 def coincidence(inst, depth):
-    return coincidence_violation(charfn_series(inst, depth), build_colligation(inst))
+    theta = transfer_series(build_colligation(inst), depth)
+    return coincidence_violation(charfn_series(inst, depth), theta)
 
 
 def vacuum_restriction(inst, depth):
@@ -169,7 +170,7 @@ class TestIntertwinerRestriction:
         dom = lift_space(inst, depth)
         load = np.zeros((dom.dim, inst.rank_e + 1), dtype=np.complex128)
         load[dom.slot(()), : inst.rank_e] = np.eye(inst.rank_e)
-        for w in dom.words:
+        for w in enumerate_words(dom.d, dom.depth):
             load[dom.slot(w), inst.rank_e :] = signal.coeff(reverse(w))
         want = intertwiner_matrix(inst, depth) @ load
         got = restriction_probes(inst, signal)

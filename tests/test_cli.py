@@ -106,7 +106,7 @@ class TestExports:
         main(["charfn", "--input", str(inst_file), "--depth", "2", "-o", str(c_path)])
         theta = serialize.series_from_json(serialize.load(t_path), 2)
         phi = serialize.series_from_json(serialize.load(c_path), 2)
-        for w in phi.coeffs:
+        for w in phi:
             assert np.allclose(phi.coeff(w), theta.coeff(tuple(reversed(w))), atol=1e-10)
 
     def test_simulate_random_signal(self, inst_file, tmp_path):
@@ -177,7 +177,7 @@ def oracle_texts(inst_path, depth, verify) -> dict:
 
     def series(s):
         return {"schemaVersion": 1, "outDim": s.out_dim, "inDim": s.in_dim,
-                "depth": s.depth, "coeffs": oracle_entries(s.coeffs)}
+                "depth": s.depth, "coeffs": oracle_entries(s)}
 
     texts = {
         "generate": {

@@ -6,6 +6,7 @@ from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.rowtuple import OperatorTuple, defect
+from ncscatter.words import enumerate_words
 
 
 def make_dilation(t):
@@ -67,12 +68,10 @@ class TestCreation:
         dil = make_dilation(contraction_tuple(2, 1, seed=5))
         sp = dil.space(1)
         rng = np.random.default_rng(5)
+        words = enumerate_words(sp.d, sp.depth)
         for i in (1, 2):
             for j in (1, 2):
-                x, y = (
-                    fock_only(sp, {w: rng.standard_normal(2) for w in sp.words})
-                    for _ in range(2)
-                )
+                x, y = (fock_only(sp, {w: rng.standard_normal(2) for w in words}) for _ in range(2))
                 got = np.vdot(dil.apply(i, x, 1), dil.apply(j, y, 1))
                 want = np.vdot(x, y) if i == j else 0.0
                 assert got == pytest.approx(want)
@@ -94,7 +93,7 @@ class TestGradedSpace:
             for k in range(depth + 1):
                 shallow = GradedSpace(d, k, 2, 3)
                 deep = GradedSpace(d, depth, 2, 3)
-                for w in shallow.words:
+                for w in enumerate_words(shallow.d, shallow.depth):
                     assert shallow.slot(w) == deep.slot(w)
                 for m in range(k + 1):
                     assert shallow.level(m) == deep.level(m)
@@ -112,7 +111,7 @@ class TestGradedSpace:
         for m in range(3):
             blocks = sp.blocks(vec, m)
             assert blocks.shape == (2**m, 2, 3)
-            words = [w for w in sp.words if len(w) == m]
+            words = [w for w in enumerate_words(sp.d, sp.depth) if len(w) == m]
             for u, w in enumerate(words):
                 assert np.array_equal(blocks[u], vec[sp.slot(w)])
 
@@ -212,7 +211,7 @@ class TestFlatMatrices:
             want = np.zeros(dom.dim, dtype=np.complex128)
             want[:n] = t.op(j).conj().T @ y[:n]
             want[:n] += dil.defect.coord_component(j).conj().T @ y[cod.slot(())]
-            for w in dom.words:
+            for w in enumerate_words(dom.d, dom.depth):
                 want[dom.slot(w)] = y[cod.slot((j,) + w)]
             assert np.allclose(dil.matrix(j, 1).conj().T @ y, want, atol=1e-12)
 
@@ -253,7 +252,8 @@ class TestSingleOperator:
         for steps in range(1, 4):
             v = dil.apply(1, v, steps - 1)
             sp = dil.space(steps)
-            live = {w for w in sp.words if np.linalg.norm(v[sp.slot(w)]) > 1e-14}
+            words = enumerate_words(sp.d, sp.depth)
+            live = {w for w in words if np.linalg.norm(v[sp.slot(w)]) > 1e-14}
             assert live == {(1,) * (steps - 1)}
         assert abs(v[0]) < 1e-14
 

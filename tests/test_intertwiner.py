@@ -19,6 +19,7 @@ from ncscatter.intertwiner import (
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.rowtuple import defect
+from ncscatter.words import enumerate_words
 
 
 def balanced_side():
@@ -199,8 +200,8 @@ class TestIntertwiner:
         dom = base_space(inst, depth)
         cod = lift_space(inst, depth)
         mstar = adjoint_matrix(inst, depth)
-        for w_in in dom.words:
-            for w_out in cod.words:
+        for w_in in enumerate_words(dom.d, dom.depth):
+            for w_out in enumerate_words(cod.d, cod.depth):
                 if len(w_out) > len(w_in):
                     block = mstar[cod.slot(w_out), dom.slot(w_in)]
                     assert operator_norm(block) < 1e-12

@@ -11,6 +11,7 @@ from ncscatter.transfer import (
     transfer_coefficient,
     transfer_series,
 )
+from ncscatter.words import level_start
 
 SWEEP = [
     generate(2, 2, 2, seed=42),
@@ -21,9 +22,10 @@ SWEEP = [
 
 
 def impulse(coll, word, coord, depth):
-    vec = np.zeros((coll.in_dim, 1), dtype=np.complex128)
-    vec[coord, 0] = 1.0
-    return NCSeries(coll.in_dim, 1, depth, {word: vec})
+    coeffs = np.zeros((level_start(coll.d, depth + 1), coll.in_dim, 1), dtype=np.complex128)
+    signal = NCSeries(coll.d, depth, coeffs)
+    signal.coeff(word)[coord, 0] = 1.0
+    return signal
 
 
 class TestSimulate:
@@ -57,6 +59,8 @@ class TestSimulate:
         coll = build_colligation(plain_instance)
         with pytest.raises(DimMismatch):
             simulate(coll, random_series(coll.in_dim + 1, 1, coll.d, 1, seed=4))
+        with pytest.raises(DimMismatch):
+            simulate(coll, random_series(coll.in_dim, 1, coll.d + 1, 1, seed=4))
 
     def test_depth_bound(self, plain_instance):
         coll = build_colligation(plain_instance)
@@ -96,10 +100,7 @@ class TestLinearity:
         s1 = random_series(coll.in_dim, 1, coll.d, 2, seed=7)
         s2 = random_series(coll.in_dim, 1, coll.d, 2, seed=8)
         lam = 0.5 - 2.0j
-        mixed = NCSeries(
-            coll.in_dim, 1, 2,
-            {w: s1.coeff(w) + lam * s2.coeff(w) for w in set(s1.coeffs) | set(s2.coeffs)},
-        )
+        mixed = NCSeries(coll.d, 2, s1.coeffs + lam * s2.coeffs)
         ya = simulate(coll, s1).y
         yb = simulate(coll, s2).y
         ym = simulate(coll, mixed).y

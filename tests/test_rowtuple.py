@@ -3,6 +3,7 @@ import pytest
 
 from ncscatter.linalg import operator_norm
 from ncscatter.rowtuple import NotContraction, OperatorTuple, classify, defect
+from ncscatter.words import enumerate_words
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -68,7 +69,7 @@ class TestClassify:
         mats = []
         for j in range(1, d + 1):
             m = np.zeros((space.dim, space.dim), dtype=complex)
-            for w in space.words:
+            for w in enumerate_words(space.d, space.depth):
                 if len(w) < depth:
                     m[space.slot((j,) + w), space.slot(w)] = 1.0
             mats.append(m)

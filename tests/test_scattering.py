@@ -29,13 +29,18 @@ SWEEP = [
 SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0)]
 
 
-def pairwise_wandering_violation(frames):
+def blocks(frames, width):
+    """The translate frames of a side-by-side family, one per word."""
+    return [frames[:, k : k + width] for k in range(0, frames.shape[1], width)]
+
+
+def pairwise_wandering_violation(frames, width):
     # oracle: one norm per pair of translate frames
     worst = 0.0
-    items = sorted(frames.items())
-    for i, (_, fa) in enumerate(items):
+    items = blocks(frames, width)
+    for i, fa in enumerate(items):
         for k in range(i, len(items)):
-            gram = fa.conj().T @ items[k][1]
+            gram = fa.conj().T @ items[k]
             if k == i:
                 gram = gram - np.eye(gram.shape[0])
             worst = max(worst, np.linalg.norm(gram, 2) if gram.size else 0.0)
@@ -118,32 +123,49 @@ class TestWandering:
         with pytest.raises(DepthError):
             shifted_star_frames(plain_instance, 1, -1)
 
+    def test_graded_lex_translates(self, plain_instance):
+        # the block of word (2, 1) is V_2 V_1 applied to the frame (up to
+        # rounding: the base rows come from one product on a whole level)
+        inst, r = plain_instance, plain_instance.rank_c
+        dil = Dilation(inst.e, inst.defect_e)
+        frames = shifted_star_frames(inst, 3, 2)
+        frame = star_wandering_frame(inst, 1)
+        want = dil.apply(2, dil.apply(1, frame, 1), 2)
+        assert frames.shape == (lift_space(inst, 3).dim, 7 * r)
+        assert np.allclose(blocks(frames, r)[5], want, rtol=0, atol=1e-15)
+        assert np.array_equal(blocks(frames, r)[0], lift_space(inst, 3).pad(frame))
+
     def test_doctored_frames_fail(self, plain_instance):
+        r = plain_instance.rank_c
         frames = shifted_star_frames(plain_instance, 2, 1)
-        frames[(1,)] = frames[()]
-        assert wandering_violation(frames) > 0.5
+        frames[:, r : 2 * r] = frames[:, :r]
+        assert wandering_violation(frames, r) > 0.5
 
     def test_violation_detects_bad_normalization(self, plain_instance):
+        r = plain_instance.rank_c
         frames = shifted_star_frames(plain_instance, 2, 1)
-        frames[()] = 2.0 * frames[()]
-        assert wandering_violation(frames) > 0.5
+        frames[:, :r] *= 2.0
+        assert wandering_violation(frames, r) > 0.5
 
     def test_matches_pairwise_oracle(self, plain_instance):
-        families = [shifted_star_frames(inst, 3, 2) for inst in SWEEP]
+        families = [(shifted_star_frames(inst, 3, 2), inst.rank_c) for inst in SWEEP]
+        r = plain_instance.rank_c
         skewed = shifted_star_frames(plain_instance, 3, 2)
-        skewed[(2, 1)] = skewed[(2, 1)] + 1e-3 * skewed[(1,)]
+        # words (2, 1) and (1,) sit at graded-lex positions 5 and 1
+        blocks(skewed, r)[5][...] += 1e-3 * blocks(skewed, r)[1]
         stretched = shifted_star_frames(plain_instance, 3, 2)
-        stretched[(1, 2)] = 1.001 * stretched[(1, 2)]
-        for frames in families + [skewed, stretched]:
-            want = pairwise_wandering_violation(frames)
-            assert abs(wandering_violation(frames) - want) <= 1e-14
+        # word (1, 2) sits at position 4
+        blocks(stretched, r)[4][...] *= 1.001
+        for frames, width in families + [(skewed, r), (stretched, r)]:
+            want = pairwise_wandering_violation(frames, width)
+            assert abs(wandering_violation(frames, width) - want) <= 1e-14
 
     def test_empty_families(self):
         inst = generate(1, 2, 0, seed=0)
         assert inst.rank_c == 0
-        assert wandering_violation(shifted_star_frames(inst, 3, 2)) == 0.0
-        assert wandering_violation({(): np.eye(4, 2, dtype=np.complex128)}) == 0.0
-        assert wandering_violation({}) == 0.0
+        assert wandering_violation(shifted_star_frames(inst, 3, 2), 0) == 0.0
+        assert wandering_violation(np.eye(4, 2, dtype=np.complex128), 2) == 0.0
+        assert wandering_violation(np.zeros((4, 0), dtype=np.complex128), 2) == 0.0
 
 
 class TestComplement:
@@ -156,9 +178,7 @@ class TestComplement:
     def test_complement_orthogonal_to_shifts(self, plain_instance):
         comp = complement_frame(plain_instance, 2)
         frames = shifted_star_frames(plain_instance, 2, 1)
-        for w, f in frames.items():
-            if w == ():
-                continue
+        for f in blocks(frames, plain_instance.rank_c)[1:]:
             assert operator_norm(comp.conj().T @ f[plain_instance.dim_c :]) < 1e-10
 
     def test_depth_guard(self, plain_instance):

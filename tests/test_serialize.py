@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncscatter import lifting, serialize
+from ncscatter.cli import main
 from ncscatter.ncsystem import Trajectory, simulate
 from ncscatter.transfer import build_colligation, random_series, transfer_series
 
@@ -211,22 +212,40 @@ class TestSeries:
         obj = serialize.series_to_json(theta)
         back = serialize.series_from_json(obj, plain_instance.d)
         assert back.depth == theta.depth
-        assert set(back.coeffs) == set(theta.coeffs)
-        for w in theta.coeffs:
-            assert np.array_equal(back.coeff(w), theta.coeff(w))
+        assert list(back) == list(theta)
+        assert np.array_equal(back.coeffs, theta.coeffs)
 
     def test_words_sorted_graded_lex(self, plain_instance):
         theta = transfer_series(build_colligation(plain_instance), 2)
         words = [tuple(e["word"]) for e in serialize.series_to_json(theta)["coeffs"]]
-        assert words == sorted(words, key=serialize.graded_key)
+        assert words == sorted(words, key=lambda w: (len(w), w))
+        assert len(words) == 1 + 2 + 4
 
-    def test_sparse_words_stay_sparse(self):
-        series = random_series(1, 1, 2, 2, seed=4)
-        pruned = {(1, 2): series.coeff((1, 2))}
-        obj = serialize.series_to_json(type(series)(1, 1, 2, pruned))
-        back = serialize.series_from_json(obj, 2)
-        assert set(back.coeffs) == {(1, 2)}
-        assert np.linalg.norm(back.coeff(())) == 0.0
+    def test_omitted_words_load_as_zeros(self, tmp_path, plain_instance):
+        # a file may list only some words; the rest load as exact zeros
+        # and simulate reads the file as the same signal written densely
+        inst_path = tmp_path / "inst.json"
+        serialize.save(inst_path, serialize.instance_to_json(plain_instance))
+        signal = random_series(plain_instance.rank_e, 1, 2, 2, seed=4)
+        dense = serialize.series_to_json(signal)
+        for entry in dense["coeffs"][::2]:
+            m = entry["matrix"]
+            m["data"] = [[0.0, 0.0]] * len(m["data"])
+        sparse = dict(dense, coeffs=dense["coeffs"][1::2])
+        back = serialize.series_from_json(sparse, 2)
+        for k, w in enumerate(back):
+            if k % 2:
+                assert np.array_equal(back[w], signal[w])
+            else:
+                assert back[w].view(float).tolist() == [[0.0, 0.0]] * back.out_dim
+        texts = []
+        for name, obj in (("dense", dense), ("sparse", sparse)):
+            sig, out = tmp_path / f"{name}.json", tmp_path / f"{name}-traj.json"
+            serialize.save(sig, obj)
+            argv = ["simulate", "--input", str(inst_path), "--signal", str(sig), "-o", str(out)]
+            assert main(argv) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize(
         "mutate",
@@ -240,6 +259,18 @@ class TestSeries:
         obj = serialize.series_to_json(random_series(2, 1, 2, 2, seed=1))
         mutate(obj)
         with pytest.raises(serialize.SchemaError):
+            serialize.series_from_json(obj, 2)
+
+    @pytest.mark.parametrize("key", ["outDim", "inDim", "depth"])
+    def test_negative_sizes_rejected(self, key):
+        obj = {"outDim": 1, "inDim": 1, "depth": 2, "coeffs": [], key: -1}
+        with pytest.raises(serialize.SchemaError, match=repr(key)):
+            serialize.series_from_json(obj, 2)
+
+    def test_unallocatable_depth_rejected(self):
+        # 2**71 - 1 words exceed numpy's largest dimension
+        obj = {"outDim": 1, "inDim": 1, "depth": 70, "coeffs": []}
+        with pytest.raises(serialize.SchemaError, match="'depth'"):
             serialize.series_from_json(obj, 2)
 
 
@@ -256,6 +287,29 @@ class TestTrajectory:
             assert set(got) == set(want)
             for w in want:
                 assert np.array_equal(got[w], want[w])
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o.update(depth=-3),
+            lambda o: o["state"].append(o["state"][0]),
+            lambda o: o["output"][0].update(word=[1] * 3),
+            lambda o: o["input"][1].update(matrix=serialize.matrix_to_json(np.zeros((1, 1)))),
+            lambda o: o["input"].clear(),
+        ],
+    )
+    def test_malformed_rejected(self, plain_instance, mutate):
+        coll = build_colligation(plain_instance)
+        traj = simulate(coll, random_series(coll.in_dim, 1, coll.d, 2, seed=8))
+        obj = serialize.trajectory_to_json(traj)
+        mutate(obj)
+        with pytest.raises(serialize.SchemaError):
+            serialize.trajectory_from_json(obj, plain_instance.d)
+
+    def test_negative_depth_names_the_key(self):
+        obj = {"depth": -3, "input": [], "state": [], "output": []}
+        with pytest.raises(serialize.SchemaError, match="'depth'"):
+            serialize.trajectory_from_json(obj, 2)
 
 
 class TestReport:

@@ -18,6 +18,7 @@ from ncscatter.transfer import (
     transfer_norm,
     transfer_series,
 )
+from ncscatter.words import enumerate_words, level_start
 
 SWEEP = [
     generate(2, 2, 2, seed=42),
@@ -29,8 +30,11 @@ SWEEP = [
 
 
 def scalar_series(d, depth, values):
-    coeffs = {w: np.array([[v]], dtype=np.complex128) for w, v in values.items()}
-    return NCSeries(1, 1, depth, coeffs)
+    """A 1x1 series that is zero off the words of ``values``."""
+    series = NCSeries(d, depth, np.zeros((level_start(d, depth + 1), 1, 1), dtype=np.complex128))
+    for w, v in values.items():
+        series.coeff(w)[0, 0] = v
+    return series
 
 
 class TestColligation:
@@ -85,35 +89,45 @@ class TestTransferCoefficients:
         coll = build_colligation(plain_instance)
         series = transfer_series(coll, 3)
         assert series.depth == 3
-        for w in series.coeffs:
-            assert np.allclose(
-                series.coeffs[w], transfer_coefficient(coll, w), atol=1e-13
-            )
+        for w in series:
+            assert np.allclose(series[w], transfer_coefficient(coll, w), atol=1e-13)
 
     def test_no_corner_series_is_constant_identity(self, no_corner_instance):
         coll = build_colligation(no_corner_instance)
         series = transfer_series(coll, 2)
         assert np.allclose(series.coeff(()), np.eye(coll.out_dim), atol=1e-12)
-        for w, m in series.coeffs.items():
+        for w, m in series.items():
             if w:
                 assert operator_norm(m) < 1e-12
 
 
 class TestNCSeries:
-    def test_coeff_defaults_to_zero(self):
-        s = NCSeries(2, 3, 1)
-        z = s.coeff((1,))
-        assert z.shape == (2, 3) and not z.any()
+    def test_graded_lex_mapping(self):
+        s = random_series(2, 3, 2, 1, seed=0)
+        assert list(s) == [(), (1,), (2,)] and len(s) == 3
+        assert s.out_dim == 2 and s.in_dim == 3
+        assert np.array_equal(s[(2,)], s.coeffs[2])
+        assert np.array_equal(s.level(1), s.coeffs[1:])
+
+    def test_coeff_outside_the_words_raises(self):
+        s = random_series(1, 1, 2, 2, 0)
+        with pytest.raises(KeyError):
+            s.coeff((1, 1, 1, 1))
+        with pytest.raises(KeyError):
+            s.coeff((3,))
+        assert (1, 1, 1, 1) not in s and (2, 1) in s
 
     def test_shape_validation(self):
         with pytest.raises(DimMismatch):
-            NCSeries(1, 1, 1, {(1,): np.zeros((2, 1))})
+            NCSeries(2, 1, np.zeros((2, 1, 1)))
+        with pytest.raises(DimMismatch):
+            NCSeries(2, 1, np.zeros((3, 1)))
 
     def test_depth_validation(self):
         with pytest.raises(DimMismatch):
-            NCSeries(1, 1, 1, {(1, 2): np.zeros((1, 1))})
+            NCSeries(1, -1, np.zeros((0, 1, 1)))
         with pytest.raises(DimMismatch):
-            NCSeries(1, 1, -1)
+            NCSeries(0, 1, np.zeros((1, 1, 1)))
 
 
 class TestSeriesMultiply:
@@ -134,12 +148,13 @@ class TestSeriesMultiply:
         c = random_series(2, 1, 2, 2, seed=3)
         left = series_multiply(series_multiply(a, b), c)
         right = series_multiply(a, series_multiply(b, c))
-        for w in set(left.coeffs) | set(right.coeffs):
-            assert np.allclose(left.coeff(w), right.coeff(w), atol=1e-10)
+        assert np.allclose(left.coeffs, right.coeffs, atol=1e-10)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             series_multiply(random_series(2, 3, 2, 1, 0), random_series(2, 1, 2, 1, 0))
+        with pytest.raises(DimMismatch):
+            series_multiply(random_series(2, 3, 2, 1, 0), random_series(3, 1, 3, 1, 0))
 
     def test_depth_cap(self):
         a = random_series(1, 1, 2, 3, seed=4)
@@ -154,14 +169,14 @@ class TestTranslate:
         s = scalar_series(2, 1, {(): 1.0, (2,): 4.0})
         t = right_translate(s, 1)
         assert t.depth == 2
-        assert set(t.coeffs) == {(1,), (2, 1)}
+        assert {w for w, m in t.items() if m.any()} == {(1,), (2, 1)}
         assert t.coeff((2, 1))[0, 0] == 4.0
 
 
 class TestToeplitz:
     def test_frozen_structure(self):
         s = scalar_series(2, 1, {(): 1.0, (1,): 2.0, (2,): 3.0})
-        m = toeplitz_matrix(s, 2, 1)
+        m = toeplitz_matrix(s, 1)
         want = np.array([[1, 0, 0], [2, 1, 0], [3, 0, 1]], dtype=complex)
         assert np.array_equal(m, want)
 
@@ -169,23 +184,21 @@ class TestToeplitz:
         theta = random_series(2, 3, 2, 2, seed=6)
         sig = random_series(3, 1, 2, 2, seed=7)
         prod = series_multiply(theta, sig)
-        m = toeplitz_matrix(theta, 2, 2)
-        from ncscatter.words import enumerate_words
-
-        idx = enumerate_words(2, 2)
-        stacked = np.vstack([sig.coeff(w) for w in idx.words])
+        m = toeplitz_matrix(theta, 2)
+        words = enumerate_words(2, 2)
+        stacked = np.vstack([sig.coeff(w) for w in words])
         got = m @ stacked
-        want = np.vstack([prod.coeff(w) for w in idx.words])
+        want = np.vstack([prod.coeff(w) for w in words])
         assert np.allclose(got, want, atol=1e-12)
 
     def test_depth_guard(self):
         s = scalar_series(2, 1, {(): 1.0})
         with pytest.raises(DimMismatch):
-            toeplitz_matrix(s, 2, 2)
+            toeplitz_matrix(s, 2)
 
 
 def toeplitz_norm(inst, depth):
-    return transfer_norm(transfer_series(build_colligation(inst), depth), inst.d)
+    return transfer_norm(transfer_series(build_colligation(inst), depth))
 
 
 class TestTransferNorm:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +221,10 @@ class TestMutations:
 
         def perturbed(*args):
             frames = original(*args)
-            frame = frames[(2, 1)]
-            frame.flat[np.argmax(np.abs(frame))] += 1e-6
+            # the frame of word (2, 1), at graded-lex position 5
+            r = plain_instance.rank_c
+            frame = frames[:, 5 * r : 6 * r]
+            frame[np.unravel_index(np.argmax(np.abs(frame)), frame.shape)] += 1e-6
             return frames
 
         monkeypatch.setattr(scattering, "shifted_star_frames", perturbed)
@@ -278,11 +281,13 @@ class TestRendering:
         serialize.dump_text(serialize.report_to_json([CheckResult.failure("x", 1, "y")]))
 
 
-def load_tracing():
-    """The benchmark's tracer module, loaded from its file without installing it."""
-    path = Path(__file__).resolve().parents[1] / "ncbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("ncbench_tracing", path)
+def load_bench(name):
+    """A module of the benchmark, loaded from its file without installing it."""
+    path = Path(__file__).resolve().parents[1] / "ncbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"ncbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # registered first: its dataclasses look their module up while being built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -292,7 +297,7 @@ class TestBenchmarkNames:
     # a rename here would only show up in its own smoke runs
 
     def test_traced_layers_resolve(self):
-        for module, attr, _, _ in load_tracing().LAYERS:
+        for module, attr, _, _ in load_bench("tracing").LAYERS:
             owner = importlib.import_module(f"ncscatter.{module}")
             for part in attr.split("."):
                 owner = getattr(owner, part)
@@ -300,4 +305,18 @@ class TestBenchmarkNames:
 
     def test_check_names_in_order(self, no_corner_instance):
         names = [r.name for r in run_all_checks(no_corner_instance, 2)]
-        assert names == list(load_tracing().CHECK_NAMES)
+        assert names == list(load_bench("tracing").CHECK_NAMES)
+
+    def test_export_op_passes_its_check(self, tmp_path):
+        # the export check reloads the files and reads series.coeffs,
+        # series.coeff(w), traj.u[w] and traj.y[w]
+        workloads = load_bench("workloads")
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        code, text = workloads.run_cli(workloads._generate(2, 2, 2, 5, inputs / "inst-0.json"))
+        assert code == 0, text
+        (op,) = workloads.make_ops("export-deep", [5], 2, inputs, tmp_path)
+        run = workloads.run_op(op)
+        outcome = workloads.check(run, 7)
+        assert run.codes == [0, 0, 0]
+        assert outcome.passed, outcome.failures
