@@ -10,7 +10,8 @@ is planted into the BLAS thread-count environment variables first,
 and those are only honored if set before the numerics stack loads.
 
 Exit codes: 0 on success, 1 when verification ran but a check
-failed, 2 for usage, file, schema or infeasibility errors.
+failed, 2 for usage, file, schema or infeasibility errors and for an
+allocation that runs out of memory.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
         _configure_threads()
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,9 +27,12 @@ wordwise compression: keep the base-space rows of every lifted-space
 coefficient.  Its adjoint is the wordwise zero pad.  Running lifted
 stages forward, compressing, and unwinding base stages backward
 computes the depth-truncated compression of the intertwiner exactly;
-the adjoint pipeline never leaves the truncation at all.  Running
-extra stages must not change the truncated result, which
-:func:`stabilization_violation` measures.
+the adjoint pipeline never leaves the truncation at all.  The
+depth-(N-1) spaces are prefixes of the depth-N ones, so the top-left
+block of the depth-N matrix is the depth-(N-1) truncation run with one
+extra stage, which consumes the zero level N.  That extra stage must
+not change the truncated result, which :func:`stabilization_violation`
+measures.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class StageMismatch(ValueError):
 
 
 def stage_forward(
-    t: OperatorTuple, dd: DefectData, g: np.ndarray, x: np.ndarray | None
+    t: OperatorTuple, dd: DefectData, g: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """Apply the next stage unitary: consume one Fock level.
 
@@ -55,18 +58,15 @@ def stage_forward(
     width), and ``x`` Fock level n-1 in defect coordinates, shape
     (d**(n-1), rank, width).  Each coefficient g_u with level value x_u
     splits into the d stage-n coefficients g_{uj} = T_j* g_u + d_j* x_u
-    at index u*d + j-1.  Stages beyond depth+1 pass ``x = None``: an
-    absent level is consumed as zeros, which is consistent with the
-    untruncated space.
+    at index u*d + j-1.
     """
     words, dim, width = g.shape
-    if x is not None and x.shape[0] != words:
+    if x.shape[0] != words:
         raise StageMismatch(f"level of {x.shape[0]} words against {words} coefficients")
     out = np.empty((words, t.d, dim, width), dtype=np.complex128)
     for j in range(1, t.d + 1):
         np.matmul(t.op(j).conj().T, g, out=out[:, j - 1])
-        if x is not None:
-            out[:, j - 1] += dd.coord_component(j).conj().T @ x
+        out[:, j - 1] += dd.coord_component(j).conj().T @ x
     return out.reshape((words * t.d, dim, width))
 
 
@@ -92,19 +92,9 @@ def stage_backward(
     return top, low
 
 
-def apply_intertwiner(
-    instance: LiftingInstance, x: np.ndarray, depth: int, stages: int | None = None
-) -> np.ndarray:
-    """Depth-truncated intertwiner on a flat lifted-dilation column batch.
-
-    ``stages`` defaults to depth+1, the least count that consumes every
-    Fock level; fewer would discard unresolved mass, so that is an error.
-    """
-    if stages is None:
-        stages = depth + 1
-    if stages < depth + 1:
-        raise StageMismatch(f"need at least {depth + 1} stages for depth {depth}")
-    return _pipeline(instance, x, depth, stages, adjoint=False)
+def apply_intertwiner(instance: LiftingInstance, x: np.ndarray, depth: int) -> np.ndarray:
+    """Depth-truncated intertwiner on a flat lifted-dilation column batch."""
+    return _pipeline(instance, x, depth, adjoint=False)
 
 
 def apply_intertwiner_adjoint(
@@ -115,11 +105,11 @@ def apply_intertwiner_adjoint(
     This direction is exact on the truncation: the output never has
     deeper support than the input.
     """
-    return _pipeline(instance, x, depth, depth + 1, adjoint=True)
+    return _pipeline(instance, x, depth, adjoint=True)
 
 
 def _pipeline(
-    instance: LiftingInstance, x: np.ndarray, depth: int, stages: int, adjoint: bool
+    instance: LiftingInstance, x: np.ndarray, depth: int, adjoint: bool
 ) -> np.ndarray:
     """Forward stages of one tuple, compress or pad, backward stages of the other."""
     lifted = (instance.e, instance.defect_e), lift_space(instance, depth)
@@ -129,8 +119,8 @@ def _pipeline(
         raise InnerSpaceMismatch(f"vector has {x.shape[0]} rows, expected {dom.dim}")
     width = x.shape[1]
     g = x[: dom.base_dim].reshape((1, dom.base_dim, width))
-    for n in range(1, stages + 1):
-        g = stage_forward(*first, g, dom.blocks(x, n - 1) if n - 1 <= depth else None)
+    for n in range(1, depth + 2):
+        g = stage_forward(*first, g, dom.blocks(x, n - 1))
     if adjoint:
         padded = np.zeros((g.shape[0], cod.base_dim, width), dtype=np.complex128)
         padded[:, : dom.base_dim] = g
@@ -138,10 +128,9 @@ def _pipeline(
     else:
         g = g[:, : cod.base_dim]
     out = np.zeros((cod.dim, width), dtype=np.complex128)
-    for n in range(stages, 0, -1):
+    for n in range(depth + 1, 0, -1):
         g, low = stage_backward(*second, g)
-        if n - 1 <= depth:
-            cod.blocks(out, n - 1)[...] = low
+        cod.blocks(out, n - 1)[...] = low
     out[: cod.base_dim] = g[0]
     return out
 
@@ -156,20 +145,20 @@ def base_space(instance: LiftingInstance, depth: int) -> GradedSpace:
     return GradedSpace(instance.d, depth, instance.dim_c, instance.rank_c)
 
 
-def intertwiner_matrix(
-    instance: LiftingInstance, depth: int, stages: int | None = None
-) -> np.ndarray:
+def intertwiner_matrix(instance: LiftingInstance, depth: int) -> np.ndarray:
     """Flat matrix of the depth-truncated intertwiner."""
     eye = np.eye(lift_space(instance, depth).dim, dtype=np.complex128)
-    return apply_intertwiner(instance, eye, depth, stages)
+    return apply_intertwiner(instance, eye, depth)
 
 
-def stabilization_violation(plain: np.ndarray, extra: np.ndarray) -> float:
-    """How much extra stages change the truncated intertwiner matrix.
+def stabilization_violation(deep: np.ndarray, flat: np.ndarray) -> float:
+    """How much one extra stage changes the truncated intertwiner matrix.
 
-    ``plain`` and ``extra`` are :func:`intertwiner_matrix` at one depth
-    with the default and with a larger stage count.  Zero in exact
-    arithmetic: content the intertwiner creates beyond the truncation
-    depth never folds back into it.
+    ``deep`` and ``flat`` are :func:`intertwiner_matrix` at depths N and
+    N-1.  The block of ``deep`` on the depth-(N-1) rows and columns is
+    the depth-(N-1) truncation run with N+1 stages instead of N.  Zero
+    in exact arithmetic: content the intertwiner creates beyond the
+    truncation depth never folds back into it.
     """
-    return linalg.operator_norm(plain - extra)
+    rows, cols = flat.shape
+    return linalg.operator_norm(deep[:rows, :cols] - flat)

@@ -111,12 +111,16 @@ class UnitSplit:
         return out
 
     def complement(self) -> np.ndarray:
-        """:func:`complement_onb` of ``m``, decomposing :func:`row_residual`."""
-        live, p = row_residual([self])
-        basis = _projector_range(p)
-        out = np.zeros((live.size, basis.shape[1]), dtype=np.complex128)
-        out[live] = basis
-        return out
+        """:func:`complement_onb` of ``m``: phase-fixed eigenvectors of
+        eigenvalue > 1/2 of the projector :func:`row_residual`, found on
+        the support of its live block."""
+        rows, p = row_residual([self])
+        p = (p + p.conj().T) / 2.0
+        live = _support(p)[0]
+        w, v = np.linalg.eigh(p[np.ix_(live, live)])
+        out = np.zeros((rows.size, v.shape[1]), dtype=np.complex128)
+        out[np.flatnonzero(rows)[live]] = v
+        return _fix_column_phases(out[:, w > 0.5])
 
 
 def unit_split(m: np.ndarray) -> UnitSplit:
@@ -282,21 +286,11 @@ def complement_onb(q: np.ndarray) -> np.ndarray:
     complement is empty and the projector is pure rounding noise,
     where a relative singular-value cutoff would hallucinate columns.
 
-    Only the support block of the projector is decomposed: its zero rows
-    (unit columns of ``q``) are zero columns too and split off exactly.
+    Only the support block of the projector is formed and decomposed:
+    the rows of unit columns of ``q`` are zero rows and split off
+    exactly (see :meth:`UnitSplit.complement`).
     """
-    q = np.asarray(q, dtype=np.complex128)
-    return _projector_range(np.eye(q.shape[0], dtype=np.complex128) - q @ q.conj().T)
-
-
-def _projector_range(p: np.ndarray) -> np.ndarray:
-    """Phase-fixed eigenvectors of eigenvalue > 1/2 of a projector, found on its support."""
-    p = (p + p.conj().T) / 2.0
-    live = _support(p)[0]
-    w, v = np.linalg.eigh(p[np.ix_(live, live)])
-    out = np.zeros((p.shape[0], v.shape[1]), dtype=np.complex128)
-    out[live] = v
-    return _fix_column_phases(out[:, w > 0.5])
+    return unit_split(np.asarray(q, dtype=np.complex128)).complement()
 
 
 def random_isometry(rows: int, cols: int, seed) -> np.ndarray:

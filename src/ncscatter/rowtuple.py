@@ -117,11 +117,6 @@ class DefectData:
     rank: int
     _components: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
-    def component(self, j: int) -> np.ndarray:
-        """(D)_j = D restricted to the j-th slot, ambient (d*n) x n."""
-        n = self.operator.shape[0] // len(self._components)
-        return self.operator[:, (j - 1) * n : j * n]
-
     def coord_component(self, j: int) -> np.ndarray:
         return self._components[j - 1]
 

@@ -111,7 +111,7 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     if not np.all(w > 0.25):
         raise DepthError("shifted corner stack lost injectivity")
     stack[:, live] = block @ ((v / np.sqrt(w)) @ v.conj().T)
-    return linalg.unit_split(stack).complement()
+    return linalg.complement_onb(stack)
 
 
 def verify_complement(

@@ -144,6 +144,17 @@ class TestExports:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_simulate_out_of_memory_is_usage_error(
+        self, inst_file, capsys, monkeypatch
+    ):
+        # a deep seeded signal that cannot be allocated, without allocating it
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate the signal")
+
+        monkeypatch.setattr("ncscatter.transfer.random_series", exhausted)
+        assert main(["simulate", "--input", str(inst_file), "--depth", "40"]) == 2
+        assert "error: Unable to allocate the signal" in capsys.readouterr().err
+
 
 def json_oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"

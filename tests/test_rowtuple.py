@@ -119,7 +119,9 @@ class TestDefect:
             dd = defect(t)
             for i in range(1, d + 1):
                 for j in range(1, d + 1):
-                    lhs = dd.component(i).conj().T @ dd.component(j)
+                    # the basis spans the range of D, so the coordinate
+                    # blocks have the Gram of the ambient blocks D_j
+                    lhs = dd.coord_component(i).conj().T @ dd.coord_component(j)
                     rhs = -t.op(i).conj().T @ t.op(j)
                     if i == j:
                         rhs = rhs + np.eye(n)

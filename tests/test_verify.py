@@ -12,6 +12,7 @@ import pytest
 
 from ncscatter import charfn, lifting, scattering, serialize, transfer, verify
 from ncscatter.dilation import Dilation
+from ncscatter.intertwiner import base_space, lift_space
 from ncscatter.verify import CheckResult, all_passed, render_report, run_all_checks
 
 EXPECTED_ORDER = [
@@ -120,12 +121,12 @@ class TestSharedBuilds:
             ],
         )
         assert all_passed(run_all_checks(plain_instance, 3))
-        # W at depth, at depth - 1 and with one extra stage; charfn_restriction
-        # runs its probe columns through the stage pipeline instead of a
-        # fourth build; the second star frame is the shallower one behind
-        # the translates
+        # W at depth and at depth - 1, shared by the intertwining and
+        # stabilization rows; charfn_restriction runs its probe columns
+        # through the stage pipeline instead of a third build; the second
+        # star frame is the shallower one behind the translates
         assert counts == {
-            "intertwiner_matrix": 3,
+            "intertwiner_matrix": 2,
             "build_colligation": 1,
             "transfer_series": 1,
             "charfn_series": 1,
@@ -180,15 +181,30 @@ class TestMutations:
     def test_one_entry_of_the_shallow_intertwiner(self, monkeypatch, plain_instance):
         original = verify.intertwiner_matrix
 
-        def perturbed(instance, depth, stages=None):
-            w = original(instance, depth, stages)
+        def perturbed(instance, depth):
+            w = original(instance, depth)
             if depth == 2:
-                # W at depth - 1 is read by the intertwining rows only
+                # W at depth - 1 is read by the intertwining and
+                # stabilization rows only
                 w[-1, -1] += 1e-6
             return w
 
         monkeypatch.setattr(verify, "intertwiner_matrix", perturbed)
-        assert self.failing(plain_instance) == {"intertwining"}
+        assert self.failing(plain_instance) == {"intertwining", "intertwiner_stabilization"}
+
+    def test_deep_intertwiner_inside_the_shallow_block(self, monkeypatch, plain_instance):
+        original = verify.intertwiner_matrix
+
+        def perturbed(instance, depth):
+            w = original(instance, depth)
+            if depth == 3:
+                # the last entry of the block that the depth-2 truncation shares
+                rows, cols = base_space(instance, 2).dim, lift_space(instance, 2).dim
+                w[rows - 1, cols - 1] += 1e-6
+            return w
+
+        monkeypatch.setattr(verify, "intertwiner_matrix", perturbed)
+        assert "intertwiner_stabilization" in self.failing(plain_instance)
 
     def test_corner_entry_of_a_fock_column(self, monkeypatch, plain_instance):
         # only the complement sees this dilation matrix: a unit column of
