@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .intertwiner import apply_intertwiner, base_space, lift_space
 from .lifting import LiftingInstance
-from .transfer import NCSeries, series_multiply
+from .transfer import NCSeries, require_words, series_multiply
 from .words import level_start, prepend_levels, reversal
 
 
@@ -64,6 +64,7 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
     Every level is filled with batched products over its words.
     """
     d, nc, na, ne = instance.d, instance.dim_c, instance.dim_a, instance.dim_e
+    require_words(d, depth)
     gs = instance.gamma @ (instance.dstar_basis.conj().T @ instance.dstar)
     adj = _suffix_adjoints(instance, depth)
     neg = [-gs @ level for level in adj]

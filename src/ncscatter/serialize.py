@@ -11,10 +11,15 @@ refused.
 
 :func:`dump_text` renders exactly the bytes of ``json.dumps(obj,
 indent=2, sort_keys=True, allow_nan=False) + "\n"`` (keys must be
-strings).  It writes the lists this module builds from templates:
-``[re, im]`` pairs, words, and ``{"word", "matrix"}`` entries whose
-matrices share one shape.  Each list is type-checked in full first;
-anything else goes through one generic recursive writer.
+strings), with each :class:`NCSeries` value standing for its
+graded-lex list of ``{"word", "matrix"}`` entries; the trees of
+:func:`series_to_json` and :func:`trajectory_to_json` hold the series
+themselves.  A series is written straight from its coefficient stack:
+one ``tolist`` of the float view, ``float.__repr__`` per value,
+separators fixed by the indent level, and word texts built level by
+level.  Lists of ``[re, im]`` float pairs share those separators;
+anything else goes through one generic recursive writer.  The pieces
+are joined once per document.
 
 An instance file stores only the three defining blocks (and the
 generator seed when there is one); defect operators, bases and the
@@ -36,7 +41,7 @@ from .lifting import LiftingInstance, assemble
 from .ncsystem import Trajectory
 from .rowtuple import OperatorTuple
 from .transfer import NCSeries
-from .words import Word, enumerate_words, level_start, position
+from .words import Word, level_start, position
 
 SCHEMA_VERSION = 1
 
@@ -164,24 +169,6 @@ def instance_from_json(
     )
 
 
-def _entries_to_json(series: NCSeries) -> list:
-    """``{"word", "matrix"}`` entries of every word, in graded-lex order.
-
-    The coefficients are checked and converted as one stack, with the
-    errors of :func:`matrix_to_json`.
-    """
-    stack = np.asarray(series.coeffs, dtype=np.complex128)
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    words, rows, cols = stack.shape
-    flat = np.ascontiguousarray(stack).reshape(words, rows * cols).view(np.float64)
-    datas = flat.reshape(words, rows * cols, 2).tolist()
-    return [
-        {"word": list(w), "matrix": {"rows": rows, "cols": cols, "data": data}}
-        for w, data in zip(enumerate_words(series.d, series.depth), datas)
-    ]
-
-
 def _entries_from_json(
     obj, key: str, d: int, depth: int, shape: tuple[int, int] | None, where: str
 ) -> NCSeries:
@@ -223,7 +210,7 @@ def series_to_json(series: NCSeries) -> dict:
         "outDim": series.out_dim,
         "inDim": series.in_dim,
         "depth": series.depth,
-        "coeffs": _entries_to_json(series),
+        "coeffs": series,
     }
 
 
@@ -237,9 +224,9 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     return {
         "schemaVersion": SCHEMA_VERSION,
         "depth": traj.depth,
-        "input": _entries_to_json(traj.u),
-        "state": _entries_to_json(traj.x),
-        "output": _entries_to_json(traj.y),
+        "input": traj.u,
+        "state": traj.x,
+        "output": traj.y,
     }
 
 
@@ -280,29 +267,11 @@ def _reject_constant(name: str):
 
 
 class _NonFinite(Exception):
-    """A non-finite float met while rendering; located afterwards."""
-
-
-_ENTRY_KEYS = {"word", "matrix"}
-_MATRIX_KEYS = {"rows", "cols", "data"}
+    """A non-finite float met while writing; located afterwards."""
 
 
 def _nl(level: int) -> str:
     return "\n" + "  " * level
-
-
-def _floats(flat: list) -> list[str]:
-    if not all(map(isfinite, flat)):
-        raise _NonFinite
-    return list(map(float.__repr__, flat))
-
-
-def _pair_template(level: int, count: int) -> str:
-    """A ``count``-pair list at ``level`` with one ``%s`` per float."""
-    if not count:
-        return "[]"
-    pair = _nl(level + 1) + "[" + _nl(level + 2) + "%s," + _nl(level + 2) + "%s"
-    return "[" + ",".join([pair + _nl(level + 1) + "]"] * count) + _nl(level) + "]"
 
 
 def _is_pairs(rows: list) -> list | None:
@@ -313,105 +282,114 @@ def _is_pairs(rows: list) -> list | None:
     return flat if set(map(type, flat)) == {float} else None
 
 
-def _is_ints(seq: list) -> bool:
-    return set(map(type, seq)) <= {int}
+def _write_pairs(flat: list, level: int, gaps: list[str], out: list) -> None:
+    """``len(gaps)`` lists of ``[re, im]`` pairs at ``level``, splitting
+    the finite floats ``flat`` evenly; gap k is written between list k
+    and list k+1, and the last gap after the final list."""
+    nl1, nl2 = _nl(level + 1), _nl(level + 2)
+    opening = "[" + nl1 + "[" + nl2
+    closing = nl1 + "]" + _nl(level) + "]"
+    step = 2 * len(flat) // len(gaps)
+    out.append(opening)
+    start = len(out)
+    out += ["", "," + nl2, "", nl1 + "]," + nl1 + "[" + nl2] * (len(flat) // 2)
+    out[start::2] = map(float.__repr__, flat)
+    out[start + step - 1 :: step] = [closing + gap + opening for gap in gaps]
+    out[-1] = closing + gaps[-1]
 
 
-def _render_ints(seq: list, level: int) -> str:
+def _word_texts(d: int, depth: int, level: int) -> list[str]:
+    """Every word up to ``depth`` as written at ``level``, in graded-lex
+    order: level m+1 appends each letter to each word of level m."""
+    letters = [str(j) for j in range(1, d + 1)]
+    sep, close = "," + _nl(level + 1), _nl(level) + "]"
+    texts, heads, glue = ["[]"], ["[" + _nl(level + 1)], ""
+    for _ in range(depth):
+        heads = [h + glue + j for h in heads for j in letters]
+        texts += [h + close for h in heads]
+        glue = sep
+    return texts
+
+
+def _write_series(series: NCSeries, level: int, out: list) -> None:
+    """The graded-lex ``{"word", "matrix"}`` entry list of ``series``."""
+    stack = np.ascontiguousarray(series.coeffs, dtype=np.complex128)
+    if not np.isfinite(stack).all():
+        raise _NonFinite
+    _, rows, cols = stack.shape
+    nl1, nl2, nl3 = _nl(level + 1), _nl(level + 2), _nl(level + 3)
+    head = nl1 + "{" + nl2 + '"matrix": {' + nl3 + f'"cols": {cols},' + nl3 + '"data": '
+    mid = "," + nl3 + f'"rows": {rows}' + nl2 + "}," + nl2 + '"word": '
+    tails = [mid + w + nl1 + "}" for w in _word_texts(series.d, series.depth, level + 2)]
+    out.append("[" + head)
+    if not rows * cols:
+        out.append(("," + head).join(["[]" + t for t in tails]) + _nl(level) + "]")
+        return
+    gaps = [t + "," + head for t in tails]
+    gaps[-1] = tails[-1] + _nl(level) + "]"
+    _write_pairs(stack.reshape(-1).view(np.float64).tolist(), level + 3, gaps, out)
+
+
+def _write_list(seq, level: int, out: list) -> None:
     if not seq:
-        return "[]"
+        out.append("[]")
+        return
+    flat = _is_pairs(seq) if type(seq) is list and type(seq[0]) is list else None
+    if flat is not None:
+        if not all(map(isfinite, flat)):
+            raise _NonFinite
+        _write_pairs(flat, level, [""], out)
+        return
     sep = "," + _nl(level + 1)
-    return "[" + _nl(level + 1) + sep.join(map(int.__repr__, seq)) + _nl(level) + "]"
+    for k, v in enumerate(seq):
+        out.append(sep if k else "[" + sep[1:])
+        _write(v, level + 1, out)
+    out.append(_nl(level) + "]")
 
 
-def _render_entries(entries: list, level: int) -> str | None:
-    """A list of same-shape ``{"word", "matrix"}`` entries, else None."""
-    if set(map(type, entries)) != {dict} or any(e.keys() != _ENTRY_KEYS for e in entries):
-        return None
-    mats = [e["matrix"] for e in entries]
-    if set(map(type, mats)) != {dict} or any(m.keys() != _MATRIX_KEYS for m in mats):
-        return None
-    rows = [m["rows"] for m in mats]
-    cols = [m["cols"] for m in mats]
-    if set(map(type, rows + cols)) != {int} or len(set(rows)) != 1 or len(set(cols)) != 1:
-        return None
-    datas = [m["data"] for m in mats]
-    if set(map(type, datas)) != {list} or len(set(map(len, datas))) != 1:
-        return None
-    size = len(datas[0])
-    flat = _is_pairs(list(chain.from_iterable(datas))) if size else []
-    words = [e["word"] for e in entries]
-    if flat is None or set(map(type, words)) != {list}:
-        return None
-    if not _is_ints(list(chain.from_iterable(words))):
-        return None
-    inner = _nl(level + 3)
-    entry = (
-        _nl(level + 1) + "{" + _nl(level + 2) + '"matrix": {'
-        + inner + f'"cols": {cols[0]},' + inner + '"data": '
-        + _pair_template(level + 3, size)
-        + "," + inner + f'"rows": {rows[0]}' + _nl(level + 2) + "},"
-        + _nl(level + 2) + '"word": %s' + _nl(level + 1) + "}"
-    )
-    reprs = _floats(flat)
-    step = 2 * size
-    values = []
-    for k, w in enumerate(words):
-        values += reprs[k * step : (k + 1) * step]
-        values.append(_render_ints(w, level + 2))
-    return "[" + ",".join([entry] * len(entries)) % tuple(values) + _nl(level) + "]"
-
-
-def _render_list(seq, level: int) -> str:
-    if not seq:
-        return "[]"
-    if type(seq) is list:
-        head = type(seq[0])
-        if head is int and _is_ints(seq):
-            return _render_ints(seq, level)
-        if head is list:
-            flat = _is_pairs(seq)
-            if flat is not None:
-                return _pair_template(level, len(seq)) % tuple(_floats(flat))
-        if head is dict and seq[0].keys() == _ENTRY_KEYS:
-            text = _render_entries(seq, level)
-            if text is not None:
-                return text
-    sep = "," + _nl(level + 1)
-    body = sep.join([_render(v, level + 1) for v in seq])
-    return "[" + _nl(level + 1) + body + _nl(level) + "]"
-
-
-def _render(obj, level: int) -> str:
+def _write(obj, level: int, out: list) -> None:
     if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
         if not isfinite(obj):
             raise _NonFinite
-        return float.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        return _render_list(obj, level)
-    if isinstance(obj, dict):
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, NCSeries):
+        _write_series(obj, level, out)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, level, out)
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         sep = "," + _nl(level + 1)
-        body = sep.join([_quote(k) + ": " + _render(obj[k], level + 1) for k in sorted(obj)])
-        return "{" + _nl(level + 1) + body + _nl(level) + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        for k, key in enumerate(sorted(obj)):
+            out.append((sep if k else "{" + sep[1:]) + _quote(key) + ": ")
+            _write(obj[key], level + 1, out)
+        out.append(_nl(level) + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _nonfinite_path(obj, path: str = "") -> str | None:
-    """JSON path of the first non-finite float in rendering order."""
+    """JSON path of the first non-finite float in writing order."""
     if isinstance(obj, float):
         return None if isfinite(obj) else path
+    if isinstance(obj, NCSeries):
+        stack = np.ascontiguousarray(obj.coeffs, dtype=np.complex128)
+        bad = np.flatnonzero(~np.isfinite(stack.reshape(-1).view(np.float64)))
+        if not len(bad):
+            return None
+        k, at = divmod(int(bad[0]), 2 * obj.out_dim * obj.in_dim)
+        return f"{path}[{k}].matrix.data[{at // 2}][{at % 2}]"
     if isinstance(obj, dict):
         items = [(f"{path}.{k}" if path else k, obj[k]) for k in sorted(obj)]
     elif isinstance(obj, (list, tuple)):
@@ -427,13 +405,16 @@ def _nonfinite_path(obj, path: str = "") -> str | None:
 
 def dump_text(obj) -> str:
     """Deterministic rendering: sorted keys, two-space indent, newline."""
+    out = []
     try:
-        return _render(obj, 0) + "\n"
+        _write(obj, 0, out)
     except _NonFinite:
         path = _nonfinite_path(obj)
         raise SchemaError(
             f"non-finite number at {path or 'the top level'} is not allowed"
         ) from None
+    out.append("\n")
+    return "".join(out)
 
 
 def load_text(text: str):

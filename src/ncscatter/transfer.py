@@ -140,6 +140,12 @@ def transfer_coefficient(coll: Colligation, word: Word) -> np.ndarray:
     return coll.output_map @ s
 
 
+def require_words(d: int, depth: int) -> None:
+    """DimMismatch unless some word over d letters has length <= depth."""
+    if d < 1 or depth < 0:
+        raise DimMismatch(f"no words over {d} letters up to depth {depth}")
+
+
 @dataclass(frozen=True, eq=False)
 class NCSeries(Mapping):
     """Word-indexed matrix series over d letters, truncated at ``depth``.
@@ -156,8 +162,7 @@ class NCSeries(Mapping):
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1 or self.depth < 0:
-            raise DimMismatch(f"no words over {self.d} letters up to depth {self.depth}")
+        require_words(self.d, self.depth)
         words = level_start(self.d, self.depth + 1)
         if self.coeffs.ndim != 3 or len(self.coeffs) != words:
             raise DimMismatch(

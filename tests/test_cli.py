@@ -5,12 +5,12 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import ncscatter
 from ncscatter import serialize
 from ncscatter.cli import _configure_threads, main
+from test_serialize import json_oracle, oracle_entries, oracle_matrix
 
 
 def run_cli(*argv, capsys=None):
@@ -155,23 +155,12 @@ class TestExports:
         assert main(["simulate", "--input", str(inst_file), "--depth", "40"]) == 2
         assert "error: Unable to allocate the signal" in capsys.readouterr().err
 
-
-def json_oracle(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def oracle_matrix(m) -> dict:
-    """The per-entry matrix rendering that predates the direct writer."""
-    m = np.asarray(m, dtype=np.complex128)
-    data = [[float(z.real), float(z.imag)] for z in m.ravel()]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
-
-
-def oracle_entries(values) -> list:
-    return [
-        {"word": list(w), "matrix": oracle_matrix(values[w])}
-        for w in sorted(values, key=lambda w: (len(w), w))
-    ]
+    @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
+    def test_negative_depth_is_usage_error(self, inst_file, capsys, cmd):
+        assert main([cmd, "--input", str(inst_file), "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no words over 2 letters up to depth -1\n"
 
 
 def oracle_texts(inst_path, depth, verify) -> dict:

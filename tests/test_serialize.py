@@ -4,17 +4,24 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ncscatter import lifting, serialize
 from ncscatter.cli import main
 from ncscatter.ncsystem import Trajectory, simulate
-from ncscatter.transfer import build_colligation, random_series, transfer_series
+from ncscatter.transfer import NCSeries, build_colligation, random_series, transfer_series
+from ncscatter.words import level_start
 
 
 def label(obj):
     return serialize.dump_text(obj)
+
+
+def through_text(obj):
+    """The parsed JSON of a file written from ``obj``."""
+    return serialize.load_text(serialize.dump_text(obj))
 
 
 class TestMatrix:
@@ -68,12 +75,12 @@ class TestMatrix:
         pairs = {"data": [[0.0, 1.0], [float("nan"), 2.0]]}
         with pytest.raises(serialize.SchemaError, match=r"at data\[1\]\[0\] is"):
             serialize.dump_text(pairs)
-        obj = serialize.series_to_json(random_series(2, 1, 2, 2, seed=1))
-        obj["coeffs"][5]["matrix"]["data"][1][1] = float("-inf")
+        series = random_series(2, 1, 2, 2, seed=1)
+        series.coeffs.view(np.float64)[5, 1, 1] = float("-inf")
         with pytest.raises(
             serialize.SchemaError, match=r"at coeffs\[5\]\.matrix\.data\[1\]\[1\] is"
         ):
-            serialize.dump_text(obj)
+            serialize.dump_text(serialize.series_to_json(series))
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -209,7 +216,7 @@ class TestInstance:
 class TestSeries:
     def test_roundtrip(self, plain_instance):
         theta = transfer_series(build_colligation(plain_instance), 3)
-        obj = serialize.series_to_json(theta)
+        obj = through_text(serialize.series_to_json(theta))
         back = serialize.series_from_json(obj, plain_instance.d)
         assert back.depth == theta.depth
         assert list(back) == list(theta)
@@ -217,7 +224,8 @@ class TestSeries:
 
     def test_words_sorted_graded_lex(self, plain_instance):
         theta = transfer_series(build_colligation(plain_instance), 2)
-        words = [tuple(e["word"]) for e in serialize.series_to_json(theta)["coeffs"]]
+        obj = through_text(serialize.series_to_json(theta))
+        words = [tuple(e["word"]) for e in obj["coeffs"]]
         assert words == sorted(words, key=lambda w: (len(w), w))
         assert len(words) == 1 + 2 + 4
 
@@ -227,7 +235,7 @@ class TestSeries:
         inst_path = tmp_path / "inst.json"
         serialize.save(inst_path, serialize.instance_to_json(plain_instance))
         signal = random_series(plain_instance.rank_e, 1, 2, 2, seed=4)
-        dense = serialize.series_to_json(signal)
+        dense = through_text(serialize.series_to_json(signal))
         for entry in dense["coeffs"][::2]:
             m = entry["matrix"]
             m["data"] = [[0.0, 0.0]] * len(m["data"])
@@ -256,7 +264,7 @@ class TestSeries:
         ],
     )
     def test_malformed_rejected(self, mutate):
-        obj = serialize.series_to_json(random_series(2, 1, 2, 2, seed=1))
+        obj = through_text(serialize.series_to_json(random_series(2, 1, 2, 2, seed=1)))
         mutate(obj)
         with pytest.raises(serialize.SchemaError):
             serialize.series_from_json(obj, 2)
@@ -278,7 +286,7 @@ class TestTrajectory:
     def test_roundtrip(self, plain_instance):
         coll = build_colligation(plain_instance)
         traj = simulate(coll, random_series(coll.in_dim, 1, coll.d, 2, seed=8))
-        obj = serialize.trajectory_to_json(traj)
+        obj = through_text(serialize.trajectory_to_json(traj))
         back = serialize.trajectory_from_json(obj, plain_instance.d)
         assert isinstance(back, Trajectory)
         assert back.depth == traj.depth
@@ -301,7 +309,7 @@ class TestTrajectory:
     def test_malformed_rejected(self, plain_instance, mutate):
         coll = build_colligation(plain_instance)
         traj = simulate(coll, random_series(coll.in_dim, 1, coll.d, 2, seed=8))
-        obj = serialize.trajectory_to_json(traj)
+        obj = through_text(serialize.trajectory_to_json(traj))
         mutate(obj)
         with pytest.raises(serialize.SchemaError):
             serialize.trajectory_from_json(obj, plain_instance.d)
@@ -344,6 +352,26 @@ class TestFiles:
 
 def json_oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def oracle_matrix(m) -> dict:
+    """A matrix as a tree, entry by entry."""
+    m = np.asarray(m, dtype=np.complex128)
+    data = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
+def oracle_entries(series) -> list:
+    """A series as the ``{"word", "matrix"}`` tree of every word, word by word."""
+    return [
+        {"word": list(w), "matrix": oracle_matrix(series[w])}
+        for w in sorted(series, key=lambda w: (len(w), w))
+    ]
+
+
+def oracle_tree(obj):
+    """``obj`` with every series value replaced by its entry tree."""
+    return {k: oracle_entries(v) if isinstance(v, NCSeries) else v for k, v in obj.items()}
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -434,10 +462,90 @@ class TestWriter:
             serialize.series_to_json(transfer_series(coll, 3)),
             serialize.trajectory_to_json(traj),
         ):
-            assert serialize.dump_text(obj) == json_oracle(obj)
+            assert serialize.dump_text(obj) == json_oracle(oracle_tree(obj))
 
     def test_unsupported_values(self):
         with pytest.raises(TypeError):
             serialize.dump_text({"x": object()})
         with pytest.raises(TypeError):
             serialize.dump_text({1: 2})
+
+
+SPECIAL = [-0.0, 0.0, 1e16, 1e-5, 5e-324, -1.5]
+STACK_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+
+
+@st.composite
+def series(draw, d=None, depth=None, cols=None):
+    """A series of any shape up to d = 3, depth 3 and 2 x 2 coefficients,
+    0-row and 0-column ones included."""
+    d = draw(st.integers(1, 3)) if d is None else d
+    depth = draw(st.integers(0, 3)) if depth is None else depth
+    rows = draw(st.integers(0, 2))
+    cols = draw(st.integers(0, 2)) if cols is None else cols
+    shape = (level_start(d, depth + 1), rows, cols, 2)
+    parts = draw(arrays(np.float64, shape, elements=STACK_VALUES))
+    return NCSeries(d, depth, parts.view(np.complex128)[..., 0])
+
+
+@st.composite
+def trajectories(draw):
+    d, depth = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return Trajectory(*(draw(series(d, depth, cols=1)) for _ in range(3)))
+
+
+def plant(values: NCSeries, where: int, value: float) -> str:
+    """Put ``value`` at float ``where`` of the stack (modulo its size);
+    the JSON path of that float below the series key."""
+    flat = values.coeffs.reshape(-1).view(np.float64)
+    where %= len(flat)
+    flat[where] = value
+    k, at = divmod(where, 2 * values.out_dim * values.in_dim)
+    return f"[{k}].matrix.data[{at // 2}][{at % 2}]"
+
+
+class TestSeriesWriter:
+    """Series written from the stack against ``json.dumps`` of the per-word tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=series())
+    def test_series_match_the_tree(self, values):
+        obj = serialize.series_to_json(values)
+        assert serialize.dump_text(obj) == json_oracle(oracle_tree(obj))
+
+    @settings(max_examples=100, deadline=None)
+    @given(traj=trajectories())
+    def test_trajectories_match_the_tree(self, traj):
+        obj = serialize.trajectory_to_json(traj)
+        assert serialize.dump_text(obj) == json_oracle(oracle_tree(obj))
+
+    def test_special_values(self):
+        # every special value as a real and as an imaginary part
+        parts = np.array([[re, im] for re in SPECIAL for im in SPECIAL])
+        values = NCSeries(2, 1, parts.view(np.complex128).reshape(3, 12, 1))
+        obj = serialize.series_to_json(values)
+        assert serialize.dump_text(obj) == json_oracle(oracle_tree(obj))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        key=st.sampled_from(["coeffs", "input", "state", "output"]),
+        value=st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+        where=st.integers(0, 10**6),
+    )
+    def test_nonfinite_named_at_its_path(self, data, key, value, where):
+        if key == "coeffs":
+            values = data.draw(series())
+            obj = serialize.series_to_json(values)
+        else:
+            traj = data.draw(trajectories())
+            obj = serialize.trajectory_to_json(traj)
+            values = {"input": traj.u, "state": traj.x, "output": traj.y}[key]
+        assume(values.out_dim * values.in_dim)
+        message = f"non-finite number at {key}{plant(values, where, value)} is not allowed"
+        with pytest.raises(serialize.SchemaError) as got:
+            serialize.dump_text(obj)
+        assert str(got.value) == message
+        with pytest.raises(serialize.SchemaError) as tree:
+            serialize.dump_text(oracle_tree(obj))
+        assert str(tree.value) == message
