@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Compare the verify rows of two source trees over a fixed instance grid.
+
+Each tree runs the whole grid in its own subprocess, importing
+``ncscatter`` from the ``src`` directory given for it:
+
+    python3 scripts/compare_checks.py --base ../parent/src --change src
+
+The full grid has 1416 rows: d = 2 dims (2,2) seeds 1-3 at depth 7, the
+seven sweep shapes x seeds 0-9 at depth 3, and (3,2,2) seed 1 at depth
+4.  For each check the script prints the rows whose verdict changed, the
+largest upward and downward move of the violation, and the worst value
+on each side.  It exits 1 on any change of verdict, error, check name or
+threshold, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
+# (shape (d, dimC, dimA), seeds, depth)
+GRIDS = {
+    "full": [
+        ((2, 2, 2), range(1, 4), 7),
+        *((shape, range(10), 3) for shape in SWEEP_SHAPES),
+        ((3, 2, 2), [1], 4),
+    ],
+    "smoke": [((2, 2, 1), [0], 1), ((2, 2, 0), [1], 2)],
+}
+
+
+def emit_rows(grid: str) -> None:
+    """Print the imported tree's location and one JSON row per verify row of the grid."""
+    import ncscatter
+    from ncscatter.lifting import generate
+    from ncscatter.verify import run_all_checks
+
+    rows = []
+    for shape, seeds, depth in GRIDS[grid]:
+        for seed in seeds:
+            for res in run_all_checks(generate(*shape, seed=seed), depth):
+                rows.append({
+                    "instance": f"{shape} seed {seed} depth {depth}",
+                    "check": res.name,
+                    "value": res.max_violation,
+                    "threshold": res.threshold,
+                    "passed": res.passed,
+                    "error": res.error,
+                })  # fmt: skip
+    json.dump({"source": ncscatter.__file__, "rows": rows}, sys.stdout)
+
+
+def run_tree(src: str, grid: str) -> list[dict]:
+    """The grid's rows as computed by the tree under ``src``, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--rows", grid],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: grid run failed\n{proc.stderr}")
+    out = json.loads(proc.stdout)
+    if Path(src).resolve() not in Path(out["source"]).resolve().parents:
+        raise SystemExit(f"{src}: ncscatter was imported from {out['source']}")
+    return out["rows"]
+
+
+def _worst(values: list[float]) -> float:
+    return max(values, key=lambda v: math.inf if math.isnan(v) else v)
+
+
+def compare(base: list[dict], change: list[dict]) -> tuple[list[str], bool]:
+    """Report lines and whether the two row lists differ in anything but values."""
+    def keys(rows):
+        return [(r["instance"], r["check"]) for r in rows]
+
+    if keys(base) != keys(change):
+        names = sorted({r["check"] for r in base} ^ {r["check"] for r in change})
+        return [f"check rows differ: {len(base)} vs {len(change)} rows, names {names}"], True
+    checks: dict[str, dict] = {}
+    for b, c in zip(base, change):
+        row = checks.setdefault(b["check"], {"rows": 0, "verdicts": [], "other": [], "up": None,
+                                             "down": None, "base": [], "change": []})  # fmt: skip
+        row["rows"] += 1
+        row["base"].append(b["value"])
+        row["change"].append(c["value"])
+        if b["passed"] != c["passed"]:
+            row["verdicts"].append(b["instance"])
+        for key in ("error", "threshold"):
+            if b[key] != c[key]:
+                row["other"].append(f"{key} at {b['instance']}: {b[key]!r} -> {c[key]!r}")
+        move = c["value"] - b["value"]
+        if math.isfinite(move):
+            if move > 0 and (row["up"] is None or move > row["up"][0]):
+                row["up"] = (move, b["instance"])
+            if move < 0 and (row["down"] is None or move < row["down"][0]):
+                row["down"] = (move, b["instance"])
+
+    def moved(pair):
+        return "0" if pair is None else f"{pair[0]:+.2e} ({pair[1]})"
+
+    lines = []
+    differs = False
+    for name, row in checks.items():
+        worst_base, worst_change = _worst(row["base"]), _worst(row["change"])
+        larger = " LARGER" if worst_change > worst_base else ""
+        lines.append(
+            f"{name}: {row['rows']} rows, {len(row['verdicts'])} verdict changes; "
+            f"up {moved(row['up'])}; down {moved(row['down'])}; "
+            f"worst {worst_base:.3e} -> {worst_change:.3e}{larger}"
+        )
+        lines += [f"  verdict changed at {inst}" for inst in row["verdicts"]]
+        lines += [f"  {text}" for text in row["other"]]
+        differs = differs or bool(row["verdicts"] or row["other"])
+    same = "same verdicts, errors, names and thresholds"
+    lines.append(f"{len(base)} rows: {'DIFFERENT' if differs else same}")
+    return lines, differs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", help="src directory of the base tree")
+    parser.add_argument("--change", help="src directory of the changed tree")
+    parser.add_argument("--grid", choices=sorted(GRIDS), default="full")
+    parser.add_argument("--rows", choices=sorted(GRIDS), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.rows:
+        emit_rows(args.rows)
+        return 0
+    if not (args.base and args.change):
+        parser.error("--base and --change are required")
+    lines, differs = compare(run_tree(args.base, args.grid), run_tree(args.change, args.grid))
+    print("\n".join(lines))
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

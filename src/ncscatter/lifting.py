@@ -307,7 +307,7 @@ def generate(
     raw = rng.standard_normal((dim_a, d * dim_a)) + 1j * rng.standard_normal(
         (dim_a, d * dim_a)
     )
-    norm = linalg.operator_norm(raw)
+    norm = np.linalg.norm(raw, 2)
     a_row = raw * (a_scale / norm) if a_scale > 0 and norm > 0 else np.zeros_like(raw)
     a = OperatorTuple(
         tuple(a_row[:, j * dim_a : (j + 1) * dim_a] for j in range(d))

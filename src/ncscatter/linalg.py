@@ -13,6 +13,21 @@ unless stated otherwise.
 
 The spectral kernels decompose only the rows and columns holding a
 nonzero entry: the others add nothing to any spectrum, so this is exact.
+The norm kernels cut further, each step exact:
+
+* :func:`operator_norm` decomposes the tall orientation of its support
+  block (``||M|| = ||M^T||``), which LAPACK's divide and conquer SVD
+  takes faster than the wide one;
+* :func:`hermitian_norm` reads the norm of a bit-exactly Hermitian
+  matrix off its eigenvalues and sends any other input to the SVD;
+* :func:`stack_norm` skips the matrices of a stack that are exactly
+  zero;
+* :func:`fold_rows` replaces each class of rows sharing one column
+  support by the triangular factor of their block, which keeps ``M* M``
+  and so the norm.  Its one caller is the star direction of the
+  intertwining check, where almost every row lies on the same few
+  base-space columns.
+
 Products with a matrix whose columns are mostly exact standard unit
 vectors go through :func:`unit_split`, which reads those columns off the
 matrix and turns their share of a product into copies.
@@ -58,20 +73,77 @@ def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nonzero.any(axis=1), nonzero.any(axis=0)
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value (0.0 if none), taken after the exact drop of
-    zero rows and columns; with none dropped it is ``np.linalg.norm(m, 2)``."""
+def _support_block(m: np.ndarray) -> np.ndarray:
+    """``m`` on its support: the rows and columns holding an entry != 0."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
     rows, cols = _support(m)
-    block = m if rows.all() and cols.all() else m[np.ix_(rows, cols)]
+    return m if rows.all() and cols.all() else m[np.ix_(rows, cols)]
+
+
+def operator_norm(m: np.ndarray) -> float:
+    """Largest singular value (0.0 if none), taken after the exact drop of
+    zero rows and columns, of the block or its transpose, whichever is
+    tall; with none dropped it is ``np.linalg.norm`` of that orientation."""
+    block = _support_block(m)
+    if block.shape[0] < block.shape[1]:
+        block = block.T
     return float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
 
 
+def hermitian_norm(m: np.ndarray) -> float:
+    """:func:`operator_norm` of a Hermitian matrix, as its largest ``|eigenvalue|``.
+
+    Only an input equal to its adjoint bit for bit takes the eigenvalue
+    path, on its support block; anything else, NaN included, goes
+    through :func:`operator_norm`.
+    """
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.array_equal(m, m.conj().T):
+        return operator_norm(m)
+    block = _support_block(m)
+    return float(np.abs(np.linalg.eigvalsh(block)).max()) if block.size else 0.0
+
+
 def stack_norm(stack: np.ndarray) -> float:
-    """Largest spectral norm among the matrices of a (k, rows, cols) stack, 0.0 if none."""
+    """Largest spectral norm among the matrices of a (k, rows, cols) stack,
+    0.0 if none; matrices that are exactly zero are skipped."""
+    live = (stack != 0).any(axis=(1, 2))
+    if not live.all():
+        stack = stack[live]
     return float(np.linalg.svd(stack, compute_uv=False).max()) if stack.size else 0.0
+
+
+def fold_rows(m: np.ndarray) -> np.ndarray:
+    """A matrix with the same ``M* M`` as ``m``, so the same singular values.
+
+    Rows holding an entry != 0 (NaN and inf count) in the same columns
+    form one class.  A class with more rows than columns is replaced by
+    the triangular factor ``R`` of its block, as ``M_S* M_S = R* R``; the
+    rows of the other classes are kept, and zero rows are dropped.
+    """
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
+    if not m.size:
+        return m[:0]
+    nonzero = m != 0
+    bits = np.packbits(nonzero, axis=1)
+    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    _, first, classes, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    width = np.count_nonzero(nonzero[first], axis=1)
+    folded = counts > width
+    blocks = [m[~folded[classes]]]
+    for k in np.flatnonzero(folded & (width > 0)):
+        cols = np.flatnonzero(nonzero[first[k]])
+        r = np.linalg.qr(m[np.ix_(classes == k, cols)], mode="r")
+        block = np.zeros((r.shape[0], m.shape[1]), dtype=r.dtype)
+        block[:, cols] = r
+        blocks.append(block)
+    return np.vstack(blocks)
 
 
 @dataclass(frozen=True, eq=False)

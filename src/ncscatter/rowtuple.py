@@ -1,9 +1,8 @@
 """Tuples of operators viewed as a single row operator.
 
 A d-tuple (T_1, ..., T_d) of n x n matrices acts as the row
-[T_1 ... T_d] from the d-fold direct sum of C^n to C^n.  The row
-being a contraction, a coisometry or a row isometry is what the
-classifier reports.  The defect operator
+[T_1 ... T_d] from the d-fold direct sum of C^n to C^n.  The defect
+operator of a row contraction
 
     D = (I - row* row)^(1/2)
 
@@ -70,33 +69,12 @@ class OperatorTuple:
         return out
 
 
-@dataclass(frozen=True)
-class TupleKind:
-    contraction: bool
-    coisometric: bool
-    row_isometry: bool
-
-
-def classify(t: OperatorTuple, tol: float = TOL_EQ) -> TupleKind:
-    """Check the three row properties of the tuple within ``tol``."""
+def is_contraction(t: OperatorTuple, tol: float = TOL_EQ) -> bool:
+    """Whether the row norm is at most ``1 + tol``: the largest eigenvalue
+    of ``sum_j T_j T_j*`` is at most ``1 + tol``."""
     row = t.row()
-    gram_out = row @ row.conj().T          # sum_j T_j T_j*
-    eye = np.eye(t.dim)
-    coiso = linalg.operator_norm(gram_out - eye) <= tol
-    if coiso:
-        contraction = True
-    else:
-        w = np.linalg.eigvalsh((gram_out + gram_out.conj().T) / 2.0)
-        contraction = bool(w[-1] <= 1.0 + tol)
-    iso_violation = 0.0
-    for i in range(t.d):
-        for j in range(t.d):
-            target = eye if i == j else np.zeros_like(eye)
-            iso_violation = max(
-                iso_violation,
-                linalg.operator_norm(t.ops[i].conj().T @ t.ops[j] - target),
-            )
-    return TupleKind(contraction, coiso, iso_violation <= tol)
+    gram = row @ row.conj().T
+    return bool(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max(initial=0.0) <= 1.0 + tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +117,7 @@ def defect(t: OperatorTuple, tol: float = TOL_EQ, clamp: bool = False) -> Defect
     if clamp:
         op = linalg.clamped_sqrt(gram, TOL_RANK)
     else:
-        if not classify(t, tol).contraction:
+        if not is_contraction(t, tol):
             raise NotContraction("row operator norm exceeds 1 beyond tolerance")
         op = linalg.hermitian_sqrt(gram, TOL_RANK, floor_scale=1.0)
     basis = linalg.range_onb(op, TOL_RANK)

@@ -10,6 +10,11 @@ with the error message attached instead of aborting the run.
 :func:`run_all_checks` builds each measured object once, through a
 memoised builder dropped after its last check so large matrices do
 not outlive it; a build that raises fails every check that needs it.
+
+Norms are exact to rounding: besides the support and orientation cuts
+of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
+:func:`.linalg.hermitian_norm`, and the star direction of the
+intertwining check through :func:`.linalg.fold_rows`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from .lifting import LiftingInstance, lifting_violations
 from .linalg import (
     UnitSplit,
     cross_gram,
+    fold_rows,
     gram_residual,
+    hermitian_norm,
     operator_norm,
     row_residual,
     stack_norm,
@@ -111,23 +118,28 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
+def _intertwining_norms(
+    w_deep: np.ndarray, w_flat: np.ndarray, mats: list[list[UnitSplit]]
+):
+    """Per letter, both directions: W against V on the lift, W* against V on the base.
+
+    The star residual is tall and almost all of its rows lie on the same
+    few columns, so its norm is taken after :func:`.linalg.fold_rows`.
+    """
+    for v_base, v_lift in zip(*mats):
+        forward = v_lift.rmatmul(w_deep) - v_base.matmul(w_flat)
+        star = v_lift.matmul(w_flat.conj().T) - v_base.rmatmul(w_deep.conj().T)
+        yield operator_norm(forward), operator_norm(fold_rows(star))
+
+
 def _intertwining(
     w_deep: np.ndarray, w_flat: np.ndarray, mats: list[list[UnitSplit]]
 ) -> float:
-    """Both directions: W against V on the lift, W* against V on the base."""
-    worst = 0.0
-    for v_base, v_lift in zip(*mats):
-        lhs = v_lift.rmatmul(w_deep)
-        rhs = v_base.matmul(w_flat)
-        worst = max(worst, operator_norm(lhs - rhs))
-        lhs_star = v_lift.matmul(w_flat.conj().T)
-        rhs_star = v_base.rmatmul(w_deep.conj().T)
-        worst = max(worst, operator_norm(lhs_star - rhs_star))
-    return worst
+    return max(max(pair) for pair in _intertwining_norms(w_deep, w_flat, mats))
 
 
 def _intertwiner_coisometry(w: np.ndarray) -> float:
-    return operator_norm(w @ w.conj().T - np.eye(w.shape[0]))
+    return hermitian_norm(w @ w.conj().T - np.eye(w.shape[0]))
 
 
 def _base_subspace_fixed(w: np.ndarray, dim_c: int) -> float:

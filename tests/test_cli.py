@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -229,6 +230,36 @@ class TestByteIdentity:
 
     def test_exports_at_depth_eight(self, tmp_path, capsys):
         self.run_all(tmp_path, (2, 2, 2), 0, [8], verify=False)
+
+
+# sha256 of the generate file of each sweep shape and seed, recorded before
+# the row norm of A was pinned to np.linalg.norm: the byte-identity oracle
+# above starts from the generated file, so it cannot see the instance move
+GENERATE_SHA256 = {
+    ((2, 2, 1), 0): "a6d3fc35f4348e9ca83a22d26bf347d5135f3888772975e8b48ef9e8b47ae38f",
+    ((2, 2, 1), 1): "45a2bbbde606dd3d17181b50395bdc6f347aeb9d15b2a929fe260d719531ca2b",
+    ((2, 2, 2), 0): "6fdd9d1887697abc6a9709bd882230a9e32b07a1c606baf16c3160efbbd6653b",
+    ((2, 2, 2), 1): "e80b3df85b1c9acbb1fd9a4c4cfec5f11d9eb5a97b12066a32e1adc692e52b32",
+    ((2, 3, 2), 0): "09b1a37adcf42d2b8669fc338825329ec5b1fb48319b05775b0bfe96ee4e6423",
+    ((2, 3, 2), 1): "79ef08f868e651abcc35511ccdad5dfed5725932623fb4d7af1cdad00612911d",
+    ((2, 4, 4), 0): "0d700691d660204f63852ddb48497ab739f816f22a7eb6cc74a6911e33fc39ad",
+    ((2, 4, 4), 1): "e4aea577ca12bcd444d21dcc713f7cb69caf685321995c469a3fe624816575cb",
+    ((2, 2, 0), 0): "e0a86083ff63fd9a0b7db07b21ae146619501bd559a6b3c09cd9f25f6e728dd8",
+    ((2, 2, 0), 1): "8b433b2ac8a06f71f71a7e9d0cbe95d38df5fe7078d085053665b377932e90c4",
+    ((3, 2, 1), 0): "ddb425cdfbc7a02ecd5ec0c143e65de98c86fb79aaaecf911353dd5fabdcc081",
+    ((3, 2, 1), 1): "689195dfc6cff8fd15bf9185baef7c7bf86a3c267c373a20dea163298a3e8738",
+    ((1, 2, 0), 0): "0484587783a9e1a8c7e2c2fa13df1d547614205e16812e04a86ab1cf2b06ac72",
+    ((1, 2, 0), 1): "7ab67133db885037d774a1fb2a3b914481c42e5125f38826624c7c8d9895b834",
+}
+
+
+@pytest.mark.parametrize("shape,seed", list(GENERATE_SHA256))
+def test_generate_golden_bytes(tmp_path, shape, seed):
+    d, dim_c, dim_a = shape
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a),
+                 "--seed", str(seed), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_SHA256[shape, seed]
 
 
 class TestThreads:

@@ -398,13 +398,14 @@ class TestOperatorNorm:
         v = random_isometry(4, 4, 2)
         assert operator_norm(u @ m @ v) == pytest.approx(operator_norm(m), rel=1e-9)
 
-    # the dense norm of the parent implementation is the oracle
+    # the dense norm of the tall orientation is the oracle
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9))
     def test_bit_equal_to_dense_norm_without_zero_lines(self, seed, rows, cols):
         m = random_matrix(np.random.default_rng(seed), rows, cols)
-        assert operator_norm(m) == np.linalg.norm(m, 2)
-        assert operator_norm(m.conj().T) == np.linalg.norm(m.conj().T, 2)
+        for a in (m, m.conj().T):
+            tall = a if a.shape[0] >= a.shape[1] else a.T
+            assert operator_norm(a) == np.linalg.norm(tall, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
@@ -435,6 +436,146 @@ class TestOperatorNorm:
     def test_vector_input_rejected(self):
         with pytest.raises(DimensionError):
             operator_norm(np.ones(3))
+
+
+def hermitian_matrix(rng, n):
+    a = random_matrix(rng, n, n)
+    return a + a.conj().T
+
+
+def zero_padded(rng, block, rows, cols):
+    """``block`` scattered into a zero matrix on sorted random lines."""
+    big = np.zeros((rows, cols), dtype=np.complex128)
+    keep_rows = np.sort(rng.choice(rows, block.shape[0], replace=False))
+    keep_cols = np.sort(rng.choice(cols, block.shape[1], replace=False))
+    big[np.ix_(keep_rows, keep_cols)] = block
+    return big, keep_rows, keep_cols
+
+
+class TestHermitianNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+    def test_bit_equal_to_largest_absolute_eigenvalue(self, seed, n):
+        m = hermitian_matrix(np.random.default_rng(seed), n)
+        assert np.array_equal(m, m.conj().T)
+        assert linalg.hermitian_norm(m) == np.abs(np.linalg.eigvalsh(m)).max()
+        assert linalg.hermitian_norm(-m) == np.abs(np.linalg.eigvalsh(-m)).max()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_off_hermitian_entry_takes_the_svd(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        m = hermitian_matrix(rng, 5)
+        entry = m[1, 3]
+        m[1, 3] = np.nextafter(entry.real, np.inf) + 1j * entry.imag
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh on a non-Hermitian input")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert linalg.hermitian_norm(m) == operator_norm(m)
+        m[1, 3] = entry
+        m[2, 2] += 1e-300j  # a complex diagonal entry is not Hermitian either
+        assert linalg.hermitian_norm(m) == operator_norm(m)
+
+    def test_nonsquare_and_nonfinite_inputs_take_the_svd(self):
+        m = np.ones((3, 4), dtype=complex)
+        assert linalg.hermitian_norm(m) == operator_norm(m)
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.hermitian_norm(m)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_lines_dropped(self, seed):
+        rng = np.random.default_rng(seed)
+        block = hermitian_matrix(rng, 4)
+        big = np.zeros((9, 9), dtype=np.complex128)
+        keep = np.sort(rng.choice(9, 4, replace=False))
+        big[np.ix_(keep, keep)] = block
+        assert linalg.hermitian_norm(big) == np.abs(np.linalg.eigvalsh(block)).max()
+
+    def test_empty_and_zero(self):
+        for n in (0, 3):
+            assert linalg.hermitian_norm(np.zeros((n, n), dtype=complex)) == 0.0
+
+
+class TestStackNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(1, 4))
+    def test_bit_equal_to_dense_without_zero_matrices(self, seed, k, rows, cols):
+        stack = random_matrix(np.random.default_rng(seed), k * rows, cols).reshape(k, rows, cols)
+        want = np.linalg.svd(stack, compute_uv=False).max()
+        assert linalg.stack_norm(stack) == want
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2), (3, 2, 2)])
+    def test_all_zero_stack(self, shape):
+        assert linalg.stack_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+    def test_zero_matrices_skipped(self):
+        rng = np.random.default_rng(8)
+        stack = np.zeros((6, 3, 2), dtype=np.complex128)
+        stack[[1, 4]] = random_matrix(rng, 6, 2).reshape(2, 3, 2)
+        want = np.linalg.svd(stack[[1, 4]], compute_uv=False).max()
+        assert linalg.stack_norm(stack) == want
+
+    def test_tiny_and_nan_entries_keep_their_matrix(self):
+        stack = np.zeros((3, 2, 2), dtype=np.complex128)
+        stack[1, 0, 1] = 1e-300
+        assert linalg.stack_norm(stack) == np.linalg.norm(stack[1], 2) > 0.0
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.stack_norm(stack)
+
+
+@st.composite
+def arrow(draw):
+    """A sparse arrow: most rows on a few shared columns, some dense rows,
+    some on their own columns, and zero rows, shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = draw(st.integers(1, 8))
+    shared = rng.choice(cols, draw(st.integers(1, cols)), replace=False)
+    pieces = [np.zeros((draw(st.integers(0, 3)), cols), dtype=np.complex128)]
+    for support in (shared, np.arange(cols), rng.choice(cols, 1)):
+        block = np.zeros((draw(st.integers(0, 12)), cols), dtype=np.complex128)
+        block[:, support] = random_matrix(rng, block.shape[0], support.size)
+        pieces.append(block)
+    m = np.vstack(pieces)
+    return m[rng.permutation(m.shape[0])]
+
+
+class TestFoldRows:
+    @settings(max_examples=60, deadline=None)
+    @given(arrow())
+    def test_norm_within_rounding(self, m):
+        # R* R equals the class Gram only up to rounding, so allow 4 ulps
+        # per dimension as for the zero-padded blocks
+        folded = linalg.fold_rows(m)
+        assert folded.shape[1] == m.shape[1] and folded.shape[0] <= m.shape[0]
+        want = np.linalg.norm(m, 2)
+        assert abs(operator_norm(folded) - want) <= 4 * max(m.shape) * np.spacing(want)
+
+    def test_classes_fold_to_their_triangular_factor(self):
+        rng = np.random.default_rng(3)
+        m = np.zeros((9, 4), dtype=np.complex128)
+        m[[0, 2, 3, 5, 8], 1:3] = random_matrix(rng, 5, 2)  # a class of 5 rows on 2 columns
+        m[6] = random_matrix(rng, 1, 4)  # a class of its own
+        folded = linalg.fold_rows(m)
+        assert folded.shape == (3, 4)
+        gram = folded.conj().T @ folded
+        assert np.allclose(gram, m.conj().T @ m, rtol=1e-14, atol=1e-14)
+        assert np.count_nonzero(folded[:, [0, 3]]) == 2
+
+    def test_nonfinite_entries_are_kept(self):
+        m = np.zeros((5, 2), dtype=np.complex128)
+        m[:, 0] = 1.0
+        m[3, 0] = np.nan
+        assert np.isnan(linalg.fold_rows(m)).any()
+
+    def test_empty_and_zero(self):
+        for shape in [(0, 0), (0, 3), (3, 0), (4, 5)]:
+            folded = linalg.fold_rows(np.zeros(shape, dtype=complex))
+            assert folded.shape == (0, shape[1])
+            assert operator_norm(folded) == 0.0
 
 
 class TestPseudoInverse:

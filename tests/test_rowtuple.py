@@ -1,11 +1,44 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from ncscatter.linalg import operator_norm
-from ncscatter.rowtuple import NotContraction, OperatorTuple, classify, defect
+from ncscatter.lifting import generate
+from ncscatter.linalg import TOL_EQ, operator_norm
+from ncscatter.rowtuple import NotContraction, OperatorTuple, defect, is_contraction
 from ncscatter.words import enumerate_words
 
 RT2 = 1.0 / np.sqrt(2.0)
+SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
+
+
+@dataclass(frozen=True)
+class TupleKind:
+    contraction: bool
+    coisometric: bool
+    row_isometry: bool
+
+
+def classify(t: OperatorTuple, tol: float = TOL_EQ) -> TupleKind:
+    """Oracle: the three row properties of the tuple within ``tol``, each
+    from its own norm."""
+    row = t.row()
+    gram_out = row @ row.conj().T          # sum_j T_j T_j*
+    eye = np.eye(t.dim)
+    coiso = operator_norm(gram_out - eye) <= tol
+    if coiso:
+        contraction = True
+    else:
+        w = np.linalg.eigvalsh((gram_out + gram_out.conj().T) / 2.0)
+        contraction = bool(w[-1] <= 1.0 + tol)
+    iso_violation = 0.0
+    for i in range(t.d):
+        for j in range(t.d):
+            target = eye if i == j else np.zeros_like(eye)
+            iso_violation = max(
+                iso_violation, operator_norm(t.ops[i].conj().T @ t.ops[j] - target)
+            )
+    return TupleKind(contraction, coiso, iso_violation <= tol)
 
 
 def random_tuple(rng, d, n, scale=None):
@@ -78,6 +111,38 @@ class TestClassify:
                 gram = (mi.conj().T @ mj)[:band, :band]
                 target = np.eye(band) if i == j else np.zeros((band, band))
                 assert np.allclose(gram, target, atol=1e-14)
+
+
+class TestIsContraction:
+    # the full classifier above is the oracle for the contraction decision
+
+    def test_fixed_tuples(self, coiso_pair):
+        u = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
+        tuples = [
+            coiso_pair,
+            OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2)))),
+            OperatorTuple((np.eye(1), np.eye(1))),
+            OperatorTuple((np.array([[0.6 + 0.8j]]),)),
+            OperatorTuple((u,)),
+            OperatorTuple((np.zeros((0, 0)), np.zeros((0, 0)))),
+        ]
+        assert [is_contraction(t) for t in tuples] == [classify(t).contraction for t in tuples]
+        assert [is_contraction(t) for t in tuples] == [True, True, False, True, True, True]
+
+    @pytest.mark.parametrize("norm", [0.0, 0.5, 0.9, 1.0, 1.0 + 1e-9, 1.0 + 2e-8, 1.1, 2.0])
+    def test_random_tuples_across_the_tolerance(self, norm):
+        rng = np.random.default_rng(6)
+        for d, n in [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4)]:
+            for _ in range(5):
+                t = random_tuple(rng, d, n, scale=norm)
+                assert is_contraction(t) == classify(t).contraction == (norm <= 1.0 + 1e-8)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_sweep_shape_tuples(self, shape):
+        for seed in range(10):
+            inst = generate(*shape, seed=seed)
+            for t in (inst.c, inst.a, inst.e):
+                assert is_contraction(t) == classify(t).contraction
 
 
 class TestDefect:

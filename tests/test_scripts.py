@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,28 @@ def test_seed_sweep_prints_worst_headroom():
     proc = run_script("seed_sweep.py", ["--seeds", "2", "--depth", "2"])
     pattern = r"^worst headroom: \d+\.\d{3} decades \([a-z_]+, seed [01]\)$"
     assert re.search(pattern, proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_compare_checks_same_tree():
+    proc = run_script(
+        "compare_checks.py", ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke"]
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "39 rows: same verdicts, errors, names and thresholds"
+    assert any(line.startswith("intertwining: 2 rows, 0 verdict changes; ") for line in lines)
+
+
+def test_compare_checks_flags_a_changed_threshold(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "ncscatter", changed / "ncscatter")
+    verify = changed / "ncscatter" / "verify.py"
+    text = verify.read_text()
+    assert text.count('check("intertwining", 1e-10,') == 1
+    verify.write_text(text.replace('check("intertwining", 1e-10,', 'check("intertwining", 1e-9,'))
+    proc = run_script(
+        "compare_checks.py", ["--base", str(SRC), "--change", str(changed), "--grid", "smoke"]
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "  threshold at (2, 2, 1) seed 0 depth 1: 1e-10 -> 1e-09" in proc.stdout.splitlines()
+    assert proc.stdout.splitlines()[-1] == "39 rows: DIFFERENT"

@@ -13,6 +13,7 @@ import pytest
 from ncscatter import charfn, lifting, scattering, serialize, transfer, verify
 from ncscatter.dilation import Dilation
 from ncscatter.intertwiner import base_space, lift_space
+from ncscatter.transfer import NCSeries
 from ncscatter.verify import CheckResult, all_passed, render_report, run_all_checks
 
 EXPECTED_ORDER = [
@@ -205,6 +206,70 @@ class TestMutations:
 
         monkeypatch.setattr(verify, "intertwiner_matrix", perturbed)
         assert "intertwiner_stabilization" in self.failing(plain_instance)
+
+    def test_one_entry_of_the_deep_intertwiner(self, monkeypatch, plain_instance):
+        original = verify.intertwiner_matrix
+
+        def perturbed(instance, depth):
+            w = original(instance, depth)
+            if depth == 3:
+                # outside the base columns and the depth-2 block
+                w[-1, -1] += 1e-6
+            return w
+
+        monkeypatch.setattr(verify, "intertwiner_matrix", perturbed)
+        assert self.failing(plain_instance) == {"intertwining", "intertwiner_coisometry"}
+
+    def test_deep_intertwiner_entry_in_a_folded_row(self, monkeypatch, plain_instance):
+        # the star residual W_N* V_1 - V_1 W_{N-1}* has most of its rows on
+        # the two base columns, and those rows are folded; W_N[i, col]
+        # adds to row ``col`` of the residual outside those columns
+        depth = 3
+        mats = verify._dilation_matrices(plain_instance, depth)
+        v_base, v_lift = (row[0] for row in mats)
+        flat = verify.intertwiner_matrix(plain_instance, depth - 1)
+        w = verify.intertwiner_matrix(plain_instance, depth)
+        i, col = v_base.rows[-1], w.shape[1] - 1
+        support = (v_lift.matmul(flat.conj().T) - v_base.rmatmul(w.conj().T)) != 0
+        shared = (support == support[col]).all(axis=1)
+        assert shared.sum() > support[col].sum() == plain_instance.dim_c
+        assert not support[col, v_base.unit[-1]]
+        w[i, col] += 1e-6
+        # the star direction on its own sees the entry through the fold
+        (_, star), _ = verify._intertwining_norms(w, flat, mats)
+        assert star > 5e-7
+
+        original = verify.intertwiner_matrix
+
+        def perturbed(instance, n):
+            m = original(instance, n)
+            if n == depth:
+                m[i, col] += 1e-6
+            return m
+
+        monkeypatch.setattr(verify, "intertwiner_matrix", perturbed)
+        assert "intertwining" in self.failing(plain_instance, depth)
+
+    def test_scaled_transfer_series(self, monkeypatch, no_corner_instance):
+        # without a corner the Toeplitz norm is 1, so the scale shows
+        original = transfer.transfer_series
+
+        def scaled(*args):
+            theta = original(*args)
+            return NCSeries(theta.d, theta.depth, theta.coeffs * (1 + 1e-6))
+
+        monkeypatch.setattr(transfer, "transfer_series", scaled)
+        assert "transfer_contraction" in self.failing(no_corner_instance)
+
+    def test_one_translate_entry(self, monkeypatch, plain_instance):
+        class Bumped(Dilation):
+            def translates(self, x, depth, length):
+                levels = super().translates(x, depth, length)
+                levels[-1][-1, -1] += 1e-6
+                return levels
+
+        monkeypatch.setattr(scattering, "Dilation", Bumped)
+        assert "shift_decomposition" in self.failing(plain_instance)
 
     def test_corner_entry_of_a_fock_column(self, monkeypatch, plain_instance):
         # only the complement sees this dilation matrix: a unit column of
