@@ -12,16 +12,24 @@ seven sweep shapes x seeds 0-9 at depth 3, and (3,2,2) seed 1 at depth
 largest upward and downward move of the violation, and the worst value
 on each side.  It exits 1 on any change of verdict, error, check name or
 threshold, and 0 otherwise.
+
+With ``--exports`` it compares bytes instead: for each instance of the
+grid, each tree writes the ``generate``, ``transfer``, ``charfn`` and
+``simulate`` files through ``cli.main`` (simulate seeded with the
+instance seed), and the script prints every file whose sha256 differs.
+It exits 1 on any difference, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
@@ -57,11 +65,40 @@ def emit_rows(grid: str) -> None:
     json.dump({"source": ncscatter.__file__, "rows": rows}, sys.stdout)
 
 
-def run_tree(src: str, grid: str) -> list[dict]:
-    """The grid's rows as computed by the tree under ``src``, in a fresh process."""
+EXPORTS = ("transfer", "charfn", "simulate")
+
+
+def emit_hashes(grid: str) -> None:
+    """Print the imported tree's location and the sha256 of every file the
+    command line writes for the grid, by file label."""
+    import ncscatter
+    from ncscatter.cli import main
+
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
+
+        def write(label: str, path: Path, argv: list[str]) -> None:
+            if main([*argv, "-o", str(path)]) != 0:
+                raise SystemExit(f"{label}: {argv[0]} failed")
+            hashes[f"{label} {argv[0]}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        for (d, dim_c, dim_a), seeds, depth in GRIDS[grid]:
+            shape = ["--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a)]
+            for seed in seeds:
+                label = f"{(d, dim_c, dim_a)} seed {seed} depth {depth}"
+                write(label, inst, ["generate", *shape, "--seed", str(seed)])
+                for cmd in EXPORTS:
+                    seeded = ["--seed", str(seed)] if cmd == "simulate" else []
+                    write(label, out, [cmd, "--input", str(inst), "--depth", str(depth), *seeded])
+    json.dump({"source": ncscatter.__file__, "rows": hashes}, sys.stdout)
+
+
+def run_tree(src: str, mode: str, grid: str):
+    """What ``--<mode> <grid>`` prints for the tree under ``src``, from a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--rows", grid],
+        [sys.executable, str(Path(__file__).resolve()), f"--{mode}", grid],
         env=env,
         capture_output=True,
         text=True,
@@ -72,6 +109,16 @@ def run_tree(src: str, grid: str) -> list[dict]:
     if Path(src).resolve() not in Path(out["source"]).resolve().parents:
         raise SystemExit(f"{src}: ncscatter was imported from {out['source']}")
     return out["rows"]
+
+
+def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
+    """Report lines and whether any file is missing on one side or differs."""
+    changed = [
+        f"differs: {name}" for name in sorted(base.keys() | change.keys())
+        if base.get(name) != change.get(name)
+    ]
+    summary = f"{len(base)} files: {'DIFFERENT' if changed else 'same bytes'}"
+    return changed + [summary], bool(changed)
 
 
 def _worst(values: list[float]) -> float:
@@ -131,14 +178,24 @@ def main() -> int:
     parser.add_argument("--base", help="src directory of the base tree")
     parser.add_argument("--change", help="src directory of the changed tree")
     parser.add_argument("--grid", choices=sorted(GRIDS), default="full")
+    parser.add_argument(
+        "--exports", action="store_true", help="compare the bytes of the exported files"
+    )
     parser.add_argument("--rows", choices=sorted(GRIDS), help=argparse.SUPPRESS)
+    parser.add_argument("--hashes", choices=sorted(GRIDS), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.rows:
         emit_rows(args.rows)
         return 0
+    if args.hashes:
+        emit_hashes(args.hashes)
+        return 0
     if not (args.base and args.change):
         parser.error("--base and --change are required")
-    lines, differs = compare(run_tree(args.base, args.grid), run_tree(args.change, args.grid))
+    mode, differ = ("hashes", compare_exports) if args.exports else ("rows", compare)
+    lines, differs = differ(
+        run_tree(args.base, mode, args.grid), run_tree(args.change, mode, args.grid)
+    )
     print("\n".join(lines))
     return 1 if differs else 0
 

@@ -3,8 +3,7 @@ coisometric liftings of row contractions.
 
 Import submodules explicitly (``from ncscatter import lifting``).
 Nothing numerical loads at package import time, so the command line
-front end can pin BLAS thread counts into the environment before the
-numerics stack comes up.
+front end answers ``--help`` and usage errors without loading numpy.
 """
 
 __version__ = "0.1.0"

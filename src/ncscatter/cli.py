@@ -5,9 +5,10 @@ and export transfer series, characteristic series and simulation
 trajectories as JSON.  All output is byte-deterministic for a fixed
 invocation.
 
-Numerical imports happen inside the handlers: ``NCSCATTER_THREADS``
-is planted into the BLAS thread-count environment variables first,
-and those are only honored if set before the numerics stack loads.
+Numerical imports happen inside the handlers, so ``--help`` and usage
+errors do not load numpy.  The BLAS thread count is read from the
+usual ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` variables.
 
 Exit codes: 0 on success, 1 when verification ran but a check
 failed, 2 for usage, file, schema or infeasibility errors and for an
@@ -17,25 +18,7 @@ allocation that runs out of memory.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _configure_threads(env=None) -> None:
-    env = os.environ if env is None else env
-    raw = env.get("NCSCATTER_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"NCSCATTER_THREADS must be a positive integer, got {raw!r}")
-    for var in _THREAD_VARS:
-        env[var] = str(n)
 
 
 def _emit(output: str | None, text: str) -> None:
@@ -176,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _configure_threads()
         args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, OSError, MemoryError) as exc:

@@ -245,7 +245,7 @@ def assemble(
     a_row = a.row()
     star_gram = np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T
     if strict:
-        dstar = linalg.hermitian_sqrt(star_gram, TOL_RANK, floor_scale=1.0)
+        dstar = linalg.hermitian_sqrt(star_gram)
     else:
         dstar = linalg.clamped_sqrt(star_gram)
     dstar_basis = linalg.range_onb(dstar)
@@ -314,7 +314,7 @@ def generate(
     )
 
     star_gram = np.eye(dim_a, dtype=np.complex128) - a_row @ a_row.conj().T
-    dstar = linalg.hermitian_sqrt(star_gram, TOL_RANK, floor_scale=1.0)
+    dstar = linalg.hermitian_sqrt(star_gram)
     dstar_basis = linalg.range_onb(dstar)
     rank_star = dstar_basis.shape[1]
 

@@ -28,9 +28,14 @@ The norm kernels cut further, each step exact:
   intertwining check, where almost every row lies on the same few
   base-space columns.
 
-Products with a matrix whose columns are mostly exact standard unit
-vectors go through :func:`unit_split`, which reads those columns off the
-matrix and turns their share of a product into copies.
+Products with a matrix whose columns are mostly isolated exact 1.0
+entries (alone in their column and in their row) go through
+:func:`unit_split`, which reads those columns off the matrix and turns
+their share of a product into copies.
+
+:func:`hermitian_sqrt` and :func:`clamped_sqrt` work on scale 1 with
+the fixed tolerance ``TOL_RANK``: their inputs are defect Grams of
+contractions.
 """
 
 from __future__ import annotations
@@ -148,24 +153,23 @@ def fold_rows(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UnitSplit:
-    """A matrix with its exact standard unit columns split off.
+    """A matrix with its isolated exact unit entries split off.
 
-    Column ``unit[k]`` of ``m`` holds one nonzero entry, exactly 1.0, in
-    row ``rows[k]``; the columns ``rest`` are everything else, and
-    ``distinct`` says whether no two unit columns share their row.
-    Products copy or scatter on the unit columns and multiply only the
-    rest.  The zeros of a unit column are exact: unlike a dense product
-    they read no entry of the other factor, so its inf or NaN there does
-    not become a NaN (0 * inf).  Non-finite entries of ``m`` sit in rest
-    columns and show as in the dense product.  The same holds for
-    :func:`cross_gram`, :func:`gram_residual` and :func:`row_residual`.
+    Column ``unit[k]`` of ``m`` holds one entry != 0, exactly 1.0, in
+    row ``rows[k]``, and no other column reaches that row; the columns
+    ``rest`` are everything else.  Products copy or scatter on the unit
+    columns and multiply only the rest.  The zeros of a unit column are
+    exact: unlike a dense product they read no entry of the other
+    factor, so its inf or NaN there does not become a NaN (0 * inf).
+    Non-finite entries of ``m`` sit in rest columns and show as in the
+    dense product.  The same holds for :func:`cross_gram`,
+    :func:`gram_residual` and :func:`row_residual`.
     """
 
     m: np.ndarray
     unit: np.ndarray
     rows: np.ndarray
     rest: np.ndarray
-    distinct: bool
 
     def rmatmul(self, a: np.ndarray) -> np.ndarray:
         """``a @ m``: a unit column copies one column of ``a``."""
@@ -175,9 +179,7 @@ class UnitSplit:
         return out
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``m @ x``: a unit column scatters one row of ``x``; dense when rows repeat."""
-        if not self.distinct:
-            return self.m @ x
+        """``m @ x``: a unit column scatters one row of ``x``."""
         out = self.m[:, self.rest] @ x[self.rest]
         out[self.rows] += x[self.unit]
         return out
@@ -196,37 +198,23 @@ class UnitSplit:
 
 
 def unit_split(m: np.ndarray) -> UnitSplit:
-    """Split off the columns of ``m`` that are exact standard unit vectors.
+    """Split off the columns of ``m`` that hold an isolated exact 1.0.
 
-    A column qualifies when it holds exactly one entry != 0 (NaN and inf
-    count) and that entry equals 1.0; any other value, however close,
-    leaves the column with the rest.
+    A column qualifies when its only entry != 0 (NaN and inf count)
+    equals 1.0 and is also the only entry != 0 of its row; any other
+    value, however close, leaves the column with the rest.
     """
     m = np.asarray(m)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
     cols = np.arange(m.shape[1])
     if not m.shape[0]:
-        return UnitSplit(m, cols[:0], cols[:0], cols, True)
+        return UnitSplit(m, cols[:0], cols[:0], cols)
     nonzero = m != 0
     rows = nonzero.argmax(axis=0)
-    unit = (np.count_nonzero(nonzero, axis=0) == 1) & (m[rows, cols] == 1)
-    rows = rows[unit]
-    return UnitSplit(m, cols[unit], rows, cols[~unit], np.bincount(rows).max(initial=0) <= 1)
-
-
-def _rows_reached(split: UnitSplit) -> np.ndarray:
-    """Mask of the rows where ``m`` holds an entry != 0."""
-    reached = (split.m[:, split.rest] != 0).any(axis=1)
-    reached[split.rows] = True
-    return reached
-
-
-def _meeting(split: UnitSplit, reached: np.ndarray) -> np.ndarray:
-    """Mask of all columns but the unit columns whose row is not ``reached``."""
-    keep = np.ones(split.m.shape[1], dtype=bool)
-    keep[split.unit[~reached[split.rows]]] = False
-    return keep
+    alone = np.count_nonzero(nonzero, axis=1) == 1
+    unit = (np.count_nonzero(nonzero, axis=0) == 1) & alone[rows] & (m[rows, cols] == 1)
+    return UnitSplit(m, cols[unit], rows[unit], cols[~unit])
 
 
 def cross_gram(a: UnitSplit, b: UnitSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,21 +225,27 @@ def cross_gram(a: UnitSplit, b: UnitSplit) -> tuple[np.ndarray, np.ndarray, np.n
     columns are multiplied densely.  Returns the column masks of ``a``
     and ``b`` and the block on them.
     """
-    keep_a, keep_b = _meeting(a, _rows_reached(b)), _meeting(b, _rows_reached(a))
+
+    def meeting(split: UnitSplit, other: UnitSplit) -> np.ndarray:
+        reached = (other.m[:, other.rest] != 0).any(axis=1)
+        reached[other.rows] = True
+        keep = np.ones(split.m.shape[1], dtype=bool)
+        keep[split.unit] = reached[split.rows]
+        return keep
+
+    keep_a, keep_b = meeting(a, b), meeting(b, a)
     return keep_a, keep_b, a.m[:, keep_a].conj().T @ b.m[:, keep_b]
 
 
 def gram_residual(split: UnitSplit) -> tuple[np.ndarray, np.ndarray]:
     """``m* m - I`` on the columns where it can be nonzero.
 
-    With distinct unit rows, a unit column whose row no rest column
-    reaches is exactly zero in the residual, so only the other columns
-    are multiplied, densely: returns their mask and the square block on
-    them.  With a repeated unit row every column is kept.
+    A unit column is alone in its row, so its line of the residual is
+    exactly zero; only the rest columns are multiplied, densely: returns
+    their mask and the square block on them.
     """
     live = np.ones(split.m.shape[1], dtype=bool)
-    if split.distinct:
-        live = _meeting(split, (split.m[:, split.rest] != 0).any(axis=1))
+    live[split.unit] = False
     block = split.m[:, live]
     return live, block.conj().T @ block - np.eye(block.shape[1])
 
@@ -273,42 +267,39 @@ def row_residual(splits: list[UnitSplit]) -> tuple[np.ndarray, np.ndarray]:
     return live, np.diag(1.0 - count[live]) - block @ block.conj().T
 
 
-def hermitian_sqrt(m: np.ndarray, tol: float = TOL_RANK, floor_scale: float = 0.0) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix.
+def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
+    """Positive square root of a Hermitian PSD matrix on scale 1.
 
-    Eigenvalues in ``[-tol*scale, 0)`` are rounding noise and get
-    clamped to zero; anything below that band raises :class:`NotPSD`.
-    ``scale`` is the operator norm of ``m``.
-
-    ``floor_scale`` optionally zeroes all eigenvalues at or below
-    ``tol*floor_scale``.  Callers that know the natural scale of the
-    computation (defect operators of contractions live on scale 1, no
-    matter how close to isometric the tuple is) use it so that a
-    numerically-zero defect really comes out as the zero matrix
-    instead of a sqrt(eps)-sized noise matrix.
+    The tolerance band is ``TOL_RANK * max(1, ||m||)``: a larger
+    anti-Hermitian part raises :class:`NotHermitian`, and an eigenvalue
+    below minus the band raises :class:`NotPSD`.  Every eigenvalue at or
+    below ``TOL_RANK`` is zeroed, so a numerically zero defect (defect
+    operators of contractions live on scale 1, however close to
+    isometric the tuple is) comes out as the zero matrix instead of a
+    sqrt(eps)-sized noise matrix.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"square matrix required, got {m.shape}")
     if m.size == 0:
         return np.zeros_like(m)
-    scale = operator_norm(m)
-    if operator_norm(m - m.conj().T) > tol * max(scale, floor_scale):
+    band = TOL_RANK * max(operator_norm(m), 1.0)
+    if operator_norm(m - m.conj().T) > band:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w[0] < -tol * max(scale, floor_scale):
+    if w[0] < -band:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below the PSD tolerance band")
-    return _eigen_root(w, v, tol * floor_scale)
+    return _eigen_root(w, v, TOL_RANK)
 
 
-def clamped_sqrt(m: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    """``hermitian_sqrt(m, tol, floor_scale=1)`` without its checks.
+def clamped_sqrt(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_sqrt` without its checks.
 
-    Every eigenvalue at or below ``tol`` is zeroed, negative ones
+    Every eigenvalue at or below ``TOL_RANK`` is zeroed, negative ones
     included.  For defect operators of loaded data that may fail the
     contraction property; validation reports that separately.
     """
-    return _eigen_root(*np.linalg.eigh((m + m.conj().T) / 2.0), tol)
+    return _eigen_root(*np.linalg.eigh((m + m.conj().T) / 2.0), TOL_RANK)
 
 
 def _eigen_root(w: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray:

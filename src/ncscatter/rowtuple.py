@@ -115,11 +115,11 @@ def defect(t: OperatorTuple, tol: float = TOL_EQ, clamp: bool = False) -> Defect
     row = t.row()
     gram = np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row
     if clamp:
-        op = linalg.clamped_sqrt(gram, TOL_RANK)
+        op = linalg.clamped_sqrt(gram)
     else:
         if not is_contraction(t, tol):
             raise NotContraction("row operator norm exceeds 1 beyond tolerance")
-        op = linalg.hermitian_sqrt(gram, TOL_RANK, floor_scale=1.0)
+        op = linalg.hermitian_sqrt(gram)
     basis = linalg.range_onb(op, TOL_RANK)
     comps = tuple(
         basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)

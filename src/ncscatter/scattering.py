@@ -24,7 +24,6 @@ from . import linalg
 from .dilation import Dilation
 from .intertwiner import apply_intertwiner_adjoint, base_space, lift_space
 from .lifting import LiftingInstance
-from .words import level_start
 
 
 class DepthError(ValueError):
@@ -137,16 +136,18 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
 
     Applying every dilation word of length at most ``depth`` to the
     vacuum copy of the lifted defect space must reproduce the
-    standard graded basis: identity on the Fock rows, zero on the
-    ambient rows.  Measured as the largest norm at one word.
+    standard graded basis: the translates of length m are the identity
+    on the rows of Fock level m and zero on every other row of their
+    depth-m space.  Measured as the largest norm at one word.
     """
     dil = Dilation(instance.e, instance.defect_e)
-    sp = lift_space(instance, depth)
     r = instance.rank_e
     vacuum = dil.space(0)
     root = np.zeros((vacuum.dim, r), dtype=np.complex128)
     root[vacuum.slot(())] = np.eye(r)
-    flat = np.hstack([sp.pad(level) for level in dil.translates(root, 0, depth)])
-    flat[sp.base_dim :] -= np.eye(flat.shape[1])
-    words = level_start(instance.d, depth + 1)
-    return linalg.stack_norm(flat.reshape(sp.dim, words, r).transpose(1, 0, 2))
+    worst = 0.0
+    for m, level in enumerate(dil.translates(root, 0, depth)):
+        level[dil.space(m).level(m)] -= np.eye(level.shape[1])
+        words = level.reshape(level.shape[0], dil.d**m, r).transpose(1, 0, 2)
+        worst = max(worst, linalg.stack_norm(words))
+    return worst

@@ -10,16 +10,16 @@ sizes one dense array, and a depth whose array cannot be allocated is
 refused.
 
 :func:`dump_text` renders exactly the bytes of ``json.dumps(obj,
-indent=2, sort_keys=True, allow_nan=False) + "\n"`` (keys must be
-strings), with each :class:`NCSeries` value standing for its
-graded-lex list of ``{"word", "matrix"}`` entries; the trees of
-:func:`series_to_json` and :func:`trajectory_to_json` hold the series
-themselves.  A series is written straight from its coefficient stack:
-one ``tolist`` of the float view, ``float.__repr__`` per value,
-separators fixed by the indent level, and word texts built level by
-level.  Lists of ``[re, im]`` float pairs share those separators;
-anything else goes through one generic recursive writer.  The pieces
-are joined once per document.
+indent=2, sort_keys=True, allow_nan=False) + "\n"``, with each
+:class:`NCSeries` value standing for its graded-lex list of ``{"word",
+"matrix"}`` entries; the trees of :func:`series_to_json` and
+:func:`trajectory_to_json` hold the series themselves.  ``json.dumps``
+itself writes the tree, with a reserved string in place of each series
+(a tree holding that string is refused).  A series is written straight
+from its coefficient stack: one ``tolist`` of the float view,
+``float.__repr__`` per value, separators fixed by the indent level, and
+word texts built level by level.  The pieces are joined once per
+document.
 
 An instance file stores only the three defining blocks (and the
 generator seed when there is one); defect operators, bases and the
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
 import numpy as np
@@ -85,6 +84,14 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     if flat is None:
         flat = _checked_pairs(data, where)
     return flat.reshape((rows, cols))
+
+
+def _is_pairs(rows: list) -> list | None:
+    """The flat floats of a list of ``[float, float]`` lists, else None."""
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {2}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    return flat if set(map(type, flat)) == {float} else None
 
 
 def _float_pairs(data: list) -> np.ndarray | None:
@@ -266,20 +273,13 @@ def _reject_constant(name: str):
     raise SchemaError(f"non-finite number {name} is not allowed")
 
 
-class _NonFinite(Exception):
-    """A non-finite float met while writing; located afterwards."""
+# What json.dumps writes in place of a series, and that string quoted.
+_SERIES = "\x00NCSeries\x00"
+_QUOTED_SERIES = json.dumps(_SERIES)
 
 
 def _nl(level: int) -> str:
     return "\n" + "  " * level
-
-
-def _is_pairs(rows: list) -> list | None:
-    """The flat floats of a list of ``[float, float]`` lists, else None."""
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {2}:
-        return None
-    flat = list(chain.from_iterable(rows))
-    return flat if set(map(type, flat)) == {float} else None
 
 
 def _write_pairs(flat: list, level: int, gaps: list[str], out: list) -> None:
@@ -315,7 +315,7 @@ def _write_series(series: NCSeries, level: int, out: list) -> None:
     """The graded-lex ``{"word", "matrix"}`` entry list of ``series``."""
     stack = np.ascontiguousarray(series.coeffs, dtype=np.complex128)
     if not np.isfinite(stack).all():
-        raise _NonFinite
+        raise ValueError("non-finite series coefficient")
     _, rows, cols = stack.shape
     nl1, nl2, nl3 = _nl(level + 1), _nl(level + 2), _nl(level + 3)
     head = nl1 + "{" + nl2 + '"matrix": {' + nl3 + f'"cols": {cols},' + nl3 + '"data": '
@@ -328,55 +328,6 @@ def _write_series(series: NCSeries, level: int, out: list) -> None:
     gaps = [t + "," + head for t in tails]
     gaps[-1] = tails[-1] + _nl(level) + "]"
     _write_pairs(stack.reshape(-1).view(np.float64).tolist(), level + 3, gaps, out)
-
-
-def _write_list(seq, level: int, out: list) -> None:
-    if not seq:
-        out.append("[]")
-        return
-    flat = _is_pairs(seq) if type(seq) is list and type(seq[0]) is list else None
-    if flat is not None:
-        if not all(map(isfinite, flat)):
-            raise _NonFinite
-        _write_pairs(flat, level, [""], out)
-        return
-    sep = "," + _nl(level + 1)
-    for k, v in enumerate(seq):
-        out.append(sep if k else "[" + sep[1:])
-        _write(v, level + 1, out)
-    out.append(_nl(level) + "]")
-
-
-def _write(obj, level: int, out: list) -> None:
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if not isfinite(obj):
-            raise _NonFinite
-        out.append(float.__repr__(obj))
-    elif isinstance(obj, NCSeries):
-        _write_series(obj, level, out)
-    elif isinstance(obj, (list, tuple)):
-        _write_list(obj, level, out)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        sep = "," + _nl(level + 1)
-        for k, key in enumerate(sorted(obj)):
-            out.append((sep if k else "{" + sep[1:]) + _quote(key) + ": ")
-            _write(obj[key], level + 1, out)
-        out.append(_nl(level) + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _nonfinite_path(obj, path: str = "") -> str | None:
@@ -404,15 +355,41 @@ def _nonfinite_path(obj, path: str = "") -> str | None:
 
 
 def dump_text(obj) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, newline."""
-    out = []
+    """Deterministic rendering: sorted keys, two-space indent, newline.
+
+    ``json.dumps`` writes the tree with each series standing as a
+    reserved string; each quoted one is then replaced by the series'
+    entry list, written at the indent level of its line.
+    """
+    series = []
+
+    def default(value):
+        if not isinstance(value, NCSeries):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        series.append(value)
+        return _SERIES
+
     try:
-        _write(obj, 0, out)
-    except _NonFinite:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=default)
+        pieces = text.split(_QUOTED_SERIES)
+        if len(pieces) != len(series) + 1:
+            raise TypeError(f"the string {_SERIES!r} is reserved for series")
+        out = [pieces[0]]
+        for value, piece in zip(series, pieces[1:]):
+            line = out[-1][out[-1].rfind("\n") + 1 :]
+            _write_series(value, (len(line) - len(line.lstrip(" "))) // 2, out)
+            out.append(piece)
+    except ValueError:
         path = _nonfinite_path(obj)
+        if path is None:
+            raise
         raise SchemaError(
             f"non-finite number at {path or 'the top level'} is not allowed"
         ) from None
+    finally:
+        # the encoder's closures form a reference cycle that holds
+        # ``default`` until the next garbage collection; let it hold no series
+        series.clear()
     out.append("\n")
     return "".join(out)
 

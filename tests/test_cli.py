@@ -10,7 +10,7 @@ import pytest
 
 import ncscatter
 from ncscatter import serialize
-from ncscatter.cli import _configure_threads, main
+from ncscatter.cli import main
 from test_serialize import json_oracle, oracle_entries, oracle_matrix
 
 
@@ -262,27 +262,35 @@ def test_generate_golden_bytes(tmp_path, shape, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_SHA256[shape, seed]
 
 
-class TestThreads:
-    def test_env_propagation(self):
-        env = {"NCSCATTER_THREADS": "2"}
-        _configure_threads(env)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            assert env[var] == "2"
+# sha256 of the transfer, charfn and simulate --seed 0 exports of the seed 0
+# instance of each shape, recorded before the JSON tree went through json.dumps
+EXPORT_SHA256 = {
+    ((2, 2, 2), 3, "transfer"): "195757eef533aad5848d1dabbb541df2c6ec28d75dad5287441e17a0150cdcde",
+    ((2, 2, 2), 3, "charfn"): "8f1764834e94c7f4299f45edaabfb70e2fedcd62fc641fbb7eed5a1d27240276",
+    ((2, 2, 2), 3, "simulate"): "d2e886d1fd1b2cab6b92c73f1d68d9b1a6a79319a93a5826144f1edf59edae67",
+    ((2, 2, 2), 8, "transfer"): "1ea00506546301e1b967dda86598e36e63f1172dc4a5192a94fe9317269ed205",
+    ((2, 2, 2), 8, "charfn"): "51d5eb0570b1d081fecf66dcd95b03a0a6cec112f0d87416d274696429bf4519",
+    ((2, 2, 2), 8, "simulate"): "3c2fc38669d2aa8cda739e4f7478dfd0c83afcfca057064684748cb6b14a3322",
+    ((3, 2, 1), 3, "transfer"): "bd46331abff1611b42392fc93544f6fb9512bb41df396905c0868ec641cb5513",
+    ((3, 2, 1), 3, "charfn"): "1c38c4bd0bcf4187a328a7fc65b629dc0568a7b93bca16b232e970225962d2c4",
+    ((3, 2, 1), 3, "simulate"): "a51967a1671cb9828e75ab28b73f075d22adc87876a6118c005d9440aa098120",
+    ((1, 2, 0), 3, "transfer"): "b755f5db446a2d5d5e63acbafa9a6b71fa56b38dc292edd983a23c3da3525a9c",
+    ((1, 2, 0), 3, "charfn"): "b755f5db446a2d5d5e63acbafa9a6b71fa56b38dc292edd983a23c3da3525a9c",
+    ((1, 2, 0), 3, "simulate"): "c6ebee67e717d2fb2f3dde2ef31881b069cabf9489d64f9976f1cf1942369de3",
+}
 
-    def test_absent_is_noop(self):
-        env = {}
-        _configure_threads(env)
-        assert env == {}
 
-    @pytest.mark.parametrize("raw", ["0", "-3", "lots"])
-    def test_invalid_value_rejected(self, raw):
-        with pytest.raises(ValueError):
-            _configure_threads({"NCSCATTER_THREADS": raw})
-
-    def test_invalid_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("NCSCATTER_THREADS", "zero")
-        assert main(["generate"]) == 2
-        assert "NCSCATTER_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("shape,depth", sorted({key[:2] for key in EXPORT_SHA256}))
+def test_export_golden_bytes(tmp_path, shape, depth):
+    d, dim_c, dim_a = shape
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a),
+                 "--seed", "0", "-o", str(inst)]) == 0
+    for cmd in ("transfer", "charfn", "simulate"):
+        out = tmp_path / f"{cmd}.json"
+        seed = ["--seed", "0"] if cmd == "simulate" else []
+        assert main([cmd, "--input", str(inst), "--depth", str(depth), "-o", str(out)] + seed) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[shape, depth, cmd]
 
 
 def package_env(**extra):
@@ -297,11 +305,27 @@ class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "ncscatter", "generate", "--seed", "4"],
-            capture_output=True, text=True, env=package_env(NCSCATTER_THREADS="1"),
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)
         assert obj["d"] == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["no-such-command"]])
+    def test_usage_paths_load_no_numpy(self, argv):
+        code = (
+            "import sys\n"
+            "from ncscatter.cli import main\n"
+            "try:\n"
+            f"    main({argv!r})\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=package_env()
+        )
+        assert proc.stdout.splitlines()[-1] == "False", proc.stdout + proc.stderr
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

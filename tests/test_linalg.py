@@ -54,12 +54,12 @@ class TestHermitianSqrt:
 
     def test_small_negative_eigenvalues_clamped(self):
         m = np.diag([1.0, -1e-14]).astype(complex)
-        s = hermitian_sqrt(m, tol=1e-10)
+        s = hermitian_sqrt(m)
         assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-7)
 
     def test_floor_scale_zeroes_noise(self):
         noise = np.array([[1e-16, 2e-17], [2e-17, -1e-16]], dtype=complex)
-        s = hermitian_sqrt(noise, floor_scale=1.0)
+        s = hermitian_sqrt(noise)
         assert np.all(s == 0)
 
     @settings(max_examples=30, deadline=None)
@@ -82,14 +82,14 @@ class TestClampedSqrt:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, 4, 3)
         m = a @ a.conj().T / operator_norm(a) ** 2  # rank 3, scale 1
-        want = hermitian_sqrt(m, floor_scale=1.0)
+        want = hermitian_sqrt(m)
         assert np.array_equal(clamped_sqrt(m), want)
 
     def test_zeroes_negative_eigenvalues(self):
         q = random_isometry(3, 3, 4)
         m = q @ np.diag([0.25, -0.5, -1e-3]) @ q.conj().T
         with pytest.raises(NotPSD):
-            hermitian_sqrt(m, floor_scale=1.0)
+            hermitian_sqrt(m)
         s = clamped_sqrt(m)
         assert operator_norm(s - 0.5 * np.outer(q[:, 0], q[:, 0].conj())) < 1e-14
 
@@ -167,18 +167,20 @@ class TestComplementOnb:
         assert linalg.complement_onb(q).shape == (4, 0)
 
 
-# column kinds for the unit-split oracle: only "unit" columns qualify
+# column kinds for the unit-split oracle: all but "rest" and the near
+# units hold an exact 1.0, and only "unit" ones clear its row
 NEAR_UNITS = {"neg": -1.0, "imag": 1j, "tiny_imag": 1 + 1e-300j}
 SECOND_ENTRY = {"one_plus": 0.5 - 0.25j, "nan": np.nan, "inf": np.inf}
-KINDS = ("unit", "unit", "unit", "rest", *NEAR_UNITS, *SECOND_ENTRY)
+KINDS = ("unit", "unit", "unit", "crowded", "rest", *NEAR_UNITS, *SECOND_ENTRY)
 
 
 @st.composite
 def planted(draw):
     """A sparse random matrix with planted unit and near-unit columns.
 
-    Returns the matrix and the planted ``(column, row)`` unit pairs; unit
-    rows are drawn freely, so repeated rows occur.
+    Returns the matrix and the planted ``(column, row)`` pairs of exact
+    1.0 entries.  Rows are drawn freely and later columns may write into
+    or clear a row, so a planted 1.0 may or may not end up isolated.
     """
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -190,10 +192,12 @@ def planted(draw):
         if kind == "rest" or (kind in SECOND_ENTRY and rows < 2):
             continue
         m[:, c] = 0.0
-        m[r, c] = NEAR_UNITS.get(kind, 1.0)
         if kind == "unit":
+            m[r] = 0.0
+        m[r, c] = NEAR_UNITS.get(kind, 1.0)
+        if kind not in NEAR_UNITS:
             units.append((c, r))
-        elif kind in SECOND_ENTRY:
+        if kind in SECOND_ENTRY:
             m[(r + draw(st.integers(1, rows - 1))) % rows, c] = SECOND_ENTRY[kind]
     return m, units
 
@@ -233,10 +237,15 @@ class TestUnitSplit:
     def test_finds_exactly_the_planted_unit_columns(self, case):
         m, units = case
         split = linalg.unit_split(m)
-        assert [(int(c), int(r)) for c, r in zip(split.unit, split.rows)] == units
+        # a planted 1.0 qualifies only while it is alone in its column and row
+        alone = [
+            (c, r)
+            for c, r in units
+            if m[r, c] == 1 and np.count_nonzero(m[:, c]) == np.count_nonzero(m[r]) == 1
+        ]
+        assert [(int(c), int(r)) for c, r in zip(split.unit, split.rows)] == alone
         assert sorted([*split.unit, *split.rest]) == list(range(m.shape[1]))
-        rows = [r for _, r in units]
-        assert split.distinct == (len(set(rows)) == len(rows))
+        assert len(set(split.rows.tolist())) == split.rows.size
 
     @settings(max_examples=80, deadline=None)
     @given(planted(), st.integers(0, 2**32 - 1), st.integers(0, 3))
@@ -254,10 +263,7 @@ class TestUnitSplit:
         assert_close(left, dense_left)
         # rows that only unit columns reach are pure scatters
         alone = ~(m[:, split.rest] != 0).any(axis=1)
-        if split.distinct:
-            assert np.array_equal(right[alone], dense_right[alone])
-        else:
-            assert np.array_equal(right, dense_right, equal_nan=True)
+        assert np.array_equal(right[alone], dense_right[alone])
         assert_close(right, dense_right)
 
     @settings(max_examples=80, deadline=None)
@@ -332,8 +338,8 @@ class TestUnitSplit:
         m[1, 0] = m[1, 2] = 1.0
         m[:, 1] = [0.5, 0.25j, 2.0]
         split = linalg.unit_split(m)
-        assert split.unit.tolist() == [0, 2] and split.rows.tolist() == [1, 1]
-        assert not split.distinct
+        # row 1 holds three entries, so no column is split off: all go dense
+        assert split.unit.size == 0 and split.rest.tolist() == [0, 1, 2]
         # columns 0 and 2 overlap: their Gram entry is 1, not 0
         keep, _, block = linalg.cross_gram(split, split)
         assert keep.all() and block[0, 2] == 1.0

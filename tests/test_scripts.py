@@ -70,3 +70,31 @@ def test_compare_checks_flags_a_changed_threshold(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "  threshold at (2, 2, 1) seed 0 depth 1: 1e-10 -> 1e-09" in proc.stdout.splitlines()
     assert proc.stdout.splitlines()[-1] == "39 rows: DIFFERENT"
+
+
+def test_compare_exports_same_tree():
+    proc = run_script(
+        "compare_checks.py",
+        ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke", "--exports"],
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["8 files: same bytes"]
+
+
+def test_compare_exports_flags_one_changed_byte(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "ncscatter", changed / "ncscatter")
+    serialize = changed / "ncscatter" / "serialize.py"
+    text = serialize.read_text()
+    assert text.count("'\"word\": '") == 1
+    serialize.write_text(text.replace("'\"word\": '", "'\"wore\": '"))
+    proc = run_script(
+        "compare_checks.py",
+        ["--base", str(SRC), "--change", str(changed), "--grid", "smoke", "--exports"],
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    # the instance file holds no series; every export does
+    assert "differs: (2, 2, 1) seed 0 depth 1 transfer" in lines
+    assert not any(line.endswith(" generate") for line in lines)
+    assert lines[-1] == "8 files: DIFFERENT" and len(lines) == 7

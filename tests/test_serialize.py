@@ -1,6 +1,8 @@
 """JSON round trips, determinism, and schema rejection."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -467,8 +469,19 @@ class TestWriter:
     def test_unsupported_values(self):
         with pytest.raises(TypeError):
             serialize.dump_text({"x": object()})
-        with pytest.raises(TypeError):
-            serialize.dump_text({1: 2})
+
+    def test_reserved_series_string(self, plain_instance):
+        values = transfer_series(build_colligation(plain_instance), 1)
+        for obj in ({"x": serialize._SERIES}, [values, serialize._SERIES]):
+            with pytest.raises(TypeError, match="reserved for series"):
+                serialize.dump_text(obj)
+
+    def test_unplaced_value_error_propagates(self):
+        # an int too long for str() is a ValueError of json.dumps that no
+        # non-finite path explains
+        with pytest.raises(ValueError, match="integer string conversion") as got:
+            serialize.dump_text({"x": [1.5, 10**5000]})
+        assert not isinstance(got.value, serialize.SchemaError)
 
 
 SPECIAL = [-0.0, 0.0, 1e16, 1e-5, 5e-324, -1.5]
@@ -518,6 +531,19 @@ class TestSeriesWriter:
     def test_trajectories_match_the_tree(self, traj):
         obj = serialize.trajectory_to_json(traj)
         assert serialize.dump_text(obj) == json_oracle(oracle_tree(obj))
+
+    def test_keeps_no_series_alive(self):
+        # with the collector off, a series the writer still referenced
+        # after returning would outlive the caller's last reference
+        values = random_series(2, 1, 2, 3, seed=0)
+        gone = weakref.ref(values)
+        gc.disable()
+        try:
+            serialize.dump_text({"coeffs": values})
+            del values
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_special_values(self):
         # every special value as a real and as an imaginary part

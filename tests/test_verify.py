@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncscatter import charfn, lifting, scattering, serialize, transfer, verify
+from ncscatter import charfn, lifting, ncsystem, scattering, serialize, transfer, verify
 from ncscatter.dilation import Dilation
 from ncscatter.intertwiner import base_space, lift_space
 from ncscatter.transfer import NCSeries
+from ncscatter.words import level_start
 from ncscatter.verify import CheckResult, all_passed, render_report, run_all_checks
 
 EXPECTED_ORDER = [
@@ -146,8 +147,9 @@ class TestSharedBuilds:
 
 
 class TestMutations:
-    """A 1e-6 defect in what the compressed kernels and the unit-column
-    products measure must show."""
+    """A seeded defect in what a check measures, 1e-6 where it is a
+    number, must show; every row of the report has one here or in
+    ``test_doctored_instance_fails_and_reports``."""
 
     def failing(self, instance, depth=3):
         return {r.name for r in run_all_checks(instance, depth) if not r.passed}
@@ -310,6 +312,85 @@ class TestMutations:
 
         monkeypatch.setattr(scattering, "shifted_star_frames", perturbed)
         assert "wandering_orthogonality" in self.failing(plain_instance)
+
+    def test_one_head_entry_of_a_translate(self, monkeypatch, plain_instance):
+        # the compression reads the base-space rows of the translates
+        class Bumped(Dilation):
+            def translates(self, x, depth, length):
+                levels = super().translates(x, depth, length)
+                levels[-1][0, -1] += 1e-6
+                return levels
+
+        monkeypatch.setattr(verify, "Dilation", Bumped)
+        assert self.failing(plain_instance) == {"dilation_compression"}
+
+    def test_first_entry_of_the_deep_intertwiner(self, monkeypatch, plain_instance):
+        original = verify.intertwiner_matrix
+
+        def perturbed(instance, depth):
+            w = original(instance, depth)
+            if depth == 3:
+                w[0, 0] += 1e-6
+            return w
+
+        monkeypatch.setattr(verify, "intertwiner_matrix", perturbed)
+        assert "base_subspace_fixed" in self.failing(plain_instance)
+
+    def test_base_row_of_the_star_frame(self, monkeypatch, plain_instance):
+        original = scattering.star_wandering_frame
+
+        def perturbed(instance, depth):
+            frame = original(instance, depth)
+            frame[0] += 1e-6
+            return frame
+
+        monkeypatch.setattr(scattering, "star_wandering_frame", perturbed)
+        assert "star_frame_base_leak" in self.failing(plain_instance)
+
+    def test_scaled_feedthrough(self, monkeypatch, plain_instance):
+        original = verify.build_colligation
+
+        def perturbed(instance):
+            coll = original(instance)
+            return dataclasses.replace(coll, feedthrough=coll.feedthrough * (1 + 1e-6))
+
+        monkeypatch.setattr(verify, "build_colligation", perturbed)
+        assert "colligation_structure" in self.failing(plain_instance)
+
+    def test_transfer_series_scaled_down(self, monkeypatch, no_corner_instance):
+        # without a corner the Toeplitz norm is exactly 1, so a shrink shows
+        original = transfer.transfer_series
+
+        def scaled(*args):
+            theta = original(*args)
+            return NCSeries(theta.d, theta.depth, theta.coeffs * (1 - 1e-6))
+
+        monkeypatch.setattr(transfer, "transfer_series", scaled)
+        assert "transfer_norm_one" in self.failing(no_corner_instance)
+
+    def test_right_translate_prepends(self, monkeypatch, plain_instance):
+        # convolution commutes with appending a letter, not with prepending it
+        def prepended(series, letter):
+            d, depth = series.d, series.depth + 1
+            out = np.zeros((level_start(d, depth + 1),) + series.coeffs.shape[1:], complex)
+            for m in range(depth):
+                start = level_start(d, m + 1) + (letter - 1) * d**m
+                out[start : start + d**m] = series.level(m)
+            return NCSeries(d, depth, out)
+
+        monkeypatch.setattr(transfer, "right_translate", prepended)
+        assert self.failing(plain_instance) == {"multi_analyticity"}
+
+    def test_one_output_of_the_recursion(self, monkeypatch, plain_instance):
+        original = ncsystem.simulate
+
+        def perturbed(*args):
+            traj = original(*args)
+            traj.y.coeffs[-1, 0, 0] += 1e-6
+            return traj
+
+        monkeypatch.setattr(ncsystem, "simulate", perturbed)
+        assert self.failing(plain_instance) == {"io_recursion"}
 
     def test_equal_corner_columns_lose_injectivity(self, monkeypatch, plain_instance):
         original = Dilation.matrix
