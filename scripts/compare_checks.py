@@ -8,9 +8,12 @@ Each tree runs the whole grid in its own subprocess, importing
 
 The full grid has 1416 rows: d = 2 dims (2,2) seeds 1-3 at depth 7, the
 seven sweep shapes x seeds 0-9 at depth 3, and (3,2,2) seed 1 at depth
-4.  For each check the script prints the rows whose verdict changed, the
-largest upward and downward move of the violation, and the worst value
-on each side.  It exits 1 on any change of verdict, error, check name or
+4.  ``--grid deep`` runs d = 2 dims (2,2) seeds 1-3 at depth 9 (about
+1 GB and a minute per tree on 2 cores).  For each check the script
+prints the rows whose verdict changed, the largest upward and downward
+move of the violation, and the worst value on each side; before that
+it prints each tree's peak RSS, the ``ru_maxrss`` of its grid
+subprocess.  It exits 1 on any change of verdict, error, check name or
 threshold, and 0 otherwise.
 
 With ``--exports`` it compares bytes instead: for each instance of the
@@ -27,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -40,6 +44,7 @@ GRIDS = {
         *((shape, range(10), 3) for shape in SWEEP_SHAPES),
         ((3, 2, 2), [1], 4),
     ],
+    "deep": [((2, 2, 2), range(1, 4), 9)],
     "smoke": [((2, 2, 1), [0], 1), ((2, 2, 0), [1], 2)],
 }
 
@@ -62,7 +67,8 @@ def emit_rows(grid: str) -> None:
                     "passed": res.passed,
                     "error": res.error,
                 })  # fmt: skip
-    json.dump({"source": ncscatter.__file__, "rows": rows}, sys.stdout)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    json.dump({"source": ncscatter.__file__, "rows": rows, "peak_mb": peak_mb}, sys.stdout)
 
 
 EXPORTS = ("transfer", "charfn", "simulate")
@@ -94,7 +100,7 @@ def emit_hashes(grid: str) -> None:
     json.dump({"source": ncscatter.__file__, "rows": hashes}, sys.stdout)
 
 
-def run_tree(src: str, mode: str, grid: str):
+def run_tree(src: str, mode: str, grid: str) -> dict:
     """What ``--<mode> <grid>`` prints for the tree under ``src``, from a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     proc = subprocess.run(
@@ -108,7 +114,7 @@ def run_tree(src: str, mode: str, grid: str):
     out = json.loads(proc.stdout)
     if Path(src).resolve() not in Path(out["source"]).resolve().parents:
         raise SystemExit(f"{src}: ncscatter was imported from {out['source']}")
-    return out["rows"]
+    return out
 
 
 def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
@@ -193,9 +199,11 @@ def main() -> int:
     if not (args.base and args.change):
         parser.error("--base and --change are required")
     mode, differ = ("hashes", compare_exports) if args.exports else ("rows", compare)
-    lines, differs = differ(
-        run_tree(args.base, mode, args.grid), run_tree(args.change, mode, args.grid)
-    )
+    base, change = run_tree(args.base, mode, args.grid), run_tree(args.change, mode, args.grid)
+    lines, differs = differ(base["rows"], change["rows"])
+    if not args.exports:
+        peaks = f"base {base['peak_mb']:.1f} MB, change {change['peak_mb']:.1f} MB"
+        lines.insert(0, f"peak RSS of the grid process: {peaks}")
     print("\n".join(lines))
     return 1 if differs else 0
 

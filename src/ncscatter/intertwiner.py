@@ -33,6 +33,18 @@ block of the depth-N matrix is the depth-(N-1) truncation run with one
 extra stage, which consumes the zero level N.  That extra stage must
 not change the truncated result, which :func:`stabilization_violation`
 measures.
+
+:func:`intertwiner_matrix` feeds the identity through the pipeline in
+blocks of ``BLOCK`` columns, and each stage of a block runs only over
+the words its columns can reach.  A column of word u at level m reaches
+the descendants ``[u*d**(n-m), (u+1)*d**(n-m))`` at stage n, then their
+ancestors on the way back; a base column reaches every word.  The word
+ranges follow from the column indices alone, and every coefficient
+outside them is an exact ``T* 0 + d* 0``.  Blocks start at multiples of
+64 because OpenBLAS computes the last ``width mod 4`` columns of a
+product with a tail kernel: so aligned, every column meets the same
+kernel as in the full-width product, and the matrix is the same bit for
+bit.
 """
 
 from __future__ import annotations
@@ -43,6 +55,9 @@ from . import linalg
 from .dilation import GradedSpace, InnerSpaceMismatch
 from .lifting import LiftingInstance
 from .rowtuple import DefectData, OperatorTuple
+
+# identity columns per block of the W build (see the module docstring)
+BLOCK = 64
 
 
 class StageMismatch(ValueError):
@@ -109,18 +124,34 @@ def apply_intertwiner_adjoint(
 
 
 def _pipeline(
-    instance: LiftingInstance, x: np.ndarray, depth: int, adjoint: bool
+    instance: LiftingInstance,
+    x: np.ndarray,
+    depth: int,
+    adjoint: bool,
+    rows: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Forward stages of one tuple, compress or pad, backward stages of the other."""
+    """Forward stages of one tuple, compress or pad, backward stages of the other.
+
+    ``rows`` is a range ``[start, stop)`` outside which ``x`` is zero
+    (default: all rows).  Each stage runs only over the contiguous range
+    of words those rows can reach; every other coefficient is exactly
+    ``T* 0 + d* 0`` and stays zero.
+    """
     lifted = (instance.e, instance.defect_e), lift_space(instance, depth)
     base = (instance.c, instance.defect_c), base_space(instance, depth)
     (first, dom), (second, cod) = (base, lifted) if adjoint else (lifted, base)
     if x.shape[0] != dom.dim:
         raise InnerSpaceMismatch(f"vector has {x.shape[0]} rows, expected {dom.dim}")
-    width = x.shape[1]
-    g = x[: dom.base_dim].reshape((1, dom.base_dim, width))
+    start, stop = (0, dom.dim) if rows is None else rows
+    d, width = dom.d, x.shape[1]
+    # the stage coefficients g cover the words [lo, lo + len(g)) of their level
+    lo, g = 0, x[: dom.base_dim].reshape((1, dom.base_dim, width))
+    if start >= dom.base_dim:
+        g = g[:0]
     for n in range(1, depth + 2):
-        g = stage_forward(*first, g, dom.blocks(x, n - 1))
+        span = _hull((lo, lo + g.shape[0]), _level_words(dom, n - 1, start, stop))
+        g = stage_forward(*first, _widen(g, lo, span), dom.blocks(x, n - 1)[span[0] : span[1]])
+        lo = span[0] * d
     if adjoint:
         padded = np.zeros((g.shape[0], cod.base_dim, width), dtype=np.complex128)
         padded[:, : dom.base_dim] = g
@@ -129,9 +160,41 @@ def _pipeline(
         g = g[:, : cod.base_dim]
     out = np.zeros((cod.dim, width), dtype=np.complex128)
     for n in range(depth + 1, 0, -1):
-        g, low = stage_backward(*second, g)
-        cod.blocks(out, n - 1)[...] = low
-    out[: cod.base_dim] = g[0]
+        # whole sibling groups, so that every parent sees all d children
+        span = (lo // d * d, -(-(lo + g.shape[0]) // d) * d)
+        g, low = stage_backward(*second, _widen(g, lo, span))
+        lo = span[0] // d
+        cod.blocks(out, n - 1)[lo : lo + g.shape[0]] = low
+    if g.shape[0]:
+        out[: cod.base_dim] = g[0]
+    return out
+
+
+def _level_words(space: GradedSpace, m: int, start: int, stop: int) -> tuple[int, int]:
+    """The words ``[lo, hi)`` of level m whose slots meet rows ``[start, stop)``."""
+    level = space.level(m)
+    first, last = max(start, level.start), min(stop, level.stop)
+    if first >= last:
+        return (0, 0)
+    return (first - level.start) // space.inner_dim, -(-(last - level.start) // space.inner_dim)
+
+
+def _hull(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Smallest word range holding both ranges; an empty range adds nothing."""
+    if a[0] >= a[1]:
+        return b
+    if b[0] >= b[1]:
+        return a
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
+def _widen(g: np.ndarray, lo: int, span: tuple[int, int]) -> np.ndarray:
+    """Coefficients of the words ``[lo, lo + len(g))`` over ``span``, zero elsewhere."""
+    if (lo, lo + g.shape[0]) == span:
+        return g
+    out = np.zeros((span[1] - span[0],) + g.shape[1:], dtype=np.complex128)
+    if g.shape[0]:
+        out[lo - span[0] : lo - span[0] + g.shape[0]] = g
     return out
 
 
@@ -146,9 +209,15 @@ def base_space(instance: LiftingInstance, depth: int) -> GradedSpace:
 
 
 def intertwiner_matrix(instance: LiftingInstance, depth: int) -> np.ndarray:
-    """Flat matrix of the depth-truncated intertwiner."""
-    eye = np.eye(lift_space(instance, depth).dim, dtype=np.complex128)
-    return apply_intertwiner(instance, eye, depth)
+    """Flat matrix of the depth-truncated intertwiner, built BLOCK columns at a time."""
+    dim = lift_space(instance, depth).dim
+    out = np.empty((base_space(instance, depth).dim, dim), dtype=np.complex128)
+    for start in range(0, dim, BLOCK):
+        stop = min(start + BLOCK, dim)
+        eye = np.zeros((dim, stop - start), dtype=np.complex128)
+        eye[start:stop] = np.eye(stop - start)
+        out[:, start:stop] = _pipeline(instance, eye, depth, False, (start, stop))
+    return out
 
 
 def stabilization_violation(deep: np.ndarray, flat: np.ndarray) -> float:

@@ -31,7 +31,10 @@ The norm kernels cut further, each step exact:
 Products with a matrix whose columns are mostly isolated exact 1.0
 entries (alone in their column and in their row) go through
 :func:`unit_split`, which reads those columns off the matrix and turns
-their share of a product into copies.
+their share of a product into copies.  The split keeps only the rest
+columns and the unit indices, so the dense matrix can be dropped once
+it is scanned; :func:`unit_split_columns` scans a matrix given as
+column blocks, one block at a time.
 
 :func:`hermitian_sqrt` and :func:`clamped_sqrt` work on scale 1 with
 the fixed tolerance ``TOL_RANK``: their inputs are defect Grams of
@@ -155,33 +158,49 @@ def fold_rows(m: np.ndarray) -> np.ndarray:
 class UnitSplit:
     """A matrix with its isolated exact unit entries split off.
 
-    Column ``unit[k]`` of ``m`` holds one entry != 0, exactly 1.0, in
-    row ``rows[k]``, and no other column reaches that row; the columns
-    ``rest`` are everything else.  Products copy or scatter on the unit
-    columns and multiply only the rest.  The zeros of a unit column are
-    exact: unlike a dense product they read no entry of the other
-    factor, so its inf or NaN there does not become a NaN (0 * inf).
-    Non-finite entries of ``m`` sit in rest columns and show as in the
-    dense product.  The same holds for :func:`cross_gram`,
+    Of the ``n_rows``-row matrix ``m`` it was scanned from, column
+    ``unit[k]`` holds one entry != 0, exactly 1.0, in row ``rows[k]``,
+    and no other column reaches that row.  The columns ``rest`` are
+    everything else, and ``block`` is ``m[:, rest]``; the split keeps no
+    other copy of ``m``.  Products copy or scatter on the unit columns
+    and multiply only the rest.  The zeros of a unit column are exact:
+    unlike a dense product they read no entry of the other factor, so
+    its inf or NaN there does not become a NaN (0 * inf).  Non-finite
+    entries of ``m`` sit in rest columns and show as in the dense
+    product.  The same holds for :func:`cross_gram`,
     :func:`gram_residual` and :func:`row_residual`.
     """
 
-    m: np.ndarray
+    n_rows: int
     unit: np.ndarray
     rows: np.ndarray
     rest: np.ndarray
+    block: np.ndarray
+
+    @property
+    def n_cols(self) -> int:
+        return self.unit.size + self.rest.size
 
     def rmatmul(self, a: np.ndarray) -> np.ndarray:
         """``a @ m``: a unit column copies one column of ``a``."""
-        out = np.empty((a.shape[0], self.m.shape[1]), dtype=np.result_type(a, self.m))
+        out = np.empty((a.shape[0], self.n_cols), dtype=np.result_type(a, self.block))
         out[:, self.unit] = a[:, self.rows]
-        out[:, self.rest] = a @ self.m[:, self.rest]
+        out[:, self.rest] = a @ self.block
         return out
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """``m @ x``: a unit column scatters one row of ``x``."""
-        out = self.m[:, self.rest] @ x[self.rest]
+        out = self.block @ x[self.rest]
         out[self.rows] += x[self.unit]
+        return out
+
+    def kept(self, keep: np.ndarray) -> np.ndarray:
+        """``m[:, keep]`` for a column mask ``keep``, rebuilt from the split."""
+        out = np.zeros((self.n_rows, np.count_nonzero(keep)), dtype=self.block.dtype)
+        at = np.cumsum(keep) - 1
+        out[:, at[self.rest]] = self.block
+        units = keep[self.unit]
+        out[self.rows[units], at[self.unit[units]]] = 1.0
         return out
 
     def complement(self) -> np.ndarray:
@@ -204,37 +223,71 @@ def unit_split(m: np.ndarray) -> UnitSplit:
     equals 1.0 and is also the only entry != 0 of its row; any other
     value, however close, leaves the column with the rest.
     """
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
-    cols = np.arange(m.shape[1])
-    if not m.shape[0]:
-        return UnitSplit(m, cols[:0], cols[:0], cols)
-    nonzero = m != 0
-    rows = nonzero.argmax(axis=0)
-    alone = np.count_nonzero(nonzero, axis=1) == 1
-    unit = (np.count_nonzero(nonzero, axis=0) == 1) & alone[rows] & (m[rows, cols] == 1)
-    return UnitSplit(m, cols[unit], rows[unit], cols[~unit])
+    return unit_split_columns([m])
+
+
+def unit_split_columns(parts) -> UnitSplit:
+    """:func:`unit_split` of the column blocks ``parts`` set side by side.
+
+    The blocks are scanned one at a time, so an iterator of them is
+    never held whole.  A unit column of one block whose row another block
+    reaches goes back to the rest, as the unit vector it is.
+    """
+    counts, units, rests, start = None, [], [], 0
+    for m in parts:
+        m = np.asarray(m)
+        if m.ndim != 2:
+            raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
+        if counts is None:
+            counts = np.zeros(m.shape[0], dtype=np.intp)
+        elif m.shape[0] != counts.size:
+            raise DimensionError(f"column blocks of {counts.size} and {m.shape[0]} rows")
+        cols = np.arange(m.shape[1])
+        nonzero = m != 0
+        in_row = np.count_nonzero(nonzero, axis=1)
+        counts += in_row
+        if m.shape[0]:
+            rows = nonzero.argmax(axis=0)
+            alone = in_row[rows] == 1
+            unit = (np.count_nonzero(nonzero, axis=0) == 1) & alone & (m[rows, cols] == 1)
+        else:
+            rows, unit = cols, np.zeros(cols.size, dtype=bool)
+        units.append((start + cols[unit], rows[unit]))
+        rests.append((start + cols[~unit], m[:, ~unit]))
+        start += m.shape[1]
+        del m, nonzero  # let the block go before the next one is made
+    if counts is None:
+        raise DimensionError("no column blocks to split")
+    unit, rows = (np.concatenate(side) for side in zip(*units))
+    alone = counts[rows] == 1
+    if len(rests) == 1 and alone.all():
+        return UnitSplit(counts.size, unit, rows, *rests[0])
+    back = np.zeros((counts.size, np.count_nonzero(~alone)), dtype=rests[0][1].dtype)
+    back[rows[~alone], np.arange(back.shape[1])] = 1.0
+    rest = np.concatenate([r for r, _ in rests] + [unit[~alone]])
+    order = np.argsort(rest, kind="stable")
+    block = np.hstack([b for _, b in rests] + [back])[:, order]
+    return UnitSplit(counts.size, unit[alone], rows[alone], rest[order], block)
 
 
 def cross_gram(a: UnitSplit, b: UnitSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``a.m* b.m`` on the columns where it can be nonzero.
 
     A unit column of one matrix whose row the other does not reach meets
-    only zeros, so its line of the product is exactly zero; the other
-    columns are multiplied densely.  Returns the column masks of ``a``
-    and ``b`` and the block on them.
+    only zeros, so its line of the product is exactly zero; only the
+    other columns are built, and multiplied densely.  Returns the column
+    masks of ``a`` and ``b`` and the block on them.
     """
 
     def meeting(split: UnitSplit, other: UnitSplit) -> np.ndarray:
-        reached = (other.m[:, other.rest] != 0).any(axis=1)
+        reached = (other.block != 0).any(axis=1)
         reached[other.rows] = True
-        keep = np.ones(split.m.shape[1], dtype=bool)
+        keep = np.ones(split.n_cols, dtype=bool)
         keep[split.unit] = reached[split.rows]
         return keep
 
     keep_a, keep_b = meeting(a, b), meeting(b, a)
-    return keep_a, keep_b, a.m[:, keep_a].conj().T @ b.m[:, keep_b]
+    return keep_a, keep_b, a.kept(keep_a).conj().T @ b.kept(keep_b)
 
 
 def gram_residual(split: UnitSplit) -> tuple[np.ndarray, np.ndarray]:
@@ -244,10 +297,9 @@ def gram_residual(split: UnitSplit) -> tuple[np.ndarray, np.ndarray]:
     exactly zero; only the rest columns are multiplied, densely: returns
     their mask and the square block on them.
     """
-    live = np.ones(split.m.shape[1], dtype=bool)
+    live = np.ones(split.n_cols, dtype=bool)
     live[split.unit] = False
-    block = split.m[:, live]
-    return live, block.conj().T @ block - np.eye(block.shape[1])
+    return live, split.block.conj().T @ split.block - np.eye(split.block.shape[1])
 
 
 def row_residual(splits: list[UnitSplit]) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +311,9 @@ def row_residual(splits: list[UnitSplit]) -> tuple[np.ndarray, np.ndarray]:
     residual, so only the other rows are formed: returns their mask and
     the square block on them.
     """
-    n = splits[0].m.shape[0]
+    n = splits[0].n_rows
     count = sum(np.bincount(s.rows, minlength=n) for s in splits)
-    rest = np.hstack([s.m[:, s.rest] for s in splits])
+    rest = np.hstack([s.block for s in splits])
     live = (count != 1) | (rest != 0).any(axis=1)
     block = rest[live]
     return live, np.diag(1.0 - count[live]) - block @ block.conj().T

@@ -95,22 +95,26 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     orthonormalizes its columns on the support of ``S* S - I`` by the
     inverse root of their Gram block, and complements the range.  ``S``
     is an isometry; a Gram eigenvalue <= 1/4 raises :class:`DepthError`.
-    Both ``S* S - I`` and the complement projector are formed with the
-    unit columns of the stack split off (see :func:`.linalg.unit_split`).
+    The stack is never formed: each dilation matrix is dropped once its
+    unit columns are split off (see :func:`.linalg.unit_split_columns`),
+    and both ``S* S - I`` and the complement projector are formed from
+    the split.
     """
     if depth < 1:
         raise DepthError("complement needs depth at least 1")
     dil = Dilation(instance.e, instance.defect_e)
     nc = instance.dim_c
-    stack = np.hstack([dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)])
-    cols, resid = linalg.gram_residual(linalg.unit_split(stack))
-    live = np.flatnonzero(cols)[np.logical_or(*linalg._support(resid))]
-    block = stack[:, live]
+    split = linalg.unit_split_columns(
+        dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)
+    )
+    _, resid = linalg.gram_residual(split)
+    live = np.logical_or(*linalg._support(resid))
+    block = split.block[:, live]
     w, v = np.linalg.eigh(block.conj().T @ block)
     if not np.all(w > 0.25):
         raise DepthError("shifted corner stack lost injectivity")
-    stack[:, live] = block @ ((v / np.sqrt(w)) @ v.conj().T)
-    return linalg.complement_onb(stack)
+    split.block[:, live] = block @ ((v / np.sqrt(w)) @ v.conj().T)
+    return split.complement()
 
 
 def verify_complement(

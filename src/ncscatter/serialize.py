@@ -379,7 +379,11 @@ def dump_text(obj) -> str:
             line = out[-1][out[-1].rfind("\n") + 1 :]
             _write_series(value, (len(line) - len(line.lstrip(" "))) // 2, out)
             out.append(piece)
-    except ValueError:
+    except ValueError as exc:
+        # json.dumps stops at the first cycle or non-finite float in
+        # writing order; a cycle has no path to place
+        if exc.args == ("Circular reference detected",):
+            raise
         path = _nonfinite_path(obj)
         if path is None:
             raise

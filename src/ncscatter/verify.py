@@ -81,7 +81,8 @@ def _dilation_pair(instance: LiftingInstance) -> tuple[Dilation, Dilation]:
 
 def _dilation_matrices(instance: LiftingInstance, depth: int) -> list[list[UnitSplit]]:
     """``V_j`` from depth-1 to depth, for the base dilation then the lifted one,
-    with the unit columns (the plain level copies) split off."""
+    with the unit columns (the plain level copies) split off; only the
+    splits are kept."""
     pair = _dilation_pair(instance)
     return [[unit_split(dil.matrix(j, depth - 1)) for j in range(1, dil.d + 1)] for dil in pair]
 

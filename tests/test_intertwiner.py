@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ncscatter.dilation import Dilation, InnerSpaceMismatch
 from ncscatter.intertwiner import (
+    BLOCK,
     StageMismatch,
     apply_intertwiner,
     apply_intertwiner_adjoint,
@@ -35,6 +36,33 @@ def random_block(rng, words, dim, width=1):
 
 def norm_sq(*blocks):
     return sum(float(np.sum(np.abs(b) ** 2)) for b in blocks)
+
+
+def full_pipeline(inst, x, depth, adjoint=False):
+    """Oracle: the stage pipeline run over every word and every column."""
+    lifted = (inst.e, inst.defect_e), lift_space(inst, depth)
+    base = (inst.c, inst.defect_c), base_space(inst, depth)
+    (first, dom), (second, cod) = (base, lifted) if adjoint else (lifted, base)
+    width = x.shape[1]
+    g = x[: dom.base_dim].reshape((1, dom.base_dim, width))
+    for n in range(1, depth + 2):
+        g = stage_forward(*first, g, dom.blocks(x, n - 1))
+    if adjoint:
+        padded = np.zeros((g.shape[0], cod.base_dim, width), dtype=np.complex128)
+        padded[:, : dom.base_dim] = g
+        g = padded
+    else:
+        g = g[:, : cod.base_dim]
+    out = np.zeros((cod.dim, width), dtype=np.complex128)
+    for n in range(depth + 1, 0, -1):
+        g, low = stage_backward(*second, g)
+        cod.blocks(out, n - 1)[...] = low
+    out[: cod.base_dim] = g[0]
+    return out
+
+
+def full_width_matrix(inst, depth):
+    return full_pipeline(inst, np.eye(lift_space(inst, depth).dim, dtype=np.complex128), depth)
 
 
 def adjoint_matrix(inst, depth):
@@ -264,6 +292,53 @@ class TestIntertwiner:
         inst = generate(3, 1, 2, seed=4)
         m = intertwiner_matrix(inst, 1)
         assert operator_norm(m @ m.conj().T - np.eye(m.shape[0])) < 1e-12
+
+
+SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0)]
+
+
+class TestBlockedBuild:
+    # the W build runs BLOCK identity columns at a time, each stage over
+    # the words its columns reach; the full-width pipeline is the oracle,
+    # bit for bit
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_sweep_shapes_bit_for_bit(self, shape):
+        # at d = 3 the full-width oracle needs 2.5 GB for depth 6, so it
+        # stops at depth 5 (731 columns)
+        for seed in range(4):
+            inst = generate(*shape, seed=seed)
+            for depth in range(1, 7 if shape[0] < 3 else 6):
+                got = intertwiner_matrix(inst, depth)
+                assert np.array_equal(got, full_width_matrix(inst, depth)), (seed, depth)
+
+    def test_blocks_cover_short_last_block(self):
+        # several blocks, and a last one shorter than BLOCK
+        dims = [lift_space(generate(*shape, seed=0), 6).dim for shape in SWEEP_SHAPES]
+        assert any(dim > BLOCK and dim % BLOCK for dim in dims)
+
+    def test_three_letters_bit_for_bit(self):
+        inst = generate(3, 2, 2, seed=1)
+        for depth in range(1, 5):
+            assert np.array_equal(intertwiner_matrix(inst, depth), full_width_matrix(inst, depth))
+
+    def test_deep_bit_for_bit(self):
+        inst = generate(2, 2, 2, seed=1)
+        assert np.array_equal(intertwiner_matrix(inst, 8), full_width_matrix(inst, 8))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1), (2, 2, 0)])
+    def test_apply_paths_unchanged(self, shape):
+        # a random probe batch and the vacuum defect batch, both directions
+        inst = generate(*shape, seed=2)
+        depth = 3
+        rng = np.random.default_rng(8)
+        for adjoint, dom in ((False, lift_space(inst, depth)), (True, base_space(inst, depth))):
+            apply = apply_intertwiner_adjoint if adjoint else apply_intertwiner
+            probes = random_block(rng, 1, dom.dim, width=3)[0]
+            vacuum = np.zeros((dom.dim, dom.inner_dim), dtype=np.complex128)
+            vacuum[dom.slot(())] = np.eye(dom.inner_dim)
+            for x in (probes, vacuum):
+                assert np.array_equal(apply(inst, x, depth), full_pipeline(inst, x, depth, adjoint))
 
 
 class TestZeroRank:

@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncscatter import linalg
+from ncscatter.dilation import Dilation
+from ncscatter.lifting import generate
 from ncscatter.linalg import (
     DimensionError,
     NotHermitian,
@@ -225,6 +229,11 @@ def assert_close(got, want):
     assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-14)
 
 
+def same_height(b, m):
+    """``b`` cut to the rows of ``m``, or ``m`` itself if ``b`` is too short."""
+    return b[: m.shape[0]] if b.shape[0] >= m.shape[0] else m
+
+
 def finite_scale(*ms):
     return max(np.abs(m[np.isfinite(m)]).max(initial=0.0) for m in ms) ** 2
 
@@ -269,16 +278,13 @@ class TestUnitSplit:
     @settings(max_examples=80, deadline=None)
     @given(planted(), planted())
     def test_cross_gram_matches_dense(self, case, other_case):
-        m, _ = case
-        split = linalg.unit_split(m)
-        other = linalg.unit_split(other_case[0][: m.shape[0]])
-        if other.m.shape[0] != m.shape[0]:
-            other = split
+        m, b = case[0], same_height(other_case[0], case[0])
+        split, other = linalg.unit_split(m), linalg.unit_split(b)
         with np.errstate(invalid="ignore"):
             keep_a, keep_b, block = linalg.cross_gram(split, other)
-            dense = m.conj().T @ other.m
+            dense = m.conj().T @ b
         kept = dense[np.ix_(keep_a, keep_b)]
-        if np.isfinite(m).all() and np.isfinite(other.m).all():
+        if np.isfinite(m).all() and np.isfinite(b).all():
             # the dropped lines are exactly zero in the dense product
             assert np.all(dense[~keep_a] == 0) and np.all(dense[:, ~keep_b] == 0)
             assert np.allclose(block, kept, rtol=1e-14, atol=1e-14)
@@ -292,20 +298,29 @@ class TestUnitSplit:
 
     @settings(max_examples=80, deadline=None)
     @given(planted(), planted())
+    def test_cross_gram_bit_equal_on_kept_columns(self, case, other_case):
+        # the kept columns are rebuilt from the split: the block's columns
+        # and an exact 1.0 per kept unit column, so the product is the
+        # dense one of the same columns, bit for bit
+        m, b = case[0], same_height(other_case[0], case[0])
+        with np.errstate(invalid="ignore"):
+            keep_a, keep_b, block = linalg.cross_gram(linalg.unit_split(m), linalg.unit_split(b))
+            want = m[:, keep_a].conj().T @ b[:, keep_b]
+        assert np.array_equal(block, want, equal_nan=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted(), planted())
     def test_residuals_match_dense(self, case, other_case):
-        m, _ = case
-        split = linalg.unit_split(m)
-        other = linalg.unit_split(other_case[0][: m.shape[0]])
-        if other.m.shape[0] != m.shape[0]:
-            other = split
-        finite = np.isfinite(m).all() and np.isfinite(other.m).all()
-        scale = finite_scale(m, other.m)
+        m, b = case[0], same_height(other_case[0], case[0])
+        split, other = linalg.unit_split(m), linalg.unit_split(b)
+        finite = np.isfinite(m).all() and np.isfinite(b).all()
+        scale = finite_scale(m, b)
         with np.errstate(invalid="ignore"):
             pairs = [
                 (linalg.gram_residual(split), m.conj().T @ m - np.eye(m.shape[1])),
                 (
                     linalg.row_residual([split, other]),
-                    np.eye(m.shape[0]) - m @ m.conj().T - other.m @ other.m.conj().T,
+                    np.eye(m.shape[0]) - m @ m.conj().T - b @ b.conj().T,
                 ),
             ]
         for (live, block), dense in pairs:
@@ -367,6 +382,47 @@ class TestUnitSplit:
     def test_vector_input_rejected(self):
         with pytest.raises(DimensionError):
             linalg.unit_split(np.ones(3))
+
+    def test_split_of_dilation_matrix_holds_no_full_width_array(self):
+        inst = generate(2, 2, 2, seed=1)
+        dil = Dilation(inst.e, inst.defect_e)
+        for j in (1, 2):
+            m = dil.matrix(j, 5)
+            split = linalg.unit_split(m)
+            assert split.n_rows == m.shape[0] and split.n_cols == m.shape[1]
+            held = [getattr(split, f.name) for f in fields(split)]
+            arrays = [a for a in held if isinstance(a, np.ndarray)]
+            assert arrays and all(a.shape[-1] < m.shape[1] for a in arrays)
+            assert np.array_equal(split.block, m[:, split.rest])
+            x = np.arange(m.shape[1] * 2).reshape(m.shape[1], 2) * (1 + 0.5j)
+            assert np.array_equal(split.matmul(x)[split.rows], m[split.rows] @ x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted(), planted(), st.integers(0, 12), st.integers(0, 12))
+    def test_split_of_column_blocks_matches_split_of_stack(self, case, other_case, i, k):
+        # a unit column of one block whose row another block reaches goes
+        # back to the rest, as the unit vector it is
+        m = np.hstack([case[0], same_height(other_case[0], case[0])])
+        i, k = sorted((min(i, m.shape[1]), min(k, m.shape[1])))
+        blocks = [m[:, :i], m[:, i:k], m[:, k:]]
+        whole, parts = linalg.unit_split(m), linalg.unit_split_columns(iter(blocks))
+        for name in ("unit", "rows", "rest", "block"):
+            assert np.array_equal(getattr(parts, name), getattr(whole, name), equal_nan=True)
+        assert parts.n_rows == whole.n_rows
+
+    def test_unit_column_reached_by_another_block_goes_back(self):
+        a = np.array([[1.0], [0.0]])
+        b = np.array([[0.5, 0.0], [0.0, 1.0]])
+        split = linalg.unit_split_columns([a, b])
+        assert split.unit.tolist() == [2] and split.rows.tolist() == [1]
+        assert split.rest.tolist() == [0, 1]
+        assert np.array_equal(split.block, [[1.0, 0.5], [0.0, 0.0]])
+
+    def test_column_blocks_of_different_heights_rejected(self):
+        with pytest.raises(DimensionError):
+            linalg.unit_split_columns([np.eye(2), np.eye(3)])
+        with pytest.raises(DimensionError):
+            linalg.unit_split_columns([])
 
 
 class TestRandomIsometry:

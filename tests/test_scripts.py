@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` at small sizes."""
 
+import importlib.util
 import os
 import re
 import shutil
@@ -55,6 +56,25 @@ def test_compare_checks_same_tree():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "39 rows: same verdicts, errors, names and thresholds"
     assert any(line.startswith("intertwining: 2 rows, 0 verdict changes; ") for line in lines)
+
+
+def test_compare_checks_prints_peak_rss():
+    proc = run_script(
+        "compare_checks.py", ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke"]
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    pattern = r"peak RSS of the grid process: base \d+\.\d MB, change \d+\.\d MB"
+    assert re.fullmatch(pattern, proc.stdout.splitlines()[0]), proc.stdout
+
+
+def test_compare_checks_deep_grid():
+    path = ROOT / "scripts" / "compare_checks.py"
+    spec = importlib.util.spec_from_file_location("compare_checks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert [(shape, list(seeds), depth) for shape, seeds, depth in script.GRIDS["deep"]] == [
+        ((2, 2, 2), [1, 2, 3], 9)
+    ]
 
 
 def test_compare_checks_flags_a_changed_threshold(tmp_path):

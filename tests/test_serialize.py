@@ -476,6 +476,27 @@ class TestWriter:
             with pytest.raises(TypeError, match="reserved for series"):
                 serialize.dump_text(obj)
 
+    def test_circular_list_raises_json_error(self):
+        tree = [1.5]
+        tree.append(tree)
+        with pytest.raises(ValueError, match="^Circular reference detected$") as got:
+            serialize.dump_text({"x": tree})
+        assert not isinstance(got.value, serialize.SchemaError)
+
+    def test_circular_dict_raises_json_error(self):
+        # a non-finite float after the cycle in writing order is never reached
+        tree = {"a": 1.5, "z": float("nan")}
+        tree["b"] = tree
+        with pytest.raises(ValueError, match="^Circular reference detected$") as got:
+            serialize.dump_text(tree)
+        assert not isinstance(got.value, serialize.SchemaError)
+
+    def test_non_finite_before_cycle_is_placed(self):
+        tree = {"a": float("inf")}
+        tree["b"] = tree
+        with pytest.raises(serialize.SchemaError, match="non-finite number at a "):
+            serialize.dump_text(tree)
+
     def test_unplaced_value_error_propagates(self):
         # an int too long for str() is a ValueError of json.dumps that no
         # non-finite path explains
