@@ -9,7 +9,12 @@ Each tree runs the whole grid in its own subprocess, importing
 The full grid has 1416 rows: d = 2 dims (2,2) seeds 1-3 at depth 7, the
 seven sweep shapes x seeds 0-9 at depth 3, and (3,2,2) seed 1 at depth
 4.  ``--grid deep`` runs d = 2 dims (2,2) seeds 1-3 at depth 9 (about
-1 GB and a minute per tree on 2 cores).  For each check the script
+1 GB and a minute per tree on 2 cores).  ``--grid edge`` runs the seven
+sweep shapes x seeds 0-2 at depth 3 with ``a_scale`` 0 (``A = 0``) and 1
+(an isometric corner), where the defect bases come closest to holding
+exact unit columns.  Every other grid draws its instances at
+``generate``'s default ``a_scale`` of 0.9, and only a row drawn at
+another value names it.  For each check the script
 prints the rows whose verdict changed, the largest upward and downward
 move of the violation, and the worst value on each side; before that
 it prints each tree's peak RSS, the ``ru_maxrss`` of its grid
@@ -37,16 +42,24 @@ import tempfile
 from pathlib import Path
 
 SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
-# (shape (d, dimC, dimA), seeds, depth)
+A_SCALE = 0.9  # generate's default
+# (shape (d, dimC, dimA), seeds, depth, a_scale)
 GRIDS = {
     "full": [
-        ((2, 2, 2), range(1, 4), 7),
-        *((shape, range(10), 3) for shape in SWEEP_SHAPES),
-        ((3, 2, 2), [1], 4),
+        ((2, 2, 2), range(1, 4), 7, A_SCALE),
+        *((shape, range(10), 3, A_SCALE) for shape in SWEEP_SHAPES),
+        ((3, 2, 2), [1], 4, A_SCALE),
     ],
-    "deep": [((2, 2, 2), range(1, 4), 9)],
-    "smoke": [((2, 2, 1), [0], 1), ((2, 2, 0), [1], 2)],
+    "deep": [((2, 2, 2), range(1, 4), 9, A_SCALE)],
+    "edge": [(shape, range(3), 3, a) for shape in SWEEP_SHAPES for a in (0.0, 1.0)],
+    "smoke": [((2, 2, 1), [0], 1, A_SCALE), ((2, 2, 0), [1], 2, A_SCALE)],
 }
+
+
+def label(shape, seed: int, depth: int, a_scale: float) -> str:
+    """How the rows and files of one grid instance are named."""
+    scale = "" if a_scale == A_SCALE else f" a_scale {a_scale}"
+    return f"{shape} seed {seed} depth {depth}{scale}"
 
 
 def emit_rows(grid: str) -> None:
@@ -56,11 +69,12 @@ def emit_rows(grid: str) -> None:
     from ncscatter.verify import run_all_checks
 
     rows = []
-    for shape, seeds, depth in GRIDS[grid]:
+    for shape, seeds, depth, a_scale in GRIDS[grid]:
         for seed in seeds:
-            for res in run_all_checks(generate(*shape, seed=seed), depth):
+            inst = generate(*shape, seed=seed, a_scale=a_scale)
+            for res in run_all_checks(inst, depth):
                 rows.append({
-                    "instance": f"{shape} seed {seed} depth {depth}",
+                    "instance": label(shape, seed, depth, a_scale),
                     "check": res.name,
                     "value": res.max_violation,
                     "threshold": res.threshold,
@@ -84,19 +98,20 @@ def emit_hashes(grid: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         inst, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
 
-        def write(label: str, path: Path, argv: list[str]) -> None:
+        def write(name: str, path: Path, argv: list[str]) -> None:
             if main([*argv, "-o", str(path)]) != 0:
-                raise SystemExit(f"{label}: {argv[0]} failed")
-            hashes[f"{label} {argv[0]}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                raise SystemExit(f"{name}: {argv[0]} failed")
+            hashes[f"{name} {argv[0]}"] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-        for (d, dim_c, dim_a), seeds, depth in GRIDS[grid]:
+        for (d, dim_c, dim_a), seeds, depth, a_scale in GRIDS[grid]:
             shape = ["--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a)]
+            shape += ["--a-scale", repr(a_scale)]
             for seed in seeds:
-                label = f"{(d, dim_c, dim_a)} seed {seed} depth {depth}"
-                write(label, inst, ["generate", *shape, "--seed", str(seed)])
+                name = label((d, dim_c, dim_a), seed, depth, a_scale)
+                write(name, inst, ["generate", *shape, "--seed", str(seed)])
                 for cmd in EXPORTS:
                     seeded = ["--seed", str(seed)] if cmd == "simulate" else []
-                    write(label, out, [cmd, "--input", str(inst), "--depth", str(depth), *seeded])
+                    write(name, out, [cmd, "--input", str(inst), "--depth", str(depth), *seeded])
     json.dump({"source": ncscatter.__file__, "rows": hashes}, sys.stdout)
 
 

@@ -267,7 +267,6 @@ def generate(
     dim_a: int,
     seed: int,
     a_scale: float = 0.9,
-    tol: float = TOL_EQ,
 ) -> LiftingInstance:
     """Draw a random valid instance from a seeded PCG64 stream.
 
@@ -302,7 +301,7 @@ def generate(
     if dim_a == 0:
         a = OperatorTuple(tuple(np.zeros((0, 0)) for _ in range(d)))
         b = tuple(np.zeros((0, dim_c)) for _ in range(d))
-        return assemble(c, a, b, tol, seed=seed)
+        return assemble(c, a, b, seed=seed)
 
     raw = rng.standard_normal((dim_a, d * dim_a)) + 1j * rng.standard_normal(
         (dim_a, d * dim_a)
@@ -318,7 +317,7 @@ def generate(
     dstar_basis = linalg.range_onb(dstar)
     rank_star = dstar_basis.shape[1]
 
-    defect_c = defect(c, tol)
+    defect_c = defect(c)
     if rank_star > defect_c.rank:
         raise Infeasible(
             f"star defect rank {rank_star} exceeds base defect rank "
@@ -330,5 +329,5 @@ def generate(
     b = tuple(
         bstar[j * dim_c : (j + 1) * dim_c, :].conj().T for j in range(d)
     )
-    return assemble(c, a, b, tol, seed=seed)
+    return assemble(c, a, b, seed=seed)
 

@@ -30,11 +30,15 @@ The norm kernels cut further, each step exact:
 
 Products with a matrix whose columns are mostly isolated exact 1.0
 entries (alone in their column and in their row) go through
-:func:`unit_split`, which reads those columns off the matrix and turns
-their share of a product into copies.  The split keeps only the rest
-columns and the unit indices, so the dense matrix can be dropped once
-it is scanned; :func:`unit_split_columns` scans a matrix given as
-column blocks, one block at a time.
+:func:`unit_split`, which scans the matrix as column blocks, one block
+at a time, reads those columns off and turns their share of a product
+into copies.  The split keeps only the rest columns and the unit
+indices, so each block can be dropped once it is scanned.
+:meth:`UnitSplit.columns` cuts a run of columns off a split, so a row
+``[V_1 ... V_d]`` is split once and each letter ``V_j`` read off it.  A
+unit column of the row meets only exact zeros of every other column,
+so the Grams and cross Grams of the letters multiply only their rest
+blocks.
 
 :func:`hermitian_sqrt` and :func:`clamped_sqrt` work on scale 1 with
 the fixed tolerance ``TOL_RANK``: their inputs are defect Grams of
@@ -162,13 +166,15 @@ class UnitSplit:
     ``unit[k]`` holds one entry != 0, exactly 1.0, in row ``rows[k]``,
     and no other column reaches that row.  The columns ``rest`` are
     everything else, and ``block`` is ``m[:, rest]``; the split keeps no
-    other copy of ``m``.  Products copy or scatter on the unit columns
-    and multiply only the rest.  The zeros of a unit column are exact:
-    unlike a dense product they read no entry of the other factor, so
-    its inf or NaN there does not become a NaN (0 * inf).  Non-finite
-    entries of ``m`` sit in rest columns and show as in the dense
-    product.  The same holds for :func:`cross_gram`,
-    :func:`gram_residual` and :func:`row_residual`.
+    other copy of ``m``.  Both index arrays ascend, so :meth:`columns`
+    cuts a run of columns, such as one letter of a row ``[V_1 ... V_d]``,
+    off the split without a rescan.  Products copy or scatter on the
+    unit columns and multiply only the rest.  The zeros of a unit column
+    are exact: unlike a dense product they read no entry of the other
+    factor, so its inf or NaN there does not become a NaN (0 * inf).
+    Non-finite entries of ``m`` sit in rest columns and show as in the
+    dense product.  The same holds for :func:`gram_residual` and
+    :func:`row_residual`.
     """
 
     n_rows: int
@@ -180,6 +186,14 @@ class UnitSplit:
     @property
     def n_cols(self) -> int:
         return self.unit.size + self.rest.size
+
+    def columns(self, lo: int, hi: int) -> "UnitSplit":
+        """The split of ``m[:, lo:hi]``: a unit column stays one, as no
+        other column of ``m`` reaches its row, and the block is a view."""
+        i, k = np.searchsorted(self.unit, [lo, hi])
+        a, b = np.searchsorted(self.rest, [lo, hi])
+        unit, rest = self.unit[i:k] - lo, self.rest[a:b] - lo
+        return UnitSplit(self.n_rows, unit, self.rows[i:k], rest, self.block[:, a:b])
 
     def rmatmul(self, a: np.ndarray) -> np.ndarray:
         """``a @ m``: a unit column copies one column of ``a``."""
@@ -194,20 +208,11 @@ class UnitSplit:
         out[self.rows] += x[self.unit]
         return out
 
-    def kept(self, keep: np.ndarray) -> np.ndarray:
-        """``m[:, keep]`` for a column mask ``keep``, rebuilt from the split."""
-        out = np.zeros((self.n_rows, np.count_nonzero(keep)), dtype=self.block.dtype)
-        at = np.cumsum(keep) - 1
-        out[:, at[self.rest]] = self.block
-        units = keep[self.unit]
-        out[self.rows[units], at[self.unit[units]]] = 1.0
-        return out
-
     def complement(self) -> np.ndarray:
         """:func:`complement_onb` of ``m``: phase-fixed eigenvectors of
         eigenvalue > 1/2 of the projector :func:`row_residual`, found on
         the support of its live block."""
-        rows, p = row_residual([self])
+        rows, p = row_residual(self)
         p = (p + p.conj().T) / 2.0
         live = _support(p)[0]
         w, v = np.linalg.eigh(p[np.ix_(live, live)])
@@ -216,21 +221,15 @@ class UnitSplit:
         return _fix_column_phases(out[:, w > 0.5])
 
 
-def unit_split(m: np.ndarray) -> UnitSplit:
-    """Split off the columns of ``m`` that hold an isolated exact 1.0.
+def unit_split(parts) -> UnitSplit:
+    """Split off the isolated exact 1.0 columns of the column blocks
+    ``parts`` set side by side, one matrix ``m``.
 
     A column qualifies when its only entry != 0 (NaN and inf count)
-    equals 1.0 and is also the only entry != 0 of its row; any other
-    value, however close, leaves the column with the rest.
-    """
-    return unit_split_columns([m])
-
-
-def unit_split_columns(parts) -> UnitSplit:
-    """:func:`unit_split` of the column blocks ``parts`` set side by side.
-
-    The blocks are scanned one at a time, so an iterator of them is
-    never held whole.  A unit column of one block whose row another block
+    equals 1.0 and is also the only entry != 0 of its row in ``m``; any
+    other value, however close, leaves the column with the rest.  The
+    blocks are scanned one at a time, so an iterator of them is never
+    held whole; a unit column of one block whose row another block
     reaches goes back to the rest, as the unit vector it is.
     """
     counts, units, rests, start = None, [], [], 0
@@ -270,53 +269,27 @@ def unit_split_columns(parts) -> UnitSplit:
     return UnitSplit(counts.size, unit[alone], rows[alone], rest[order], block)
 
 
-def cross_gram(a: UnitSplit, b: UnitSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``a.m* b.m`` on the columns where it can be nonzero.
-
-    A unit column of one matrix whose row the other does not reach meets
-    only zeros, so its line of the product is exactly zero; only the
-    other columns are built, and multiplied densely.  Returns the column
-    masks of ``a`` and ``b`` and the block on them.
-    """
-
-    def meeting(split: UnitSplit, other: UnitSplit) -> np.ndarray:
-        reached = (other.block != 0).any(axis=1)
-        reached[other.rows] = True
-        keep = np.ones(split.n_cols, dtype=bool)
-        keep[split.unit] = reached[split.rows]
-        return keep
-
-    keep_a, keep_b = meeting(a, b), meeting(b, a)
-    return keep_a, keep_b, a.kept(keep_a).conj().T @ b.kept(keep_b)
-
-
-def gram_residual(split: UnitSplit) -> tuple[np.ndarray, np.ndarray]:
-    """``m* m - I`` on the columns where it can be nonzero.
+def gram_residual(split: UnitSplit) -> np.ndarray:
+    """``m* m - I`` on the rest columns.
 
     A unit column is alone in its row, so its line of the residual is
-    exactly zero; only the rest columns are multiplied, densely: returns
-    their mask and the square block on them.
-    """
-    live = np.ones(split.n_cols, dtype=bool)
-    live[split.unit] = False
-    return live, split.block.conj().T @ split.block - np.eye(split.block.shape[1])
-
-
-def row_residual(splits: list[UnitSplit]) -> tuple[np.ndarray, np.ndarray]:
-    """``I - sum_k m_k m_k*`` on the rows where it can be nonzero.
-
-    The ``m_k`` share their row count; together they are the column
-    blocks of one matrix ``m`` and the sum is ``m m*``.  A row reached by
-    exactly one unit column and no other column is exactly zero in the
-    residual, so only the other rows are formed: returns their mask and
+    exactly zero; only the rest columns are multiplied, densely, into
     the square block on them.
     """
-    n = splits[0].n_rows
-    count = sum(np.bincount(s.rows, minlength=n) for s in splits)
-    rest = np.hstack([s.block for s in splits])
-    live = (count != 1) | (rest != 0).any(axis=1)
-    block = rest[live]
-    return live, np.diag(1.0 - count[live]) - block @ block.conj().T
+    return split.block.conj().T @ split.block - np.eye(split.block.shape[1])
+
+
+def row_residual(split: UnitSplit) -> tuple[np.ndarray, np.ndarray]:
+    """``I - m m*`` on the rows where it can be nonzero.
+
+    The row of a unit column is reached by no other column, so its line
+    of the residual is exactly zero; only the other rows are formed:
+    returns their mask and the square block on them.
+    """
+    live = np.ones(split.n_rows, dtype=bool)
+    live[split.rows] = False
+    block = split.block[live]
+    return live, np.eye(block.shape[0]) - block @ block.conj().T
 
 
 def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
@@ -372,12 +345,12 @@ def _fix_column_phases(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def range_onb(m: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
+def range_onb(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space.
 
     Returns an ``rows x rank`` matrix whose columns span the range of
-    ``m``; rank counts singular values above ``tol`` times the largest
-    one.  The phase of each column is fixed (first nonzero coordinate
+    ``m``; rank counts singular values above ``TOL_RANK`` times the
+    largest one.  The phase of each column is fixed (first nonzero coordinate
     real positive) so the basis is deterministic.
     """
     m = np.asarray(m, dtype=np.complex128)
@@ -388,7 +361,7 @@ def range_onb(m: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = int(np.count_nonzero(s > TOL_RANK * s[0]))
     return _fix_column_phases(u[:, :rank])
 
 
@@ -405,7 +378,7 @@ def complement_onb(q: np.ndarray) -> np.ndarray:
     the rows of unit columns of ``q`` are zero rows and split off
     exactly (see :meth:`UnitSplit.complement`).
     """
-    return unit_split(np.asarray(q, dtype=np.complex128)).complement()
+    return unit_split([np.asarray(q, dtype=np.complex128)]).complement()
 
 
 def random_isometry(rows: int, cols: int, seed) -> np.ndarray:
@@ -428,15 +401,15 @@ def random_isometry(rows: int, cols: int, seed) -> np.ndarray:
     return q * np.conj(diag / np.abs(diag))
 
 
-def pseudo_inverse(m: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values <= tol*s_max dropped."""
+def pseudo_inverse(m: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with singular values <= TOL_RANK*s_max dropped."""
     m = np.asarray(m, dtype=np.complex128)
     if m.size == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    inv = np.where(s > tol * s[0], 1.0 / np.where(s == 0, 1, s), 0.0)
+    inv = np.where(s > TOL_RANK * s[0], 1.0 / np.where(s == 0, 1, s), 0.0)
     return (vh.conj().T * inv) @ u.conj().T
 
 

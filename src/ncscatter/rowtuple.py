@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import TOL_EQ, TOL_RANK
+from .linalg import TOL_EQ
 
 
 class NotContraction(ValueError):
@@ -120,7 +120,7 @@ def defect(t: OperatorTuple, tol: float = TOL_EQ, clamp: bool = False) -> Defect
         if not is_contraction(t, tol):
             raise NotContraction("row operator norm exceeds 1 beyond tolerance")
         op = linalg.hermitian_sqrt(gram)
-    basis = linalg.range_onb(op, TOL_RANK)
+    basis = linalg.range_onb(op)
     comps = tuple(
         basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)
     )

@@ -95,19 +95,19 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     orthonormalizes its columns on the support of ``S* S - I`` by the
     inverse root of their Gram block, and complements the range.  ``S``
     is an isometry; a Gram eigenvalue <= 1/4 raises :class:`DepthError`.
-    The stack is never formed: each dilation matrix is dropped once its
-    unit columns are split off (see :func:`.linalg.unit_split_columns`),
-    and both ``S* S - I`` and the complement projector are formed from
-    the split.
+    The stack is never formed: :func:`.linalg.unit_split` scans the
+    dilation matrices one at a time and drops each once its unit columns
+    are split off, and both ``S* S - I`` and the complement projector
+    are formed from the split.
     """
     if depth < 1:
         raise DepthError("complement needs depth at least 1")
     dil = Dilation(instance.e, instance.defect_e)
     nc = instance.dim_c
-    split = linalg.unit_split_columns(
+    split = linalg.unit_split(
         dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)
     )
-    _, resid = linalg.gram_residual(split)
+    resid = linalg.gram_residual(split)
     live = np.logical_or(*linalg._support(resid))
     block = split.block[:, live]
     w, v = np.linalg.eigh(block.conj().T @ block)

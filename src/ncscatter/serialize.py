@@ -16,10 +16,11 @@ indent=2, sort_keys=True, allow_nan=False) + "\n"``, with each
 :func:`trajectory_to_json` hold the series themselves.  ``json.dumps``
 itself writes the tree, with a reserved string in place of each series
 (a tree holding that string is refused).  A series is written straight
-from its coefficient stack: one ``tolist`` of the float view,
-``float.__repr__`` per value, separators fixed by the indent level, and
-word texts built level by level.  The pieces are joined once per
-document.
+from its coefficient stack: one template holds its literal text, with
+separators fixed by the indent level, word texts built level by level
+and a ``%r`` slot per float, and one ``%`` fills it from the ``tolist``
+of the float view (``%r`` of a float is its ``float.__repr__``).  The
+pieces are joined once per document.
 
 An instance file stores only the three defining blocks (and the
 generator seed when there is one); defect operators, bases and the
@@ -282,22 +283,6 @@ def _nl(level: int) -> str:
     return "\n" + "  " * level
 
 
-def _write_pairs(flat: list, level: int, gaps: list[str], out: list) -> None:
-    """``len(gaps)`` lists of ``[re, im]`` pairs at ``level``, splitting
-    the finite floats ``flat`` evenly; gap k is written between list k
-    and list k+1, and the last gap after the final list."""
-    nl1, nl2 = _nl(level + 1), _nl(level + 2)
-    opening = "[" + nl1 + "[" + nl2
-    closing = nl1 + "]" + _nl(level) + "]"
-    step = 2 * len(flat) // len(gaps)
-    out.append(opening)
-    start = len(out)
-    out += ["", "," + nl2, "", nl1 + "]," + nl1 + "[" + nl2] * (len(flat) // 2)
-    out[start::2] = map(float.__repr__, flat)
-    out[start + step - 1 :: step] = [closing + gap + opening for gap in gaps]
-    out[-1] = closing + gaps[-1]
-
-
 def _word_texts(d: int, depth: int, level: int) -> list[str]:
     """Every word up to ``depth`` as written at ``level``, in graded-lex
     order: level m+1 appends each letter to each word of level m."""
@@ -312,22 +297,21 @@ def _word_texts(d: int, depth: int, level: int) -> list[str]:
 
 
 def _write_series(series: NCSeries, level: int, out: list) -> None:
-    """The graded-lex ``{"word", "matrix"}`` entry list of ``series``."""
+    """The graded-lex ``{"word", "matrix"}`` entry list of ``series``: one
+    template of literal text with a ``%r`` slot per float, filled once."""
     stack = np.ascontiguousarray(series.coeffs, dtype=np.complex128)
     if not np.isfinite(stack).all():
         raise ValueError("non-finite series coefficient")
     _, rows, cols = stack.shape
-    nl1, nl2, nl3 = _nl(level + 1), _nl(level + 2), _nl(level + 3)
+    nl1, nl2, nl3, nl4, nl5 = (_nl(level + k) for k in range(1, 6))
     head = nl1 + "{" + nl2 + '"matrix": {' + nl3 + f'"cols": {cols},' + nl3 + '"data": '
+    pair = "[" + nl5 + "%r," + nl5 + "%r" + nl4 + "]"
+    data = "[" + nl4 + ("," + nl4).join([pair] * (rows * cols)) + nl3 + "]" if rows * cols else "[]"
     mid = "," + nl3 + f'"rows": {rows}' + nl2 + "}," + nl2 + '"word": '
-    tails = [mid + w + nl1 + "}" for w in _word_texts(series.d, series.depth, level + 2)]
-    out.append("[" + head)
-    if not rows * cols:
-        out.append(("," + head).join(["[]" + t for t in tails]) + _nl(level) + "]")
-        return
-    gaps = [t + "," + head for t in tails]
-    gaps[-1] = tails[-1] + _nl(level) + "]"
-    _write_pairs(stack.reshape(-1).view(np.float64).tolist(), level + 3, gaps, out)
+    entry, close = head + data + mid, nl1 + "}"
+    words = _word_texts(series.d, series.depth, level + 2)
+    template = "[" + entry + (close + "," + entry).join(words) + close + _nl(level) + "]"
+    out.append(template % tuple(stack.reshape(-1).view(np.float64).tolist()))
 
 
 def _nonfinite_path(obj, path: str = "") -> str | None:

@@ -11,6 +11,10 @@ with the error message attached instead of aborting the run.
 memoised builder dropped after its last check so large matrices do
 not outlive it; a build that raises fails every check that needs it.
 
+Each dilation's row ``V = [V_1 ... V_d]`` is split once by
+:func:`.linalg.unit_split` and its letters cut from that split; the
+dilation rows measure the letter blocks of ``V* V - I`` and ``I - V V*``.
+
 Norms are exact to rounding: besides the support and orientation cuts
 of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
 :func:`.linalg.hermitian_norm`, and the star direction of the
@@ -31,7 +35,6 @@ from .intertwiner import intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import (
     UnitSplit,
-    cross_gram,
     fold_rows,
     gram_residual,
     hermitian_norm,
@@ -79,29 +82,39 @@ def _dilation_pair(instance: LiftingInstance) -> tuple[Dilation, Dilation]:
     )
 
 
-def _dilation_matrices(instance: LiftingInstance, depth: int) -> list[list[UnitSplit]]:
-    """``V_j`` from depth-1 to depth, for the base dilation then the lifted one,
-    with the unit columns (the plain level copies) split off; only the
+DilationRows = list[tuple[UnitSplit, list[UnitSplit]]]
+
+
+def _dilation_matrices(instance: LiftingInstance, depth: int) -> DilationRows:
+    """The row ``[V_1 ... V_d]`` from depth-1 to depth, for the base dilation
+    then the lifted one, with its unit columns (the plain level copies)
+    split off once, and each ``V_j`` cut from that split; only the
     splits are kept."""
-    pair = _dilation_pair(instance)
-    return [[unit_split(dil.matrix(j, depth - 1)) for j in range(1, dil.d + 1)] for dil in pair]
+    out = []
+    for dil in _dilation_pair(instance):
+        row = unit_split(dil.matrix(j, depth - 1) for j in range(1, dil.d + 1))
+        width = dil.space(depth - 1).dim
+        out.append((row, [row.columns(k * width, (k + 1) * width) for k in range(dil.d)]))
+    return out
 
 
-def _dilation_isometry(mats: list[list[UnitSplit]]) -> float:
-    return max(operator_norm(gram_residual(v)[1]) for row in mats for v in row)
+def _dilation_isometry(mats: DilationRows) -> float:
+    return max(operator_norm(gram_residual(v)) for _, letters in mats for v in letters)
 
 
-def _dilation_orthogonal_ranges(mats: list[list[UnitSplit]]) -> float:
+def _dilation_orthogonal_ranges(mats: DilationRows) -> float:
+    """A unit column of the row is alone in its row, so it meets only
+    exact zeros of the other letters: only the rest blocks are multiplied."""
     worst = 0.0
-    for row in mats:
-        for i, vi in enumerate(row):
-            for vj in row[i + 1 :]:
-                worst = max(worst, operator_norm(cross_gram(vi, vj)[2]))
+    for _, letters in mats:
+        for i, vi in enumerate(letters):
+            for vj in letters[i + 1 :]:
+                worst = max(worst, operator_norm(vi.block.conj().T @ vj.block))
     return worst
 
 
-def _dilation_row_unitary(mats: list[list[UnitSplit]]) -> float:
-    return max(operator_norm(row_residual(row)[1]) for row in mats)
+def _dilation_row_unitary(mats: DilationRows) -> float:
+    return max(operator_norm(row_residual(row)[1]) for row, _ in mats)
 
 
 def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
@@ -119,23 +132,19 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def _intertwining_norms(
-    w_deep: np.ndarray, w_flat: np.ndarray, mats: list[list[UnitSplit]]
-):
+def _intertwining_norms(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows):
     """Per letter, both directions: W against V on the lift, W* against V on the base.
 
     The star residual is tall and almost all of its rows lie on the same
     few columns, so its norm is taken after :func:`.linalg.fold_rows`.
     """
-    for v_base, v_lift in zip(*mats):
+    for v_base, v_lift in zip(*(letters for _, letters in mats)):
         forward = v_lift.rmatmul(w_deep) - v_base.matmul(w_flat)
         star = v_lift.matmul(w_flat.conj().T) - v_base.rmatmul(w_deep.conj().T)
         yield operator_norm(forward), operator_norm(fold_rows(star))
 
 
-def _intertwining(
-    w_deep: np.ndarray, w_flat: np.ndarray, mats: list[list[UnitSplit]]
-) -> float:
+def _intertwining(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows) -> float:
     return max(max(pair) for pair in _intertwining_norms(w_deep, w_flat, mats))
 
 

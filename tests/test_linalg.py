@@ -22,6 +22,7 @@ from ncscatter.linalg import (
 )
 
 PROJ = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 
 
 def random_matrix(rng, rows, cols):
@@ -234,6 +235,12 @@ def same_height(b, m):
     return b[: m.shape[0]] if b.shape[0] >= m.shape[0] else m
 
 
+def split_letters(m, b):
+    """The letters ``m`` and ``b`` cut from the split of the row ``[m, b]``."""
+    split = linalg.unit_split([m, b])
+    return split.columns(0, m.shape[1]), split.columns(m.shape[1], split.n_cols)
+
+
 def finite_scale(*ms):
     return max(np.abs(m[np.isfinite(m)]).max(initial=0.0) for m in ms) ** 2
 
@@ -245,7 +252,7 @@ class TestUnitSplit:
     @given(planted())
     def test_finds_exactly_the_planted_unit_columns(self, case):
         m, units = case
-        split = linalg.unit_split(m)
+        split = linalg.unit_split([m])
         # a planted 1.0 qualifies only while it is alone in its column and row
         alone = [
             (c, r)
@@ -260,7 +267,7 @@ class TestUnitSplit:
     @given(planted(), st.integers(0, 2**32 - 1), st.integers(0, 3))
     def test_copies_and_scatters_match_dense_products(self, case, seed, width):
         m, _ = case
-        split = linalg.unit_split(m)
+        split = linalg.unit_split([m])
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, width, m.shape[0])
         x = random_matrix(rng, m.shape[1], width)
@@ -277,49 +284,60 @@ class TestUnitSplit:
 
     @settings(max_examples=80, deadline=None)
     @given(planted(), planted())
-    def test_cross_gram_matches_dense(self, case, other_case):
+    def test_letter_cross_gram_matches_dense(self, case, other_case):
+        # m and b split together as the letters of one row: a unit
+        # column is alone in its row across both, so it meets only exact
+        # zeros of the other letter and only the rest blocks multiply
         m, b = case[0], same_height(other_case[0], case[0])
-        split, other = linalg.unit_split(m), linalg.unit_split(b)
+        vm, vb = split_letters(m, b)
         with np.errstate(invalid="ignore"):
-            keep_a, keep_b, block = linalg.cross_gram(split, other)
+            block = vm.block.conj().T @ vb.block
             dense = m.conj().T @ b
-        kept = dense[np.ix_(keep_a, keep_b)]
+        kept = dense[np.ix_(vm.rest, vb.rest)]
+        dropped = np.ones(dense.shape, dtype=bool)
+        dropped[np.ix_(vm.rest, vb.rest)] = False
         if np.isfinite(m).all() and np.isfinite(b).all():
             # the dropped lines are exactly zero in the dense product
-            assert np.all(dense[~keep_a] == 0) and np.all(dense[:, ~keep_b] == 0)
+            assert np.all(dense[dropped] == 0)
             assert np.allclose(block, kept, rtol=1e-14, atol=1e-14)
             assert_norms_match(operator_norm(block), operator_norm(dense), finite_scale(m))
         else:
             # a unit column's zeros are exact: they read no entry of the
             # other matrix that a dense 0 * inf would turn into NaN
+            assert np.all(dense[dropped & np.isfinite(dense)] == 0)
             shown = np.isfinite(kept)
             assert np.isfinite(block[shown]).all()
             assert np.allclose(block[shown], kept[shown], rtol=1e-14, atol=1e-14)
 
     @settings(max_examples=80, deadline=None)
     @given(planted(), planted())
-    def test_cross_gram_bit_equal_on_kept_columns(self, case, other_case):
-        # the kept columns are rebuilt from the split: the block's columns
-        # and an exact 1.0 per kept unit column, so the product is the
+    def test_letter_cross_gram_bit_equal_on_rest_columns(self, case, other_case):
+        # a letter's block holds its rest columns as they are, a unit
+        # column sent back to the rest included, so the product is the
         # dense one of the same columns, bit for bit
         m, b = case[0], same_height(other_case[0], case[0])
+        vm, vb = split_letters(m, b)
+        assert np.array_equal(vm.block, m[:, vm.rest], equal_nan=True)
+        assert np.array_equal(vb.block, b[:, vb.rest], equal_nan=True)
         with np.errstate(invalid="ignore"):
-            keep_a, keep_b, block = linalg.cross_gram(linalg.unit_split(m), linalg.unit_split(b))
-            want = m[:, keep_a].conj().T @ b[:, keep_b]
+            block = vm.block.conj().T @ vb.block
+            want = m[:, vm.rest].conj().T @ b[:, vb.rest]
         assert np.array_equal(block, want, equal_nan=True)
 
     @settings(max_examples=80, deadline=None)
     @given(planted(), planted())
     def test_residuals_match_dense(self, case, other_case):
         m, b = case[0], same_height(other_case[0], case[0])
-        split, other = linalg.unit_split(m), linalg.unit_split(b)
+        split, row = linalg.unit_split([m]), linalg.unit_split([m, b])
         finite = np.isfinite(m).all() and np.isfinite(b).all()
         scale = finite_scale(m, b)
+        rest = np.zeros(m.shape[1], dtype=bool)
+        rest[split.rest] = True
         with np.errstate(invalid="ignore"):
             pairs = [
-                (linalg.gram_residual(split), m.conj().T @ m - np.eye(m.shape[1])),
+                ((rest, linalg.gram_residual(split)), m.conj().T @ m - np.eye(m.shape[1])),
                 (
-                    linalg.row_residual([split, other]),
+                    linalg.row_residual(row),
                     np.eye(m.shape[0]) - m @ m.conj().T - b @ b.conj().T,
                 ),
             ]
@@ -352,43 +370,43 @@ class TestUnitSplit:
         m = np.zeros((3, 3), dtype=np.complex128)
         m[1, 0] = m[1, 2] = 1.0
         m[:, 1] = [0.5, 0.25j, 2.0]
-        split = linalg.unit_split(m)
+        split = linalg.unit_split([m])
         # row 1 holds three entries, so no column is split off: all go dense
         assert split.unit.size == 0 and split.rest.tolist() == [0, 1, 2]
         # columns 0 and 2 overlap: their Gram entry is 1, not 0
-        keep, _, block = linalg.cross_gram(split, split)
-        assert keep.all() and block[0, 2] == 1.0
+        block = split.block.conj().T @ split.block
+        assert block[0, 2] == 1.0
         assert np.array_equal(block, m.conj().T @ m)
         x = np.arange(9.0).reshape(3, 3) * (1 - 1j)
         assert np.array_equal(split.matmul(x), m @ x)
-        assert linalg.gram_residual(split)[0].all()
+        assert linalg.gram_residual(split).shape == (3, 3)
         # the shared row holds two unit entries: 1 - 2 - 0.25**2 there
-        live, block = linalg.row_residual([split])
+        live, block = linalg.row_residual(split)
         assert live.all() and block[1, 1] == -1.0625
 
     def test_empty_shapes(self):
         # 0-row matrices have no unit column, and no argmax is taken
         for shape in [(0, 0), (0, 3), (3, 0)]:
             m = np.zeros(shape, dtype=np.complex128)
-            split = linalg.unit_split(m)
+            split = linalg.unit_split([m])
             assert split.unit.size == 0 and split.rest.size == shape[1]
             assert split.rmatmul(np.ones((2, shape[0]))).shape == (2, shape[1])
             assert split.matmul(np.ones((shape[1], 2))).shape == (shape[0], 2)
-            assert linalg.cross_gram(split, split)[2].shape == (shape[1], shape[1])
-            assert linalg.gram_residual(split)[1].shape == (shape[1], shape[1])
-            assert linalg.row_residual([split])[1].shape == (shape[0], shape[0])
+            assert split.columns(0, shape[1]).block.shape == shape
+            assert linalg.gram_residual(split).shape == (shape[1], shape[1])
+            assert linalg.row_residual(split)[1].shape == (shape[0], shape[0])
             assert split.complement().shape == (shape[0], shape[0])
 
     def test_vector_input_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.unit_split(np.ones(3))
+            linalg.unit_split([np.ones(3)])
 
     def test_split_of_dilation_matrix_holds_no_full_width_array(self):
         inst = generate(2, 2, 2, seed=1)
         dil = Dilation(inst.e, inst.defect_e)
         for j in (1, 2):
             m = dil.matrix(j, 5)
-            split = linalg.unit_split(m)
+            split = linalg.unit_split([m])
             assert split.n_rows == m.shape[0] and split.n_cols == m.shape[1]
             held = [getattr(split, f.name) for f in fields(split)]
             arrays = [a for a in held if isinstance(a, np.ndarray)]
@@ -405,7 +423,7 @@ class TestUnitSplit:
         m = np.hstack([case[0], same_height(other_case[0], case[0])])
         i, k = sorted((min(i, m.shape[1]), min(k, m.shape[1])))
         blocks = [m[:, :i], m[:, i:k], m[:, k:]]
-        whole, parts = linalg.unit_split(m), linalg.unit_split_columns(iter(blocks))
+        whole, parts = linalg.unit_split([m]), linalg.unit_split(iter(blocks))
         for name in ("unit", "rows", "rest", "block"):
             assert np.array_equal(getattr(parts, name), getattr(whole, name), equal_nan=True)
         assert parts.n_rows == whole.n_rows
@@ -413,16 +431,32 @@ class TestUnitSplit:
     def test_unit_column_reached_by_another_block_goes_back(self):
         a = np.array([[1.0], [0.0]])
         b = np.array([[0.5, 0.0], [0.0, 1.0]])
-        split = linalg.unit_split_columns([a, b])
+        split = linalg.unit_split([a, b])
         assert split.unit.tolist() == [2] and split.rows.tolist() == [1]
         assert split.rest.tolist() == [0, 1]
         assert np.array_equal(split.block, [[1.0, 0.5], [0.0, 0.0]])
+        # the letter of the unit column sent back holds it in its block
+        letter = split.columns(0, 1)
+        assert letter.unit.size == 0 and np.array_equal(letter.block, a)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_letters_of_a_dilation_row_match_single_letter_splits(self, shape):
+        inst = generate(*shape, seed=2)
+        for dil in (Dilation(inst.c, inst.defect_c), Dilation(inst.e, inst.defect_e)):
+            row = linalg.unit_split(dil.matrix(j, 4) for j in range(1, dil.d + 1))
+            width = dil.space(4).dim
+            for j in range(1, dil.d + 1):
+                got = row.columns((j - 1) * width, j * width)
+                want = linalg.unit_split([dil.matrix(j, 4)])
+                assert got.n_rows == want.n_rows
+                for name in ("unit", "rows", "rest", "block"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_column_blocks_of_different_heights_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.unit_split_columns([np.eye(2), np.eye(3)])
+            linalg.unit_split([np.eye(2), np.eye(3)])
         with pytest.raises(DimensionError):
-            linalg.unit_split_columns([])
+            linalg.unit_split([])
 
 
 class TestRandomIsometry:

@@ -72,9 +72,21 @@ def test_compare_checks_deep_grid():
     spec = importlib.util.spec_from_file_location("compare_checks", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert [(shape, list(seeds), depth) for shape, seeds, depth in script.GRIDS["deep"]] == [
-        ((2, 2, 2), [1, 2, 3], 9)
+    assert [(shape, list(seeds), depth, a) for shape, seeds, depth, a in script.GRIDS["deep"]] == [
+        ((2, 2, 2), [1, 2, 3], 9, 0.9)
     ]
+
+
+def test_compare_checks_edge_grid():
+    proc = run_script(
+        "compare_checks.py", ["--base", str(SRC), "--change", str(SRC), "--grid", "edge"]
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    # 7 shapes x 2 a_scale values x 3 seeds, 19 rows each, and the norm-one
+    # row of the 6 (2,2,0) instances; (1,2,0) has no base defect
+    assert lines[-1] == "804 rows: same verdicts, errors, names and thresholds"
+    assert any(line.startswith("intertwining: 42 rows, 0 verdict changes; ") for line in lines)
 
 
 def test_compare_checks_flags_a_changed_threshold(tmp_path):

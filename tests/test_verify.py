@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from ncscatter import charfn, lifting, ncsystem, scattering, serialize, transfer, verify
 from ncscatter.dilation import Dilation
@@ -69,6 +71,25 @@ class TestRunAllChecks:
             results = run_all_checks(inst, 3)
             assert "transfer_norm_one" not in [r.name for r in results]
             assert all_passed(results)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.sampled_from([0.0, 0.5, 0.9, 1 - 1e-6, 1 - 1e-8, 1.0]),
+        st.integers(0, 2**16),
+        st.integers(1, 4),
+    )
+    def test_every_generated_instance_passes(self, d, dim_c, dim_a, a_scale, seed, depth):
+        # what generate accepts, verify passes; the instances it refuses
+        # with a named error are out of scope here
+        try:
+            inst = lifting.generate(d, dim_c, dim_a, seed=seed, a_scale=a_scale)
+        except (lifting.Infeasible, lifting.RankClampBand):
+            reject()
+        results = run_all_checks(inst, min(depth, 3) if d == 3 else depth)
+        assert all_passed(results), render_report(results)
 
     def test_depth_must_be_positive(self, plain_instance):
         with pytest.raises(ValueError):
@@ -228,7 +249,7 @@ class TestMutations:
         # adds to row ``col`` of the residual outside those columns
         depth = 3
         mats = verify._dilation_matrices(plain_instance, depth)
-        v_base, v_lift = (row[0] for row in mats)
+        v_base, v_lift = (letters[0] for _, letters in mats)
         flat = verify.intertwiner_matrix(plain_instance, depth - 1)
         w = verify.intertwiner_matrix(plain_instance, depth)
         i, col = v_base.rows[-1], w.shape[1] - 1
