@@ -25,13 +25,21 @@ With ``--exports`` it compares bytes instead: for each instance of the
 grid, each tree writes the ``generate``, ``transfer``, ``charfn`` and
 ``simulate`` files through ``cli.main`` (simulate seeded with the
 instance seed), and the script prints every file whose sha256 differs.
-It exits 1 on any difference, and 0 otherwise.
+Each tree also runs ``transfer``, ``charfn``, ``simulate`` and
+``verify`` on a near-miss copy of every instance, its ``C`` entries
+scaled by 1 - 1e-6 so that ``sum C_j C_j* - I`` has norm about 2e-6,
+which the exports refuse (exit 2) and ``verify`` fails (exit 1).  The
+exit code and the stdout and stderr text of each such run are hashed
+like a file, and every run whose hash differs is printed.  It exits 1 on any
+difference, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -86,22 +94,39 @@ def emit_rows(grid: str) -> None:
 
 
 EXPORTS = ("transfer", "charfn", "simulate")
+NEAR_MISS = 1 - 1e-6  # scale of the C entries of the copy every command is run on
+
+
+def near_miss(inst: Path, path: Path) -> None:
+    """Write the instance file ``inst`` to ``path`` with every C entry scaled by NEAR_MISS."""
+    obj = json.loads(inst.read_text())
+    for m in obj["C"]:
+        m["data"] = [[re * NEAR_MISS, im * NEAR_MISS] for re, im in m["data"]]
+    path.write_text(json.dumps(obj))
 
 
 def emit_hashes(grid: str) -> None:
-    """Print the imported tree's location and the sha256 of every file the
-    command line writes for the grid, by file label."""
+    """Print the imported tree's location, the sha256 of every file the
+    command line writes for the grid, by file label, and the sha256 of
+    the exit code and text of every command run on a near-miss copy."""
     import ncscatter
     from ncscatter.cli import main
 
-    hashes = {}
+    hashes, refusals = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        inst, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
+        inst, out, near = (Path(tmp) / f for f in ("inst.json", "out.json", "near.json"))
 
         def write(name: str, path: Path, argv: list[str]) -> None:
             if main([*argv, "-o", str(path)]) != 0:
                 raise SystemExit(f"{name}: {argv[0]} failed")
             hashes[f"{name} {argv[0]}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def refuse(name: str, argv: list[str]) -> None:
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+                code = main(argv)
+            run = f"exit {code}\n{text.getvalue()}".encode()
+            refusals[f"{name} near-miss {argv[0]}"] = hashlib.sha256(run).hexdigest()
 
         for (d, dim_c, dim_a), seeds, depth, a_scale in GRIDS[grid]:
             shape = ["--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a)]
@@ -109,10 +134,13 @@ def emit_hashes(grid: str) -> None:
             for seed in seeds:
                 name = label((d, dim_c, dim_a), seed, depth, a_scale)
                 write(name, inst, ["generate", *shape, "--seed", str(seed)])
+                near_miss(inst, near)
                 for cmd in EXPORTS:
                     seeded = ["--seed", str(seed)] if cmd == "simulate" else []
                     write(name, out, [cmd, "--input", str(inst), "--depth", str(depth), *seeded])
-    json.dump({"source": ncscatter.__file__, "rows": hashes}, sys.stdout)
+                    refuse(name, [cmd, "--input", str(near), "--depth", str(depth), *seeded])
+                refuse(name, ["verify", "--input", str(near), "--depth", str(depth)])
+    json.dump({"source": ncscatter.__file__, "rows": hashes, "refusals": refusals}, sys.stdout)
 
 
 def run_tree(src: str, mode: str, grid: str) -> dict:
@@ -133,13 +161,21 @@ def run_tree(src: str, mode: str, grid: str) -> dict:
 
 
 def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
-    """Report lines and whether any file is missing on one side or differs."""
-    changed = [
-        f"differs: {name}" for name in sorted(base.keys() | change.keys())
-        if base.get(name) != change.get(name)
-    ]
-    summary = f"{len(base)} files: {'DIFFERENT' if changed else 'same bytes'}"
-    return changed + [summary], bool(changed)
+    """Report lines and whether any file or near-miss run is missing on one
+    side or differs."""
+    lines, differs = [], False
+    for key, what, same in (
+        ("rows", "files", "same bytes"),
+        ("refusals", "near-miss runs", "same exit codes and text"),
+    ):
+        old, new = base[key], change[key]
+        changed = [
+            f"differs: {name}" for name in sorted(old.keys() | new.keys())
+            if old.get(name) != new.get(name)
+        ]
+        lines += changed + [f"{len(old)} {what}: {'DIFFERENT' if changed else same}"]
+        differs = differs or bool(changed)
+    return lines, differs
 
 
 def _worst(values: list[float]) -> float:
@@ -213,10 +249,12 @@ def main() -> int:
         return 0
     if not (args.base and args.change):
         parser.error("--base and --change are required")
-    mode, differ = ("hashes", compare_exports) if args.exports else ("rows", compare)
+    mode = "hashes" if args.exports else "rows"
     base, change = run_tree(args.base, mode, args.grid), run_tree(args.change, mode, args.grid)
-    lines, differs = differ(base["rows"], change["rows"])
-    if not args.exports:
+    if args.exports:
+        lines, differs = compare_exports(base, change)
+    else:
+        lines, differs = compare(base["rows"], change["rows"])
         peaks = f"base {base['peak_mb']:.1f} MB, change {change['peak_mb']:.1f} MB"
         lines.insert(0, f"peak RSS of the grid process: {peaks}")
     print("\n".join(lines))

@@ -88,23 +88,20 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
     return blocks
 
 
-def charfn_series(
-    instance: LiftingInstance, depth: int, tol: float = linalg.TOL_EQ
-) -> NCSeries:
+def charfn_series(instance: LiftingInstance, depth: int) -> NCSeries:
     """The characteristic function on defect coordinates.
 
     Factors the ambient symbol through the lifted defect operator.
     Raises :class:`IllDefined` when the symbol leaks onto the kernel
-    of that operator beyond ``tol``.
+    of that operator by more than ``TOL_EQ``.
     """
     blocks = symbol_blocks(instance, depth)
     kernel = linalg.complement_onb(instance.defect_e.basis)
-    if kernel.shape[1]:
-        leak = linalg.operator_norm(blocks.reshape(-1, blocks.shape[2]) @ kernel)
-        if leak > tol:
-            raise IllDefined(
-                f"symbol leaks onto ker of the lifted defect ({leak:.3e} > {tol:.1e})"
-            )
+    leak = linalg.operator_norm(blocks.reshape(-1, blocks.shape[2]) @ kernel)
+    if leak > linalg.TOL_EQ:
+        raise IllDefined(
+            f"symbol leaks onto ker of the lifted defect ({leak:.3e} > {linalg.TOL_EQ:.1e})"
+        )
     factor = linalg.pseudo_inverse(instance.defect_e.operator) @ instance.defect_e.basis
     return NCSeries(instance.d, depth, blocks @ factor)
 

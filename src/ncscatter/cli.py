@@ -5,6 +5,13 @@ and export transfer series, characteristic series and simulation
 trajectories as JSON.  All output is byte-deterministic for a fixed
 invocation.
 
+``verify`` loads any well-formed instance and reports every identity.
+``transfer``, ``charfn`` and ``simulate`` export series that the theory
+defines only for a coisometric lifting, so they refuse an instance
+whose lifting identities exceed ``linalg.TOL_EQ`` (1e-8), the
+threshold of verify's ``lifting_identities`` row.  No command takes a
+tolerance.
+
 Numerical imports happen inside the handlers, so ``--help`` and usage
 errors do not load numpy.  The BLAS thread count is read from the
 usual ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
@@ -32,9 +39,7 @@ def _emit(output: str | None, text: str) -> None:
 def _load_instance(args, strict: bool):
     from . import serialize
 
-    return serialize.instance_from_json(
-        serialize.load(args.input), tol=getattr(args, "tol", 1e-8), strict=strict
-    )
+    return serialize.instance_from_json(serialize.load(args.input), strict=strict)
 
 
 def cmd_generate(args) -> int:
@@ -75,7 +80,7 @@ def cmd_charfn(args) -> int:
     from .charfn import charfn_series
 
     inst = _load_instance(args, strict=True)
-    series = charfn_series(inst, args.depth, tol=args.tol)
+    series = charfn_series(inst, args.depth)
     _emit(args.output, serialize.dump_text(serialize.series_to_json(series)))
     return 0
 
@@ -129,16 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     tra = sub.add_parser("transfer", help="export the transfer series")
     tra.add_argument("--input", required=True)
     tra.add_argument("--depth", type=int, default=3)
-    tra.add_argument("--tol", type=float, default=1e-8, help="load-time tolerance")
     tra.add_argument("-o", "--output")
     tra.set_defaults(handler=cmd_transfer)
 
     cha = sub.add_parser("charfn", help="export the characteristic series")
     cha.add_argument("--input", required=True)
     cha.add_argument("--depth", type=int, default=3)
-    cha.add_argument(
-        "--tol", type=float, default=1e-8, help="factorization and load tolerance"
-    )
     cha.add_argument("-o", "--output")
     cha.set_defaults(handler=cmd_charfn)
 
@@ -151,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth", type=int, default=None, help="defaults to the signal depth"
     )
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--tol", type=float, default=1e-8, help="load-time tolerance")
     sim.add_argument("-o", "--output")
     sim.set_defaults(handler=cmd_simulate)
     return parser

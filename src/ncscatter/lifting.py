@@ -133,7 +133,6 @@ def gamma_isometry(
     dstar: np.ndarray,
     dstar_basis: np.ndarray,
     bstar: np.ndarray,
-    tol: float = TOL_EQ,
     strict: bool = True,
 ) -> np.ndarray:
     """Solve gamma D* = B* for the defect-coordinate matrix of gamma.
@@ -141,15 +140,17 @@ def gamma_isometry(
     The restriction of D* to its range is invertible, so gamma is the
     coefficient matrix of B* against the defect bases composed with
     that inverse.  Well-definedness requires B* to kill the kernel of
-    D*; in strict mode a violation raises :class:`GammaUndefined`.
+    D*; in strict mode a leak above ``TOL_EQ`` raises
+    :class:`GammaUndefined`.  Otherwise the leak is not formed here:
+    ``lifting_violations`` reports it as ``gamma_kernel``.
     """
     qs = dstar_basis
-    kernel = linalg.complement_onb(qs)
-    if kernel.shape[1]:
+    if strict:
+        kernel = linalg.complement_onb(qs)
         leak = linalg.operator_norm(bstar @ kernel)
-        if strict and leak > tol:
+        if leak > TOL_EQ:
             raise GammaUndefined(
-                f"B* does not vanish on ker D* (leak {leak:.3e} > {tol:.1e})"
+                f"B* does not vanish on ker D* (leak {leak:.3e} > {TOL_EQ:.1e})"
             )
     restricted = qs.conj().T @ dstar @ qs
     return defect_c_basis.conj().T @ bstar @ qs @ linalg.pseudo_inverse(restricted)
@@ -206,14 +207,14 @@ def assemble(
     c: OperatorTuple,
     a: OperatorTuple,
     b,
-    tol: float = TOL_EQ,
     seed: int | None = None,
     strict: bool = True,
 ) -> LiftingInstance:
     """Build and validate a lifting instance from its three blocks.
 
-    In strict mode any violated identity raises the matching error
-    (:class:`NotCoisometricC`, :class:`NotCoisometricE`,
+    In strict mode any identity violated by more than ``TOL_EQ``, the
+    threshold of verify's ``lifting_identities`` row, raises the
+    matching error (:class:`NotCoisometricC`, :class:`NotCoisometricE`,
     :class:`GammaUndefined`).  With ``strict=False`` the instance is
     built regardless so its violations can be measured and reported;
     defect operators are then computed with clamped spectra.
@@ -236,12 +237,12 @@ def assemble(
             ("cross_block", NotCoisometricE, "sum C_j B_j* has norm {:.3e}, should vanish"),
             ("complement_block", NotCoisometricE, "B B* + A A* - I has norm {:.3e}"),
         ):
-            if viols[key] > tol:
+            if viols[key] > TOL_EQ:
                 raise error(message.format(viols[key]))
 
     e = _block_lifting_ops(c, a, b)
-    defect_c = defect(c, tol, clamp=not strict)
-    defect_e = defect(e, tol, clamp=not strict)
+    defect_c = defect(c, clamp=not strict)
+    defect_e = defect(e, clamp=not strict)
     a_row = a.row()
     star_gram = np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T
     if strict:
@@ -250,13 +251,13 @@ def assemble(
         dstar = linalg.clamped_sqrt(star_gram)
     dstar_basis = linalg.range_onb(dstar)
     bstar = np.hstack(b).conj().T
-    gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, bstar, tol, strict)
+    gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, bstar, strict)
 
     inst = LiftingInstance(c, a, b, e, defect_c, defect_e, dstar, dstar_basis, gamma, seed)
     if strict:
         viols = _derived_violations(inst)
         worst = max(viols, key=viols.get)
-        if viols[worst] > tol:
+        if viols[worst] > TOL_EQ:
             raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")
     return inst
 

@@ -259,8 +259,6 @@ def unit_split(parts) -> UnitSplit:
         raise DimensionError("no column blocks to split")
     unit, rows = (np.concatenate(side) for side in zip(*units))
     alone = counts[rows] == 1
-    if len(rests) == 1 and alone.all():
-        return UnitSplit(counts.size, unit, rows, *rests[0])
     back = np.zeros((counts.size, np.count_nonzero(~alone)), dtype=rests[0][1].dtype)
     back[rows[~alone], np.arange(back.shape[1])] = 1.0
     rest = np.concatenate([r for r, _ in rests] + [unit[~alone]])

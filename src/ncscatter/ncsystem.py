@@ -67,7 +67,12 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
 
 def io_violation(coll: Colligation, signal: NCSeries, theta: NCSeries) -> float:
     """Recursion output against convolution by ``theta``, the transfer series,
-    as the largest distance at one word."""
+    as the largest distance at one word.  ``theta`` must reach the depth
+    of ``signal``."""
+    if theta.depth < signal.depth:
+        raise DimMismatch(
+            f"transfer series of depth {theta.depth} for a signal of depth {signal.depth}"
+        )
     traj = simulate(coll, signal)
-    want = series_multiply(theta, signal, depth=traj.depth)
+    want = series_multiply(theta, signal)
     return linalg.stack_norm(traj.y.coeffs - want.coeffs)

@@ -69,12 +69,12 @@ class OperatorTuple:
         return out
 
 
-def is_contraction(t: OperatorTuple, tol: float = TOL_EQ) -> bool:
-    """Whether the row norm is at most ``1 + tol``: the largest eigenvalue
-    of ``sum_j T_j T_j*`` is at most ``1 + tol``."""
+def is_contraction(t: OperatorTuple) -> bool:
+    """Whether the row norm is at most ``1 + TOL_EQ``: the largest
+    eigenvalue of ``sum_j T_j T_j*`` is at most ``1 + TOL_EQ``."""
     row = t.row()
     gram = row @ row.conj().T
-    return bool(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max(initial=0.0) <= 1.0 + tol)
+    return bool(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max(initial=0.0) <= 1.0 + TOL_EQ)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +99,11 @@ class DefectData:
         return self._components[j - 1]
 
 
-def defect(t: OperatorTuple, tol: float = TOL_EQ, clamp: bool = False) -> DefectData:
+def defect(t: OperatorTuple, clamp: bool = False) -> DefectData:
     """Defect data of a row contraction.
 
-    Raises :class:`NotContraction` when the row norm exceeds 1 beyond
-    tolerance.  Eigenvalues of I - row* row at or below the rank
+    Raises :class:`NotContraction` when the row norm exceeds
+    ``1 + TOL_EQ``.  Eigenvalues of I - row* row at or below the rank
     tolerance (on the natural scale 1 of a contraction) are treated as
     exact zeros, so row isometries get the zero defect and coisometric
     tuples get an exact orthogonal projection.
@@ -117,7 +117,7 @@ def defect(t: OperatorTuple, tol: float = TOL_EQ, clamp: bool = False) -> Defect
     if clamp:
         op = linalg.clamped_sqrt(gram)
     else:
-        if not is_contraction(t, tol):
+        if not is_contraction(t):
             raise NotContraction("row operator norm exceeds 1 beyond tolerance")
         op = linalg.hermitian_sqrt(gram)
     basis = linalg.range_onb(op)

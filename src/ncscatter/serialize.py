@@ -144,9 +144,7 @@ def instance_to_json(instance: LiftingInstance) -> dict:
     return out
 
 
-def instance_from_json(
-    obj, tol: float = linalg.TOL_EQ, strict: bool = True
-) -> LiftingInstance:
+def instance_from_json(obj, strict: bool = True) -> LiftingInstance:
     d = _require(obj, "d", int, "instance")
     nc = _require(obj, "dimC", int, "instance")
     na = _require(obj, "dimA", int, "instance")
@@ -171,7 +169,6 @@ def instance_from_json(
         OperatorTuple(tuple(mats["C"])),
         OperatorTuple(tuple(mats["A"])),
         tuple(mats["B"]),
-        tol=tol,
         seed=seed,
         strict=strict,
     )

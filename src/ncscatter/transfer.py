@@ -203,16 +203,13 @@ def transfer_series(coll: Colligation, depth: int) -> NCSeries:
     return NCSeries(coll.d, depth, np.concatenate(levels))
 
 
-def series_multiply(
-    left: NCSeries, right: NCSeries, depth: int | None = None
-) -> NCSeries:
+def series_multiply(left: NCSeries, right: NCSeries) -> NCSeries:
     """Word convolution: out(g) = sum over g = a.b of left(a) right(b).
 
     Level n of the product sums, by ascending ``len(a)``, one batched
     product per pair of levels: a and b go to index
     ``idx(a)·d**len(b) + idx(b)`` of level n.  The result is exact only
-    up to the shallower input depth, which is the default; a smaller
-    explicit ``depth`` just truncates further.
+    up to the shallower input depth, so it stops there.
     """
     if left.in_dim != right.out_dim or left.d != right.d:
         raise DimMismatch(
@@ -220,10 +217,6 @@ def series_multiply(
             f"{right.out_dim} outputs over {right.d} letters"
         )
     cap = min(left.depth, right.depth)
-    if depth is not None:
-        if depth > cap:
-            raise DimMismatch(f"product is only exact to depth {cap}")
-        cap = depth
     d = left.d
     out = np.zeros((level_start(d, cap + 1), left.out_dim, right.in_dim), dtype=np.complex128)
     for n in range(cap + 1):

@@ -34,6 +34,7 @@ from .dilation import Dilation
 from .intertwiner import intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import (
+    TOL_EQ,
     UnitSplit,
     fold_rows,
     gram_residual,
@@ -184,7 +185,7 @@ def run_all_checks(
         except Exception as exc:
             results.append(CheckResult.failure(name, threshold, str(exc)))
 
-    check("lifting_identities", 1e-8, lambda: max(lifting_violations(instance).values()))
+    check("lifting_identities", TOL_EQ, lambda: max(lifting_violations(instance).values()))
     mats = cache(lambda: _dilation_matrices(instance, depth))
     check("dilation_isometry", 1e-12, lambda: _dilation_isometry(mats()))
     check("dilation_orthogonal_ranges", 1e-12, lambda: _dilation_orthogonal_ranges(mats()))

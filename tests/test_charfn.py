@@ -184,9 +184,3 @@ class TestIllDefined:
         broken = dataclasses.replace(plain_instance, gamma=g)
         with pytest.raises(IllDefined):
             charfn_series(broken, 2)
-
-    def test_loose_tolerance_suppresses(self, plain_instance):
-        g = plain_instance.gamma + 0.3 * np.ones_like(plain_instance.gamma)
-        broken = dataclasses.replace(plain_instance, gamma=g)
-        series = charfn_series(broken, 2, tol=10.0)
-        assert series.depth == 2

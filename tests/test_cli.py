@@ -164,6 +164,44 @@ class TestExports:
         assert captured.err == "error: no words over 2 letters up to depth -1\n"
 
 
+class TestOneTolerance:
+    """The exports accept exactly the instances whose lifting identities
+    pass verify's ``lifting_identities`` row, and take no tolerance."""
+
+    @pytest.fixture()
+    def near_miss(self, tmp_path):
+        # every C entry of (2,2,2) seed 1 scaled by 1 - 1e-6:
+        # sum C_j C_j* - I has norm 2e-6 > TOL_EQ
+        path = tmp_path / "near.json"
+        assert main(["generate", "--d", "2", "--dim-c", "2", "--dim-a", "2",
+                     "--seed", "1", "-o", str(path)]) == 0
+        obj = serialize.load(path)
+        for m in obj["C"]:
+            m["data"] = [[re * (1 - 1e-6), im * (1 - 1e-6)] for re, im in m["data"]]
+        serialize.save(path, obj)
+        return path
+
+    @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
+    def test_export_refuses_near_miss(self, near_miss, tmp_path, capsys, cmd):
+        out = tmp_path / "out.json"
+        assert main([cmd, "--input", str(near_miss), "--depth", "2", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: sum C_j C_j* - I has norm 2.000e-06\n"
+        assert not out.exists()
+
+    def test_verify_fails_near_miss(self, near_miss, capsys):
+        assert main(["verify", "--input", str(near_miss), "--depth", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["FAIL", "lifting_identities"]
+
+    @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
+    def test_tol_flag_is_usage_error(self, inst_file, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--input", str(inst_file), "--tol", "1e-4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
+
+
 def oracle_texts(inst_path, depth, verify) -> dict:
     """Each CLI output at ``depth``, rebuilt and rendered by ``json.dumps``."""
     from ncscatter.charfn import charfn_series

@@ -120,6 +120,13 @@ class TestIOAgainstConvolution:
         sig = random_series(coll.in_dim, 1, coll.d, 4, seed=30)
         assert io_violation(coll, sig, transfer_series(coll, 4)) < 1e-10
 
+    def test_refuses_a_shallower_transfer_series(self, plain_instance):
+        coll = build_colligation(plain_instance)
+        sig = random_series(coll.in_dim, 1, coll.d, 3, seed=32)
+        with pytest.raises(DimMismatch, match="depth 2 for a signal of depth 3"):
+            io_violation(coll, sig, transfer_series(coll, 2))
+        assert io_violation(coll, sig, transfer_series(coll, 4)) < 1e-10
+
     def test_trajectory_type(self, plain_instance):
         coll = build_colligation(plain_instance)
         sig = random_series(coll.in_dim, 1, coll.d, 1, seed=31)

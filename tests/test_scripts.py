@@ -110,7 +110,10 @@ def test_compare_exports_same_tree():
         ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke", "--exports"],
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["8 files: same bytes"]
+    assert proc.stdout.splitlines() == [
+        "8 files: same bytes",
+        "8 near-miss runs: same exit codes and text",
+    ]
 
 
 def test_compare_exports_flags_one_changed_byte(tmp_path):
@@ -129,4 +132,28 @@ def test_compare_exports_flags_one_changed_byte(tmp_path):
     # the instance file holds no series; every export does
     assert "differs: (2, 2, 1) seed 0 depth 1 transfer" in lines
     assert not any(line.endswith(" generate") for line in lines)
-    assert lines[-1] == "8 files: DIFFERENT" and len(lines) == 7
+    assert lines[-2] == "8 files: DIFFERENT" and len(lines) == 8
+    # a refused export writes no series, so the refusals stay the same
+    assert lines[-1] == "8 near-miss runs: same exit codes and text"
+
+
+def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "ncscatter", changed / "ncscatter")
+    cli = changed / "ncscatter" / "cli.py"
+    text = cli.read_text()
+    strict = "inst = _load_instance(args, strict=True)\n    series = transfer_series("
+    assert text.count(strict) == 1
+    # transfer loads like verify, so it exports the near-miss instance
+    cli.write_text(text.replace(strict, strict.replace("True", "False")))
+    proc = run_script(
+        "compare_checks.py",
+        ["--base", str(SRC), "--change", str(changed), "--grid", "smoke", "--exports"],
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "8 files: same bytes",
+        "differs: (2, 2, 0) seed 1 depth 2 near-miss transfer",
+        "differs: (2, 2, 1) seed 0 depth 1 near-miss transfer",
+        "8 near-miss runs: DIFFERENT",
+    ]

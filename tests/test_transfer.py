@@ -160,8 +160,7 @@ class TestSeriesMultiply:
         a = random_series(1, 1, 2, 3, seed=4)
         b = random_series(1, 1, 2, 1, seed=5)
         assert series_multiply(a, b).depth == 1
-        with pytest.raises(DimMismatch):
-            series_multiply(a, b, depth=2)
+        assert series_multiply(b, a).depth == 1
 
 
 class TestTranslate:
