@@ -18,8 +18,8 @@ another value names it.  For each check the script
 prints the rows whose verdict changed, the largest upward and downward
 move of the violation, and the worst value on each side; before that
 it prints each tree's peak RSS, the ``ru_maxrss`` of its grid
-subprocess.  It exits 1 on any change of verdict, error, check name or
-threshold, and 0 otherwise.
+subprocess, and that subprocess's wall time.  It exits 1 on any change
+of verdict, error, check name or threshold, and 0 otherwise.
 
 With ``--exports`` it compares bytes instead: for each instance of the
 grid, each tree writes the ``generate``, ``transfer``, ``charfn`` and
@@ -47,6 +47,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
@@ -144,20 +145,23 @@ def emit_hashes(grid: str) -> None:
 
 
 def run_tree(src: str, mode: str, grid: str) -> dict:
-    """What ``--<mode> <grid>`` prints for the tree under ``src``, from a fresh process."""
+    """What ``--<mode> <grid>`` prints for the tree under ``src``, from a fresh
+    process, with the process's wall time in seconds under ``wall_s``."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), f"--{mode}", grid],
         env=env,
         capture_output=True,
         text=True,
     )
+    wall_s = time.perf_counter() - start
     if proc.returncode != 0:
         raise SystemExit(f"{src}: grid run failed\n{proc.stderr}")
     out = json.loads(proc.stdout)
     if Path(src).resolve() not in Path(out["source"]).resolve().parents:
         raise SystemExit(f"{src}: ncscatter was imported from {out['source']}")
-    return out
+    return {**out, "wall_s": wall_s}
 
 
 def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
@@ -256,7 +260,11 @@ def main() -> int:
     else:
         lines, differs = compare(base["rows"], change["rows"])
         peaks = f"base {base['peak_mb']:.1f} MB, change {change['peak_mb']:.1f} MB"
-        lines.insert(0, f"peak RSS of the grid process: {peaks}")
+        walls = f"base {base['wall_s']:.1f} s, change {change['wall_s']:.1f} s"
+        lines[:0] = [
+            f"peak RSS of the grid process: {peaks}",
+            f"wall time of the grid process: {walls}",
+        ]
     print("\n".join(lines))
     return 1 if differs else 0
 

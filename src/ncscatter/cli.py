@@ -25,6 +25,7 @@ allocation that runs out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 
@@ -103,7 +104,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ncscatter",
         description=(

@@ -44,7 +44,13 @@ outside them is an exact ``T* 0 + d* 0``.  Blocks start at multiples of
 64 because OpenBLAS computes the last ``width mod 4`` columns of a
 product with a tail kernel: so aligned, every column meets the same
 kernel as in the full-width product, and the matrix is the same bit for
-bit.
+bit.  :mod:`.verify` splits its ``W``-sized residual products at the same
+multiples of ``BLOCK``, rows or columns, for the same reason.  With one
+BLAS thread this holds for a product of any shape.  With more, OpenBLAS
+may split a whole product between its threads at other columns, and for
+a few shapes (``W W*`` of a 66- to 70-row ``W`` with 150 columns) a
+value then moves by rounding.  A generated instance has spaces of
+dimension ``dim * d**(N+1)``, and on those no value moves.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .dilation import GradedSpace, InnerSpaceMismatch
 from .lifting import LiftingInstance
 from .rowtuple import DefectData, OperatorTuple
 
-# identity columns per block of the W build (see the module docstring)
+# columns per block of the W build and of verify's W-sized residuals (see above)
 BLOCK = 64
 
 

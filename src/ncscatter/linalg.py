@@ -187,13 +187,17 @@ class UnitSplit:
     def n_cols(self) -> int:
         return self.unit.size + self.rest.size
 
+    def rest_span(self, lo: int, hi: int) -> slice:
+        """The columns of ``block`` that are rest columns in ``[lo, hi)``."""
+        return slice(*np.searchsorted(self.rest, [lo, hi]))
+
     def columns(self, lo: int, hi: int) -> "UnitSplit":
         """The split of ``m[:, lo:hi]``: a unit column stays one, as no
         other column of ``m`` reaches its row, and the block is a view."""
         i, k = np.searchsorted(self.unit, [lo, hi])
-        a, b = np.searchsorted(self.rest, [lo, hi])
-        unit, rest = self.unit[i:k] - lo, self.rest[a:b] - lo
-        return UnitSplit(self.n_rows, unit, self.rows[i:k], rest, self.block[:, a:b])
+        span = self.rest_span(lo, hi)
+        unit, rest = self.unit[i:k] - lo, self.rest[span] - lo
+        return UnitSplit(self.n_rows, unit, self.rows[i:k], rest, self.block[:, span])
 
     def rmatmul(self, a: np.ndarray) -> np.ndarray:
         """``a @ m``: a unit column copies one column of ``a``."""

@@ -13,7 +13,9 @@ subspaces:
   orthogonal complement of the translates of the whole corner part.
 
 Every function here measures one piece of that decomposition at a
-finite truncation depth, where all of it holds exactly.
+finite truncation depth, where all of it holds exactly.  The shift
+decomposition walks its translates one level at a time, so it holds at
+most two levels.
 """
 
 from __future__ import annotations
@@ -147,11 +149,14 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     dil = Dilation(instance.e, instance.defect_e)
     r = instance.rank_e
     vacuum = dil.space(0)
-    root = np.zeros((vacuum.dim, r), dtype=np.complex128)
-    root[vacuum.slot(())] = np.eye(r)
+    level = np.zeros((vacuum.dim, r), dtype=np.complex128)
+    level[vacuum.slot(())] = np.eye(r)
     worst = 0.0
-    for m, level in enumerate(dil.translates(root, 0, depth)):
+    for m in range(depth + 1):
+        # the next level is read before this one is compared in place
+        following = dil.translates(level, m, 1)[-1] if m < depth else None
         level[dil.space(m).level(m)] -= np.eye(level.shape[1])
         words = level.reshape(level.shape[0], dil.d**m, r).transpose(1, 0, 2)
         worst = max(worst, linalg.stack_norm(words))
+        level = following
     return worst

@@ -19,6 +19,12 @@ Norms are exact to rounding: besides the support and orientation cuts
 of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
 :func:`.linalg.hermitian_norm`, and the star direction of the
 intertwining check through :func:`.linalg.fold_rows`.
+
+The ``W``-sized residuals, ``W W* - I`` and both directions of the
+intertwining check, are formed ``BLOCK`` output columns at a time, and
+``W*`` is read as ``BLOCK``-row slabs of ``W``, so no conjugate copy of
+``W`` is made; the alignment keeps every value the same bit for bit as
+the whole products (see :mod:`.intertwiner`).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from . import charfn, scattering, transfer
 from .dilation import Dilation
-from .intertwiner import intertwiner_matrix, stabilization_violation
+from .intertwiner import BLOCK, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import (
     TOL_EQ,
@@ -133,16 +139,64 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def _intertwining_norms(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows):
-    """Per letter, both directions: W against V on the lift, W* against V on the base.
+def _blocks(n: int):
+    """The runs ``[lo, hi)`` of ``BLOCK`` indices that tile ``range(n)``.
 
-    The star residual is tall and almost all of its rows lie on the same
-    few columns, so its norm is taken after :func:`.linalg.fold_rows`.
+    Run starts are multiples of ``BLOCK``, which keeps a product split
+    at them the same bit for bit as the whole (see :mod:`.intertwiner`).
+    A lone last index joins the run before it: numpy computes a product
+    with one row or column in gemv, whose rounding differs from gemm's.
     """
-    for v_base, v_lift in zip(*(letters for _, letters in mats)):
-        forward = v_lift.rmatmul(w_deep) - v_base.matmul(w_flat)
-        star = v_lift.matmul(w_flat.conj().T) - v_base.rmatmul(w_deep.conj().T)
-        yield operator_norm(forward), operator_norm(fold_rows(star))
+    starts = list(range(0, n, BLOCK))
+    if n > BLOCK and n % BLOCK == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def _intertwining_norms(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows):
+    """Per letter, both directions: W against V on the lift, W* against V on the base."""
+    for pair in zip(*(letters for _, letters in mats)):
+        yield _forward_norm(w_deep, w_flat, *pair), _star_norm(w_deep, w_flat, *pair)
+
+
+def _forward_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float:
+    """``||W_N V^E_j - V^C_j W_{N-1}||``, formed ``BLOCK`` output columns at a time.
+
+    A unit column of ``V^E_j`` copies a column of ``W_N``, and the rest
+    columns come from one product.  Each block keeps only its nonzero
+    columns (most cancel exactly), so the norm decomposes the same
+    support block as for the whole residual.
+    """
+    rest = w_deep @ v_lift.block
+    kept = []
+    for lo, hi in _blocks(v_lift.n_cols):
+        part = v_lift.columns(lo, hi)
+        out = np.empty((w_deep.shape[0], part.n_cols), dtype=np.complex128)
+        out[:, part.unit] = w_deep[:, part.rows]
+        out[:, part.rest] = rest[:, v_lift.rest_span(lo, hi)]
+        out -= v_base.matmul(w_flat[:, lo:hi])
+        kept.append(out[:, (out != 0).any(axis=0)])
+    return operator_norm(np.hstack(kept))
+
+
+def _star_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float:
+    """``||V^E_j W_{N-1}* - W_N* V^C_j||``, filled ``BLOCK`` columns at a time.
+
+    The adjoints are read as ``BLOCK``-row slabs of ``W``, so no
+    conjugate copy of either matrix is made.  The residual is tall and
+    almost all of its rows lie on the same few columns, so its norm is
+    taken after :func:`.linalg.fold_rows`, which needs all of it.
+    """
+    rest = np.vstack(
+        [w_deep[:, lo:hi].conj().T @ v_base.block for lo, hi in _blocks(w_deep.shape[1])]
+    )
+    star = np.empty((v_lift.n_rows, v_base.n_cols), dtype=np.complex128)
+    for lo, hi in _blocks(v_base.n_cols):
+        out, part = star[:, lo:hi], v_base.columns(lo, hi)
+        out[...] = v_lift.matmul(w_flat[lo:hi].conj().T)
+        out[:, part.unit] -= w_deep[part.rows].conj().T
+        out[:, part.rest] -= rest[:, v_base.rest_span(lo, hi)]
+    return operator_norm(fold_rows(star))
 
 
 def _intertwining(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows) -> float:
@@ -150,7 +204,12 @@ def _intertwining(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows) ->
 
 
 def _intertwiner_coisometry(w: np.ndarray) -> float:
-    return hermitian_norm(w @ w.conj().T - np.eye(w.shape[0]))
+    """``W W* - I`` formed ``BLOCK`` columns at a time, 1 taken off its diagonal in place."""
+    gram = np.empty((w.shape[0], w.shape[0]), dtype=np.complex128)
+    for lo, hi in _blocks(w.shape[0]):
+        gram[:, lo:hi] = w @ w[lo:hi].conj().T
+    gram[np.diag_indices_from(gram)] -= 1
+    return hermitian_norm(gram)
 
 
 def _base_subspace_fixed(w: np.ndarray, dim_c: int) -> float:

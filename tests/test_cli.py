@@ -10,7 +10,7 @@ import pytest
 
 import ncscatter
 from ncscatter import serialize
-from ncscatter.cli import main
+from ncscatter.cli import build_parser, main
 from test_serialize import json_oracle, oracle_entries, oracle_matrix
 
 
@@ -364,6 +364,26 @@ class TestSubprocess:
             [sys.executable, "-c", code], capture_output=True, text=True, env=package_env()
         )
         assert proc.stdout.splitlines()[-1] == "False", proc.stdout + proc.stderr
+
+    def test_commands_in_one_process_print_what_single_runs_print(self, tmp_path, capsys):
+        # the parser is built once per process and reused by every call
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "--seed", "4", "-o", str(inst)]) == 0
+        runs = [
+            ["verify", "--input", str(inst), "--depth", "2"],
+            ["transfer", "--input", str(inst), "--depth", "2"],
+            ["generate", "--seed", "4", "--dim-a", "2"],
+            ["simulate", "--input", str(inst), "--depth", "1"],
+        ]
+        for argv in runs:
+            single = subprocess.run(
+                [sys.executable, "-m", "ncscatter", *argv],
+                capture_output=True, text=True, env=package_env(),
+            )
+            code = main(argv)
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (single.returncode, single.stdout, single.stderr)
+        assert build_parser() is build_parser()
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

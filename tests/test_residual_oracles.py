@@ -1,0 +1,192 @@
+"""The blocked residuals of ``verify`` against their dense formulas.
+
+``verify`` forms the intertwining and coisometry residuals of ``W``
+``BLOCK`` columns at a time, and walks the shift translates one level
+at a time.  The dense formulas they replace are kept here as oracles,
+and every value must equal theirs bit for bit, NaN and errors included.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ncscatter import scattering, verify
+from ncscatter.dilation import Dilation
+from ncscatter.intertwiner import BLOCK, intertwiner_matrix
+from ncscatter.lifting import Infeasible, RankClampBand, generate
+from ncscatter.linalg import fold_rows, hermitian_norm, operator_norm, stack_norm
+
+SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0)]
+
+
+def dense_intertwining_norms(w_deep, w_flat, mats):
+    # oracle: both residuals of every letter formed whole
+    for v_base, v_lift in zip(*(letters for _, letters in mats)):
+        forward = v_lift.rmatmul(w_deep) - v_base.matmul(w_flat)
+        star = v_lift.matmul(w_flat.conj().T) - v_base.rmatmul(w_deep.conj().T)
+        yield operator_norm(forward), operator_norm(fold_rows(star))
+
+
+def dense_coisometry(w):
+    # oracle: W W* - I from one product and a dense identity
+    return hermitian_norm(w @ w.conj().T - np.eye(w.shape[0]))
+
+
+def dense_shift_decomposition(instance, depth):
+    # oracle: every level of translates held at once
+    dil = Dilation(instance.e, instance.defect_e)
+    r = instance.rank_e
+    vacuum = dil.space(0)
+    root = np.zeros((vacuum.dim, r), dtype=np.complex128)
+    root[vacuum.slot(())] = np.eye(r)
+    worst = 0.0
+    for m, level in enumerate(dil.translates(root, 0, depth)):
+        level[dil.space(m).level(m)] -= np.eye(level.shape[1])
+        words = level.reshape(level.shape[0], dil.d**m, r).transpose(1, 0, 2)
+        worst = max(worst, stack_norm(words))
+    return worst
+
+
+def outcome(run):
+    """A run's value with every float as its hex text (NaN as 'nan'), or its error."""
+    try:
+        value = run()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    floats = value if isinstance(value, list) else [value]
+    return [
+        [float(v).hex() if not math.isnan(v) else "nan" for v in np.ravel(f)] for f in floats
+    ]
+
+
+def intertwiner_pair(instance, depth):
+    mats = verify._dilation_matrices(instance, depth)
+    return intertwiner_matrix(instance, depth), intertwiner_matrix(instance, depth - 1), mats
+
+
+def assert_same_intertwining(w, flat, mats):
+    got = outcome(lambda: list(verify._intertwining_norms(w, flat, mats)))
+    assert got == outcome(lambda: list(dense_intertwining_norms(w, flat, mats)))
+
+
+@pytest.mark.parametrize("a_scale", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("shape", SWEEP_SHAPES)
+def test_rows_equal_dense_formulas(shape, a_scale):
+    depths = range(1, 5) if shape[0] == 3 else range(1, 7)
+    for seed in range(3):
+        try:
+            inst = generate(*shape, seed=seed, a_scale=a_scale)
+        except (Infeasible, RankClampBand):
+            continue
+        flat = intertwiner_matrix(inst, 0)
+        for depth in depths:
+            w = intertwiner_matrix(inst, depth)
+            assert_same_intertwining(w, flat, verify._dilation_matrices(inst, depth))
+            assert verify._intertwiner_coisometry(w) == dense_coisometry(w)
+            got = scattering.verify_shift_decomposition(inst, depth)
+            assert got == dense_shift_decomposition(inst, depth)
+            flat = w
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    """(3,2,1) at depth 4: W is 486 x 729, several blocks each way and a
+    ragged last one, and W at depth 3 is 162 x 243."""
+    inst = generate(3, 2, 1, seed=1)
+    w, flat, mats = intertwiner_pair(inst, 4)
+    assert all(n > 2 * BLOCK and n % BLOCK for n in w.shape + flat.shape)
+    return inst, w, flat, mats
+
+
+def test_ragged_blocks_equal_dense_formulas(ragged):
+    inst, w, flat, mats = ragged
+    assert_same_intertwining(w, flat, mats)
+    assert verify._intertwiner_coisometry(w) == dense_coisometry(w)
+    assert scattering.verify_shift_decomposition(inst, 4) == dense_shift_decomposition(inst, 4)
+
+
+def test_random_matrices_of_the_same_shapes(ragged):
+    # no residual entry cancels exactly, so every column is kept
+    _, w, flat, mats = ragged
+    rng = np.random.default_rng(5)
+    w, flat = (rng.standard_normal(m.shape + (2,)).view(complex)[..., 0] for m in (w, flat))
+    assert_same_intertwining(w, flat, mats)
+
+
+def test_coisometry_of_any_height():
+    # with one BLAS thread a product split at multiples of BLOCK is the
+    # whole product bit for bit, whatever its height; a height that leaves
+    # one row over (65, 129, ...) joins it to the block before, as a
+    # product with one column goes through gemv.  With more threads,
+    # OpenBLAS may split the whole product between them at other columns
+    # (seen at heights 66-70, 130, 131 and 194 with 150 columns), so this
+    # runs in a process of its own with one thread.
+    code = (
+        "import numpy as np, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from ncscatter import verify\n"
+        "from test_residual_oracles import dense_coisometry\n"
+        f"for rows in range(1, {3 * BLOCK + 8}):\n"
+        "    rng = np.random.default_rng(rows)\n"
+        "    w = rng.standard_normal((rows, 150)) + 1j * rng.standard_normal((rows, 150))\n"
+        "    if verify._intertwiner_coisometry(w) != dense_coisometry(w):\n"
+        "        print(rows)\n"
+    )
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("target", ["deep", "flat"])
+@pytest.mark.parametrize("entry", [(0, 0), (-1, -1), (1, -2), (-1, 0)])
+def test_non_finite_entries(ragged, bad, target, entry):
+    _, w, flat, mats = ragged
+    w, flat = w.copy(), flat.copy()
+    (w if target == "deep" else flat)[entry] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_same_intertwining(w, flat, mats)
+        got = outcome(lambda: verify._intertwiner_coisometry(w))
+        assert got == outcome(lambda: dense_coisometry(w))
+
+
+def test_blocks_tile_the_range():
+    for n in [0, 1, 2, 63, 64, 65, 66, 128, 129, 130, 200]:
+        runs = list(verify._blocks(n))
+        assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(n))
+        assert all(lo % BLOCK == 0 for lo, _ in runs)
+        assert all(hi - lo > 1 for lo, hi in runs) or n == 1
+
+
+def transient(run):
+    """Bytes allocated at the peak of ``run`` beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return intertwiner_pair(generate(2, 2, 2, seed=1), 7)
+
+    def test_intertwining_below_one_w(self, deep):
+        w, flat, mats = deep
+        assert transient(lambda: verify._intertwining(w, flat, mats)) < w.nbytes
+
+    def test_coisometry_within_a_tenth_over_one_w(self, deep):
+        w, _, _ = deep
+        assert transient(lambda: verify._intertwiner_coisometry(w)) <= 1.1 * w.nbytes

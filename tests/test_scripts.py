@@ -67,6 +67,15 @@ def test_compare_checks_prints_peak_rss():
     assert re.fullmatch(pattern, proc.stdout.splitlines()[0]), proc.stdout
 
 
+def test_compare_checks_prints_wall_time():
+    proc = run_script(
+        "compare_checks.py", ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke"]
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    pattern = r"wall time of the grid process: base \d+\.\d s, change \d+\.\d s"
+    assert re.fullmatch(pattern, proc.stdout.splitlines()[1]), proc.stdout
+
+
 def test_compare_checks_deep_grid():
     path = ROOT / "scripts" / "compare_checks.py"
     spec = importlib.util.spec_from_file_location("compare_checks", path)
