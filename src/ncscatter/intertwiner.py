@@ -34,23 +34,27 @@ extra stage, which consumes the zero level N.  That extra stage must
 not change the truncated result, which :func:`stabilization_violation`
 measures.
 
-:func:`intertwiner_matrix` feeds the identity through the pipeline in
-blocks of ``BLOCK`` columns, and each stage of a block runs only over
-the words its columns can reach.  A column of word u at level m reaches
-the descendants ``[u*d**(n-m), (u+1)*d**(n-m))`` at stage n, then their
-ancestors on the way back; a base column reaches every word.  The word
-ranges follow from the column indices alone, and every coefficient
-outside them is an exact ``T* 0 + d* 0``.  Blocks start at multiples of
-64 because OpenBLAS computes the last ``width mod 4`` columns of a
-product with a tail kernel: so aligned, every column meets the same
-kernel as in the full-width product, and the matrix is the same bit for
-bit.  :mod:`.verify` splits its ``W``-sized residual products at the same
-multiples of ``BLOCK``, rows or columns, for the same reason.  With one
-BLAS thread this holds for a product of any shape.  With more, OpenBLAS
-may split a whole product between its threads at other columns, and for
-a few shapes (``W W*`` of a 66- to 70-row ``W`` with 150 columns) a
-value then moves by rounding.  A generated instance has spaces of
-dimension ``dim * d**(N+1)``, and on those no value moves.
+:func:`intertwiner_matrix` feeds the identity through the pipeline one
+run of :func:`blocks` columns at a time, and each stage of a run goes
+only over the words its columns can reach.  A column of word u at level
+m reaches the descendants ``[u*d**(n-m), (u+1)*d**(n-m))`` at stage n,
+then their ancestors on the way back; a base column reaches every word.
+The word ranges follow from the column indices alone, and every
+coefficient outside them is an exact ``T* 0 + d* 0``.
+
+:func:`blocks` is the one tiling of the ``W`` build and of the
+``W``-sized residual products of :mod:`.verify`, which split their rows
+or columns at the same runs.  Runs start at multiples of ``BLOCK`` = 64
+because OpenBLAS computes the last ``width mod 4`` columns of a product
+with a tail kernel, and a lone last index joins the run before it
+because numpy computes a product with one row or column in gemv, whose
+rounding differs from gemm's.  So tiled, every column meets the same
+kernel as in the whole product.  With one BLAS thread a product split at
+the runs is the whole product bit for bit, whatever its shape.  With
+more, OpenBLAS may split a whole product between its threads at other
+columns, and for a few shapes (``W W*`` of a 66- to 70-row ``W`` with
+150 columns) a value then moves by rounding; on spaces of dimension
+``dim * d**(N+1)``, which every generated instance has, none moves.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ from .rowtuple import DefectData, OperatorTuple
 
 # columns per block of the W build and of verify's W-sized residuals (see above)
 BLOCK = 64
+
+
+def blocks(n: int):
+    """The runs ``[lo, hi)`` of ``BLOCK`` indices that tile ``range(n)`` (see above)."""
+    starts = list(range(0, n, BLOCK))
+    if n > BLOCK and n % BLOCK == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
 
 
 class StageMismatch(ValueError):
@@ -215,11 +227,10 @@ def base_space(instance: LiftingInstance, depth: int) -> GradedSpace:
 
 
 def intertwiner_matrix(instance: LiftingInstance, depth: int) -> np.ndarray:
-    """Flat matrix of the depth-truncated intertwiner, built BLOCK columns at a time."""
+    """Flat matrix of the depth-truncated intertwiner, built one run of blocks() at a time."""
     dim = lift_space(instance, depth).dim
     out = np.empty((base_space(instance, depth).dim, dim), dtype=np.complex128)
-    for start in range(0, dim, BLOCK):
-        stop = min(start + BLOCK, dim)
+    for start, stop in blocks(dim):
         eye = np.zeros((dim, stop - start), dtype=np.complex128)
         eye[start:stop] = np.eye(stop - start)
         out[:, start:stop] = _pipeline(instance, eye, depth, False, (start, stop))

@@ -199,13 +199,6 @@ class UnitSplit:
         unit, rest = self.unit[i:k] - lo, self.rest[span] - lo
         return UnitSplit(self.n_rows, unit, self.rows[i:k], rest, self.block[:, span])
 
-    def rmatmul(self, a: np.ndarray) -> np.ndarray:
-        """``a @ m``: a unit column copies one column of ``a``."""
-        out = np.empty((a.shape[0], self.n_cols), dtype=np.result_type(a, self.block))
-        out[:, self.unit] = a[:, self.rows]
-        out[:, self.rest] = a @ self.block
-        return out
-
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """``m @ x``: a unit column scatters one row of ``x``."""
         out = self.block @ x[self.rest]

@@ -21,10 +21,11 @@ of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
 intertwining check through :func:`.linalg.fold_rows`.
 
 The ``W``-sized residuals, ``W W* - I`` and both directions of the
-intertwining check, are formed ``BLOCK`` output columns at a time, and
-``W*`` is read as ``BLOCK``-row slabs of ``W``, so no conjugate copy of
-``W`` is made; the alignment keeps every value the same bit for bit as
-the whole products (see :mod:`.intertwiner`).
+intertwining check, are formed one run of :func:`.intertwiner.blocks`
+output columns at a time, and ``W*`` is read as row slabs of ``W`` on
+the same runs, so no conjugate copy of ``W`` is made.  The
+:mod:`.intertwiner` docstring says when that tiling gives the whole
+products bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import charfn, scattering, transfer
 from .dilation import Dilation
-from .intertwiner import BLOCK, intertwiner_matrix, stabilization_violation
+from .intertwiner import blocks, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import (
     TOL_EQ,
@@ -139,20 +140,6 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def _blocks(n: int):
-    """The runs ``[lo, hi)`` of ``BLOCK`` indices that tile ``range(n)``.
-
-    Run starts are multiples of ``BLOCK``, which keeps a product split
-    at them the same bit for bit as the whole (see :mod:`.intertwiner`).
-    A lone last index joins the run before it: numpy computes a product
-    with one row or column in gemv, whose rounding differs from gemm's.
-    """
-    starts = list(range(0, n, BLOCK))
-    if n > BLOCK and n % BLOCK == 1:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
-
-
 def _intertwining_norms(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows):
     """Per letter, both directions: W against V on the lift, W* against V on the base."""
     for pair in zip(*(letters for _, letters in mats)):
@@ -160,7 +147,7 @@ def _intertwining_norms(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRo
 
 
 def _forward_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float:
-    """``||W_N V^E_j - V^C_j W_{N-1}||``, formed ``BLOCK`` output columns at a time.
+    """``||W_N V^E_j - V^C_j W_{N-1}||``, formed one run of output columns at a time.
 
     A unit column of ``V^E_j`` copies a column of ``W_N``, and the rest
     columns come from one product.  Each block keeps only its nonzero
@@ -169,7 +156,7 @@ def _forward_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float
     """
     rest = w_deep @ v_lift.block
     kept = []
-    for lo, hi in _blocks(v_lift.n_cols):
+    for lo, hi in blocks(v_lift.n_cols):
         part = v_lift.columns(lo, hi)
         out = np.empty((w_deep.shape[0], part.n_cols), dtype=np.complex128)
         out[:, part.unit] = w_deep[:, part.rows]
@@ -180,18 +167,18 @@ def _forward_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float
 
 
 def _star_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float:
-    """``||V^E_j W_{N-1}* - W_N* V^C_j||``, filled ``BLOCK`` columns at a time.
+    """``||V^E_j W_{N-1}* - W_N* V^C_j||``, filled one run of columns at a time.
 
-    The adjoints are read as ``BLOCK``-row slabs of ``W``, so no
+    The adjoints are read as row slabs of ``W``, so no
     conjugate copy of either matrix is made.  The residual is tall and
     almost all of its rows lie on the same few columns, so its norm is
     taken after :func:`.linalg.fold_rows`, which needs all of it.
     """
     rest = np.vstack(
-        [w_deep[:, lo:hi].conj().T @ v_base.block for lo, hi in _blocks(w_deep.shape[1])]
+        [w_deep[:, lo:hi].conj().T @ v_base.block for lo, hi in blocks(w_deep.shape[1])]
     )
     star = np.empty((v_lift.n_rows, v_base.n_cols), dtype=np.complex128)
-    for lo, hi in _blocks(v_base.n_cols):
+    for lo, hi in blocks(v_base.n_cols):
         out, part = star[:, lo:hi], v_base.columns(lo, hi)
         out[...] = v_lift.matmul(w_flat[lo:hi].conj().T)
         out[:, part.unit] -= w_deep[part.rows].conj().T
@@ -204,9 +191,9 @@ def _intertwining(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows) ->
 
 
 def _intertwiner_coisometry(w: np.ndarray) -> float:
-    """``W W* - I`` formed ``BLOCK`` columns at a time, 1 taken off its diagonal in place."""
+    """``W W* - I`` formed one run of columns at a time, 1 taken off its diagonal in place."""
     gram = np.empty((w.shape[0], w.shape[0]), dtype=np.complex128)
-    for lo, hi in _blocks(w.shape[0]):
+    for lo, hi in blocks(w.shape[0]):
         gram[:, lo:hi] = w @ w[lo:hi].conj().T
     gram[np.diag_indices_from(gram)] -= 1
     return hermitian_norm(gram)
@@ -305,15 +292,15 @@ def run_all_checks(
         "charfn_coincidence", 1e-10, lambda: charfn.coincidence_violation(series(), theta())
     )
 
-    def restriction(blocks):
+    def restriction():
         probes = charfn.restriction_probes(instance, signal())
         r = instance.rank_e
         return max(
-            charfn.vacuum_restriction_violation(instance, blocks, probes[:, :r]),
+            charfn.vacuum_restriction_violation(instance, series(), probes[:, :r]),
             charfn.fock_action_violation(instance, probes[:, r:], theta(), signal()),
         )
 
-    check("charfn_restriction", 1e-10, lambda: restriction(series()))
+    check("charfn_restriction", 1e-10, restriction)
     return results
 
 

@@ -85,14 +85,8 @@ def prepend_levels(
 def reversal(d: int, depth: int) -> np.ndarray:
     """Entry i is the graded-lex position of the reverse of word i.
 
-    Reversal keeps the level and reverses the base-d digits of the index.
+    The reverse of (j,)+w is the reverse of w with j appended, at index
+    ``d·rev(w) + j-1`` of its level.
     """
-    out = []
-    for m in range(depth + 1):
-        u = np.arange(d**m)
-        rev = np.zeros_like(u)
-        for _ in range(m):
-            u, digit = np.divmod(u, d)
-            rev = rev * d + digit
-        out.append(level_start(d, m) + rev)
-    return np.concatenate(out)
+    levels = prepend_levels(np.zeros(1, dtype=int), d, depth, lambda j, m, u: u * d + j - 1)
+    return np.concatenate([level_start(d, m) + u for m, u in enumerate(levels)])

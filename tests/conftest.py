@@ -12,6 +12,15 @@ def balanced_pair_tuple():
     return OperatorTuple((np.array([[RT2]]), np.array([[RT2]])))
 
 
+def unit_rmatmul(split, a):
+    """``a @ m`` for the matrix ``m`` that ``split`` was scanned from: a
+    unit column copies one column of ``a``, the rest are multiplied."""
+    out = np.empty((a.shape[0], split.n_cols), dtype=np.result_type(a, split.block))
+    out[:, split.unit] = a[:, split.rows]
+    out[:, split.rest] = a @ split.block
+    return out
+
+
 def contraction_tuple(d, n, seed, norm=0.9):
     """Random d-tuple on an n-dimensional space with given row norm."""
     rng = np.random.default_rng(seed)

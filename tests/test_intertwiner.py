@@ -295,6 +295,9 @@ class TestIntertwiner:
 
 
 SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0)]
+# d = 1 with dimA = 0 lifts to dimC columns at every depth: one past a
+# multiple of BLOCK, a run of that lone column would go to gemv
+LONE_SHAPES = [(1, BLOCK + 1, 0), (1, 2 * BLOCK + 1, 0)]
 
 
 class TestBlockedBuild:
@@ -302,7 +305,7 @@ class TestBlockedBuild:
     # the words its columns reach; the full-width pipeline is the oracle,
     # bit for bit
 
-    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES + LONE_SHAPES)
     def test_sweep_shapes_bit_for_bit(self, shape):
         # at d = 3 the full-width oracle needs 2.5 GB for depth 6, so it
         # stops at depth 5 (731 columns)
@@ -316,6 +319,10 @@ class TestBlockedBuild:
         # several blocks, and a last one shorter than BLOCK
         dims = [lift_space(generate(*shape, seed=0), 6).dim for shape in SWEEP_SHAPES]
         assert any(dim > BLOCK and dim % BLOCK for dim in dims)
+        # and a lone last column
+        for shape in LONE_SHAPES:
+            inst = generate(*shape, seed=0)
+            assert all(lift_space(inst, n).dim % BLOCK == 1 for n in range(1, 7))
 
     def test_three_letters_bit_for_bit(self):
         inst = generate(3, 2, 2, seed=1)

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import unit_rmatmul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -272,7 +273,7 @@ class TestUnitSplit:
         a = random_matrix(rng, width, m.shape[0])
         x = random_matrix(rng, m.shape[1], width)
         with np.errstate(invalid="ignore"):
-            left, right = split.rmatmul(a), split.matmul(x)
+            left, right = unit_rmatmul(split, a), split.matmul(x)
             dense_left, dense_right = a @ m, m @ x
         assert left.shape == dense_left.shape and right.shape == dense_right.shape
         assert np.array_equal(left[:, split.unit], dense_left[:, split.unit])
@@ -390,7 +391,7 @@ class TestUnitSplit:
             m = np.zeros(shape, dtype=np.complex128)
             split = linalg.unit_split([m])
             assert split.unit.size == 0 and split.rest.size == shape[1]
-            assert split.rmatmul(np.ones((2, shape[0]))).shape == (2, shape[1])
+            assert unit_rmatmul(split, np.ones((2, shape[0]))).shape == (2, shape[1])
             assert split.matmul(np.ones((shape[1], 2))).shape == (shape[0], 2)
             assert split.columns(0, shape[1]).block.shape == shape
             assert linalg.gram_residual(split).shape == (shape[1], shape[1])

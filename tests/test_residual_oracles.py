@@ -1,7 +1,7 @@
 """The blocked residuals of ``verify`` against their dense formulas.
 
 ``verify`` forms the intertwining and coisometry residuals of ``W``
-``BLOCK`` columns at a time, and walks the shift translates one level
+one run of ``intertwiner.blocks`` columns at a time, and walks the shift translates one level
 at a time.  The dense formulas they replace are kept here as oracles,
 and every value must equal theirs bit for bit, NaN and errors included.
 """
@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import unit_rmatmul
 
 from ncscatter import scattering, verify
 from ncscatter.dilation import Dilation
-from ncscatter.intertwiner import BLOCK, intertwiner_matrix
+from ncscatter.intertwiner import BLOCK, blocks, intertwiner_matrix
 from ncscatter.lifting import Infeasible, RankClampBand, generate
 from ncscatter.linalg import fold_rows, hermitian_norm, operator_norm, stack_norm
 
@@ -28,8 +29,8 @@ SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1)
 def dense_intertwining_norms(w_deep, w_flat, mats):
     # oracle: both residuals of every letter formed whole
     for v_base, v_lift in zip(*(letters for _, letters in mats)):
-        forward = v_lift.rmatmul(w_deep) - v_base.matmul(w_flat)
-        star = v_lift.matmul(w_flat.conj().T) - v_base.rmatmul(w_deep.conj().T)
+        forward = unit_rmatmul(v_lift, w_deep) - v_base.matmul(w_flat)
+        star = v_lift.matmul(w_flat.conj().T) - unit_rmatmul(v_base, w_deep.conj().T)
         yield operator_norm(forward), operator_norm(fold_rows(star))
 
 
@@ -161,7 +162,7 @@ def test_non_finite_entries(ragged, bad, target, entry):
 
 def test_blocks_tile_the_range():
     for n in [0, 1, 2, 63, 64, 65, 66, 128, 129, 130, 200]:
-        runs = list(verify._blocks(n))
+        runs = list(blocks(n))
         assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(n))
         assert all(lo % BLOCK == 0 for lo, _ in runs)
         assert all(hi - lo > 1 for lo, hi in runs) or n == 1

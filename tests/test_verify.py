@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import unit_rmatmul
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -253,7 +254,7 @@ class TestMutations:
         flat = verify.intertwiner_matrix(plain_instance, depth - 1)
         w = verify.intertwiner_matrix(plain_instance, depth)
         i, col = v_base.rows[-1], w.shape[1] - 1
-        support = (v_lift.matmul(flat.conj().T) - v_base.rmatmul(w.conj().T)) != 0
+        support = (v_lift.matmul(flat.conj().T) - unit_rmatmul(v_base, w.conj().T)) != 0
         shared = (support == support[col]).all(axis=1)
         assert shared.sum() > support[col].sum() == plain_instance.dim_c
         assert not support[col, v_base.unit[-1]]

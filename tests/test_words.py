@@ -118,7 +118,7 @@ def test_prepend_levels_depth_zero_and_one_letter():
     assert np.concatenate(levels).tolist() == [1, 2, 4, 8]
 
 
-@pytest.mark.parametrize("d,depth", [(1, 0), (1, 4), (2, 0), (2, 4), (3, 3)])
+@pytest.mark.parametrize("d,depth", [(1, 0), (1, 4), (2, 0), (2, 4), (3, 3), (4, 4)])
 def test_reversal_map(d, depth):
     ws = enumerate_words(d, depth)
     assert [ws[i] for i in reversal(d, depth)] == [reverse(w) for w in ws]
