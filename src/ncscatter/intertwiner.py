@@ -44,7 +44,8 @@ coefficient outside them is an exact ``T* 0 + d* 0``.
 
 :func:`blocks` is the one tiling of the ``W`` build and of the
 ``W``-sized residual products of :mod:`.verify`, which split their rows
-or columns at the same runs.  Runs start at multiples of ``BLOCK`` = 64
+or columns at the same runs; ``W W* - I`` also starts the rows of its
+left factor at a run (``w[lo:]``).  Runs start at multiples of ``BLOCK`` = 64
 because OpenBLAS computes the last ``width mod 4`` columns of a product
 with a tail kernel, and a lone last index joins the run before it
 because numpy computes a product with one row or column in gemv, whose

@@ -18,8 +18,8 @@ The norm kernels cut further, each step exact:
 * :func:`operator_norm` decomposes the tall orientation of its support
   block (``||M|| = ||M^T||``), which LAPACK's divide and conquer SVD
   takes faster than the wide one;
-* :func:`hermitian_norm` reads the norm of a bit-exactly Hermitian
-  matrix off its eigenvalues and sends any other input to the SVD;
+* :func:`hermitian_norm` reads the norm of a Hermitian matrix off the
+  eigenvalues of its lower triangle, so a caller forms only that half;
 * :func:`stack_norm` skips the matrices of a stack that are exactly
   zero;
 * :func:`fold_rows` replaces each class of rows sharing one column
@@ -85,36 +85,30 @@ def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nonzero.any(axis=1), nonzero.any(axis=0)
 
 
-def _support_block(m: np.ndarray) -> np.ndarray:
-    """``m`` on its support: the rows and columns holding an entry != 0."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
-    rows, cols = _support(m)
-    return m if rows.all() and cols.all() else m[np.ix_(rows, cols)]
-
-
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value (0.0 if none), taken after the exact drop of
     zero rows and columns, of the block or its transpose, whichever is
     tall; with none dropped it is ``np.linalg.norm`` of that orientation."""
-    block = _support_block(m)
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
+    rows, cols = _support(m)
+    block = m if rows.all() and cols.all() else m[np.ix_(rows, cols)]
     if block.shape[0] < block.shape[1]:
         block = block.T
     return float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
 
 
-def hermitian_norm(m: np.ndarray) -> float:
-    """:func:`operator_norm` of a Hermitian matrix, as its largest ``|eigenvalue|``.
-
-    Only an input equal to its adjoint bit for bit takes the eigenvalue
-    path, on its support block; anything else, NaN included, goes
-    through :func:`operator_norm`.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.array_equal(m, m.conj().T):
-        return operator_norm(m)
-    block = _support_block(m)
+def hermitian_norm(lower: np.ndarray) -> float:
+    """:func:`operator_norm` of the Hermitian matrix with lower triangle ``lower``, off
+    the eigenvalues of its support block; the strict upper triangle is never read."""
+    lower = np.asarray(lower)
+    if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
+        raise DimensionError(f"square matrix required, got shape {lower.shape}")
+    if np.tril(~np.isfinite(lower)).any():  # eigvalsh may return finite values for NaN
+        raise np.linalg.LinAlgError("non-finite entry in the lower triangle")
+    live = np.logical_or(*_support(np.tril(lower != 0)))
+    block = lower if live.all() else lower[np.ix_(live, live)]
     return float(np.abs(np.linalg.eigvalsh(block)).max()) if block.size else 0.0
 
 

@@ -148,8 +148,9 @@ def instance_from_json(obj, strict: bool = True) -> LiftingInstance:
     d = _require(obj, "d", int, "instance")
     nc = _require(obj, "dimC", int, "instance")
     na = _require(obj, "dimA", int, "instance")
-    if d < 1:
-        raise SchemaError("instance: key 'd' must be at least 1")
+    for key, n in (("d", d), ("dimC", nc)):
+        if n < 1:
+            raise SchemaError(f"instance: key {key!r} must be at least 1")
     seed = obj.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise SchemaError("instance: seed must be an integer or null")

@@ -17,14 +17,15 @@ dilation rows measure the letter blocks of ``V* V - I`` and ``I - V V*``.
 
 Norms are exact to rounding: besides the support and orientation cuts
 of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
-:func:`.linalg.hermitian_norm`, and the star direction of the
-intertwining check through :func:`.linalg.fold_rows`.
+:func:`.linalg.hermitian_norm`, which reads its lower triangle, and the
+star direction of the intertwining check through :func:`.linalg.fold_rows`.
 
 The ``W``-sized residuals, ``W W* - I`` and both directions of the
 intertwining check, are formed one run of :func:`.intertwiner.blocks`
 output columns at a time, and ``W*`` is read as row slabs of ``W`` on
-the same runs, so no conjugate copy of ``W`` is made.  The
-:mod:`.intertwiner` docstring says when that tiling gives the whole
+the same runs, so no conjugate copy of ``W`` is made; ``W W* - I`` is
+formed only on and below its diagonal blocks, Hermitian by construction.
+The :mod:`.intertwiner` docstring says when that tiling gives the whole
 products bit for bit.
 """
 
@@ -191,10 +192,11 @@ def _intertwining(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows) ->
 
 
 def _intertwiner_coisometry(w: np.ndarray) -> float:
-    """``W W* - I`` formed one run of columns at a time, 1 taken off its diagonal in place."""
+    """Lower block triangle of ``W W* - I``, zeros above, 1 taken off the diagonal in place."""
     gram = np.empty((w.shape[0], w.shape[0]), dtype=np.complex128)
     for lo, hi in blocks(w.shape[0]):
-        gram[:, lo:hi] = w @ w[lo:hi].conj().T
+        gram[lo:, lo:hi] = w[lo:] @ w[lo:hi].conj().T
+        gram[lo:hi, hi:] = 0
     gram[np.diag_indices_from(gram)] -= 1
     return hermitian_norm(gram)
 

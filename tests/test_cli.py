@@ -163,6 +163,21 @@ class TestExports:
         assert captured.out == ""
         assert captured.err == "error: no words over 2 letters up to depth -1\n"
 
+    @pytest.mark.parametrize("cmd", ["verify", "transfer", "charfn", "simulate"])
+    def test_empty_base_space_is_usage_error(self, tmp_path, capsys, cmd):
+        # generate refuses dimC = 0, and the loader refuses it alike
+        empty = [{"rows": 0, "cols": 0, "data": []}] * 2
+        path = tmp_path / "empty.json"
+        serialize.save(path, {"d": 2, "dimC": 0, "dimA": 0, "seed": None,
+                              "C": empty, "A": empty, "B": empty})
+        out = tmp_path / "out.json"
+        flag = "--report" if cmd == "verify" else "-o"
+        assert main([cmd, "--input", str(path), "--depth", "2", flag, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: instance: key 'dimC' must be at least 1\n"
+        assert not out.exists()
+
 
 class TestOneTolerance:
     """The exports accept exactly the instances whose lifting identities
