@@ -26,12 +26,15 @@ grid, each tree writes the ``generate``, ``transfer``, ``charfn`` and
 ``simulate`` files through ``cli.main`` (simulate seeded with the
 instance seed), and the script prints every file whose sha256 differs.
 Each tree also runs ``transfer``, ``charfn``, ``simulate`` and
-``verify`` on a near-miss copy of every instance, its ``C`` entries
-scaled by 1 - 1e-6 so that ``sum C_j C_j* - I`` has norm about 2e-6,
-which the exports refuse (exit 2) and ``verify`` fails (exit 1).  The
+``verify`` on two scaled copies of every instance.  The near-miss copy
+has its ``C`` entries scaled by 1 - 1e-6, so that ``sum C_j C_j* - I``
+has norm about 2e-6, outside the acceptance band ``TOL_EQ`` = 1e-8:
+the exports refuse it (exit 2) and ``verify`` fails it (exit 1).  The
+inside-band copy has them scaled by 1 + 2e-9, a norm of about 4e-9,
+which ``lifting_identities`` passes and so the exports accept.  The
 exit code and the stdout and stderr text of each such run are hashed
-like a file, and every run whose hash differs is printed.  It exits 1 on any
-difference, and 0 otherwise.
+like a file, and every run whose hash differs is printed, with a count
+for each copy.  It exits 1 on any difference, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -95,39 +98,41 @@ def emit_rows(grid: str) -> None:
 
 
 EXPORTS = ("transfer", "charfn", "simulate")
-NEAR_MISS = 1 - 1e-6  # scale of the C entries of the copy every command is run on
+# scale of the C entries of each copy every command is run on, by copy name
+COPIES = {"near-miss": 1 - 1e-6, "inside-band": 1 + 2e-9}
 
 
-def near_miss(inst: Path, path: Path) -> None:
-    """Write the instance file ``inst`` to ``path`` with every C entry scaled by NEAR_MISS."""
+def scaled_copy(inst: Path, path: Path, factor: float) -> None:
+    """Write the instance file ``inst`` to ``path`` with every C entry scaled by ``factor``."""
     obj = json.loads(inst.read_text())
     for m in obj["C"]:
-        m["data"] = [[re * NEAR_MISS, im * NEAR_MISS] for re, im in m["data"]]
+        m["data"] = [[re * factor, im * factor] for re, im in m["data"]]
     path.write_text(json.dumps(obj))
 
 
 def emit_hashes(grid: str) -> None:
     """Print the imported tree's location, the sha256 of every file the
-    command line writes for the grid, by file label, and the sha256 of
-    the exit code and text of every command run on a near-miss copy."""
+    command line writes for the grid, by file label, and, by copy name,
+    the sha256 of the exit code and text of every command run on each
+    scaled copy."""
     import ncscatter
     from ncscatter.cli import main
 
-    hashes, refusals = {}, {}
+    hashes, runs = {}, {copy: {} for copy in COPIES}
     with tempfile.TemporaryDirectory() as tmp:
-        inst, out, near = (Path(tmp) / f for f in ("inst.json", "out.json", "near.json"))
+        inst, out, copy_path = (Path(tmp) / f for f in ("inst.json", "out.json", "copy.json"))
 
         def write(name: str, path: Path, argv: list[str]) -> None:
             if main([*argv, "-o", str(path)]) != 0:
                 raise SystemExit(f"{name}: {argv[0]} failed")
             hashes[f"{name} {argv[0]}"] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-        def refuse(name: str, argv: list[str]) -> None:
+        def run(name: str, copy: str, argv: list[str]) -> None:
             text = io.StringIO()
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
                 code = main(argv)
-            run = f"exit {code}\n{text.getvalue()}".encode()
-            refusals[f"{name} near-miss {argv[0]}"] = hashlib.sha256(run).hexdigest()
+            record = f"exit {code}\n{text.getvalue()}".encode()
+            runs[copy][f"{name} {copy} {argv[0]}"] = hashlib.sha256(record).hexdigest()
 
         for (d, dim_c, dim_a), seeds, depth, a_scale in GRIDS[grid]:
             shape = ["--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a)]
@@ -135,13 +140,15 @@ def emit_hashes(grid: str) -> None:
             for seed in seeds:
                 name = label((d, dim_c, dim_a), seed, depth, a_scale)
                 write(name, inst, ["generate", *shape, "--seed", str(seed)])
-                near_miss(inst, near)
-                for cmd in EXPORTS:
-                    seeded = ["--seed", str(seed)] if cmd == "simulate" else []
-                    write(name, out, [cmd, "--input", str(inst), "--depth", str(depth), *seeded])
-                    refuse(name, [cmd, "--input", str(near), "--depth", str(depth), *seeded])
-                refuse(name, ["verify", "--input", str(near), "--depth", str(depth)])
-    json.dump({"source": ncscatter.__file__, "rows": hashes, "refusals": refusals}, sys.stdout)
+                seeded = {"simulate": ["--seed", str(seed)]}  # simulate's signal seed
+                exports = [[cmd, "--depth", str(depth), *seeded.get(cmd, [])] for cmd in EXPORTS]
+                for argv in exports:
+                    write(name, out, [*argv, "--input", str(inst)])
+                for copy, factor in COPIES.items():
+                    scaled_copy(inst, copy_path, factor)
+                    for argv in [*exports, ["verify", "--depth", str(depth)]]:
+                        run(name, copy, [*argv, "--input", str(copy_path)])
+    json.dump({"source": ncscatter.__file__, "rows": hashes, **runs}, sys.stdout)
 
 
 def run_tree(src: str, mode: str, grid: str) -> dict:
@@ -165,13 +172,11 @@ def run_tree(src: str, mode: str, grid: str) -> dict:
 
 
 def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
-    """Report lines and whether any file or near-miss run is missing on one
-    side or differs."""
+    """Report lines and whether any file or run on a scaled copy is missing
+    on one side or differs."""
     lines, differs = [], False
-    for key, what, same in (
-        ("rows", "files", "same bytes"),
-        ("refusals", "near-miss runs", "same exit codes and text"),
-    ):
+    runs = [(copy, f"{copy} runs", "same exit codes and text") for copy in COPIES]
+    for key, what, same in [("rows", "files", "same bytes"), *runs]:
         old, new = base[key], change[key]
         changed = [
             f"differs: {name}" for name in sorted(old.keys() | new.keys())

@@ -13,7 +13,8 @@ Coisometry of the row E forces two block identities,
 and guarantees an isometry ``gamma`` from the range of the star
 defect D* = (I - A A*)^(1/2) into the defect space of C with
 ``gamma D* = B*`` (B* maps H_A into the d-fold sum of H_C copies).
-``assemble`` validates all of this; ``generate`` draws random valid
+Strict ``assemble`` refuses exactly the blocks that miss one of these
+identities by more than ``TOL_EQ``; ``generate`` draws random valid
 instances from a seeded stream by running the construction backwards:
 pick C coisometric, pick a strictly contractive A, pick gamma at
 random, then let B be whatever the identity dictates.
@@ -133,27 +134,17 @@ def gamma_isometry(
     dstar: np.ndarray,
     dstar_basis: np.ndarray,
     bstar: np.ndarray,
-    strict: bool = True,
 ) -> np.ndarray:
     """Solve gamma D* = B* for the defect-coordinate matrix of gamma.
 
     The restriction of D* to its range is invertible, so gamma is the
     coefficient matrix of B* against the defect bases composed with
     that inverse.  Well-definedness requires B* to kill the kernel of
-    D*; in strict mode a leak above ``TOL_EQ`` raises
-    :class:`GammaUndefined`.  Otherwise the leak is not formed here:
-    ``lifting_violations`` reports it as ``gamma_kernel``.
+    D*; the leak is not formed here: ``lifting_violations`` reports it
+    as ``gamma_kernel``, and strict :func:`assemble` refuses it.
     """
-    qs = dstar_basis
-    if strict:
-        kernel = linalg.complement_onb(qs)
-        leak = linalg.operator_norm(bstar @ kernel)
-        if leak > TOL_EQ:
-            raise GammaUndefined(
-                f"B* does not vanish on ker D* (leak {leak:.3e} > {TOL_EQ:.1e})"
-            )
-    restricted = qs.conj().T @ dstar @ qs
-    return defect_c_basis.conj().T @ bstar @ qs @ linalg.pseudo_inverse(restricted)
+    restricted = dstar_basis.conj().T @ dstar @ dstar_basis
+    return defect_c_basis.conj().T @ bstar @ dstar_basis @ linalg.pseudo_inverse(restricted)
 
 
 def _block_violations(c: OperatorTuple, a: OperatorTuple, b) -> dict[str, float]:
@@ -210,14 +201,15 @@ def assemble(
     seed: int | None = None,
     strict: bool = True,
 ) -> LiftingInstance:
-    """Build and validate a lifting instance from its three blocks.
+    """Build a lifting instance from its three blocks and validate it.
 
-    In strict mode any identity violated by more than ``TOL_EQ``, the
-    threshold of verify's ``lifting_identities`` row, raises the
-    matching error (:class:`NotCoisometricC`, :class:`NotCoisometricE`,
-    :class:`GammaUndefined`).  With ``strict=False`` the instance is
-    built regardless so its violations can be measured and reported;
-    defect operators are then computed with clamped spectra.
+    Both modes build on one path, with clamped defect spectra.  Strict
+    mode differs only in raising when an identity of
+    :func:`lifting_violations` exceeds ``TOL_EQ``, the threshold of
+    verify's ``lifting_identities`` row: first a block identity
+    (:class:`NotCoisometricC`, :class:`NotCoisometricE`), then a
+    ``gamma_kernel`` leak (:class:`GammaUndefined`), then the worst
+    derived identity (:class:`NotCoisometricE`).
     """
     if a.d != c.d:
         raise ValueError(f"C has {c.d} operators but A has {a.d}")
@@ -241,21 +233,18 @@ def assemble(
                 raise error(message.format(viols[key]))
 
     e = _block_lifting_ops(c, a, b)
-    defect_c = defect(c, clamp=not strict)
-    defect_e = defect(e, clamp=not strict)
+    defect_c = defect(c)
     a_row = a.row()
-    star_gram = np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T
-    if strict:
-        dstar = linalg.hermitian_sqrt(star_gram)
-    else:
-        dstar = linalg.clamped_sqrt(star_gram)
+    dstar = linalg.clamped_sqrt(np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T)
     dstar_basis = linalg.range_onb(dstar)
-    bstar = np.hstack(b).conj().T
-    gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, bstar, strict)
+    gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, np.hstack(b).conj().T)
+    inst = LiftingInstance(c, a, b, e, defect_c, defect(e), dstar, dstar_basis, gamma, seed)
 
-    inst = LiftingInstance(c, a, b, e, defect_c, defect_e, dstar, dstar_basis, gamma, seed)
     if strict:
         viols = _derived_violations(inst)
+        leak = viols["gamma_kernel"]
+        if leak > TOL_EQ:
+            raise GammaUndefined(f"B* does not vanish on ker D* (leak {leak:.3e} > {TOL_EQ:.1e})")
         worst = max(viols, key=viols.get)
         if viols[worst] > TOL_EQ:
             raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")

@@ -310,8 +310,8 @@ def clamped_sqrt(m: np.ndarray) -> np.ndarray:
     """:func:`hermitian_sqrt` without its checks.
 
     Every eigenvalue at or below ``TOL_RANK`` is zeroed, negative ones
-    included.  For defect operators of loaded data that may fail the
-    contraction property; validation reports that separately.
+    included.  It roots every defect that ``assemble`` builds, whose data
+    may fail the contraction property; the lifting identities measure that.
     """
     return _eigen_root(*np.linalg.eigh((m + m.conj().T) / 2.0), TOL_RANK)
 

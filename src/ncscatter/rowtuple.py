@@ -20,11 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import TOL_EQ
-
-
-class NotContraction(ValueError):
-    """Raised when a row contraction is required."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +64,6 @@ class OperatorTuple:
         return out
 
 
-def is_contraction(t: OperatorTuple) -> bool:
-    """Whether the row norm is at most ``1 + TOL_EQ``: the largest
-    eigenvalue of ``sum_j T_j T_j*`` is at most ``1 + TOL_EQ``."""
-    row = t.row()
-    gram = row @ row.conj().T
-    return bool(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max(initial=0.0) <= 1.0 + TOL_EQ)
-
-
 @dataclass(frozen=True, eq=False)
 class DefectData:
     """Defect operator of a row contraction plus coordinate plumbing.
@@ -99,27 +86,17 @@ class DefectData:
         return self._components[j - 1]
 
 
-def defect(t: OperatorTuple, clamp: bool = False) -> DefectData:
-    """Defect data of a row contraction.
+def defect(t: OperatorTuple) -> DefectData:
+    """Defect data of a tuple; nothing is refused.
 
-    Raises :class:`NotContraction` when the row norm exceeds
-    ``1 + TOL_EQ``.  Eigenvalues of I - row* row at or below the rank
-    tolerance (on the natural scale 1 of a contraction) are treated as
-    exact zeros, so row isometries get the zero defect and coisometric
-    tuples get an exact orthogonal projection.
-
-    With ``clamp=True`` the contraction precondition is skipped and
-    negative eigenvalues are clamped, so invalid data still yields a
-    usable (if meaningless) defect frame for diagnostic runs.
+    Eigenvalues of I - row* row at or below the rank tolerance (on the
+    natural scale 1 of a contraction) are zeroed, negative ones included,
+    so row isometries get the zero defect and coisometric tuples an exact
+    orthogonal projection.  Whether the tuple is a contraction is for the
+    caller to measure, as :func:`.lifting.assemble` does.
     """
     row = t.row()
-    gram = np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row
-    if clamp:
-        op = linalg.clamped_sqrt(gram)
-    else:
-        if not is_contraction(t):
-            raise NotContraction("row operator norm exceeds 1 beyond tolerance")
-        op = linalg.hermitian_sqrt(gram)
+    op = linalg.clamped_sqrt(np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row)
     basis = linalg.range_onb(op)
     comps = tuple(
         basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)

@@ -215,15 +215,18 @@ def _multi_analyticity(theta, signal) -> float:
 
 
 def run_all_checks(
-    instance: LiftingInstance, depth: int, seed=0
+    instance: LiftingInstance, depth: int, seed: int = 0
 ) -> list[CheckResult]:
-    """Measure every identity at truncation ``depth`` (at least 1).
+    """Measure every identity at truncation ``depth`` (at least 1), drawing
+    the random signals from ``seed`` (at least 0).
 
     Returns one :class:`CheckResult` per property, ordered from the
     defining block identities up through the characteristic function.
     """
     if depth < 1:
         raise ValueError("verification needs depth >= 1")
+    if seed < 0:
+        raise ValueError("verification needs seed >= 0")
     d = instance.d
     results = []
 

@@ -90,6 +90,17 @@ class TestVerify:
         path.write_text("{not json")
         assert main(["verify", "--input", str(path)]) == 2
 
+    def test_negative_seed_is_usage_error(self, inst_file, tmp_path, capsys):
+        # generate and simulate refuse the seed alike; no check runs
+        report = tmp_path / "report.json"
+        code = main(["verify", "--input", str(inst_file), "--seed", "-1",
+                     "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: verification needs seed >= 0\n"
+        assert not report.exists()
+
 
 class TestExports:
     def test_transfer_series(self, inst_file, tmp_path):
@@ -208,6 +219,32 @@ class TestOneTolerance:
         assert main(["verify", "--input", str(near_miss), "--depth", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split()[:2] == ["FAIL", "lifting_identities"]
+
+    @pytest.fixture()
+    def inside_band(self, tmp_path):
+        # every C entry of (2,2,1) seed 1 scaled by 1 + 2e-9: sum C_j C_j* - I
+        # has norm 4e-9 <= TOL_EQ, and I - E* E an eigenvalue near -4e-9
+        path = tmp_path / "inside.json"
+        assert main(["generate", "--d", "2", "--dim-c", "2", "--dim-a", "1",
+                     "--seed", "1", "-o", str(path)]) == 0
+        obj = serialize.load(path)
+        for m in obj["C"]:
+            m["data"] = [[re * (1 + 2e-9), im * (1 + 2e-9)] for re, im in m["data"]]
+        serialize.save(path, obj)
+        return path
+
+    @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
+    def test_export_accepts_inside_band(self, inside_band, tmp_path, capsys, cmd):
+        out = tmp_path / "out.json"
+        assert main([cmd, "--input", str(inside_band), "--depth", "2", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
+
+    def test_verify_passes_lifting_identities_inside_band(self, inside_band, capsys):
+        main(["verify", "--input", str(inside_band), "--depth", "2"])
+        row = capsys.readouterr().out.splitlines()[0].split()
+        assert row[:2] == ["pass", "lifting_identities"]
+        assert 1e-9 < float(row[2]) <= 1e-8
 
     @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
     def test_tol_flag_is_usage_error(self, inst_file, capsys, cmd):

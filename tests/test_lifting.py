@@ -14,10 +14,12 @@ from ncscatter.lifting import (
     lifting_violations,
 )
 from ncscatter.linalg import operator_norm, random_isometry
-from ncscatter.rowtuple import OperatorTuple, defect
+from ncscatter.rowtuple import OperatorTuple
 from ncscatter.verify import all_passed, run_all_checks
 
 RT2 = 1.0 / np.sqrt(2.0)
+
+SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 
 SWEEP = [
     (2, 1, 0, 0),
@@ -108,13 +110,20 @@ class TestGamma:
         assert g.shape == (no_corner_instance.rank_c, 0)
 
     def test_undefined_when_bstar_hits_kernel(self, coiso_pair):
-        # coisometric A has zero star defect, so any nonzero B leaks
-        a = OperatorTuple((np.array([[RT2]]), np.array([[RT2]])))
-        dc = defect(coiso_pair)
-        dstar = np.zeros((1, 1), dtype=complex)
-        bstar = np.array([[RT2], [-RT2]], dtype=complex)
-        with pytest.raises(GammaUndefined):
-            gamma_isometry(dc.basis, dstar, linalg.range_onb(dstar), bstar)
+        # 1 - A A* = 5e-11 lies below the rank cut, so D* = 0, while B with
+        # B B* = 5e-11 keeps every block identity: all of B* leaks
+        eps = 5e-11
+        a = OperatorTuple((np.array([[np.sqrt((1 - eps) / 2)]]),) * 2)
+        b = (np.array([[np.sqrt(eps / 2)]]), np.array([[-np.sqrt(eps / 2)]]))
+        inst = assemble(coiso_pair, a, b, strict=False)
+        assert inst.rank_star == 0
+        viols = lifting_violations(inst)
+        assert viols["gamma_kernel"] == pytest.approx(np.sqrt(eps), rel=1e-6)
+        assert max(viols[k] for k in ("c_coisometry", "cross_block", "complement_block")) < 1e-15
+        leak = f"{viols['gamma_kernel']:.3e}"
+        with pytest.raises(GammaUndefined) as exc:
+            assemble(coiso_pair, a, b)
+        assert str(exc.value) == f"B* does not vanish on ker D* (leak {leak} > 1.0e-08)"
 
     def test_roundtrip_matches_generating_draw(self):
         d, dim_c, dim_a, seed = 2, 2, 2, 13
@@ -127,6 +136,57 @@ class TestGamma:
         planted = random_isometry(inst.rank_c, inst.rank_star, rng)
         assert operator_norm(inst.gamma - planted) < 1e-8
         assert operator_norm(recover_gamma(inst) - planted) < 1e-8
+
+
+class TestStrictGate:
+    """Strict ``assemble`` refuses exactly the blocks whose
+    ``lifting_identities`` verdict fails, and builds what it accepts
+    bit for bit as lenient mode does."""
+
+    # 1 +- 2e-9 and 1 + 2e-11 keep C within TOL_EQ of coisometry, 1 +- 1e-6 does not
+    SCALES = (1 + 2e-9, 1 - 2e-9, 1 + 2e-11, 1 + 1e-6, 1 - 1e-6)
+
+    @staticmethod
+    def scaled(inst, block, f):
+        c, a, b = inst.c, inst.a, inst.b
+        if block == "C":
+            c = OperatorTuple(tuple(m * f for m in c.ops))
+        elif block == "A":
+            a = OperatorTuple(tuple(m * f for m in a.ops))
+        else:
+            b = tuple(m * f for m in b)
+        return c, a, b
+
+    @pytest.mark.parametrize("a_scale", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_accepts_exactly_what_the_identities_pass(self, shape, a_scale):
+        accepted = 0
+        for seed in range(3):
+            inst = generate(*shape, seed=seed, a_scale=a_scale)
+            cases = [("B", 1.0)] + [(k, f) for k in "CAB" for f in self.SCALES]
+            for block, f in cases:
+                blocks = self.scaled(inst, block, f)
+                lenient = assemble(*blocks, strict=False)
+                passes = max(lifting_violations(lenient).values()) <= linalg.TOL_EQ
+                try:
+                    strict = assemble(*blocks)
+                except ValueError as exc:
+                    assert not passes, (seed, block, f, exc)
+                    continue
+                assert passes, (seed, block, f)
+                accepted += 1
+                for x, y in (
+                    (strict.defect_c.operator, lenient.defect_c.operator),
+                    (strict.defect_c.basis, lenient.defect_c.basis),
+                    (strict.defect_e.operator, lenient.defect_e.operator),
+                    (strict.defect_e.basis, lenient.defect_e.basis),
+                    (strict.dstar, lenient.dstar),
+                    (strict.dstar_basis, lenient.dstar_basis),
+                    (strict.gamma, lenient.gamma),
+                ):
+                    assert np.array_equal(x, y), (seed, block, f)
+        # the unscaled draw and the 1 + 2e-11 copies always pass
+        assert accepted >= 3 * 4
 
 
 class TestGenerate:

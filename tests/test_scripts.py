@@ -122,6 +122,7 @@ def test_compare_exports_same_tree():
     assert proc.stdout.splitlines() == [
         "8 files: same bytes",
         "8 near-miss runs: same exit codes and text",
+        "8 inside-band runs: same exit codes and text",
     ]
 
 
@@ -141,9 +142,13 @@ def test_compare_exports_flags_one_changed_byte(tmp_path):
     # the instance file holds no series; every export does
     assert "differs: (2, 2, 1) seed 0 depth 1 transfer" in lines
     assert not any(line.endswith(" generate") for line in lines)
-    assert lines[-2] == "8 files: DIFFERENT" and len(lines) == 8
+    assert lines[6] == "8 files: DIFFERENT"
     # a refused export writes no series, so the refusals stay the same
-    assert lines[-1] == "8 near-miss runs: same exit codes and text"
+    assert lines[7] == "8 near-miss runs: same exit codes and text"
+    # an accepted copy prints its series, whose bytes changed alike
+    assert "differs: (2, 2, 1) seed 0 depth 1 inside-band transfer" in lines
+    assert not any(line.endswith(" inside-band verify") for line in lines)
+    assert lines[-1] == "8 inside-band runs: DIFFERENT" and len(lines) == 15
 
 
 def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
@@ -165,4 +170,5 @@ def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
         "differs: (2, 2, 0) seed 1 depth 2 near-miss transfer",
         "differs: (2, 2, 1) seed 0 depth 1 near-miss transfer",
         "8 near-miss runs: DIFFERENT",
+        "8 inside-band runs: same exit codes and text",
     ]
