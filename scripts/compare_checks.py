@@ -26,12 +26,15 @@ grid, each tree writes the ``generate``, ``transfer``, ``charfn`` and
 ``simulate`` files through ``cli.main`` (simulate seeded with the
 instance seed), and the script prints every file whose sha256 differs.
 Each tree also runs ``transfer``, ``charfn``, ``simulate`` and
-``verify`` on two scaled copies of every instance.  The near-miss copy
+``verify`` on three scaled copies of every instance.  The near-miss copy
 has its ``C`` entries scaled by 1 - 1e-6, so that ``sum C_j C_j* - I``
 has norm about 2e-6, outside the acceptance band ``TOL_EQ`` = 1e-8:
 the exports refuse it (exit 2) and ``verify`` fails it (exit 1).  The
 inside-band copy has them scaled by 1 + 2e-9, a norm of about 4e-9,
 which ``lifting_identities`` passes and so the exports accept.  The
+downward inside-band copy scales them by 1 - 2e-9, the same norm of
+the other sign: the zero eigenvalues of the defects move up past
+``TOL_RANK`` instead of below zero, so a defect rank can change.  The
 exit code and the stdout and stderr text of each such run are hashed
 like a file, and every run whose hash differs is printed, with a count
 for each copy.  It exits 1 on any difference, and 0 otherwise.
@@ -99,7 +102,7 @@ def emit_rows(grid: str) -> None:
 
 EXPORTS = ("transfer", "charfn", "simulate")
 # scale of the C entries of each copy every command is run on, by copy name
-COPIES = {"near-miss": 1 - 1e-6, "inside-band": 1 + 2e-9}
+COPIES = {"near-miss": 1 - 1e-6, "inside-band": 1 + 2e-9, "inside-band-down": 1 - 2e-9}
 
 
 def scaled_copy(inst: Path, path: Path, factor: float) -> None:

@@ -27,7 +27,7 @@ wordwise compression: keep the base-space rows of every lifted-space
 coefficient.  Its adjoint is the wordwise zero pad.  Running lifted
 stages forward, compressing, and unwinding base stages backward
 computes the depth-truncated compression of the intertwiner exactly;
-the adjoint pipeline never leaves the truncation at all.  The
+the adjoint pipeline leaves its input's levels only by rounding.  The
 depth-(N-1) spaces are prefixes of the depth-N ones, so the top-left
 block of the depth-N matrix is the depth-(N-1) truncation run with one
 extra stage, which consumes the zero level N.  That extra stage must
@@ -134,10 +134,10 @@ def apply_intertwiner(instance: LiftingInstance, x: np.ndarray, depth: int) -> n
 def apply_intertwiner_adjoint(
     instance: LiftingInstance, x: np.ndarray, depth: int
 ) -> np.ndarray:
-    """Adjoint intertwiner on a flat base-dilation column batch.
-
-    This direction is exact on the truncation: the output never has
-    deeper support than the input.
+    """Adjoint intertwiner on a flat base-dilation column batch, exact on
+    the truncation.  Only rounding reaches deeper than the input's levels:
+    the depth-3 star frame of (2, 2, 1) seed 0 is nonzero in all 84
+    entries on Fock levels 1 to 3, up to 7.3e-16.
     """
     return _pipeline(instance, x, depth, adjoint=True)
 

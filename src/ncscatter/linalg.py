@@ -38,7 +38,9 @@ indices, so each block can be dropped once it is scanned.
 ``[V_1 ... V_d]`` is split once and each letter ``V_j`` read off it.  A
 unit column of the row meets only exact zeros of every other column,
 so the Grams and cross Grams of the letters multiply only their rest
-blocks.
+blocks.  :func:`complement_onb`, the one complement routine (of the
+``D*`` and ``D_E`` bases and the corner block of :mod:`.scattering`),
+splits its frame the same way.
 
 :func:`hermitian_sqrt` and :func:`clamped_sqrt` work on scale 1 with
 the fixed tolerance ``TOL_RANK``: their inputs are defect Grams of
@@ -199,18 +201,6 @@ class UnitSplit:
         out[self.rows] += x[self.unit]
         return out
 
-    def complement(self) -> np.ndarray:
-        """:func:`complement_onb` of ``m``: phase-fixed eigenvectors of
-        eigenvalue > 1/2 of the projector :func:`row_residual`, found on
-        the support of its live block."""
-        rows, p = row_residual(self)
-        p = (p + p.conj().T) / 2.0
-        live = _support(p)[0]
-        w, v = np.linalg.eigh(p[np.ix_(live, live)])
-        out = np.zeros((rows.size, v.shape[1]), dtype=np.complex128)
-        out[np.flatnonzero(rows)[live]] = v
-        return _fix_column_phases(out[:, w > 0.5])
-
 
 def unit_split(parts) -> UnitSplit:
     """Split off the isolated exact 1.0 columns of the column blocks
@@ -364,10 +354,16 @@ def complement_onb(q: np.ndarray) -> np.ndarray:
     where a relative singular-value cutoff would hallucinate columns.
 
     Only the support block of the projector is formed and decomposed:
-    the rows of unit columns of ``q`` are zero rows and split off
-    exactly (see :meth:`UnitSplit.complement`).
+    the rows of unit columns of ``q`` (see :func:`unit_split`) are zero
+    rows of it and split off exactly, and so are its other zero rows.
     """
-    return unit_split([np.asarray(q, dtype=np.complex128)]).complement()
+    rows, p = row_residual(unit_split([np.asarray(q, dtype=np.complex128)]))
+    p = (p + p.conj().T) / 2.0
+    live = _support(p)[0]
+    w, v = np.linalg.eigh(p[np.ix_(live, live)])
+    out = np.zeros((rows.size, v.shape[1]), dtype=np.complex128)
+    out[np.flatnonzero(rows)[live]] = v
+    return _fix_column_phases(out[:, w > 0.5])
 
 
 def random_isometry(rows: int, cols: int, seed) -> np.ndarray:

@@ -10,7 +10,8 @@ subspaces:
   dilation words tile every Fock level (the shift part), and
 * the image of the vacuum base-defect copy under the adjoint
   intertwiner (the star-wandering part), which is exactly the
-  orthogonal complement of the translates of the whole corner part.
+  orthogonal complement of the translates of the whole corner part,
+  read off the corner block of the dilation letters.
 
 Every function here measures one piece of that decomposition at a
 finite truncation depth, where all of it holds exactly.  The shift
@@ -93,30 +94,21 @@ def verify_wandering(instance: LiftingInstance, depth: int, max_len: int) -> flo
 def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     """Orthocomplement of the shifted corner part, in corner rows.
 
-    Stacks the corner-restricted dilation matrices ``S`` from depth-1,
-    orthonormalizes its columns on the support of ``S* S - I`` by the
-    inverse root of their Gram block, and complements the range.  ``S``
-    is an isometry; a Gram eigenvalue <= 1/4 raises :class:`DepthError`.
-    The stack is never formed: :func:`.linalg.unit_split` scans the
-    dilation matrices one at a time and drops each once its unit columns
-    are split off, and both ``S* S - I`` and the complement projector
-    are formed from the split.
+    The letters shift Fock levels 0 to depth - 1 onto levels 1 to depth,
+    so this is :func:`.linalg.complement_onb` of their corner block
+    ``c = [c_1 ... c_d]``, ``c_j = [A_j ; (D_E)_j]`` on ``H_A`` (columns
+    orthonormal by the defect identity of E), zero-padded below.  It is
+    exactly zero on levels 1 to depth, where the star frame's rounding
+    dust enters the angle of :func:`verify_complement`.
     """
     if depth < 1:
         raise DepthError("complement needs depth at least 1")
-    dil = Dilation(instance.e, instance.defect_e)
-    nc = instance.dim_c
-    split = linalg.unit_split(
-        dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)
+    e, dd, nc = instance.e, instance.defect_e, instance.dim_c
+    c = np.hstack(
+        [np.vstack([e.op(j), dd.coord_component(j)])[nc:, nc:] for j in range(1, instance.d + 1)]
     )
-    resid = linalg.gram_residual(split)
-    live = np.logical_or(*linalg._support(resid))
-    block = split.block[:, live]
-    w, v = np.linalg.eigh(block.conj().T @ block)
-    if not np.all(w > 0.25):
-        raise DepthError("shifted corner stack lost injectivity")
-    split.block[:, live] = block @ ((v / np.sqrt(w)) @ v.conj().T)
-    return split.complement()
+    below = lift_space(instance, depth).dim - nc - c.shape[0]
+    return np.pad(linalg.complement_onb(c), ((0, below), (0, 0)))
 
 
 def verify_complement(

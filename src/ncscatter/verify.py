@@ -75,11 +75,11 @@ class CheckResult:
         return CheckResult(name, math.inf, threshold, False, error)
 
     def line(self) -> str:
-        state = "pass" if self.passed else "FAIL"
+        state, relation = ("pass", "<=") if self.passed else ("FAIL", ">")
         detail = (
             f"error: {self.error}"
             if self.error is not None
-            else f"{self.max_violation:.3e} <= {self.threshold:.1e}"
+            else f"{self.max_violation:.3e} {relation} {self.threshold:.1e}"
         )
         return f"{state}  {self.name:32s} {detail}"
 

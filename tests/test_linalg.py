@@ -396,7 +396,7 @@ class TestUnitSplit:
             assert split.columns(0, shape[1]).block.shape == shape
             assert linalg.gram_residual(split).shape == (shape[1], shape[1])
             assert linalg.row_residual(split)[1].shape == (shape[0], shape[0])
-            assert split.complement().shape == (shape[0], shape[0])
+            assert linalg.complement_onb(m).shape == (shape[0], shape[0])
 
     def test_vector_input_rejected(self):
         with pytest.raises(DimensionError):

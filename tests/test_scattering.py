@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -187,8 +189,9 @@ class TestComplement:
 
     @pytest.mark.parametrize("shape", SWEEP_SHAPES)
     def test_spans_the_dense_oracle_subspace(self, shape):
-        for seed in range(2):
-            inst = generate(*shape, seed=seed)
+        # the edge corners: A = 0 gives c exact unit columns, a_scale 1 is isometric
+        for seed, a_scale in itertools.product(range(2), [0.9, 0.0, 1.0]):
+            inst = generate(*shape, seed=seed, a_scale=a_scale)
             for depth in range(1, 5):
                 comp = complement_frame(inst, depth)
                 dense = dense_complement_frame(inst, depth)

@@ -123,6 +123,7 @@ def test_compare_exports_same_tree():
         "8 files: same bytes",
         "8 near-miss runs: same exit codes and text",
         "8 inside-band runs: same exit codes and text",
+        "8 inside-band-down runs: same exit codes and text",
     ]
 
 
@@ -148,7 +149,11 @@ def test_compare_exports_flags_one_changed_byte(tmp_path):
     # an accepted copy prints its series, whose bytes changed alike
     assert "differs: (2, 2, 1) seed 0 depth 1 inside-band transfer" in lines
     assert not any(line.endswith(" inside-band verify") for line in lines)
-    assert lines[-1] == "8 inside-band runs: DIFFERENT" and len(lines) == 15
+    assert lines[14] == "8 inside-band runs: DIFFERENT"
+    # the copy scaled by 1 - 2e-9 is accepted alike
+    assert "differs: (2, 2, 1) seed 0 depth 1 inside-band-down transfer" in lines
+    assert not any(line.endswith(" inside-band-down verify") for line in lines)
+    assert lines[-1] == "8 inside-band-down runs: DIFFERENT" and len(lines) == 22
 
 
 def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
@@ -171,4 +176,5 @@ def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
         "differs: (2, 2, 1) seed 0 depth 1 near-miss transfer",
         "8 near-miss runs: DIFFERENT",
         "8 inside-band runs: same exit codes and text",
+        "8 inside-band-down runs: same exit codes and text",
     ]

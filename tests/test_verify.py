@@ -13,7 +13,7 @@ from conftest import unit_rmatmul
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ncscatter import charfn, lifting, ncsystem, scattering, serialize, transfer, verify
+from ncscatter import charfn, lifting, linalg, ncsystem, scattering, serialize, transfer, verify
 from ncscatter.dilation import Dilation
 from ncscatter.intertwiner import base_space, lift_space
 from ncscatter.transfer import NCSeries
@@ -158,6 +158,16 @@ class TestSharedBuilds:
             "star_wandering_frame": 2,
         }
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1)])
+    def test_each_dilation_letter_built_once(self, monkeypatch, shape):
+        # V_1 ... V_d of the base and of the lifted dilation, read by the
+        # dilation and intertwining rows; the complement reads the corner
+        # block of the letters instead of a third build
+        counts = count_calls(monkeypatch, [(Dilation, "matrix")])
+        inst = lifting.generate(*shape, seed=1)
+        assert all_passed(run_all_checks(inst, 3))
+        assert counts == {"matrix": 2 * inst.d}
+
     def test_both_norm_rows_share_one_toeplitz_norm(
         self, monkeypatch, no_corner_instance
     ):
@@ -295,17 +305,34 @@ class TestMutations:
         monkeypatch.setattr(scattering, "Dilation", Bumped)
         assert "shift_decomposition" in self.failing(plain_instance)
 
-    def test_corner_entry_of_a_fock_column(self, monkeypatch, plain_instance):
-        # only the complement sees this dilation matrix: a unit column of
-        # the corner stack gains a second entry in a corner row
-        class Bumped(Dilation):
-            def matrix(self, j, depth):
-                m = super().matrix(j, depth)
-                if j == 1:
-                    m[self.t.dim - 1, -1] += 1e-6
-                return m
+    def test_corner_row_of_the_star_frame(self, monkeypatch, plain_instance):
+        # the complement holds the corner rows; the translates read the
+        # shallower frame, and the base leak only the base rows
+        original = scattering.star_wandering_frame
 
-        monkeypatch.setattr(scattering, "Dilation", Bumped)
+        def perturbed(instance, depth):
+            frame = original(instance, depth)
+            if depth == 3:
+                frame[instance.dim_c] += 1e-6
+            return frame
+
+        monkeypatch.setattr(scattering, "star_wandering_frame", perturbed)
+        assert self.failing(plain_instance) == {"complement_dimension_angles"}
+
+    def test_equal_columns_of_the_corner_block(self, monkeypatch, plain_instance):
+        # only the complement reads the corner block c of the letters:
+        # with two equal columns its range loses a dimension
+        class Doubled:
+            def __getattr__(self, name):
+                return getattr(linalg, name)
+
+            @staticmethod
+            def complement_onb(c):
+                c = c.copy()
+                c[:, -1] = c[:, 0]
+                return linalg.complement_onb(c)
+
+        monkeypatch.setattr(scattering, "linalg", Doubled())
         assert self.failing(plain_instance) == {"complement_dimension_angles"}
 
     @pytest.mark.parametrize("column", [0, -1])
@@ -414,22 +441,6 @@ class TestMutations:
         monkeypatch.setattr(ncsystem, "simulate", perturbed)
         assert self.failing(plain_instance) == {"io_recursion"}
 
-    def test_equal_corner_columns_lose_injectivity(self, monkeypatch, plain_instance):
-        original = Dilation.matrix
-        nc = plain_instance.dim_c
-
-        def perturbed(self, j, depth):
-            m = original(self, j, depth)
-            if j == 2:
-                m[:, nc] = original(self, 1, depth)[:, nc]
-            return m
-
-        monkeypatch.setattr(Dilation, "matrix", perturbed)
-        with pytest.raises(
-            scattering.DepthError, match="shifted corner stack lost injectivity"
-        ):
-            scattering.complement_frame(plain_instance, 3)
-
 
 class TestRendering:
     def test_report_lines(self, hand_instance):
@@ -445,6 +456,13 @@ class TestRendering:
         assert "FAIL" in bad.line() and "boom" in bad.line()
         good = CheckResult.measure("thing", 1e-12, 1e-8)
         assert good.line().startswith("pass")
+
+    def test_measured_line_states_the_comparison(self):
+        # a failing row reads "violation > threshold", a passing one "<="
+        bad = CheckResult.measure("thing", 3.355e-9, 1e-12)
+        assert bad.line().split() == ["FAIL", "thing", "3.355e-09", ">", "1.0e-12"]
+        good = CheckResult.measure("thing", 1e-12, 1e-12)
+        assert good.line().split() == ["pass", "thing", "1.000e-12", "<=", "1.0e-12"]
 
     def test_report_json_with_error(self):
         rows = serialize.report_to_json(
