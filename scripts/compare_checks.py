@@ -11,8 +11,10 @@ seven sweep shapes x seeds 0-9 at depth 3, and (3,2,2) seed 1 at depth
 4.  ``--grid deep`` runs d = 2 dims (2,2) seeds 1-3 at depth 9 (about
 355 MB of peak RSS and 40 s per tree on 2 cores).  ``--grid edge`` runs
 the seven sweep shapes x seeds 0-2 at depth 3 with ``a_scale`` 0
-(``A = 0``) and 1 (an isometric corner), where the defect bases come
-closest to holding exact unit columns.  Every other grid draws its instances at
+(``A = 0``) and 1 (an isometric corner).  At ``a_scale`` 0 the lifted
+dilation's ``dimA`` base columns are exact unit columns, so this is the
+grid where rows may move by rounding when a change reads those columns
+as rest instead of units, or the other way.  Every other grid draws its instances at
 ``generate``'s default ``a_scale`` of 0.9, and only a row drawn at
 another value names it.  For each check the script
 prints the rows whose verdict changed, the largest upward and downward

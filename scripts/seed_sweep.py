@@ -19,6 +19,12 @@ from ncscatter.lifting import generate
 from ncscatter.verify import CheckResult, all_passed, run_all_checks
 
 
+def severity(res: CheckResult) -> tuple[bool, float]:
+    """Sort key of the worst row: a failing row over a passing one, then
+    the larger violation (an error reads inf); a tie keeps the earlier row."""
+    return not res.passed, res.max_violation
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, default=10, help="number of instances")
@@ -37,7 +43,7 @@ def main() -> int:
         inst = generate(args.d, args.dim_c, args.dim_a, seed=seed, a_scale=args.a_scale)
         for res in run_all_checks(inst, args.depth, seed=seed):
             seen = worst.get(res.name)
-            if seen is None or not res.passed or res.max_violation > seen.max_violation:
+            if seen is None or severity(res) > severity(seen):
                 worst[res.name] = res
             if res.passed and res.max_violation > 0:
                 row = (math.log10(res.threshold / res.max_violation), res.name, seed)

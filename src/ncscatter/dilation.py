@@ -26,6 +26,12 @@ truncation error occurs; its adjoint is the conjugate transpose of
 the flat matrix.  Isometry of each V_j and orthogonality of their
 ranges are exact consequences of the defect identity; when the tuple
 is coisometric the V_j sum to a row unitary on the truncation as well.
+
+Every column of V_j but its base ones copies a Fock slot one level up:
+it is an exact unit vector, whose row the second index fact gives.  So
+:meth:`Dilation.matrix` writes the row ``[V_1 ... V_d]`` as a
+:class:`.linalg.UnitSplit` straight from the tuple: the blocks
+``[T_j ; (D)_j]`` as the rest, and the unit columns with their rows.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import UnitSplit
 from .rowtuple import DefectData, OperatorTuple
 from .words import Word, level_start, position
 
@@ -133,6 +140,32 @@ class Dilation:
             )
         return levels
 
-    def matrix(self, j: int, depth: int) -> np.ndarray:
-        """Flat matrix of V_j from depth ``depth`` to ``depth + 1``."""
-        return self.apply(j, np.eye(self.space(depth).dim, dtype=np.complex128), depth)
+    def matrix(self, depth: int) -> UnitSplit:
+        """The row ``[V_1 ... V_d]`` from depth ``depth`` to ``depth + 1``, split.
+
+        Letter k (from 0) owns the columns ``k * width + [0, width)``.
+        Its first n, on the base space, are the rest: ``[T_j ; (D)_j]``,
+        zero below the vacuum slot.  Each other column copies level m
+        into the k-th of d equal blocks of level m + 1, as in
+        :meth:`apply`, so it is a unit column with that row.
+        """
+        dom, cod = self.space(depth), self.space(depth + 1)
+        n, width, d = dom.base_dim, dom.dim, self.d
+        base = np.hstack(
+            [np.vstack([self.t.op(j), self.defect.coord_component(j)]) for j in range(1, d + 1)]
+        )
+        block = np.pad(base, ((0, cod.dim - base.shape[0]), (0, 0)))
+        index = np.arange(cod.dim)
+        rows = [
+            cod.blocks(index, m + 1)[k * d**m : (k + 1) * d**m].ravel()
+            for k in range(d)
+            for m in range(depth + 1)
+        ]
+        first = width * np.arange(d)[:, None]
+        return UnitSplit(
+            cod.dim,
+            (first + np.arange(n, width)).ravel(),
+            np.concatenate(rows),
+            (first + np.arange(n)).ravel(),
+            block,
+        )

@@ -29,18 +29,16 @@ The norm kernels cut further, each step exact:
   base-space columns.
 
 Products with a matrix whose columns are mostly isolated exact 1.0
-entries (alone in their column and in their row) go through
-:func:`unit_split`, which scans the matrix as column blocks, one block
-at a time, reads those columns off and turns their share of a product
-into copies.  The split keeps only the rest columns and the unit
-indices, so each block can be dropped once it is scanned.
-:meth:`UnitSplit.columns` cuts a run of columns off a split, so a row
-``[V_1 ... V_d]`` is split once and each letter ``V_j`` read off it.  A
-unit column of the row meets only exact zeros of every other column,
+entries (alone in their column and in their row) go through a
+:class:`UnitSplit`, which holds those columns as index pairs and turns
+their share of a product into copies.  Its maker knows the structure:
+:meth:`.dilation.Dilation.matrix` writes the row ``[V_1 ... V_d]`` of a
+dilation this way from index arithmetic, as every column but the base
+ones copies a Fock slot one level up.  :meth:`UnitSplit.columns` cuts a
+run of columns off a split, so each letter ``V_j`` is read off the row.
+A unit column of the row meets only exact zeros of every other column,
 so the Grams and cross Grams of the letters multiply only their rest
-blocks.  :func:`complement_onb`, the one complement routine (of the
-``D*`` and ``D_E`` bases and the corner block of :mod:`.scattering`),
-splits its frame the same way.
+blocks.
 
 :func:`hermitian_sqrt` and :func:`clamped_sqrt` work on scale 1 with
 the fixed tolerance ``TOL_RANK``: their inputs are defect Grams of
@@ -156,15 +154,14 @@ def fold_rows(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UnitSplit:
-    """A matrix with its isolated exact unit entries split off.
+    """A matrix ``m`` held as its isolated exact unit columns and the rest.
 
-    Of the ``n_rows``-row matrix ``m`` it was scanned from, column
-    ``unit[k]`` holds one entry != 0, exactly 1.0, in row ``rows[k]``,
-    and no other column reaches that row.  The columns ``rest`` are
-    everything else, and ``block`` is ``m[:, rest]``; the split keeps no
-    other copy of ``m``.  Both index arrays ascend, so :meth:`columns`
-    cuts a run of columns, such as one letter of a row ``[V_1 ... V_d]``,
-    off the split without a rescan.  Products copy or scatter on the
+    Of the ``n_rows``-row matrix ``m``, column ``unit[k]`` is the unit
+    vector of row ``rows[k]``, and no other column reaches that row.  The
+    columns ``rest`` are everything else, and ``block`` is ``m[:, rest]``;
+    no other copy of ``m`` is held.  Both index arrays ascend, so
+    :meth:`columns` cuts a run of columns, such as one letter of a row
+    ``[V_1 ... V_d]``, off the split.  Products copy or scatter on the
     unit columns and multiply only the rest.  The zeros of a unit column
     are exact: unlike a dense product they read no entry of the other
     factor, so its inf or NaN there does not become a NaN (0 * inf).
@@ -200,52 +197,6 @@ class UnitSplit:
         out = self.block @ x[self.rest]
         out[self.rows] += x[self.unit]
         return out
-
-
-def unit_split(parts) -> UnitSplit:
-    """Split off the isolated exact 1.0 columns of the column blocks
-    ``parts`` set side by side, one matrix ``m``.
-
-    A column qualifies when its only entry != 0 (NaN and inf count)
-    equals 1.0 and is also the only entry != 0 of its row in ``m``; any
-    other value, however close, leaves the column with the rest.  The
-    blocks are scanned one at a time, so an iterator of them is never
-    held whole; a unit column of one block whose row another block
-    reaches goes back to the rest, as the unit vector it is.
-    """
-    counts, units, rests, start = None, [], [], 0
-    for m in parts:
-        m = np.asarray(m)
-        if m.ndim != 2:
-            raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
-        if counts is None:
-            counts = np.zeros(m.shape[0], dtype=np.intp)
-        elif m.shape[0] != counts.size:
-            raise DimensionError(f"column blocks of {counts.size} and {m.shape[0]} rows")
-        cols = np.arange(m.shape[1])
-        nonzero = m != 0
-        in_row = np.count_nonzero(nonzero, axis=1)
-        counts += in_row
-        if m.shape[0]:
-            rows = nonzero.argmax(axis=0)
-            alone = in_row[rows] == 1
-            unit = (np.count_nonzero(nonzero, axis=0) == 1) & alone & (m[rows, cols] == 1)
-        else:
-            rows, unit = cols, np.zeros(cols.size, dtype=bool)
-        units.append((start + cols[unit], rows[unit]))
-        rests.append((start + cols[~unit], m[:, ~unit]))
-        start += m.shape[1]
-        del m, nonzero  # let the block go before the next one is made
-    if counts is None:
-        raise DimensionError("no column blocks to split")
-    unit, rows = (np.concatenate(side) for side in zip(*units))
-    alone = counts[rows] == 1
-    back = np.zeros((counts.size, np.count_nonzero(~alone)), dtype=rests[0][1].dtype)
-    back[rows[~alone], np.arange(back.shape[1])] = 1.0
-    rest = np.concatenate([r for r, _ in rests] + [unit[~alone]])
-    order = np.argsort(rest, kind="stable")
-    block = np.hstack([b for _, b in rests] + [back])[:, order]
-    return UnitSplit(counts.size, unit[alone], rows[alone], rest[order], block)
 
 
 def gram_residual(split: UnitSplit) -> np.ndarray:
@@ -353,16 +304,19 @@ def complement_onb(q: np.ndarray) -> np.ndarray:
     complement is empty and the projector is pure rounding noise,
     where a relative singular-value cutoff would hallucinate columns.
 
-    Only the support block of the projector is formed and decomposed:
-    the rows of unit columns of ``q`` (see :func:`unit_split`) are zero
-    rows of it and split off exactly, and so are its other zero rows.
+    The callers' frames (the ``D*`` and ``D_E`` bases and the corner
+    block of :mod:`.scattering`) do not grow with the Fock depth, so the
+    projector is formed whole.  Only its support block is decomposed: an
+    isolated exact unit column of ``q`` gives an exactly zero row and
+    column of it, which the support cut drops with its other zero lines.
     """
-    rows, p = row_residual(unit_split([np.asarray(q, dtype=np.complex128)]))
+    q = np.asarray(q, dtype=np.complex128)
+    p = np.eye(q.shape[0]) - q @ q.conj().T
     p = (p + p.conj().T) / 2.0
     live = _support(p)[0]
     w, v = np.linalg.eigh(p[np.ix_(live, live)])
-    out = np.zeros((rows.size, v.shape[1]), dtype=np.complex128)
-    out[np.flatnonzero(rows)[live]] = v
+    out = np.zeros((q.shape[0], v.shape[1]), dtype=np.complex128)
+    out[live] = v
     return _fix_column_phases(out[:, w > 0.5])
 
 

@@ -11,9 +11,10 @@ with the error message attached instead of aborting the run.
 memoised builder dropped after its last check so large matrices do
 not outlive it; a build that raises fails every check that needs it.
 
-Each dilation's row ``V = [V_1 ... V_d]`` is split once by
-:func:`.linalg.unit_split` and its letters cut from that split; the
-dilation rows measure the letter blocks of ``V* V - I`` and ``I - V V*``.
+Each dilation's row ``V = [V_1 ... V_d]`` is built once, as the
+:class:`.linalg.UnitSplit` of :meth:`.dilation.Dilation.matrix`, and its
+letters cut from that split; the dilation rows measure the letter
+blocks of ``V* V - I`` and ``I - V V*``.
 
 Norms are exact to rounding: besides the support and orientation cuts
 of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
@@ -50,7 +51,6 @@ from .linalg import (
     operator_norm,
     row_residual,
     stack_norm,
-    unit_split,
 )
 from .ncsystem import io_violation
 from .transfer import build_colligation, colligation_violations
@@ -96,12 +96,10 @@ DilationRows = list[tuple[UnitSplit, list[UnitSplit]]]
 
 def _dilation_matrices(instance: LiftingInstance, depth: int) -> DilationRows:
     """The row ``[V_1 ... V_d]`` from depth-1 to depth, for the base dilation
-    then the lifted one, with its unit columns (the plain level copies)
-    split off once, and each ``V_j`` cut from that split; only the
-    splits are kept."""
+    then the lifted one, as its split, with each ``V_j`` cut from it."""
     out = []
     for dil in _dilation_pair(instance):
-        row = unit_split(dil.matrix(j, depth - 1) for j in range(1, dil.d + 1))
+        row = dil.matrix(depth - 1)
         width = dil.space(depth - 1).dim
         out.append((row, [row.columns(k * width, (k + 1) * width) for k in range(dil.d)]))
     return out

@@ -12,9 +12,23 @@ def balanced_pair_tuple():
     return OperatorTuple((np.array([[RT2]]), np.array([[RT2]])))
 
 
+def dense_letter(dil, j, depth):
+    """The flat matrix of V_j from ``depth`` to ``depth + 1``: V_j on the identity."""
+    return dil.apply(j, np.eye(dil.space(depth).dim, dtype=np.complex128), depth)
+
+
+def dense_split(split):
+    """The matrix a ``UnitSplit`` holds: its block on the rest columns,
+    1.0 at each unit column's row."""
+    out = np.zeros((split.n_rows, split.n_cols), dtype=split.block.dtype)
+    out[:, split.rest] = split.block
+    out[split.rows, split.unit] = 1.0
+    return out
+
+
 def unit_rmatmul(split, a):
-    """``a @ m`` for the matrix ``m`` that ``split`` was scanned from: a
-    unit column copies one column of ``a``, the rest are multiplied."""
+    """``a @ m`` for the matrix ``m`` that ``split`` holds: a unit column
+    copies one column of ``a``, the rest are multiplied."""
     out = np.empty((a.shape[0], split.n_cols), dtype=np.result_type(a, split.block))
     out[:, split.unit] = a[:, split.rows]
     out[:, split.rest] = a @ split.block

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import RT2, balanced_pair_tuple, contraction_tuple
+from conftest import RT2, balanced_pair_tuple, contraction_tuple, dense_letter
 
 from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
 from ncscatter.lifting import generate
@@ -172,11 +172,11 @@ class TestAdjoint:
         sp, dom = dil.space(1), dil.space(0)
         v = fock_only(sp, {(): 1.0, (1,): 2.0})
         v[0] = 1.0
-        out = dil.matrix(1, 0).conj().T @ v
+        out = dense_letter(dil, 1, 0).conj().T @ v
         # T_1* h + d_1* x_() = 1/sqrt2 + 1/sqrt2
         assert out[0] == pytest.approx(2 * RT2)
         assert out[dom.slot(())][0] == 2.0
-        out2 = dil.matrix(2, 0).conj().T @ v
+        out2 = dense_letter(dil, 2, 0).conj().T @ v
         assert out2[0] == pytest.approx(0.0)
         assert out2[dom.slot(())][0] == 0.0
 
@@ -187,18 +187,20 @@ class TestAdjoint:
             x = random_flat(dil.space(2), seed=10 + j)
             y = random_flat(dil.space(3), seed=20 + j)
             lhs = np.vdot(dil.apply(j, x, 2), y)
-            rhs = np.vdot(x, dil.matrix(j, 2).conj().T @ y)
+            rhs = np.vdot(x, dense_letter(dil, j, 2).conj().T @ y)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestFlatMatrices:
     def test_matrix_matches_apply(self):
+        # each letter cut from the row split acts as apply does
         t = contraction_tuple(2, 2, seed=3)
         dil = make_dilation(t)
+        row, width = dil.matrix(2), dil.space(2).dim
         for j in (1, 2):
-            m = dil.matrix(j, 2)
+            letter = row.columns((j - 1) * width, j * width)
             v = random_flat(dil.space(2), seed=j, width=3)
-            assert np.allclose(dil.apply(j, v, 2), m @ v, atol=1e-12)
+            assert np.allclose(dil.apply(j, v, 2), letter.matmul(v), atol=1e-12)
 
     def test_adjoint_matrix_is_conjugate_transpose(self):
         # V_j* (ell (+) sum_w e_w x_w) = (T_j* ell + d_j* x_()) (+) sum_w e_w x_{jw}
@@ -213,13 +215,13 @@ class TestFlatMatrices:
             want[:n] += dil.defect.coord_component(j).conj().T @ y[cod.slot(())]
             for w in enumerate_words(dom.d, dom.depth):
                 want[dom.slot(w)] = y[cod.slot((j,) + w)]
-            assert np.allclose(dil.matrix(j, 1).conj().T @ y, want, atol=1e-12)
+            assert np.allclose(dense_letter(dil, j, 1).conj().T @ y, want, atol=1e-12)
 
     def test_isometry_and_orthogonal_ranges(self):
         t = contraction_tuple(3, 2, seed=17)
         dil = make_dilation(t)
         dom = dil.space(2)
-        ms = [dil.matrix(j, 2) for j in (1, 2, 3)]
+        ms = [dense_letter(dil, j, 2) for j in (1, 2, 3)]
         for i, mi in enumerate(ms):
             for k, mk in enumerate(ms):
                 want = np.eye(dom.dim) if i == k else np.zeros((dom.dim, dom.dim))
@@ -230,14 +232,14 @@ class TestFlatMatrices:
         # and onto, so sum V_j V_j* = I on the deeper space
         dil = make_dilation(plain_instance.e)
         cod = dil.space(3)
-        total = sum(dil.matrix(j, 2) @ dil.matrix(j, 2).conj().T for j in (1, 2))
+        total = sum(dense_letter(dil, j, 2) @ dense_letter(dil, j, 2).conj().T for j in (1, 2))
         assert operator_norm(total - np.eye(cod.dim)) < 1e-10
 
     def test_row_not_unitary_for_strict_contraction(self):
         t = contraction_tuple(2, 2, seed=2, norm=0.7)
         dil = make_dilation(t)
         cod = dil.space(2)
-        total = sum(dil.matrix(j, 1) @ dil.matrix(j, 1).conj().T for j in (1, 2))
+        total = sum(dense_letter(dil, j, 1) @ dense_letter(dil, j, 1).conj().T for j in (1, 2))
         assert operator_norm(total - np.eye(cod.dim)) > 0.1
 
 
@@ -276,6 +278,7 @@ class TestZeroRank:
         for dil in (Dilation(inst.c, inst.defect_c), Dilation(inst.e, inst.defect_e)):
             for depth in range(3):
                 dom, cod = dil.space(depth), dil.space(depth + 1)
-                assert dil.matrix(1, depth).shape == (cod.dim, dom.dim)
+                row = dil.matrix(depth)
+                assert (row.n_rows, row.n_cols) == (cod.dim, dil.d * dom.dim)
                 empty = np.zeros((dom.dim, 0))
                 assert dil.apply(d, empty, depth).shape == (cod.dim, 0)

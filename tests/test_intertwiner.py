@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import RT2, balanced_pair_tuple
+from conftest import RT2, balanced_pair_tuple, dense_letter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -249,8 +249,8 @@ class TestIntertwiner:
         w_deep = intertwiner_matrix(inst, depth + 1)
         w_flat = intertwiner_matrix(inst, depth)
         for j in (1, 2):
-            lhs = w_deep @ dil_lift.matrix(j, depth)
-            rhs = dil_base.matrix(j, depth) @ w_flat
+            lhs = w_deep @ dense_letter(dil_lift, j, depth)
+            rhs = dense_letter(dil_base, j, depth) @ w_flat
             assert operator_norm(lhs - rhs) < 1e-10
 
     def test_stabilization(self, plain_instance):

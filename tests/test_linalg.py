@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import unit_rmatmul
+from conftest import dense_letter, dense_split, unit_rmatmul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,39 +173,47 @@ class TestComplementOnb:
         assert linalg.complement_onb(q).shape == (4, 0)
 
 
-# column kinds for the unit-split oracle: all but "rest" and the near
-# units hold an exact 1.0, and only "unit" ones clear its row
+# kinds of column for the split oracle: every kind but "unit" is a rest
+# column, some holding an exact 1.0 or a near unit that a dense
+# product must still multiply as it is
 NEAR_UNITS = {"neg": -1.0, "imag": 1j, "tiny_imag": 1 + 1e-300j}
 SECOND_ENTRY = {"one_plus": 0.5 - 0.25j, "nan": np.nan, "inf": np.inf}
-KINDS = ("unit", "unit", "unit", "crowded", "rest", *NEAR_UNITS, *SECOND_ENTRY)
+KINDS = ("unit", "unit", "unit", "random", "lone_one", *NEAR_UNITS, *SECOND_ENTRY)
 
 
 @st.composite
 def planted(draw):
-    """A sparse random matrix with planted unit and near-unit columns.
+    """A split drawn to its contract, and the dense matrix ``m`` it holds.
 
-    Returns the matrix and the planted ``(column, row)`` pairs of exact
-    1.0 entries.  Rows are drawn freely and later columns may write into
-    or clear a row, so a planted 1.0 may or may not end up isolated.
+    Unit columns take distinct rows, while rows are left; no other column
+    reaches those rows.  A rest column lies on the other rows: sparse
+    random, or one exact 1.0 or near unit, alone or with a second entry
+    that may be NaN or inf.
     """
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = random_matrix(rng, rows, cols) * rng.integers(0, 2, (rows, cols))
-    units = []
-    for c in range(cols if rows else 0):
-        kind = draw(st.sampled_from(KINDS))
-        r = draw(st.integers(0, rows - 1))
-        if kind == "rest" or (kind in SECOND_ENTRY and rows < 2):
-            continue
-        m[:, c] = 0.0
-        if kind == "unit":
-            m[r] = 0.0
-        m[r, c] = NEAR_UNITS.get(kind, 1.0)
-        if kind not in NEAR_UNITS:
-            units.append((c, r))
-        if kind in SECOND_ENTRY:
-            m[(r + draw(st.integers(1, rows - 1))) % rows, c] = SECOND_ENTRY[kind]
-    return m, units
+    kinds = [draw(st.sampled_from(KINDS)) for _ in range(cols)]
+    free = [int(r) for r in rng.permutation(rows)]
+    owner = {}
+    for c, kind in enumerate(kinds):
+        if kind == "unit" and free:
+            owner[c] = free.pop()
+    m = np.zeros((rows, cols), dtype=np.complex128)
+    for c, kind in enumerate(kinds):
+        if c in owner:
+            m[owner[c], c] = 1.0
+        elif kind == "random" or kind == "unit":
+            m[free, c] = random_matrix(rng, len(free), 1)[:, 0] * rng.integers(0, 2, len(free))
+        elif free:
+            i = draw(st.integers(0, len(free) - 1))
+            m[free[i], c] = NEAR_UNITS.get(kind, 1.0)
+            if kind in SECOND_ENTRY and len(free) > 1:
+                other = (i + draw(st.integers(1, len(free) - 1))) % len(free)
+                m[free[other], c] = SECOND_ENTRY[kind]
+    unit = np.array(sorted(owner), dtype=np.intp)
+    unit_rows = np.array([owner[c] for c in unit], dtype=np.intp)
+    rest = np.setdiff1d(np.arange(cols), unit)
+    return linalg.UnitSplit(rows, unit, unit_rows, rest, m[:, rest]), m
 
 
 def norm_or_nan(m):
@@ -231,44 +239,37 @@ def assert_close(got, want):
     assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-14)
 
 
-def same_height(b, m):
-    """``b`` cut to the rows of ``m``, or ``m`` itself if ``b`` is too short."""
-    return b[: m.shape[0]] if b.shape[0] >= m.shape[0] else m
+def split_letters(split, cut):
+    """The two letters cut from a row split at column ``min(cut, n_cols)``."""
+    cut = min(cut, split.n_cols)
+    return split.columns(0, cut), split.columns(cut, split.n_cols)
 
 
-def split_letters(m, b):
-    """The letters ``m`` and ``b`` cut from the split of the row ``[m, b]``."""
-    split = linalg.unit_split([m, b])
-    return split.columns(0, m.shape[1]), split.columns(m.shape[1], split.n_cols)
-
-
-def finite_scale(*ms):
-    return max(np.abs(m[np.isfinite(m)]).max(initial=0.0) for m in ms) ** 2
+def finite_scale(m):
+    return np.abs(m[np.isfinite(m)]).max(initial=0.0) ** 2
 
 
 class TestUnitSplit:
-    # the dense products and the dense operator_norm are the oracle
+    # the dense matrix the split holds, its products and the dense
+    # operator_norm are the oracle
 
     @settings(max_examples=80, deadline=None)
-    @given(planted())
-    def test_finds_exactly_the_planted_unit_columns(self, case):
-        m, units = case
-        split = linalg.unit_split([m])
-        # a planted 1.0 qualifies only while it is alone in its column and row
-        alone = [
-            (c, r)
-            for c, r in units
-            if m[r, c] == 1 and np.count_nonzero(m[:, c]) == np.count_nonzero(m[r]) == 1
-        ]
-        assert [(int(c), int(r)) for c, r in zip(split.unit, split.rows)] == alone
-        assert sorted([*split.unit, *split.rest]) == list(range(m.shape[1]))
-        assert len(set(split.rows.tolist())) == split.rows.size
+    @given(planted(), st.integers(0, 8), st.integers(0, 8))
+    def test_columns_and_rest_span_match_dense(self, case, lo, hi):
+        split, m = case
+        lo, hi = sorted((min(lo, split.n_cols), min(hi, split.n_cols)))
+        assert np.array_equal(dense_split(split), m, equal_nan=True)
+        part = split.columns(lo, hi)
+        assert part.n_rows == split.n_rows
+        assert np.array_equal(dense_split(part), m[:, lo:hi], equal_nan=True)
+        span = split.block[:, split.rest_span(lo, hi)]
+        kept = [c for c in split.rest if lo <= c < hi]
+        assert np.array_equal(span, m[:, kept], equal_nan=True)
 
     @settings(max_examples=80, deadline=None)
     @given(planted(), st.integers(0, 2**32 - 1), st.integers(0, 3))
     def test_copies_and_scatters_match_dense_products(self, case, seed, width):
-        m, _ = case
-        split = linalg.unit_split([m])
+        split, m = case
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, width, m.shape[0])
         x = random_matrix(rng, m.shape[1], width)
@@ -284,20 +285,21 @@ class TestUnitSplit:
         assert_close(right, dense_right)
 
     @settings(max_examples=80, deadline=None)
-    @given(planted(), planted())
-    def test_letter_cross_gram_matches_dense(self, case, other_case):
-        # m and b split together as the letters of one row: a unit
-        # column is alone in its row across both, so it meets only exact
-        # zeros of the other letter and only the rest blocks multiply
-        m, b = case[0], same_height(other_case[0], case[0])
-        vm, vb = split_letters(m, b)
+    @given(planted(), st.integers(0, 8))
+    def test_letter_cross_gram_matches_dense(self, case, cut):
+        # a unit column is alone in its row across the whole row split,
+        # so it meets only exact zeros of the other letter and only the
+        # rest blocks multiply
+        split, m = case
+        vm, vb = split_letters(split, cut)
+        mm, mb = m[:, : vm.n_cols], m[:, vm.n_cols :]
         with np.errstate(invalid="ignore"):
             block = vm.block.conj().T @ vb.block
-            dense = m.conj().T @ b
+            dense = mm.conj().T @ mb
         kept = dense[np.ix_(vm.rest, vb.rest)]
         dropped = np.ones(dense.shape, dtype=bool)
         dropped[np.ix_(vm.rest, vb.rest)] = False
-        if np.isfinite(m).all() and np.isfinite(b).all():
+        if np.isfinite(m).all():
             # the dropped lines are exactly zero in the dense product
             assert np.all(dense[dropped] == 0)
             assert np.allclose(block, kept, rtol=1e-14, atol=1e-14)
@@ -311,36 +313,33 @@ class TestUnitSplit:
             assert np.allclose(block[shown], kept[shown], rtol=1e-14, atol=1e-14)
 
     @settings(max_examples=80, deadline=None)
-    @given(planted(), planted())
-    def test_letter_cross_gram_bit_equal_on_rest_columns(self, case, other_case):
-        # a letter's block holds its rest columns as they are, a unit
-        # column sent back to the rest included, so the product is the
-        # dense one of the same columns, bit for bit
-        m, b = case[0], same_height(other_case[0], case[0])
-        vm, vb = split_letters(m, b)
-        assert np.array_equal(vm.block, m[:, vm.rest], equal_nan=True)
-        assert np.array_equal(vb.block, b[:, vb.rest], equal_nan=True)
+    @given(planted(), st.integers(0, 8))
+    def test_letter_cross_gram_bit_equal_on_rest_columns(self, case, cut):
+        # a letter's block holds its rest columns as they are, so the
+        # product is the dense one of the same columns, bit for bit
+        split, m = case
+        vm, vb = split_letters(split, cut)
+        mm, mb = m[:, : vm.n_cols], m[:, vm.n_cols :]
+        assert np.array_equal(vm.block, mm[:, vm.rest], equal_nan=True)
+        assert np.array_equal(vb.block, mb[:, vb.rest], equal_nan=True)
         with np.errstate(invalid="ignore"):
             block = vm.block.conj().T @ vb.block
-            want = m[:, vm.rest].conj().T @ b[:, vb.rest]
+            want = mm[:, vm.rest].conj().T @ mb[:, vb.rest]
         assert np.array_equal(block, want, equal_nan=True)
 
     @settings(max_examples=80, deadline=None)
-    @given(planted(), planted())
-    def test_residuals_match_dense(self, case, other_case):
-        m, b = case[0], same_height(other_case[0], case[0])
-        split, row = linalg.unit_split([m]), linalg.unit_split([m, b])
-        finite = np.isfinite(m).all() and np.isfinite(b).all()
-        scale = finite_scale(m, b)
-        rest = np.zeros(m.shape[1], dtype=bool)
-        rest[split.rest] = True
+    @given(planted(), st.integers(0, 8))
+    def test_residuals_match_dense(self, case, cut):
+        split, m = case
+        letter = split_letters(split, cut)[0]
+        mm = m[:, : letter.n_cols]
+        finite = np.isfinite(m).all()
+        rest = np.zeros(letter.n_cols, dtype=bool)
+        rest[letter.rest] = True
         with np.errstate(invalid="ignore"):
             pairs = [
-                ((rest, linalg.gram_residual(split)), m.conj().T @ m - np.eye(m.shape[1])),
-                (
-                    linalg.row_residual(row),
-                    np.eye(m.shape[0]) - m @ m.conj().T - b @ b.conj().T,
-                ),
+                ((rest, linalg.gram_residual(letter)), mm.conj().T @ mm - np.eye(mm.shape[1])),
+                (linalg.row_residual(split), np.eye(m.shape[0]) - m @ m.conj().T),
             ]
         for (live, block), dense in pairs:
             assert block.shape == (live.sum(), live.sum())
@@ -350,7 +349,7 @@ class TestUnitSplit:
                 assert np.allclose(block, dense[np.ix_(live, live)], rtol=1e-14, atol=1e-14)
             # a non-finite entry sits in a rest column and spoils its own
             # diagonal entry, so the norms agree on finiteness too
-            assert_norms_match(norm_or_nan(block), norm_or_nan(dense), scale)
+            assert_norms_match(norm_or_nan(block), norm_or_nan(dense), finite_scale(m))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4))
@@ -367,97 +366,53 @@ class TestUnitSplit:
         assert got.shape == want.shape
         assert operator_norm(got @ got.conj().T - want @ want.conj().T) < 1e-14
 
-    def test_repeated_row_takes_dense_path(self):
-        m = np.zeros((3, 3), dtype=np.complex128)
-        m[1, 0] = m[1, 2] = 1.0
-        m[:, 1] = [0.5, 0.25j, 2.0]
-        split = linalg.unit_split([m])
-        # row 1 holds three entries, so no column is split off: all go dense
-        assert split.unit.size == 0 and split.rest.tolist() == [0, 1, 2]
-        # columns 0 and 2 overlap: their Gram entry is 1, not 0
-        block = split.block.conj().T @ split.block
-        assert block[0, 2] == 1.0
-        assert np.array_equal(block, m.conj().T @ m)
-        x = np.arange(9.0).reshape(3, 3) * (1 - 1j)
-        assert np.array_equal(split.matmul(x), m @ x)
-        assert linalg.gram_residual(split).shape == (3, 3)
-        # the shared row holds two unit entries: 1 - 2 - 0.25**2 there
-        live, block = linalg.row_residual(split)
-        assert live.all() and block[1, 1] == -1.0625
-
     def test_empty_shapes(self):
-        # 0-row matrices have no unit column, and no argmax is taken
+        # no rows, no columns or neither: every product keeps its shape
+        none = np.zeros(0, dtype=np.intp)
         for shape in [(0, 0), (0, 3), (3, 0)]:
             m = np.zeros(shape, dtype=np.complex128)
-            split = linalg.unit_split([m])
-            assert split.unit.size == 0 and split.rest.size == shape[1]
+            split = linalg.UnitSplit(shape[0], none, none, np.arange(shape[1]), m)
+            assert np.array_equal(dense_split(split), m)
             assert unit_rmatmul(split, np.ones((2, shape[0]))).shape == (2, shape[1])
             assert split.matmul(np.ones((shape[1], 2))).shape == (shape[0], 2)
             assert split.columns(0, shape[1]).block.shape == shape
+            assert split.rest_span(0, shape[1]) == slice(0, shape[1])
             assert linalg.gram_residual(split).shape == (shape[1], shape[1])
             assert linalg.row_residual(split)[1].shape == (shape[0], shape[0])
             assert linalg.complement_onb(m).shape == (shape[0], shape[0])
 
-    def test_vector_input_rejected(self):
-        with pytest.raises(DimensionError):
-            linalg.unit_split([np.ones(3)])
-
     def test_split_of_dilation_matrix_holds_no_full_width_array(self):
         inst = generate(2, 2, 2, seed=1)
         dil = Dilation(inst.e, inst.defect_e)
+        row = dil.matrix(5)
+        width = dil.space(5).dim
+        assert row.n_rows == dil.space(6).dim and row.n_cols == 2 * width
+        held = [getattr(row, f.name) for f in fields(row)]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert arrays and all(a.shape[-1] < row.n_cols for a in arrays)
+        assert row.block.shape == (row.n_rows, 2 * dil.t.dim)
         for j in (1, 2):
-            m = dil.matrix(j, 5)
-            split = linalg.unit_split([m])
-            assert split.n_rows == m.shape[0] and split.n_cols == m.shape[1]
-            held = [getattr(split, f.name) for f in fields(split)]
-            arrays = [a for a in held if isinstance(a, np.ndarray)]
-            assert arrays and all(a.shape[-1] < m.shape[1] for a in arrays)
-            assert np.array_equal(split.block, m[:, split.rest])
-            x = np.arange(m.shape[1] * 2).reshape(m.shape[1], 2) * (1 + 0.5j)
-            assert np.array_equal(split.matmul(x)[split.rows], m[split.rows] @ x)
+            letter = row.columns((j - 1) * width, j * width)
+            m = dense_letter(dil, j, 5)
+            assert np.array_equal(letter.block, m[:, letter.rest])
+            x = np.arange(width * 2).reshape(width, 2) * (1 + 0.5j)
+            assert np.array_equal(letter.matmul(x)[letter.rows], m[letter.rows] @ x)
 
-    @settings(max_examples=80, deadline=None)
-    @given(planted(), planted(), st.integers(0, 12), st.integers(0, 12))
-    def test_split_of_column_blocks_matches_split_of_stack(self, case, other_case, i, k):
-        # a unit column of one block whose row another block reaches goes
-        # back to the rest, as the unit vector it is
-        m = np.hstack([case[0], same_height(other_case[0], case[0])])
-        i, k = sorted((min(i, m.shape[1]), min(k, m.shape[1])))
-        blocks = [m[:, :i], m[:, i:k], m[:, k:]]
-        whole, parts = linalg.unit_split([m]), linalg.unit_split(iter(blocks))
-        for name in ("unit", "rows", "rest", "block"):
-            assert np.array_equal(getattr(parts, name), getattr(whole, name), equal_nan=True)
-        assert parts.n_rows == whole.n_rows
-
-    def test_unit_column_reached_by_another_block_goes_back(self):
-        a = np.array([[1.0], [0.0]])
-        b = np.array([[0.5, 0.0], [0.0, 1.0]])
-        split = linalg.unit_split([a, b])
-        assert split.unit.tolist() == [2] and split.rows.tolist() == [1]
-        assert split.rest.tolist() == [0, 1]
-        assert np.array_equal(split.block, [[1.0, 0.5], [0.0, 0.0]])
-        # the letter of the unit column sent back holds it in its block
-        letter = split.columns(0, 1)
-        assert letter.unit.size == 0 and np.array_equal(letter.block, a)
-
-    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2),))
     def test_letters_of_a_dilation_row_match_single_letter_splits(self, shape):
-        inst = generate(*shape, seed=2)
-        for dil in (Dilation(inst.c, inst.defect_c), Dilation(inst.e, inst.defect_e)):
-            row = linalg.unit_split(dil.matrix(j, 4) for j in range(1, dil.d + 1))
-            width = dil.space(4).dim
-            for j in range(1, dil.d + 1):
-                got = row.columns((j - 1) * width, j * width)
-                want = linalg.unit_split([dil.matrix(j, 4)])
-                assert got.n_rows == want.n_rows
-                for name in ("unit", "rows", "rest", "block"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name))
-
-    def test_column_blocks_of_different_heights_rejected(self):
-        with pytest.raises(DimensionError):
-            linalg.unit_split([np.eye(2), np.eye(3)])
-        with pytest.raises(DimensionError):
-            linalg.unit_split([])
+        # every letter cut from the row split, rebuilt dense, is V_j on
+        # the identity, entry for entry; (1, 2, 0) has rank 0 and no unit
+        # column, (2, 2, 0) has dimA = 0, and at a_scale 0 the lifted
+        # letters have exact unit base columns, which stay in the rest
+        for a_scale in (0.0, 0.9, 1.0):
+            inst = generate(*shape, seed=2, a_scale=a_scale)
+            for dil in (Dilation(inst.c, inst.defect_c), Dilation(inst.e, inst.defect_e)):
+                for depth in range(5):
+                    row, width = dil.matrix(depth), dil.space(depth).dim
+                    assert row.rest.size == dil.d * dil.t.dim
+                    for j in range(1, dil.d + 1):
+                        letter = row.columns((j - 1) * width, j * width)
+                        assert np.array_equal(dense_split(letter), dense_letter(dil, j, depth))
 
 
 class TestRandomIsometry:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import dense_letter
 
 from ncscatter.dilation import Dilation
 from ncscatter.intertwiner import lift_space
@@ -53,7 +54,7 @@ def dense_complement_frame(instance, depth):
     # oracle: left null space of the stack from a full SVD
     dil = Dilation(instance.e, instance.defect_e)
     nc = instance.dim_c
-    stack = np.hstack([dil.matrix(j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)])
+    stack = np.hstack([dense_letter(dil, j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)])
     u, s, _ = np.linalg.svd(stack, full_matrices=True)
     return u[:, int(np.sum(s > 0.5)) :]
 

@@ -48,6 +48,30 @@ def test_seed_sweep_prints_worst_headroom():
     assert re.search(pattern, proc.stdout, re.MULTILINE), proc.stdout
 
 
+def test_seed_sweep_keeps_the_worst_row(monkeypatch, capsys):
+    # a failing row outranks a passing one, a larger violation a smaller
+    # one of the same verdict; an error (violation inf) keeps its text
+    path = ROOT / "scripts" / "seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    row, error = script.CheckResult.measure, script.CheckResult.failure
+    by_seed = [
+        [error("crash", 0.5, "exploded at seed 0"), row("shrinking", 2.0, 0.5),
+         row("passing", 0.1, 0.5), row("late", 0.1, 0.5)],
+        [row("crash", 1.0, 0.5), row("shrinking", 1.0, 0.5),
+         row("passing", 0.3, 0.5), row("late", 0.7, 0.5)],
+        [row("crash", 0.1, 0.5), row("shrinking", 0.1, 0.5),
+         row("passing", 0.2, 0.5), row("late", 0.4, 0.5)],
+    ]  # fmt: skip
+    monkeypatch.setattr(script, "generate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(script, "run_all_checks", lambda inst, depth, seed: by_seed[seed])
+    monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "--seeds", "3"])
+    assert script.main() == 1
+    want = [by_seed[0][0], by_seed[0][1], by_seed[1][2], by_seed[1][3]]
+    assert capsys.readouterr().out.splitlines()[:4] == [r.line() for r in want]
+
+
 def test_compare_checks_same_tree():
     proc = run_script(
         "compare_checks.py", ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke"]

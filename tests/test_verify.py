@@ -160,13 +160,13 @@ class TestSharedBuilds:
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1)])
     def test_each_dilation_letter_built_once(self, monkeypatch, shape):
-        # V_1 ... V_d of the base and of the lifted dilation, read by the
-        # dilation and intertwining rows; the complement reads the corner
-        # block of the letters instead of a third build
+        # the row [V_1 ... V_d] of the base and of the lifted dilation, one
+        # split each, whose letters the dilation and intertwining rows
+        # read; the complement reads the corner block instead of a third build
         counts = count_calls(monkeypatch, [(Dilation, "matrix")])
         inst = lifting.generate(*shape, seed=1)
         assert all_passed(run_all_checks(inst, 3))
-        assert counts == {"matrix": 2 * inst.d}
+        assert counts == {"matrix": 2}
 
     def test_both_norm_rows_share_one_toeplitz_norm(
         self, monkeypatch, no_corner_instance
@@ -184,34 +184,55 @@ class TestMutations:
     ``test_doctored_instance_fails_and_reports``."""
 
     def failing(self, instance, depth=3):
-        return {r.name for r in run_all_checks(instance, depth) if not r.passed}
+        results = run_all_checks(instance, depth)
+        # a mutation that makes a row raise shows nothing about the check
+        assert [r.name for r in results if r.error is not None] == []
+        return {r.name for r in results if not r.passed}
+
+    @staticmethod
+    def patch_rows(monkeypatch, edit):
+        """Every dilation row split, edited in place by ``edit(dilation, split, width)``."""
+        original = Dilation.matrix
+
+        def perturbed(self, depth):
+            row = original(self, depth)
+            edit(self, row, self.space(depth).dim)
+            return row
+
+        monkeypatch.setattr(Dilation, "matrix", perturbed)
 
     def test_fock_entry_of_dilation_matrix(self, monkeypatch, plain_instance):
-        original = Dilation.matrix
+        def edit(dil, row, width):
+            # V_1's first base column on the first vacuum row, of (D)_1
+            row.block[dil.t.dim, 0] += 1e-6
 
-        def perturbed(self, j, depth):
-            m = original(self, j, depth)
-            # the unit entry that copies the last Fock column one level up
-            m[np.flatnonzero(m[:, -1])[0], -1] += 1e-6
-            return m
-
-        monkeypatch.setattr(Dilation, "matrix", perturbed)
+        self.patch_rows(monkeypatch, edit)
         failing = self.failing(plain_instance)
-        assert {"dilation_isometry", "dilation_row_unitary"} <= failing
+        assert {
+            "dilation_isometry",
+            "dilation_orthogonal_ranges",
+            "dilation_row_unitary",
+            "intertwining",
+        } <= failing
+
+    def test_traded_unit_rows_of_two_letters(self, monkeypatch, plain_instance):
+        def edit(dil, row, width):
+            # the first unit columns of V_1 and V_2 trade rows: the row
+            # stays a row isometry, and only the intertwining sees it
+            first = np.searchsorted(row.unit, [0, width])
+            row.rows[first] = row.rows[first[::-1]]
+
+        self.patch_rows(monkeypatch, edit)
+        assert self.failing(plain_instance) == {"intertwining"}
 
     def test_shared_row_of_one_dilation_matrix(self, monkeypatch, plain_instance):
-        original = Dilation.matrix
+        def edit(dil, row, width):
+            # the first unit column of V_1 lands in the row of V_2's first
+            first = np.searchsorted(row.unit, [0, width])
+            row.rows[first[0]] = row.rows[first[1]]
 
-        def perturbed(self, j, depth):
-            m = original(self, j, depth)
-            if j == 1:
-                # the last Fock column of V_1 gains an entry below its
-                # unit entry, in the row where V_2 puts its last column
-                m[-1, -1] += 1e-6
-            return m
-
-        monkeypatch.setattr(Dilation, "matrix", perturbed)
-        assert "dilation_orthogonal_ranges" in self.failing(plain_instance)
+        self.patch_rows(monkeypatch, edit)
+        assert {"dilation_row_unitary", "intertwining"} <= self.failing(plain_instance)
 
     def test_one_entry_of_the_shallow_intertwiner(self, monkeypatch, plain_instance):
         original = verify.intertwiner_matrix
@@ -504,6 +525,26 @@ class TestBenchmarkNames:
             for part in attr.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), f"{module}.{attr}"
+
+    def test_traced_verify_op_calls_every_deep_layer(self, tmp_path):
+        # the tracer wraps the layers by name, whatever their signatures;
+        # a traced verify-deep op must call each layer mapped to it, and
+        # build each dilation's row once
+        tracing, workloads = load_bench("tracing"), load_bench("workloads")
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        code, text = workloads.run_cli(workloads._generate(2, 2, 2, 5, inputs / "inst-0.json"))
+        assert code == 0, text
+        (op,) = workloads.make_ops("verify-deep", [5], 2, inputs, tmp_path)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run = workloads.run_op(op, tracer)
+        finally:
+            tracer.uninstall()
+        assert run.error is None and run.codes == [0], run.output
+        assert tracer.unmapped("verify-deep") == []
+        assert tracer.calls()["dilation.Dilation.matrix"] == 2
 
     def test_check_names_in_order(self, no_corner_instance):
         names = [r.name for r in run_all_checks(no_corner_instance, 2)]
