@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .intertwiner import apply_intertwiner, base_space, lift_space
+from .intertwiner import apply_intertwiner
 from .lifting import LiftingInstance
 from .transfer import NCSeries, require_words, series_multiply
 from .words import level_start, prepend_levels, reversal
@@ -122,7 +122,7 @@ def restriction_probes(instance: LiftingInstance, signal: NCSeries) -> np.ndarra
     word reversal.  These are all the intertwiner columns the two
     restriction identities read.
     """
-    dom = lift_space(instance, signal.depth)
+    dom = instance.dilation_e.space(signal.depth)
     r = instance.rank_e
     probes = np.zeros((dom.dim, r + 1), dtype=np.complex128)
     probes[dom.slot(()), :r] = np.eye(r)
@@ -140,7 +140,7 @@ def vacuum_restriction_violation(
     base-space rows must vanish and the Fock rows must reproduce the
     characteristic blocks word by word, with no reversal.
     """
-    cod = base_space(instance, series.depth)
+    cod = instance.dilation_c.space(series.depth)
     return max(
         linalg.operator_norm(cols[: instance.dim_c]),
         linalg.stack_norm(cod.slots(cols) - series.coeffs),
@@ -160,7 +160,7 @@ def fock_action_violation(
     intertwiner respects prepended letters, convolution respects
     appended ones.
     """
-    cod = base_space(instance, signal.depth)
+    cod = instance.dilation_c.space(signal.depth)
     out = series_multiply(theta, signal)
     return max(
         float(np.linalg.norm(got[: instance.dim_c])),

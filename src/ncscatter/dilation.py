@@ -27,16 +27,19 @@ the flat matrix.  Isometry of each V_j and orthogonality of their
 ranges are exact consequences of the defect identity; when the tuple
 is coisometric the V_j sum to a row unitary on the truncation as well.
 
-Every column of V_j but its base ones copies a Fock slot one level up:
-it is an exact unit vector, whose row the second index fact gives.  So
-:meth:`Dilation.matrix` writes the row ``[V_1 ... V_d]`` as a
-:class:`.linalg.UnitSplit` straight from the tuple: the blocks
-``[T_j ; (D)_j]`` as the rest, and the unit columns with their rows.
+On H, V_j reads block j of the stage block :attr:`Dilation.stage`,
+``U = [[T_1 ... T_d], [(D)_1 ... (D)_d]]``, unitary when the tuple is
+coisometric.  Every other column of V_j copies a Fock slot one level
+up: it is an exact unit vector, whose row the second index fact gives.
+So :meth:`Dilation.matrix` writes the row ``[V_1 ... V_d]`` as a
+:class:`.linalg.UnitSplit` straight from the tuple: ``U`` as the rest,
+and the unit columns with their rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +113,12 @@ class Dilation:
     def space(self, depth: int) -> GradedSpace:
         return GradedSpace(self.t.d, depth, self.t.dim, self.defect.rank)
 
+    @cached_property
+    def stage(self) -> np.ndarray:
+        """The (n + r) x d*n stage block: column block j is ``[T_j ; (D)_j]``."""
+        comps = [self.defect.coord_component(j) for j in range(1, self.d + 1)]
+        return np.vstack([self.t.row(), np.hstack(comps)])
+
     def apply(self, j: int, x: np.ndarray, depth: int) -> np.ndarray:
         """V_j on a flat vector or column batch at ``depth``, landing in depth + 1."""
         dom, cod = self.space(depth), self.space(depth + 1)
@@ -117,10 +126,11 @@ class Dilation:
             raise InnerSpaceMismatch(
                 f"vector has {x.shape[0]} rows, depth {depth} needs {dom.dim}"
             )
-        h = x[: dom.base_dim]
+        if not 1 <= j <= self.d:
+            raise IndexError(f"letter {j} outside 1..{self.d}")
+        k = dom.base_dim
         out = np.zeros((cod.dim,) + x.shape[1:], dtype=np.complex128)
-        out[: cod.base_dim] = self.t.op(j) @ h
-        out[cod.slot(())] = self.defect.coord_component(j) @ h
+        out[: cod.slot(()).stop] = self.stage[:, (j - 1) * k : j * k] @ x[:k]
         for m in range(depth + 1):
             n = self.d**m
             cod.blocks(out, m + 1)[(j - 1) * n : j * n] = dom.blocks(x, m)
@@ -144,17 +154,14 @@ class Dilation:
         """The row ``[V_1 ... V_d]`` from depth ``depth`` to ``depth + 1``, split.
 
         Letter k (from 0) owns the columns ``k * width + [0, width)``.
-        Its first n, on the base space, are the rest: ``[T_j ; (D)_j]``,
-        zero below the vacuum slot.  Each other column copies level m
-        into the k-th of d equal blocks of level m + 1, as in
-        :meth:`apply`, so it is a unit column with that row.
+        Its first n, on the base space, are the rest: block k of
+        :attr:`stage`, zero below the vacuum slot.  Each other column
+        copies level m into the k-th of d equal blocks of level m + 1,
+        as in :meth:`apply`, so it is a unit column with that row.
         """
         dom, cod = self.space(depth), self.space(depth + 1)
         n, width, d = dom.base_dim, dom.dim, self.d
-        base = np.hstack(
-            [np.vstack([self.t.op(j), self.defect.coord_component(j)]) for j in range(1, d + 1)]
-        )
-        block = np.pad(base, ((0, cod.dim - base.shape[0]), (0, 0)))
+        block = np.pad(self.stage, ((0, cod.dim - self.stage.shape[0]), (0, 0)))
         index = np.arange(cod.dim)
         rows = [
             cod.blocks(index, m + 1)[k * d**m : (k + 1) * d**m].ravel()

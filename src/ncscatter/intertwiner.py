@@ -6,7 +6,9 @@ the block map
     (g_1, ..., g_d)  ->  ( sum_j T_j g_j ,  Q* D (g_1 (+) ... (+) g_d) )
 
 from the d-fold sum of the ambient space to ambient (+) defect is
-unitary.  Iterating it rewrites any vector of the truncated dilation
+unitary: it is :attr:`.dilation.Dilation.stage`, ``U``, so a forward
+stage is one product by ``U*`` and a backward stage one by ``U``.
+Iterating it rewrites any vector of the truncated dilation
 space in "stage" form: at stage n the vector is a sum of length-n
 dilation words applied to ambient vectors (one coefficient per word)
 plus the untouched Fock levels >= n.  Images of distinct words of
@@ -63,9 +65,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .dilation import GradedSpace, InnerSpaceMismatch
+from .dilation import Dilation, GradedSpace, InnerSpaceMismatch
 from .lifting import LiftingInstance
-from .rowtuple import DefectData, OperatorTuple
 
 # columns per block of the W build and of verify's W-sized residuals (see above)
 BLOCK = 64
@@ -83,47 +84,37 @@ class StageMismatch(ValueError):
     """Stage operation applied to coefficients of the wrong stage."""
 
 
-def stage_forward(
-    t: OperatorTuple, dd: DefectData, g: np.ndarray, x: np.ndarray
-) -> np.ndarray:
+def stage_forward(dil: Dilation, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply the next stage unitary: consume one Fock level.
 
     ``g`` holds the stage-(n-1) coefficients, shape (d**(n-1), dim,
     width), and ``x`` Fock level n-1 in defect coordinates, shape
     (d**(n-1), rank, width).  Each coefficient g_u with level value x_u
     splits into the d stage-n coefficients g_{uj} = T_j* g_u + d_j* x_u
-    at index u*d + j-1.
+    at index u*d + j-1: one product of ``dil.stage*`` with ``[g_u ; x_u]``.
     """
     words, dim, width = g.shape
     if x.shape[0] != words:
         raise StageMismatch(f"level of {x.shape[0]} words against {words} coefficients")
-    out = np.empty((words, t.d, dim, width), dtype=np.complex128)
-    for j in range(1, t.d + 1):
-        np.matmul(t.op(j).conj().T, g, out=out[:, j - 1])
-        out[:, j - 1] += dd.coord_component(j).conj().T @ x
-    return out.reshape((words * t.d, dim, width))
+    out = dil.stage.conj().T @ np.concatenate([g, x], axis=1)
+    return out.reshape((words * dil.d, dim, width))
 
 
-def stage_backward(
-    t: OperatorTuple, dd: DefectData, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def stage_backward(dil: Dilation, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the adjoint of the n-th stage unitary: recreate level n-1.
 
     ``g`` holds the stage-n coefficients, shape (d**n, dim, width).
     Returns the stage-(n-1) coefficients g_u = sum_j T_j g_{uj} and the
-    recreated level sum_j d_j g_{uj}, shape (d**(n-1), rank, width).
+    recreated level sum_j d_j g_{uj}, shape (d**(n-1), rank, width):
+    the top ``dim`` rows and the rest of one product of ``dil.stage``
+    with the d children of u stacked.
     """
     words, dim, width = g.shape
-    parents = words // t.d
-    if parents * t.d != words:
-        raise StageMismatch(f"{words} coefficients do not form a stage of {t.d} letters")
-    children = g.reshape((parents, t.d, dim, width))
-    top = t.op(1) @ children[:, 0]
-    low = dd.coord_component(1) @ children[:, 0]
-    for j in range(2, t.d + 1):
-        top += t.op(j) @ children[:, j - 1]
-        low += dd.coord_component(j) @ children[:, j - 1]
-    return top, low
+    parents = words // dil.d
+    if parents * dil.d != words:
+        raise StageMismatch(f"{words} coefficients do not form a stage of {dil.d} letters")
+    out = dil.stage @ g.reshape((parents, dil.d * dim, width))
+    return out[:, :dim], out[:, dim:]
 
 
 def apply_intertwiner(instance: LiftingInstance, x: np.ndarray, depth: int) -> np.ndarray:
@@ -156,9 +147,10 @@ def _pipeline(
     of words those rows can reach; every other coefficient is exactly
     ``T* 0 + d* 0`` and stays zero.
     """
-    lifted = (instance.e, instance.defect_e), lift_space(instance, depth)
-    base = (instance.c, instance.defect_c), base_space(instance, depth)
-    (first, dom), (second, cod) = (base, lifted) if adjoint else (lifted, base)
+    first, second = instance.dilation_e, instance.dilation_c
+    if adjoint:
+        first, second = second, first
+    dom, cod = first.space(depth), second.space(depth)
     if x.shape[0] != dom.dim:
         raise InnerSpaceMismatch(f"vector has {x.shape[0]} rows, expected {dom.dim}")
     start, stop = (0, dom.dim) if rows is None else rows
@@ -169,7 +161,7 @@ def _pipeline(
         g = g[:0]
     for n in range(1, depth + 2):
         span = _hull((lo, lo + g.shape[0]), _level_words(dom, n - 1, start, stop))
-        g = stage_forward(*first, _widen(g, lo, span), dom.blocks(x, n - 1)[span[0] : span[1]])
+        g = stage_forward(first, _widen(g, lo, span), dom.blocks(x, n - 1)[span[0] : span[1]])
         lo = span[0] * d
     if adjoint:
         padded = np.zeros((g.shape[0], cod.base_dim, width), dtype=np.complex128)
@@ -181,7 +173,7 @@ def _pipeline(
     for n in range(depth + 1, 0, -1):
         # whole sibling groups, so that every parent sees all d children
         span = (lo // d * d, -(-(lo + g.shape[0]) // d) * d)
-        g, low = stage_backward(*second, _widen(g, lo, span))
+        g, low = stage_backward(second, _widen(g, lo, span))
         lo = span[0] // d
         cod.blocks(out, n - 1)[lo : lo + g.shape[0]] = low
     if g.shape[0]:
@@ -217,20 +209,10 @@ def _widen(g: np.ndarray, lo: int, span: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def lift_space(instance: LiftingInstance, depth: int) -> GradedSpace:
-    """Flat coordinates of the lifted dilation space at given depth."""
-    return GradedSpace(instance.d, depth, instance.dim_e, instance.rank_e)
-
-
-def base_space(instance: LiftingInstance, depth: int) -> GradedSpace:
-    """Flat coordinates of the base dilation space at given depth."""
-    return GradedSpace(instance.d, depth, instance.dim_c, instance.rank_c)
-
-
 def intertwiner_matrix(instance: LiftingInstance, depth: int) -> np.ndarray:
     """Flat matrix of the depth-truncated intertwiner, built one run of blocks() at a time."""
-    dim = lift_space(instance, depth).dim
-    out = np.empty((base_space(instance, depth).dim, dim), dtype=np.complex128)
+    dim = instance.dilation_e.space(depth).dim
+    out = np.empty((instance.dilation_c.space(depth).dim, dim), dtype=np.complex128)
     for start, stop in blocks(dim):
         eye = np.zeros((dim, stop - start), dtype=np.complex128)
         eye[start:stop] = np.eye(stop - start)

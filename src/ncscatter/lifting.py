@@ -22,15 +22,20 @@ random, then let B be whatever the identity dictates.
 Stored coordinates: every operator with values in a defect space is
 kept in the coordinates of the corresponding orthonormal defect
 basis, never in the ambient d*n-dimensional representation.
+
+An instance keeps the dilations of C and E (:mod:`.dilation`); every
+other module reads them, their stage blocks and their spaces there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
+from .dilation import Dilation
 from .linalg import TOL_EQ, TOL_RANK
 from .rowtuple import DefectData, OperatorTuple, defect
 
@@ -107,6 +112,16 @@ class LiftingInstance:
     @property
     def rank_star(self) -> int:
         return self.dstar_basis.shape[1]
+
+    @cached_property
+    def dilation_c(self) -> Dilation:
+        """The base dilation, of C."""
+        return Dilation(self.c, self.defect_c)
+
+    @cached_property
+    def dilation_e(self) -> Dilation:
+        """The lifted dilation, of E."""
+        return Dilation(self.e, self.defect_e)
 
     def b_row(self) -> np.ndarray:
         """[B_1 ... B_d] : d-fold sum of H_C copies -> H_A."""

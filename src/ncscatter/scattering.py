@@ -11,7 +11,7 @@ subspaces:
 * the image of the vacuum base-defect copy under the adjoint
   intertwiner (the star-wandering part), which is exactly the
   orthogonal complement of the translates of the whole corner part,
-  read off the corner block of the dilation letters.
+  read off the corner of the lifted stage block.
 
 Every function here measures one piece of that decomposition at a
 finite truncation depth, where all of it holds exactly.  The shift
@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .dilation import Dilation
-from .intertwiner import apply_intertwiner_adjoint, base_space, lift_space
+from .intertwiner import apply_intertwiner_adjoint
 from .lifting import LiftingInstance
 
 
@@ -41,7 +40,7 @@ def star_wandering_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     isometry) and their base-space rows vanish up to rounding; see
     :func:`base_leak`.
     """
-    sp = base_space(instance, depth)
+    sp = instance.dilation_c.space(depth)
     batch = np.zeros((sp.dim, instance.rank_c), dtype=np.complex128)
     batch[sp.slot(())] = np.eye(instance.rank_c)
     return apply_intertwiner_adjoint(instance, batch, depth)
@@ -64,10 +63,10 @@ def shifted_star_frames(instance: LiftingInstance, depth: int, max_len: int) -> 
         raise DepthError(f"word length {max_len} does not fit in depth {depth}")
     if max_len < 0:
         raise DepthError("word length must be nonnegative")
-    dil = Dilation(instance.e, instance.defect_e)
+    dil = instance.dilation_e
     base_depth = depth - max_len
     levels = dil.translates(star_wandering_frame(instance, base_depth), base_depth, max_len)
-    return np.hstack([lift_space(instance, depth).pad(level) for level in levels])
+    return np.hstack([dil.space(depth).pad(level) for level in levels])
 
 
 def wandering_violation(frames: np.ndarray, width: int) -> float:
@@ -96,18 +95,19 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
 
     The letters shift Fock levels 0 to depth - 1 onto levels 1 to depth,
     so this is :func:`.linalg.complement_onb` of their corner block
-    ``c = [c_1 ... c_d]``, ``c_j = [A_j ; (D_E)_j]`` on ``H_A`` (columns
-    orthonormal by the defect identity of E), zero-padded below.  It is
-    exactly zero on levels 1 to depth, where the star frame's rounding
-    dust enters the angle of :func:`verify_complement`.
+    ``c = [c_1 ... c_d]``, ``c_j = [A_j ; (D_E)_j]`` on ``H_A``, cut from
+    the lifted stage block (columns orthonormal by the defect identity
+    of E), zero-padded below.  It is exactly zero on levels 1 to depth,
+    where the star frame's rounding dust enters the angle of
+    :func:`verify_complement`.
     """
     if depth < 1:
         raise DepthError("complement needs depth at least 1")
-    e, dd, nc = instance.e, instance.defect_e, instance.dim_c
-    c = np.hstack(
-        [np.vstack([e.op(j), dd.coord_component(j)])[nc:, nc:] for j in range(1, instance.d + 1)]
-    )
-    below = lift_space(instance, depth).dim - nc - c.shape[0]
+    dil, nc = instance.dilation_e, instance.dim_c
+    rows = dil.stage[nc:]
+    c = rows.reshape(len(rows), instance.d, instance.dim_e)[:, :, nc:]
+    c = c.reshape(len(rows), instance.d * instance.dim_a)
+    below = dil.space(depth).dim - nc - c.shape[0]
     return np.pad(linalg.complement_onb(c), ((0, below), (0, 0)))
 
 
@@ -138,7 +138,7 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     on the rows of Fock level m and zero on every other row of their
     depth-m space.  Measured as the largest norm at one word.
     """
-    dil = Dilation(instance.e, instance.defect_e)
+    dil = instance.dilation_e
     r = instance.rank_e
     vacuum = dil.space(0)
     level = np.zeros((vacuum.dim, r), dtype=np.complex128)

@@ -39,7 +39,6 @@ from functools import cache
 import numpy as np
 
 from . import charfn, scattering, transfer
-from .dilation import Dilation
 from .intertwiner import blocks, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import (
@@ -84,13 +83,6 @@ class CheckResult:
         return f"{state}  {self.name:32s} {detail}"
 
 
-def _dilation_pair(instance: LiftingInstance) -> tuple[Dilation, Dilation]:
-    return (
-        Dilation(instance.c, instance.defect_c),
-        Dilation(instance.e, instance.defect_e),
-    )
-
-
 DilationRows = list[tuple[UnitSplit, list[UnitSplit]]]
 
 
@@ -98,7 +90,7 @@ def _dilation_matrices(instance: LiftingInstance, depth: int) -> DilationRows:
     """The row ``[V_1 ... V_d]`` from depth-1 to depth, for the base dilation
     then the lifted one, as its split, with each ``V_j`` cut from it."""
     out = []
-    for dil in _dilation_pair(instance):
+    for dil in (instance.dilation_c, instance.dilation_e):
         row = dil.matrix(depth - 1)
         width = dil.space(depth - 1).dim
         out.append((row, [row.columns(k * width, (k + 1) * width) for k in range(dil.d)]))
@@ -128,7 +120,7 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     """P_H V_w restricted to H equals the word product of the tuple."""
     worst = 0.0
     length = min(3, depth)
-    for dil in _dilation_pair(instance):
+    for dil in (instance.dilation_c, instance.dilation_e):
         n = dil.t.dim
         root = np.eye(dil.space(0).dim, n, dtype=np.complex128)
         words = enumerate_words(dil.d, length)

@@ -6,6 +6,9 @@ from ncscatter.rowtuple import OperatorTuple
 
 RT2 = 1.0 / np.sqrt(2.0)
 
+# the shapes (d, dimC, dimA) of the benchmark's verify sweep
+SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
+
 
 def balanced_pair_tuple():
     """Coisometric pair (1/sqrt2, 1/sqrt2) on a one-dimensional space."""

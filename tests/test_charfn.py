@@ -18,7 +18,7 @@ from ncscatter.charfn import (
     symbol_blocks,
     vacuum_restriction_violation,
 )
-from ncscatter.intertwiner import intertwiner_matrix, lift_space
+from ncscatter.intertwiner import intertwiner_matrix
 from ncscatter.transfer import build_colligation, random_series, transfer_series
 from ncscatter.words import enumerate_words, reverse
 
@@ -126,7 +126,7 @@ def coincidence(inst, depth):
 
 def vacuum_restriction(inst, depth):
     # the vacuum columns read off the full matrix, not the probe pass
-    cols = intertwiner_matrix(inst, depth)[:, lift_space(inst, depth).slot(())]
+    cols = intertwiner_matrix(inst, depth)[:, inst.dilation_e.space(depth).slot(())]
     return vacuum_restriction_violation(inst, charfn_series(inst, depth), cols)
 
 
@@ -167,7 +167,7 @@ class TestIntertwinerRestriction:
         # signal loaded word by word through reversal
         inst, depth = SWEEP[idx], 3
         signal = random_series(inst.rank_e, 1, inst.d, depth, seed=idx)
-        dom = lift_space(inst, depth)
+        dom = inst.dilation_e.space(depth)
         load = np.zeros((dom.dim, inst.rank_e + 1), dtype=np.complex128)
         load[dom.slot(()), : inst.rank_e] = np.eye(inst.rank_e)
         for w in enumerate_words(dom.d, dom.depth):

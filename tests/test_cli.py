@@ -11,6 +11,7 @@ import pytest
 import ncscatter
 from ncscatter import serialize
 from ncscatter.cli import build_parser, main
+from conftest import SWEEP_SHAPES
 from test_serialize import json_oracle, oracle_entries, oracle_matrix
 
 
@@ -288,9 +289,6 @@ def oracle_texts(inst_path, depth, verify) -> dict:
         checks = run_all_checks(serialize.instance_from_json(raw, strict=False), depth)
         texts["verify"] = serialize.report_to_json(checks)
     return {cmd: json_oracle(obj) for cmd, obj in texts.items()}
-
-
-SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 
 
 class TestByteIdentity:

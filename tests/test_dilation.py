@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import RT2, balanced_pair_tuple, contraction_tuple, dense_letter
+from conftest import RT2, SWEEP_SHAPES, balanced_pair_tuple, contraction_tuple, dense_letter
 
 from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
 from ncscatter.lifting import generate
@@ -141,6 +141,13 @@ class TestApplyHandValues:
         assert out[cod.slot((1, 2))][0] == 1.0
         assert out[cod.slot(())][0] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("j", [0, -1, 3])
+    def test_letter_outside_alphabet(self, j):
+        # a slice of the stage block would read j = -1 as letter d - 1
+        dil = make_dilation(balanced_pair_tuple())
+        with pytest.raises(IndexError):
+            dil.apply(j, np.ones(dil.space(0).dim), 0)
+
     def test_base_dim_mismatch(self):
         dil = make_dilation(balanced_pair_tuple())
         with pytest.raises(InnerSpaceMismatch):
@@ -275,10 +282,35 @@ class TestZeroRank:
     @pytest.mark.parametrize("d", [1, 2])
     def test_apply_and_matrix_shapes(self, d):
         inst = generate(d, 2, 0, seed=0)
-        for dil in (Dilation(inst.c, inst.defect_c), Dilation(inst.e, inst.defect_e)):
+        for dil in (inst.dilation_c, inst.dilation_e):
             for depth in range(3):
                 dom, cod = dil.space(depth), dil.space(depth + 1)
                 row = dil.matrix(depth)
                 assert (row.n_rows, row.n_cols) == (cod.dim, dil.d * dom.dim)
                 empty = np.zeros((dom.dim, 0))
                 assert dil.apply(d, empty, depth).shape == (cod.dim, 0)
+
+
+class TestStage:
+    # the stage block U = [[T_1 ... T_d], [(D)_1 ... (D)_d]] of both
+    # dilations of every generated instance
+
+    @pytest.mark.parametrize("a_scale", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2),))
+    def test_letter_blocks_and_unitarity(self, shape, a_scale):
+        for seed in range(3):
+            inst = generate(*shape, seed=seed, a_scale=a_scale)
+            for dil in (inst.dilation_c, inst.dilation_e):
+                n, d = dil.t.dim, dil.d
+                u = dil.stage
+                assert u.shape == (n + dil.defect.rank, d * n) and u.shape[0] == u.shape[1]
+                for j in range(1, d + 1):
+                    want = np.vstack([dil.t.op(j), dil.defect.coord_component(j)])
+                    assert np.array_equal(u[:, (j - 1) * n : j * n], want)
+                eye = np.eye(d * n)
+                assert operator_norm(u.conj().T @ u - eye) <= 1e-14
+                assert operator_norm(u @ u.conj().T - eye) <= 1e-14
+
+    def test_built_once(self, plain_instance):
+        dil = plain_instance.dilation_e
+        assert plain_instance.dilation_e is dil and dil.stage is dil.stage

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import SWEEP_SHAPES
 
 from ncscatter import linalg
 from ncscatter.lifting import (
@@ -18,8 +19,6 @@ from ncscatter.rowtuple import OperatorTuple
 from ncscatter.verify import all_passed, run_all_checks
 
 RT2 = 1.0 / np.sqrt(2.0)
-
-SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 
 SWEEP = [
     (2, 1, 0, 0),

@@ -2,12 +2,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import dense_letter, dense_split, unit_rmatmul
+from conftest import SWEEP_SHAPES, dense_letter, dense_split, unit_rmatmul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncscatter import linalg
-from ncscatter.dilation import Dilation
 from ncscatter.lifting import generate
 from ncscatter.linalg import (
     DimensionError,
@@ -23,7 +22,6 @@ from ncscatter.linalg import (
 )
 
 PROJ = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 
 
 def random_matrix(rng, rows, cols):
@@ -383,7 +381,7 @@ class TestUnitSplit:
 
     def test_split_of_dilation_matrix_holds_no_full_width_array(self):
         inst = generate(2, 2, 2, seed=1)
-        dil = Dilation(inst.e, inst.defect_e)
+        dil = inst.dilation_e
         row = dil.matrix(5)
         width = dil.space(5).dim
         assert row.n_rows == dil.space(6).dim and row.n_cols == 2 * width
@@ -406,7 +404,7 @@ class TestUnitSplit:
         # letters have exact unit base columns, which stay in the rest
         for a_scale in (0.0, 0.9, 1.0):
             inst = generate(*shape, seed=2, a_scale=a_scale)
-            for dil in (Dilation(inst.c, inst.defect_c), Dilation(inst.e, inst.defect_e)):
+            for dil in (inst.dilation_c, inst.dilation_e):
                 for depth in range(5):
                     row, width = dil.matrix(depth), dil.space(depth).dim
                     assert row.rest.size == dil.d * dil.t.dim

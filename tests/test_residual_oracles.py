@@ -15,15 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import unit_rmatmul
+from conftest import SWEEP_SHAPES, unit_rmatmul
 
 from ncscatter import scattering, verify
-from ncscatter.dilation import Dilation
 from ncscatter.intertwiner import BLOCK, blocks, intertwiner_matrix
 from ncscatter.lifting import Infeasible, RankClampBand, generate
 from ncscatter.linalg import fold_rows, hermitian_norm, operator_norm, stack_norm
-
-SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0)]
 
 
 def dense_intertwining_norms(w_deep, w_flat, mats):
@@ -42,7 +39,7 @@ def dense_coisometry(w):
 
 def dense_shift_decomposition(instance, depth):
     # oracle: every level of translates held at once
-    dil = Dilation(instance.e, instance.defect_e)
+    dil = instance.dilation_e
     r = instance.rank_e
     vacuum = dil.space(0)
     root = np.zeros((vacuum.dim, r), dtype=np.complex128)

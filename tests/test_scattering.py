@@ -2,10 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import dense_letter
+from conftest import SWEEP_SHAPES, dense_letter
 
-from ncscatter.dilation import Dilation
-from ncscatter.intertwiner import lift_space
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.scattering import (
@@ -28,10 +26,6 @@ SWEEP = [
 ]
 
 
-# the shapes of the benchmark's verify sweep: (d, dimC, dimA)
-SWEEP_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0)]
-
-
 def blocks(frames, width):
     """The translate frames of a side-by-side family, one per word."""
     return [frames[:, k : k + width] for k in range(0, frames.shape[1], width)]
@@ -52,7 +46,7 @@ def pairwise_wandering_violation(frames, width):
 
 def dense_complement_frame(instance, depth):
     # oracle: left null space of the stack from a full SVD
-    dil = Dilation(instance.e, instance.defect_e)
+    dil = instance.dilation_e
     nc = instance.dim_c
     stack = np.hstack([dense_letter(dil, j, depth - 1)[nc:, nc:] for j in range(1, instance.d + 1)])
     u, s, _ = np.linalg.svd(stack, full_matrices=True)
@@ -67,7 +61,7 @@ def closed_form_frame(instance, depth):
     emb = np.zeros((d * ne, instance.rank_c), dtype=np.complex128)
     for j in range(d):
         emb[j * ne : j * ne + nc] = stacked[j * nc : (j + 1) * nc]
-    sp = lift_space(instance, depth)
+    sp = instance.dilation_e.space(depth)
     out = np.zeros((sp.dim, instance.rank_c), dtype=np.complex128)
     out[:ne] = instance.e.row() @ emb
     out[sp.slot(())] = instance.defect_e.basis.conj().T @ (
@@ -109,7 +103,7 @@ class TestStarWanderingFrame:
         assert inst.rank_c == rank_c
         for depth in range(3):
             frame = star_wandering_frame(inst, depth)
-            assert frame.shape == (lift_space(inst, depth).dim, rank_c)
+            assert frame.shape == (inst.dilation_e.space(depth).dim, rank_c)
 
 
 class TestWandering:
@@ -130,13 +124,13 @@ class TestWandering:
         # the block of word (2, 1) is V_2 V_1 applied to the frame (up to
         # rounding: the base rows come from one product on a whole level)
         inst, r = plain_instance, plain_instance.rank_c
-        dil = Dilation(inst.e, inst.defect_e)
+        dil = inst.dilation_e
         frames = shifted_star_frames(inst, 3, 2)
         frame = star_wandering_frame(inst, 1)
         want = dil.apply(2, dil.apply(1, frame, 1), 2)
-        assert frames.shape == (lift_space(inst, 3).dim, 7 * r)
+        assert frames.shape == (inst.dilation_e.space(3).dim, 7 * r)
         assert np.allclose(blocks(frames, r)[5], want, rtol=0, atol=1e-15)
-        assert np.array_equal(blocks(frames, r)[0], lift_space(inst, 3).pad(frame))
+        assert np.array_equal(blocks(frames, r)[0], inst.dilation_e.space(3).pad(frame))
 
     def test_doctored_frames_fail(self, plain_instance):
         r = plain_instance.rank_c

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ncscatter import charfn, lifting, linalg, ncsystem, scattering, serialize, transfer, verify
 from ncscatter.dilation import Dilation
-from ncscatter.intertwiner import base_space, lift_space
 from ncscatter.transfer import NCSeries
 from ncscatter.words import level_start
 from ncscatter.verify import CheckResult, all_passed, render_report, run_all_checks
@@ -255,7 +254,7 @@ class TestMutations:
             w = original(instance, depth)
             if depth == 3:
                 # the last entry of the block that the depth-2 truncation shares
-                rows, cols = base_space(instance, 2).dim, lift_space(instance, 2).dim
+                rows, cols = instance.dilation_c.space(2).dim, instance.dilation_e.space(2).dim
                 w[rows - 1, cols - 1] += 1e-6
             return w
 
@@ -316,14 +315,22 @@ class TestMutations:
         monkeypatch.setattr(transfer, "transfer_series", scaled)
         assert "transfer_contraction" in self.failing(no_corner_instance)
 
-    def test_one_translate_entry(self, monkeypatch, plain_instance):
+    @staticmethod
+    def bump_translates(monkeypatch, instance, side, entry):
+        """The instance's cached dilation of ``side`` ("c" or "e"), with 1e-6
+        added to ``entry`` of the last level of every translates call."""
+
         class Bumped(Dilation):
             def translates(self, x, depth, length):
                 levels = super().translates(x, depth, length)
-                levels[-1][-1, -1] += 1e-6
+                levels[-1][entry] += 1e-6
                 return levels
 
-        monkeypatch.setattr(scattering, "Dilation", Bumped)
+        t, dd = (instance.c, instance.defect_c) if side == "c" else (instance.e, instance.defect_e)
+        monkeypatch.setitem(instance.__dict__, f"dilation_{side}", Bumped(t, dd))
+
+    def test_one_translate_entry(self, monkeypatch, plain_instance):
+        self.bump_translates(monkeypatch, plain_instance, "e", (-1, -1))
         assert "shift_decomposition" in self.failing(plain_instance)
 
     def test_corner_row_of_the_star_frame(self, monkeypatch, plain_instance):
@@ -384,14 +391,9 @@ class TestMutations:
         assert "wandering_orthogonality" in self.failing(plain_instance)
 
     def test_one_head_entry_of_a_translate(self, monkeypatch, plain_instance):
-        # the compression reads the base-space rows of the translates
-        class Bumped(Dilation):
-            def translates(self, x, depth, length):
-                levels = super().translates(x, depth, length)
-                levels[-1][0, -1] += 1e-6
-                return levels
-
-        monkeypatch.setattr(verify, "Dilation", Bumped)
+        # the compression reads the base-space rows of the translates,
+        # and only it translates through the base dilation
+        self.bump_translates(monkeypatch, plain_instance, "c", (0, -1))
         assert self.failing(plain_instance) == {"dilation_compression"}
 
     def test_first_entry_of_the_deep_intertwiner(self, monkeypatch, plain_instance):
@@ -526,25 +528,38 @@ class TestBenchmarkNames:
                 owner = getattr(owner, part)
             assert callable(owner), f"{module}.{attr}"
 
-    def test_traced_verify_op_calls_every_deep_layer(self, tmp_path):
-        # the tracer wraps the layers by name, whatever their signatures;
-        # a traced verify-deep op must call each layer mapped to it, and
-        # build each dilation's row once
+    @staticmethod
+    def traced_op(tmp_path, workload):
+        """The tracer of one op of ``workload`` at depth 2, on a (2,2,2) seed-5
+        input (the verify-sweep op generates its own, of shape (2,2,1))."""
         tracing, workloads = load_bench("tracing"), load_bench("workloads")
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         code, text = workloads.run_cli(workloads._generate(2, 2, 2, 5, inputs / "inst-0.json"))
         assert code == 0, text
-        (op,) = workloads.make_ops("verify-deep", [5], 2, inputs, tmp_path)
+        (op,) = workloads.make_ops(workload, [5], 2, inputs, tmp_path)
         tracer = tracing.Tracer()
         tracer.install()
         try:
             run = workloads.run_op(op, tracer)
         finally:
             tracer.uninstall()
-        assert run.error is None and run.codes == [0], run.output
+        assert run.error is None and set(run.codes) == {0}, run.output
+        return tracer
+
+    def test_traced_verify_op_calls_every_deep_layer(self, tmp_path):
+        # the tracer wraps the layers by name, whatever their signatures;
+        # a traced verify-deep op must call each layer mapped to it, and
+        # build each dilation's row once
+        tracer = self.traced_op(tmp_path, "verify-deep")
         assert tracer.unmapped("verify-deep") == []
         assert tracer.calls()["dilation.Dilation.matrix"] == 2
+
+    @pytest.mark.parametrize("workload", ["verify-sweep", "export-deep"])
+    def test_traced_op_calls_every_mapped_layer(self, tmp_path, workload):
+        # a layer of the map that an op never calls makes its run report
+        # correct: false, as a renamed or bypassed stage would
+        assert self.traced_op(tmp_path, workload).unmapped(workload) == []
 
     def test_check_names_in_order(self, no_corner_instance):
         names = [r.name for r in run_all_checks(no_corner_instance, 2)]
