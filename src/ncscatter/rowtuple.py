@@ -83,6 +83,10 @@ class DefectData:
     _components: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def coord_component(self, j: int) -> np.ndarray:
+        """Letter-indexed access, j in 1..d."""
+        d = len(self._components)
+        if not 1 <= j <= d:
+            raise IndexError(f"letter {j} outside 1..{d}")
         return self._components[j - 1]
 
 

@@ -18,9 +18,12 @@ itself writes the tree, with a reserved string in place of each series
 (a tree holding that string is refused).  A series is written straight
 from its coefficient stack: one template holds its literal text, with
 separators fixed by the indent level, word texts built level by level
-and a ``%r`` slot per float, and one ``%`` fills it from the ``tolist``
-of the float view (``%r`` of a float is its ``float.__repr__``).  The
-pieces are joined once per document.
+and a ``%s`` slot per float, and one ``%`` fills it from
+:func:`_float_texts` of the float view.  That helper writes every float
+of the stack in one ``orjson`` pass, whose shortest round-trip digits
+(Ryu) are those of ``float.__repr__``, and rewrites the few layouts in
+which the two differ, so each text is byte for byte ``repr`` of its
+float.  The pieces are joined once per document.
 
 An instance file stores only the three defining blocks (and the
 generator seed when there is one); defect operators, bases and the
@@ -294,22 +297,53 @@ def _word_texts(d: int, depth: int, level: int) -> list[str]:
     return texts
 
 
+def _float_texts(flat: np.ndarray) -> list[str]:
+    """``float.__repr__`` of every entry of the finite float64 vector
+    ``flat``, from one ``orjson`` pass.
+
+    Ryu writes the same shortest digits as ``repr`` and the same layout,
+    except in three ranges of ``|x|``, picked out by masks and rewritten:
+    ``1e-9 <= |x| < 1e-5`` has a one-digit exponent (``1e-7`` for
+    ``1e-07``), ``|x| >= 1e16`` an unsigned one (``1e16`` for
+    ``1e+16``), and ``1e-5 <= |x| < 1e-4`` is written without one
+    (``0.0000123`` for ``1.23e-05``).  Rounding is monotone, so a float
+    on either side of a bound has its shortest digits on that side too.
+    """
+    import orjson
+
+    if not flat.size:
+        return []
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(flat)
+    for k in np.flatnonzero((size >= 1e-9) & (size < 1e-5)).tolist():
+        texts[k] = texts[k].replace("e-", "e-0")
+    for k in np.flatnonzero(size >= 1e16).tolist():
+        texts[k] = texts[k].replace("e", "e+")
+    for k in np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist():
+        # "[-]0.0000" then the digits; no other "0.0000" follows it
+        sign, digits = texts[k].split("0.0000")
+        point = "." if len(digits) > 1 else ""
+        texts[k] = f"{sign}{digits[0]}{point}{digits[1:]}e-05"
+    return texts
+
+
 def _write_series(series: NCSeries, level: int, out: list) -> None:
     """The graded-lex ``{"word", "matrix"}`` entry list of ``series``: one
-    template of literal text with a ``%r`` slot per float, filled once."""
+    template of literal text with a ``%s`` slot per float, filled once
+    from the float texts of the stack."""
     stack = np.ascontiguousarray(series.coeffs, dtype=np.complex128)
     if not np.isfinite(stack).all():
         raise ValueError("non-finite series coefficient")
     _, rows, cols = stack.shape
     nl1, nl2, nl3, nl4, nl5 = (_nl(level + k) for k in range(1, 6))
     head = nl1 + "{" + nl2 + '"matrix": {' + nl3 + f'"cols": {cols},' + nl3 + '"data": '
-    pair = "[" + nl5 + "%r," + nl5 + "%r" + nl4 + "]"
+    pair = "[" + nl5 + "%s," + nl5 + "%s" + nl4 + "]"
     data = "[" + nl4 + ("," + nl4).join([pair] * (rows * cols)) + nl3 + "]" if rows * cols else "[]"
     mid = "," + nl3 + f'"rows": {rows}' + nl2 + "}," + nl2 + '"word": '
     entry, close = head + data + mid, nl1 + "}"
     words = _word_texts(series.d, series.depth, level + 2)
     template = "[" + entry + (close + "," + entry).join(words) + close + _nl(level) + "]"
-    out.append(template % tuple(stack.reshape(-1).view(np.float64).tolist()))
+    out.append(template % tuple(_float_texts(stack.reshape(-1).view(np.float64))))
 
 
 def _nonfinite_path(obj, path: str = "") -> str | None:

@@ -122,6 +122,12 @@ class TestDefect:
         assert np.allclose(dd.coord_component(1), [[RT2]], atol=1e-12)
         assert np.allclose(dd.coord_component(2), [[-RT2]], atol=1e-12)
 
+    @pytest.mark.parametrize("j", [0, -1, 3])
+    def test_letter_outside_range(self, coiso_pair, j):
+        # a bare j - 1 index would read letter d's block at 0
+        with pytest.raises(IndexError, match=f"^letter {j} outside 1\\.\\.2$"):
+            defect(coiso_pair).coord_component(j)
+
     def test_sqrt_identity(self):
         rng = np.random.default_rng(1)
         t = random_tuple(rng, 3, 2, scale=0.8)

@@ -505,7 +505,24 @@ class TestWriter:
         assert not isinstance(got.value, serialize.SchemaError)
 
 
-SPECIAL = [-0.0, 0.0, 1e16, 1e-5, 5e-324, -1.5]
+# values at the edges of and inside the ranges where the float writer
+# rewrites Ryu's layout
+LAYOUT_BOUNDS = [
+    1.2345e-05,
+    9.999999999999999e-05,
+    1e-4,
+    1e-7,
+    3e-9,
+    1e-9,
+    1e-100,
+    9999999999999998.0,
+    1.2345678901234568e17,
+    1.7976931348623157e308,
+    2.2250738585072014e-308,
+]
+SPECIAL = [-0.0, 0.0, 1e16, 1e-5, 5e-324, -1.5] + [
+    sign * x for x in LAYOUT_BOUNDS for sign in (1.0, -1.0)
+]
 STACK_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
 
 
@@ -569,9 +586,19 @@ class TestSeriesWriter:
     def test_special_values(self):
         # every special value as a real and as an imaginary part
         parts = np.array([[re, im] for re in SPECIAL for im in SPECIAL])
-        values = NCSeries(2, 1, parts.view(np.complex128).reshape(3, 12, 1))
+        values = NCSeries(1, 0, parts.view(np.complex128).reshape(1, -1, 1))
         obj = serialize.series_to_json(values)
         assert serialize.dump_text(obj) == json_oracle(oracle_tree(obj))
+
+    def test_float_texts_are_repr(self):
+        # random bit patterns reach every exponent, scaled normals fill
+        # each decade between 1e-13 and 1e21 densely
+        rng = np.random.default_rng(25)
+        bits = rng.integers(0, 2**64, size=10**5, dtype=np.uint64).view(np.float64)
+        scaled = [rng.standard_normal(1000) * 10.0**k for k in range(-12, 21)]
+        for flat in [bits[np.isfinite(bits)], *scaled, np.zeros(0)]:
+            want = [float.__repr__(x) for x in flat.tolist()]
+            assert serialize._float_texts(flat) == want
 
     @settings(max_examples=60, deadline=None)
     @given(
