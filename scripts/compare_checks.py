@@ -20,8 +20,14 @@ another value names it.  For each check the script
 prints the rows whose verdict changed, the largest upward and downward
 move of the violation, and the worst value on each side; before that
 it prints each tree's peak RSS, the ``ru_maxrss`` of its grid
-subprocess, and that subprocess's wall time.  It exits 1 on any change
-of verdict, error, check name or threshold, and 0 otherwise.
+subprocess, that subprocess's wall time and the BLAS thread count it
+ran at.  It exits 1 on any change of verdict, error, check name or
+threshold, and 0 otherwise.
+
+Each grid subprocess runs with ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 2, as the
+benchmark sets them: some rows move by rounding with the thread count,
+so both trees must run at the same one.
 
 With ``--exports`` it compares bytes instead: for each instance of the
 grid, each tree writes the ``generate``, ``transfer``, ``charfn`` and
@@ -58,6 +64,9 @@ import tempfile
 import time
 from pathlib import Path
 
+# the benchmark's pin (ncbench/run.py), set in each grid subprocess before numpy loads
+BLAS_THREADS = "2"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 A_SCALE = 0.9  # generate's default
 # (shape (d, dimC, dimA), seeds, depth, a_scale)
@@ -160,6 +169,7 @@ def run_tree(src: str, mode: str, grid: str) -> dict:
     """What ``--<mode> <grid>`` prints for the tree under ``src``, from a fresh
     process, with the process's wall time in seconds under ``wall_s``."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    env.update(dict.fromkeys(THREAD_VARS, BLAS_THREADS))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), f"--{mode}", grid],
@@ -274,6 +284,7 @@ def main() -> int:
         lines[:0] = [
             f"peak RSS of the grid process: {peaks}",
             f"wall time of the grid process: {walls}",
+            f"BLAS threads of the grid process: {BLAS_THREADS} ({', '.join(THREAD_VARS)})",
         ]
     print("\n".join(lines))
     return 1 if differs else 0

@@ -7,12 +7,23 @@ nonzero violation, and exits nonzero if anything fails, so it doubles
 as a quick soak test:
 
     python3 scripts/seed_sweep.py --seeds 20 --d 2 --dim-c 2 --dim-a 2
+
+Run as a script, it sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 2 before numpy loads, as the benchmark does:
+some rows move by rounding with the BLAS thread count.
 """
 
 import argparse
 import math
+import os
 import sys
 import time
+
+# the benchmark's pin (ncbench/run.py)
+BLAS_THREADS = "2"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":
+    os.environ.update(dict.fromkeys(THREAD_VARS, BLAS_THREADS))
 
 from ncscatter import serialize
 from ncscatter.lifting import generate
@@ -60,7 +71,7 @@ def main() -> int:
         print(f"worst headroom: {headroom[0]:.3f} decades ({headroom[1]}, seed {headroom[2]})")
     print(
         f"{args.seeds} instances (d={args.d}, dims ({args.dim_c},{args.dim_a}), "
-        f"depth {args.depth}) in {elapsed:.2f} s"
+        f"depth {args.depth}) in {elapsed:.2f} s at {BLAS_THREADS} BLAS threads"
     )
     if args.output:
         serialize.save(args.output, serialize.report_to_json(results))

@@ -28,17 +28,15 @@ The norm kernels cut further, each step exact:
   intertwining check, where almost every row lies on the same few
   base-space columns.
 
-Products with a matrix whose columns are mostly isolated exact 1.0
-entries (alone in their column and in their row) go through a
-:class:`UnitSplit`, which holds those columns as index pairs and turns
-their share of a product into copies.  Its maker knows the structure:
-:meth:`.dilation.Dilation.matrix` writes the row ``[V_1 ... V_d]`` of a
-dilation this way from index arithmetic, as every column but the base
-ones copies a Fock slot one level up.  :meth:`UnitSplit.columns` cuts a
-run of columns off a split, so each letter ``V_j`` is read off the row.
-A unit column of the row meets only exact zeros of every other column,
-so the Grams and cross Grams of the letters multiply only their rest
-blocks.
+A matrix whose columns are mostly isolated exact 1.0 entries (alone in
+their column and in their row) is held as a :class:`UnitSplit`: those
+columns as index pairs, the rest as one block.  Its maker knows the
+structure: :meth:`.dilation.Dilation.matrix` writes the row
+``[V_1 ... V_d]`` of a dilation this way from index arithmetic, as every
+column but the base ones copies a Fock slot one level up.
+:meth:`UnitSplit.columns` cuts a run of columns off a split, so each
+letter ``V_j`` is read off the row, and a product ``a @ V_j`` copies
+columns of ``a`` on the unit columns and multiplies only the rest.
 
 :func:`hermitian_sqrt` and :func:`clamped_sqrt` work on scale 1 with
 the fixed tolerance ``TOL_RANK``: their inputs are defect Grams of
@@ -161,13 +159,12 @@ class UnitSplit:
     columns ``rest`` are everything else, and ``block`` is ``m[:, rest]``;
     no other copy of ``m`` is held.  Both index arrays ascend, so
     :meth:`columns` cuts a run of columns, such as one letter of a row
-    ``[V_1 ... V_d]``, off the split.  Products copy or scatter on the
-    unit columns and multiply only the rest.  The zeros of a unit column
-    are exact: unlike a dense product they read no entry of the other
-    factor, so its inf or NaN there does not become a NaN (0 * inf).
-    Non-finite entries of ``m`` sit in rest columns and show as in the
-    dense product.  The same holds for :func:`gram_residual` and
-    :func:`row_residual`.
+    ``[V_1 ... V_d]``, off the split.  A product ``a @ m`` copies the
+    columns ``rows`` of ``a`` on the unit columns and multiplies only the
+    rest.  The zeros of a unit column are exact: unlike a dense product
+    they read no entry of the other factor, so its inf or NaN there does
+    not become a NaN (0 * inf).  Non-finite entries of ``m`` sit in rest
+    columns and show as in the dense product.
     """
 
     n_rows: int
@@ -191,35 +188,6 @@ class UnitSplit:
         span = self.rest_span(lo, hi)
         unit, rest = self.unit[i:k] - lo, self.rest[span] - lo
         return UnitSplit(self.n_rows, unit, self.rows[i:k], rest, self.block[:, span])
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``m @ x``: a unit column scatters one row of ``x``."""
-        out = self.block @ x[self.rest]
-        out[self.rows] += x[self.unit]
-        return out
-
-
-def gram_residual(split: UnitSplit) -> np.ndarray:
-    """``m* m - I`` on the rest columns.
-
-    A unit column is alone in its row, so its line of the residual is
-    exactly zero; only the rest columns are multiplied, densely, into
-    the square block on them.
-    """
-    return split.block.conj().T @ split.block - np.eye(split.block.shape[1])
-
-
-def row_residual(split: UnitSplit) -> tuple[np.ndarray, np.ndarray]:
-    """``I - m m*`` on the rows where it can be nonzero.
-
-    The row of a unit column is reached by no other column, so its line
-    of the residual is exactly zero; only the other rows are formed:
-    returns their mask and the square block on them.
-    """
-    live = np.ones(split.n_rows, dtype=bool)
-    live[split.rows] = False
-    block = split.block[live]
-    return live, np.eye(block.shape[0]) - block @ block.conj().T
 
 
 def hermitian_sqrt(m: np.ndarray) -> np.ndarray:

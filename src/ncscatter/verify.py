@@ -11,10 +11,15 @@ with the error message attached instead of aborting the run.
 memoised builder dropped after its last check so large matrices do
 not outlive it; a build that raises fails every check that needs it.
 
-Each dilation's row ``V = [V_1 ... V_d]`` is built once, as the
-:class:`.linalg.UnitSplit` of :meth:`.dilation.Dilation.matrix`, and its
-letters cut from that split; the dilation rows measure the letter
-blocks of ``V* V - I`` and ``I - V V*``.
+Each letter ``V_j`` is column block ``U_j`` of the stage block
+``U = [[T_1 ... T_d], [(D)_1 ... (D)_d]]`` (:attr:`.dilation.Dilation.stage`)
+on ``H`` and a level shift on the Fock part, whose columns are unit
+vectors alone in their rows.  So the dilation rows are identities of
+``U`` alone, at every depth: ``U_j* U_j - I``, ``U_i* U_j`` and
+``I - U U*``.  The intertwining row applies ``V_j`` through
+:meth:`.dilation.Dilation.apply` and reads ``W V_j`` off the
+:class:`.linalg.UnitSplit` of :meth:`.dilation.Dilation.matrix`, built
+once per dilation.
 
 Norms are exact to rounding: besides the support and orientation cuts
 of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
@@ -34,23 +39,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
+from itertools import combinations
 
 import numpy as np
 
 from . import charfn, scattering, transfer
+from .dilation import Dilation
 from .intertwiner import blocks, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
-from .linalg import (
-    TOL_EQ,
-    UnitSplit,
-    fold_rows,
-    gram_residual,
-    hermitian_norm,
-    operator_norm,
-    row_residual,
-    stack_norm,
-)
+from .linalg import TOL_EQ, UnitSplit, fold_rows, hermitian_norm, operator_norm, stack_norm
 from .ncsystem import io_violation
 from .transfer import build_colligation, colligation_violations
 from .words import enumerate_words
@@ -83,37 +81,32 @@ class CheckResult:
         return f"{state}  {self.name:32s} {detail}"
 
 
-DilationRows = list[tuple[UnitSplit, list[UnitSplit]]]
-
-
-def _dilation_matrices(instance: LiftingInstance, depth: int) -> DilationRows:
-    """The row ``[V_1 ... V_d]`` from depth-1 to depth, for the base dilation
-    then the lifted one, as its split, with each ``V_j`` cut from it."""
-    out = []
+def _stages(instance: LiftingInstance):
+    """The stage block ``U`` and its letter blocks ``U_j``, for the base
+    dilation then the lifted one."""
     for dil in (instance.dilation_c, instance.dilation_e):
-        row = dil.matrix(depth - 1)
-        width = dil.space(depth - 1).dim
-        out.append((row, [row.columns(k * width, (k + 1) * width) for k in range(dil.d)]))
-    return out
+        n = dil.t.dim
+        yield dil.stage, [dil.stage[:, k * n : (k + 1) * n] for k in range(dil.d)]
 
 
-def _dilation_isometry(mats: DilationRows) -> float:
-    return max(operator_norm(gram_residual(v)) for _, letters in mats for v in letters)
+def _dilation_isometry(instance: LiftingInstance) -> float:
+    return max(
+        operator_norm(u.conj().T @ u - np.eye(u.shape[1]))
+        for _, letters in _stages(instance)
+        for u in letters
+    )
 
 
-def _dilation_orthogonal_ranges(mats: DilationRows) -> float:
-    """A unit column of the row is alone in its row, so it meets only
-    exact zeros of the other letters: only the rest blocks are multiplied."""
+def _dilation_orthogonal_ranges(instance: LiftingInstance) -> float:
     worst = 0.0
-    for _, letters in mats:
-        for i, vi in enumerate(letters):
-            for vj in letters[i + 1 :]:
-                worst = max(worst, operator_norm(vi.block.conj().T @ vj.block))
+    for _, letters in _stages(instance):
+        for ui, uj in combinations(letters, 2):
+            worst = max(worst, operator_norm(ui.conj().T @ uj))
     return worst
 
 
-def _dilation_row_unitary(mats: DilationRows) -> float:
-    return max(operator_norm(row_residual(row)[1]) for row, _ in mats)
+def _dilation_row_unitary(instance: LiftingInstance) -> float:
+    return max(operator_norm(np.eye(u.shape[0]) - u @ u.conj().T) for u, _ in _stages(instance))
 
 
 def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
@@ -131,19 +124,31 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def _intertwining_norms(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows):
+def _letters(dil: Dilation, depth: int) -> list[UnitSplit]:
+    """Each ``V_j`` from depth - 1 to depth, cut from the split of the row ``[V_1 ... V_d]``."""
+    row, width = dil.matrix(depth - 1), dil.space(depth - 1).dim
+    return [row.columns(k * width, (k + 1) * width) for k in range(dil.d)]
+
+
+def _intertwining_norms(instance: LiftingInstance, depth: int, w_deep, w_flat):
     """Per letter, both directions: W against V on the lift, W* against V on the base."""
-    for pair in zip(*(letters for _, letters in mats)):
-        yield _forward_norm(w_deep, w_flat, *pair), _star_norm(w_deep, w_flat, *pair)
+    base, lift = instance.dilation_c, instance.dilation_e
+    pairs = zip(_letters(base, depth), _letters(lift, depth))
+    for j, (v_base, v_lift) in enumerate(pairs, start=1):
+        yield (
+            _forward_norm(w_deep, w_flat, partial(base.apply, j, depth=depth - 1), v_lift),
+            _star_norm(w_deep, w_flat, v_base, partial(lift.apply, j, depth=depth - 1)),
+        )
 
 
-def _forward_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float:
+def _forward_norm(w_deep, w_flat, v_base, v_lift: UnitSplit) -> float:
     """``||W_N V^E_j - V^C_j W_{N-1}||``, formed one run of output columns at a time.
 
-    A unit column of ``V^E_j`` copies a column of ``W_N``, and the rest
-    columns come from one product.  Each block keeps only its nonzero
-    columns (most cancel exactly), so the norm decomposes the same
-    support block as for the whole residual.
+    ``v_base`` applies ``V^C_j`` to a batch.  A unit column of ``V^E_j``
+    copies a column of ``W_N``, and the rest columns come from one
+    product.  Each block keeps only its nonzero columns (most cancel
+    exactly), so the norm decomposes the same support block as for the
+    whole residual.
     """
     rest = w_deep @ v_lift.block
     kept = []
@@ -152,33 +157,34 @@ def _forward_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float
         out = np.empty((w_deep.shape[0], part.n_cols), dtype=np.complex128)
         out[:, part.unit] = w_deep[:, part.rows]
         out[:, part.rest] = rest[:, v_lift.rest_span(lo, hi)]
-        out -= v_base.matmul(w_flat[:, lo:hi])
+        out -= v_base(w_flat[:, lo:hi])
         kept.append(out[:, (out != 0).any(axis=0)])
     return operator_norm(np.hstack(kept))
 
 
-def _star_norm(w_deep, w_flat, v_base: UnitSplit, v_lift: UnitSplit) -> float:
+def _star_norm(w_deep, w_flat, v_base: UnitSplit, v_lift) -> float:
     """``||V^E_j W_{N-1}* - W_N* V^C_j||``, filled one run of columns at a time.
 
-    The adjoints are read as row slabs of ``W``, so no
-    conjugate copy of either matrix is made.  The residual is tall and
-    almost all of its rows lie on the same few columns, so its norm is
-    taken after :func:`.linalg.fold_rows`, which needs all of it.
+    ``v_lift`` applies ``V^E_j`` to a batch.  The adjoints are read as
+    row slabs of ``W``, so no conjugate copy of either matrix is made.
+    The residual is tall and almost all of its rows lie on the same few
+    columns, so its norm is taken after :func:`.linalg.fold_rows`, which
+    needs all of it.
     """
     rest = np.vstack(
         [w_deep[:, lo:hi].conj().T @ v_base.block for lo, hi in blocks(w_deep.shape[1])]
     )
-    star = np.empty((v_lift.n_rows, v_base.n_cols), dtype=np.complex128)
+    star = np.empty((w_deep.shape[1], v_base.n_cols), dtype=np.complex128)
     for lo, hi in blocks(v_base.n_cols):
         out, part = star[:, lo:hi], v_base.columns(lo, hi)
-        out[...] = v_lift.matmul(w_flat[lo:hi].conj().T)
+        out[...] = v_lift(w_flat[lo:hi].conj().T)
         out[:, part.unit] -= w_deep[part.rows].conj().T
         out[:, part.rest] -= rest[:, v_base.rest_span(lo, hi)]
     return operator_norm(fold_rows(star))
 
 
-def _intertwining(w_deep: np.ndarray, w_flat: np.ndarray, mats: DilationRows) -> float:
-    return max(max(pair) for pair in _intertwining_norms(w_deep, w_flat, mats))
+def _intertwining(instance: LiftingInstance, depth: int, w_deep, w_flat) -> float:
+    return max(max(pair) for pair in _intertwining_norms(instance, depth, w_deep, w_flat))
 
 
 def _intertwiner_coisometry(w: np.ndarray) -> float:
@@ -227,15 +233,13 @@ def run_all_checks(
             results.append(CheckResult.failure(name, threshold, str(exc)))
 
     check("lifting_identities", TOL_EQ, lambda: max(lifting_violations(instance).values()))
-    mats = cache(lambda: _dilation_matrices(instance, depth))
-    check("dilation_isometry", 1e-12, lambda: _dilation_isometry(mats()))
-    check("dilation_orthogonal_ranges", 1e-12, lambda: _dilation_orthogonal_ranges(mats()))
-    check("dilation_row_unitary", 1e-10, lambda: _dilation_row_unitary(mats()))
+    check("dilation_isometry", 1e-12, lambda: _dilation_isometry(instance))
+    check("dilation_orthogonal_ranges", 1e-12, lambda: _dilation_orthogonal_ranges(instance))
+    check("dilation_row_unitary", 1e-10, lambda: _dilation_row_unitary(instance))
     check("dilation_compression", 1e-10, lambda: _dilation_compression(instance, depth))
     w_mat = cache(lambda: intertwiner_matrix(instance, depth))
     w_flat = cache(lambda: intertwiner_matrix(instance, depth - 1))
-    check("intertwining", 1e-10, lambda: _intertwining(w_mat(), w_flat(), mats()))
-    del mats
+    check("intertwining", 1e-10, lambda: _intertwining(instance, depth, w_mat(), w_flat()))
     check("intertwiner_coisometry", 1e-10, lambda: _intertwiner_coisometry(w_mat()))
     check(
         "base_subspace_fixed", 1e-12, lambda: _base_subspace_fixed(w_mat(), instance.dim_c)

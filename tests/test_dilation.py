@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import RT2, SWEEP_SHAPES, balanced_pair_tuple, contraction_tuple, dense_letter
+from conftest import (
+    RT2,
+    SWEEP_SHAPES,
+    balanced_pair_tuple,
+    contraction_tuple,
+    dense_letter,
+    dense_split,
+)
 
 from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
 from ncscatter.lifting import generate
@@ -207,7 +214,7 @@ class TestFlatMatrices:
         for j in (1, 2):
             letter = row.columns((j - 1) * width, j * width)
             v = random_flat(dil.space(2), seed=j, width=3)
-            assert np.allclose(dil.apply(j, v, 2), letter.matmul(v), atol=1e-12)
+            assert np.allclose(dil.apply(j, v, 2), dense_split(letter) @ v, atol=1e-12)
 
     def test_adjoint_matrix_is_conjugate_transpose(self):
         # V_j* (ell (+) sum_w e_w x_w) = (T_j* ell + d_j* x_()) (+) sum_w e_w x_{jw}

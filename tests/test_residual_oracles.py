@@ -23,11 +23,13 @@ from ncscatter.lifting import Infeasible, RankClampBand, generate
 from ncscatter.linalg import fold_rows, hermitian_norm, operator_norm, stack_norm
 
 
-def dense_intertwining_norms(w_deep, w_flat, mats):
+def dense_intertwining_norms(instance, depth, w_deep, w_flat):
     # oracle: both residuals of every letter formed whole
-    for v_base, v_lift in zip(*(letters for _, letters in mats)):
-        forward = unit_rmatmul(v_lift, w_deep) - v_base.matmul(w_flat)
-        star = v_lift.matmul(w_flat.conj().T) - unit_rmatmul(v_base, w_deep.conj().T)
+    base, lift = instance.dilation_c, instance.dilation_e
+    pairs = zip(verify._letters(base, depth), verify._letters(lift, depth))
+    for j, (v_base, v_lift) in enumerate(pairs, start=1):
+        forward = unit_rmatmul(v_lift, w_deep) - base.apply(j, w_flat, depth - 1)
+        star = lift.apply(j, w_flat.conj().T, depth - 1) - unit_rmatmul(v_base, w_deep.conj().T)
         yield operator_norm(forward), operator_norm(fold_rows(star))
 
 
@@ -65,13 +67,12 @@ def outcome(run):
 
 
 def intertwiner_pair(instance, depth):
-    mats = verify._dilation_matrices(instance, depth)
-    return intertwiner_matrix(instance, depth), intertwiner_matrix(instance, depth - 1), mats
+    return intertwiner_matrix(instance, depth), intertwiner_matrix(instance, depth - 1)
 
 
-def assert_same_intertwining(w, flat, mats):
-    got = outcome(lambda: list(verify._intertwining_norms(w, flat, mats)))
-    assert got == outcome(lambda: list(dense_intertwining_norms(w, flat, mats)))
+def assert_same_intertwining(instance, depth, w, flat):
+    got = outcome(lambda: list(verify._intertwining_norms(instance, depth, w, flat)))
+    assert got == outcome(lambda: list(dense_intertwining_norms(instance, depth, w, flat)))
 
 
 @pytest.mark.parametrize("a_scale", [0.0, 0.9, 1.0])
@@ -86,7 +87,7 @@ def test_rows_equal_dense_formulas(shape, a_scale):
         flat = intertwiner_matrix(inst, 0)
         for depth in depths:
             w = intertwiner_matrix(inst, depth)
-            assert_same_intertwining(w, flat, verify._dilation_matrices(inst, depth))
+            assert_same_intertwining(inst, depth, w, flat)
             assert verify._intertwiner_coisometry(w) == dense_coisometry(w)
             got = scattering.verify_shift_decomposition(inst, depth)
             assert got == dense_shift_decomposition(inst, depth)
@@ -98,24 +99,24 @@ def ragged():
     """(3,2,1) at depth 4: W is 486 x 729, several blocks each way and a
     ragged last one, and W at depth 3 is 162 x 243."""
     inst = generate(3, 2, 1, seed=1)
-    w, flat, mats = intertwiner_pair(inst, 4)
+    w, flat = intertwiner_pair(inst, 4)
     assert all(n > 2 * BLOCK and n % BLOCK for n in w.shape + flat.shape)
-    return inst, w, flat, mats
+    return inst, w, flat
 
 
 def test_ragged_blocks_equal_dense_formulas(ragged):
-    inst, w, flat, mats = ragged
-    assert_same_intertwining(w, flat, mats)
+    inst, w, flat = ragged
+    assert_same_intertwining(inst, 4, w, flat)
     assert verify._intertwiner_coisometry(w) == dense_coisometry(w)
     assert scattering.verify_shift_decomposition(inst, 4) == dense_shift_decomposition(inst, 4)
 
 
 def test_random_matrices_of_the_same_shapes(ragged):
     # no residual entry cancels exactly, so every column is kept
-    _, w, flat, mats = ragged
+    inst, w, flat = ragged
     rng = np.random.default_rng(5)
     w, flat = (rng.standard_normal(m.shape + (2,)).view(complex)[..., 0] for m in (w, flat))
-    assert_same_intertwining(w, flat, mats)
+    assert_same_intertwining(inst, 4, w, flat)
 
 
 def test_coisometry_of_any_height():
@@ -149,11 +150,11 @@ def test_coisometry_of_any_height():
 @pytest.mark.parametrize("target", ["deep", "flat"])
 @pytest.mark.parametrize("entry", [(0, 0), (-1, -1), (1, -2), (-1, 0)])
 def test_non_finite_entries(ragged, bad, target, entry):
-    _, w, flat, mats = ragged
+    inst, w, flat = ragged
     w, flat = w.copy(), flat.copy()
     (w if target == "deep" else flat)[entry] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        assert_same_intertwining(w, flat, mats)
+        assert_same_intertwining(inst, 4, w, flat)
         got = outcome(lambda: verify._intertwiner_coisometry(w))
         assert got == outcome(lambda: dense_coisometry(w))
 
@@ -195,12 +196,13 @@ def transient(run):
 class TestMemory:
     @pytest.fixture(scope="class")
     def deep(self):
-        return intertwiner_pair(generate(2, 2, 2, seed=1), 7)
+        inst = generate(2, 2, 2, seed=1)
+        return inst, *intertwiner_pair(inst, 7)
 
     def test_intertwining_below_one_w(self, deep):
-        w, flat, mats = deep
-        assert transient(lambda: verify._intertwining(w, flat, mats)) < w.nbytes
+        inst, w, flat = deep
+        assert transient(lambda: verify._intertwining(inst, 7, w, flat)) < w.nbytes
 
     def test_coisometry_within_three_quarters_of_one_w(self, deep):
-        w, _, _ = deep
+        _, w, _ = deep
         assert transient(lambda: verify._intertwiner_coisometry(w)) <= 0.75 * w.nbytes

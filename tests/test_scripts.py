@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under ``scripts/`` at small sizes."""
 
 import importlib.util
+import json
 import os
 import re
 import shutil
@@ -98,6 +99,47 @@ def test_compare_checks_prints_wall_time():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     pattern = r"wall time of the grid process: base \d+\.\d s, change \d+\.\d s"
     assert re.fullmatch(pattern, proc.stdout.splitlines()[1]), proc.stdout
+
+
+def test_compare_checks_prints_blas_threads():
+    proc = run_script(
+        "compare_checks.py", ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke"]
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[2] == (
+        "BLAS threads of the grid process: 2 (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, "
+        "MKL_NUM_THREADS)"
+    )
+
+
+def test_blas_thread_count_keeps_every_verdict():
+    # the gate scripts pin 2 threads; a run at 1 thread moves values by
+    # rounding only (at most 1.8e-15 seen), never a verdict
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(SRC),
+            OMP_NUM_THREADS=threads,
+            OPENBLAS_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "compare_checks.py"), "--rows", "smoke"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout)["rows"])
+    one, two = runs
+    assert len(one) == len(two) == 39
+    for a, b in zip(one, two):
+        assert (a["instance"], a["check"], a["passed"], a["error"]) == (
+            b["instance"], b["check"], b["passed"], b["error"]
+        )
+        assert a["value"] == b["value"] or abs(a["value"] - b["value"]) <= 1e-14, (a, b)
 
 
 def test_compare_checks_deep_grid():

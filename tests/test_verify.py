@@ -5,11 +5,12 @@ import importlib
 import importlib.util
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import unit_rmatmul
+from conftest import dense_letter, unit_rmatmul
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,25 @@ class TestRunAllChecks:
         assert by_name["io_recursion"].passed
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1), (1, 2, 0)])
+@pytest.mark.parametrize("a_scale", [0.0, 0.9])
+def test_dilation_rows_are_the_dense_residuals_at_every_depth(shape, a_scale):
+    # the rows read the stage block alone; the dense letters at each
+    # depth give the same residual norms, as their other lines are zero
+    inst = lifting.generate(*shape, seed=1, a_scale=a_scale)
+    for depth in range(4):
+        iso, ortho, row = [], [0.0], []
+        for dil in (inst.dilation_c, inst.dilation_e):
+            letters = [dense_letter(dil, j, depth) for j in range(1, dil.d + 1)]
+            iso += [linalg.operator_norm(v.conj().T @ v - np.eye(v.shape[1])) for v in letters]
+            ortho += [linalg.operator_norm(a.conj().T @ b) for a, b in combinations(letters, 2)]
+            v = np.hstack(letters)
+            row.append(linalg.operator_norm(np.eye(v.shape[0]) - v @ v.conj().T))
+        assert verify._dilation_isometry(inst) == pytest.approx(max(iso), abs=1e-15)
+        assert verify._dilation_orthogonal_ranges(inst) == pytest.approx(max(ortho), abs=1e-15)
+        assert verify._dilation_row_unitary(inst) == pytest.approx(max(row), abs=1e-15)
+
+
 def count_calls(monkeypatch, targets):
     counts = {}
     for module, name in targets:
@@ -160,8 +180,9 @@ class TestSharedBuilds:
     @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1)])
     def test_each_dilation_letter_built_once(self, monkeypatch, shape):
         # the row [V_1 ... V_d] of the base and of the lifted dilation, one
-        # split each, whose letters the dilation and intertwining rows
-        # read; the complement reads the corner block instead of a third build
+        # split each, whose letters the intertwining row reads; the
+        # dilation rows read the stage block and the complement the
+        # corner block instead of a third build
         counts = count_calls(monkeypatch, [(Dilation, "matrix")])
         inst = lifting.generate(*shape, seed=1)
         assert all_passed(run_all_checks(inst, 3))
@@ -200,19 +221,16 @@ class TestMutations:
 
         monkeypatch.setattr(Dilation, "matrix", perturbed)
 
-    def test_fock_entry_of_dilation_matrix(self, monkeypatch, plain_instance):
-        def edit(dil, row, width):
-            # V_1's first base column on the first vacuum row, of (D)_1
-            row.block[dil.t.dim, 0] += 1e-6
-
-        self.patch_rows(monkeypatch, edit)
-        failing = self.failing(plain_instance)
+    def test_fock_entry_of_dilation_matrix(self, plain_instance):
+        # V_1's first base column on the first vacuum row, of (D)_1, in the
+        # stage block of both dilations
+        for dil in (plain_instance.dilation_c, plain_instance.dilation_e):
+            dil.stage[dil.t.dim, 0] += 1e-6
         assert {
             "dilation_isometry",
             "dilation_orthogonal_ranges",
             "dilation_row_unitary",
-            "intertwining",
-        } <= failing
+        } <= self.failing(plain_instance)
 
     def test_traded_unit_rows_of_two_letters(self, monkeypatch, plain_instance):
         def edit(dil, row, width):
@@ -230,8 +248,9 @@ class TestMutations:
             first = np.searchsorted(row.unit, [0, width])
             row.rows[first[0]] = row.rows[first[1]]
 
+        # the stage block is untouched, so the dilation rows rightly pass
         self.patch_rows(monkeypatch, edit)
-        assert {"dilation_row_unitary", "intertwining"} <= self.failing(plain_instance)
+        assert self.failing(plain_instance) == {"intertwining"}
 
     def test_one_entry_of_the_shallow_intertwiner(self, monkeypatch, plain_instance):
         original = verify.intertwiner_matrix
@@ -279,18 +298,18 @@ class TestMutations:
         # the two base columns, and those rows are folded; W_N[i, col]
         # adds to row ``col`` of the residual outside those columns
         depth = 3
-        mats = verify._dilation_matrices(plain_instance, depth)
-        v_base, v_lift = (letters[0] for _, letters in mats)
+        v_base = verify._letters(plain_instance.dilation_c, depth)[0]
         flat = verify.intertwiner_matrix(plain_instance, depth - 1)
         w = verify.intertwiner_matrix(plain_instance, depth)
         i, col = v_base.rows[-1], w.shape[1] - 1
-        support = (v_lift.matmul(flat.conj().T) - unit_rmatmul(v_base, w.conj().T)) != 0
+        lifted = plain_instance.dilation_e.apply(1, flat.conj().T, depth - 1)
+        support = (lifted - unit_rmatmul(v_base, w.conj().T)) != 0
         shared = (support == support[col]).all(axis=1)
         assert shared.sum() > support[col].sum() == plain_instance.dim_c
         assert not support[col, v_base.unit[-1]]
         w[i, col] += 1e-6
         # the star direction on its own sees the entry through the fold
-        (_, star), _ = verify._intertwining_norms(w, flat, mats)
+        (_, star), _ = verify._intertwining_norms(plain_instance, depth, w, flat)
         assert star > 5e-7
 
         original = verify.intertwiner_matrix
