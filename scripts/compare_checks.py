@@ -10,11 +10,13 @@ The full grid has 1416 rows: d = 2 dims (2,2) seeds 1-3 at depth 7, the
 seven sweep shapes x seeds 0-9 at depth 3, and (3,2,2) seed 1 at depth
 4.  ``--grid deep`` runs d = 2 dims (2,2) seeds 1-3 at depth 9 (about
 355 MB of peak RSS and 40 s per tree on 2 cores).  ``--grid edge`` runs
-the seven sweep shapes x seeds 0-2 at depth 3 with ``a_scale`` 0
-(``A = 0``) and 1 (an isometric corner).  At ``a_scale`` 0 the lifted
-dilation's ``dimA`` base columns are exact unit columns, so this is the
-grid where rows may move by rounding when a change reads those columns
-as rest instead of units, or the other way.  Every other grid draws its instances at
+the seven sweep shapes and (2,1,1) x seeds 0-2 at depth 3 with
+``a_scale`` 0 (``A = 0``) and 1 (an isometric corner), 918 rows.  At
+``a_scale`` 0 the lifted dilation's ``dimA`` base columns are exact unit
+columns, and the base letters of (2,1,1) have one column, whose products
+numpy computes in gemv instead of gemm, so this is the grid where rows
+may move by rounding when a change alters the shape of a product.
+Every other grid draws its instances at
 ``generate``'s default ``a_scale`` of 0.9, and only a row drawn at
 another value names it.  For each check the script
 prints the rows whose verdict changed, the largest upward and downward
@@ -77,7 +79,7 @@ GRIDS = {
         ((3, 2, 2), [1], 4, A_SCALE),
     ],
     "deep": [((2, 2, 2), range(1, 4), 9, A_SCALE)],
-    "edge": [(shape, range(3), 3, a) for shape in SWEEP_SHAPES for a in (0.0, 1.0)],
+    "edge": [(shape, range(3), 3, a) for shape in SWEEP_SHAPES + ((2, 1, 1),) for a in (0.0, 1.0)],
     "smoke": [((2, 2, 1), [0], 1, A_SCALE), ((2, 2, 0), [1], 2, A_SCALE)],
 }
 

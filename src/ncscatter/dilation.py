@@ -31,9 +31,9 @@ On H, V_j reads block j of the stage block :attr:`Dilation.stage`,
 ``U = [[T_1 ... T_d], [(D)_1 ... (D)_d]]``, unitary when the tuple is
 coisometric.  Every other column of V_j copies a Fock slot one level
 up: it is an exact unit vector, whose row the second index fact gives.
-So :meth:`Dilation.matrix` writes the row ``[V_1 ... V_d]`` as a
-:class:`.linalg.UnitSplit` straight from the tuple: ``U`` as the rest,
-and the unit columns with their rows.
+So a letter is ``U`` plus one integer table, and :meth:`Dilation.matrix`
+writes the row ``[V_1 ... V_d]`` as that table straight from the index
+arithmetic: the row each letter sends each Fock column to.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import UnitSplit
 from .rowtuple import DefectData, OperatorTuple
 from .words import Word, level_start, position
 
@@ -150,29 +149,15 @@ class Dilation:
             )
         return levels
 
-    def matrix(self, depth: int) -> UnitSplit:
-        """The row ``[V_1 ... V_d]`` from depth ``depth`` to ``depth + 1``, split.
+    def matrix(self, depth: int) -> np.ndarray:
+        """The row ``[V_1 ... V_d]`` from depth ``depth`` to ``depth + 1`` as its row table.
 
-        Letter k (from 0) owns the columns ``k * width + [0, width)``.
-        Its first n, on the base space, are the rest: block k of
-        :attr:`stage`, zero below the vacuum slot.  Each other column
-        copies level m into the k-th of d equal blocks of level m + 1,
-        as in :meth:`apply`, so it is a unit column with that row.
+        Letter j's first n columns, on the base space, are block j of
+        :attr:`stage`.  Each other column c copies level m into the j-th
+        of d equal blocks of level m + 1, as in :meth:`apply`, so it is
+        the unit vector of row ``table[j - 1, c - n]`` of the depth + 1
+        space; the (d, dim - n) int table holds those rows.
         """
-        dom, cod = self.space(depth), self.space(depth + 1)
-        n, width, d = dom.base_dim, dom.dim, self.d
-        block = np.pad(self.stage, ((0, cod.dim - self.stage.shape[0]), (0, 0)))
-        index = np.arange(cod.dim)
-        rows = [
-            cod.blocks(index, m + 1)[k * d**m : (k + 1) * d**m].ravel()
-            for k in range(d)
-            for m in range(depth + 1)
-        ]
-        first = width * np.arange(d)[:, None]
-        return UnitSplit(
-            cod.dim,
-            (first + np.arange(n, width)).ravel(),
-            np.concatenate(rows),
-            (first + np.arange(n)).ravel(),
-            block,
-        )
+        cod = self.space(depth + 1)
+        levels = [cod.level(m + 1) for m in range(depth + 1)]
+        return np.hstack([np.arange(lv.start, lv.stop).reshape(self.d, -1) for lv in levels])

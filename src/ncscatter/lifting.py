@@ -250,7 +250,7 @@ def assemble(
     e = _block_lifting_ops(c, a, b)
     defect_c = defect(c)
     a_row = a.row()
-    dstar = linalg.clamped_sqrt(np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T)
+    dstar = linalg.hermitian_sqrt(np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T)
     dstar_basis = linalg.range_onb(dstar)
     gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, np.hstack(b).conj().T)
     inst = LiftingInstance(c, a, b, e, defect_c, defect(e), dstar, dstar_basis, gamma, seed)

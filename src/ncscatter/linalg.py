@@ -28,38 +28,16 @@ The norm kernels cut further, each step exact:
   intertwining check, where almost every row lies on the same few
   base-space columns.
 
-A matrix whose columns are mostly isolated exact 1.0 entries (alone in
-their column and in their row) is held as a :class:`UnitSplit`: those
-columns as index pairs, the rest as one block.  Its maker knows the
-structure: :meth:`.dilation.Dilation.matrix` writes the row
-``[V_1 ... V_d]`` of a dilation this way from index arithmetic, as every
-column but the base ones copies a Fock slot one level up.
-:meth:`UnitSplit.columns` cuts a run of columns off a split, so each
-letter ``V_j`` is read off the row, and a product ``a @ V_j`` copies
-columns of ``a`` on the unit columns and multiplies only the rest.
-
-:func:`hermitian_sqrt` and :func:`clamped_sqrt` work on scale 1 with
-the fixed tolerance ``TOL_RANK``: their inputs are defect Grams of
-contractions.
+:func:`hermitian_sqrt` works on scale 1 with the fixed tolerance
+``TOL_RANK``: its inputs are defect Grams of contractions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 TOL_RANK = 1e-10
 TOL_EQ = 1e-8
-
-
-class NotHermitian(ValueError):
-    """Raised when a Hermitian-only operation receives a non-Hermitian matrix."""
-
-
-class NotPSD(ValueError):
-    """Raised when a positive-semidefinite matrix is required but an
-    eigenvalue lies below the negative tolerance band."""
 
 
 class DimensionError(ValueError):
@@ -150,84 +128,18 @@ def fold_rows(m: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitSplit:
-    """A matrix ``m`` held as its isolated exact unit columns and the rest.
-
-    Of the ``n_rows``-row matrix ``m``, column ``unit[k]`` is the unit
-    vector of row ``rows[k]``, and no other column reaches that row.  The
-    columns ``rest`` are everything else, and ``block`` is ``m[:, rest]``;
-    no other copy of ``m`` is held.  Both index arrays ascend, so
-    :meth:`columns` cuts a run of columns, such as one letter of a row
-    ``[V_1 ... V_d]``, off the split.  A product ``a @ m`` copies the
-    columns ``rows`` of ``a`` on the unit columns and multiplies only the
-    rest.  The zeros of a unit column are exact: unlike a dense product
-    they read no entry of the other factor, so its inf or NaN there does
-    not become a NaN (0 * inf).  Non-finite entries of ``m`` sit in rest
-    columns and show as in the dense product.
-    """
-
-    n_rows: int
-    unit: np.ndarray
-    rows: np.ndarray
-    rest: np.ndarray
-    block: np.ndarray
-
-    @property
-    def n_cols(self) -> int:
-        return self.unit.size + self.rest.size
-
-    def rest_span(self, lo: int, hi: int) -> slice:
-        """The columns of ``block`` that are rest columns in ``[lo, hi)``."""
-        return slice(*np.searchsorted(self.rest, [lo, hi]))
-
-    def columns(self, lo: int, hi: int) -> "UnitSplit":
-        """The split of ``m[:, lo:hi]``: a unit column stays one, as no
-        other column of ``m`` reaches its row, and the block is a view."""
-        i, k = np.searchsorted(self.unit, [lo, hi])
-        span = self.rest_span(lo, hi)
-        unit, rest = self.unit[i:k] - lo, self.rest[span] - lo
-        return UnitSplit(self.n_rows, unit, self.rows[i:k], rest, self.block[:, span])
-
-
 def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix on scale 1.
-
-    The tolerance band is ``TOL_RANK * max(1, ||m||)``: a larger
-    anti-Hermitian part raises :class:`NotHermitian`, and an eigenvalue
-    below minus the band raises :class:`NotPSD`.  Every eigenvalue at or
-    below ``TOL_RANK`` is zeroed, so a numerically zero defect (defect
-    operators of contractions live on scale 1, however close to
-    isometric the tuple is) comes out as the zero matrix instead of a
-    sqrt(eps)-sized noise matrix.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"square matrix required, got {m.shape}")
-    if m.size == 0:
-        return np.zeros_like(m)
-    band = TOL_RANK * max(operator_norm(m), 1.0)
-    if operator_norm(m - m.conj().T) > band:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w[0] < -band:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below the PSD tolerance band")
-    return _eigen_root(w, v, TOL_RANK)
-
-
-def clamped_sqrt(m: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_sqrt` without its checks.
+    """Positive square root of the Hermitian part of ``m``, on scale 1.
 
     Every eigenvalue at or below ``TOL_RANK`` is zeroed, negative ones
-    included.  It roots every defect that ``assemble`` builds, whose data
-    may fail the contraction property; the lifting identities measure that.
+    included, so a numerically zero defect (defect operators of
+    contractions live on scale 1, however close to isometric the tuple
+    is) comes out as the zero matrix instead of a sqrt(eps)-sized noise
+    matrix.  Nothing is refused: whether the input came from a
+    contraction is for the caller to measure, as :func:`.lifting.assemble` does.
     """
-    return _eigen_root(*np.linalg.eigh((m + m.conj().T) / 2.0), TOL_RANK)
-
-
-def _eigen_root(w: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray:
-    """Root of ``v diag(w) v*`` with eigenvalues at or below ``floor >= 0`` zeroed."""
-    root = (v * np.sqrt(np.where(w <= floor, 0.0, w))) @ v.conj().T
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    root = (v * np.sqrt(np.where(w <= TOL_RANK, 0.0, w))) @ v.conj().T
     return (root + root.conj().T) / 2.0
 
 

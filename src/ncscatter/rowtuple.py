@@ -100,7 +100,7 @@ def defect(t: OperatorTuple) -> DefectData:
     caller to measure, as :func:`.lifting.assemble` does.
     """
     row = t.row()
-    op = linalg.clamped_sqrt(np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row)
+    op = linalg.hermitian_sqrt(np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row)
     basis = linalg.range_onb(op)
     comps = tuple(
         basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)

@@ -17,9 +17,11 @@ on ``H`` and a level shift on the Fock part, whose columns are unit
 vectors alone in their rows.  So the dilation rows are identities of
 ``U`` alone, at every depth: ``U_j* U_j - I``, ``U_i* U_j`` and
 ``I - U U*``.  The intertwining row applies ``V_j`` through
-:meth:`.dilation.Dilation.apply` and reads ``W V_j`` off the
-:class:`.linalg.UnitSplit` of :meth:`.dilation.Dilation.matrix`, built
-once per dilation.
+:meth:`.dilation.Dilation.apply`, and forms ``W V_j`` from ``U_j`` and
+the row table of :meth:`.dilation.Dilation.matrix`, built once per
+dilation: a product with the ``n + r`` base and vacuum lines of ``W``
+on the base columns, and a gather of the lines the table names on the
+others.
 
 Norms are exact to rounding: besides the support and orientation cuts
 of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
@@ -48,7 +50,7 @@ from . import charfn, scattering, transfer
 from .dilation import Dilation
 from .intertwiner import blocks, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
-from .linalg import TOL_EQ, UnitSplit, fold_rows, hermitian_norm, operator_norm, stack_norm
+from .linalg import TOL_EQ, fold_rows, hermitian_norm, operator_norm, stack_norm
 from .ncsystem import io_violation
 from .transfer import build_colligation, colligation_violations
 from .words import enumerate_words
@@ -124,10 +126,11 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def _letters(dil: Dilation, depth: int) -> list[UnitSplit]:
-    """Each ``V_j`` from depth - 1 to depth, cut from the split of the row ``[V_1 ... V_d]``."""
-    row, width = dil.matrix(depth - 1), dil.space(depth - 1).dim
-    return [row.columns(k * width, (k + 1) * width) for k in range(dil.d)]
+def _letters(dil: Dilation, depth: int):
+    """Each ``V_j`` from depth - 1 to depth: its stage block ``U_j`` and its row table."""
+    n = dil.t.dim
+    table = dil.matrix(depth - 1)
+    return [(dil.stage[:, k * n : (k + 1) * n], units) for k, units in enumerate(table)]
 
 
 def _intertwining_norms(instance: LiftingInstance, depth: int, w_deep, w_flat):
@@ -136,50 +139,59 @@ def _intertwining_norms(instance: LiftingInstance, depth: int, w_deep, w_flat):
     pairs = zip(_letters(base, depth), _letters(lift, depth))
     for j, (v_base, v_lift) in enumerate(pairs, start=1):
         yield (
-            _forward_norm(w_deep, w_flat, partial(base.apply, j, depth=depth - 1), v_lift),
-            _star_norm(w_deep, w_flat, v_base, partial(lift.apply, j, depth=depth - 1)),
+            _forward_norm(w_deep, w_flat, partial(base.apply, j, depth=depth - 1), *v_lift),
+            _star_norm(w_deep, w_flat, *v_base, partial(lift.apply, j, depth=depth - 1)),
         )
 
 
-def _forward_norm(w_deep, w_flat, v_base, v_lift: UnitSplit) -> float:
+def _fock_span(lo: int, hi: int, n: int) -> slice:
+    """The entries of a row table for the letter columns ``[lo, hi)`` past the first n."""
+    return slice(max(lo, n) - n, max(hi, n) - n)
+
+
+def _forward_norm(w_deep, w_flat, v_base, u, units) -> float:
     """``||W_N V^E_j - V^C_j W_{N-1}||``, formed one run of output columns at a time.
 
-    ``v_base`` applies ``V^C_j`` to a batch.  A unit column of ``V^E_j``
-    copies a column of ``W_N``, and the rest columns come from one
-    product.  Each block keeps only its nonzero columns (most cancel
-    exactly), so the norm decomposes the same support block as for the
-    whole residual.
+    ``v_base`` applies ``V^C_j`` to a batch; ``V^E_j`` is its stage block
+    ``u`` and row table ``units``.  Its base columns come from one product
+    with the ``n + r`` base and vacuum columns of ``W_N``, and every other
+    column copies the column of ``W_N`` the table names.  Each block keeps
+    only its nonzero columns (most cancel exactly), so the norm decomposes
+    the same support block as for the whole residual.
     """
-    rest = w_deep @ v_lift.block
+    n, base = u.shape[1], w_deep[:, : u.shape[0]] @ u
     kept = []
-    for lo, hi in blocks(v_lift.n_cols):
-        part = v_lift.columns(lo, hi)
-        out = np.empty((w_deep.shape[0], part.n_cols), dtype=np.complex128)
-        out[:, part.unit] = w_deep[:, part.rows]
-        out[:, part.rest] = rest[:, v_lift.rest_span(lo, hi)]
+    for lo, hi in blocks(n + units.size):
+        head = base[:, lo:hi]
+        out = np.empty((w_deep.shape[0], hi - lo), dtype=np.complex128)
+        out[:, : head.shape[1]] = head
+        out[:, head.shape[1] :] = w_deep[:, units[_fock_span(lo, hi, n)]]
         out -= v_base(w_flat[:, lo:hi])
         kept.append(out[:, (out != 0).any(axis=0)])
     return operator_norm(np.hstack(kept))
 
 
-def _star_norm(w_deep, w_flat, v_base: UnitSplit, v_lift) -> float:
+def _star_norm(w_deep, w_flat, u, units, v_lift) -> float:
     """``||V^E_j W_{N-1}* - W_N* V^C_j||``, filled one run of columns at a time.
 
-    ``v_lift`` applies ``V^E_j`` to a batch.  The adjoints are read as
-    row slabs of ``W``, so no conjugate copy of either matrix is made.
-    The residual is tall and almost all of its rows lie on the same few
-    columns, so its norm is taken after :func:`.linalg.fold_rows`, which
-    needs all of it.
+    ``v_lift`` applies ``V^E_j`` to a batch; ``V^C_j`` is its stage block
+    ``u`` and row table ``units``, so ``W_N* V^C_j`` is a product with the
+    ``n + r`` base and vacuum rows of ``W_N`` on the base columns and a
+    row gather on the others.  The adjoints are read as row slabs of
+    ``W``, so no conjugate copy of either matrix is made.  The residual is
+    tall and almost all of its rows lie on the same few columns, so its
+    norm is taken after :func:`.linalg.fold_rows`, which needs all of it.
     """
-    rest = np.vstack(
-        [w_deep[:, lo:hi].conj().T @ v_base.block for lo, hi in blocks(w_deep.shape[1])]
+    n = u.shape[1]
+    base = np.vstack(
+        [w_deep[: u.shape[0], lo:hi].conj().T @ u for lo, hi in blocks(w_deep.shape[1])]
     )
-    star = np.empty((w_deep.shape[1], v_base.n_cols), dtype=np.complex128)
-    for lo, hi in blocks(v_base.n_cols):
-        out, part = star[:, lo:hi], v_base.columns(lo, hi)
+    star = np.empty((w_deep.shape[1], n + units.size), dtype=np.complex128)
+    for lo, hi in blocks(star.shape[1]):
+        out, head = star[:, lo:hi], base[:, lo:hi]
         out[...] = v_lift(w_flat[lo:hi].conj().T)
-        out[:, part.unit] -= w_deep[part.rows].conj().T
-        out[:, part.rest] -= rest[:, v_base.rest_span(lo, hi)]
+        out[:, : head.shape[1]] -= head
+        out[:, head.shape[1] :] -= w_deep[units[_fock_span(lo, hi, n)]].conj().T
     return operator_norm(fold_rows(star))
 
 

@@ -20,22 +20,21 @@ def dense_letter(dil, j, depth):
     return dil.apply(j, np.eye(dil.space(depth).dim, dtype=np.complex128), depth)
 
 
-def dense_split(split):
-    """The matrix a ``UnitSplit`` holds: its block on the rest columns,
-    1.0 at each unit column's row."""
-    out = np.zeros((split.n_rows, split.n_cols), dtype=split.block.dtype)
-    out[:, split.rest] = split.block
-    out[split.rows, split.unit] = 1.0
+def table_letter(dil, j, depth):
+    """V_j from ``depth`` to ``depth + 1`` rebuilt dense from the stage block
+    on its base columns and 1.0 at the row the row table names elsewhere."""
+    n, units = dil.t.dim, dil.matrix(depth)[j - 1]
+    out = np.zeros((dil.space(depth + 1).dim, n + units.size), dtype=np.complex128)
+    out[: dil.stage.shape[0], :n] = dil.stage[:, (j - 1) * n : j * n]
+    out[units, np.arange(n, out.shape[1])] = 1.0
     return out
 
 
-def unit_rmatmul(split, a):
-    """``a @ m`` for the matrix ``m`` that ``split`` holds: a unit column
-    copies one column of ``a``, the rest are multiplied."""
-    out = np.empty((a.shape[0], split.n_cols), dtype=np.result_type(a, split.block))
-    out[:, split.unit] = a[:, split.rows]
-    out[:, split.rest] = a @ split.block
-    return out
+def letter_product(a, u, units):
+    """``a @ V_j`` whole, for the letter with stage block ``u`` and row table
+    ``units``: ``u`` times the first n + r columns of ``a`` on the base
+    columns, a copy of the column of ``a`` the table names on the others."""
+    return np.hstack([a[:, : u.shape[0]] @ u, a[:, units]])
 
 
 def contraction_tuple(d, n, seed, norm=0.9):

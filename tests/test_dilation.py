@@ -6,7 +6,7 @@ from conftest import (
     balanced_pair_tuple,
     contraction_tuple,
     dense_letter,
-    dense_split,
+    table_letter,
 )
 
 from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
@@ -207,14 +207,12 @@ class TestAdjoint:
 
 class TestFlatMatrices:
     def test_matrix_matches_apply(self):
-        # each letter cut from the row split acts as apply does
+        # each letter rebuilt from the stage block and the row table acts as apply does
         t = contraction_tuple(2, 2, seed=3)
         dil = make_dilation(t)
-        row, width = dil.matrix(2), dil.space(2).dim
         for j in (1, 2):
-            letter = row.columns((j - 1) * width, j * width)
             v = random_flat(dil.space(2), seed=j, width=3)
-            assert np.allclose(dil.apply(j, v, 2), dense_split(letter) @ v, atol=1e-12)
+            assert np.allclose(dil.apply(j, v, 2), table_letter(dil, j, 2) @ v, atol=1e-12)
 
     def test_adjoint_matrix_is_conjugate_transpose(self):
         # V_j* (ell (+) sum_w e_w x_w) = (T_j* ell + d_j* x_()) (+) sum_w e_w x_{jw}
@@ -292,8 +290,8 @@ class TestZeroRank:
         for dil in (inst.dilation_c, inst.dilation_e):
             for depth in range(3):
                 dom, cod = dil.space(depth), dil.space(depth + 1)
-                row = dil.matrix(depth)
-                assert (row.n_rows, row.n_cols) == (cod.dim, dil.d * dom.dim)
+                assert dil.matrix(depth).shape == (dil.d, dom.dim - dil.t.dim)
+                assert table_letter(dil, d, depth).shape == (cod.dim, dom.dim)
                 empty = np.zeros((dom.dim, 0))
                 assert dil.apply(d, empty, depth).shape == (cod.dim, 0)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SWEEP_SHAPES, unit_rmatmul
+from conftest import SWEEP_SHAPES, letter_product
 
 from ncscatter import scattering, verify
 from ncscatter.intertwiner import BLOCK, blocks, intertwiner_matrix
@@ -24,12 +24,13 @@ from ncscatter.linalg import fold_rows, hermitian_norm, operator_norm, stack_nor
 
 
 def dense_intertwining_norms(instance, depth, w_deep, w_flat):
-    # oracle: both residuals of every letter formed whole
+    # oracle: both residuals of every letter formed whole, W V_j from the
+    # stage block and the row table of the letter
     base, lift = instance.dilation_c, instance.dilation_e
     pairs = zip(verify._letters(base, depth), verify._letters(lift, depth))
     for j, (v_base, v_lift) in enumerate(pairs, start=1):
-        forward = unit_rmatmul(v_lift, w_deep) - base.apply(j, w_flat, depth - 1)
-        star = lift.apply(j, w_flat.conj().T, depth - 1) - unit_rmatmul(v_base, w_deep.conj().T)
+        forward = letter_product(w_deep, *v_lift) - base.apply(j, w_flat, depth - 1)
+        star = lift.apply(j, w_flat.conj().T, depth - 1) - letter_product(w_deep.conj().T, *v_base)
         yield operator_norm(forward), operator_norm(fold_rows(star))
 
 
@@ -75,10 +76,15 @@ def assert_same_intertwining(instance, depth, w, flat):
     assert got == outcome(lambda: list(dense_intertwining_norms(instance, depth, w, flat)))
 
 
+# beyond the sweep shapes: (2,1,1) has one-column base letters, whose
+# products numpy sends to gemv, and (1,65,0) a 65-column base letter
+DEEPEST = {(1, 65, 0): 3}
+
+
 @pytest.mark.parametrize("a_scale", [0.0, 0.9, 1.0])
-@pytest.mark.parametrize("shape", SWEEP_SHAPES)
+@pytest.mark.parametrize("shape", SWEEP_SHAPES + ((2, 1, 1), (1, 65, 0)))
 def test_rows_equal_dense_formulas(shape, a_scale):
-    depths = range(1, 5) if shape[0] == 3 else range(1, 7)
+    depths = range(1, DEEPEST.get(shape, 4 if shape[0] == 3 else 6) + 1)
     for seed in range(3):
         try:
             inst = generate(*shape, seed=seed, a_scale=a_scale)
@@ -92,6 +98,18 @@ def test_rows_equal_dense_formulas(shape, a_scale):
             got = scattering.verify_shift_decomposition(inst, depth)
             assert got == dense_shift_decomposition(inst, depth)
             flat = w
+
+
+def test_run_across_the_base_columns_of_a_letter():
+    # a letter of (2,65,0) has 65 base columns, so its run [64, 128)
+    # holds the last of them and the first entries of its row table.  Only
+    # the intertwining row is compared: with more than one BLAS thread the
+    # whole W W* of its 260-row W moves by rounding against the blocked
+    # one, which test_coisometry_of_any_height compares at one thread
+    inst = generate(2, 65, 0, seed=1)
+    assert inst.dilation_e.matrix(0).shape == (2, 65)
+    for depth in (1, 2):
+        assert_same_intertwining(inst, depth, *intertwiner_pair(inst, depth))
 
 
 @pytest.fixture(scope="module")

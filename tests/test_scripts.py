@@ -158,10 +158,10 @@ def test_compare_checks_edge_grid():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    # 7 shapes x 2 a_scale values x 3 seeds, 19 rows each, and the norm-one
+    # 8 shapes x 2 a_scale values x 3 seeds, 19 rows each, and the norm-one
     # row of the 6 (2,2,0) instances; (1,2,0) has no base defect
-    assert lines[-1] == "804 rows: same verdicts, errors, names and thresholds"
-    assert any(line.startswith("intertwining: 42 rows, 0 verdict changes; ") for line in lines)
+    assert lines[-1] == "918 rows: same verdicts, errors, names and thresholds"
+    assert any(line.startswith("intertwining: 48 rows, 0 verdict changes; ") for line in lines)
 
 
 def test_compare_checks_flags_a_changed_threshold(tmp_path):

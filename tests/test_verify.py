@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_letter, unit_rmatmul
+from conftest import dense_letter, letter_product
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -211,13 +211,13 @@ class TestMutations:
 
     @staticmethod
     def patch_rows(monkeypatch, edit):
-        """Every dilation row split, edited in place by ``edit(dilation, split, width)``."""
+        """Every dilation row table, edited in place by ``edit(table)``."""
         original = Dilation.matrix
 
         def perturbed(self, depth):
-            row = original(self, depth)
-            edit(self, row, self.space(depth).dim)
-            return row
+            table = original(self, depth)
+            edit(table)
+            return table
 
         monkeypatch.setattr(Dilation, "matrix", perturbed)
 
@@ -233,20 +233,18 @@ class TestMutations:
         } <= self.failing(plain_instance)
 
     def test_traded_unit_rows_of_two_letters(self, monkeypatch, plain_instance):
-        def edit(dil, row, width):
+        def edit(table):
             # the first unit columns of V_1 and V_2 trade rows: the row
             # stays a row isometry, and only the intertwining sees it
-            first = np.searchsorted(row.unit, [0, width])
-            row.rows[first] = row.rows[first[::-1]]
+            table[:2, 0] = table[1::-1, 0]
 
         self.patch_rows(monkeypatch, edit)
         assert self.failing(plain_instance) == {"intertwining"}
 
     def test_shared_row_of_one_dilation_matrix(self, monkeypatch, plain_instance):
-        def edit(dil, row, width):
+        def edit(table):
             # the first unit column of V_1 lands in the row of V_2's first
-            first = np.searchsorted(row.unit, [0, width])
-            row.rows[first[0]] = row.rows[first[1]]
+            table[0, 0] = table[1, 0]
 
         # the stage block is untouched, so the dilation rows rightly pass
         self.patch_rows(monkeypatch, edit)
@@ -298,15 +296,15 @@ class TestMutations:
         # the two base columns, and those rows are folded; W_N[i, col]
         # adds to row ``col`` of the residual outside those columns
         depth = 3
-        v_base = verify._letters(plain_instance.dilation_c, depth)[0]
+        u, units = verify._letters(plain_instance.dilation_c, depth)[0]
         flat = verify.intertwiner_matrix(plain_instance, depth - 1)
         w = verify.intertwiner_matrix(plain_instance, depth)
-        i, col = v_base.rows[-1], w.shape[1] - 1
+        i, col = units[-1], w.shape[1] - 1
         lifted = plain_instance.dilation_e.apply(1, flat.conj().T, depth - 1)
-        support = (lifted - unit_rmatmul(v_base, w.conj().T)) != 0
+        support = (lifted - letter_product(w.conj().T, u, units)) != 0
         shared = (support == support[col]).all(axis=1)
         assert shared.sum() > support[col].sum() == plain_instance.dim_c
-        assert not support[col, v_base.unit[-1]]
+        assert not support[col, -1]
         w[i, col] += 1e-6
         # the star direction on its own sees the entry through the fold
         (_, star), _ = verify._intertwining_norms(plain_instance, depth, w, flat)
