@@ -23,8 +23,12 @@ prints the rows whose verdict changed, the largest upward and downward
 move of the violation, and the worst value on each side; before that
 it prints each tree's peak RSS, the ``ru_maxrss`` of its grid
 subprocess, that subprocess's wall time and the BLAS thread count it
-ran at.  It exits 1 on any change of verdict, error, check name or
-threshold, and 0 otherwise.
+ran at.  The two grids run once each, base first and then change, so
+each wall time is one unpaired sample: load from any other process
+lands on one side only (under such load two identical trees read
+44.7 and 257.8 s on the deep grid), and the line says so.  It exits 1
+on any change of verdict, error, check name or threshold, and 0
+otherwise.
 
 Each grid subprocess runs with ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 2, as the
@@ -285,7 +289,7 @@ def main() -> int:
         walls = f"base {base['wall_s']:.1f} s, change {change['wall_s']:.1f} s"
         lines[:0] = [
             f"peak RSS of the grid process: {peaks}",
-            f"wall time of the grid process: {walls}",
+            f"wall time of the grid process, one unpaired run each: {walls}",
             f"BLAS threads of the grid process: {BLAS_THREADS} ({', '.join(THREAD_VARS)})",
         ]
     print("\n".join(lines))

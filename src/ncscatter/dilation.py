@@ -34,6 +34,10 @@ up: it is an exact unit vector, whose row the second index fact gives.
 So a letter is ``U`` plus one integer table, and :meth:`Dilation.matrix`
 writes the row ``[V_1 ... V_d]`` as that table straight from the index
 arithmetic: the row each letter sends each Fock column to.
+
+:attr:`Dilation.letters` holds the blocks ``U_j`` and
+:attr:`Dilation.stage_adjoint` holds ``U*``, each made once per
+dilation: every reader of a letter or of ``U*`` takes it there.
 """
 
 from __future__ import annotations
@@ -118,6 +122,16 @@ class Dilation:
         comps = [self.defect.coord_component(j) for j in range(1, self.d + 1)]
         return np.vstack([self.t.row(), np.hstack(comps)])
 
+    @cached_property
+    def letters(self) -> tuple[np.ndarray, ...]:
+        """The letter blocks ``U_j = [T_j ; (D)_j]``, as views of :attr:`stage`."""
+        return tuple(np.hsplit(self.stage, self.d))
+
+    @cached_property
+    def stage_adjoint(self) -> np.ndarray:
+        """``U*``: the transposed view of a conjugate copy of :attr:`stage`, made on first read."""
+        return self.stage.conj().T
+
     def apply(self, j: int, x: np.ndarray, depth: int) -> np.ndarray:
         """V_j on a flat vector or column batch at ``depth``, landing in depth + 1."""
         dom, cod = self.space(depth), self.space(depth + 1)
@@ -127,9 +141,8 @@ class Dilation:
             )
         if not 1 <= j <= self.d:
             raise IndexError(f"letter {j} outside 1..{self.d}")
-        k = dom.base_dim
         out = np.zeros((cod.dim,) + x.shape[1:], dtype=np.complex128)
-        out[: cod.slot(()).stop] = self.stage[:, (j - 1) * k : j * k] @ x[:k]
+        out[: cod.slot(()).stop] = self.letters[j - 1] @ x[: dom.base_dim]
         for m in range(depth + 1):
             n = self.d**m
             cod.blocks(out, m + 1)[(j - 1) * n : j * n] = dom.blocks(x, m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .transfer import Colligation, DimMismatch, NCSeries, series_multiply
+from .transfer import Colligation, DimMismatch, NCSeries, require_words, series_multiply
 from .words import level_start, prepend_levels
 
 
@@ -50,6 +50,7 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
         )
     if depth is None:
         depth = signal.depth
+    require_words(coll.d, depth)
     if depth > signal.depth:
         raise DimMismatch(f"signal is only known to depth {signal.depth}")
 

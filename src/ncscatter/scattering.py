@@ -96,7 +96,7 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     The letters shift Fock levels 0 to depth - 1 onto levels 1 to depth,
     so this is :func:`.linalg.complement_onb` of their corner block
     ``c = [c_1 ... c_d]``, ``c_j = [A_j ; (D_E)_j]`` on ``H_A``, cut from
-    the lifted stage block (columns orthonormal by the defect identity
+    the lifted letter blocks (columns orthonormal by the defect identity
     of E), zero-padded below.  It is exactly zero on levels 1 to depth,
     where the star frame's rounding dust enters the angle of
     :func:`verify_complement`.
@@ -104,9 +104,7 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     if depth < 1:
         raise DepthError("complement needs depth at least 1")
     dil, nc = instance.dilation_e, instance.dim_c
-    rows = dil.stage[nc:]
-    c = rows.reshape(len(rows), instance.d, instance.dim_e)[:, :, nc:]
-    c = c.reshape(len(rows), instance.d * instance.dim_a)
+    c = np.hstack([u[nc:, nc:] for u in dil.letters])
     below = dil.space(depth).dim - nc - c.shape[0]
     return np.pad(linalg.complement_onb(c), ((0, below), (0, 0)))
 

@@ -11,7 +11,9 @@ where C compresses through the base space into base defect
 coordinates and D is the corresponding feedthrough.  The defect block
 identity makes the stacked state rows [E_j*  (D)_j*] a coisometry,
 and the output rows [C  D] are a coisometry onto the base defect
-space; both are measured by :func:`colligation_violations`.
+space; both are measured by :func:`colligation_violations`.  Row j is
+U_j*, the adjoint of the lifted dilation's letter block
+(:attr:`.dilation.Dilation.letters`), and the blocks are read there.
 
 The transfer function assigns to every word a coefficient matrix,
 coeff(()) = D and coeff(g_1..g_k) = C E_{g_1}* .. E_{g_{k-1}}*
@@ -86,11 +88,9 @@ def build_colligation(instance: LiftingInstance) -> Colligation:
     nc, ne = instance.dim_c, instance.dim_e
     proj = np.zeros((nc, ne), dtype=np.complex128)
     proj[:, :nc] = np.eye(nc)
-    state_ops = tuple(op.conj().T for op in instance.e.ops)
-    input_ops = tuple(
-        instance.defect_e.coord_component(j).conj().T
-        for j in range(1, instance.d + 1)
-    )
+    adjoints = [u.conj().T for u in instance.dilation_e.letters]
+    state_ops = tuple(a[:, :ne] for a in adjoints)
+    input_ops = tuple(a[:, ne:] for a in adjoints)
     output_map = sum(
         instance.defect_c.coord_component(j) @ proj @ state_ops[j - 1]
         for j in range(1, instance.d + 1)
@@ -283,6 +283,7 @@ def random_series(
 ) -> NCSeries:
     """Dense random series, complex normal entries, for property tests;
     drawn word by word in graded-lex order, real part first."""
+    require_words(d, depth)
     rng = np.random.default_rng(seed)
     parts = rng.standard_normal((level_start(d, depth + 1), 2, out_dim, in_dim))
     return NCSeries(d, depth, parts[:, 0] + 1j * parts[:, 1])

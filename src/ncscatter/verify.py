@@ -16,12 +16,13 @@ Each letter ``V_j`` is column block ``U_j`` of the stage block
 on ``H`` and a level shift on the Fock part, whose columns are unit
 vectors alone in their rows.  So the dilation rows are identities of
 ``U`` alone, at every depth: ``U_j* U_j - I``, ``U_i* U_j`` and
-``I - U U*``.  The intertwining row applies ``V_j`` through
-:meth:`.dilation.Dilation.apply`, and forms ``W V_j`` from ``U_j`` and
-the row table of :meth:`.dilation.Dilation.matrix`, built once per
-dilation: a product with the ``n + r`` base and vacuum lines of ``W``
-on the base columns, and a gather of the lines the table names on the
-others.
+``I - U U*``, read off :attr:`.dilation.Dilation.letters` and
+:attr:`.dilation.Dilation.stage_adjoint`.  The intertwining row applies
+``V_j`` through :meth:`.dilation.Dilation.apply`, and forms ``W V_j``
+from ``U_j`` and the row table of :meth:`.dilation.Dilation.matrix`,
+built once per dilation: a product with the ``n + r`` base and vacuum
+lines of ``W`` on the base columns, and a gather of the lines the table
+names on the others.
 
 Norms are exact to rounding: besides the support and orientation cuts
 of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
@@ -47,7 +48,6 @@ from itertools import combinations
 import numpy as np
 
 from . import charfn, scattering, transfer
-from .dilation import Dilation
 from .intertwiner import blocks, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import TOL_EQ, fold_rows, hermitian_norm, operator_norm, stack_norm
@@ -83,32 +83,27 @@ class CheckResult:
         return f"{state}  {self.name:32s} {detail}"
 
 
-def _stages(instance: LiftingInstance):
-    """The stage block ``U`` and its letter blocks ``U_j``, for the base
-    dilation then the lifted one."""
-    for dil in (instance.dilation_c, instance.dilation_e):
-        n = dil.t.dim
-        yield dil.stage, [dil.stage[:, k * n : (k + 1) * n] for k in range(dil.d)]
-
-
 def _dilation_isometry(instance: LiftingInstance) -> float:
     return max(
         operator_norm(u.conj().T @ u - np.eye(u.shape[1]))
-        for _, letters in _stages(instance)
-        for u in letters
+        for dil in (instance.dilation_c, instance.dilation_e)
+        for u in dil.letters
     )
 
 
 def _dilation_orthogonal_ranges(instance: LiftingInstance) -> float:
     worst = 0.0
-    for _, letters in _stages(instance):
-        for ui, uj in combinations(letters, 2):
+    for dil in (instance.dilation_c, instance.dilation_e):
+        for ui, uj in combinations(dil.letters, 2):
             worst = max(worst, operator_norm(ui.conj().T @ uj))
     return worst
 
 
 def _dilation_row_unitary(instance: LiftingInstance) -> float:
-    return max(operator_norm(np.eye(u.shape[0]) - u @ u.conj().T) for u, _ in _stages(instance))
+    return max(
+        operator_norm(np.eye(dil.stage.shape[0]) - dil.stage @ dil.stage_adjoint)
+        for dil in (instance.dilation_c, instance.dilation_e)
+    )
 
 
 def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
@@ -126,17 +121,15 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     return worst
 
 
-def _letters(dil: Dilation, depth: int):
-    """Each ``V_j`` from depth - 1 to depth: its stage block ``U_j`` and its row table."""
-    n = dil.t.dim
-    table = dil.matrix(depth - 1)
-    return [(dil.stage[:, k * n : (k + 1) * n], units) for k, units in enumerate(table)]
-
-
 def _intertwining_norms(instance: LiftingInstance, depth: int, w_deep, w_flat):
-    """Per letter, both directions: W against V on the lift, W* against V on the base."""
+    """Per letter, both directions: W against V on the lift, W* against V on the base.
+
+    Each ``V_j`` from depth - 1 to depth is its stage block ``U_j`` and its row table.
+    """
     base, lift = instance.dilation_c, instance.dilation_e
-    pairs = zip(_letters(base, depth), _letters(lift, depth))
+    pairs = zip(
+        zip(base.letters, base.matrix(depth - 1)), zip(lift.letters, lift.matrix(depth - 1))
+    )
     for j, (v_base, v_lift) in enumerate(pairs, start=1):
         yield (
             _forward_norm(w_deep, w_flat, partial(base.apply, j, depth=depth - 1), *v_lift),

@@ -25,7 +25,7 @@ def table_letter(dil, j, depth):
     on its base columns and 1.0 at the row the row table names elsewhere."""
     n, units = dil.t.dim, dil.matrix(depth)[j - 1]
     out = np.zeros((dil.space(depth + 1).dim, n + units.size), dtype=np.complex128)
-    out[: dil.stage.shape[0], :n] = dil.stage[:, (j - 1) * n : j * n]
+    out[: dil.stage.shape[0], :n] = dil.letters[j - 1]
     out[units, np.arange(n, out.shape[1])] = 1.0
     return out
 

@@ -175,6 +175,29 @@ class TestExports:
         assert captured.out == ""
         assert captured.err == "error: no words over 2 letters up to depth -1\n"
 
+    @pytest.mark.parametrize("depth", ["-2", "-5"])
+    @pytest.mark.parametrize("with_signal", [False, True])
+    def test_simulate_depth_below_minus_one_is_usage_error(
+        self, inst_file, tmp_path, capsys, with_signal, depth
+    ):
+        # level_start(2, depth + 1) is a negative float here, so the depth
+        # must be refused before the signal is drawn or sliced
+        from ncscatter.transfer import random_series
+
+        argv = ["simulate", "--input", str(inst_file), "--depth", depth]
+        if with_signal:
+            inst = serialize.instance_from_json(serialize.load(inst_file))
+            sig_path = tmp_path / "sig.json"
+            serialize.save(
+                sig_path,
+                serialize.series_to_json(random_series(inst.rank_e, 1, 2, 2, seed=1)),
+            )
+            argv += ["--signal", str(sig_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no words over 2 letters up to depth {depth}\n"
+
     @pytest.mark.parametrize("cmd", ["verify", "transfer", "charfn", "simulate"])
     def test_empty_base_space_is_usage_error(self, tmp_path, capsys, cmd):
         # generate refuses dimC = 0, and the loader refuses it alike

@@ -319,3 +319,28 @@ class TestStage:
     def test_built_once(self, plain_instance):
         dil = plain_instance.dilation_e
         assert plain_instance.dilation_e is dil and dil.stage is dil.stage
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2), (2, 1, 1)))
+    def test_letters_are_views_of_the_column_blocks(self, shape):
+        # the one cut of a letter off the stage block
+        for seed in range(3):
+            inst = generate(*shape, seed=seed)
+            for dil in (inst.dilation_c, inst.dilation_e):
+                n = dil.t.dim
+                assert dil.letters is dil.letters and len(dil.letters) == dil.d
+                for j, u in enumerate(dil.letters):
+                    assert np.shares_memory(u, dil.stage)
+                    block = dil.stage[:, j * n : (j + 1) * n]
+                    assert u.strides == block.strides and np.array_equal(u, block)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2), (2, 1, 1)))
+    def test_adjoint_is_cached_and_bit_equal(self, shape):
+        # the same operand a fresh ``stage.conj().T`` gives BLAS: F-ordered, same bits
+        for seed in range(3):
+            inst = generate(*shape, seed=seed)
+            for dil in (inst.dilation_c, inst.dilation_e):
+                fresh = dil.stage.conj().T
+                assert dil.stage_adjoint is dil.stage_adjoint
+                assert dil.stage_adjoint.strides == fresh.strides
+                assert dil.stage_adjoint.flags.f_contiguous
+                assert dil.stage_adjoint.tobytes() == fresh.tobytes()

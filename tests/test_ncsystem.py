@@ -68,6 +68,13 @@ class TestSimulate:
         with pytest.raises(DimMismatch):
             simulate(coll, sig, depth=2)
 
+    def test_negative_depth_is_refused_before_slicing(self, plain_instance):
+        # level_start(2, -1) is -1.0, a float, which no slice takes
+        coll = build_colligation(plain_instance)
+        sig = random_series(coll.in_dim, 1, coll.d, 1, seed=5)
+        with pytest.raises(DimMismatch, match="no words over 2 letters up to depth -2"):
+            simulate(coll, sig, depth=-2)
+
 
 class TestImpulseResponse:
     def test_matches_transfer_coefficients(self, plain_instance):

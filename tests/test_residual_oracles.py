@@ -27,7 +27,9 @@ def dense_intertwining_norms(instance, depth, w_deep, w_flat):
     # oracle: both residuals of every letter formed whole, W V_j from the
     # stage block and the row table of the letter
     base, lift = instance.dilation_c, instance.dilation_e
-    pairs = zip(verify._letters(base, depth), verify._letters(lift, depth))
+    pairs = zip(
+        zip(base.letters, base.matrix(depth - 1)), zip(lift.letters, lift.matrix(depth - 1))
+    )
     for j, (v_base, v_lift) in enumerate(pairs, start=1):
         forward = letter_product(w_deep, *v_lift) - base.apply(j, w_flat, depth - 1)
         star = lift.apply(j, w_flat.conj().T, depth - 1) - letter_product(w_deep.conj().T, *v_base)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import SWEEP_SHAPES, dense_letter
 
+from ncscatter import linalg
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.scattering import (
@@ -181,6 +182,21 @@ class TestComplement:
     def test_depth_guard(self, plain_instance):
         with pytest.raises(DepthError):
             complement_frame(plain_instance, 0)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2), (2, 1, 1)))
+    def test_corner_block_equals_the_reshape_cut(self, shape):
+        # oracle: the corner block cut from the lifted stage block by a
+        # reshape, as before the letters owned the cut; same bits
+        for seed, a_scale in itertools.product(range(3), [0.9, 0.0, 1.0]):
+            inst = generate(*shape, seed=seed, a_scale=a_scale)
+            nc, rows = inst.dim_c, inst.dilation_e.stage[inst.dim_c :]
+            c = rows.reshape(len(rows), inst.d, inst.dim_e)[:, :, nc:]
+            c = c.reshape(len(rows), inst.d * inst.dim_a)
+            want = linalg.complement_onb(c)
+            for depth in (1, 3):
+                got = complement_frame(inst, depth)
+                below = inst.dilation_e.space(depth).dim - nc - c.shape[0]
+                assert got.tobytes() == np.pad(want, ((0, below), (0, 0))).tobytes()
 
     @pytest.mark.parametrize("shape", SWEEP_SHAPES)
     def test_spans_the_dense_oracle_subspace(self, shape):

@@ -97,7 +97,10 @@ def test_compare_checks_prints_wall_time():
         "compare_checks.py", ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke"]
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    pattern = r"wall time of the grid process: base \d+\.\d s, change \d+\.\d s"
+    pattern = (
+        r"wall time of the grid process, one unpaired run each: "
+        r"base \d+\.\d s, change \d+\.\d s"
+    )
     assert re.fullmatch(pattern, proc.stdout.splitlines()[1]), proc.stdout
 
 

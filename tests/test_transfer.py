@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import SWEEP_SHAPES
 
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
@@ -55,6 +56,22 @@ class TestColligation:
             viols = colligation_violations(build_colligation(inst))
             assert viols["state_rows"] < 1e-10
             assert viols["output_rows"] < 1e-10
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2), (2, 1, 1)))
+    def test_state_and_input_blocks_are_the_letter_adjoints(self, shape):
+        # read off the lifted letter blocks: the same bits and layout as
+        # the adjoints of E_j and of its defect coordinate blocks
+        for seed in range(3):
+            inst = generate(*shape, seed=seed)
+            coll = build_colligation(inst)
+            for j in range(1, inst.d + 1):
+                for got, op in (
+                    (coll.state_ops[j - 1], inst.e.ops[j - 1]),
+                    (coll.input_ops[j - 1], inst.defect_e.coord_component(j)),
+                ):
+                    want = op.conj().T
+                    assert got.shape == want.shape and got.flags.f_contiguous
+                    assert want.flags.f_contiguous and got.tobytes() == want.tobytes()
 
     def test_output_map_kills_base_space(self):
         for inst in SWEEP:
@@ -128,6 +145,11 @@ class TestNCSeries:
             NCSeries(1, -1, np.zeros((0, 1, 1)))
         with pytest.raises(DimMismatch):
             NCSeries(0, 1, np.zeros((1, 1, 1)))
+
+    @pytest.mark.parametrize("depth", [-1, -2, -5])
+    def test_random_series_refuses_a_negative_depth(self, depth):
+        with pytest.raises(DimMismatch, match=f"no words over 2 letters up to depth {depth}"):
+            random_series(1, 1, 2, depth, 0)
 
 
 class TestSeriesMultiply:

@@ -223,7 +223,9 @@ class TestMutations:
 
     def test_fock_entry_of_dilation_matrix(self, plain_instance):
         # V_1's first base column on the first vacuum row, of (D)_1, in the
-        # stage block of both dilations
+        # stage block of both dilations.  The letters are views of the stage
+        # block, but the cached adjoint is a copy: the edit comes before the
+        # first read of ``stage_adjoint``, so every row sees it
         for dil in (plain_instance.dilation_c, plain_instance.dilation_e):
             dil.stage[dil.t.dim, 0] += 1e-6
         assert {
@@ -231,6 +233,8 @@ class TestMutations:
             "dilation_orthogonal_ranges",
             "dilation_row_unitary",
         } <= self.failing(plain_instance)
+        for dil in (plain_instance.dilation_c, plain_instance.dilation_e):
+            assert np.array_equal(dil.stage_adjoint, dil.stage.conj().T)
 
     def test_traded_unit_rows_of_two_letters(self, monkeypatch, plain_instance):
         def edit(table):
@@ -296,7 +300,8 @@ class TestMutations:
         # the two base columns, and those rows are folded; W_N[i, col]
         # adds to row ``col`` of the residual outside those columns
         depth = 3
-        u, units = verify._letters(plain_instance.dilation_c, depth)[0]
+        dil = plain_instance.dilation_c
+        u, units = dil.letters[0], dil.matrix(depth - 1)[0]
         flat = verify.intertwiner_matrix(plain_instance, depth - 1)
         w = verify.intertwiner_matrix(plain_instance, depth)
         i, col = units[-1], w.shape[1] - 1
