@@ -48,7 +48,9 @@ inside-band copy has them scaled by 1 + 2e-9, a norm of about 4e-9,
 which ``lifting_identities`` passes and so the exports accept.  The
 downward inside-band copy scales them by 1 - 2e-9, the same norm of
 the other sign: the zero eigenvalues of the defects move up past
-``TOL_RANK`` instead of below zero, so a defect rank can change.  The
+``TOL_RANK`` instead of below zero, into the band ``(TOL_RANK,
+TOL_EQ]`` where a defect rank would change, so the exports refuse it
+(exit 2) and ``verify`` fails it (exit 1).  The
 exit code and the stdout and stderr text of each such run are hashed
 like a file, and every run whose hash differs is printed, with a count
 for each copy.  It exits 1 on any difference, and 0 otherwise.

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sweep seeded random instances through the full verification suite.
 
-Prints the worst violation per check across the sweep and the worst
+Prints the worst violation per check across the sweep, the worst
 headroom, log10(threshold / violation) over passing rows with a
-nonzero violation, and exits nonzero if anything fails, so it doubles
-as a quick soak test:
+nonzero violation, and the smallest distance in decades from a
+positive eigenvalue of I - C* C or I - E* E to the rank band
+(TOL_RANK, TOL_EQ] in which strict ``assemble`` refuses a defect rank.
+It exits nonzero if anything fails, so it doubles as a quick soak test:
 
     python3 scripts/seed_sweep.py --seeds 20 --d 2 --dim-c 2 --dim-a 2
 
@@ -25,15 +27,33 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 if __name__ == "__main__":
     os.environ.update(dict.fromkeys(THREAD_VARS, BLAS_THREADS))
 
+import numpy as np
+
 from ncscatter import serialize
 from ncscatter.lifting import generate
+from ncscatter.linalg import TOL_EQ, TOL_RANK
 from ncscatter.verify import CheckResult, all_passed, run_all_checks
+
+BAND = f"({TOL_RANK:.0e}, {TOL_EQ:.0e}]"
 
 
 def severity(res: CheckResult) -> tuple[bool, float]:
     """Sort key of the worst row: a failing row over a passing one, then
     the larger violation (an error reads inf); a tie keeps the earlier row."""
     return not res.passed, res.max_violation
+
+
+def band_distance(inst) -> tuple[float, str] | None:
+    """Decades from the positive defect eigenvalue of C or E nearest to the
+    rank band to that band, with its defect, off the spectra that strict
+    ``assemble`` reads; None when no eigenvalue is positive."""
+    gaps = []
+    for name, data in (("I - C* C", inst.defect_c), ("I - E* E", inst.defect_e)):
+        w = data.spectrum[data.spectrum > 0]
+        if w.size:
+            gap = np.maximum(np.log10(TOL_RANK / w), np.log10(w / TOL_EQ)).clip(0).min()
+            gaps.append((float(gap), name))
+    return min(gaps, default=None)
 
 
 def main() -> int:
@@ -49,9 +69,13 @@ def main() -> int:
 
     worst: dict[str, CheckResult] = {}
     headroom = None  # (decades, check, seed) of the tightest passing row
+    band = None  # (decades, defect, seed) of the defect eigenvalue nearest the rank band
     t0 = time.perf_counter()
     for seed in range(args.seeds):
         inst = generate(args.d, args.dim_c, args.dim_a, seed=seed, a_scale=args.a_scale)
+        near = band_distance(inst)
+        if near is not None and (band is None or near < band[:2]):
+            band = (*near, seed)
         for res in run_all_checks(inst, args.depth, seed=seed):
             seen = worst.get(res.name)
             if seen is None or severity(res) > severity(seen):
@@ -69,6 +93,10 @@ def main() -> int:
         print("worst headroom: none (no passing row has a nonzero violation)")
     else:
         print(f"worst headroom: {headroom[0]:.3f} decades ({headroom[1]}, seed {headroom[2]})")
+    near = "none (no eigenvalue is positive)"
+    if band is not None:
+        near = f"{band[0]:.3f} decades ({band[1]}, seed {band[2]})"
+    print(f"closest defect eigenvalue to the rank band {BAND}: {near}")
     print(
         f"{args.seeds} instances (d={args.d}, dims ({args.dim_c},{args.dim_a}), "
         f"depth {args.depth}) in {elapsed:.2f} s at {BLAS_THREADS} BLAS threads"

@@ -9,8 +9,9 @@ invocation.
 ``transfer``, ``charfn`` and ``simulate`` export series that the theory
 defines only for a coisometric lifting, so they refuse an instance
 whose lifting identities exceed ``linalg.TOL_EQ`` (1e-8), the
-threshold of verify's ``lifting_identities`` row.  No command takes a
-tolerance.
+threshold of verify's ``lifting_identities`` row, or whose defect rank
+of C or E is decided inside the band ``(TOL_RANK, TOL_EQ]``.  No
+command takes a tolerance.
 
 Numerical imports happen inside the handlers, so ``--help`` and usage
 errors do not load numpy.  The BLAS thread count is read from the

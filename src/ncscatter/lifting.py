@@ -14,10 +14,12 @@ and guarantees an isometry ``gamma`` from the range of the star
 defect D* = (I - A A*)^(1/2) into the defect space of C with
 ``gamma D* = B*`` (B* maps H_A into the d-fold sum of H_C copies).
 Strict ``assemble`` refuses exactly the blocks that miss one of these
-identities by more than ``TOL_EQ``; ``generate`` draws random valid
-instances from a seeded stream by running the construction backwards:
-pick C coisometric, pick a strictly contractive A, pick gamma at
-random, then let B be whatever the identity dictates.
+identities by more than ``TOL_EQ``, and those whose defect rank of C
+or E is decided inside the band ``(TOL_RANK, TOL_EQ]``; ``generate``
+draws random valid instances from a seeded stream by running the
+construction backwards: pick C coisometric, pick a strictly
+contractive A, pick gamma at random, then let B be whatever the
+identity dictates.
 
 Stored coordinates: every operator with values in a defect space is
 kept in the coordinates of the corresponding orthonormal defect
@@ -57,6 +59,12 @@ class GammaUndefined(ValueError):
 class RankClampBand(ValueError):
     """``a_scale`` is so close to 1 that the rank cut of the star
     defect would discard true spectrum and break the dilation checks."""
+
+
+class RankBand(ValueError):
+    """An eigenvalue of I - C* C or I - E* E lies in ``(TOL_RANK, TOL_EQ]``:
+    the rank cut keeps it as defect, yet the identities accept it as the
+    ghost of a zero one, so the defect rank is not decided."""
 
 
 class Infeasible(ValueError):
@@ -224,7 +232,13 @@ def assemble(
     verify's ``lifting_identities`` row: first a block identity
     (:class:`NotCoisometricC`, :class:`NotCoisometricE`), then a
     ``gamma_kernel`` leak (:class:`GammaUndefined`), then the worst
-    derived identity (:class:`NotCoisometricE`).
+    derived identity (:class:`NotCoisometricE`).  Last it raises
+    :class:`RankBand` on an eigenvalue of ``I - C* C`` or ``I - E* E``
+    in ``(TOL_RANK, TOL_EQ]``, read where the defect's square root cut
+    it.  For a coisometric lifting both are projections, so their
+    eigenvalues are 0 and 1.  ``I - A A*`` is left out: its spectrum is
+    true data, and :func:`generate` refuses only the narrower
+    :class:`RankClampBand` there.
     """
     if a.d != c.d:
         raise ValueError(f"C has {c.d} operators but A has {a.d}")
@@ -250,7 +264,7 @@ def assemble(
     e = _block_lifting_ops(c, a, b)
     defect_c = defect(c)
     a_row = a.row()
-    dstar = linalg.hermitian_sqrt(np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T)
+    dstar, _ = linalg.hermitian_sqrt(np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T)
     dstar_basis = linalg.range_onb(dstar)
     gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, np.hstack(b).conj().T)
     inst = LiftingInstance(c, a, b, e, defect_c, defect(e), dstar, dstar_basis, gamma, seed)
@@ -263,6 +277,13 @@ def assemble(
         worst = max(viols, key=viols.get)
         if viols[worst] > TOL_EQ:
             raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")
+        for name, data in (("I - C* C", inst.defect_c), ("I - E* E", inst.defect_e)):
+            inside = data.spectrum[(data.spectrum > TOL_RANK) & (data.spectrum <= TOL_EQ)]
+            if inside.size:
+                raise RankBand(
+                    f"{name} has eigenvalue {inside[0]:.3e} in the rank band "
+                    f"({TOL_RANK:.0e}, {TOL_EQ:.0e}], so its defect rank is not decided"
+                )
     return inst
 
 
@@ -318,7 +339,7 @@ def generate(
     )
 
     star_gram = np.eye(dim_a, dtype=np.complex128) - a_row @ a_row.conj().T
-    dstar = linalg.hermitian_sqrt(star_gram)
+    dstar, _ = linalg.hermitian_sqrt(star_gram)
     dstar_basis = linalg.range_onb(dstar)
     rank_star = dstar_basis.shape[1]
 

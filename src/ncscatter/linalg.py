@@ -128,19 +128,21 @@ def fold_rows(m: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive square root of the Hermitian part of ``m``, on scale 1.
+def hermitian_sqrt(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive square root of the Hermitian part of ``m``, on scale 1, and
+    the ascending eigenvalues of that part, before the cut.
 
     Every eigenvalue at or below ``TOL_RANK`` is zeroed, negative ones
     included, so a numerically zero defect (defect operators of
     contractions live on scale 1, however close to isometric the tuple
     is) comes out as the zero matrix instead of a sqrt(eps)-sized noise
     matrix.  Nothing is refused: whether the input came from a
-    contraction is for the caller to measure, as :func:`.lifting.assemble` does.
+    contraction, and whether an eigenvalue lies too close to the cut, is
+    for the caller to measure, as :func:`.lifting.assemble` does.
     """
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     root = (v * np.sqrt(np.where(w <= TOL_RANK, 0.0, w))) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    return (root + root.conj().T) / 2.0, w
 
 
 def _fix_column_phases(q: np.ndarray) -> np.ndarray:

@@ -70,16 +70,19 @@ class DefectData:
 
     ``operator`` is D = (I - row* row)^(1/2) on the d*n-dimensional
     direct sum, ``basis`` an orthonormal basis of its range and
-    ``rank`` the defect rank.  ``coord_component(j)`` is the rank x n
-    matrix of the j-th slot embedding followed by D, expressed in
-    basis coordinates: it sends ell in C^n to the coordinates of
-    D (0, ..., ell, ..., 0).  Its conjugate transpose realizes the
-    adjoint slot map from defect coordinates back to C^n.
+    ``rank`` the defect rank.  ``spectrum`` holds the ascending
+    eigenvalues of I - row* row that the square root cut.
+    ``coord_component(j)`` is the rank x n matrix of the j-th slot
+    embedding followed by D, expressed in basis coordinates: it sends
+    ell in C^n to the coordinates of D (0, ..., ell, ..., 0).  Its
+    conjugate transpose realizes the adjoint slot map from defect
+    coordinates back to C^n.
     """
 
     operator: np.ndarray
     basis: np.ndarray
     rank: int
+    spectrum: np.ndarray
     _components: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def coord_component(self, j: int) -> np.ndarray:
@@ -100,9 +103,10 @@ def defect(t: OperatorTuple) -> DefectData:
     caller to measure, as :func:`.lifting.assemble` does.
     """
     row = t.row()
-    op = linalg.hermitian_sqrt(np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row)
+    gram = np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row
+    op, spectrum = linalg.hermitian_sqrt(gram)
     basis = linalg.range_onb(op)
     comps = tuple(
         basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)
     )
-    return DefectData(op, basis, basis.shape[1], comps)
+    return DefectData(op, basis, basis.shape[1], spectrum, comps)

@@ -9,21 +9,19 @@ file may omit words, which load as exact zeros: the declared depth
 sizes one dense array, and a depth whose array cannot be allocated is
 refused.
 
-:func:`dump_text` renders exactly the bytes of ``json.dumps(obj,
-indent=2, sort_keys=True, allow_nan=False) + "\n"``, with each
-:class:`NCSeries` value standing for its graded-lex list of ``{"word",
-"matrix"}`` entries; the trees of :func:`series_to_json` and
-:func:`trajectory_to_json` hold the series themselves.  ``json.dumps``
-itself writes the tree, with a reserved string in place of each series
-(a tree holding that string is refused).  A series is written straight
-from its coefficient stack: one template holds its literal text, with
-separators fixed by the indent level, word texts built level by level
-and a ``%s`` slot per float, and one ``%`` fills it from
-:func:`_float_texts` of the float view.  That helper writes every float
-of the stack in one ``orjson`` pass, whose shortest round-trip digits
-(Ryu) are those of ``float.__repr__``, and rewrites the few layouts in
-which the two differ, so each text is byte for byte ``repr`` of its
-float.  The pieces are joined once per document.
+:func:`dump_text` writes flat documents: a series may be only a
+top-level value of a mapping, as in the trees of :func:`series_to_json`
+and :func:`trajectory_to_json`.  The bytes are exactly those of
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"``
+with each series standing for its graded-lex list of ``{"word",
+"matrix"}`` entries.  A series is written straight from its
+coefficient stack: one template holds its literal text, with word
+texts built level by level and a ``%s`` slot per float, and one ``%``
+fills it from :func:`_float_texts` of the float view.  That helper
+writes every float of the stack in one ``orjson`` pass, whose shortest
+round-trip digits (Ryu) are those of ``float.__repr__``, and rewrites
+the few layouts in which the two differ, so each text is byte for
+byte ``repr`` of its float.
 
 An instance file stores only the three defining blocks (and the
 generator seed when there is one); defect operators, bases and the
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from math import isfinite
 
 import numpy as np
 
@@ -275,21 +272,17 @@ def _reject_constant(name: str):
     raise SchemaError(f"non-finite number {name} is not allowed")
 
 
-# What json.dumps writes in place of a series, and that string quoted.
-_SERIES = "\x00NCSeries\x00"
-_QUOTED_SERIES = json.dumps(_SERIES)
-
-
 def _nl(level: int) -> str:
     return "\n" + "  " * level
 
 
-def _word_texts(d: int, depth: int, level: int) -> list[str]:
-    """Every word up to ``depth`` as written at ``level``, in graded-lex
-    order: level m+1 appends each letter to each word of level m."""
+def _word_texts(d: int, depth: int) -> list[str]:
+    """Every word up to ``depth`` as written in a series entry of a
+    document (indent level 3), in graded-lex order: level m+1 appends
+    each letter to each word of level m."""
     letters = [str(j) for j in range(1, d + 1)]
-    sep, close = "," + _nl(level + 1), _nl(level) + "]"
-    texts, heads, glue = ["[]"], ["[" + _nl(level + 1)], ""
+    sep, close = "," + _nl(4), _nl(3) + "]"
+    texts, heads, glue = ["[]"], ["[" + _nl(4)], ""
     for _ in range(depth):
         heads = [h + glue + j for h in heads for j in letters]
         texts += [h + close for h in heads]
@@ -327,90 +320,57 @@ def _float_texts(flat: np.ndarray) -> list[str]:
     return texts
 
 
-def _write_series(series: NCSeries, level: int, out: list) -> None:
-    """The graded-lex ``{"word", "matrix"}`` entry list of ``series``: one
-    template of literal text with a ``%s`` slot per float, filled once
-    from the float texts of the stack."""
+def _write_series(series: NCSeries, key: str, words: list[str]) -> str:
+    """The graded-lex ``{"word", "matrix"}`` entry list of ``series``, the
+    value of the top-level ``key``, with ``words`` from :func:`_word_texts`:
+    one template of literal text with a ``%s`` slot per float, filled
+    once from the float texts of the stack."""
     stack = np.ascontiguousarray(series.coeffs, dtype=np.complex128)
-    if not np.isfinite(stack).all():
-        raise ValueError("non-finite series coefficient")
     _, rows, cols = stack.shape
-    nl1, nl2, nl3, nl4, nl5 = (_nl(level + k) for k in range(1, 6))
-    head = nl1 + "{" + nl2 + '"matrix": {' + nl3 + f'"cols": {cols},' + nl3 + '"data": '
-    pair = "[" + nl5 + "%s," + nl5 + "%s" + nl4 + "]"
-    data = "[" + nl4 + ("," + nl4).join([pair] * (rows * cols)) + nl3 + "]" if rows * cols else "[]"
-    mid = "," + nl3 + f'"rows": {rows}' + nl2 + "}," + nl2 + '"word": '
-    entry, close = head + data + mid, nl1 + "}"
-    words = _word_texts(series.d, series.depth, level + 2)
-    template = "[" + entry + (close + "," + entry).join(words) + close + _nl(level) + "]"
-    out.append(template % tuple(_float_texts(stack.reshape(-1).view(np.float64))))
+    flat = stack.reshape(-1).view(np.float64)
+    if not np.isfinite(stack).all():
+        k, at = divmod(int(np.flatnonzero(~np.isfinite(flat))[0]), 2 * rows * cols)
+        spot = f"{key}[{k}].matrix.data[{at // 2}][{at % 2}]"
+        raise SchemaError(f"non-finite number at {spot} is not allowed")
+    nl2, nl3, nl4, nl5, nl6 = (_nl(level) for level in range(2, 7))
+    head = nl2 + "{" + nl3 + '"matrix": {' + nl4 + f'"cols": {cols},' + nl4 + '"data": '
+    pair = "[" + nl6 + "%s," + nl6 + "%s" + nl5 + "]"
+    data = "[" + nl5 + ("," + nl5).join([pair] * (rows * cols)) + nl4 + "]" if rows * cols else "[]"
+    mid = "," + nl4 + f'"rows": {rows}' + nl3 + "}," + nl3 + '"word": '
+    entry, close = head + data + mid, nl2 + "}"
+    template = "[" + entry + (close + "," + entry).join(words) + close + _nl(1) + "]"
+    return template % tuple(_float_texts(flat))
 
 
-def _nonfinite_path(obj, path: str = "") -> str | None:
-    """JSON path of the first non-finite float in writing order."""
-    if isinstance(obj, float):
-        return None if isfinite(obj) else path
-    if isinstance(obj, NCSeries):
-        stack = np.ascontiguousarray(obj.coeffs, dtype=np.complex128)
-        bad = np.flatnonzero(~np.isfinite(stack.reshape(-1).view(np.float64)))
-        if not len(bad):
-            return None
-        k, at = divmod(int(bad[0]), 2 * obj.out_dim * obj.in_dim)
-        return f"{path}[{k}].matrix.data[{at // 2}][{at % 2}]"
-    if isinstance(obj, dict):
-        items = [(f"{path}.{k}" if path else k, obj[k]) for k in sorted(obj)]
-    elif isinstance(obj, (list, tuple)):
-        items = [(f"{path}[{k}]", v) for k, v in enumerate(obj)]
-    else:
-        return None
-    for spot, value in items:
-        found = _nonfinite_path(value, spot)
-        if found is not None:
-            return found
-    return None
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def dump_text(obj) -> str:
     """Deterministic rendering: sorted keys, two-space indent, newline.
 
-    ``json.dumps`` writes the tree with each series standing as a
-    reserved string; each quoted one is then replaced by the series'
-    entry list, written at the indent level of its line.
+    A mapping with series values is written key by key, each series by
+    :func:`_write_series` and every other value by ``json.dumps``
+    indented one level; the word texts of each ``(d, depth)`` are built
+    once per call.  Any other tree is ``json.dumps`` whole.
     """
-    series = []
-
-    def default(value):
-        if not isinstance(value, NCSeries):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        series.append(value)
-        return _SERIES
-
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=default)
-        pieces = text.split(_QUOTED_SERIES)
-        if len(pieces) != len(series) + 1:
-            raise TypeError(f"the string {_SERIES!r} is reserved for series")
-        out = [pieces[0]]
-        for value, piece in zip(series, pieces[1:]):
-            line = out[-1][out[-1].rfind("\n") + 1 :]
-            _write_series(value, (len(line) - len(line.lstrip(" "))) // 2, out)
-            out.append(piece)
-    except ValueError as exc:
-        # json.dumps stops at the first cycle or non-finite float in
-        # writing order; a cycle has no path to place
-        if exc.args == ("Circular reference detected",):
-            raise
-        path = _nonfinite_path(obj)
-        if path is None:
-            raise
-        raise SchemaError(
-            f"non-finite number at {path or 'the top level'} is not allowed"
-        ) from None
-    finally:
-        # the encoder's closures form a reference cycle that holds
-        # ``default`` until the next garbage collection; let it hold no series
-        series.clear()
-    out.append("\n")
+    if not (isinstance(obj, dict) and any(isinstance(v, NCSeries) for v in obj.values())):
+        return _dumps(obj) + "\n"
+    words: dict[tuple[int, int], list[str]] = {}
+    out, sep = ["{"], _nl(1)
+    for key in sorted(obj):
+        value = obj[key]
+        if isinstance(value, NCSeries):
+            grading = (value.d, value.depth)
+            if grading not in words:
+                words[grading] = _word_texts(*grading)
+            text = _write_series(value, key, words[grading])
+        else:
+            text = _dumps(value).replace("\n", _nl(1))
+        out += [sep, _dumps(key), ": ", text]
+        sep = "," + _nl(1)
+    del words  # not held through the join, the peak of a series document
+    out.append("\n}\n")
     return "".join(out)
 
 

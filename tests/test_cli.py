@@ -216,20 +216,25 @@ class TestExports:
 
 class TestOneTolerance:
     """The exports accept exactly the instances whose lifting identities
-    pass verify's ``lifting_identities`` row, and take no tolerance."""
+    pass verify's ``lifting_identities`` row and whose defect ranks are
+    decided outside the band ``(TOL_RANK, TOL_EQ]``, and take no tolerance."""
+
+    @staticmethod
+    def scaled_c(path, dim_a, factor):
+        """(2, 2, dim_a) seed 1 written to ``path`` with every C entry scaled by ``factor``."""
+        assert main(["generate", "--d", "2", "--dim-c", "2", "--dim-a", str(dim_a),
+                     "--seed", "1", "-o", str(path)]) == 0
+        obj = serialize.load(path)
+        for m in obj["C"]:
+            m["data"] = [[re * factor, im * factor] for re, im in m["data"]]
+        serialize.save(path, obj)
+        return path
 
     @pytest.fixture()
     def near_miss(self, tmp_path):
         # every C entry of (2,2,2) seed 1 scaled by 1 - 1e-6:
         # sum C_j C_j* - I has norm 2e-6 > TOL_EQ
-        path = tmp_path / "near.json"
-        assert main(["generate", "--d", "2", "--dim-c", "2", "--dim-a", "2",
-                     "--seed", "1", "-o", str(path)]) == 0
-        obj = serialize.load(path)
-        for m in obj["C"]:
-            m["data"] = [[re * (1 - 1e-6), im * (1 - 1e-6)] for re, im in m["data"]]
-        serialize.save(path, obj)
-        return path
+        return self.scaled_c(tmp_path / "near.json", 2, 1 - 1e-6)
 
     @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
     def test_export_refuses_near_miss(self, near_miss, tmp_path, capsys, cmd):
@@ -248,14 +253,13 @@ class TestOneTolerance:
     def inside_band(self, tmp_path):
         # every C entry of (2,2,1) seed 1 scaled by 1 + 2e-9: sum C_j C_j* - I
         # has norm 4e-9 <= TOL_EQ, and I - E* E an eigenvalue near -4e-9
-        path = tmp_path / "inside.json"
-        assert main(["generate", "--d", "2", "--dim-c", "2", "--dim-a", "1",
-                     "--seed", "1", "-o", str(path)]) == 0
-        obj = serialize.load(path)
-        for m in obj["C"]:
-            m["data"] = [[re * (1 + 2e-9), im * (1 + 2e-9)] for re, im in m["data"]]
-        serialize.save(path, obj)
-        return path
+        return self.scaled_c(tmp_path / "inside.json", 1, 1 + 2e-9)
+
+    @pytest.fixture()
+    def inside_band_down(self, tmp_path):
+        # scaled by 1 - 2e-9 instead: the zero eigenvalues of I - C* C move
+        # up to 4e-9, past the rank cut, and the defect ranks (2, 3) read (4, 5)
+        return self.scaled_c(tmp_path / "down.json", 1, 1 - 2e-9)
 
     @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
     def test_export_accepts_inside_band(self, inside_band, tmp_path, capsys, cmd):
@@ -269,6 +273,23 @@ class TestOneTolerance:
         row = capsys.readouterr().out.splitlines()[0].split()
         assert row[:2] == ["pass", "lifting_identities"]
         assert 1e-9 < float(row[2]) <= 1e-8
+
+    @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
+    def test_export_refuses_a_rank_decided_in_the_band(self, inside_band_down, tmp_path,
+                                                       capsys, cmd):
+        out = tmp_path / "out.json"
+        assert main([cmd, "--input", str(inside_band_down), "--depth", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: I - C* C has eigenvalue 4.000e-09 in the rank band (1e-10, 1e-08], "
+            "so its defect rank is not decided\n"
+        )
+        assert not out.exists()
+
+    def test_verify_fails_a_rank_decided_in_the_band(self, inside_band_down, capsys):
+        # verify loads leniently, so it still builds the copy and fails it
+        assert main(["verify", "--input", str(inside_band_down), "--depth", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["pass", "lifting_identities"]
 
     @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
     def test_tol_flag_is_usage_error(self, inst_file, capsys, cmd):

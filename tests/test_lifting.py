@@ -8,6 +8,7 @@ from ncscatter.lifting import (
     Infeasible,
     NotCoisometricC,
     NotCoisometricE,
+    RankBand,
     RankClampBand,
     assemble,
     gamma_isometry,
@@ -137,13 +138,21 @@ class TestGamma:
         assert operator_norm(recover_gamma(inst) - planted) < 1e-8
 
 
+def in_rank_band(inst) -> bool:
+    """Whether an eigenvalue of I - C* C or I - E* E lies in (TOL_RANK, TOL_EQ]."""
+    spectra = np.concatenate([inst.defect_c.spectrum, inst.defect_e.spectrum])
+    return bool(((spectra > linalg.TOL_RANK) & (spectra <= linalg.TOL_EQ)).any())
+
+
 class TestStrictGate:
     """Strict ``assemble`` refuses exactly the blocks whose
-    ``lifting_identities`` verdict fails, and builds what it accepts
-    bit for bit as lenient mode does."""
+    ``lifting_identities`` verdict fails or whose defect rank of C or E
+    is decided inside the band, and builds what it accepts bit for bit
+    as lenient mode does."""
 
-    # 1 +- 2e-9 and 1 + 2e-11 keep C within TOL_EQ of coisometry, 1 +- 1e-6 does not
-    SCALES = (1 + 2e-9, 1 - 2e-9, 1 + 2e-11, 1 + 1e-6, 1 - 1e-6)
+    # 1 +- 2e-9, 1 - 2e-10 and 1 + 2e-11 keep C within TOL_EQ of
+    # coisometry, 1 +- 1e-6 does not
+    SCALES = (1 + 2e-9, 1 - 2e-9, 1 - 2e-10, 1 + 2e-11, 1 + 1e-6, 1 - 1e-6)
 
     @staticmethod
     def scaled(inst, block, f):
@@ -167,6 +176,7 @@ class TestStrictGate:
                 blocks = self.scaled(inst, block, f)
                 lenient = assemble(*blocks, strict=False)
                 passes = max(lifting_violations(lenient).values()) <= linalg.TOL_EQ
+                passes = passes and not in_rank_band(lenient)
                 try:
                     strict = assemble(*blocks)
                 except ValueError as exc:
@@ -174,6 +184,8 @@ class TestStrictGate:
                     continue
                 assert passes, (seed, block, f)
                 accepted += 1
+                # an accepted copy keeps the defect ranks of its exact draw
+                assert (strict.rank_c, strict.rank_e) == (inst.rank_c, inst.rank_e)
                 for x, y in (
                     (strict.defect_c.operator, lenient.defect_c.operator),
                     (strict.defect_c.basis, lenient.defect_c.basis),
@@ -186,6 +198,28 @@ class TestStrictGate:
                     assert np.array_equal(x, y), (seed, block, f)
         # the unscaled draw and the 1 + 2e-11 copies always pass
         assert accepted >= 3 * 4
+
+    def test_band_error_names_the_defect(self):
+        inst = generate(2, 2, 1, seed=1)
+        c = OperatorTuple(tuple(m * (1 - 2e-9) for m in inst.c.ops))
+        with pytest.raises(RankBand) as got:
+            assemble(c, inst.a, inst.b)
+        assert str(got.value) == (
+            "I - C* C has eigenvalue 4.000e-09 in the rank band (1e-10, 1e-08], "
+            "so its defect rank is not decided"
+        )
+        # lenient mode builds it with the flipped ranks, for verify to report
+        assert (assemble(c, inst.a, inst.b, strict=False).rank_c, inst.rank_c) == (4, 2)
+
+    @pytest.mark.parametrize("a_scale", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_no_generated_instance_in_the_band(self, shape, a_scale):
+        for seed in range(3):
+            try:
+                inst = generate(*shape, seed=seed, a_scale=a_scale)
+            except Infeasible:
+                continue
+            assert not in_rank_band(inst)
 
 
 class TestGenerate:

@@ -32,25 +32,25 @@ def dense_complement(q):
 
 class TestHermitianSqrt:
     def test_identity(self):
-        assert np.allclose(hermitian_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
+        assert np.allclose(hermitian_sqrt(np.eye(3))[0], np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
-        s = hermitian_sqrt(np.diag([4.0, 9.0]).astype(complex))
+        s = hermitian_sqrt(np.diag([4.0, 9.0]).astype(complex))[0]
         assert np.allclose(s, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_projection_is_own_root(self):
         # oracle: PROJ is idempotent, so it equals its own square root
         assert np.allclose(PROJ @ PROJ, PROJ, atol=1e-15)
-        assert np.allclose(hermitian_sqrt(PROJ), PROJ, atol=1e-12)
+        assert np.allclose(hermitian_sqrt(PROJ)[0], PROJ, atol=1e-12)
 
     def test_small_negative_eigenvalues_clamped(self):
         m = np.diag([1.0, -1e-14]).astype(complex)
-        s = hermitian_sqrt(m)
+        s = hermitian_sqrt(m)[0]
         assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-7)
 
     def test_floor_scale_zeroes_noise(self):
         noise = np.array([[1e-16, 2e-17], [2e-17, -1e-16]], dtype=complex)
-        s = hermitian_sqrt(noise)
+        s = hermitian_sqrt(noise)[0]
         assert np.all(s == 0)
 
     @settings(max_examples=30, deadline=None)
@@ -59,12 +59,21 @@ class TestHermitianSqrt:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, n, n)
         m = a.conj().T @ a
-        s = hermitian_sqrt(m)
+        s = hermitian_sqrt(m)[0]
         assert operator_norm(s - s.conj().T) < 1e-12 * max(1.0, operator_norm(m))
         assert operator_norm(s @ s - m) < 1e-10 * max(1.0, operator_norm(m))
 
     def test_empty(self):
-        assert hermitian_sqrt(np.zeros((0, 0))).shape == (0, 0)
+        assert hermitian_sqrt(np.zeros((0, 0)))[0].shape == (0, 0)
+
+    def test_spectrum_is_read_before_the_cut(self):
+        # the eigenvalues of the Hermitian part come back ascending, the
+        # ones the root zeroes included
+        q = random_isometry(3, 3, 7)
+        m = q @ np.diag([0.5, 4e-9, -1e-3]) @ q.conj().T
+        s, w = hermitian_sqrt(m)
+        assert np.allclose(w, [-1e-3, 4e-9, 0.5], rtol=0, atol=1e-15)
+        assert np.linalg.matrix_rank(s, tol=1e-6) == 2
 
 
 class TestClampedSqrt:
@@ -78,7 +87,7 @@ class TestClampedSqrt:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, 4, 3)
         m = a @ a.conj().T / operator_norm(a) ** 2  # rank 3, scale 1
-        s = hermitian_sqrt(m)
+        s = hermitian_sqrt(m)[0]
         assert np.array_equal(s, s.conj().T)
         assert operator_norm(s @ s - m) < 1e-14
         assert np.linalg.matrix_rank(s, tol=1e-12) == 3
@@ -86,13 +95,13 @@ class TestClampedSqrt:
     def test_zeroes_negative_eigenvalues(self):
         q = random_isometry(3, 3, 4)
         m = q @ np.diag([0.25, -0.5, -1e-3]) @ q.conj().T
-        s = hermitian_sqrt(m)
+        s = hermitian_sqrt(m)[0]
         assert operator_norm(s - 0.5 * np.outer(q[:, 0], q[:, 0].conj())) < 1e-14
 
     def test_root_of_the_hermitian_part(self):
         # the Hermitian part [[1, 1], [1, 1]] is 2 P, P the projector on (1, 1)
         m = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
-        assert np.allclose(hermitian_sqrt(m), np.full((2, 2), RT2), atol=1e-15)
+        assert np.allclose(hermitian_sqrt(m)[0], np.full((2, 2), RT2), atol=1e-15)
 
 
 class TestRangeOnb:

@@ -49,6 +49,38 @@ def test_seed_sweep_prints_worst_headroom():
     assert re.search(pattern, proc.stdout, re.MULTILINE), proc.stdout
 
 
+def test_seed_sweep_prints_the_rank_band_distance():
+    proc = run_script("seed_sweep.py", ["--seeds", "2", "--depth", "2"])
+    pattern = (
+        r"^closest defect eigenvalue to the rank band \(1e-10, 1e-08\]: "
+        r"\d+\.\d{3} decades \(I - [CE]\* [CE], seed [01]\)$"
+    )
+    assert re.search(pattern, proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_seed_sweep_band_distance_reads_the_gate_spectra():
+    # the distance of an eigenvalue below the band is counted to TOL_RANK,
+    # one above it to TOL_EQ; the nearest wins
+    path = ROOT / "scripts" / "seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    class Defect:
+        def __init__(self, *spectrum):
+            self.spectrum = script.np.array(spectrum)
+
+    class Inst:
+        defect_c = Defect(-1e-3, 1e-14, 1.0)
+        defect_e = Defect(0.0, 1e-6, 1.0)
+
+    gap, name = script.band_distance(Inst)
+    assert name == "I - E* E" and abs(gap - 2.0) < 1e-12
+    Inst.defect_e = Defect(-1e-15, 0.0)
+    Inst.defect_c = Defect(-1e-15)
+    assert script.band_distance(Inst) is None
+
+
 def test_seed_sweep_keeps_the_worst_row(monkeypatch, capsys):
     # a failing row outranks a passing one, a larger violation a smaller
     # one of the same verdict; an error (violation inf) keeps its text
@@ -66,6 +98,7 @@ def test_seed_sweep_keeps_the_worst_row(monkeypatch, capsys):
          row("passing", 0.2, 0.5), row("late", 0.4, 0.5)],
     ]  # fmt: skip
     monkeypatch.setattr(script, "generate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(script, "band_distance", lambda inst: None)
     monkeypatch.setattr(script, "run_all_checks", lambda inst, depth, seed: by_seed[seed])
     monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "--seeds", "3"])
     assert script.main() == 1
@@ -219,10 +252,10 @@ def test_compare_exports_flags_one_changed_byte(tmp_path):
     assert "differs: (2, 2, 1) seed 0 depth 1 inside-band transfer" in lines
     assert not any(line.endswith(" inside-band verify") for line in lines)
     assert lines[14] == "8 inside-band runs: DIFFERENT"
-    # the copy scaled by 1 - 2e-9 is accepted alike
-    assert "differs: (2, 2, 1) seed 0 depth 1 inside-band-down transfer" in lines
-    assert not any(line.endswith(" inside-band-down verify") for line in lines)
-    assert lines[-1] == "8 inside-band-down runs: DIFFERENT" and len(lines) == 22
+    # the copy scaled by 1 - 2e-9 is refused (its defect ranks are
+    # decided in the band), so it writes no series either
+    assert lines[-1] == "8 inside-band-down runs: same exit codes and text"
+    assert len(lines) == 16
 
 
 def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
@@ -232,7 +265,8 @@ def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
     text = cli.read_text()
     strict = "inst = _load_instance(args, strict=True)\n    series = transfer_series("
     assert text.count(strict) == 1
-    # transfer loads like verify, so it exports the near-miss instance
+    # transfer loads like verify, so it exports the near-miss instance and
+    # the one whose defect ranks are decided in the band
     cli.write_text(text.replace(strict, strict.replace("True", "False")))
     proc = run_script(
         "compare_checks.py",
@@ -245,5 +279,7 @@ def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
         "differs: (2, 2, 1) seed 0 depth 1 near-miss transfer",
         "8 near-miss runs: DIFFERENT",
         "8 inside-band runs: same exit codes and text",
-        "8 inside-band-down runs: same exit codes and text",
+        "differs: (2, 2, 0) seed 1 depth 2 inside-band-down transfer",
+        "differs: (2, 2, 1) seed 0 depth 1 inside-band-down transfer",
+        "8 inside-band-down runs: DIFFERENT",
     ]
