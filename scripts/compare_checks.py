@@ -52,8 +52,9 @@ the other sign: the zero eigenvalues of the defects move up past
 TOL_EQ]`` where a defect rank would change, so the exports refuse it
 (exit 2) and ``verify`` fails it (exit 1).  The
 exit code and the stdout and stderr text of each such run are hashed
-like a file, and every run whose hash differs is printed, with a count
-for each copy.  It exits 1 on any difference, and 0 otherwise.
+like a file, and every run whose hash differs is printed, with its exit
+code on each side (``exit 2 -> 0``), and a count for each copy.  It
+exits 1 on any difference, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ import tempfile
 import time
 from pathlib import Path
 
-# the benchmark's pin (ncbench/run.py), set in each grid subprocess before numpy loads
+# the benchmark's pin (ncbench/run.py), set in each grid subprocess before numpy
+# loads; seed_sweep.py imports it from here, so this top level loads only the
+# standard library
 BLAS_THREADS = "2"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
@@ -135,8 +138,8 @@ def scaled_copy(inst: Path, path: Path, factor: float) -> None:
 def emit_hashes(grid: str) -> None:
     """Print the imported tree's location, the sha256 of every file the
     command line writes for the grid, by file label, and, by copy name,
-    the sha256 of the exit code and text of every command run on each
-    scaled copy."""
+    the exit code and the sha256 of the exit code and text of every
+    command run on each scaled copy."""
     import ncscatter
     from ncscatter.cli import main
 
@@ -154,7 +157,7 @@ def emit_hashes(grid: str) -> None:
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
                 code = main(argv)
             record = f"exit {code}\n{text.getvalue()}".encode()
-            runs[copy][f"{name} {copy} {argv[0]}"] = hashlib.sha256(record).hexdigest()
+            runs[copy][f"{name} {copy} {argv[0]}"] = [code, hashlib.sha256(record).hexdigest()]
 
         for (d, dim_c, dim_a), seeds, depth, a_scale in GRIDS[grid]:
             shape = ["--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a)]
@@ -194,17 +197,24 @@ def run_tree(src: str, mode: str, grid: str) -> dict:
     return {**out, "wall_s": wall_s}
 
 
+def _exit_code(run) -> str:
+    return "missing" if run is None else str(run[0])
+
+
 def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
     """Report lines and whether any file or run on a scaled copy is missing
-    on one side or differs."""
+    on one side or differs; a differing run names its two exit codes."""
     lines, differs = [], False
     runs = [(copy, f"{copy} runs", "same exit codes and text") for copy in COPIES]
     for key, what, same in [("rows", "files", "same bytes"), *runs]:
         old, new = base[key], change[key]
-        changed = [
-            f"differs: {name}" for name in sorted(old.keys() | new.keys())
-            if old.get(name) != new.get(name)
-        ]
+        changed = []
+        for name in sorted(old.keys() | new.keys()):
+            if old.get(name) != new.get(name):
+                codes = "" if key == "rows" else (
+                    f" (exit {_exit_code(old.get(name))} -> {_exit_code(new.get(name))})"
+                )
+                changed.append(f"differs: {name}{codes}")
         lines += changed + [f"{len(old)} {what}: {'DIFFERENT' if changed else same}"]
         differs = differs or bool(changed)
     return lines, differs

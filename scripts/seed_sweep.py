@@ -12,7 +12,9 @@ It exits nonzero if anything fails, so it doubles as a quick soak test:
 
 Run as a script, it sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 2 before numpy loads, as the benchmark does:
-some rows move by rounding with the BLAS thread count.
+some rows move by rounding with the BLAS thread count.  The pin is the
+one of its sibling ``compare_checks.py``, whose top level loads only the
+standard library.
 """
 
 import argparse
@@ -21,9 +23,8 @@ import os
 import sys
 import time
 
-# the benchmark's pin (ncbench/run.py)
-BLAS_THREADS = "2"
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+from compare_checks import BLAS_THREADS, THREAD_VARS
+
 if __name__ == "__main__":
     os.environ.update(dict.fromkeys(THREAD_VARS, BLAS_THREADS))
 

@@ -13,13 +13,14 @@ Coisometry of the row E forces two block identities,
 and guarantees an isometry ``gamma`` from the range of the star
 defect D* = (I - A A*)^(1/2) into the defect space of C with
 ``gamma D* = B*`` (B* maps H_A into the d-fold sum of H_C copies).
-Strict ``assemble`` refuses exactly the blocks that miss one of these
-identities by more than ``TOL_EQ``, and those whose defect rank of C
-or E is decided inside the band ``(TOL_RANK, TOL_EQ]``; ``generate``
-draws random valid instances from a seeded stream by running the
-construction backwards: pick C coisometric, pick a strictly
-contractive A, pick gamma at random, then let B be whatever the
-identity dictates.
+``assemble`` builds every instance in one pass; strict mode then reads
+all seven identities off :func:`lifting_violations` and refuses the
+blocks that miss one by more than ``TOL_EQ``, and those whose defect
+rank of C or E is decided inside the band ``(TOL_RANK, TOL_EQ]``.
+``generate`` draws random valid instances from a seeded stream by
+running the construction backwards: pick C coisometric, pick a
+strictly contractive A, pick gamma at random, then let B be whatever
+the identity dictates.
 
 Stored coordinates: every operator with values in a defect space is
 kept in the coordinates of the corresponding orthonormal defect
@@ -131,14 +132,6 @@ class LiftingInstance:
         """The lifted dilation, of E."""
         return Dilation(self.e, self.defect_e)
 
-    def b_row(self) -> np.ndarray:
-        """[B_1 ... B_d] : d-fold sum of H_C copies -> H_A."""
-        return np.hstack(self.b)
-
-    def b_star(self) -> np.ndarray:
-        """Stacked adjoint (d*dimC) x dimA, sending h_a to (B_j* h_a)_j."""
-        return self.b_row().conj().T
-
 
 def _block_lifting_ops(c: OperatorTuple, a: OperatorTuple, b) -> OperatorTuple:
     nc, na = c.dim, a.dim
@@ -170,37 +163,11 @@ def gamma_isometry(
     return defect_c_basis.conj().T @ bstar @ dstar_basis @ linalg.pseudo_inverse(restricted)
 
 
-def _block_violations(c: OperatorTuple, a: OperatorTuple, b) -> dict[str, float]:
-    """The three identities that involve only the blocks C, A and B."""
-    c_row = c.row()
-    a_row = a.row()
-    b_row = np.hstack(b)
-    cross = sum(c.ops[j] @ b[j].conj().T for j in range(c.d))
-    return {
-        "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - np.eye(c.dim)),
-        "cross_block": linalg.operator_norm(cross),
-        "complement_block": linalg.operator_norm(
-            b_row @ b_row.conj().T + a_row @ a_row.conj().T - np.eye(a.dim)
-        ),
-    }
-
-
-def _derived_violations(instance: LiftingInstance) -> dict[str, float]:
-    """The identities of the assembled tuple E and of gamma."""
-    e_row = instance.e.row()
-    g = instance.gamma
-    lifted = instance.defect_c.basis @ g @ (
-        instance.dstar_basis.conj().T @ instance.dstar
-    )
-    kernel = linalg.complement_onb(instance.dstar_basis)
-    return {
-        "e_coisometry": linalg.operator_norm(
-            e_row @ e_row.conj().T - np.eye(instance.dim_e)
-        ),
-        "gamma_isometry": linalg.operator_norm(g.conj().T @ g - np.eye(g.shape[1])),
-        "gamma_intertwine": linalg.operator_norm(lifted - instance.b_star()),
-        "gamma_kernel": linalg.operator_norm(instance.b_star() @ kernel),
-    }
+def _star_defect(a_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D* = (I - A A*)^(1/2) on H_A and an orthonormal basis of its range."""
+    gram = np.eye(a_row.shape[0], dtype=np.complex128) - a_row @ a_row.conj().T
+    dstar, _ = linalg.hermitian_sqrt(gram)
+    return dstar, linalg.range_onb(dstar)
 
 
 def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
@@ -211,10 +178,34 @@ def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
     ``gamma_isometry``, ``gamma_intertwine`` (gamma D* = B*) and
     ``gamma_kernel`` (B* vanishes on ker D*).
     """
+    c_row, a_row, e_row = instance.c.row(), instance.a.row(), instance.e.row()
+    b_row = np.hstack(instance.b)
+    b_star = b_row.conj().T
+    cross = sum(cj @ bj.conj().T for cj, bj in zip(instance.c.ops, instance.b))
+    g = instance.gamma
+    lifted = instance.defect_c.basis @ g @ (instance.dstar_basis.conj().T @ instance.dstar)
+    kernel = linalg.complement_onb(instance.dstar_basis)
     return {
-        **_block_violations(instance.c, instance.a, instance.b),
-        **_derived_violations(instance),
+        "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - np.eye(instance.dim_c)),
+        "cross_block": linalg.operator_norm(cross),
+        "complement_block": linalg.operator_norm(
+            b_row @ b_row.conj().T + a_row @ a_row.conj().T - np.eye(instance.dim_a)
+        ),
+        "e_coisometry": linalg.operator_norm(e_row @ e_row.conj().T - np.eye(instance.dim_e)),
+        "gamma_isometry": linalg.operator_norm(g.conj().T @ g - np.eye(g.shape[1])),
+        "gamma_intertwine": linalg.operator_norm(lifted - b_star),
+        "gamma_kernel": linalg.operator_norm(b_star @ kernel),
     }
+
+
+# the identities strict ``assemble`` names first, in order, with the error each raises
+_REFUSALS = (
+    ("c_coisometry", NotCoisometricC, "sum C_j C_j* - I has norm {:.3e}"),
+    ("cross_block", NotCoisometricE, "sum C_j B_j* has norm {:.3e}, should vanish"),
+    ("complement_block", NotCoisometricE, "B B* + A A* - I has norm {:.3e}"),
+    ("gamma_kernel", GammaUndefined,
+     f"B* does not vanish on ker D* (leak {{:.3e}} > {TOL_EQ:.1e})"),
+)
 
 
 def assemble(
@@ -227,12 +218,12 @@ def assemble(
     """Build a lifting instance from its three blocks and validate it.
 
     Both modes build on one path, with clamped defect spectra.  Strict
-    mode differs only in raising when an identity of
-    :func:`lifting_violations` exceeds ``TOL_EQ``, the threshold of
-    verify's ``lifting_identities`` row: first a block identity
+    mode then reads :func:`lifting_violations` once and raises when an
+    identity exceeds ``TOL_EQ``, the threshold of verify's
+    ``lifting_identities`` row: first a block identity
     (:class:`NotCoisometricC`, :class:`NotCoisometricE`), then a
     ``gamma_kernel`` leak (:class:`GammaUndefined`), then the worst
-    derived identity (:class:`NotCoisometricE`).  Last it raises
+    identity left (:class:`NotCoisometricE`).  Last it raises
     :class:`RankBand` on an eigenvalue of ``I - C* C`` or ``I - E* E``
     in ``(TOL_RANK, TOL_EQ]``, read where the defect's square root cut
     it.  For a coisometric lifting both are projections, so their
@@ -251,39 +242,28 @@ def assemble(
                 f"coupling blocks must be {a.dim}x{c.dim}, got {m.shape}"
             )
 
-    if strict:
-        viols = _block_violations(c, a, b)
-        for key, error, message in (
-            ("c_coisometry", NotCoisometricC, "sum C_j C_j* - I has norm {:.3e}"),
-            ("cross_block", NotCoisometricE, "sum C_j B_j* has norm {:.3e}, should vanish"),
-            ("complement_block", NotCoisometricE, "B B* + A A* - I has norm {:.3e}"),
-        ):
-            if viols[key] > TOL_EQ:
-                raise error(message.format(viols[key]))
-
     e = _block_lifting_ops(c, a, b)
     defect_c = defect(c)
-    a_row = a.row()
-    dstar, _ = linalg.hermitian_sqrt(np.eye(a.dim, dtype=np.complex128) - a_row @ a_row.conj().T)
-    dstar_basis = linalg.range_onb(dstar)
+    dstar, dstar_basis = _star_defect(a.row())
     gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, np.hstack(b).conj().T)
     inst = LiftingInstance(c, a, b, e, defect_c, defect(e), dstar, dstar_basis, gamma, seed)
+    if not strict:
+        return inst
 
-    if strict:
-        viols = _derived_violations(inst)
-        leak = viols["gamma_kernel"]
-        if leak > TOL_EQ:
-            raise GammaUndefined(f"B* does not vanish on ker D* (leak {leak:.3e} > {TOL_EQ:.1e})")
-        worst = max(viols, key=viols.get)
-        if viols[worst] > TOL_EQ:
-            raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")
-        for name, data in (("I - C* C", inst.defect_c), ("I - E* E", inst.defect_e)):
-            inside = data.spectrum[(data.spectrum > TOL_RANK) & (data.spectrum <= TOL_EQ)]
-            if inside.size:
-                raise RankBand(
-                    f"{name} has eigenvalue {inside[0]:.3e} in the rank band "
-                    f"({TOL_RANK:.0e}, {TOL_EQ:.0e}], so its defect rank is not decided"
-                )
+    viols = lifting_violations(inst)
+    for key, error, message in _REFUSALS:
+        if viols[key] > TOL_EQ:
+            raise error(message.format(viols[key]))
+    worst = max(viols, key=viols.get)
+    if viols[worst] > TOL_EQ:
+        raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")
+    for name, data in (("I - C* C", inst.defect_c), ("I - E* E", inst.defect_e)):
+        inside = data.spectrum[(data.spectrum > TOL_RANK) & (data.spectrum <= TOL_EQ)]
+        if inside.size:
+            raise RankBand(
+                f"{name} has eigenvalue {inside[0]:.3e} in the rank band "
+                f"({TOL_RANK:.0e}, {TOL_EQ:.0e}], so its defect rank is not decided"
+            )
     return inst
 
 
@@ -324,11 +304,6 @@ def generate(
         tuple(cstar[j * dim_c : (j + 1) * dim_c, :].conj().T for j in range(d))
     )
 
-    if dim_a == 0:
-        a = OperatorTuple(tuple(np.zeros((0, 0)) for _ in range(d)))
-        b = tuple(np.zeros((0, dim_c)) for _ in range(d))
-        return assemble(c, a, b, seed=seed)
-
     raw = rng.standard_normal((dim_a, d * dim_a)) + 1j * rng.standard_normal(
         (dim_a, d * dim_a)
     )
@@ -337,10 +312,7 @@ def generate(
     a = OperatorTuple(
         tuple(a_row[:, j * dim_a : (j + 1) * dim_a] for j in range(d))
     )
-
-    star_gram = np.eye(dim_a, dtype=np.complex128) - a_row @ a_row.conj().T
-    dstar, _ = linalg.hermitian_sqrt(star_gram)
-    dstar_basis = linalg.range_onb(dstar)
+    dstar, dstar_basis = _star_defect(a_row)
     rank_star = dstar_basis.shape[1]
 
     defect_c = defect(c)

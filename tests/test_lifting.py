@@ -38,7 +38,7 @@ SWEEP = [
 def recover_gamma(inst):
     """Solve gamma D* = B* again from the stored blocks."""
     return gamma_isometry(
-        inst.defect_c.basis, inst.dstar, inst.dstar_basis, inst.b_star()
+        inst.defect_c.basis, inst.dstar, inst.dstar_basis, np.hstack(inst.b).conj().T
     )
 
 
@@ -75,15 +75,50 @@ class TestAssemble:
     def test_bad_coupling_rejected(self, coiso_pair):
         a = OperatorTuple((np.zeros((1, 1)), np.zeros((1, 1))))
         b = (np.array([[RT2]]), np.array([[RT2]]))  # sum C_j B_j* = 1, not 0
-        with pytest.raises(NotCoisometricE):
+        with pytest.raises(NotCoisometricE) as exc:
             assemble(coiso_pair, a, b)
+        assert str(exc.value) == "sum C_j B_j* has norm 1.000e+00, should vanish"
 
     def test_non_coisometric_base_rejected(self):
         c = OperatorTuple((np.array([[0.5]]), np.array([[0.5]])))
         a = OperatorTuple((np.zeros((0, 0)), np.zeros((0, 0))))
         b = (np.zeros((0, 1)), np.zeros((0, 1)))
-        with pytest.raises(NotCoisometricC):
+        with pytest.raises(NotCoisometricC) as exc:
             assemble(c, a, b)
+        assert str(exc.value) == "sum C_j C_j* - I has norm 5.000e-01"
+
+    def test_base_identity_refused_before_the_lifted_one(self):
+        # C x (1 + 1e-6) misses c_coisometry and, through its C block,
+        # e_coisometry; the base identity is named
+        inst = generate(2, 2, 1, seed=1)
+        c = OperatorTuple(tuple(m * (1 + 1e-6) for m in inst.c.ops))
+        failing = assemble(c, inst.a, inst.b, strict=False)
+        viols = lifting_violations(failing)
+        assert {k for k, v in viols.items() if v > linalg.TOL_EQ} == {
+            "c_coisometry",
+            "e_coisometry",
+        }
+        with pytest.raises(NotCoisometricC) as exc:
+            assemble(c, inst.a, inst.b)
+        assert str(exc.value) == "sum C_j C_j* - I has norm 2.000e-06"
+
+    @pytest.mark.parametrize("block", ["C", "B"])
+    def test_overflow_refused_alike_in_both_modes(self, block):
+        # entries large enough for C C* (or B B*) to overflow stop the
+        # build in the defect's eigh, strict or not
+        inst = generate(2, 2, 1, seed=1)
+        c, b = inst.c, inst.b
+        if block == "C":
+            c = OperatorTuple(tuple(m * 1e200 for m in c.ops))
+        else:
+            b = tuple(m * 1e200 for m in b)
+        texts = []
+        for strict in (True, False):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(np.linalg.LinAlgError) as exc:
+                    assemble(c, inst.a, b, strict=strict)
+            texts.append((type(exc.value), str(exc.value)))
+        assert texts[0] == texts[1] == (np.linalg.LinAlgError, "Eigenvalues did not converge")
 
     def test_lenient_mode_builds_invalid_instance(self, coiso_pair):
         a = OperatorTuple((np.zeros((1, 1)), np.zeros((1, 1))))

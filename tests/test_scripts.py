@@ -10,11 +10,25 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import SWEEP_SHAPES
+from test_verify import load_bench
 
 import ncscatter
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(ncscatter.__file__).resolve().parents[1]
+
+
+def load_script(name, monkeypatch):
+    """A script under ``scripts/``, loaded from its file with its directory on
+    the path, as running it puts it there (``seed_sweep`` imports its pin from
+    ``compare_checks``)."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def run_script(script, args):
@@ -58,13 +72,10 @@ def test_seed_sweep_prints_the_rank_band_distance():
     assert re.search(pattern, proc.stdout, re.MULTILINE), proc.stdout
 
 
-def test_seed_sweep_band_distance_reads_the_gate_spectra():
+def test_seed_sweep_band_distance_reads_the_gate_spectra(monkeypatch):
     # the distance of an eigenvalue below the band is counted to TOL_RANK,
     # one above it to TOL_EQ; the nearest wins
-    path = ROOT / "scripts" / "seed_sweep.py"
-    spec = importlib.util.spec_from_file_location("seed_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("seed_sweep", monkeypatch)
 
     class Defect:
         def __init__(self, *spectrum):
@@ -84,10 +95,7 @@ def test_seed_sweep_band_distance_reads_the_gate_spectra():
 def test_seed_sweep_keeps_the_worst_row(monkeypatch, capsys):
     # a failing row outranks a passing one, a larger violation a smaller
     # one of the same verdict; an error (violation inf) keeps its text
-    path = ROOT / "scripts" / "seed_sweep.py"
-    spec = importlib.util.spec_from_file_location("seed_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("seed_sweep", monkeypatch)
     row, error = script.CheckResult.measure, script.CheckResult.failure
     by_seed = [
         [error("crash", 0.5, "exploded at seed 0"), row("shrinking", 2.0, 0.5),
@@ -178,11 +186,8 @@ def test_blas_thread_count_keeps_every_verdict():
         assert a["value"] == b["value"] or abs(a["value"] - b["value"]) <= 1e-14, (a, b)
 
 
-def test_compare_checks_deep_grid():
-    path = ROOT / "scripts" / "compare_checks.py"
-    spec = importlib.util.spec_from_file_location("compare_checks", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_compare_checks_deep_grid(monkeypatch):
+    script = load_script("compare_checks", monkeypatch)
     assert [(shape, list(seeds), depth, a) for shape, seeds, depth, a in script.GRIDS["deep"]] == [
         ((2, 2, 2), [1, 2, 3], 9, 0.9)
     ]
@@ -249,7 +254,7 @@ def test_compare_exports_flags_one_changed_byte(tmp_path):
     # a refused export writes no series, so the refusals stay the same
     assert lines[7] == "8 near-miss runs: same exit codes and text"
     # an accepted copy prints its series, whose bytes changed alike
-    assert "differs: (2, 2, 1) seed 0 depth 1 inside-band transfer" in lines
+    assert "differs: (2, 2, 1) seed 0 depth 1 inside-band transfer (exit 0 -> 0)" in lines
     assert not any(line.endswith(" inside-band verify") for line in lines)
     assert lines[14] == "8 inside-band runs: DIFFERENT"
     # the copy scaled by 1 - 2e-9 is refused (its defect ranks are
@@ -275,11 +280,39 @@ def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
         "8 files: same bytes",
-        "differs: (2, 2, 0) seed 1 depth 2 near-miss transfer",
-        "differs: (2, 2, 1) seed 0 depth 1 near-miss transfer",
+        "differs: (2, 2, 0) seed 1 depth 2 near-miss transfer (exit 2 -> 0)",
+        "differs: (2, 2, 1) seed 0 depth 1 near-miss transfer (exit 2 -> 0)",
         "8 near-miss runs: DIFFERENT",
         "8 inside-band runs: same exit codes and text",
-        "differs: (2, 2, 0) seed 1 depth 2 inside-band-down transfer",
-        "differs: (2, 2, 1) seed 0 depth 1 inside-band-down transfer",
+        "differs: (2, 2, 0) seed 1 depth 2 inside-band-down transfer (exit 2 -> 0)",
+        "differs: (2, 2, 1) seed 0 depth 1 inside-band-down transfer (exit 2 -> 0)",
         "8 inside-band-down runs: DIFFERENT",
+    ]
+
+
+def test_tooling_constants_have_one_value(monkeypatch):
+    # the sweep shapes and the BLAS thread pin are copied into ncbench/,
+    # which the scripts and tests do not import from; the copies must agree
+    compare_checks = load_script("compare_checks", monkeypatch)
+    seed_sweep = load_script("seed_sweep", monkeypatch)
+    run, workloads = load_bench("run"), load_bench("workloads")
+    assert SWEEP_SHAPES == compare_checks.SWEEP_SHAPES == workloads.SWEEP_SHAPES
+    assert seed_sweep.BLAS_THREADS == compare_checks.BLAS_THREADS == run.BLAS_THREADS
+    assert seed_sweep.THREAD_VARS == compare_checks.THREAD_VARS
+    assert set(compare_checks.THREAD_VARS) <= set(run.THREAD_VARS)
+
+
+def test_compare_exports_names_both_exit_codes(monkeypatch):
+    script = load_script("compare_checks", monkeypatch)
+    empty = {copy: {} for copy in script.COPIES}
+    base = {"rows": {"f": "a"}, **empty, "near-miss": {"r": [2, "x"], "gone": [1, "y"]}}
+    change = {"rows": {"f": "b"}, **empty, "near-miss": {"r": [0, "z"]}}
+    lines, differs = script.compare_exports(base, change)
+    assert differs
+    assert lines[:5] == [
+        "differs: f",
+        "1 files: DIFFERENT",
+        "differs: gone (exit 1 -> missing)",
+        "differs: r (exit 2 -> 0)",
+        "2 near-miss runs: DIFFERENT",
     ]
