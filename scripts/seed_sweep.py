@@ -3,9 +3,11 @@
 
 Prints the worst violation per check across the sweep, the worst
 headroom, log10(threshold / violation) over passing rows with a
-nonzero violation, and the smallest distance in decades from a
+nonzero violation, the smallest distance in decades from a
 positive eigenvalue of I - C* C or I - E* E to the rank band
-(TOL_RANK, TOL_EQ] in which strict ``assemble`` refuses a defect rank.
+(TOL_RANK, TOL_EQ] in which strict ``assemble`` refuses a defect rank,
+and the smallest distance in decades from a nonzero eigenvalue of
+I - A A* to the rank cut TOL_RANK of the star defect.
 It exits nonzero if anything fails, so it doubles as a quick soak test:
 
     python3 scripts/seed_sweep.py --seeds 20 --d 2 --dim-c 2 --dim-a 2
@@ -49,12 +51,21 @@ def band_distance(inst) -> tuple[float, str] | None:
     rank band to that band, with its defect, off the spectra that strict
     ``assemble`` reads; None when no eigenvalue is positive."""
     gaps = []
-    for name, data in (("I - C* C", inst.defect_c), ("I - E* E", inst.defect_e)):
+    for name, data in (("I - C* C", inst.c.defect), ("I - E* E", inst.e.defect)):
         w = data.spectrum[data.spectrum > 0]
         if w.size:
             gap = np.maximum(np.log10(TOL_RANK / w), np.log10(w / TOL_EQ)).clip(0).min()
             gaps.append((float(gap), name))
     return min(gaps, default=None)
+
+
+def star_cut_distance(inst) -> float | None:
+    """Decades from the nonzero eigenvalue w of I - A A* nearest to the star
+    defect's rank cut, the smallest ``|log10(|w| / TOL_RANK)|``; None when
+    no eigenvalue is nonzero."""
+    w = np.abs(inst.a.star_defect.spectrum)
+    w = w[w > 0]
+    return float(np.abs(np.log10(w / TOL_RANK)).min()) if w.size else None
 
 
 def main() -> int:
@@ -71,12 +82,16 @@ def main() -> int:
     worst: dict[str, CheckResult] = {}
     headroom = None  # (decades, check, seed) of the tightest passing row
     band = None  # (decades, defect, seed) of the defect eigenvalue nearest the rank band
+    cut = None  # (decades, seed) of the star defect eigenvalue nearest its rank cut
     t0 = time.perf_counter()
     for seed in range(args.seeds):
         inst = generate(args.d, args.dim_c, args.dim_a, seed=seed, a_scale=args.a_scale)
         near = band_distance(inst)
         if near is not None and (band is None or near < band[:2]):
             band = (*near, seed)
+        gap = star_cut_distance(inst)
+        if gap is not None and (cut is None or gap < cut[0]):
+            cut = (gap, seed)
         for res in run_all_checks(inst, args.depth, seed=seed):
             seen = worst.get(res.name)
             if seen is None or severity(res) > severity(seen):
@@ -98,6 +113,10 @@ def main() -> int:
     if band is not None:
         near = f"{band[0]:.3f} decades ({band[1]}, seed {band[2]})"
     print(f"closest defect eigenvalue to the rank band {BAND}: {near}")
+    near = "none (no eigenvalue is nonzero)"
+    if cut is not None:
+        near = f"{cut[0]:.3f} decades (seed {cut[1]})"
+    print(f"closest star defect eigenvalue to the rank cut {TOL_RANK:.0e}: {near}")
     print(
         f"{args.seeds} instances (d={args.d}, dims ({args.dim_c},{args.dim_a}), "
         f"depth {args.depth}) in {elapsed:.2f} s at {BLAS_THREADS} BLAS threads"

@@ -65,7 +65,8 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
     """
     d, nc, na, ne = instance.d, instance.dim_c, instance.dim_a, instance.dim_e
     require_words(d, depth)
-    gs = instance.gamma @ (instance.dstar_basis.conj().T @ instance.dstar)
+    star = instance.a.star_defect
+    gs = instance.gamma @ (star.basis.conj().T @ star.operator)
     adj = _suffix_adjoints(instance, depth)
     neg = [-gs @ level for level in adj]
     pos = [gs @ level for level in adj[:-1]]
@@ -75,7 +76,7 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
         cols_a = slice((i - 1) * ne + nc, i * ne)
         b_i = instance.b[i - 1]
         a_i = instance.a.ops[i - 1]
-        blocks[0][:, cols_c] = instance.defect_c.coord_component(i) - gs @ b_i
+        blocks[0][:, cols_c] = instance.dilation_c.letters[i - 1][nc:] - gs @ b_i
         blocks[0][:, cols_a] = -gs @ a_i
         crosses = [-a_j.conj().T @ a_i for a_j in instance.a.ops]
         crosses[i - 1] = crosses[i - 1] + np.eye(na)
@@ -96,13 +97,14 @@ def charfn_series(instance: LiftingInstance, depth: int) -> NCSeries:
     of that operator by more than ``TOL_EQ``.
     """
     blocks = symbol_blocks(instance, depth)
-    kernel = linalg.complement_onb(instance.defect_e.basis)
+    de = instance.e.defect
+    kernel = linalg.complement_onb(de.basis)
     leak = linalg.operator_norm(blocks.reshape(-1, blocks.shape[2]) @ kernel)
     if leak > linalg.TOL_EQ:
         raise IllDefined(
             f"symbol leaks onto ker of the lifted defect ({leak:.3e} > {linalg.TOL_EQ:.1e})"
         )
-    factor = linalg.pseudo_inverse(instance.defect_e.operator) @ instance.defect_e.basis
+    factor = linalg.pseudo_inverse(de.operator) @ de.basis
     return NCSeries(instance.d, depth, blocks @ factor)
 
 

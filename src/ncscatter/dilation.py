@@ -37,7 +37,8 @@ arithmetic: the row each letter sends each Fock column to.
 
 :attr:`Dilation.letters` holds the blocks ``U_j`` and
 :attr:`Dilation.stage_adjoint` holds ``U*``, each made once per
-dilation: every reader of a letter or of ``U*`` takes it there.
+dilation: every reader of a letter, of its defect block
+``(D)_j = letters[j - 1][n:]`` or of ``U*`` takes it there.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rowtuple import DefectData, OperatorTuple
+from .rowtuple import OperatorTuple
 from .words import Word, level_start, position
 
 
@@ -104,22 +105,23 @@ class GradedSpace:
 
 @dataclass(frozen=True, eq=False)
 class Dilation:
-    """The explicit isometric dilation of a row contraction."""
+    """The explicit isometric dilation of a row contraction, on ``t.defect``."""
 
     t: OperatorTuple
-    defect: DefectData
 
     @property
     def d(self) -> int:
         return self.t.d
 
     def space(self, depth: int) -> GradedSpace:
-        return GradedSpace(self.t.d, depth, self.t.dim, self.defect.rank)
+        return GradedSpace(self.t.d, depth, self.t.dim, self.t.defect.rank)
 
     @cached_property
     def stage(self) -> np.ndarray:
-        """The (n + r) x d*n stage block: column block j is ``[T_j ; (D)_j]``."""
-        comps = [self.defect.coord_component(j) for j in range(1, self.d + 1)]
+        """The (n + r) x d*n stage block: column block j is ``[T_j ; (D)_j]``,
+        ``(D)_j`` the rows of ``D`` on slot j in defect-basis coordinates."""
+        dd, n = self.t.defect, self.t.dim
+        comps = [dd.basis.conj().T @ dd.operator[:, j * n : (j + 1) * n] for j in range(self.d)]
         return np.vstack([self.t.row(), np.hstack(comps)])
 
     @cached_property

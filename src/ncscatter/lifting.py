@@ -22,9 +22,9 @@ running the construction backwards: pick C coisometric, pick a
 strictly contractive A, pick gamma at random, then let B be whatever
 the identity dictates.
 
-Stored coordinates: every operator with values in a defect space is
-kept in the coordinates of the corresponding orthonormal defect
-basis, never in the ambient d*n-dimensional representation.
+Stored coordinates: an instance holds its blocks and ``gamma`` alone,
+in the coordinates of the defect bases its tuples own: readers take
+``c.defect``, ``e.defect`` and ``a.star_defect`` (:mod:`.rowtuple`).
 
 An instance keeps the dilations of C and E (:mod:`.dilation`); every
 other module reads them, their stage blocks and their spaces there.
@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .dilation import Dilation
 from .linalg import TOL_EQ, TOL_RANK
-from .rowtuple import DefectData, OperatorTuple, defect
+from .rowtuple import OperatorTuple
 
 
 class NotCoisometricC(ValueError):
@@ -75,22 +75,18 @@ class Infeasible(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LiftingInstance:
-    """A validated coisometric lifting with precomputed defect data.
+    """A validated coisometric lifting: its blocks and ``gamma``.
 
     ``b`` holds the d coupling blocks B_j (dimA x dimC each), ``e``
     the assembled block tuple.  ``gamma`` is stored as a matrix from
-    star-defect coordinates to base-defect coordinates; ``dstar`` and
-    ``dstar_basis`` live on H_A.
+    the coordinates of ``a.star_defect`` (on H_A) to those of
+    ``c.defect``.
     """
 
     c: OperatorTuple
     a: OperatorTuple
     b: tuple[np.ndarray, ...]
     e: OperatorTuple
-    defect_c: DefectData
-    defect_e: DefectData
-    dstar: np.ndarray
-    dstar_basis: np.ndarray
     gamma: np.ndarray
     seed: int | None = None
 
@@ -112,25 +108,21 @@ class LiftingInstance:
 
     @property
     def rank_c(self) -> int:
-        return self.defect_c.rank
+        return self.c.defect.rank
 
     @property
     def rank_e(self) -> int:
-        return self.defect_e.rank
-
-    @property
-    def rank_star(self) -> int:
-        return self.dstar_basis.shape[1]
+        return self.e.defect.rank
 
     @cached_property
     def dilation_c(self) -> Dilation:
         """The base dilation, of C."""
-        return Dilation(self.c, self.defect_c)
+        return Dilation(self.c)
 
     @cached_property
     def dilation_e(self) -> Dilation:
         """The lifted dilation, of E."""
-        return Dilation(self.e, self.defect_e)
+        return Dilation(self.e)
 
 
 def _block_lifting_ops(c: OperatorTuple, a: OperatorTuple, b) -> OperatorTuple:
@@ -163,13 +155,6 @@ def gamma_isometry(
     return defect_c_basis.conj().T @ bstar @ dstar_basis @ linalg.pseudo_inverse(restricted)
 
 
-def _star_defect(a_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D* = (I - A A*)^(1/2) on H_A and an orthonormal basis of its range."""
-    gram = np.eye(a_row.shape[0], dtype=np.complex128) - a_row @ a_row.conj().T
-    dstar, _ = linalg.hermitian_sqrt(gram)
-    return dstar, linalg.range_onb(dstar)
-
-
 def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
     """Numerical size of every defining identity of the instance.
 
@@ -182,9 +167,9 @@ def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
     b_row = np.hstack(instance.b)
     b_star = b_row.conj().T
     cross = sum(cj @ bj.conj().T for cj, bj in zip(instance.c.ops, instance.b))
-    g = instance.gamma
-    lifted = instance.defect_c.basis @ g @ (instance.dstar_basis.conj().T @ instance.dstar)
-    kernel = linalg.complement_onb(instance.dstar_basis)
+    g, star = instance.gamma, instance.a.star_defect
+    lifted = instance.c.defect.basis @ g @ (star.basis.conj().T @ star.operator)
+    kernel = linalg.complement_onb(star.basis)
     return {
         "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - np.eye(instance.dim_c)),
         "cross_block": linalg.operator_norm(cross),
@@ -217,7 +202,9 @@ def assemble(
 ) -> LiftingInstance:
     """Build a lifting instance from its three blocks and validate it.
 
-    Both modes build on one path, with clamped defect spectra.  Strict
+    Both modes build on one path, with clamped defect spectra, and root
+    ``c.defect``, ``a.star_defect`` and ``e.defect`` there, so blocks too
+    large for their Grams raise :class:`.GramOverflow` in either.  Strict
     mode then reads :func:`lifting_violations` once and raises when an
     identity exceeds ``TOL_EQ``, the threshold of verify's
     ``lifting_identities`` row: first a block identity
@@ -243,10 +230,10 @@ def assemble(
             )
 
     e = _block_lifting_ops(c, a, b)
-    defect_c = defect(c)
-    dstar, dstar_basis = _star_defect(a.row())
-    gamma = gamma_isometry(defect_c.basis, dstar, dstar_basis, np.hstack(b).conj().T)
-    inst = LiftingInstance(c, a, b, e, defect_c, defect(e), dstar, dstar_basis, gamma, seed)
+    defect_c, star = c.defect, a.star_defect
+    gamma = gamma_isometry(defect_c.basis, star.operator, star.basis, np.hstack(b).conj().T)
+    defect_e = e.defect
+    inst = LiftingInstance(c, a, b, e, gamma, seed)
     if not strict:
         return inst
 
@@ -257,7 +244,7 @@ def assemble(
     worst = max(viols, key=viols.get)
     if viols[worst] > TOL_EQ:
         raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")
-    for name, data in (("I - C* C", inst.defect_c), ("I - E* E", inst.defect_e)):
+    for name, data in (("I - C* C", defect_c), ("I - E* E", defect_e)):
         inside = data.spectrum[(data.spectrum > TOL_RANK) & (data.spectrum <= TOL_EQ)]
         if inside.size:
             raise RankBand(
@@ -312,18 +299,15 @@ def generate(
     a = OperatorTuple(
         tuple(a_row[:, j * dim_a : (j + 1) * dim_a] for j in range(d))
     )
-    dstar, dstar_basis = _star_defect(a_row)
-    rank_star = dstar_basis.shape[1]
-
-    defect_c = defect(c)
-    if rank_star > defect_c.rank:
+    star = a.star_defect
+    if star.rank > c.defect.rank:
         raise Infeasible(
-            f"star defect rank {rank_star} exceeds base defect rank "
-            f"{defect_c.rank} = (d-1)*dimC; no isometry gamma exists"
+            f"star defect rank {star.rank} exceeds base defect rank "
+            f"{c.defect.rank} = (d-1)*dimC; no isometry gamma exists"
         )
-    gamma = linalg.random_isometry(defect_c.rank, rank_star, rng)
+    gamma = linalg.random_isometry(c.defect.rank, star.rank, rng)
 
-    bstar = defect_c.basis @ gamma @ (dstar_basis.conj().T @ dstar)
+    bstar = c.defect.basis @ gamma @ (star.basis.conj().T @ star.operator)
     b = tuple(
         bstar[j * dim_c : (j + 1) * dim_c, :].conj().T for j in range(d)
     )

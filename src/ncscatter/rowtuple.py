@@ -1,25 +1,29 @@
 """Tuples of operators viewed as a single row operator.
 
 A d-tuple (T_1, ..., T_d) of n x n matrices acts as the row
-[T_1 ... T_d] from the d-fold direct sum of C^n to C^n.  The defect
-operator of a row contraction
-
-    D = (I - row* row)^(1/2)
-
-on the direct sum measures how far the tuple is from a row isometry;
-its range is the defect space.  Operators with values in the defect
-space are always stored in coordinates of a fixed orthonormal basis
-of that range, so downstream code never drags around the ambient
+[T_1 ... T_d] from the d-fold direct sum of C^n to C^n.  A row
+contraction has one defect D = (I - row* row)^(1/2) on the direct sum
+and one star defect D* = (I - row row*)^(1/2) on C^n.  The tuple owns
+both, rooted once on first read (:attr:`OperatorTuple.defect` and
+:attr:`OperatorTuple.star_defect`), and every reader takes them there.
+Operators with values in a defect space are stored in coordinates of
+a fixed orthonormal basis of its range, never in the ambient
 d*n-dimensional representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
+
+
+class GramOverflow(ValueError):
+    """A defect Gram has a non-finite entry: the tuple's entries are too
+    large for their products to be held in double precision."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,50 +67,58 @@ class OperatorTuple:
             out = out @ self.op(letter)
         return out
 
+    @cached_property
+    def defect(self) -> DefectData:
+        """The defect of ``I - row* row``, made by :func:`defect`."""
+        return defect(self)
+
+    @cached_property
+    def star_defect(self) -> DefectData:
+        """The star defect, of ``I - row row*`` on C^n."""
+        row = self.row()
+        return _root(row, row.conj().T, "I - T T*")
+
 
 @dataclass(frozen=True, eq=False)
 class DefectData:
-    """Defect operator of a row contraction plus coordinate plumbing.
+    """A defect operator and an orthonormal basis of its range.
 
-    ``operator`` is D = (I - row* row)^(1/2) on the d*n-dimensional
-    direct sum, ``basis`` an orthonormal basis of its range and
-    ``rank`` the defect rank.  ``spectrum`` holds the ascending
-    eigenvalues of I - row* row that the square root cut.
-    ``coord_component(j)`` is the rank x n matrix of the j-th slot
-    embedding followed by D, expressed in basis coordinates: it sends
-    ell in C^n to the coordinates of D (0, ..., ell, ..., 0).  Its
-    conjugate transpose realizes the adjoint slot map from defect
-    coordinates back to C^n.
+    ``operator`` is the square root of a defect Gram (``I - row* row``
+    on the d*n-dimensional direct sum, or ``I - row row*`` on C^n),
+    ``basis`` an orthonormal basis of its range and ``rank`` the defect
+    rank.  ``spectrum`` holds the ascending eigenvalues of the Gram that
+    the square root cut.
     """
 
     operator: np.ndarray
     basis: np.ndarray
     rank: int
     spectrum: np.ndarray
-    _components: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
-    def coord_component(self, j: int) -> np.ndarray:
-        """Letter-indexed access, j in 1..d."""
-        d = len(self._components)
-        if not 1 <= j <= d:
-            raise IndexError(f"letter {j} outside 1..{d}")
-        return self._components[j - 1]
+
+def _root(left: np.ndarray, right: np.ndarray, name: str) -> DefectData:
+    """Defect data of the Gram ``I - left @ right``; a non-finite entry is
+    refused with :class:`GramOverflow` before any decomposition."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.eye(left.shape[0], dtype=np.complex128) - left @ right
+    if not np.isfinite(gram).all():
+        raise GramOverflow(
+            f"{name} has a non-finite entry: the entries are too large for double precision"
+        )
+    op, spectrum = linalg.hermitian_sqrt(gram)
+    basis = linalg.range_onb(op)
+    return DefectData(op, basis, basis.shape[1], spectrum)
 
 
 def defect(t: OperatorTuple) -> DefectData:
-    """Defect data of a tuple; nothing is refused.
+    """Defect data of a tuple; nothing but an overflowing Gram is refused.
 
     Eigenvalues of I - row* row at or below the rank tolerance (on the
     natural scale 1 of a contraction) are zeroed, negative ones included,
     so row isometries get the zero defect and coisometric tuples an exact
     orthogonal projection.  Whether the tuple is a contraction is for the
-    caller to measure, as :func:`.lifting.assemble` does.
+    caller to measure, as :func:`.lifting.assemble` does.  Read it as
+    :attr:`OperatorTuple.defect`, which makes it once per tuple.
     """
     row = t.row()
-    gram = np.eye(row.shape[1], dtype=np.complex128) - row.conj().T @ row
-    op, spectrum = linalg.hermitian_sqrt(gram)
-    basis = linalg.range_onb(op)
-    comps = tuple(
-        basis.conj().T @ op[:, j * t.dim : (j + 1) * t.dim] for j in range(t.d)
-    )
-    return DefectData(op, basis, basis.shape[1], spectrum, comps)
+    return _root(row.conj().T, row, "I - T* T")

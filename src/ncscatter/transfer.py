@@ -91,14 +91,9 @@ def build_colligation(instance: LiftingInstance) -> Colligation:
     adjoints = [u.conj().T for u in instance.dilation_e.letters]
     state_ops = tuple(a[:, :ne] for a in adjoints)
     input_ops = tuple(a[:, ne:] for a in adjoints)
-    output_map = sum(
-        instance.defect_c.coord_component(j) @ proj @ state_ops[j - 1]
-        for j in range(1, instance.d + 1)
-    )
-    feedthrough = sum(
-        instance.defect_c.coord_component(j) @ proj @ input_ops[j - 1]
-        for j in range(1, instance.d + 1)
-    )
+    comps = [u[nc:] for u in instance.dilation_c.letters]
+    output_map = sum(comp @ proj @ op for comp, op in zip(comps, state_ops))
+    feedthrough = sum(comp @ proj @ op for comp, op in zip(comps, input_ops))
     return Colligation(state_ops, input_ops, output_map, feedthrough)
 
 

@@ -15,6 +15,12 @@ def balanced_pair_tuple():
     return OperatorTuple((np.array([[RT2]]), np.array([[RT2]])))
 
 
+def defect_block(t, j):
+    """``(D)_j``: the defect of ``t`` on slot j, in the coordinates of its basis."""
+    dd, n = t.defect, t.dim
+    return dd.basis.conj().T @ dd.operator[:, (j - 1) * n : j * n]
+
+
 def dense_letter(dil, j, depth):
     """The flat matrix of V_j from ``depth`` to ``depth + 1``: V_j on the identity."""
     return dil.apply(j, np.eye(dil.space(depth).dim, dtype=np.complex128), depth)

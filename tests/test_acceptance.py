@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import defect_block
 
 from ncscatter import lifting, scattering
 from ncscatter.charfn import (
@@ -246,7 +247,8 @@ def test_output_map_structure(sweep):
         coll = build_colligation(inst)
         nc = inst.dim_c
         worst = max(worst, operator_norm(coll.output_map[:, :nc]))
-        coupled = inst.gamma @ (inst.dstar_basis.conj().T @ inst.dstar)
+        star = inst.a.star_defect
+        coupled = inst.gamma @ (star.basis.conj().T @ star.operator)
         worst = max(worst, operator_norm(coll.output_map[:, nc:] - coupled))
     report("output map kills the base and couples the corner", worst, 1e-10)
 
@@ -254,13 +256,12 @@ def test_output_map_structure(sweep):
 def test_defect_block_identity(sweep):
     worst = 0.0
     for inst, _, _ in sweep:
-        dc = inst.defect_c
         for i in range(1, inst.d + 1):
             for j in range(1, inst.d + 1):
                 want = -inst.c.ops[i - 1].conj().T @ inst.c.ops[j - 1]
                 if i == j:
                     want = want + np.eye(inst.dim_c)
-                got = dc.coord_component(i).conj().T @ dc.coord_component(j)
+                got = defect_block(inst.c, i).conj().T @ defect_block(inst.c, j)
                 worst = max(worst, operator_norm(got - want))
     report("defect blocks realize the tuple Gram structure", worst, 1e-10)
 

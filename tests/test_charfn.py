@@ -52,7 +52,8 @@ class TestSymbolStack:
         inst = plain_instance
         blocks = symbol_blocks(inst, 3)
         assert blocks.shape == (1 + 2 + 4 + 8, inst.rank_c, 2 * inst.dim_e)
-        gs = inst.gamma @ (inst.dstar_basis.conj().T @ inst.dstar)
+        star = inst.a.star_defect
+        gs = inst.gamma @ (star.basis.conj().T @ star.operator)
         a1, a2 = inst.a.ops
         # word (2, 1) has graded-lex index 5; its slot-1 base columns
         # carry -gamma dstar (A_1* A_2*) B_1

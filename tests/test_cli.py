@@ -220,12 +220,13 @@ class TestOneTolerance:
     decided outside the band ``(TOL_RANK, TOL_EQ]``, and take no tolerance."""
 
     @staticmethod
-    def scaled_c(path, dim_a, factor):
-        """(2, 2, dim_a) seed 1 written to ``path`` with every C entry scaled by ``factor``."""
+    def scaled_c(path, dim_a, factor, block="C"):
+        """(2, 2, dim_a) seed 1 written to ``path`` with every entry of
+        ``block`` (C by default) scaled by ``factor``."""
         assert main(["generate", "--d", "2", "--dim-c", "2", "--dim-a", str(dim_a),
                      "--seed", "1", "-o", str(path)]) == 0
         obj = serialize.load(path)
-        for m in obj["C"]:
+        for m in obj[block]:
             m["data"] = [[re * factor, im * factor] for re, im in m["data"]]
         serialize.save(path, obj)
         return path
@@ -290,6 +291,18 @@ class TestOneTolerance:
         assert main(["verify", "--input", str(inside_band_down), "--depth", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split()[:2] == ["pass", "lifting_identities"]
+
+    @pytest.mark.parametrize("cmd", ["transfer", "verify"])
+    @pytest.mark.parametrize("block", ["C", "B"])
+    def test_overflowing_gram_is_usage_error(self, tmp_path, capsys, block, cmd):
+        # entries of (2,2,1) seed 1 times 1e200: C* C (or E* E) overflows,
+        # and both the strict and the lenient load refuse it by name
+        path = self.scaled_c(tmp_path / "huge.json", 1, 1e200, block)
+        assert main([cmd, "--input", str(path), "--depth", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: I - T* T has a non-finite entry: "
+            "the entries are too large for double precision\n"
+        )
 
     @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
     def test_tol_flag_is_usage_error(self, inst_file, capsys, cmd):

@@ -5,6 +5,7 @@ from conftest import (
     SWEEP_SHAPES,
     balanced_pair_tuple,
     contraction_tuple,
+    defect_block,
     dense_letter,
     table_letter,
 )
@@ -12,12 +13,8 @@ from conftest import (
 from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
-from ncscatter.rowtuple import OperatorTuple, defect
+from ncscatter.rowtuple import OperatorTuple
 from ncscatter.words import enumerate_words
-
-
-def make_dilation(t):
-    return Dilation(t, defect(t))
 
 
 def random_flat(space, seed, width=None):
@@ -64,7 +61,7 @@ class TestCreation:
     # V_j restricted to Fock-only vectors is the creation operator e_w -> e_{jw}
 
     def test_prepends_letter(self):
-        dil = make_dilation(balanced_pair_tuple())
+        dil = Dilation(balanced_pair_tuple())
         sp, cod = dil.space(1), dil.space(2)
         x = fock_only(sp, {(): 1.0, (2,): 2.0})
         y = dil.apply(1, x, 1)
@@ -72,7 +69,7 @@ class TestCreation:
 
     def test_isometry_with_orthogonal_ranges(self):
         # <L_i x, L_j y> = delta_ij <x, y> on Fock-only vectors
-        dil = make_dilation(contraction_tuple(2, 1, seed=5))
+        dil = Dilation(contraction_tuple(2, 1, seed=5))
         sp = dil.space(1)
         rng = np.random.default_rng(5)
         words = enumerate_words(sp.d, sp.depth)
@@ -130,7 +127,7 @@ class TestGradedSpace:
 
 class TestApplyHandValues:
     def test_balanced_pair_first_step(self):
-        dil = make_dilation(balanced_pair_tuple())
+        dil = Dilation(balanced_pair_tuple())
         v = np.array([1.0, 0.0])
         cod = dil.space(1)
         out = dil.apply(1, v, 0)
@@ -142,7 +139,7 @@ class TestApplyHandValues:
         assert out2[cod.slot(())][0] == pytest.approx(-RT2)
 
     def test_apply_shifts_existing_support(self):
-        dil = make_dilation(balanced_pair_tuple())
+        dil = Dilation(balanced_pair_tuple())
         cod = dil.space(2)
         out = dil.apply(1, fock_only(dil.space(1), {(2,): 1.0}), 1)
         assert out[cod.slot((1, 2))][0] == 1.0
@@ -151,17 +148,17 @@ class TestApplyHandValues:
     @pytest.mark.parametrize("j", [0, -1, 3])
     def test_letter_outside_alphabet(self, j):
         # a slice of the stage block would read j = -1 as letter d - 1
-        dil = make_dilation(balanced_pair_tuple())
+        dil = Dilation(balanced_pair_tuple())
         with pytest.raises(IndexError):
             dil.apply(j, np.ones(dil.space(0).dim), 0)
 
     def test_base_dim_mismatch(self):
-        dil = make_dilation(balanced_pair_tuple())
+        dil = Dilation(balanced_pair_tuple())
         with pytest.raises(InnerSpaceMismatch):
             dil.apply(1, np.array([1.0, 2.0, 3.0]), 0)
 
     def test_defect_dim_mismatch(self):
-        dil = make_dilation(balanced_pair_tuple())
+        dil = Dilation(balanced_pair_tuple())
         with pytest.raises(InnerSpaceMismatch):
             dil.apply(1, np.zeros(dil.space(1).dim + 1), 1)
 
@@ -170,7 +167,7 @@ class TestCompression:
     def test_base_compression_recovers_word_products(self):
         # P_H V_w restricted to H equals T_w, applying letters right to left
         t = contraction_tuple(2, 3, seed=21)
-        dil = make_dilation(t)
+        dil = Dilation(t)
         rng = np.random.default_rng(1)
         for w in [(1,), (2, 1), (1, 1, 2), (2, 2, 1)]:
             h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -182,7 +179,7 @@ class TestCompression:
 
 class TestAdjoint:
     def test_adjoint_hand_values(self):
-        dil = make_dilation(balanced_pair_tuple())
+        dil = Dilation(balanced_pair_tuple())
         sp, dom = dil.space(1), dil.space(0)
         v = fock_only(sp, {(): 1.0, (1,): 2.0})
         v[0] = 1.0
@@ -196,7 +193,7 @@ class TestAdjoint:
 
     def test_adjoint_pairing(self):
         t = contraction_tuple(2, 2, seed=8)
-        dil = make_dilation(t)
+        dil = Dilation(t)
         for j in (1, 2):
             x = random_flat(dil.space(2), seed=10 + j)
             y = random_flat(dil.space(3), seed=20 + j)
@@ -209,7 +206,7 @@ class TestFlatMatrices:
     def test_matrix_matches_apply(self):
         # each letter rebuilt from the stage block and the row table acts as apply does
         t = contraction_tuple(2, 2, seed=3)
-        dil = make_dilation(t)
+        dil = Dilation(t)
         for j in (1, 2):
             v = random_flat(dil.space(2), seed=j, width=3)
             assert np.allclose(dil.apply(j, v, 2), table_letter(dil, j, 2) @ v, atol=1e-12)
@@ -217,21 +214,21 @@ class TestFlatMatrices:
     def test_adjoint_matrix_is_conjugate_transpose(self):
         # V_j* (ell (+) sum_w e_w x_w) = (T_j* ell + d_j* x_()) (+) sum_w e_w x_{jw}
         t = contraction_tuple(2, 2, seed=4)
-        dil = make_dilation(t)
+        dil = Dilation(t)
         dom, cod = dil.space(1), dil.space(2)
         n = t.dim
         for j in (1, 2):
             y = random_flat(cod, seed=30 + j)
             want = np.zeros(dom.dim, dtype=np.complex128)
             want[:n] = t.op(j).conj().T @ y[:n]
-            want[:n] += dil.defect.coord_component(j).conj().T @ y[cod.slot(())]
+            want[:n] += defect_block(dil.t, j).conj().T @ y[cod.slot(())]
             for w in enumerate_words(dom.d, dom.depth):
                 want[dom.slot(w)] = y[cod.slot((j,) + w)]
             assert np.allclose(dense_letter(dil, j, 1).conj().T @ y, want, atol=1e-12)
 
     def test_isometry_and_orthogonal_ranges(self):
         t = contraction_tuple(3, 2, seed=17)
-        dil = make_dilation(t)
+        dil = Dilation(t)
         dom = dil.space(2)
         ms = [dense_letter(dil, j, 2) for j in (1, 2, 3)]
         for i, mi in enumerate(ms):
@@ -242,14 +239,14 @@ class TestFlatMatrices:
     def test_row_unitary_for_coisometric_tuple(self, plain_instance):
         # with sum E_j E_j* = I the depth-graded dilation row is square
         # and onto, so sum V_j V_j* = I on the deeper space
-        dil = make_dilation(plain_instance.e)
+        dil = Dilation(plain_instance.e)
         cod = dil.space(3)
         total = sum(dense_letter(dil, j, 2) @ dense_letter(dil, j, 2).conj().T for j in (1, 2))
         assert operator_norm(total - np.eye(cod.dim)) < 1e-10
 
     def test_row_not_unitary_for_strict_contraction(self):
         t = contraction_tuple(2, 2, seed=2, norm=0.7)
-        dil = make_dilation(t)
+        dil = Dilation(t)
         cod = dil.space(2)
         total = sum(dense_letter(dil, j, 1) @ dense_letter(dil, j, 1).conj().T for j in (1, 2))
         assert operator_norm(total - np.eye(cod.dim)) > 0.1
@@ -260,8 +257,8 @@ class TestSingleOperator:
         # T = 0 on a line: the dilation is the unilateral shift, each
         # step moves the unit of mass one tensor level deeper
         t_zero = contraction_tuple(1, 1, seed=0, norm=0.0)
-        dil = make_dilation(t_zero)
-        assert dil.defect.rank == 1
+        dil = Dilation(t_zero)
+        assert dil.t.defect.rank == 1
         v = np.array([1.0, 0.0])
         for steps in range(1, 4):
             v = dil.apply(1, v, steps - 1)
@@ -273,8 +270,8 @@ class TestSingleOperator:
 
     def test_unitary_has_trivial_dilation(self):
         t = OperatorTuple((np.array([[1j]]),))
-        dil = make_dilation(t)
-        assert dil.defect.rank == 0
+        dil = Dilation(t)
+        assert dil.t.defect.rank == 0
         out = dil.apply(1, np.array([2.0]), 0)
         assert out.shape == (1,)
         assert out[0] == 2j
@@ -308,9 +305,9 @@ class TestStage:
             for dil in (inst.dilation_c, inst.dilation_e):
                 n, d = dil.t.dim, dil.d
                 u = dil.stage
-                assert u.shape == (n + dil.defect.rank, d * n) and u.shape[0] == u.shape[1]
+                assert u.shape == (n + dil.t.defect.rank, d * n) and u.shape[0] == u.shape[1]
                 for j in range(1, d + 1):
-                    want = np.vstack([dil.t.op(j), dil.defect.coord_component(j)])
+                    want = np.vstack([dil.t.op(j), defect_block(dil.t, j)])
                     assert np.array_equal(u[:, (j - 1) * n : j * n], want)
                 eye = np.eye(d * n)
                 assert operator_norm(u.conj().T @ u - eye) <= 1e-14

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import RT2, SWEEP_SHAPES, balanced_pair_tuple, dense_letter
+from conftest import RT2, SWEEP_SHAPES, balanced_pair_tuple, defect_block, dense_letter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +17,11 @@ from ncscatter.intertwiner import (
 )
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
-from ncscatter.rowtuple import defect
 from ncscatter.words import enumerate_words
 
 
 def balanced_side():
-    t = balanced_pair_tuple()
-    return Dilation(t, defect(t))
+    return Dilation(balanced_pair_tuple())
 
 
 def random_block(rng, words, dim, width=1):
@@ -38,19 +36,19 @@ def norm_sq(*blocks):
 
 def loop_forward(dil, g, x):
     """Oracle: g_uj = T_j* g_u + d_j* x_u, two products per letter."""
-    t, dd = dil.t, dil.defect
+    t = dil.t
     out = np.empty((g.shape[0], t.d) + g.shape[1:], dtype=np.complex128)
     for j in range(1, t.d + 1):
-        out[:, j - 1] = t.op(j).conj().T @ g + dd.coord_component(j).conj().T @ x
+        out[:, j - 1] = t.op(j).conj().T @ g + defect_block(t, j).conj().T @ x
     return out.reshape((g.shape[0] * t.d,) + g.shape[1:])
 
 
 def loop_backward(dil, g):
     """Oracle: sum_j T_j g_uj and sum_j d_j g_uj, two products per letter."""
-    t, dd = dil.t, dil.defect
+    t = dil.t
     children = g.reshape((g.shape[0] // t.d, t.d) + g.shape[1:])
     top = sum(t.op(j) @ children[:, j - 1] for j in range(1, t.d + 1))
-    low = sum(dd.coord_component(j) @ children[:, j - 1] for j in range(1, t.d + 1))
+    low = sum(defect_block(t, j) @ children[:, j - 1] for j in range(1, t.d + 1))
     return top, low
 
 
@@ -140,7 +138,7 @@ class TestStageMaps:
         # u*d + j-1
         dil = generate(2, 2, 1, seed=3).dilation_e
         g = random_block(np.random.default_rng(1), 2, dil.t.dim, width=2)
-        out = stage_forward(dil, g, np.zeros((2, dil.defect.rank, 2)))
+        out = stage_forward(dil, g, np.zeros((2, dil.t.defect.rank, 2)))
         for u in range(2):
             for j in (1, 2):
                 assert np.array_equal(out[2 * u + j - 1], dil.t.op(j).conj().T @ g[u])
@@ -160,7 +158,7 @@ class TestStageMaps:
         inst = generate(*shape, seed=0, a_scale=a_scale)
         rng = np.random.default_rng(3)
         for dil in (inst.dilation_c, inst.dilation_e):
-            n, r, d = dil.t.dim, dil.defect.rank, dil.d
+            n, r, d = dil.t.dim, dil.t.defect.rank, dil.d
             for stage in range(1, 4):
                 words = d ** (stage - 1)
                 g, x = random_block(rng, words, n, 3), random_block(rng, words, r, 3)
@@ -177,7 +175,7 @@ class TestStageMaps:
     def test_forward_preserves_norm_for_coisometric(self, seed):
         dil = balanced_side()
         rng = np.random.default_rng(seed)
-        g, x = random_block(rng, 1, dil.t.dim), random_block(rng, 1, dil.defect.rank)
+        g, x = random_block(rng, 1, dil.t.dim), random_block(rng, 1, dil.t.defect.rank)
         out = stage_forward(dil, g, x)
         assert norm_sq(out) == pytest.approx(norm_sq(g, x))
 
@@ -186,7 +184,7 @@ class TestStageMaps:
     def test_backward_inverts_forward(self, seed):
         dil = generate(2, 2, 1, seed=3).dilation_e
         rng = np.random.default_rng(seed)
-        g, x = random_block(rng, 2, dil.t.dim), random_block(rng, 2, dil.defect.rank)
+        g, x = random_block(rng, 2, dil.t.dim), random_block(rng, 2, dil.t.defect.rank)
         back, level = stage_backward(dil, stage_forward(dil, g, x))
         assert np.allclose(back, g, atol=1e-12)
         assert np.allclose(level, x, atol=1e-12)
@@ -385,7 +383,7 @@ class TestZeroRank:
     def test_stage_maps_and_matrices(self, d):
         inst = generate(d, 2, 0, seed=0)
         dil = inst.dilation_c
-        n, r = dil.t.dim, dil.defect.rank
+        n, r = dil.t.dim, dil.t.defect.rank
         for width in (0, 3):
             g = np.zeros((d, n, width))
             x = np.zeros((d, r, width))

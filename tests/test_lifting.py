@@ -1,8 +1,11 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from conftest import SWEEP_SHAPES
 
-from ncscatter import linalg
+from ncscatter import linalg, rowtuple, serialize
 from ncscatter.lifting import (
     GammaUndefined,
     Infeasible,
@@ -16,7 +19,7 @@ from ncscatter.lifting import (
     lifting_violations,
 )
 from ncscatter.linalg import operator_norm, random_isometry
-from ncscatter.rowtuple import OperatorTuple
+from ncscatter.rowtuple import GramOverflow, OperatorTuple
 from ncscatter.verify import all_passed, run_all_checks
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -37,9 +40,18 @@ SWEEP = [
 
 def recover_gamma(inst):
     """Solve gamma D* = B* again from the stored blocks."""
-    return gamma_isometry(
-        inst.defect_c.basis, inst.dstar, inst.dstar_basis, np.hstack(inst.b).conj().T
-    )
+    star = inst.a.star_defect
+    return gamma_isometry(inst.c.defect.basis, star.operator, star.basis, np.hstack(inst.b).conj().T)
+
+
+def scaled_blocks(inst, block, f):
+    """Fresh copies of the three blocks, ``block`` ("C", "A" or "B") scaled
+    by ``f``: new tuples, so each ``assemble`` roots its own defects."""
+
+    def copy(key, mats):
+        return tuple(m * (f if key == block else 1.0) for m in mats)
+
+    return OperatorTuple(copy("C", inst.c.ops)), OperatorTuple(copy("A", inst.a.ops)), copy("B", inst.b)
 
 
 def upper_right_violation(ops, dim_c):
@@ -53,7 +65,7 @@ class TestAssemble:
         assert inst.dim_e == 2
         assert inst.rank_c == 1
         assert inst.rank_e == 2
-        assert inst.rank_star == 1
+        assert inst.a.star_defect.rank == 1
         assert np.allclose(inst.gamma, [[1.0]], atol=1e-12)
         viols = lifting_violations(inst)
         assert max(viols.values()) < 1e-12
@@ -102,23 +114,24 @@ class TestAssemble:
             assemble(c, inst.a, inst.b)
         assert str(exc.value) == "sum C_j C_j* - I has norm 2.000e-06"
 
-    @pytest.mark.parametrize("block", ["C", "B"])
+    @pytest.mark.parametrize("block", ["C", "B", "A"])
     def test_overflow_refused_alike_in_both_modes(self, block):
-        # entries large enough for C C* (or B B*) to overflow stop the
-        # build in the defect's eigh, strict or not
+        # entries large enough for a defect Gram to overflow (C* C or
+        # E* E, or A A*) are refused by name before any decomposition,
+        # strict or not, and without a numpy warning
         inst = generate(2, 2, 1, seed=1)
-        c, b = inst.c, inst.b
-        if block == "C":
-            c = OperatorTuple(tuple(m * 1e200 for m in c.ops))
-        else:
-            b = tuple(m * 1e200 for m in b)
-        texts = []
+        gram = "I - T T*" if block == "A" else "I - T* T"
+        want = (
+            GramOverflow,
+            f"{gram} has a non-finite entry: the entries are too large for double precision",
+        )
         for strict in (True, False):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(np.linalg.LinAlgError) as exc:
-                    assemble(c, inst.a, b, strict=strict)
-            texts.append((type(exc.value), str(exc.value)))
-        assert texts[0] == texts[1] == (np.linalg.LinAlgError, "Eigenvalues did not converge")
+            blocks = scaled_blocks(inst, block, 1e200)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GramOverflow) as exc:
+                    assemble(*blocks, strict=strict)
+            assert (type(exc.value), str(exc.value)) == want
 
     def test_lenient_mode_builds_invalid_instance(self, coiso_pair):
         a = OperatorTuple((np.zeros((1, 1)), np.zeros((1, 1))))
@@ -151,7 +164,7 @@ class TestGamma:
         a = OperatorTuple((np.array([[np.sqrt((1 - eps) / 2)]]),) * 2)
         b = (np.array([[np.sqrt(eps / 2)]]), np.array([[-np.sqrt(eps / 2)]]))
         inst = assemble(coiso_pair, a, b, strict=False)
-        assert inst.rank_star == 0
+        assert inst.a.star_defect.rank == 0
         viols = lifting_violations(inst)
         assert viols["gamma_kernel"] == pytest.approx(np.sqrt(eps), rel=1e-6)
         assert max(viols[k] for k in ("c_coisometry", "cross_block", "complement_block")) < 1e-15
@@ -168,14 +181,14 @@ class TestGamma:
         random_isometry(d * dim_c, dim_c, rng)
         rng.standard_normal((dim_a, d * dim_a))
         rng.standard_normal((dim_a, d * dim_a))
-        planted = random_isometry(inst.rank_c, inst.rank_star, rng)
+        planted = random_isometry(inst.rank_c, inst.a.star_defect.rank, rng)
         assert operator_norm(inst.gamma - planted) < 1e-8
         assert operator_norm(recover_gamma(inst) - planted) < 1e-8
 
 
 def in_rank_band(inst) -> bool:
     """Whether an eigenvalue of I - C* C or I - E* E lies in (TOL_RANK, TOL_EQ]."""
-    spectra = np.concatenate([inst.defect_c.spectrum, inst.defect_e.spectrum])
+    spectra = np.concatenate([inst.c.defect.spectrum, inst.e.defect.spectrum])
     return bool(((spectra > linalg.TOL_RANK) & (spectra <= linalg.TOL_EQ)).any())
 
 
@@ -189,17 +202,6 @@ class TestStrictGate:
     # coisometry, 1 +- 1e-6 does not
     SCALES = (1 + 2e-9, 1 - 2e-9, 1 - 2e-10, 1 + 2e-11, 1 + 1e-6, 1 - 1e-6)
 
-    @staticmethod
-    def scaled(inst, block, f):
-        c, a, b = inst.c, inst.a, inst.b
-        if block == "C":
-            c = OperatorTuple(tuple(m * f for m in c.ops))
-        elif block == "A":
-            a = OperatorTuple(tuple(m * f for m in a.ops))
-        else:
-            b = tuple(m * f for m in b)
-        return c, a, b
-
     @pytest.mark.parametrize("a_scale", [0.0, 0.9, 1.0])
     @pytest.mark.parametrize("shape", SWEEP_SHAPES)
     def test_accepts_exactly_what_the_identities_pass(self, shape, a_scale):
@@ -208,12 +210,11 @@ class TestStrictGate:
             inst = generate(*shape, seed=seed, a_scale=a_scale)
             cases = [("B", 1.0)] + [(k, f) for k in "CAB" for f in self.SCALES]
             for block, f in cases:
-                blocks = self.scaled(inst, block, f)
-                lenient = assemble(*blocks, strict=False)
+                lenient = assemble(*scaled_blocks(inst, block, f), strict=False)
                 passes = max(lifting_violations(lenient).values()) <= linalg.TOL_EQ
                 passes = passes and not in_rank_band(lenient)
                 try:
-                    strict = assemble(*blocks)
+                    strict = assemble(*scaled_blocks(inst, block, f))
                 except ValueError as exc:
                     assert not passes, (seed, block, f, exc)
                     continue
@@ -222,12 +223,12 @@ class TestStrictGate:
                 # an accepted copy keeps the defect ranks of its exact draw
                 assert (strict.rank_c, strict.rank_e) == (inst.rank_c, inst.rank_e)
                 for x, y in (
-                    (strict.defect_c.operator, lenient.defect_c.operator),
-                    (strict.defect_c.basis, lenient.defect_c.basis),
-                    (strict.defect_e.operator, lenient.defect_e.operator),
-                    (strict.defect_e.basis, lenient.defect_e.basis),
-                    (strict.dstar, lenient.dstar),
-                    (strict.dstar_basis, lenient.dstar_basis),
+                    (strict.c.defect.operator, lenient.c.defect.operator),
+                    (strict.c.defect.basis, lenient.c.defect.basis),
+                    (strict.e.defect.operator, lenient.e.defect.operator),
+                    (strict.e.defect.basis, lenient.e.defect.basis),
+                    (strict.a.star_defect.operator, lenient.a.star_defect.operator),
+                    (strict.a.star_defect.basis, lenient.a.star_defect.basis),
                     (strict.gamma, lenient.gamma),
                 ):
                     assert np.array_equal(x, y), (seed, block, f)
@@ -284,7 +285,7 @@ class TestGenerate:
 
     def test_zero_a_scale(self, zero_a_instance):
         assert operator_norm(zero_a_instance.a.row()) == 0.0
-        assert zero_a_instance.rank_star == zero_a_instance.dim_a
+        assert zero_a_instance.a.star_defect.rank == zero_a_instance.dim_a
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -325,7 +326,7 @@ class TestRankClampBand:
 class TestStarDefect:
     def test_projection_iff_coisometric_corner(self, plain_instance):
         # generic strict contraction: strictly between 0 and 1, not a projection
-        ds = plain_instance.dstar
+        ds = plain_instance.a.star_defect.operator
         assert operator_norm(ds @ ds - ds) > 1e-3
 
     def test_coisometric_corner_zero_star_defect(self, coiso_pair):
@@ -333,9 +334,10 @@ class TestStarDefect:
         a = OperatorTuple((np.array([[RT2]]), np.array([[RT2]])))
         b = (np.zeros((1, 1)), np.zeros((1, 1)))
         inst = assemble(coiso_pair, a, b)
-        assert operator_norm(inst.dstar) == 0.0
-        assert inst.rank_star == 0
-        assert operator_norm(inst.dstar @ inst.dstar - inst.dstar) == 0.0
+        ds = inst.a.star_defect.operator
+        assert operator_norm(ds) == 0.0
+        assert inst.a.star_defect.rank == 0
+        assert operator_norm(ds @ ds - ds) == 0.0
 
 
 class TestLiftingProperty:
@@ -359,3 +361,34 @@ class TestLiftingProperty:
             ops.append(m)
         bad = OperatorTuple(tuple(ops))
         assert upper_right_violation(bad.ops, plain_instance.dim_c) > 1e-4
+
+
+class TestOneRootPerTuple:
+    """Each tuple is rooted once: ``generate`` hands its own C and A to
+    ``assemble``, so a draw roots C, A and E once each, as a load does."""
+
+    @staticmethod
+    def count_roots(monkeypatch) -> dict[str, int]:
+        """Count ``rowtuple.defect`` and ``linalg.hermitian_sqrt`` calls made
+        through any binding of them in the package."""
+        counts = {}
+        for module, name in ((rowtuple, "defect"), (linalg, "hermitian_sqrt")):
+            original, counts[name] = getattr(module, name), 0
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("ncscatter") and vars(mod).get(name) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    def test_generate_then_load(self, monkeypatch):
+        counts = self.count_roots(monkeypatch)
+        inst = generate(2, 2, 1, seed=1)
+        assert counts == {"defect": 2, "hermitian_sqrt": 3}
+        obj = serialize.instance_to_json(inst)
+        counts.update(defect=0, hermitian_sqrt=0)
+        serialize.instance_from_json(obj)
+        assert counts == {"defect": 2, "hermitian_sqrt": 3}

@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import defect_block
 
 from ncscatter.linalg import TOL_EQ, operator_norm
 from ncscatter.rowtuple import OperatorTuple, defect
@@ -119,14 +120,8 @@ class TestDefect:
         assert dd.rank == 1
         assert np.allclose(dd.basis, np.array([[RT2], [-RT2]]), atol=1e-12)
         # slot components in basis coordinates
-        assert np.allclose(dd.coord_component(1), [[RT2]], atol=1e-12)
-        assert np.allclose(dd.coord_component(2), [[-RT2]], atol=1e-12)
-
-    @pytest.mark.parametrize("j", [0, -1, 3])
-    def test_letter_outside_range(self, coiso_pair, j):
-        # a bare j - 1 index would read letter d's block at 0
-        with pytest.raises(IndexError, match=f"^letter {j} outside 1\\.\\.2$"):
-            defect(coiso_pair).coord_component(j)
+        assert np.allclose(defect_block(coiso_pair, 1), [[RT2]], atol=1e-12)
+        assert np.allclose(defect_block(coiso_pair, 2), [[-RT2]], atol=1e-12)
 
     def test_sqrt_identity(self):
         rng = np.random.default_rng(1)
@@ -158,7 +153,7 @@ class TestDefect:
                 for j in range(1, d + 1):
                     # the basis spans the range of D, so the coordinate
                     # blocks have the Gram of the ambient blocks D_j
-                    lhs = dd.coord_component(i).conj().T @ dd.coord_component(j)
+                    lhs = defect_block(t, i).conj().T @ defect_block(t, j)
                     rhs = -t.op(i).conj().T @ t.op(j)
                     if i == j:
                         rhs = rhs + np.eye(n)
@@ -183,3 +178,25 @@ class TestDefect:
         q = dd.basis
         assert operator_norm(q.conj().T @ q - np.eye(dd.rank)) < 1e-12
         assert operator_norm(q @ (q.conj().T @ dd.operator) - dd.operator) < 1e-10
+
+
+class TestOwnedDefects:
+    """A tuple roots its defect and star defect once, on first read."""
+
+    def test_defect_is_cached_and_equals_the_function(self):
+        t = random_tuple(np.random.default_rng(5), 2, 2, scale=0.9)
+        dd = t.defect
+        assert t.defect is dd
+        fresh = defect(t)
+        for x, y in ((dd.operator, fresh.operator), (dd.basis, fresh.basis), (dd.spectrum, fresh.spectrum)):
+            assert np.array_equal(x, y)
+
+    def test_star_defect_roots_the_other_gram(self):
+        t = random_tuple(np.random.default_rng(6), 3, 2, scale=0.8)
+        ds = t.star_defect
+        assert t.star_defect is ds
+        row = t.row()
+        gram = np.eye(2) - row @ row.conj().T
+        assert operator_norm(ds.operator @ ds.operator - gram) < 1e-12
+        assert ds.rank == 2 and ds.basis.shape == (2, 2)
+        assert np.allclose(ds.spectrum, np.linalg.eigvalsh(gram), atol=1e-14)

@@ -58,16 +58,14 @@ def closed_form_frame(instance, depth):
     # the star frame in one step: push the ambient base-defect basis
     # through the lifting row and its defect, no stage pipeline
     nc, ne, d = instance.dim_c, instance.dim_e, instance.d
-    stacked = instance.defect_c.operator @ instance.defect_c.basis
+    stacked = instance.c.defect.operator @ instance.c.defect.basis
     emb = np.zeros((d * ne, instance.rank_c), dtype=np.complex128)
     for j in range(d):
         emb[j * ne : j * ne + nc] = stacked[j * nc : (j + 1) * nc]
     sp = instance.dilation_e.space(depth)
     out = np.zeros((sp.dim, instance.rank_c), dtype=np.complex128)
     out[:ne] = instance.e.row() @ emb
-    out[sp.slot(())] = instance.defect_e.basis.conj().T @ (
-        instance.defect_e.operator @ emb
-    )
+    out[sp.slot(())] = instance.e.defect.basis.conj().T @ (instance.e.defect.operator @ emb)
     return out
 
 

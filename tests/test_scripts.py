@@ -72,6 +72,21 @@ def test_seed_sweep_prints_the_rank_band_distance():
     assert re.search(pattern, proc.stdout, re.MULTILINE), proc.stdout
 
 
+@pytest.mark.parametrize("a_scale", ["0.9", "1"])
+def test_seed_sweep_prints_the_star_cut_distance(a_scale):
+    # at a_scale 0.9 every eigenvalue of I - A A* is at least 1 - 0.81, over
+    # 9 decades above the cut; at 1 one is rounding noise of size ~1e-16
+    proc = run_script("seed_sweep.py", ["--seeds", "2", "--depth", "2", "--a-scale", a_scale])
+    pattern = (
+        r"^closest star defect eigenvalue to the rank cut 1e-10: "
+        r"(\d+\.\d{3}) decades \(seed [01]\)$"
+    )
+    found = re.search(pattern, proc.stdout, re.MULTILINE)
+    assert found, proc.stdout
+    gap = float(found.group(1))
+    assert gap > 9.2 if a_scale == "0.9" else 4 < gap < 7.5, proc.stdout
+
+
 def test_seed_sweep_band_distance_reads_the_gate_spectra(monkeypatch):
     # the distance of an eigenvalue below the band is counted to TOL_RANK,
     # one above it to TOL_EQ; the nearest wins
@@ -81,14 +96,18 @@ def test_seed_sweep_band_distance_reads_the_gate_spectra(monkeypatch):
         def __init__(self, *spectrum):
             self.spectrum = script.np.array(spectrum)
 
+    class Tuple:
+        def __init__(self, *spectrum):
+            self.defect = Defect(*spectrum)
+
     class Inst:
-        defect_c = Defect(-1e-3, 1e-14, 1.0)
-        defect_e = Defect(0.0, 1e-6, 1.0)
+        c = Tuple(-1e-3, 1e-14, 1.0)
+        e = Tuple(0.0, 1e-6, 1.0)
 
     gap, name = script.band_distance(Inst)
     assert name == "I - E* E" and abs(gap - 2.0) < 1e-12
-    Inst.defect_e = Defect(-1e-15, 0.0)
-    Inst.defect_c = Defect(-1e-15)
+    Inst.e = Tuple(-1e-15, 0.0)
+    Inst.c = Tuple(-1e-15)
     assert script.band_distance(Inst) is None
 
 
@@ -107,6 +126,7 @@ def test_seed_sweep_keeps_the_worst_row(monkeypatch, capsys):
     ]  # fmt: skip
     monkeypatch.setattr(script, "generate", lambda *args, **kwargs: None)
     monkeypatch.setattr(script, "band_distance", lambda inst: None)
+    monkeypatch.setattr(script, "star_cut_distance", lambda inst: None)
     monkeypatch.setattr(script, "run_all_checks", lambda inst, depth, seed: by_seed[seed])
     monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "--seeds", "3"])
     assert script.main() == 1

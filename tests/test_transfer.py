@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import SWEEP_SHAPES
+from conftest import SWEEP_SHAPES, defect_block
 
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
@@ -67,7 +67,7 @@ class TestColligation:
             for j in range(1, inst.d + 1):
                 for got, op in (
                     (coll.state_ops[j - 1], inst.e.ops[j - 1]),
-                    (coll.input_ops[j - 1], inst.defect_e.coord_component(j)),
+                    (coll.input_ops[j - 1], defect_block(inst.e, j)),
                 ):
                     want = op.conj().T
                     assert got.shape == want.shape and got.flags.f_contiguous

@@ -225,14 +225,21 @@ class TestMutations:
         # V_1's first base column on the first vacuum row, of (D)_1, in the
         # stage block of both dilations.  The letters are views of the stage
         # block, but the cached adjoint is a copy: the edit comes before the
-        # first read of ``stage_adjoint``, so every row sees it
+        # first read of ``stage_adjoint``, so every row sees it.  The stage
+        # block is the one store of (D_C)_1, so the characteristic function
+        # reads the edit too: its symbol then leaks onto ker D_E, and both
+        # of its rows report that refusal
         for dil in (plain_instance.dilation_c, plain_instance.dilation_e):
             dil.stage[dil.t.dim, 0] += 1e-6
+        results = run_all_checks(plain_instance, 3)
         assert {
             "dilation_isometry",
             "dilation_orthogonal_ranges",
             "dilation_row_unitary",
-        } <= self.failing(plain_instance)
+        } <= {r.name for r in results if not r.passed}
+        errors = {r.name: r.error for r in results if r.error is not None}
+        assert errors.keys() == {"charfn_coincidence", "charfn_restriction"}
+        assert all(e.startswith("symbol leaks onto ker of the lifted defect") for e in errors.values())
         for dil in (plain_instance.dilation_c, plain_instance.dilation_e):
             assert np.array_equal(dil.stage_adjoint, dil.stage.conj().T)
 
@@ -348,8 +355,8 @@ class TestMutations:
                 levels[-1][entry] += 1e-6
                 return levels
 
-        t, dd = (instance.c, instance.defect_c) if side == "c" else (instance.e, instance.defect_e)
-        monkeypatch.setitem(instance.__dict__, f"dilation_{side}", Bumped(t, dd))
+        bumped = Bumped(getattr(instance, side))
+        monkeypatch.setitem(instance.__dict__, f"dilation_{side}", bumped)
 
     def test_one_translate_entry(self, monkeypatch, plain_instance):
         self.bump_translates(monkeypatch, plain_instance, "e", (-1, -1))
