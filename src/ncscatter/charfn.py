@@ -65,8 +65,7 @@ def symbol_blocks(instance: LiftingInstance, depth: int) -> np.ndarray:
     """
     d, nc, na, ne = instance.d, instance.dim_c, instance.dim_a, instance.dim_e
     require_words(d, depth)
-    star = instance.a.star_defect
-    gs = instance.gamma @ (star.basis.conj().T @ star.operator)
+    gs = instance.gamma @ instance.a.star_defect.coords
     adj = _suffix_adjoints(instance, depth)
     neg = [-gs @ level for level in adj]
     pos = [gs @ level for level in adj[:-1]]
@@ -98,8 +97,7 @@ def charfn_series(instance: LiftingInstance, depth: int) -> NCSeries:
     """
     blocks = symbol_blocks(instance, depth)
     de = instance.e.defect
-    kernel = linalg.complement_onb(de.basis)
-    leak = linalg.operator_norm(blocks.reshape(-1, blocks.shape[2]) @ kernel)
+    leak = linalg.operator_norm(blocks.reshape(-1, blocks.shape[2]) @ de.kernel)
     if leak > linalg.TOL_EQ:
         raise IllDefined(
             f"symbol leaks onto ker of the lifted defect ({leak:.3e} > {linalg.TOL_EQ:.1e})"

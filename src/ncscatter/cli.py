@@ -30,12 +30,13 @@ import functools
 import sys
 
 
-def _emit(output: str | None, text: str) -> None:
+def _emit(output: str | None, tree) -> None:
+    from . import serialize
+
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        serialize.save(output, tree)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize.dump_text(tree))
 
 
 def _load_instance(args, strict: bool):
@@ -51,7 +52,7 @@ def cmd_generate(args) -> int:
     inst = generate(
         args.d, args.dim_c, args.dim_a, seed=args.seed, a_scale=args.a_scale
     )
-    _emit(args.output, serialize.dump_text(serialize.instance_to_json(inst)))
+    _emit(args.output, serialize.instance_to_json(inst))
     return 0
 
 
@@ -73,7 +74,7 @@ def cmd_transfer(args) -> int:
 
     inst = _load_instance(args, strict=True)
     series = transfer_series(build_colligation(inst), args.depth)
-    _emit(args.output, serialize.dump_text(serialize.series_to_json(series)))
+    _emit(args.output, serialize.series_to_json(series))
     return 0
 
 
@@ -83,7 +84,7 @@ def cmd_charfn(args) -> int:
 
     inst = _load_instance(args, strict=True)
     series = charfn_series(inst, args.depth)
-    _emit(args.output, serialize.dump_text(serialize.series_to_json(series)))
+    _emit(args.output, serialize.series_to_json(series))
     return 0
 
 
@@ -101,7 +102,7 @@ def cmd_simulate(args) -> int:
         depth = args.depth if args.depth is not None else 3
         signal = random_series(coll.in_dim, 1, inst.d, depth, args.seed)
     traj = simulate(coll, signal, depth)
-    _emit(args.output, serialize.dump_text(serialize.trajectory_to_json(traj)))
+    _emit(args.output, serialize.trajectory_to_json(traj))
     return 0
 
 

@@ -119,7 +119,8 @@ class Dilation:
     @cached_property
     def stage(self) -> np.ndarray:
         """The (n + r) x d*n stage block: column block j is ``[T_j ; (D)_j]``,
-        ``(D)_j`` the rows of ``D`` on slot j in defect-basis coordinates."""
+        ``(D)_j`` the rows of ``D`` on slot j in defect-basis coordinates, a
+        product of its own (slot slices of ``coords`` differ in the last bits)."""
         dd, n = self.t.defect, self.t.dim
         comps = [dd.basis.conj().T @ dd.operator[:, j * n : (j + 1) * n] for j in range(self.d)]
         return np.vstack([self.t.row(), np.hstack(comps)])

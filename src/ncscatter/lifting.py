@@ -24,7 +24,8 @@ the identity dictates.
 
 Stored coordinates: an instance holds its blocks and ``gamma`` alone,
 in the coordinates of the defect bases its tuples own: readers take
-``c.defect``, ``e.defect`` and ``a.star_defect`` (:mod:`.rowtuple`).
+``c.defect``, ``e.defect`` and ``a.star_defect`` (:mod:`.rowtuple`), and
+each one's ``Q* D`` and kernel basis as its ``coords`` and ``kernel``.
 
 An instance keeps the dilations of C and E (:mod:`.dilation`); every
 other module reads them, their stage blocks and their spaces there.
@@ -137,24 +138,6 @@ def _block_lifting_ops(c: OperatorTuple, a: OperatorTuple, b) -> OperatorTuple:
     return OperatorTuple(tuple(ops))
 
 
-def gamma_isometry(
-    defect_c_basis: np.ndarray,
-    dstar: np.ndarray,
-    dstar_basis: np.ndarray,
-    bstar: np.ndarray,
-) -> np.ndarray:
-    """Solve gamma D* = B* for the defect-coordinate matrix of gamma.
-
-    The restriction of D* to its range is invertible, so gamma is the
-    coefficient matrix of B* against the defect bases composed with
-    that inverse.  Well-definedness requires B* to kill the kernel of
-    D*; the leak is not formed here: ``lifting_violations`` reports it
-    as ``gamma_kernel``, and strict :func:`assemble` refuses it.
-    """
-    restricted = dstar_basis.conj().T @ dstar @ dstar_basis
-    return defect_c_basis.conj().T @ bstar @ dstar_basis @ linalg.pseudo_inverse(restricted)
-
-
 def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
     """Numerical size of every defining identity of the instance.
 
@@ -167,9 +150,7 @@ def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
     b_row = np.hstack(instance.b)
     b_star = b_row.conj().T
     cross = sum(cj @ bj.conj().T for cj, bj in zip(instance.c.ops, instance.b))
-    g, star = instance.gamma, instance.a.star_defect
-    lifted = instance.c.defect.basis @ g @ (star.basis.conj().T @ star.operator)
-    kernel = linalg.complement_onb(star.basis)
+    g, star, qc = instance.gamma, instance.a.star_defect, instance.c.defect.basis
     return {
         "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - np.eye(instance.dim_c)),
         "cross_block": linalg.operator_norm(cross),
@@ -178,8 +159,8 @@ def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
         ),
         "e_coisometry": linalg.operator_norm(e_row @ e_row.conj().T - np.eye(instance.dim_e)),
         "gamma_isometry": linalg.operator_norm(g.conj().T @ g - np.eye(g.shape[1])),
-        "gamma_intertwine": linalg.operator_norm(lifted - b_star),
-        "gamma_kernel": linalg.operator_norm(b_star @ kernel),
+        "gamma_intertwine": linalg.operator_norm(qc @ g @ star.coords - b_star),
+        "gamma_kernel": linalg.operator_norm(b_star @ star.kernel),
     }
 
 
@@ -231,7 +212,11 @@ def assemble(
 
     e = _block_lifting_ops(c, a, b)
     defect_c, star = c.defect, a.star_defect
-    gamma = gamma_isometry(defect_c.basis, star.operator, star.basis, np.hstack(b).conj().T)
+    # gamma D* = B* with D* inverted on its range; the leak of B* onto
+    # ker D* is lifting_violations' ``gamma_kernel``
+    restricted = star.coords @ star.basis
+    bstar = np.hstack(b).conj().T
+    gamma = defect_c.basis.conj().T @ bstar @ star.basis @ linalg.pseudo_inverse(restricted)
     defect_e = e.defect
     inst = LiftingInstance(c, a, b, e, gamma, seed)
     if not strict:
@@ -307,9 +292,7 @@ def generate(
         )
     gamma = linalg.random_isometry(c.defect.rank, star.rank, rng)
 
-    bstar = c.defect.basis @ gamma @ (star.basis.conj().T @ star.operator)
-    b = tuple(
-        bstar[j * dim_c : (j + 1) * dim_c, :].conj().T for j in range(d)
-    )
+    bstar = c.defect.basis @ gamma @ star.coords
+    b = tuple(bstar[j * dim_c : (j + 1) * dim_c].conj().T for j in range(d))
     return assemble(c, a, b, seed=seed)
 

@@ -8,7 +8,8 @@ both, rooted once on first read (:attr:`OperatorTuple.defect` and
 :attr:`OperatorTuple.star_defect`), and every reader takes them there.
 Operators with values in a defect space are stored in coordinates of
 a fixed orthonormal basis of its range, never in the ambient
-d*n-dimensional representation.
+d*n-dimensional representation.  A defect owns them, ``Q* D``, as
+:attr:`DefectData.coords` and its kernel basis as :attr:`DefectData.kernel`.
 """
 
 from __future__ import annotations
@@ -94,6 +95,16 @@ class DefectData:
     basis: np.ndarray
     rank: int
     spectrum: np.ndarray
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """``Q* D``: the defect operator in the coordinates of ``basis``."""
+        return self.basis.conj().T @ self.operator
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """An orthonormal basis of ``ker D``, the complement of ``basis``."""
+        return linalg.complement_onb(self.basis)
 
 
 def _root(left: np.ndarray, right: np.ndarray, name: str) -> DefectData:

@@ -115,9 +115,12 @@ def _checked_pairs(data: list, where: str) -> np.ndarray:
             or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)
         ):
             raise SchemaError(f"{where}: entry {k} is not an [re, im] pair")
-        if not all(np.isfinite(p) for p in entry):
+        try:
+            flat[k] = complex(entry[0], entry[1])
+        except OverflowError:
+            flat[k] = np.inf
+        if not np.isfinite(flat[k]):
             raise SchemaError(f"{where}: entry {k} is not finite")
-        flat[k] = complex(entry[0], entry[1])
     return flat
 
 
@@ -377,13 +380,15 @@ def dump_text(obj) -> str:
 def load_text(text: str):
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
 def save(path, obj) -> None:
+    """Write ``dump_text(obj)`` to ``path``, opened once the text is whole."""
+    text = dump_text(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_text(obj))
+        fh.write(text)
 
 
 def load(path):

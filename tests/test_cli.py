@@ -103,6 +103,47 @@ class TestVerify:
         assert not report.exists()
 
 
+class TestUnreadableFiles:
+    # a number no float holds and a nesting json cannot descend are usage
+    # errors, with one error line, wherever a command reads them
+
+    @pytest.mark.parametrize("kind", ["huge integer", "deep nesting"])
+    @pytest.mark.parametrize("cmd", ["verify", "transfer", "charfn", "simulate", "signal"])
+    def test_exit_two_with_one_error_line(self, inst_file, tmp_path, capsys, kind, cmd):
+        from ncscatter.transfer import random_series
+
+        bad = tmp_path / "bad.json"
+        if cmd == "signal":
+            inst = serialize.instance_from_json(serialize.load(inst_file))
+            tree = serialize.series_to_json(random_series(inst.rank_e, 1, 2, 2, seed=1))
+            obj, where = serialize.load_text(serialize.dump_text(tree)), "series.coeffs[0]"
+            entries = obj["coeffs"][0]["matrix"]["data"]
+            argv = ["simulate", "--input", str(inst_file), "--signal", str(bad)]
+        else:
+            obj, where = serialize.load(inst_file), "instance.C[0]"
+            entries = obj["C"][0]["data"]
+            argv = [cmd, "--input", str(bad)]
+        entries[0] = [10**400, 0.0]
+        bad.write_text(json.dumps(obj) if kind == "huge integer" else "[" * 100000 + "]" * 100000)
+        assert main(argv + ["--depth", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        if kind == "huge integer":
+            assert lines == [f"error: {where}: entry 0 is not finite"]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: invalid JSON: ")
+
+    def test_integer_that_fits_loads(self, inst_file, tmp_path, capsys):
+        # 2**64 loads as 1.8446744073709552e19, so strict assembly sees it
+        obj = serialize.load(inst_file)
+        obj["C"][0]["data"][0] = [2**64, 0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        assert main(["transfer", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: sum C_j C_j* - I has norm 3.403e+38")
+
+
 class TestExports:
     def test_transfer_series(self, inst_file, tmp_path):
         out = tmp_path / "theta.json"

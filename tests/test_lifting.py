@@ -14,7 +14,6 @@ from ncscatter.lifting import (
     RankBand,
     RankClampBand,
     assemble,
-    gamma_isometry,
     generate,
     lifting_violations,
 )
@@ -39,9 +38,11 @@ SWEEP = [
 
 
 def recover_gamma(inst):
-    """Solve gamma D* = B* again from the stored blocks."""
-    star = inst.a.star_defect
-    return gamma_isometry(inst.c.defect.basis, star.operator, star.basis, np.hstack(inst.b).conj().T)
+    """Solve gamma D* = B* again from the stored blocks, written out: B*
+    against the two defect bases, times the inverse of D* on its range."""
+    star, qc = inst.a.star_defect, inst.c.defect.basis
+    restricted = star.basis.conj().T @ star.operator @ star.basis
+    return qc.conj().T @ np.hstack(inst.b).conj().T @ star.basis @ linalg.pseudo_inverse(restricted)
 
 
 def scaled_blocks(inst, block, f):

@@ -2,8 +2,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import defect_block
+from conftest import SWEEP_SHAPES, defect_block
 
+from ncscatter import linalg
+from ncscatter.charfn import charfn_series
+from ncscatter.lifting import generate, lifting_violations
 from ncscatter.linalg import TOL_EQ, operator_norm
 from ncscatter.rowtuple import OperatorTuple, defect
 from ncscatter.words import enumerate_words
@@ -200,3 +203,26 @@ class TestOwnedDefects:
         assert operator_norm(ds.operator @ ds.operator - gram) < 1e-12
         assert ds.rank == 2 and ds.basis.shape == (2, 2)
         assert np.allclose(ds.spectrum, np.linalg.eigvalsh(gram), atol=1e-14)
+
+
+class TestDefectCoordinates:
+    """A defect makes its coordinates ``Q* D`` and kernel basis once."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_made_once_and_equal_to_the_products(self, monkeypatch, shape, seed):
+        inst = generate(*shape, seed=seed)
+        owned = (inst.c.defect, inst.e.defect, inst.a.star_defect)
+        first = [(dd.coords, dd.kernel) for dd in owned]
+        made = []
+        complement = linalg.complement_onb
+        monkeypatch.setattr(linalg, "complement_onb", lambda q: made.append(q) or complement(q))
+        lifting_violations(inst)
+        charfn_series(inst, 1)
+        assert made == []
+        for dd, (coords, kernel) in zip(owned, first):
+            assert dd.coords is coords and dd.kernel is kernel
+            want = ((coords, dd.basis.conj().T @ dd.operator), (kernel, complement(dd.basis)))
+            for got, hand in want:
+                assert got.shape == hand.shape and got.tobytes() == hand.tobytes()
+            assert kernel.shape == (dd.basis.shape[0], dd.basis.shape[0] - dd.rank)

@@ -71,6 +71,10 @@ class TestMatrix:
         with pytest.raises(serialize.SchemaError):
             serialize.load_text('{"x": NaN}')
 
+    def test_deep_nesting_rejected_on_load(self):
+        with pytest.raises(serialize.SchemaError, match="^invalid JSON: "):
+            serialize.load_text("[" * 100000 + "]" * 100000)
+
     def test_nonfinite_rejected_on_dump(self):
         # a plain tree is json.dumps's, so its error is too; a series
         # names the float at its path
@@ -147,6 +151,17 @@ class TestMatrixLoad:
         with pytest.raises(serialize.SchemaError) as slow:
             serialize._checked_pairs(data, "m")
         assert str(fast.value) == str(slow.value) == f"m: {message}"
+
+    def test_big_integers(self):
+        # an integer that fits a float loads as that float; a larger one,
+        # in either part, is not finite
+        got = serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [[2**64, -(2**64)]]})
+        assert got[0, 0] == complex(1.8446744073709552e19, -1.8446744073709552e19)
+        for entry in ([10**400, 0.5], [0.5, -(2**1024)]):
+            obj = {"rows": 1, "cols": 1, "data": [entry]}
+            with pytest.raises(serialize.SchemaError) as exc:
+                serialize.matrix_from_json(obj, "instance.C[0]")
+            assert str(exc.value) == "instance.C[0]: entry 0 is not finite"
 
 
 class TestWords:
