@@ -37,12 +37,13 @@ not change the truncated result, which :func:`stabilization_violation`
 measures.
 
 :func:`intertwiner_matrix` feeds the identity through the pipeline one
-run of :func:`blocks` columns at a time, and each stage of a run goes
-only over the words its columns can reach.  A column of word u at level
-m reaches the descendants ``[u*d**(n-m), (u+1)*d**(n-m))`` at stage n,
-then their ancestors on the way back; a base column reaches every word.
-The word ranges follow from the column indices alone, and every
-coefficient outside them is an exact ``T* 0 + d* 0``.
+run of :func:`blocks` columns at a time, and each stage of a batch goes
+only over the words its nonzero rows can reach.  A row of word u at
+level m reaches the descendants ``[u*d**(n-m), (u+1)*d**(n-m))`` at
+stage n, then their ancestors on the way back; a base row reaches every
+word.  The word ranges follow from the first and last nonzero rows of
+the batch, and every coefficient outside them is an exact
+``T* 0 + d* 0``.
 
 :func:`blocks` is the one tiling of the ``W`` build and of the
 ``W``-sized residual products of :mod:`.verify`, which split their rows
@@ -138,19 +139,13 @@ def apply_intertwiner_adjoint(
     return _pipeline(instance, x, depth, adjoint=True)
 
 
-def _pipeline(
-    instance: LiftingInstance,
-    x: np.ndarray,
-    depth: int,
-    adjoint: bool,
-    rows: tuple[int, int] | None = None,
-) -> np.ndarray:
+def _pipeline(instance: LiftingInstance, x: np.ndarray, depth: int, adjoint: bool) -> np.ndarray:
     """Forward stages of one tuple, compress or pad, backward stages of the other.
 
-    ``rows`` is a range ``[start, stop)`` outside which ``x`` is zero
-    (default: all rows).  Each stage runs only over the contiguous range
-    of words those rows can reach; every other coefficient is exactly
-    ``T* 0 + d* 0`` and stays zero.
+    Each stage runs only over the contiguous range of words that the
+    rows ``[start, stop)`` of ``x``, from its first to its last row
+    holding an entry != 0 (NaN and inf count), can reach; every other
+    coefficient is exactly ``T* 0 + d* 0`` and stays zero.
     """
     first, second = instance.dilation_e, instance.dilation_c
     if adjoint:
@@ -158,7 +153,8 @@ def _pipeline(
     dom, cod = first.space(depth), second.space(depth)
     if x.shape[0] != dom.dim:
         raise InnerSpaceMismatch(f"vector has {x.shape[0]} rows, expected {dom.dim}")
-    start, stop = (0, dom.dim) if rows is None else rows
+    live = np.flatnonzero((x != 0).any(axis=1))
+    start, stop = (live[0], live[-1] + 1) if live.size else (0, 0)
     d, width = dom.d, x.shape[1]
     # the stage coefficients g cover the words [lo, lo + len(g)) of their level
     lo, g = 0, x[: dom.base_dim].reshape((1, dom.base_dim, width))
@@ -221,7 +217,7 @@ def intertwiner_matrix(instance: LiftingInstance, depth: int) -> np.ndarray:
     for start, stop in blocks(dim):
         eye = np.zeros((dim, stop - start), dtype=np.complex128)
         eye[start:stop] = np.eye(stop - start)
-        out[:, start:stop] = _pipeline(instance, eye, depth, False, (start, stop))
+        out[:, start:stop] = apply_intertwiner(instance, eye, depth)
     return out
 
 

@@ -14,9 +14,9 @@ subspaces:
   read off the corner of the lifted stage block.
 
 Every function here measures one piece of that decomposition at a
-finite truncation depth, where all of it holds exactly.  The shift
-decomposition walks its translates one level at a time, so it holds at
-most two levels.
+finite truncation depth, where all of it holds exactly.  Both word
+walks are :meth:`.dilation.Dilation.translates`, whose levels the shift
+decomposition compares in place with the Fock basis.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .lifting import LiftingInstance
 
 
 class DepthError(ValueError):
-    """Requested word lengths do not fit inside the truncation depth."""
+    """The truncation depth is too shallow for the requested object."""
 
 
 def star_wandering_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
@@ -51,21 +51,17 @@ def base_leak(instance: LiftingInstance, frame: np.ndarray) -> float:
     return linalg.operator_norm(frame[: instance.dim_c])
 
 
-def shifted_star_frames(instance: LiftingInstance, depth: int, max_len: int) -> np.ndarray:
+def shifted_star_frames(instance: LiftingInstance, depth: int) -> np.ndarray:
     """Dilation-word translates of the star-wandering frame, side by side.
 
-    One ``rank_c``-column block per word of length up to ``max_len``, in
-    graded-lex order, in the flat coordinates of the depth truncation.
-    The frame is computed at depth - max_len so that every translate
-    lands inside it.
+    One ``rank_c``-column block per word of length up to
+    ``max(1, depth - 1)``, in graded-lex order, in the flat coordinates of
+    the depth truncation.  The frame is computed at the depth that is
+    left, so that every translate lands inside the truncation.
     """
-    if max_len > depth:
-        raise DepthError(f"word length {max_len} does not fit in depth {depth}")
-    if max_len < 0:
-        raise DepthError("word length must be nonnegative")
-    dil = instance.dilation_e
-    base_depth = depth - max_len
-    levels = dil.translates(star_wandering_frame(instance, base_depth), base_depth, max_len)
+    dil, length = instance.dilation_e, max(1, depth - 1)
+    base_depth = depth - length
+    levels = dil.translates(star_wandering_frame(instance, base_depth), base_depth, length)
     return np.hstack([dil.space(depth).pad(level) for level in levels])
 
 
@@ -84,10 +80,6 @@ def wandering_violation(frames: np.ndarray, width: int) -> float:
     pairs = grams[i, k]
     pairs[i == k] -= np.eye(width)
     return linalg.stack_norm(pairs)
-
-
-def verify_wandering(instance: LiftingInstance, depth: int, max_len: int) -> float:
-    return wandering_violation(shifted_star_frames(instance, depth, max_len), instance.rank_c)
 
 
 def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
@@ -136,17 +128,13 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     on the rows of Fock level m and zero on every other row of their
     depth-m space.  Measured as the largest norm at one word.
     """
-    dil = instance.dilation_e
-    r = instance.rank_e
+    dil, r = instance.dilation_e, instance.rank_e
     vacuum = dil.space(0)
-    level = np.zeros((vacuum.dim, r), dtype=np.complex128)
-    level[vacuum.slot(())] = np.eye(r)
+    root = np.zeros((vacuum.dim, r), dtype=np.complex128)
+    root[vacuum.slot(())] = np.eye(r)
     worst = 0.0
-    for m in range(depth + 1):
-        # the next level is read before this one is compared in place
-        following = dil.translates(level, m, 1)[-1] if m < depth else None
+    for m, level in enumerate(dil.translates(root, 0, depth)):
         level[dil.space(m).level(m)] -= np.eye(level.shape[1])
         words = level.reshape(level.shape[0], dil.d**m, r).transpose(1, 0, 2)
         worst = max(worst, linalg.stack_norm(words))
-        level = following
     return worst

@@ -88,7 +88,7 @@ def build_colligation(instance: LiftingInstance) -> Colligation:
     nc, ne = instance.dim_c, instance.dim_e
     proj = np.zeros((nc, ne), dtype=np.complex128)
     proj[:, :nc] = np.eye(nc)
-    adjoints = [u.conj().T for u in instance.dilation_e.letters]
+    adjoints = np.vsplit(instance.dilation_e.stage_adjoint, instance.d)
     state_ops = tuple(a[:, :ne] for a in adjoints)
     input_ops = tuple(a[:, ne:] for a in adjoints)
     comps = [u[nc:] for u in instance.dilation_c.letters]

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,18 @@ from ncscatter.rowtuple import OperatorTuple
 
 RT2 = 1.0 / np.sqrt(2.0)
 
+
+def _compare_checks():
+    """``scripts/compare_checks.py``, whose top level loads only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_checks.py"
+    spec = importlib.util.spec_from_file_location("compare_checks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 # the shapes (d, dimC, dimA) of the benchmark's verify sweep
-SWEEP_SHAPES = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 2, 0), (3, 2, 1), (1, 2, 0))
+SWEEP_SHAPES = _compare_checks().SWEEP_SHAPES
 
 
 def balanced_pair_tuple():

@@ -143,7 +143,8 @@ def test_intertwining_both_directions(sweep):
 
 def test_wandering_orthogonality(sweep):
     worst = max(
-        scattering.verify_wandering(i, n, min(2, n)) for i, n, _ in sweep
+        scattering.wandering_violation(scattering.shifted_star_frames(i, n), i.rank_c)
+        for i, n, _ in sweep
     )
     report("wandering subspace orthogonality", worst, 1e-10)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -80,6 +81,26 @@ class TestVerify:
         assert code == 1
         assert "CHECKS FAILED" in out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_overflow_fails_rows_without_warnings(self, tmp_path, capsys, depth):
+        # 2**64 in C keeps C C* finite (3.4e38), so the instance loads and
+        # W W* - I overflows; the rows fail and nothing reaches stderr
+        path = tmp_path / "big.json"
+        assert main(["generate", "--d", "2", "--dim-c", "2", "--dim-a", "1",
+                     "--seed", "1", "-o", str(path)]) == 0
+        obj = serialize.load(path)
+        obj["C"][0]["data"][0] = [2**64, 0]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--input", str(path), "--depth", str(depth)])
+        captured = capsys.readouterr()
+        assert code == 1 and caught == [] and captured.err == ""
+        lines = captured.out.splitlines()
+        assert sum(line.startswith("FAIL") for line in lines) == 17
+        assert lines[-1] == "CHECKS FAILED"
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["verify", "--input", str(tmp_path / "nope.json")])

@@ -374,6 +374,28 @@ class TestBlockedBuild:
             for x in (probes, vacuum):
                 assert np.array_equal(apply(inst, x, depth), full_pipeline(inst, x, depth, adjoint))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1), (2, 2, 0), (2, 1, 1)])
+    def test_reach_read_off_the_nonzero_rows(self, shape):
+        # the stages run from the first to the last row holding an entry
+        # != 0, so batches that start late, end early, hold nothing or
+        # carry a NaN past their last finite row must give the oracle's bits
+        inst = generate(*shape, seed=1)
+        depth = 3
+        rng = np.random.default_rng(11)
+        for adjoint, dil in ((False, inst.dilation_e), (True, inst.dilation_c)):
+            dom = dil.space(depth)
+            apply = apply_intertwiner_adjoint if adjoint else apply_intertwiner
+            probes = random_block(rng, 1, dom.dim, width=3)[0]
+            late, early, nan = probes.copy(), probes.copy(), np.zeros_like(probes)
+            late[: dom.level(1).start + 1] = 0
+            early[dom.level(depth).start - 1 :] = 0
+            nan[dom.level(1)] = probes[dom.level(1)]
+            nan[dom.level(2).start + 1] = np.nan
+            batches = (late, early, np.zeros_like(probes), np.zeros((dom.dim, 0)), nan)
+            for x in batches:
+                want = full_pipeline(inst, x, depth, adjoint)
+                assert np.array_equal(apply(inst, x, depth), want, equal_nan=True)
+
 
 class TestZeroRank:
     # d = 1 with dimA = 0 has base and lifted defect rank 0: zero-rank

@@ -1,9 +1,9 @@
 """The blocked residuals of ``verify`` against their dense formulas.
 
 ``verify`` forms the intertwining and coisometry residuals of ``W``
-one run of ``intertwiner.blocks`` columns at a time, and walks the shift translates one level
-at a time.  The dense formulas they replace are kept here as oracles,
-and every value must equal theirs bit for bit, NaN and errors included.
+one run of ``intertwiner.blocks`` columns at a time.  The dense formulas
+they replace are kept here as oracles, and every value must equal
+theirs bit for bit, NaN and errors included.
 """
 
 import math
@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from conftest import SWEEP_SHAPES, letter_product
 
-from ncscatter import scattering, verify
+from ncscatter import verify
 from ncscatter.intertwiner import BLOCK, blocks, intertwiner_matrix
 from ncscatter.lifting import Infeasible, RankClampBand, generate
-from ncscatter.linalg import fold_rows, hermitian_norm, operator_norm, stack_norm
+from ncscatter.linalg import fold_rows, hermitian_norm, operator_norm
 
 
 def dense_intertwining_norms(instance, depth, w_deep, w_flat):
@@ -40,21 +40,6 @@ def dense_coisometry(w):
     # oracle: W W* - I from one product and a dense identity, of which
     # hermitian_norm reads the lower triangle
     return hermitian_norm(w @ w.conj().T - np.eye(w.shape[0]))
-
-
-def dense_shift_decomposition(instance, depth):
-    # oracle: every level of translates held at once
-    dil = instance.dilation_e
-    r = instance.rank_e
-    vacuum = dil.space(0)
-    root = np.zeros((vacuum.dim, r), dtype=np.complex128)
-    root[vacuum.slot(())] = np.eye(r)
-    worst = 0.0
-    for m, level in enumerate(dil.translates(root, 0, depth)):
-        level[dil.space(m).level(m)] -= np.eye(level.shape[1])
-        words = level.reshape(level.shape[0], dil.d**m, r).transpose(1, 0, 2)
-        worst = max(worst, stack_norm(words))
-    return worst
 
 
 def outcome(run):
@@ -97,8 +82,6 @@ def test_rows_equal_dense_formulas(shape, a_scale):
             w = intertwiner_matrix(inst, depth)
             assert_same_intertwining(inst, depth, w, flat)
             assert verify._intertwiner_coisometry(w) == dense_coisometry(w)
-            got = scattering.verify_shift_decomposition(inst, depth)
-            assert got == dense_shift_decomposition(inst, depth)
             flat = w
 
 
@@ -128,7 +111,6 @@ def test_ragged_blocks_equal_dense_formulas(ragged):
     inst, w, flat = ragged
     assert_same_intertwining(inst, 4, w, flat)
     assert verify._intertwiner_coisometry(w) == dense_coisometry(w)
-    assert scattering.verify_shift_decomposition(inst, 4) == dense_shift_decomposition(inst, 4)
 
 
 def test_random_matrices_of_the_same_shapes(ragged):

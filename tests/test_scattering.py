@@ -15,7 +15,6 @@ from ncscatter.scattering import (
     star_wandering_frame,
     verify_complement,
     verify_shift_decomposition,
-    verify_wandering,
     wandering_violation,
 )
 
@@ -107,24 +106,19 @@ class TestStarWanderingFrame:
 
 class TestWandering:
     def test_translates_orthonormal(self, plain_instance):
-        assert verify_wandering(plain_instance, 3, 2) < 1e-10
+        frames = shifted_star_frames(plain_instance, 3)
+        assert wandering_violation(frames, plain_instance.rank_c) < 1e-10
 
     def test_wandering_across_sweep(self):
         for inst in SWEEP:
-            assert verify_wandering(inst, 2, 1) < 1e-10
-
-    def test_depth_guard(self, plain_instance):
-        with pytest.raises(DepthError):
-            shifted_star_frames(plain_instance, 1, 2)
-        with pytest.raises(DepthError):
-            shifted_star_frames(plain_instance, 1, -1)
+            assert wandering_violation(shifted_star_frames(inst, 2), inst.rank_c) < 1e-10
 
     def test_graded_lex_translates(self, plain_instance):
         # the block of word (2, 1) is V_2 V_1 applied to the frame (up to
         # rounding: the base rows come from one product on a whole level)
         inst, r = plain_instance, plain_instance.rank_c
         dil = inst.dilation_e
-        frames = shifted_star_frames(inst, 3, 2)
+        frames = shifted_star_frames(inst, 3)
         frame = star_wandering_frame(inst, 1)
         want = dil.apply(2, dil.apply(1, frame, 1), 2)
         assert frames.shape == (inst.dilation_e.space(3).dim, 7 * r)
@@ -133,23 +127,23 @@ class TestWandering:
 
     def test_doctored_frames_fail(self, plain_instance):
         r = plain_instance.rank_c
-        frames = shifted_star_frames(plain_instance, 2, 1)
+        frames = shifted_star_frames(plain_instance, 2)
         frames[:, r : 2 * r] = frames[:, :r]
         assert wandering_violation(frames, r) > 0.5
 
     def test_violation_detects_bad_normalization(self, plain_instance):
         r = plain_instance.rank_c
-        frames = shifted_star_frames(plain_instance, 2, 1)
+        frames = shifted_star_frames(plain_instance, 2)
         frames[:, :r] *= 2.0
         assert wandering_violation(frames, r) > 0.5
 
     def test_matches_pairwise_oracle(self, plain_instance):
-        families = [(shifted_star_frames(inst, 3, 2), inst.rank_c) for inst in SWEEP]
+        families = [(shifted_star_frames(inst, 3), inst.rank_c) for inst in SWEEP]
         r = plain_instance.rank_c
-        skewed = shifted_star_frames(plain_instance, 3, 2)
+        skewed = shifted_star_frames(plain_instance, 3)
         # words (2, 1) and (1,) sit at graded-lex positions 5 and 1
         blocks(skewed, r)[5][...] += 1e-3 * blocks(skewed, r)[1]
-        stretched = shifted_star_frames(plain_instance, 3, 2)
+        stretched = shifted_star_frames(plain_instance, 3)
         # word (1, 2) sits at position 4
         blocks(stretched, r)[4][...] *= 1.001
         for frames, width in families + [(skewed, r), (stretched, r)]:
@@ -159,7 +153,7 @@ class TestWandering:
     def test_empty_families(self):
         inst = generate(1, 2, 0, seed=0)
         assert inst.rank_c == 0
-        assert wandering_violation(shifted_star_frames(inst, 3, 2), 0) == 0.0
+        assert wandering_violation(shifted_star_frames(inst, 3), 0) == 0.0
         assert wandering_violation(np.eye(4, 2, dtype=np.complex128), 2) == 0.0
         assert wandering_violation(np.zeros((4, 0), dtype=np.complex128), 2) == 0.0
 
@@ -173,7 +167,7 @@ class TestComplement:
 
     def test_complement_orthogonal_to_shifts(self, plain_instance):
         comp = complement_frame(plain_instance, 2)
-        frames = shifted_star_frames(plain_instance, 2, 1)
+        frames = shifted_star_frames(plain_instance, 2)
         for f in blocks(frames, plain_instance.rank_c)[1:]:
             assert operator_norm(comp.conj().T @ f[plain_instance.dim_c :]) < 1e-10
 
