@@ -27,7 +27,8 @@ ran at.  The two grids run once each, base first and then change, so
 each wall time is one unpaired sample: load from any other process
 lands on one side only (under such load two identical trees read
 44.7 and 257.8 s on the deep grid), and the line says so.  It exits 1
-on any change of verdict, error, check name or threshold, and 0
+on any change of verdict, error, check name or threshold, and when the
+worst value of a check grows (its line then ends in ``LARGER``), and 0
 otherwise.
 
 Each grid subprocess runs with ``OMP_NUM_THREADS``,
@@ -220,12 +221,14 @@ def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
     return lines, differs
 
 
-def _worst(values: list[float]) -> float:
-    return max(values, key=lambda v: math.inf if math.isnan(v) else v)
+def _rank(value: float) -> float:
+    """A violation's place in the order of sizes: NaN ranks with inf."""
+    return math.inf if math.isnan(value) else value
 
 
 def compare(base: list[dict], change: list[dict]) -> tuple[list[str], bool]:
-    """Report lines and whether the two row lists differ in anything but values."""
+    """Report lines and whether the two row lists differ in anything but
+    values, or some check's worst value grew."""
     def keys(rows):
         return [(r["instance"], r["check"]) for r in rows]
 
@@ -255,21 +258,22 @@ def compare(base: list[dict], change: list[dict]) -> tuple[list[str], bool]:
         return "0" if pair is None else f"{pair[0]:+.2e} ({pair[1]})"
 
     lines = []
-    differs = False
+    differs = larger = False
     for name, row in checks.items():
-        worst_base, worst_change = _worst(row["base"]), _worst(row["change"])
-        larger = " LARGER" if worst_change > worst_base else ""
+        worst_base, worst_change = max(row["base"], key=_rank), max(row["change"], key=_rank)
+        grew = _rank(worst_change) > _rank(worst_base)
         lines.append(
             f"{name}: {row['rows']} rows, {len(row['verdicts'])} verdict changes; "
             f"up {moved(row['up'])}; down {moved(row['down'])}; "
-            f"worst {worst_base:.3e} -> {worst_change:.3e}{larger}"
+            f"worst {worst_base:.3e} -> {worst_change:.3e}{' LARGER' if grew else ''}"
         )
         lines += [f"  verdict changed at {inst}" for inst in row["verdicts"]]
         lines += [f"  {text}" for text in row["other"]]
         differs = differs or bool(row["verdicts"] or row["other"])
+        larger = larger or grew
     same = "same verdicts, errors, names and thresholds"
     lines.append(f"{len(base)} rows: {'DIFFERENT' if differs else same}")
-    return lines, differs
+    return lines, differs or larger
 
 
 def main() -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .intertwiner import apply_intertwiner
 from .lifting import LiftingInstance
-from .transfer import NCSeries, require_words, series_multiply
+from .transfer import NCSeries, require_words
 from .words import level_start, prepend_levels, reversal
 
 
@@ -147,22 +147,19 @@ def vacuum_restriction_violation(
     )
 
 
-def fock_action_violation(
-    instance: LiftingInstance, got: np.ndarray, theta: NCSeries, signal: NCSeries
-) -> float:
+def fock_action_violation(instance: LiftingInstance, got: np.ndarray, out: NCSeries) -> float:
     """Intertwiner on Fock-only vectors against reversed convolution.
 
-    ``got`` is the intertwiner applied to the one-column ``signal``
-    loaded into Fock coordinates through word reversal (the last column
-    of :func:`restriction_probes`), and the transfer series ``theta``
-    reaches the depth of ``signal``.  That loading turns the
+    ``got`` is the intertwiner applied to a one-column signal loaded into
+    Fock coordinates through word reversal (the last column of
+    :func:`restriction_probes`), and ``out`` is that signal convolved by
+    the transfer series, at the signal's depth.  That loading turns the
     intertwiner's action into convolution by the transfer series: the
     intertwiner respects prepended letters, convolution respects
     appended ones.
     """
-    cod = instance.dilation_c.space(signal.depth)
-    out = series_multiply(theta, signal)
+    cod = instance.dilation_c.space(out.depth)
     return max(
         float(np.linalg.norm(got[: instance.dim_c])),
-        linalg.stack_norm(cod.slots(got) - out.coeffs[reversal(signal.d, signal.depth)]),
+        linalg.stack_norm(cod.slots(got) - out.coeffs[reversal(out.d, out.depth)]),
     )

@@ -11,17 +11,17 @@ Matrices are plain ``numpy.ndarray`` objects with ``complex128``
 entries.  All tolerances are relative to the largest singular value
 unless stated otherwise.
 
-The spectral kernels decompose only the rows and columns holding a
-nonzero entry: the others add nothing to any spectrum, so this is exact.
-The norm kernels cut further, each step exact:
+The norm kernels cut their work, each step exact:
 
-* :func:`operator_norm` decomposes the tall orientation of its support
-  block (``||M|| = ||M^T||``), which LAPACK's divide and conquer SVD
-  takes faster than the wide one;
+* :func:`operator_norm` decomposes the tall orientation of the block of
+  rows and columns holding a nonzero entry (the others add nothing to
+  any spectrum, and ``||M|| = ||M^T||``), which LAPACK's divide and
+  conquer SVD takes faster than the wide one;
 * :func:`hermitian_norm` reads the norm of a Hermitian matrix off the
   eigenvalues of its lower triangle, so a caller forms only that half;
-* :func:`stack_norm` skips the matrices of a stack that are exactly
-  zero;
+* :func:`stack_norm` decomposes only the matrices of a stack whose
+  Frobenius norm could hold the largest spectral norm:
+  ``||B|| >= ||B||_F / sqrt(min(rows, cols))`` for every ``B``;
 * :func:`fold_rows` replaces each class of rows sharing one column
   support by the triangular factor of their block, which keeps ``M* M``
   and so the norm.  Its one caller is the star direction of the
@@ -33,6 +33,8 @@ The norm kernels cut further, each step exact:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -77,24 +79,35 @@ def operator_norm(m: np.ndarray) -> float:
 
 def hermitian_norm(lower: np.ndarray) -> float:
     """:func:`operator_norm` of the Hermitian matrix with lower triangle ``lower``, off
-    the eigenvalues of its support block; the strict upper triangle is never read."""
+    its eigenvalues; the strict upper triangle is never read."""
     lower = np.asarray(lower)
     if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
         raise DimensionError(f"square matrix required, got shape {lower.shape}")
     if np.tril(~np.isfinite(lower)).any():  # eigvalsh may return finite values for NaN
         raise np.linalg.LinAlgError("non-finite entry in the lower triangle")
-    live = np.logical_or(*_support(np.tril(lower != 0)))
-    block = lower if live.all() else lower[np.ix_(live, live)]
-    return float(np.abs(np.linalg.eigvalsh(block)).max()) if block.size else 0.0
+    return float(np.abs(np.linalg.eigvalsh(lower)).max()) if lower.size else 0.0
 
 
 def stack_norm(stack: np.ndarray) -> float:
-    """Largest spectral norm among the matrices of a (k, rows, cols) stack,
-    0.0 if none; matrices that are exactly zero are skipped."""
-    live = (stack != 0).any(axis=(1, 2))
-    if not live.all():
-        stack = stack[live]
-    return float(np.linalg.svd(stack, compute_uv=False).max()) if stack.size else 0.0
+    """Largest spectral norm among the matrices of a (k, rows, cols) stack, 0.0 if none.
+
+    With every entry finite and the largest at least 1e-290 (below, SVDs round
+    onto the subnormal grid), only the matrices whose Frobenius norm is at least
+    the largest over ``sqrt(min(rows, cols))``, less a margin far above rounding,
+    are decomposed: the others cannot hold the largest norm.  The moduli are
+    divided by the largest first, so no Frobenius norm near the cut over- or
+    underflows.  Otherwise only zero matrices are skipped, so a NaN or inf
+    reaches the SVD."""
+    moduli = np.abs(stack)
+    peak = moduli.max(initial=0.0)
+    if peak == 0:
+        return 0.0
+    if 1e-290 <= peak < math.inf:
+        frob = np.linalg.norm(moduli / peak, axis=(1, 2))
+        keep = frob >= frob.max() * (1 - 1e-6) / math.sqrt(min(stack.shape[1:]))
+    else:
+        keep = (stack != 0).any(axis=(1, 2))
+    return float(np.linalg.svd(stack[keep], compute_uv=False).max())
 
 
 def fold_rows(m: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .transfer import Colligation, DimMismatch, NCSeries, require_words, series_multiply
-from .words import level_start, prepend_levels
+from .transfer import Colligation, DimMismatch, NCSeries, require_words
+from .words import prepend_levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,7 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
     if depth > signal.depth:
         raise DimMismatch(f"signal is only known to depth {signal.depth}")
 
-    u = NCSeries(coll.d, depth, signal.coeffs[: level_start(coll.d, depth + 1)])
+    u = signal.prefix(depth)
     levels = prepend_levels(
         np.zeros((1, coll.state_dim, 1), dtype=np.complex128),
         coll.d,
@@ -66,14 +66,12 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
     return Trajectory(u, x, y)
 
 
-def io_violation(coll: Colligation, signal: NCSeries, theta: NCSeries) -> float:
-    """Recursion output against convolution by ``theta``, the transfer series,
-    as the largest distance at one word.  ``theta`` must reach the depth
-    of ``signal``."""
-    if theta.depth < signal.depth:
+def io_violation(coll: Colligation, signal: NCSeries, out: NCSeries) -> float:
+    """Recursion output against ``out``, the convolution of ``signal`` by the
+    transfer series, as the largest distance at one word.  ``out`` must
+    have the depth of ``signal``."""
+    if out.depth != signal.depth:
         raise DimMismatch(
-            f"transfer series of depth {theta.depth} for a signal of depth {signal.depth}"
+            f"convolution of depth {out.depth} for a signal of depth {signal.depth}"
         )
-    traj = simulate(coll, signal)
-    want = series_multiply(theta, signal)
-    return linalg.stack_norm(traj.y.coeffs - want.coeffs)
+    return linalg.stack_norm(simulate(coll, signal).y.coeffs - out.coeffs)

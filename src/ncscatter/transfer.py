@@ -8,12 +8,12 @@ outputs in the base defect space:
     y(w)   = C x(w) + D u(w)
 
 where C compresses through the base space into base defect
-coordinates and D is the corresponding feedthrough.  The defect block
-identity makes the stacked state rows [E_j*  (D)_j*] a coisometry,
-and the output rows [C  D] are a coisometry onto the base defect
-space; both are measured by :func:`colligation_violations`.  Row j is
-U_j*, the adjoint of the lifted dilation's letter block
-(:attr:`.dilation.Dilation.letters`), and the blocks are read there.
+coordinates and D is the corresponding feedthrough.  The state and
+input rows [E_j*  (D)_j*] are U_j*, the adjoint of the lifted
+dilation's letter block (:attr:`.dilation.Dilation.letters`), and are
+read there, so their coisometry is the dilation's ``U_i* U_j = δ_ij I``.
+The output rows [C  D] are a coisometry onto the base defect space,
+measured by :func:`colligation_violation`.
 
 The transfer function assigns to every word a coefficient matrix,
 coeff(()) = D and coeff(g_1..g_k) = C E_{g_1}* .. E_{g_{k-1}}*
@@ -97,32 +97,14 @@ def build_colligation(instance: LiftingInstance) -> Colligation:
     return Colligation(state_ops, input_ops, output_map, feedthrough)
 
 
-def colligation_violations(coll: Colligation) -> dict[str, float]:
-    """Sizes of the two coisometry identities of the system matrices.
-
-    ``state_rows``: the d x d block Gram of [state  input] rows must
-    be the identity (one block per pair of letters, this is the defect
-    block identity).  ``output_rows``: C C* + D D* must be the
-    identity on the output space.
-    """
-    n = coll.state_dim
-    worst_state = 0.0
-    for i in range(coll.d):
-        for j in range(coll.d):
-            gram = (
-                coll.state_ops[i] @ coll.state_ops[j].conj().T
-                + coll.input_ops[i] @ coll.input_ops[j].conj().T
-            )
-            want = np.eye(n) if i == j else np.zeros((n, n))
-            worst_state = max(worst_state, linalg.operator_norm(gram - want))
+def colligation_violation(coll: Colligation) -> float:
+    """Size of the coisometry identity of the output rows: C C* + D D*
+    must be the identity on the output space."""
     out_gram = (
         coll.output_map @ coll.output_map.conj().T
         + coll.feedthrough @ coll.feedthrough.conj().T
     )
-    return {
-        "state_rows": worst_state,
-        "output_rows": linalg.operator_norm(out_gram - np.eye(coll.out_dim)),
-    }
+    return linalg.operator_norm(out_gram - np.eye(coll.out_dim))
 
 
 def transfer_coefficient(coll: Colligation, word: Word) -> np.ndarray:
@@ -175,6 +157,10 @@ class NCSeries(Mapping):
     def level(self, m: int) -> np.ndarray:
         """The (d**m, out_dim, in_dim) coefficients of the words of length m."""
         return self.coeffs[level_start(self.d, m) : level_start(self.d, m + 1)]
+
+    def prefix(self, depth: int) -> NCSeries:
+        """The series on the words of length <= depth."""
+        return NCSeries(self.d, depth, self.coeffs[: level_start(self.d, depth + 1)])
 
     def coeff(self, w: Word) -> np.ndarray:
         """Coefficient at ``w``; KeyError beyond the depth or the alphabet."""
@@ -264,11 +250,13 @@ def transfer_norm(series: NCSeries) -> float:
 
 
 def multi_analyticity_violation(
-    theta: NCSeries, signal: NCSeries, letter: int
+    theta: NCSeries, signal: NCSeries, out: NCSeries, letter: int
 ) -> float:
-    """Convolution must commute with the formal right shift."""
+    """Convolution must commute with the formal right shift: ``theta`` convolved
+    with the shifted ``signal`` against the shift of ``out``, the convolution
+    ``theta * signal``."""
     lhs = series_multiply(theta, right_translate(signal, letter))
-    rhs = right_translate(series_multiply(theta, signal), letter)
+    rhs = right_translate(out, letter)
     words = level_start(theta.d, min(lhs.depth, rhs.depth) + 1)
     return linalg.stack_norm(lhs.coeffs[:words] - rhs.coeffs[:words])
 

@@ -12,6 +12,10 @@ overflow shows in its row as a large or non-finite value, which fails.
 :func:`run_all_checks` builds each measured object once, through a
 memoised builder dropped after its last check so large matrices do
 not outlive it; a build that raises fails every check that needs it.
+The random signal ``s`` is drawn and convolved by the transfer series
+``theta`` once: ``io_recursion`` and the Fock half of
+``charfn_restriction`` read ``theta * s``, ``multi_analyticity`` the
+depth - 1 prefixes of ``s`` and ``theta * s``.
 
 Each letter ``V_j`` is column block ``U_j`` of the stage block
 ``U = [[T_1 ... T_d], [(D)_1 ... (D)_d]]`` (:attr:`.dilation.Dilation.stage`)
@@ -19,7 +23,9 @@ on ``H`` and a level shift on the Fock part, whose columns are unit
 vectors alone in their rows.  So the dilation rows are identities of
 ``U`` alone, at every depth: ``U_j* U_j - I``, ``U_i* U_j`` and
 ``I - U U*``, read off :attr:`.dilation.Dilation.letters` and
-:attr:`.dilation.Dilation.stage_adjoint`.  The intertwining row applies
+:attr:`.dilation.Dilation.stage_adjoint`; the colligation's state and
+input rows are the ``U_j*``, so ``colligation_structure`` reads its
+output rows alone.  The intertwining row applies
 ``V_j`` through :meth:`.dilation.Dilation.apply`, and forms ``W V_j``
 from ``U_j`` and the row table of :meth:`.dilation.Dilation.matrix`,
 built once per dilation: a product with the ``n + r`` base and vacuum
@@ -27,7 +33,8 @@ lines of ``W`` on the base columns, and a gather of the lines the table
 names on the others.
 
 Norms are exact to rounding: besides the support and orientation cuts
-of :func:`.linalg.operator_norm`, ``W W* - I`` goes through
+of :func:`.linalg.operator_norm` and the Frobenius cut of
+:func:`.linalg.stack_norm`, ``W W* - I`` goes through
 :func:`.linalg.hermitian_norm`, which reads its lower triangle, and the
 star direction of the intertwining check through :func:`.linalg.fold_rows`.
 
@@ -54,7 +61,7 @@ from .intertwiner import blocks, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
 from .linalg import TOL_EQ, fold_rows, hermitian_norm, operator_norm, stack_norm
 from .ncsystem import io_violation
-from .transfer import build_colligation, colligation_violations
+from .transfer import build_colligation, colligation_violation
 from .words import enumerate_words
 
 
@@ -211,10 +218,11 @@ def _base_subspace_fixed(w: np.ndarray, dim_c: int) -> float:
     return operator_norm(cols - target)
 
 
-def _multi_analyticity(theta, signal) -> float:
-    return max(
-        transfer.multi_analyticity_violation(theta, signal, j) for j in range(1, theta.d + 1)
-    )
+def _multi_analyticity(theta, signal, out) -> float:
+    """Every letter, on the depth - 1 prefixes of ``signal`` and ``out = theta * signal``."""
+    signal, out = signal.prefix(signal.depth - 1), out.prefix(out.depth - 1)
+    letters = range(1, theta.d + 1)
+    return max(transfer.multi_analyticity_violation(theta, signal, out, j) for j in letters)
 
 
 def run_all_checks(
@@ -230,7 +238,6 @@ def run_all_checks(
         raise ValueError("verification needs depth >= 1")
     if seed < 0:
         raise ValueError("verification needs seed >= 0")
-    d = instance.d
     results = []
 
     def check(name: str, threshold: float, run) -> None:
@@ -279,22 +286,15 @@ def run_all_checks(
     coll = cache(lambda: build_colligation(instance))
     theta = cache(lambda: transfer.transfer_series(coll(), depth))
     norm = cache(lambda: transfer.transfer_norm(theta()))
-    check(
-        "colligation_structure", 1e-10, lambda: max(colligation_violations(coll()).values())
-    )
+    check("colligation_structure", 1e-10, lambda: colligation_violation(coll()))
     check("transfer_contraction", 1e-8, lambda: max(norm() - 1.0, 0.0))
     if instance.dim_a == 0 and instance.rank_c > 0:
         check("transfer_norm_one", 1e-10, lambda: abs(norm() - 1.0))
     del norm
-    check(
-        "multi_analyticity",
-        1e-12,
-        lambda: _multi_analyticity(
-            theta(), transfer.random_series(instance.rank_e, 1, d, depth - 1, seed)
-        ),
-    )
-    signal = cache(lambda: transfer.random_series(instance.rank_e, 1, d, depth, seed))
-    check("io_recursion", 1e-10, lambda: io_violation(coll(), signal(), theta()))
+    signal = cache(lambda: transfer.random_series(instance.rank_e, 1, instance.d, depth, seed))
+    out = cache(lambda: transfer.series_multiply(theta(), signal()))
+    check("multi_analyticity", 1e-12, lambda: _multi_analyticity(theta(), signal(), out()))
+    check("io_recursion", 1e-10, lambda: io_violation(coll(), signal(), out()))
     del coll
     series = cache(lambda: charfn.charfn_series(instance, depth))
     check(
@@ -306,7 +306,7 @@ def run_all_checks(
         r = instance.rank_e
         return max(
             charfn.vacuum_restriction_violation(instance, series(), probes[:, :r]),
-            charfn.fock_action_violation(instance, probes[:, r:], theta(), signal()),
+            charfn.fock_action_violation(instance, probes[:, r:], out()),
         )
 
     check("charfn_restriction", 1e-10, restriction)

@@ -30,6 +30,7 @@ from ncscatter.transfer import (
     NCSeries,
     build_colligation,
     random_series,
+    series_multiply,
     transfer_norm,
     transfer_series,
 )
@@ -195,17 +196,10 @@ def test_input_output_recursion(sweep):
     for k, (inst, depth, _) in enumerate(sweep):
         coll = build_colligation(inst)
         theta = transfer_series(coll, depth)
-        worst = max(
-            worst,
-            io_violation(
-                coll, random_series(coll.in_dim, 1, inst.d, depth, seed=k), theta
-            ),
-        )
-        for word in [(), (1,), (2, 1)[: depth or 0]]:
-            worst = max(
-                worst,
-                io_violation(coll, _impulse(coll.in_dim, inst.d, depth, word), theta),
-            )
+        signals = [random_series(coll.in_dim, 1, inst.d, depth, seed=k)]
+        signals += [_impulse(coll.in_dim, inst.d, depth, w) for w in [(), (1,), (2, 1)[:depth]]]
+        for signal in signals:
+            worst = max(worst, io_violation(coll, signal, series_multiply(theta, signal)))
     report("recursion output equals series convolution", worst, 1e-10)
 
 
@@ -213,9 +207,9 @@ def test_multi_analyticity(sweep):
     worst = 0.0
     for inst, depth, _ in sweep:
         coll = build_colligation(inst)
-        signal = random_series(coll.in_dim, 1, inst.d, depth - 1, seed=7)
+        signal = random_series(coll.in_dim, 1, inst.d, depth, seed=7)
         theta = transfer_series(coll, depth)
-        worst = max(worst, _multi_analyticity(theta, signal))
+        worst = max(worst, _multi_analyticity(theta, signal, series_multiply(theta, signal)))
     report("convolution commutes with right translation", worst, 1e-12)
 
 
@@ -237,7 +231,7 @@ def test_characteristic_restriction(sweep):
         worst = max(
             worst,
             vacuum_restriction_violation(inst, charfn_series(inst, depth), probes[:, :r]),
-            fock_action_violation(inst, probes[:, r:], theta, signal),
+            fock_action_violation(inst, probes[:, r:], series_multiply(theta, signal)),
         )
     report("intertwiner restricts to the characteristic function", worst, 1e-10)
 

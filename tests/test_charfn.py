@@ -19,7 +19,7 @@ from ncscatter.charfn import (
     vacuum_restriction_violation,
 )
 from ncscatter.intertwiner import intertwiner_matrix
-from ncscatter.transfer import build_colligation, random_series, transfer_series
+from ncscatter.transfer import build_colligation, random_series, series_multiply, transfer_series
 from ncscatter.words import enumerate_words, reverse
 
 SWEEP = [
@@ -135,7 +135,7 @@ def fock_action(inst, depth, seed):
     theta = transfer_series(build_colligation(inst), depth)
     signal = random_series(inst.rank_e, 1, inst.d, depth, seed)
     got = restriction_probes(inst, signal)[:, inst.rank_e :]
-    return fock_action_violation(inst, got, theta, signal)
+    return fock_action_violation(inst, got, series_multiply(theta, signal))
 
 
 class TestCoincidence:

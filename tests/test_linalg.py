@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import RT2, SWEEP_SHAPES, dense_letter, table_letter
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncscatter import linalg
@@ -334,7 +334,7 @@ class TestHermitianNorm:
         mirrored[np.ix_(keep, keep)] = block
         garbage = np.tril(mirrored) + np.triu(random_matrix(rng, 9, 9), 1)
         garbage[0, -1], garbage[1, -2] = np.nan, np.inf
-        want = np.abs(np.linalg.eigvalsh(block)).max()
+        want = np.abs(np.linalg.eigvalsh(mirrored)).max()
         assert linalg.hermitian_norm(garbage) == linalg.hermitian_norm(mirrored) == want
 
     def test_bad_shapes_and_nonfinite_entries(self):
@@ -349,13 +349,15 @@ class TestHermitianNorm:
                 linalg.hermitian_norm(m)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_zero_lines_dropped(self, seed):
+    def test_zero_lines_add_nothing(self, seed):
+        # no support cut: the zero lines reach eigvalsh and move only rounding
         rng = np.random.default_rng(seed)
         block = hermitian_matrix(rng, 4)
         big = np.zeros((9, 9), dtype=np.complex128)
         keep = np.sort(rng.choice(9, 4, replace=False))
         big[np.ix_(keep, keep)] = block
-        assert linalg.hermitian_norm(big) == np.abs(np.linalg.eigvalsh(block)).max()
+        want = np.abs(np.linalg.eigvalsh(block)).max()
+        assert abs(linalg.hermitian_norm(big) - want) <= 36 * np.finfo(float).eps * want
 
     def test_empty_and_zero(self):
         for n in (0, 3):
@@ -380,6 +382,56 @@ class TestStackNorm:
         stack[[1, 4]] = random_matrix(rng, 6, 2).reshape(2, 3, 2)
         want = np.linalg.svd(stack[[1, 4]], compute_uv=False).max()
         assert linalg.stack_norm(stack) == want
+
+    @settings(max_examples=200, deadline=None)
+    # SVDs round subnormal norms onto a coarse grid: a cut there keeps the wrong copy
+    @example(seed=15, shape=(1, 4), kinds=["subnormal", "tie"], bad=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (4, 4)]),
+        st.lists(
+            st.sampled_from(["plain", "zero", "copy", "tie", "tiny", "huge", "vast", "subnormal"]),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    def test_frobenius_cut_keeps_the_batched_max(self, seed, shape, kinds, bad):
+        # the uncut oracle: one batched SVD of the whole stack, as hex
+        def bits(norm, stack):
+            try:
+                return float(norm(stack)).hex()
+            except np.linalg.LinAlgError:
+                return "LinAlgError"
+
+        rng = np.random.default_rng(seed)
+        stack = np.zeros((len(kinds), *shape), dtype=np.complex128)
+        scale = {"plain": 1.0, "zero": 0.0, "tiny": 1e-300, "huge": 1e160, "vast": 1e300,
+                 "subnormal": 1e-320}  # fmt: skip
+        for k, kind in enumerate(kinds):
+            if kind == "copy":  # an earlier matrix, or zero
+                stack[k] = stack[rng.integers(k + 1)]
+            elif kind == "tie":  # a phase times an earlier matrix: the same norms to rounding
+                stack[k] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * stack[rng.integers(k + 1)]
+            else:
+                stack[k] = scale[kind] * random_matrix(rng, *shape)
+        if bad is not None:
+            stack[rng.integers(len(kinds)), 0, -1] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = bits(lambda m: np.linalg.svd(m, compute_uv=False).max(), stack)
+            assert bits(linalg.stack_norm, stack) == want
+
+    def test_frobenius_cut_decomposes_few_matrices(self, monkeypatch):
+        # ||B|| >= ||B||_F / sqrt(2) on 2 x 2 blocks: one block of norm 1
+        # against many of Frobenius norm 0.5 leaves just that block
+        stack = np.zeros((50, 2, 2), dtype=np.complex128)
+        stack[:, 0, 0] = 0.5
+        stack[7] = np.diag([1.0, 0.25])
+        sizes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: sizes.append(len(m)) or svd(m, **kw))
+        assert linalg.stack_norm(stack) == 1.0
+        assert sizes == [1]
 
     def test_tiny_and_nan_entries_keep_their_matrix(self):
         stack = np.zeros((3, 2, 2), dtype=np.complex128)

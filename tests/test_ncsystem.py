@@ -8,6 +8,7 @@ from ncscatter.transfer import (
     NCSeries,
     build_colligation,
     random_series,
+    series_multiply,
     transfer_coefficient,
     transfer_series,
 )
@@ -115,24 +116,33 @@ class TestLinearity:
             assert np.allclose(ym[w], ya[w] + lam * yb[w], atol=1e-12)
 
 
+def convolved(coll, sig, depth):
+    """``sig`` convolved by the transfer series of depth ``depth``."""
+    return series_multiply(transfer_series(coll, depth), sig)
+
+
 class TestIOAgainstConvolution:
     def test_across_sweep(self):
         for k, inst in enumerate(SWEEP):
             coll = build_colligation(inst)
             sig = random_series(coll.in_dim, 1, coll.d, 2, seed=20 + k)
-            assert io_violation(coll, sig, transfer_series(coll, 2)) < 1e-10
+            assert io_violation(coll, sig, convolved(coll, sig, 2)) < 1e-10
 
     def test_deeper(self, plain_instance):
         coll = build_colligation(plain_instance)
         sig = random_series(coll.in_dim, 1, coll.d, 4, seed=30)
-        assert io_violation(coll, sig, transfer_series(coll, 4)) < 1e-10
+        assert io_violation(coll, sig, convolved(coll, sig, 4)) < 1e-10
 
     def test_refuses_a_shallower_transfer_series(self, plain_instance):
+        # the convolution stops at the shallower depth, that of the series
         coll = build_colligation(plain_instance)
         sig = random_series(coll.in_dim, 1, coll.d, 3, seed=32)
         with pytest.raises(DimMismatch, match="depth 2 for a signal of depth 3"):
-            io_violation(coll, sig, transfer_series(coll, 2))
-        assert io_violation(coll, sig, transfer_series(coll, 4)) < 1e-10
+            io_violation(coll, sig, convolved(coll, sig, 2))
+        assert io_violation(coll, sig, convolved(coll, sig, 4)) < 1e-10
+        deeper = random_series(coll.in_dim, 1, coll.d, 4, seed=32)
+        with pytest.raises(DimMismatch, match="depth 4 for a signal of depth 3"):
+            io_violation(coll, sig, convolved(coll, deeper, 4))
 
     def test_trajectory_type(self, plain_instance):
         coll = build_colligation(plain_instance)

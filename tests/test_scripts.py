@@ -240,6 +240,25 @@ def test_compare_checks_flags_a_changed_threshold(tmp_path):
     assert proc.stdout.splitlines()[-1] == "39 rows: DIFFERENT"
 
 
+def test_compare_checks_fails_a_larger_worst_value(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "ncscatter", changed / "ncscatter")
+    verify = changed / "ncscatter" / "verify.py"
+    text = verify.read_text()
+    row = "lambda: colligation_violation(coll()))"
+    assert text.count(row) == 1
+    # every value up by 1e-13, far under the threshold: no verdict moves
+    verify.write_text(text.replace(row, "lambda: colligation_violation(coll()) + 1e-13)"))
+    proc = run_script(
+        "compare_checks.py", ["--base", str(SRC), "--change", str(changed), "--grid", "smoke"]
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    grown = [line for line in lines if line.endswith(" LARGER")]
+    assert len(grown) == 1 and grown[0].startswith("colligation_structure: 2 rows, 0 verdict ")
+    assert lines[-1] == "39 rows: same verdicts, errors, names and thresholds"
+
+
 def test_compare_exports_same_tree():
     proc = run_script(
         "compare_checks.py",

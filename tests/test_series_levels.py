@@ -167,6 +167,22 @@ class TestCopies:
 
 
 class TestProducts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=LETTERS, depth=st.integers(1, 4), dims=st.tuples(DIMS, DIMS), seeds=st.tuples(SEEDS, SEEDS)
+    )
+    def test_prefixes_are_the_shallower_draw_and_product(self, d, depth, dims, seeds):
+        # verify's multi_analyticity row reads these prefixes of the signal
+        # and of theta * s in place of a second draw and product
+        p, q = dims
+        theta = random_series(p, q, d, depth, seeds[0])
+        signal = random_series(q, 1, d, depth, seeds[1])
+        shallow = random_series(q, 1, d, depth - 1, seeds[1])
+        assert same(signal.prefix(depth - 1).coeffs, shallow.coeffs)
+        got = series_multiply(theta, signal).prefix(depth - 1)
+        assert got.depth == depth - 1
+        assert same(got.coeffs, series_multiply(theta, shallow).coeffs)
+
     @settings(max_examples=100, deadline=None)
     @example(d=2, depths=(2, 3), dims=(1, 2, 1), seeds=(1, 2))
     @example(d=3, depths=(4, 3), dims=(2, 1, 2), seeds=(3, 4))

@@ -9,7 +9,7 @@ from ncscatter.transfer import (
     DimMismatch,
     NCSeries,
     build_colligation,
-    colligation_violations,
+    colligation_violation,
     multi_analyticity_violation,
     random_series,
     right_translate,
@@ -52,10 +52,10 @@ class TestColligation:
         assert coll.out_dim == plain_instance.rank_c
 
     def test_coisometry_identities(self):
+        # the output rows; the state and input rows are the lifted U_j*
+        # (see the test below), whose Gram verify's dilation rows measure
         for inst in SWEEP:
-            viols = colligation_violations(build_colligation(inst))
-            assert viols["state_rows"] < 1e-10
-            assert viols["output_rows"] < 1e-10
+            assert colligation_violation(build_colligation(inst)) < 1e-10
 
     @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2), (2, 1, 1)))
     def test_state_and_input_blocks_are_the_letter_adjoints(self, shape):
@@ -240,10 +240,18 @@ class TestMultiAnalytic:
         coll = build_colligation(plain_instance)
         theta = transfer_series(coll, 3)
         sig = random_series(coll.in_dim, 1, plain_instance.d, 2, seed=9)
+        out = series_multiply(theta, sig)
         for letter in (1, 2):
-            assert multi_analyticity_violation(theta, sig, letter) < 1e-12
+            assert multi_analyticity_violation(theta, sig, out, letter) < 1e-12
 
     def test_generic_series_commute_too(self):
         theta = random_series(2, 2, 2, 3, seed=10)
         sig = random_series(2, 1, 2, 2, seed=11)
-        assert multi_analyticity_violation(theta, sig, 2) < 1e-12
+        assert multi_analyticity_violation(theta, sig, series_multiply(theta, sig), 2) < 1e-12
+
+    def test_a_wrong_convolution_shows(self):
+        theta = random_series(2, 2, 2, 3, seed=10)
+        sig = random_series(2, 1, 2, 2, seed=11)
+        out = series_multiply(theta, sig)
+        out.coeffs[-1, 0, 0] += 1e-6
+        assert multi_analyticity_violation(theta, sig, out, 1) > 1e-7

@@ -161,13 +161,18 @@ class TestSharedBuilds:
                 (charfn, "charfn_series"),
                 (charfn, "restriction_probes"),
                 (scattering, "star_wandering_frame"),
+                (transfer, "random_series"),
+                (transfer, "series_multiply"),
             ],
         )
         assert all_passed(run_all_checks(plain_instance, 3))
         # W at depth and at depth - 1, shared by the intertwining and
         # stabilization rows; charfn_restriction runs its probe columns
         # through the stage pipeline instead of a third build; the second
-        # star frame is the shallower one behind the translates
+        # star frame is the shallower one behind the translates; one
+        # signal and one theta * s, shared by the io, restriction and
+        # multi-analyticity rows, and one theta * (shifted s) per letter
+        assert plain_instance.d == 2
         assert counts == {
             "intertwiner_matrix": 2,
             "build_colligation": 1,
@@ -175,6 +180,8 @@ class TestSharedBuilds:
             "charfn_series": 1,
             "restriction_probes": 1,
             "star_wandering_frame": 2,
+            "random_series": 1,
+            "series_multiply": 3,
         }
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1)])
