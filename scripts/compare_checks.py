@@ -52,10 +52,11 @@ the other sign: the zero eigenvalues of the defects move up past
 ``TOL_RANK`` instead of below zero, into the band ``(TOL_RANK,
 TOL_EQ]`` where a defect rank would change, so the exports refuse it
 (exit 2) and ``verify`` fails it (exit 1).  The
-exit code and the stdout and stderr text of each such run are hashed
-like a file, and every run whose hash differs is printed, with its exit
-code on each side (``exit 2 -> 0``), and a count for each copy.  It
-exits 1 on any difference, and 0 otherwise.
+exit code and the stdout and stderr text of each such run are compared,
+and every run that differs is printed, with its exit code on each side
+(``exit 2 -> 0``) and, where the texts differ, their first differing
+line, one line per side; then a count for each copy.  It exits 1 on
+any difference, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ def scaled_copy(inst: Path, path: Path, factor: float) -> None:
 def emit_hashes(grid: str) -> None:
     """Print the imported tree's location, the sha256 of every file the
     command line writes for the grid, by file label, and, by copy name,
-    the exit code and the sha256 of the exit code and text of every
-    command run on each scaled copy."""
+    the exit code and the stdout and stderr text of every command run on
+    each scaled copy."""
     import ncscatter
     from ncscatter.cli import main
 
@@ -157,8 +158,7 @@ def emit_hashes(grid: str) -> None:
             text = io.StringIO()
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
                 code = main(argv)
-            record = f"exit {code}\n{text.getvalue()}".encode()
-            runs[copy][f"{name} {copy} {argv[0]}"] = [code, hashlib.sha256(record).hexdigest()]
+            runs[copy][f"{name} {copy} {argv[0]}"] = [code, text.getvalue()]
 
         for (d, dim_c, dim_a), seeds, depth, a_scale in GRIDS[grid]:
             shape = ["--d", str(d), "--dim-c", str(dim_c), "--dim-a", str(dim_a)]
@@ -202,9 +202,23 @@ def _exit_code(run) -> str:
     return "missing" if run is None else str(run[0])
 
 
+def _first_difference(old: str, new: str) -> list[str]:
+    """The first line at which two run texts differ, one report line per
+    side, or no lines when the texts are the same."""
+    if old == new:
+        return []
+    a, b = old.splitlines(), new.splitlines()
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return [
+        f"  {side} {lines[k] if k < len(lines) else '(no more lines)'}"
+        for side, lines in (("base:  ", a), ("change:", b))
+    ]
+
+
 def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
     """Report lines and whether any file or run on a scaled copy is missing
-    on one side or differs; a differing run names its two exit codes."""
+    on one side or differs; a differing run names its two exit codes and
+    the first line at which its texts differ."""
     lines, differs = [], False
     runs = [(copy, f"{copy} runs", "same exit codes and text") for copy in COPIES]
     for key, what, same in [("rows", "files", "same bytes"), *runs]:
@@ -216,6 +230,8 @@ def compare_exports(base: dict, change: dict) -> tuple[list[str], bool]:
                     f" (exit {_exit_code(old.get(name))} -> {_exit_code(new.get(name))})"
                 )
                 changed.append(f"differs: {name}{codes}")
+                if key != "rows" and name in old and name in new:
+                    changed += _first_difference(old[name][1], new[name][1])
         lines += changed + [f"{len(old)} {what}: {'DIFFERENT' if changed else same}"]
         differs = differs or bool(changed)
     return lines, differs

@@ -113,6 +113,19 @@ def coincidence_violation(series: NCSeries, theta: NCSeries) -> float:
     return linalg.stack_norm(series.coeffs - theta.coeffs[rev])
 
 
+def restriction_violation(
+    instance: LiftingInstance, series: NCSeries, signal: NCSeries, out: NCSeries
+) -> float:
+    """Both restriction identities on the probes of ``signal``: the vacuum
+    columns against ``series``, the signal column against ``out``, the
+    signal convolved by the transfer series."""
+    probes, r = restriction_probes(instance, signal), instance.rank_e
+    return max(
+        vacuum_restriction_violation(instance, series, probes[:, :r]),
+        fock_action_violation(instance, probes[:, r:], out),
+    )
+
+
 def restriction_probes(instance: LiftingInstance, signal: NCSeries) -> np.ndarray:
     """The intertwiner on the vacuum defect copy and on the loaded signal.
 

@@ -211,13 +211,13 @@ def assemble(
             )
 
     e = _block_lifting_ops(c, a, b)
-    defect_c, star = c.defect, a.star_defect
+    # E's Gram holds B* B, so a B too large for the product below is refused here first
+    defect_c, star, defect_e = c.defect, a.star_defect, e.defect
     # gamma D* = B* with D* inverted on its range; the leak of B* onto
     # ker D* is lifting_violations' ``gamma_kernel``
     restricted = star.coords @ star.basis
     bstar = np.hstack(b).conj().T
     gamma = defect_c.basis.conj().T @ bstar @ star.basis @ linalg.pseudo_inverse(restricted)
-    defect_e = e.defect
     inst = LiftingInstance(c, a, b, e, gamma, seed)
     if not strict:
         return inst

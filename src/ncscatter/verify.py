@@ -9,13 +9,15 @@ with the error message attached instead of aborting the run.  Each
 check runs with numpy's overflow, invalid and divide warnings off: an
 overflow shows in its row as a large or non-finite value, which fails.
 
-:func:`run_all_checks` builds each measured object once, through a
-memoised builder dropped after its last check so large matrices do
-not outlive it; a build that raises fails every check that needs it.
-The random signal ``s`` is drawn and convolved by the transfer series
-``theta`` once: ``io_recursion`` and the Fock half of
-``charfn_restriction`` read ``theta * s``, ``multi_analyticity`` the
-depth - 1 prefixes of ``s`` and ``theta * s``.
+:func:`run_all_checks` runs the rows of :data:`ROWS` in order on the
+builds of :data:`BUILDS`.  A build is made once, on its first read; one
+that raises is kept as its exception, without its traceback, and every
+row that reads it fails with that text.  A build is dropped after its
+last reader, counting the readers of each build that reads it.
+``transfer_norm_one`` appears only when ``dimA = 0`` and ``rank_c > 0``.
+The signal ``s`` is drawn and convolved by ``theta`` once: ``io_recursion``
+and the Fock half of ``charfn_restriction`` read ``theta * s``,
+``multi_analyticity`` the depth - 1 prefixes of ``s`` and ``theta * s``.
 
 Each letter ``V_j`` is column block ``U_j`` of the stage block
 ``U = [[T_1 ... T_d], [(D)_1 ... (D)_d]]`` (:attr:`.dilation.Dilation.stage`)
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -197,10 +199,6 @@ def _star_norm(w_deep, w_flat, u, units, v_lift) -> float:
     return operator_norm(fold_rows(star))
 
 
-def _intertwining(instance: LiftingInstance, depth: int, w_deep, w_flat) -> float:
-    return max(max(pair) for pair in _intertwining_norms(instance, depth, w_deep, w_flat))
-
-
 def _intertwiner_coisometry(w: np.ndarray) -> float:
     """Lower block triangle of ``W W* - I``, zeros above, 1 taken off the diagonal in place."""
     gram = np.empty((w.shape[0], w.shape[0]), dtype=np.complex128)
@@ -225,91 +223,99 @@ def _multi_analyticity(theta, signal, out) -> float:
     return max(transfer.multi_analyticity_violation(theta, signal, out, j) for j in letters)
 
 
-def run_all_checks(
-    instance: LiftingInstance, depth: int, seed: int = 0
-) -> list[CheckResult]:
-    """Measure every identity at truncation ``depth`` (at least 1), drawing
-    the random signals from ``seed`` (at least 0).
+# A build names the builds it reads and its maker; a report row its name, threshold,
+# the builds it reads and its violation, and last, where one applies, the condition
+# on the instance for it to appear.  Each is called as ``f(instance, depth, seed, *reads)``.
+BUILDS = {
+    "w_deep": ((), lambda i, n, s: intertwiner_matrix(i, n)),
+    "w_flat": ((), lambda i, n, s: intertwiner_matrix(i, n - 1)),
+    "frame": ((), lambda i, n, s: scattering.star_wandering_frame(i, n)),
+    "coll": ((), lambda i, n, s: build_colligation(i)),
+    "theta": (("coll",), lambda i, n, s, coll: transfer.transfer_series(coll, n)),
+    "norm": (("theta",), lambda i, n, s, theta: transfer.transfer_norm(theta)),
+    "signal": ((), lambda i, n, s: transfer.random_series(i.rank_e, 1, i.d, n, s)),
+    "out": (("theta", "signal"), lambda i, n, s, *ts: transfer.series_multiply(*ts)),
+    "series": ((), lambda i, n, s: charfn.charfn_series(i, n)),
+}
 
-    Returns one :class:`CheckResult` per property, ordered from the
-    defining block identities up through the characteristic function.
+ROWS = (
+    ("lifting_identities", TOL_EQ, (), lambda i, n, s: max(lifting_violations(i).values())),
+    ("dilation_isometry", 1e-12, (), lambda i, n, s: _dilation_isometry(i)),
+    ("dilation_orthogonal_ranges", 1e-12, (), lambda i, n, s: _dilation_orthogonal_ranges(i)),
+    ("dilation_row_unitary", 1e-10, (), lambda i, n, s: _dilation_row_unitary(i)),
+    ("dilation_compression", 1e-10, (), lambda i, n, s: _dilation_compression(i, n)),
+    ("intertwining", 1e-10, ("w_deep", "w_flat"),
+     lambda i, n, s, *ws: max(map(max, _intertwining_norms(i, n, *ws)))),
+    ("intertwiner_coisometry", 1e-10, ("w_deep",), lambda i, n, s, w: _intertwiner_coisometry(w)),
+    ("base_subspace_fixed", 1e-12, ("w_deep",),
+     lambda i, n, s, w: _base_subspace_fixed(w, i.dim_c)),
+    ("intertwiner_stabilization", 1e-12, ("w_deep", "w_flat"),
+     lambda i, n, s, *ws: stabilization_violation(*ws)),
+    ("star_frame_base_leak", 1e-12, ("frame",), lambda i, n, s, f: scattering.base_leak(i, f)),
+    ("wandering_orthogonality", 1e-10, (), lambda i, n, s: scattering.wandering_violation(
+        scattering.shifted_star_frames(i, n), i.rank_c)),
+    ("complement_dimension_angles", 1e-8, ("frame",),
+     lambda i, n, s, f: scattering.verify_complement(i, n, f)[1]),
+    ("shift_decomposition", 1e-12, (), lambda i, n, s: scattering.verify_shift_decomposition(i, n)),
+    ("colligation_structure", 1e-10, ("coll",), lambda i, n, s, c: colligation_violation(c)),
+    ("transfer_contraction", 1e-8, ("norm",), lambda i, n, s, t: max(t - 1.0, 0.0)),
+    ("transfer_norm_one", 1e-10, ("norm",), lambda i, n, s, t: abs(t - 1.0),
+     lambda i: i.dim_a == 0 and i.rank_c > 0),
+    ("multi_analyticity", 1e-12, ("theta", "signal", "out"),
+     lambda i, n, s, *b: _multi_analyticity(*b)),
+    ("io_recursion", 1e-10, ("coll", "signal", "out"), lambda i, n, s, *b: io_violation(*b)),
+    ("charfn_coincidence", 1e-10, ("series", "theta"),
+     lambda i, n, s, *b: charfn.coincidence_violation(*b)),
+    ("charfn_restriction", 1e-10, ("series", "signal", "out"),
+     lambda i, n, s, *b: charfn.restriction_violation(i, *b)),
+)
+
+
+def _needs(reads) -> set[str]:
+    """The builds ``reads`` and every build they read, through any chain."""
+    return set(reads).union(*(_needs(BUILDS[b][0]) for b in reads))
+
+
+# the index of the last row that needs each build
+_LAST = {b: max(k for k, row in enumerate(ROWS) if b in _needs(row[2])) for b in BUILDS}
+
+
+def _make(built: dict, reads, make, args: tuple):
+    """``make(*args, *reads)``, each build made into ``built`` on its first read, or the
+    exception raised, traceback dropped; a build stored as one is returned in its place."""
+    inputs = []
+    for name in reads:
+        if name not in built:
+            built[name] = _make(built, *BUILDS[name], args)
+        if isinstance(built[name], Exception):
+            return built[name]
+        inputs.append(built[name])
+    try:
+        return make(*args, *inputs)
+    except Exception as exc:
+        return exc.with_traceback(None)
+
+
+def run_all_checks(instance: LiftingInstance, depth: int, seed: int = 0) -> list[CheckResult]:
+    """Measure every identity at truncation ``depth`` (at least 1), drawing
+    the random signals from ``seed`` (at least 0): one :class:`CheckResult`
+    per row of :data:`ROWS` that appears for ``instance``, in table order.
     """
     if depth < 1:
         raise ValueError("verification needs depth >= 1")
     if seed < 0:
         raise ValueError("verification needs seed >= 0")
-    results = []
-
-    def check(name: str, threshold: float, run) -> None:
-        try:
+    results, built = [], {}
+    for k, (name, threshold, reads, run, *present) in enumerate(ROWS):
+        if all(p(instance) for p in present):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                results.append(CheckResult.measure(name, run(), threshold))
-        except Exception as exc:
-            results.append(CheckResult.failure(name, threshold, str(exc)))
-
-    check("lifting_identities", TOL_EQ, lambda: max(lifting_violations(instance).values()))
-    check("dilation_isometry", 1e-12, lambda: _dilation_isometry(instance))
-    check("dilation_orthogonal_ranges", 1e-12, lambda: _dilation_orthogonal_ranges(instance))
-    check("dilation_row_unitary", 1e-10, lambda: _dilation_row_unitary(instance))
-    check("dilation_compression", 1e-10, lambda: _dilation_compression(instance, depth))
-    w_mat = cache(lambda: intertwiner_matrix(instance, depth))
-    w_flat = cache(lambda: intertwiner_matrix(instance, depth - 1))
-    check("intertwining", 1e-10, lambda: _intertwining(instance, depth, w_mat(), w_flat()))
-    check("intertwiner_coisometry", 1e-10, lambda: _intertwiner_coisometry(w_mat()))
-    check(
-        "base_subspace_fixed", 1e-12, lambda: _base_subspace_fixed(w_mat(), instance.dim_c)
-    )
-    check(
-        "intertwiner_stabilization", 1e-12, lambda: stabilization_violation(w_mat(), w_flat())
-    )
-    del w_mat, w_flat
-    frame = cache(lambda: scattering.star_wandering_frame(instance, depth))
-    check("star_frame_base_leak", 1e-12, lambda: scattering.base_leak(instance, frame()))
-    check(
-        "wandering_orthogonality",
-        1e-10,
-        lambda: scattering.wandering_violation(
-            scattering.shifted_star_frames(instance, depth), instance.rank_c
-        ),
-    )
-    check(
-        "complement_dimension_angles",
-        1e-8,
-        lambda: scattering.verify_complement(instance, depth, frame())[1],
-    )
-    del frame
-    check(
-        "shift_decomposition",
-        1e-12,
-        lambda: scattering.verify_shift_decomposition(instance, depth),
-    )
-    coll = cache(lambda: build_colligation(instance))
-    theta = cache(lambda: transfer.transfer_series(coll(), depth))
-    norm = cache(lambda: transfer.transfer_norm(theta()))
-    check("colligation_structure", 1e-10, lambda: colligation_violation(coll()))
-    check("transfer_contraction", 1e-8, lambda: max(norm() - 1.0, 0.0))
-    if instance.dim_a == 0 and instance.rank_c > 0:
-        check("transfer_norm_one", 1e-10, lambda: abs(norm() - 1.0))
-    del norm
-    signal = cache(lambda: transfer.random_series(instance.rank_e, 1, instance.d, depth, seed))
-    out = cache(lambda: transfer.series_multiply(theta(), signal()))
-    check("multi_analyticity", 1e-12, lambda: _multi_analyticity(theta(), signal(), out()))
-    check("io_recursion", 1e-10, lambda: io_violation(coll(), signal(), out()))
-    del coll
-    series = cache(lambda: charfn.charfn_series(instance, depth))
-    check(
-        "charfn_coincidence", 1e-10, lambda: charfn.coincidence_violation(series(), theta())
-    )
-
-    def restriction():
-        probes = charfn.restriction_probes(instance, signal())
-        r = instance.rank_e
-        return max(
-            charfn.vacuum_restriction_violation(instance, series(), probes[:, :r]),
-            charfn.fock_action_violation(instance, probes[:, r:], out()),
-        )
-
-    check("charfn_restriction", 1e-10, restriction)
+                value = _make(built, reads, run, (instance, depth, seed))
+            if isinstance(value, Exception):
+                results.append(CheckResult.failure(name, threshold, str(value)))
+            else:
+                results.append(CheckResult.measure(name, value, threshold))
+        for b in [b for b in built if _LAST[b] == k]:
+            built.pop(b)
     return results
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncscatter.lifting import assemble, generate
+from ncscatter import linalg
+from ncscatter.lifting import Infeasible, assemble, generate
 from ncscatter.rowtuple import OperatorTuple
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -54,6 +55,38 @@ def letter_product(a, u, units):
     ``units``: ``u`` times the first n + r columns of ``a`` on the base
     columns, a copy of the column of ``a`` the table names on the others."""
     return np.hstack([a[:, : u.shape[0]] @ u, a[:, units]])
+
+
+def lift(base, dim_a, rng, a_scale=0.9):
+    """A lifting of the coisometric tuple ``base`` by ``generate``'s backward
+    construction, drawn from ``rng``: a corner A of row norm ``a_scale``,
+    an isometry gamma between the defect frames, and B = (gamma D*)*."""
+    d, n = base.d, base.dim
+    raw = rng.standard_normal((dim_a, d * dim_a)) + 1j * rng.standard_normal((dim_a, d * dim_a))
+    norm = np.linalg.norm(raw, 2)
+    a_row = raw * (a_scale / norm) if a_scale > 0 and norm > 0 else np.zeros_like(raw)
+    a = OperatorTuple(tuple(a_row[:, j * dim_a : (j + 1) * dim_a] for j in range(d)))
+    star = a.star_defect
+    if star.rank > base.defect.rank:
+        raise Infeasible(f"star defect rank {star.rank} exceeds {base.defect.rank}")
+    gamma = linalg.random_isometry(base.defect.rank, star.rank, rng)
+    bstar = base.defect.basis @ gamma @ star.coords
+    return assemble(base, a, tuple(bstar[j * n : (j + 1) * n].conj().T for j in range(d)))
+
+
+def compose(step1, step2):
+    """The lifting of ``step1``'s base C by ``step2``'s lifted tuple, where
+    ``step2`` lifts ``step1.e``: corner ``[[A1, 0], [B2_A, A2]]`` and coupling
+    ``[[B1], [B2_C]]``, with ``B2 = [B2_C, B2_A]`` split by the columns of
+    ``H_C`` and ``H_A1``, through strict ``assemble``."""
+    assert step2.c is step1.e
+    n = step1.dim_c
+    corner = tuple(
+        np.block([[a1, np.zeros((a1.shape[0], a2.shape[1]))], [b2[:, n:], a2]])
+        for a1, a2, b2 in zip(step1.a.ops, step2.a.ops, step2.b)
+    )
+    coupling = tuple(np.vstack([b1, b2[:, :n]]) for b1, b2 in zip(step1.b, step2.b))
+    return assemble(step1.c, OperatorTuple(corner), coupling)
 
 
 def contraction_tuple(d, n, seed, norm=0.9):

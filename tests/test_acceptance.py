@@ -40,8 +40,8 @@ from ncscatter.verify import (
     _dilation_isometry,
     _dilation_orthogonal_ranges,
     _dilation_row_unitary,
-    _intertwining,
     _intertwiner_coisometry,
+    _intertwining_norms,
     _multi_analyticity,
     all_passed,
     run_all_checks,
@@ -136,7 +136,8 @@ def test_intertwiner_stabilization(sweep):
 
 def test_intertwining_both_directions(sweep):
     worst = max(
-        _intertwining(i, n, intertwiner_matrix(i, n), intertwiner_matrix(i, n - 1))
+        max(map(max, _intertwining_norms(i, n, intertwiner_matrix(i, n),
+                                         intertwiner_matrix(i, n - 1))))
         for i, n, _ in sweep
     )
     report("intertwining with the dilations, both directions", worst, 1e-10)

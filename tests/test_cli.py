@@ -366,6 +366,26 @@ class TestOneTolerance:
             "the entries are too large for double precision\n"
         )
 
+    @pytest.mark.parametrize("cmd", ["verify", "transfer", "charfn", "simulate"])
+    def test_one_overflowing_coupling_entry_warns_nothing(self, tmp_path, capsys, cmd):
+        # one B[0] entry of (2,2,1) seed 1 at 1e308 overflows E* E, and also
+        # the product that forms gamma from B*; the load refuses the first
+        # before it forms the second, so no numpy warning precedes the error
+        path = self.scaled_c(tmp_path / "big.json", 1, 1.0)
+        obj = serialize.load(path)
+        obj["B"][0]["data"][0] = [1e308, 0.0]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([cmd, "--input", str(path), "--depth", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and caught == [] and captured.out == ""
+        assert captured.err == (
+            "error: I - T* T has a non-finite entry: "
+            "the entries are too large for double precision\n"
+        )
+
     @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
     def test_tol_flag_is_usage_error(self, inst_file, capsys, cmd):
         with pytest.raises(SystemExit) as exc:

@@ -230,8 +230,9 @@ def test_compare_checks_flags_a_changed_threshold(tmp_path):
     shutil.copytree(SRC / "ncscatter", changed / "ncscatter")
     verify = changed / "ncscatter" / "verify.py"
     text = verify.read_text()
-    assert text.count('check("intertwining", 1e-10,') == 1
-    verify.write_text(text.replace('check("intertwining", 1e-10,', 'check("intertwining", 1e-9,'))
+    row = '("intertwining", 1e-10,'
+    assert text.count(row) == 1
+    verify.write_text(text.replace(row, '("intertwining", 1e-9,'))
     proc = run_script(
         "compare_checks.py", ["--base", str(SRC), "--change", str(changed), "--grid", "smoke"]
     )
@@ -245,10 +246,10 @@ def test_compare_checks_fails_a_larger_worst_value(tmp_path):
     shutil.copytree(SRC / "ncscatter", changed / "ncscatter")
     verify = changed / "ncscatter" / "verify.py"
     text = verify.read_text()
-    row = "lambda: colligation_violation(coll()))"
+    row = "lambda i, n, s, c: colligation_violation(c)),"
     assert text.count(row) == 1
     # every value up by 1e-13, far under the threshold: no verdict moves
-    verify.write_text(text.replace(row, "lambda: colligation_violation(coll()) + 1e-13)"))
+    verify.write_text(text.replace(row, "lambda i, n, s, c: colligation_violation(c) + 1e-13),"))
     proc = run_script(
         "compare_checks.py", ["--base", str(SRC), "--change", str(changed), "--grid", "smoke"]
     )
@@ -292,14 +293,16 @@ def test_compare_exports_flags_one_changed_byte(tmp_path):
     assert lines[6] == "8 files: DIFFERENT"
     # a refused export writes no series, so the refusals stay the same
     assert lines[7] == "8 near-miss runs: same exit codes and text"
-    # an accepted copy prints its series, whose bytes changed alike
-    assert "differs: (2, 2, 1) seed 0 depth 1 inside-band transfer (exit 0 -> 0)" in lines
-    assert not any(line.endswith(" inside-band verify") for line in lines)
-    assert lines[14] == "8 inside-band runs: DIFFERENT"
+    # an accepted copy prints its series, whose bytes changed alike, and
+    # the first line that differs is the first word key, shown per side
+    run = lines.index("differs: (2, 2, 1) seed 0 depth 1 inside-band transfer (exit 0 -> 0)")
+    assert lines[run + 1 : run + 3] == ['  base:         "word": []', '  change:       "wore": []']
+    assert not any(line.endswith(" inside-band verify (exit 1 -> 1)") for line in lines)
+    assert lines[26] == "8 inside-band runs: DIFFERENT"
     # the copy scaled by 1 - 2e-9 is refused (its defect ranks are
     # decided in the band), so it writes no series either
     assert lines[-1] == "8 inside-band-down runs: same exit codes and text"
-    assert len(lines) == 16
+    assert len(lines) == 28
 
 
 def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
@@ -317,14 +320,28 @@ def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
         ["--base", str(SRC), "--change", str(changed), "--grid", "smoke", "--exports"],
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
+    # each refusal's one error line against the first line of the series
+    near = "  base:   error: sum C_j C_j* - I has norm 2.000e-06"
+    band = (
+        "  base:   error: I - C* C has eigenvalue 4.000e-09 in the rank band "
+        "(1e-10, 1e-08], so its defect rank is not decided"
+    )
     assert proc.stdout.splitlines() == [
         "8 files: same bytes",
         "differs: (2, 2, 0) seed 1 depth 2 near-miss transfer (exit 2 -> 0)",
+        near,
+        "  change: {",
         "differs: (2, 2, 1) seed 0 depth 1 near-miss transfer (exit 2 -> 0)",
+        near,
+        "  change: {",
         "8 near-miss runs: DIFFERENT",
         "8 inside-band runs: same exit codes and text",
         "differs: (2, 2, 0) seed 1 depth 2 inside-band-down transfer (exit 2 -> 0)",
+        band,
+        "  change: {",
         "differs: (2, 2, 1) seed 0 depth 1 inside-band-down transfer (exit 2 -> 0)",
+        band,
+        "  change: {",
         "8 inside-band-down runs: DIFFERENT",
     ]
 
@@ -348,10 +365,53 @@ def test_compare_exports_names_both_exit_codes(monkeypatch):
     change = {"rows": {"f": "b"}, **empty, "near-miss": {"r": [0, "z"]}}
     lines, differs = script.compare_exports(base, change)
     assert differs
-    assert lines[:5] == [
+    assert lines[:7] == [
         "differs: f",
         "1 files: DIFFERENT",
         "differs: gone (exit 1 -> missing)",
         "differs: r (exit 2 -> 0)",
+        "  base:   x",
+        "  change: z",
         "2 near-miss runs: DIFFERENT",
     ]
+
+
+def test_compare_exports_first_differing_line(monkeypatch):
+    # a run whose text only grows names the line the other side lacks;
+    # one whose exit code alone moved prints no text lines
+    script = load_script("compare_checks", monkeypatch)
+    assert script._first_difference("a\nb\n", "a\nb\nc\n") == [
+        "  base:   (no more lines)",
+        "  change: c",
+    ]
+    assert script._first_difference("a\nb\n", "a\nB\n") == ["  base:   b", "  change: B"]
+    assert script._first_difference("same\n", "same\n") == []
+
+
+def test_compare_exports_shows_an_edited_threshold(tmp_path):
+    # verify prints its report on every scaled copy, so a changed
+    # threshold shows as the first report line that carries it
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "ncscatter", changed / "ncscatter")
+    verify = changed / "ncscatter" / "verify.py"
+    text = verify.read_text()
+    row = '("intertwining", 1e-10,'
+    assert text.count(row) == 1
+    verify.write_text(text.replace(row, '("intertwining", 1e-9,'))
+    proc = run_script(
+        "compare_checks.py",
+        ["--base", str(SRC), "--change", str(changed), "--grid", "smoke", "--exports"],
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    run = lines.index("differs: (2, 2, 1) seed 0 depth 1 near-miss verify (exit 1 -> 1)")
+    base, change = lines[run + 1 : run + 3]
+    assert base.startswith("  base:   ") and change.startswith("  change: ")
+    # the same verdict, row and value, under the two thresholds
+    assert base.split()[1:-1] == change.split()[1:-1]
+    assert base.split()[2] == "intertwining"
+    assert (base.split()[-1], change.split()[-1]) == ("1.0e-10", "1.0e-09")
+    # only verify reads the thresholds: the files and every export run agree
+    assert lines[0] == "8 files: same bytes"
+    differing = [line for line in lines if line.startswith("differs: ")]
+    assert len(differing) == 6 and all(line.endswith(" verify (exit 1 -> 1)") for line in differing)

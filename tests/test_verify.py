@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import math
 import sys
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -35,6 +36,14 @@ EXPECTED_ORDER = [
     "complement_dimension_angles",
     "shift_decomposition",
     "colligation_structure",
+    "transfer_contraction",
+    "multi_analyticity",
+    "io_recursion",
+    "charfn_coincidence",
+    "charfn_restriction",
+]
+# the rows that read the transfer series, on an instance with a corner
+THETA_ROWS = [
     "transfer_contraction",
     "multi_analyticity",
     "io_recursion",
@@ -107,7 +116,7 @@ class TestRunAllChecks:
         # as an error, not a crash of the whole run
         assert by_name["charfn_coincidence"].error is not None
         assert math.isinf(by_name["charfn_coincidence"].max_violation)
-        # the shared series is not memoised when its build raises, so the
+        # the shared series build that raised is kept as its error, so the
         # restriction check reports the same factorisation error
         restriction = by_name["charfn_restriction"]
         assert restriction.error == by_name["charfn_coincidence"].error
@@ -203,6 +212,55 @@ class TestSharedBuilds:
         assert {"transfer_contraction", "transfer_norm_one"} <= {r.name for r in results}
         assert all_passed(results)
         assert counts == {"transfer_norm": 1}
+
+    @pytest.mark.parametrize(
+        "module,name,calls,rows",
+        [
+            (verify, "intertwiner_matrix", 1, ["intertwining", "intertwiner_coisometry",
+                                               "base_subspace_fixed", "intertwiner_stabilization"]),
+            (verify, "build_colligation", 1, ["colligation_structure", *THETA_ROWS]),
+            (transfer, "transfer_series", 1, THETA_ROWS),
+            (charfn, "charfn_series", 1, ["charfn_coincidence", "charfn_restriction"]),
+            # the second call is the shallower frame behind the translates
+            (scattering, "star_wandering_frame", 2, ["star_frame_base_leak",
+                                                     "wandering_orthogonality",
+                                                     "complement_dimension_angles"]),
+        ],
+    )
+    def test_a_build_that_raises_is_made_once(self, monkeypatch, module, name, calls, rows):
+        # a build that raises is kept as its error: every row that reads it,
+        # or reads a build made from it, fails with its text, and none retries it
+        counts = {name: 0}
+
+        def raising(*args):
+            counts[name] += 1
+            raise MemoryError(f"Unable to allocate in {name}")
+
+        monkeypatch.setattr(module, name, raising)
+        results = run_all_checks(lifting.generate(2, 2, 2, seed=1), 3)
+        assert counts == {name: calls}
+        failed = [(r.name, r.error) for r in results if not r.passed]
+        assert failed == [(row, f"Unable to allocate in {name}") for row in rows]
+
+    def test_intertwiners_freed_before_the_star_frame(self, monkeypatch, plain_instance):
+        # W_N and W_{N-1} are dropped after intertwiner_stabilization, their
+        # last reader, so neither is held while a star frame is built
+        refs, held = [], []
+        build, frame = verify.intertwiner_matrix, scattering.star_wandering_frame
+
+        def tracked(*args):
+            w = build(*args)
+            refs.append(weakref.ref(w))
+            return w
+
+        def counted_frame(*args):
+            held.append(sum(ref() is not None for ref in refs))
+            return frame(*args)
+
+        monkeypatch.setattr(verify, "intertwiner_matrix", tracked)
+        monkeypatch.setattr(scattering, "star_wandering_frame", counted_frame)
+        assert all_passed(run_all_checks(plain_instance, 3))
+        assert len(refs) == 2 and held == [0, 0]
 
 
 class TestMutations:
