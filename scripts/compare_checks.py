@@ -20,10 +20,10 @@ Every other grid draws its instances at
 ``generate``'s default ``a_scale`` of 0.9, and only a row drawn at
 another value names it.  For each check the script
 prints the rows whose verdict changed, the largest upward and downward
-move of the violation, and the worst value on each side; before that
-it prints each tree's peak RSS, the ``ru_maxrss`` of its grid
-subprocess, that subprocess's wall time and the BLAS thread count it
-ran at.  The two grids run once each, base first and then change, so
+move of the violation, and the worst value on each side.  Before that,
+with or without ``--exports`` (below), it prints each tree's peak RSS,
+the ``ru_maxrss`` of its grid subprocess, that subprocess's wall time
+and the BLAS thread count it ran at.  The two grids run once each, base first and then change, so
 each wall time is one unpaired sample: load from any other process
 lands on one side only (under such load two identical trees read
 44.7 and 257.8 s on the deep grid), and the line says so.  It exits 1
@@ -56,7 +56,10 @@ exit code and the stdout and stderr text of each such run are compared,
 and every run that differs is printed, with its exit code on each side
 (``exit 2 -> 0``) and, where the texts differ, their first differing
 line, one line per side; then a count for each copy.  It exits 1 on
-any difference, and 0 otherwise.
+any difference, and 0 otherwise.  On 2 cores one tree took about 18 s
+and 120 MB of peak RSS on the full grid, 4 s and 48 MB on the edge
+grid, and 600-650 s and 1.1 GB on the deep grid, so ``--grid deep
+--exports`` takes about 21 minutes for the pair.
 """
 
 from __future__ import annotations
@@ -139,9 +142,9 @@ def scaled_copy(inst: Path, path: Path, factor: float) -> None:
 
 def emit_hashes(grid: str) -> None:
     """Print the imported tree's location, the sha256 of every file the
-    command line writes for the grid, by file label, and, by copy name,
-    the exit code and the stdout and stderr text of every command run on
-    each scaled copy."""
+    command line writes for the grid, by file label, by copy name the
+    exit code and the stdout and stderr text of every command run on
+    each scaled copy, and the process's peak RSS."""
     import ncscatter
     from ncscatter.cli import main
 
@@ -174,7 +177,9 @@ def emit_hashes(grid: str) -> None:
                     scaled_copy(inst, copy_path, factor)
                     for argv in [*exports, ["verify", "--depth", str(depth)]]:
                         run(name, copy, [*argv, "--input", str(copy_path)])
-    json.dump({"source": ncscatter.__file__, "rows": hashes, **runs}, sys.stdout)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out = {"source": ncscatter.__file__, "rows": hashes, **runs, "peak_mb": peak_mb}
+    json.dump(out, sys.stdout)
 
 
 def run_tree(src: str, mode: str, grid: str) -> dict:
@@ -317,13 +322,13 @@ def main() -> int:
         lines, differs = compare_exports(base, change)
     else:
         lines, differs = compare(base["rows"], change["rows"])
-        peaks = f"base {base['peak_mb']:.1f} MB, change {change['peak_mb']:.1f} MB"
-        walls = f"base {base['wall_s']:.1f} s, change {change['wall_s']:.1f} s"
-        lines[:0] = [
-            f"peak RSS of the grid process: {peaks}",
-            f"wall time of the grid process, one unpaired run each: {walls}",
-            f"BLAS threads of the grid process: {BLAS_THREADS} ({', '.join(THREAD_VARS)})",
-        ]
+    peaks = f"base {base['peak_mb']:.1f} MB, change {change['peak_mb']:.1f} MB"
+    walls = f"base {base['wall_s']:.1f} s, change {change['wall_s']:.1f} s"
+    lines[:0] = [
+        f"peak RSS of the grid process: {peaks}",
+        f"wall time of the grid process, one unpaired run each: {walls}",
+        f"BLAS threads of the grid process: {BLAS_THREADS} ({', '.join(THREAD_VARS)})",
+    ]
     print("\n".join(lines))
     return 1 if differs else 0
 

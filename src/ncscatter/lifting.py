@@ -144,24 +144,27 @@ def lifting_violations(instance: LiftingInstance) -> dict[str, float]:
     Keys: ``c_coisometry``, ``cross_block`` (sum C_j B_j* = 0),
     ``complement_block`` (B B* + A A* = I), ``e_coisometry``,
     ``gamma_isometry``, ``gamma_intertwine`` (gamma D* = B*) and
-    ``gamma_kernel`` (B* vanishes on ker D*).
+    ``gamma_kernel`` (B* vanishes on ker D*).  Blocks whose Grams are
+    finite can still have products too large for double precision; numpy
+    warns of none, and their sizes read inf or nan.
     """
-    c_row, a_row, e_row = instance.c.row(), instance.a.row(), instance.e.row()
-    b_row = np.hstack(instance.b)
-    b_star = b_row.conj().T
-    cross = sum(cj @ bj.conj().T for cj, bj in zip(instance.c.ops, instance.b))
-    g, star, qc = instance.gamma, instance.a.star_defect, instance.c.defect.basis
-    return {
-        "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - np.eye(instance.dim_c)),
-        "cross_block": linalg.operator_norm(cross),
-        "complement_block": linalg.operator_norm(
-            b_row @ b_row.conj().T + a_row @ a_row.conj().T - np.eye(instance.dim_a)
-        ),
-        "e_coisometry": linalg.operator_norm(e_row @ e_row.conj().T - np.eye(instance.dim_e)),
-        "gamma_isometry": linalg.operator_norm(g.conj().T @ g - np.eye(g.shape[1])),
-        "gamma_intertwine": linalg.operator_norm(qc @ g @ star.coords - b_star),
-        "gamma_kernel": linalg.operator_norm(b_star @ star.kernel),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_row, a_row, e_row = instance.c.row(), instance.a.row(), instance.e.row()
+        b_row = np.hstack(instance.b)
+        b_star = b_row.conj().T
+        cross = sum(cj @ bj.conj().T for cj, bj in zip(instance.c.ops, instance.b))
+        g, star, qc = instance.gamma, instance.a.star_defect, instance.c.defect.basis
+        return {
+            "c_coisometry": linalg.operator_norm(c_row @ c_row.conj().T - np.eye(instance.dim_c)),
+            "cross_block": linalg.operator_norm(cross),
+            "complement_block": linalg.operator_norm(
+                b_row @ b_row.conj().T + a_row @ a_row.conj().T - np.eye(instance.dim_a)
+            ),
+            "e_coisometry": linalg.operator_norm(e_row @ e_row.conj().T - np.eye(instance.dim_e)),
+            "gamma_isometry": linalg.operator_norm(g.conj().T @ g - np.eye(g.shape[1])),
+            "gamma_intertwine": linalg.operator_norm(qc @ g @ star.coords - b_star),
+            "gamma_kernel": linalg.operator_norm(b_star @ star.kernel),
+        }
 
 
 # the identities strict ``assemble`` names first, in order, with the error each raises

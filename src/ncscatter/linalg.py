@@ -153,7 +153,8 @@ def hermitian_sqrt(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     contraction, and whether an eigenvalue lies too close to the cut, is
     for the caller to measure, as :func:`.lifting.assemble` does.
     """
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    # halved before the sum, so a finite m has a finite Hermitian part
+    w, v = np.linalg.eigh(m / 2.0 + m.conj().T / 2.0)
     root = (v * np.sqrt(np.where(w <= TOL_RANK, 0.0, w))) @ v.conj().T
     return (root + root.conj().T) / 2.0, w
 

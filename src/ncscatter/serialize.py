@@ -14,11 +14,14 @@ top-level value of a mapping, as in the trees of :func:`series_to_json`
 and :func:`trajectory_to_json`.  The bytes are exactly those of
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"``
 with each series standing for its graded-lex list of ``{"word",
-"matrix"}`` entries.  A series is written straight from its
-coefficient stack: one template holds its literal text, with word
-texts built level by level and a ``%s`` slot per float, and one ``%``
-fills it from :func:`_float_texts` of the float view.  That helper
-writes every float of the stack in one ``orjson`` pass, whose shortest
+"matrix"}`` entries.  A document is made as a sequence of text pieces,
+and :func:`save` writes each piece as it is made, so no file export
+holds its whole text.  A series is written straight from its
+coefficient stack in pieces of at most :data:`PIECE_ENTRIES` entries:
+each piece is one template of literal text, with word texts built
+level by level and a ``%s`` slot per float, and one ``%`` fills it from
+:func:`_float_texts` of its slice of the float view.  That helper
+writes every float of a slice in one ``orjson`` pass, whose shortest
 round-trip digits (Ryu) are those of ``float.__repr__``, and rewrites
 the few layouts in which the two differ, so each text is byte for
 byte ``repr`` of its float.
@@ -32,6 +35,8 @@ inconsistent derived data.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -44,6 +49,11 @@ from .transfer import NCSeries
 from .words import Word, level_start, position
 
 SCHEMA_VERSION = 1
+# Series entries per piece of a document.  A file export writes its
+# pieces one by one, so one piece's float texts, template and text are
+# all of a series held at once: with 128, a depth-10 series of 2 x 4
+# blocks (2047 entries, 2.0 MB of text) peaks in ``save`` at 0.74 MB.
+PIECE_ENTRIES = 128
 
 
 class SchemaError(ValueError):
@@ -323,58 +333,101 @@ def _float_texts(flat: np.ndarray) -> list[str]:
     return texts
 
 
-def _write_series(series: NCSeries, key: str, words: list[str]) -> str:
-    """The graded-lex ``{"word", "matrix"}`` entry list of ``series``, the
-    value of the top-level ``key``, with ``words`` from :func:`_word_texts`:
-    one template of literal text with a ``%s`` slot per float, filled
-    once from the float texts of the stack."""
+def _series_pieces(series: NCSeries, words: list[str]) -> Iterator[str]:
+    """The graded-lex ``{"word", "matrix"}`` entry list of ``series``, with
+    ``words`` from :func:`_word_texts`, as pieces of at most
+    :data:`PIECE_ENTRIES` entries.  Each piece is one template of literal
+    text with a ``%s`` slot per float, filled from the float texts of its
+    slice of the stack."""
     stack = np.ascontiguousarray(series.coeffs, dtype=np.complex128)
-    _, rows, cols = stack.shape
+    count, rows, cols = stack.shape
     flat = stack.reshape(-1).view(np.float64)
-    if not np.isfinite(stack).all():
-        k, at = divmod(int(np.flatnonzero(~np.isfinite(flat))[0]), 2 * rows * cols)
-        spot = f"{key}[{k}].matrix.data[{at // 2}][{at % 2}]"
-        raise SchemaError(f"non-finite number at {spot} is not allowed")
+    per = 2 * rows * cols
     nl2, nl3, nl4, nl5, nl6 = (_nl(level) for level in range(2, 7))
     head = nl2 + "{" + nl3 + '"matrix": {' + nl4 + f'"cols": {cols},' + nl4 + '"data": '
     pair = "[" + nl6 + "%s," + nl6 + "%s" + nl5 + "]"
     data = "[" + nl5 + ("," + nl5).join([pair] * (rows * cols)) + nl4 + "]" if rows * cols else "[]"
     mid = "," + nl4 + f'"rows": {rows}' + nl3 + "}," + nl3 + '"word": '
     entry, close = head + data + mid, nl2 + "}"
-    template = "[" + entry + (close + "," + entry).join(words) + close + _nl(1) + "]"
-    return template % tuple(_float_texts(flat))
+    for start in range(0, count, PIECE_ENTRIES):
+        stop = min(start + PIECE_ENTRIES, count)
+        template = ("[" if start == 0 else close + ",") + entry
+        template += (close + "," + entry).join(words[start:stop])
+        if stop == count:
+            template += close + _nl(1) + "]"
+        yield template % tuple(_float_texts(flat[start * per : stop * per]))
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-def dump_text(obj) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, newline.
+def _pieces(obj) -> Iterator[str]:
+    """The pieces of the text of ``obj``; every refusal of ``obj`` is
+    raised by this call, before the first piece is made.
 
-    A mapping with series values is written key by key, each series by
-    :func:`_write_series` and every other value by ``json.dumps``
-    indented one level; the word texts of each ``(d, depth)`` are built
-    once per call.  Any other tree is ``json.dumps`` whole.
+    A mapping with series values is written key by key: each series
+    stack is checked finite and every other value is ``json.dumps``
+    indented one level here, and the series entries are made as the
+    pieces are read, with the word texts of each ``(d, depth)`` built
+    once per call.  Any other tree is one piece, ``json.dumps`` whole.
     """
     if not (isinstance(obj, dict) and any(isinstance(v, NCSeries) for v in obj.values())):
-        return _dumps(obj) + "\n"
-    words: dict[tuple[int, int], list[str]] = {}
-    out, sep = ["{"], _nl(1)
+        return iter([_dumps(obj) + "\n"])
+    values = []
     for key in sorted(obj):
         value = obj[key]
+        if not isinstance(value, NCSeries):
+            value = _dumps(value).replace("\n", _nl(1))
+        elif not np.isfinite(value.coeffs).all():
+            flat = np.ascontiguousarray(value.coeffs, dtype=np.complex128).view(np.float64)
+            first = int(np.flatnonzero(~np.isfinite(flat.reshape(-1)))[0])
+            k, at = divmod(first, 2 * value.out_dim * value.in_dim)
+            spot = f"{key}[{k}].matrix.data[{at // 2}][{at % 2}]"
+            raise SchemaError(f"non-finite number at {spot} is not allowed")
+        values.append((_dumps(key), value))
+    return _document(values)
+
+
+def _document(values: list[tuple[str, NCSeries | str]]) -> Iterator[str]:
+    """The pieces of a series document from the checked ``(key text,
+    value)`` pairs of :func:`_pieces`."""
+    words: dict[tuple[int, int], list[str]] = {}
+    sep = "{" + _nl(1)
+    for key, value in values:
+        yield sep + key + ": "
         if isinstance(value, NCSeries):
             grading = (value.d, value.depth)
             if grading not in words:
                 words[grading] = _word_texts(*grading)
-            text = _write_series(value, key, words[grading])
+            yield from _series_pieces(value, words[grading])
         else:
-            text = _dumps(value).replace("\n", _nl(1))
-        out += [sep, _dumps(key), ": ", text]
+            yield value
         sep = "," + _nl(1)
-    del words  # not held through the join, the peak of a series document
-    out.append("\n}\n")
-    return "".join(out)
+    yield "\n}\n"
+
+
+def dump_text(obj, path=None) -> str:
+    """Deterministic rendering: sorted keys, two-space indent, newline.
+
+    Returns the join of the pieces of :func:`_pieces`.  With ``path``,
+    each piece is written to that file as it is made and the empty
+    string is returned, so no whole text of a series document is ever
+    held: see :func:`save`.  Files and stdout are rendered by this one
+    function, the rendering layer that ``ncbench`` traces.
+    """
+    pieces = _pieces(obj)
+    if path is None:
+        return "".join(pieces)
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(pieces)
+    except BaseException:
+        if os.path.isfile(path):  # never a device such as /dev/null
+            os.remove(path)
+        raise
+    return ""
 
 
 def load_text(text: str):
@@ -385,10 +438,13 @@ def load_text(text: str):
 
 
 def save(path, obj) -> None:
-    """Write ``dump_text(obj)`` to ``path``, opened once the text is whole."""
-    text = dump_text(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write the text of ``obj`` to ``path`` piece by piece.
+
+    Every refusal of ``obj`` is raised before the file is opened, so a
+    file already at ``path`` keeps its bytes; a failure after it is
+    opened (``OSError``, ``MemoryError``) removes the partial file.
+    """
+    dump_text(obj, path)
 
 
 def load(path):

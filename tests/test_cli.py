@@ -1,13 +1,23 @@
 """Command line behavior: subcommands, exit codes, determinism."""
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+import hypothesis
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncscatter
 from ncscatter import serialize
@@ -386,6 +396,33 @@ class TestOneTolerance:
             "the entries are too large for double precision\n"
         )
 
+    @pytest.mark.parametrize(
+        "block, cmd, code, err",
+        [
+            # I - C* C holds -1e308: finite, but its Hermitian part summed
+            # before halving overflowed, and eigh then failed to converge
+            ("C", "verify", 1, ""),
+            ("C", "transfer", 2, "error: sum C_j C_j* - I has norm 1.000e+308\n"),
+            # gamma holds 1.9e154, so gamma* gamma overflows in the
+            # identities strict assembly measures before it refuses
+            ("B", "transfer", 2, "error: sum C_j B_j* has norm 5.813e+153, should vanish\n"),
+            ("B", "verify", 1, ""),
+        ],
+    )
+    def test_products_past_a_finite_gram_warn_nothing(
+        self, tmp_path, capsys, block, cmd, code, err
+    ):
+        # one entry of (2,2,1) seed 1 at 1e154 keeps every defect Gram finite
+        path = self.scaled_c(tmp_path / "big.json", 1, 1.0)
+        obj = serialize.load(path)
+        obj[block][0]["data"][0][0] = 1e154
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = main([cmd, "--input", str(path), "--depth", "1"])
+        assert (got, [str(w.message) for w in caught], capsys.readouterr().err) == (code, [], err)
+
     @pytest.mark.parametrize("cmd", ["transfer", "charfn", "simulate"])
     def test_tol_flag_is_usage_error(self, inst_file, capsys, cmd):
         with pytest.raises(SystemExit) as exc:
@@ -580,3 +617,77 @@ class TestSubprocess:
             capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 2
+
+
+FUZZ_NUMBERS = (0, 1e154, 1e308, -1e308, 1e-320, 2**70)
+FUZZ_VALUES = st.sampled_from(FUZZ_NUMBERS) | st.sampled_from(FUZZ_NUMBERS + ("x", None, [], {}))
+
+
+@functools.cache
+def fuzz_base() -> dict:
+    from ncscatter.lifting import generate
+
+    return serialize.instance_to_json(generate(2, 2, 1, seed=1))
+
+
+def tree_paths(node, path=()):
+    """The path of every value below ``node``, a JSON tree."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield path + (key,)
+        yield from tree_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_instances(draw):
+    """The instance file of ``generate(2, 2, 1, seed=1)`` with one to three
+    values replaced, deleted or (in a list) duplicated."""
+    obj = copy.deepcopy(fuzz_base())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(tree_paths(obj))
+        if not paths:
+            break
+        *route, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, route, obj)
+        ops = ("replace", "delete") + (("duplicate",) if isinstance(parent, list) else ())
+        op = draw(st.sampled_from(ops))
+        if op == "replace":
+            parent[key] = copy.deepcopy(draw(FUZZ_VALUES))
+        elif op == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return obj
+
+
+class TestMutatedInstances:
+    """Every command on a damaged instance file ends in exit 0, 1 or 2: a
+    refusal prints one error line and writes no file, anything else
+    prints nothing on stderr."""
+
+    @hypothesis.seed(1)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(obj=mutated_instances())
+    def test_exit_codes_and_stderr(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
+            inst.write_text(json.dumps(obj))
+            for cmd, flag in (("verify", "--report"), ("transfer", "-o"), ("charfn", "-o"),
+                              ("simulate", "-o")):  # fmt: skip
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        code = main([cmd, "--input", str(inst), "--depth", "1", flag, str(out)])
+                assert caught == [], (cmd, [str(w.message) for w in caught])
+                if code == 2:
+                    lines = err.getvalue().splitlines(keepends=True)
+                    assert len(lines) == 1 and lines[0].startswith("error: "), (cmd, lines)
+                    assert not out.exists(), cmd
+                else:
+                    assert code in (0, 1) and err.getvalue() == "", (cmd, code, err.getvalue())
+                    assert out.exists(), cmd
+                    out.unlink()

@@ -266,7 +266,16 @@ def test_compare_exports_same_tree():
         ["--base", str(SRC), "--change", str(SRC), "--grid", "smoke", "--exports"],
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == [
+    lines = proc.stdout.splitlines()
+    # the header of the rows mode: peak RSS, wall time and BLAS threads
+    header = [
+        r"peak RSS of the grid process: base \d+\.\d MB, change \d+\.\d MB",
+        r"wall time of the grid process, one unpaired run each: base \d+\.\d s, change \d+\.\d s",
+        r"BLAS threads of the grid process: 2 \(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, "
+        r"MKL_NUM_THREADS\)",
+    ]
+    assert all(re.fullmatch(p, line) for p, line in zip(header, lines[:3])), proc.stdout
+    assert lines[3:] == [
         "8 files: same bytes",
         "8 near-miss runs: same exit codes and text",
         "8 inside-band runs: same exit codes and text",
@@ -290,19 +299,19 @@ def test_compare_exports_flags_one_changed_byte(tmp_path):
     # the instance file holds no series; every export does
     assert "differs: (2, 2, 1) seed 0 depth 1 transfer" in lines
     assert not any(line.endswith(" generate") for line in lines)
-    assert lines[6] == "8 files: DIFFERENT"
+    assert lines[9] == "8 files: DIFFERENT"
     # a refused export writes no series, so the refusals stay the same
-    assert lines[7] == "8 near-miss runs: same exit codes and text"
+    assert lines[10] == "8 near-miss runs: same exit codes and text"
     # an accepted copy prints its series, whose bytes changed alike, and
     # the first line that differs is the first word key, shown per side
     run = lines.index("differs: (2, 2, 1) seed 0 depth 1 inside-band transfer (exit 0 -> 0)")
     assert lines[run + 1 : run + 3] == ['  base:         "word": []', '  change:       "wore": []']
     assert not any(line.endswith(" inside-band verify (exit 1 -> 1)") for line in lines)
-    assert lines[26] == "8 inside-band runs: DIFFERENT"
+    assert lines[29] == "8 inside-band runs: DIFFERENT"
     # the copy scaled by 1 - 2e-9 is refused (its defect ranks are
     # decided in the band), so it writes no series either
     assert lines[-1] == "8 inside-band-down runs: same exit codes and text"
-    assert len(lines) == 28
+    assert len(lines) == 31
 
 
 def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
@@ -326,7 +335,7 @@ def test_compare_exports_flags_an_accepted_near_miss(tmp_path):
         "  base:   error: I - C* C has eigenvalue 4.000e-09 in the rank band "
         "(1e-10, 1e-08], so its defect rank is not decided"
     )
-    assert proc.stdout.splitlines() == [
+    assert proc.stdout.splitlines()[3:] == [
         "8 files: same bytes",
         "differs: (2, 2, 0) seed 1 depth 2 near-miss transfer (exit 2 -> 0)",
         near,
@@ -412,6 +421,6 @@ def test_compare_exports_shows_an_edited_threshold(tmp_path):
     assert base.split()[2] == "intertwining"
     assert (base.split()[-1], change.split()[-1]) == ("1.0e-10", "1.0e-09")
     # only verify reads the thresholds: the files and every export run agree
-    assert lines[0] == "8 files: same bytes"
+    assert lines[3] == "8 files: same bytes"
     differing = [line for line in lines if line.startswith("differs: ")]
     assert len(differing) == 6 and all(line.endswith(" verify (exit 1 -> 1)") for line in differing)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -651,3 +652,79 @@ class TestSeriesWriter:
         with pytest.raises(serialize.SchemaError) as got:
             serialize.dump_text(obj)
         assert str(got.value) == message
+
+
+class TestPieces:
+    """A file is written piece by piece: every refusal comes before it is
+    opened, and no whole text of a series document is held."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_piece_boundaries(self, tmp_path, extra):
+        # d = 1 has depth + 1 words, so the entry count sits at the bound
+        count = serialize.PIECE_ENTRIES + extra
+        obj = serialize.series_to_json(random_series(2, 1, 1, count - 1, seed=extra + 1))
+        path = tmp_path / "series.json"
+        serialize.save(path, obj)
+        assert path.read_text() == json_oracle(oracle_tree(obj))
+
+    def test_empty_stack_and_trajectory(self, tmp_path, plain_instance):
+        coll = build_colligation(plain_instance)
+        depth = 7  # 255 words, more than one piece
+        assert level_start(coll.d, depth + 1) > serialize.PIECE_ENTRIES
+        traj = simulate(coll, random_series(coll.in_dim, 1, coll.d, depth, seed=6))
+        path = tmp_path / "out.json"
+        for obj in (
+            serialize.series_to_json(NCSeries(2, 2, np.zeros((7, 0, 0), dtype=np.complex128))),
+            serialize.trajectory_to_json(traj),
+        ):
+            serialize.save(path, obj)
+            assert path.read_text() == json_oracle(oracle_tree(obj))
+
+    def test_refused_before_the_file_is_opened(self, tmp_path, plain_instance):
+        # sorted keys put "output" second among the series of a trajectory
+        coll = build_colligation(plain_instance)
+        traj = simulate(coll, random_series(coll.in_dim, 1, coll.d, 2, seed=8))
+        where = plant(traj.y, 9, float("nan"))
+        obj = serialize.trajectory_to_json(traj)
+        message = f"non-finite number at output{where} is not allowed"
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_bytes(b"old bytes")
+        for path in (fresh, kept):
+            with pytest.raises(serialize.SchemaError) as got:
+                serialize.save(path, obj)
+            assert str(got.value) == message
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"old bytes"
+
+    def test_failure_after_opening_removes_the_file(self, tmp_path, monkeypatch, capsys):
+        texts, calls = serialize._float_texts, []
+
+        def float_texts(flat):
+            calls.append(len(flat))
+            if len(calls) == 2:
+                raise MemoryError("no memory for the float texts")
+            return texts(flat)
+
+        monkeypatch.setattr(serialize, "_float_texts", float_texts)
+        inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+        serialize.save(inst, serialize.instance_to_json(lifting.generate(2, 2, 1, seed=1)))
+        assert main(["transfer", "--input", str(inst), "--depth", "7", "-o", str(out)]) == 2
+        assert len(calls) == 2
+        assert capsys.readouterr().err == "error: no memory for the float texts\n"
+        assert not out.exists()
+
+    def test_peak_is_a_fraction_of_the_text(self, tmp_path):
+        # a depth-10 series of 2 x 4 blocks is 2047 entries, 2 MB of text;
+        # written whole, the template, float texts and text peak at about
+        # three times that
+        coll = build_colligation(lifting.generate(2, 2, 2, seed=1))
+        obj = serialize.series_to_json(transfer_series(coll, 10))
+        size = len(serialize.dump_text(obj))
+        tracemalloc.start()
+        try:
+            serialize.save(tmp_path / "series.json", obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "series.json").stat().st_size == size
+        assert peak < size / 2
