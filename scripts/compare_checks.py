@@ -26,7 +26,16 @@ the ``ru_maxrss`` of its grid subprocess, that subprocess's wall time
 and the BLAS thread count it ran at.  The two grids run once each, base first and then change, so
 each wall time is one unpaired sample: load from any other process
 lands on one side only (under such load two identical trees read
-44.7 and 257.8 s on the deep grid), and the line says so.  It exits 1
+44.7 and 257.8 s on the deep grid), and the line says so.  The peak
+RSS is the high-water mark of the whole grid process, so it reads the
+largest run of the grid on top of what the heap kept from the runs
+before it, and it moves with the order in which the runs allocate.  On
+the exports grids the largest runs are ``verify`` on the near-miss
+copies, whose ~2e-6 defect eigenvalues survive the rank cut: at d = 2
+dims (2,2) ``rank_c`` goes from 2 to 4 and ``rank_e`` from 4 to 6.  In
+one process at depth 8, ``verify`` on ``generate(2, 2, 2, seed=1)`` and
+then on its near-miss copy read 117.4 and then 302.4 MB; in the other
+order both read 294.5 MB.  It exits 1
 on any change of verdict, error, check name or threshold, and when the
 worst value of a check grows (its line then ends in ``LARGER``), and 0
 otherwise.

@@ -98,7 +98,7 @@ def charfn_series(instance: LiftingInstance, depth: int) -> NCSeries:
     blocks = symbol_blocks(instance, depth)
     de = instance.e.defect
     leak = linalg.operator_norm(blocks.reshape(-1, blocks.shape[2]) @ de.kernel)
-    if leak > linalg.TOL_EQ:
+    if not leak <= linalg.TOL_EQ:
         raise IllDefined(
             f"symbol leaks onto ker of the lifted defect ({leak:.3e} > {linalg.TOL_EQ:.1e})"
         )
@@ -120,10 +120,10 @@ def restriction_violation(
     columns against ``series``, the signal column against ``out``, the
     signal convolved by the transfer series."""
     probes, r = restriction_probes(instance, signal), instance.rank_e
-    return max(
+    return linalg.worst((
         vacuum_restriction_violation(instance, series, probes[:, :r]),
         fock_action_violation(instance, probes[:, r:], out),
-    )
+    ))
 
 
 def restriction_probes(instance: LiftingInstance, signal: NCSeries) -> np.ndarray:
@@ -154,10 +154,10 @@ def vacuum_restriction_violation(
     characteristic blocks word by word, with no reversal.
     """
     cod = instance.dilation_c.space(series.depth)
-    return max(
+    return linalg.worst((
         linalg.operator_norm(cols[: instance.dim_c]),
         linalg.stack_norm(cod.slots(cols) - series.coeffs),
-    )
+    ))
 
 
 def fock_action_violation(instance: LiftingInstance, got: np.ndarray, out: NCSeries) -> float:
@@ -172,7 +172,7 @@ def fock_action_violation(instance: LiftingInstance, got: np.ndarray, out: NCSer
     appended ones.
     """
     cod = instance.dilation_c.space(out.depth)
-    return max(
+    return linalg.worst((
         float(np.linalg.norm(got[: instance.dim_c])),
         linalg.stack_norm(cod.slots(got) - out.coeffs[reversal(out.d, out.depth)]),
-    )
+    ))

@@ -18,9 +18,11 @@ all seven identities off :func:`lifting_violations` and refuses the
 blocks that miss one by more than ``TOL_EQ``, and those whose defect
 rank of C or E is decided inside the band ``(TOL_RANK, TOL_EQ]``.
 ``generate`` draws random valid instances from a seeded stream by
-running the construction backwards: pick C coisometric, pick a
-strictly contractive A, pick gamma at random, then let B be whatever
-the identity dictates.
+running the construction backwards: pick C coisometric, then
+:func:`draw_corner` picks a strictly contractive A and
+:func:`draw_coupling` picks gamma at random and lets B be whatever the
+identity dictates; the two also lift any coisometric base by any given
+corner.
 
 Stored coordinates: an instance holds its blocks and ``gamma`` alone,
 in the coordinates of the defect bases its tuples own: readers take
@@ -33,6 +35,7 @@ other module reads them, their stage blocks and their spaces there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -227,10 +230,10 @@ def assemble(
 
     viols = lifting_violations(inst)
     for key, error, message in _REFUSALS:
-        if viols[key] > TOL_EQ:
+        if not viols[key] <= TOL_EQ:
             raise error(message.format(viols[key]))
-    worst = max(viols, key=viols.get)
-    if viols[worst] > TOL_EQ:
+    worst = max(viols, key=lambda k: (math.isnan(viols[k]), viols[k]))
+    if not viols[worst] <= TOL_EQ:
         raise NotCoisometricE(f"identity {worst} violated by {viols[worst]:.3e}")
     for name, data in (("I - C* C", defect_c), ("I - E* E", defect_e)):
         inside = data.spectrum[(data.spectrum > TOL_RANK) & (data.spectrum <= TOL_EQ)]
@@ -252,12 +255,10 @@ def generate(
     """Draw a random valid instance from a seeded PCG64 stream.
 
     C is the adjoint of a random isometry (hence exactly coisometric),
-    A is a random tuple scaled to row norm ``a_scale`` (strictly less
-    than 1 keeps the star defect full rank, 0 gives A = 0), gamma is a
-    random isometry between the defect frames, and B is forced by
-    B = (gamma D*)*.  Raises :class:`Infeasible` when the star defect
-    rank exceeds (d-1)*dimC, and :class:`RankClampBand` for a corner
-    with 0 < 1 - a_scale**2 <= 10 * TOL_RANK.
+    then :func:`draw_corner` draws A and :func:`draw_coupling` gamma and
+    B from the same stream.  Raises :class:`Infeasible` when the star
+    defect rank exceeds (d-1)*dimC, and :class:`RankClampBand` for a
+    corner with 0 < 1 - a_scale**2 <= 10 * TOL_RANK.
     """
     if d < 1:
         raise ValueError("need at least one operator")
@@ -275,18 +276,28 @@ def generate(
 
     rng = np.random.default_rng(seed)
     cstar = linalg.random_isometry(d * dim_c, dim_c, rng)
-    c = OperatorTuple(
-        tuple(cstar[j * dim_c : (j + 1) * dim_c, :].conj().T for j in range(d))
-    )
+    c = OperatorTuple(tuple(cstar[j * dim_c : (j + 1) * dim_c, :].conj().T for j in range(d)))
+    a = draw_corner(d, dim_a, rng, a_scale)
+    return assemble(c, a, draw_coupling(c, a, rng), seed=seed)
 
-    raw = rng.standard_normal((dim_a, d * dim_a)) + 1j * rng.standard_normal(
-        (dim_a, d * dim_a)
-    )
+
+def draw_corner(d: int, dim_a: int, rng: np.random.Generator, a_scale: float) -> OperatorTuple:
+    """A random d-tuple on a ``dim_a``-dimensional corner, scaled to row norm
+    ``a_scale`` (strictly less than 1 keeps the star defect full rank, 0 gives
+    A = 0), from two ``standard_normal`` draws of ``rng``, real parts first."""
+    shape = (dim_a, d * dim_a)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     norm = np.linalg.norm(raw, 2)
     a_row = raw * (a_scale / norm) if a_scale > 0 and norm > 0 else np.zeros_like(raw)
-    a = OperatorTuple(
-        tuple(a_row[:, j * dim_a : (j + 1) * dim_a] for j in range(d))
-    )
+    return OperatorTuple(tuple(a_row[:, j * dim_a : (j + 1) * dim_a] for j in range(d)))
+
+
+def draw_coupling(c: OperatorTuple, a: OperatorTuple, rng: np.random.Generator) -> tuple:
+    """The coupling blocks B = (gamma D*)* of a lifting of the coisometric
+    ``c`` with corner ``a``: gamma is a random isometry, drawn from ``rng``,
+    from the coordinates of ``a.star_defect`` to those of ``c.defect``.
+    Raises :class:`Infeasible` when the star defect rank exceeds the defect
+    rank (d-1)*dimC of ``c``."""
     star = a.star_defect
     if star.rank > c.defect.rank:
         raise Infeasible(
@@ -294,8 +305,5 @@ def generate(
             f"{c.defect.rank} = (d-1)*dimC; no isometry gamma exists"
         )
     gamma = linalg.random_isometry(c.defect.rank, star.rank, rng)
-
     bstar = c.defect.basis @ gamma @ star.coords
-    b = tuple(bstar[j * dim_c : (j + 1) * dim_c].conj().T for j in range(d))
-    return assemble(c, a, b, seed=seed)
-
+    return tuple(bstar[j * c.dim : (j + 1) * c.dim].conj().T for j in range(c.d))

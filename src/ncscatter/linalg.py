@@ -57,6 +57,13 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
+def worst(values) -> float:
+    """The largest of ``values``, 0.0 if none, with a NaN the largest of all:
+    Python's ``max`` and ``>`` skip a NaN, so a row or gate built on them
+    would pass it."""
+    return float(np.max(np.fromiter(values, np.float64), initial=0.0))
+
+
 def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the rows and columns holding an entry != 0 (NaN and inf count)."""
     nonzero = m != 0

@@ -101,22 +101,19 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     return np.pad(linalg.complement_onb(c), ((0, below), (0, 0)))
 
 
-def verify_complement(
-    instance: LiftingInstance, depth: int, frame: np.ndarray
-) -> tuple[int, float]:
-    """Dimension of the complement and its angle to the star frame.
+def verify_complement(instance: LiftingInstance, depth: int, frame: np.ndarray) -> float:
+    """Largest principal angle between the complement and the star frame.
 
-    ``frame`` is :func:`star_wandering_frame` at ``depth``.  Returns
-    ``(dim, max principal angle)``; the star-wandering space equals
-    the complement exactly when the dimension is the base defect rank
-    and the angle vanishes.
+    ``frame`` is :func:`star_wandering_frame` at ``depth``.  The
+    star-wandering space equals the complement exactly when the angle
+    vanishes; a complement whose dimension is not the base defect rank
+    reads pi/2.
     """
     comp = complement_frame(instance, depth)
     frame = frame[instance.dim_c :]
     if comp.shape[1] != frame.shape[1]:
-        return comp.shape[1], float(np.pi / 2)
-    angles = linalg.principal_angles(comp, frame)
-    return comp.shape[1], float(angles.max(initial=0.0))
+        return float(np.pi / 2)
+    return float(linalg.principal_angles(comp, frame).max(initial=0.0))
 
 
 def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
@@ -132,9 +129,9 @@ def verify_shift_decomposition(instance: LiftingInstance, depth: int) -> float:
     vacuum = dil.space(0)
     root = np.zeros((vacuum.dim, r), dtype=np.complex128)
     root[vacuum.slot(())] = np.eye(r)
-    worst = 0.0
+    norms = []
     for m, level in enumerate(dil.translates(root, 0, depth)):
         level[dil.space(m).level(m)] -= np.eye(level.shape[1])
         words = level.reshape(level.shape[0], dil.d**m, r).transpose(1, 0, 2)
-        worst = max(worst, linalg.stack_norm(words))
-    return worst
+        norms.append(linalg.stack_norm(words))
+    return linalg.worst(norms)

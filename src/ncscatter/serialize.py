@@ -74,11 +74,7 @@ def _require(obj, key: str, kind, where: str):
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise linalg.DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = linalg.as_matrix(m)
     data = np.ascontiguousarray(m).reshape(-1).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
 
@@ -211,12 +207,16 @@ def _entries_from_json(
         values[w] = m
     if shape is None:
         raise SchemaError(f"{where}.{key}: no entry to take the matrix shape from")
-    count = level_start(d, depth + 1)
     try:
-        stack = np.zeros((count,) + shape, dtype=np.complex128)
+        # over two or more letters a depth of 63 or more asks for at least 2**63
+        # matrices, more than any array holds, and d**(depth + 1) alone would take
+        # gigabytes to form for a depth such as 2**70
+        if d > 1 and depth >= 63:
+            raise ValueError
+        stack = np.zeros((level_start(d, depth + 1),) + shape, dtype=np.complex128)
     except (MemoryError, ValueError):
         raise SchemaError(
-            f"{where}: key 'depth' {depth} asks for {count} matrices, more than can be allocated"
+            f"{where}: key 'depth' {depth} asks for more matrices than can be allocated"
         ) from None
     if values:
         stack[[position(d, depth, w) for w in values]] = list(values.values())

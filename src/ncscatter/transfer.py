@@ -219,19 +219,15 @@ def right_translate(series: NCSeries, letter: int) -> NCSeries:
     return NCSeries(d, depth, out)
 
 
-def toeplitz_matrix(series: NCSeries, depth: int) -> np.ndarray:
-    """Block matrix of convolution by the series on words up to depth.
+def toeplitz_matrix(series: NCSeries) -> np.ndarray:
+    """Block matrix of convolution by the series on words up to its depth.
 
     Row block g, column block b holds coeff(a) when g = a.b, so the
     matrix maps stacked input signals to stacked output signals.  The
     blocks from level n - k to level n are coefficient level k copied
     onto the d**(n-k) diagonal positions ``idx(a)·d**(n-k) + idx(b), idx(b)``.
     """
-    if depth > series.depth:
-        raise DimMismatch(
-            f"need coefficients to depth {depth}, series stops at {series.depth}"
-        )
-    d, p, m = series.d, series.out_dim, series.in_dim
+    d, depth, p, m = series.d, series.depth, series.out_dim, series.in_dim
     size = level_start(d, depth + 1)
     out = np.zeros((size * p, size * m), dtype=np.complex128)
     blocks = out.reshape(size, p, size, m)
@@ -246,7 +242,7 @@ def toeplitz_matrix(series: NCSeries, depth: int) -> np.ndarray:
 
 def transfer_norm(series: NCSeries) -> float:
     """Norm of the Toeplitz action of a series on words up to its depth."""
-    return linalg.operator_norm(toeplitz_matrix(series, series.depth))
+    return linalg.operator_norm(toeplitz_matrix(series))
 
 
 def multi_analyticity_violation(

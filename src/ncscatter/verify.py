@@ -8,6 +8,8 @@ mildly with dimension.  A check that raises is reported as failed
 with the error message attached instead of aborting the run.  Each
 check runs with numpy's overflow, invalid and divide warnings off: an
 overflow shows in its row as a large or non-finite value, which fails.
+A row's maximum is :func:`.linalg.worst`, so a NaN among its values
+fails it wherever it comes.
 
 :func:`run_all_checks` runs the rows of :data:`ROWS` in order on the
 builds of :data:`BUILDS`.  A build is made once, on its first read; one
@@ -54,14 +56,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import charfn, scattering, transfer
 from .intertwiner import blocks, intertwiner_matrix, stabilization_violation
 from .lifting import LiftingInstance, lifting_violations
-from .linalg import TOL_EQ, fold_rows, hermitian_norm, operator_norm, stack_norm
+from .linalg import TOL_EQ, fold_rows, hermitian_norm, operator_norm, stack_norm, worst
 from .ncsystem import io_violation
 from .transfer import build_colligation, colligation_violation
 from .words import enumerate_words
@@ -95,7 +97,7 @@ class CheckResult:
 
 
 def _dilation_isometry(instance: LiftingInstance) -> float:
-    return max(
+    return worst(
         operator_norm(u.conj().T @ u - np.eye(u.shape[1]))
         for dil in (instance.dilation_c, instance.dilation_e)
         for u in dil.letters
@@ -103,15 +105,15 @@ def _dilation_isometry(instance: LiftingInstance) -> float:
 
 
 def _dilation_orthogonal_ranges(instance: LiftingInstance) -> float:
-    worst = 0.0
-    for dil in (instance.dilation_c, instance.dilation_e):
-        for ui, uj in combinations(dil.letters, 2):
-            worst = max(worst, operator_norm(ui.conj().T @ uj))
-    return worst
+    return worst(
+        operator_norm(ui.conj().T @ uj)
+        for dil in (instance.dilation_c, instance.dilation_e)
+        for ui, uj in combinations(dil.letters, 2)
+    )
 
 
 def _dilation_row_unitary(instance: LiftingInstance) -> float:
-    return max(
+    return worst(
         operator_norm(np.eye(dil.stage.shape[0]) - dil.stage @ dil.stage_adjoint)
         for dil in (instance.dilation_c, instance.dilation_e)
     )
@@ -119,8 +121,7 @@ def _dilation_row_unitary(instance: LiftingInstance) -> float:
 
 def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
     """P_H V_w restricted to H equals the word product of the tuple."""
-    worst = 0.0
-    length = min(3, depth)
+    norms, length = [], min(3, depth)
     for dil in (instance.dilation_c, instance.dilation_e):
         n = dil.t.dim
         root = np.eye(dil.space(0).dim, n, dtype=np.complex128)
@@ -128,8 +129,8 @@ def _dilation_compression(instance: LiftingInstance, depth: int) -> float:
         heads = np.hstack([v[:n] for v in dil.translates(root, 0, length)])
         got = heads.reshape(n, len(words), n).transpose(1, 0, 2)
         want = np.array([dil.t.word_product(w) for w in words])
-        worst = max(worst, stack_norm(got - want))
-    return worst
+        norms.append(stack_norm(got - want))
+    return worst(norms)
 
 
 def _intertwining_norms(instance: LiftingInstance, depth: int, w_deep, w_flat):
@@ -220,7 +221,7 @@ def _multi_analyticity(theta, signal, out) -> float:
     """Every letter, on the depth - 1 prefixes of ``signal`` and ``out = theta * signal``."""
     signal, out = signal.prefix(signal.depth - 1), out.prefix(out.depth - 1)
     letters = range(1, theta.d + 1)
-    return max(transfer.multi_analyticity_violation(theta, signal, out, j) for j in letters)
+    return worst(transfer.multi_analyticity_violation(theta, signal, out, j) for j in letters)
 
 
 # A build names the builds it reads and its maker; a report row its name, threshold,
@@ -239,13 +240,13 @@ BUILDS = {
 }
 
 ROWS = (
-    ("lifting_identities", TOL_EQ, (), lambda i, n, s: max(lifting_violations(i).values())),
+    ("lifting_identities", TOL_EQ, (), lambda i, n, s: worst(lifting_violations(i).values())),
     ("dilation_isometry", 1e-12, (), lambda i, n, s: _dilation_isometry(i)),
     ("dilation_orthogonal_ranges", 1e-12, (), lambda i, n, s: _dilation_orthogonal_ranges(i)),
     ("dilation_row_unitary", 1e-10, (), lambda i, n, s: _dilation_row_unitary(i)),
     ("dilation_compression", 1e-10, (), lambda i, n, s: _dilation_compression(i, n)),
     ("intertwining", 1e-10, ("w_deep", "w_flat"),
-     lambda i, n, s, *ws: max(map(max, _intertwining_norms(i, n, *ws)))),
+     lambda i, n, s, *ws: worst(chain.from_iterable(_intertwining_norms(i, n, *ws)))),
     ("intertwiner_coisometry", 1e-10, ("w_deep",), lambda i, n, s, w: _intertwiner_coisometry(w)),
     ("base_subspace_fixed", 1e-12, ("w_deep",),
      lambda i, n, s, w: _base_subspace_fixed(w, i.dim_c)),
@@ -255,7 +256,7 @@ ROWS = (
     ("wandering_orthogonality", 1e-10, (), lambda i, n, s: scattering.wandering_violation(
         scattering.shifted_star_frames(i, n), i.rank_c)),
     ("complement_dimension_angles", 1e-8, ("frame",),
-     lambda i, n, s, f: scattering.verify_complement(i, n, f)[1]),
+     lambda i, n, s, f: scattering.verify_complement(i, n, f)),
     ("shift_decomposition", 1e-12, (), lambda i, n, s: scattering.verify_shift_decomposition(i, n)),
     ("colligation_structure", 1e-10, ("coll",), lambda i, n, s, c: colligation_violation(c)),
     ("transfer_contraction", 1e-8, ("norm",), lambda i, n, s, t: max(t - 1.0, 0.0)),

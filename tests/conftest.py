@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncscatter import linalg
-from ncscatter.lifting import Infeasible, assemble, generate
+from ncscatter.lifting import assemble, generate
 from ncscatter.rowtuple import OperatorTuple
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -55,23 +54,6 @@ def letter_product(a, u, units):
     ``units``: ``u`` times the first n + r columns of ``a`` on the base
     columns, a copy of the column of ``a`` the table names on the others."""
     return np.hstack([a[:, : u.shape[0]] @ u, a[:, units]])
-
-
-def lift(base, dim_a, rng, a_scale=0.9):
-    """A lifting of the coisometric tuple ``base`` by ``generate``'s backward
-    construction, drawn from ``rng``: a corner A of row norm ``a_scale``,
-    an isometry gamma between the defect frames, and B = (gamma D*)*."""
-    d, n = base.d, base.dim
-    raw = rng.standard_normal((dim_a, d * dim_a)) + 1j * rng.standard_normal((dim_a, d * dim_a))
-    norm = np.linalg.norm(raw, 2)
-    a_row = raw * (a_scale / norm) if a_scale > 0 and norm > 0 else np.zeros_like(raw)
-    a = OperatorTuple(tuple(a_row[:, j * dim_a : (j + 1) * dim_a] for j in range(d)))
-    star = a.star_defect
-    if star.rank > base.defect.rank:
-        raise Infeasible(f"star defect rank {star.rank} exceeds {base.defect.rank}")
-    gamma = linalg.random_isometry(base.defect.rank, star.rank, rng)
-    bstar = base.defect.basis @ gamma @ star.coords
-    return assemble(base, a, tuple(bstar[j * n : (j + 1) * n].conj().T for j in range(d)))
 
 
 def compose(step1, step2):

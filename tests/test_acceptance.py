@@ -155,10 +155,9 @@ def test_shift_complement(sweep):
     worst = 0.0
     for inst, depth, _ in sweep:
         frame = scattering.star_wandering_frame(inst, depth)
-        dim, angle = scattering.verify_complement(inst, depth, frame)
-        if dim != (inst.d - 1) * inst.dim_c:
+        if scattering.complement_frame(inst, depth).shape[1] != (inst.d - 1) * inst.dim_c:
             worst = max(worst, np.pi / 2)
-        worst = max(worst, angle)
+        worst = max(worst, scattering.verify_complement(inst, depth, frame))
     report("complement dimension and principal angles", worst, 1e-8)
 
 

@@ -624,10 +624,18 @@ FUZZ_VALUES = st.sampled_from(FUZZ_NUMBERS) | st.sampled_from(FUZZ_NUMBERS + ("x
 
 
 @functools.cache
-def fuzz_base() -> dict:
+def fuzz_instance() -> dict:
     from ncscatter.lifting import generate
 
     return serialize.instance_to_json(generate(2, 2, 1, seed=1))
+
+
+@functools.cache
+def fuzz_signal() -> dict:
+    """A depth-2 signal for the instance of :func:`fuzz_instance`, whose ``rank_e`` is 3."""
+    from ncscatter.transfer import random_series
+
+    return json.loads(serialize.dump_text(serialize.series_to_json(random_series(3, 1, 2, 2, seed=5))))
 
 
 def tree_paths(node, path=()):
@@ -642,10 +650,10 @@ def tree_paths(node, path=()):
 
 
 @st.composite
-def mutated_instances(draw):
-    """The instance file of ``generate(2, 2, 1, seed=1)`` with one to three
-    values replaced, deleted or (in a list) duplicated."""
-    obj = copy.deepcopy(fuzz_base())
+def mutated(draw, base):
+    """The JSON tree ``base()`` with one to three values replaced, deleted
+    or (in a list) duplicated."""
+    obj = copy.deepcopy(base())
     for _ in range(draw(st.integers(1, 3))):
         paths = list(tree_paths(obj))
         if not paths:
@@ -663,6 +671,27 @@ def mutated_instances(draw):
     return obj
 
 
+def run_in_process(argv, out):
+    """``main(argv)`` with its exit code checked against what it leaves:
+    a refusal prints one error line and writes no file ``out``, anything
+    else prints nothing on stderr; no warning is raised either way."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert caught == [], (argv, [str(w.message) for w in caught])
+    if code == 2:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert not out.exists(), argv
+    else:
+        assert err.getvalue() == "", (argv, code, err.getvalue())
+        assert out.exists(), argv
+        out.unlink()
+    return code
+
+
 class TestMutatedInstances:
     """Every command on a damaged instance file ends in exit 0, 1 or 2: a
     refusal prints one error line and writes no file, anything else
@@ -670,24 +699,28 @@ class TestMutatedInstances:
 
     @hypothesis.seed(1)
     @settings(max_examples=300, deadline=None, database=None)
-    @given(obj=mutated_instances())
+    @given(obj=mutated(fuzz_instance))
     def test_exit_codes_and_stderr(self, obj):
         with tempfile.TemporaryDirectory() as tmp:
             inst, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
             inst.write_text(json.dumps(obj))
             for cmd, flag in (("verify", "--report"), ("transfer", "-o"), ("charfn", "-o"),
                               ("simulate", "-o")):  # fmt: skip
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        code = main([cmd, "--input", str(inst), "--depth", "1", flag, str(out)])
-                assert caught == [], (cmd, [str(w.message) for w in caught])
-                if code == 2:
-                    lines = err.getvalue().splitlines(keepends=True)
-                    assert len(lines) == 1 and lines[0].startswith("error: "), (cmd, lines)
-                    assert not out.exists(), cmd
-                else:
-                    assert code in (0, 1) and err.getvalue() == "", (cmd, code, err.getvalue())
-                    assert out.exists(), cmd
-                    out.unlink()
+                code = run_in_process([cmd, "--input", str(inst), "--depth", "1", flag, str(out)], out)
+                assert code in (0, 1, 2), cmd
+
+
+class TestMutatedSignals:
+    """``simulate --signal`` on a damaged signal file ends in exit 0 or 2,
+    on the same terms."""
+
+    @hypothesis.seed(1)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(obj=mutated(fuzz_signal))
+    def test_exit_codes_and_stderr(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, signal, out = (Path(tmp) / f"{n}.json" for n in ("inst", "signal", "out"))
+            inst.write_text(json.dumps(fuzz_instance()))
+            signal.write_text(json.dumps(obj))
+            argv = ["simulate", "--input", str(inst), "--signal", str(signal), "--depth", "1"]
+            assert run_in_process(argv + ["-o", str(out)], out) in (0, 2)

@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import SWEEP_SHAPES
 
-from ncscatter import linalg, rowtuple, serialize
+from ncscatter import lifting, linalg, rowtuple, serialize, verify
 from ncscatter.lifting import (
     GammaUndefined,
     Infeasible,
@@ -14,6 +15,8 @@ from ncscatter.lifting import (
     RankBand,
     RankClampBand,
     assemble,
+    draw_corner,
+    draw_coupling,
     generate,
     lifting_violations,
 )
@@ -175,14 +178,12 @@ class TestGamma:
         assert str(exc.value) == f"B* does not vanish on ker D* (leak {leak} > 1.0e-08)"
 
     def test_roundtrip_matches_generating_draw(self):
-        d, dim_c, dim_a, seed = 2, 2, 2, 13
-        inst = generate(d, dim_c, dim_a, seed)
-        # replay the generator's draw sequence to recover the planted gamma
-        rng = np.random.default_rng(seed)
-        random_isometry(d * dim_c, dim_c, rng)
-        rng.standard_normal((dim_a, d * dim_a))
-        rng.standard_normal((dim_a, d * dim_a))
-        planted = random_isometry(inst.rank_c, inst.a.star_defect.rank, rng)
+        # draw_coupling draws gamma first from its stream; assemble and the
+        # written-out solve both recover it from B alone
+        base = generate(2, 2, 0, seed=13).c
+        corner = draw_corner(2, 2, np.random.default_rng(13), 0.9)
+        inst = assemble(base, corner, draw_coupling(base, corner, np.random.default_rng(14)))
+        planted = random_isometry(inst.rank_c, inst.a.star_defect.rank, np.random.default_rng(14))
         assert operator_norm(inst.gamma - planted) < 1e-8
         assert operator_norm(recover_gamma(inst) - planted) < 1e-8
 
@@ -257,6 +258,28 @@ class TestStrictGate:
             except Infeasible:
                 continue
             assert not in_rank_band(inst)
+
+    @pytest.mark.parametrize(
+        "key,error",
+        [("c_coisometry", NotCoisometricC), ("gamma_kernel", GammaUndefined),
+         ("gamma_isometry", NotCoisometricE)],
+    )
+    def test_a_nan_identity_is_refused_and_fails_its_row(self, monkeypatch, key, error):
+        # a NaN is the worst value: ``>`` skips it, and so does Python's
+        # ``max`` unless it comes first
+        inst = generate(2, 2, 1, seed=1)
+        measured = lifting.lifting_violations
+
+        def with_nan(instance):
+            return {**measured(instance), key: math.nan}
+
+        monkeypatch.setattr(lifting, "lifting_violations", with_nan)
+        monkeypatch.setattr(verify, "lifting_violations", with_nan)
+        with pytest.raises(error, match="nan"):
+            assemble(inst.c, inst.a, inst.b)
+        row = run_all_checks(inst, 1)[0]
+        assert row.name == "lifting_identities" and not row.passed
+        assert math.isnan(row.max_violation)
 
 
 class TestGenerate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import RT2, SWEEP_SHAPES, dense_letter, table_letter
@@ -236,6 +238,17 @@ class TestRandomIsometry:
 
     def test_zero_columns(self):
         assert random_isometry(3, 0, 0).shape == (3, 0)
+
+
+class TestWorst:
+    def test_nan_is_the_worst_anywhere(self):
+        assert math.isnan(linalg.worst([0.1, math.nan, 0.2]))
+        assert math.isnan(linalg.worst(iter([math.nan, 0.3])))
+
+    def test_finite_values_as_max_gives_them(self):
+        values = [np.float64(3e-16), 1e-12, 2.5e-13]
+        assert linalg.worst(values) == max(values) and linalg.worst([]) == 0.0
+        assert linalg.worst([math.inf, 1.0]) == math.inf
 
 
 class TestOperatorNorm:

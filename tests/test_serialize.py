@@ -300,6 +300,13 @@ class TestSeries:
         with pytest.raises(serialize.SchemaError, match="'depth'"):
             serialize.series_from_json(obj, 2)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_huge_depth_rejected_before_counting_words(self, d):
+        # 2**(2**70 + 1) is never formed: it would take gigabytes on the way
+        obj = {"outDim": 3, "inDim": 1, "depth": 2**70, "coeffs": []}
+        with pytest.raises(serialize.SchemaError, match="'depth'"):
+            serialize.series_from_json(obj, d)
+
 
 class TestTrajectory:
     def test_roundtrip(self, plain_instance):

@@ -5,11 +5,10 @@ from functools import cache
 
 import numpy as np
 import pytest
-from conftest import compose, lift
+from conftest import compose
 
 from ncscatter import lifting, linalg, transfer
 from ncscatter.intertwiner import intertwiner_matrix
-from ncscatter.rowtuple import OperatorTuple
 from ncscatter.verify import all_passed, render_report, run_all_checks
 
 # (d, dimC, dimA1, dimA2)
@@ -24,26 +23,14 @@ def tower(shape, seed, draw=1):
     from stream ``draw``), and their composite lifting of C."""
     d, dim_c, dim_a1, dim_a2 = shape
     step1 = lifting.generate(d, dim_c, dim_a1, seed=seed)
-    step2 = lift(step1.e, dim_a2, np.random.default_rng([seed, draw]))
+    rng = np.random.default_rng([seed, draw])
+    corner = lifting.draw_corner(d, dim_a2, rng, 0.9)
+    step2 = lifting.assemble(step1.e, corner, lifting.draw_coupling(step1.e, corner, rng))
     return step1, step2, compose(step1, step2)
 
 
 def theta(instance, depth):
     return transfer.transfer_series(transfer.build_colligation(instance), depth)
-
-
-@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1), (2, 2, 0)])
-def test_lift_is_the_backward_construction_of_generate(shape):
-    # generate draws C first, then lifts it from the same stream
-    d, dim_c, dim_a = shape
-    rng = np.random.default_rng(4)
-    cstar = linalg.random_isometry(d * dim_c, dim_c, rng)
-    c = OperatorTuple(tuple(cstar[j * dim_c : (j + 1) * dim_c].conj().T for j in range(d)))
-    got, want = lift(c, dim_a, rng), lifting.generate(*shape, seed=4)
-    for name in ("c", "a", "e"):
-        assert np.array_equal(np.hstack(getattr(got, name).ops), np.hstack(getattr(want, name).ops))
-    assert np.array_equal(np.hstack(got.b), np.hstack(want.b))
-    assert np.array_equal(got.gamma, want.gamma)
 
 
 @pytest.mark.parametrize("shape,seed", TOWERS)

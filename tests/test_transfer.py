@@ -198,7 +198,7 @@ class TestTranslate:
 class TestToeplitz:
     def test_frozen_structure(self):
         s = scalar_series(2, 1, {(): 1.0, (1,): 2.0, (2,): 3.0})
-        m = toeplitz_matrix(s, 1)
+        m = toeplitz_matrix(s)
         want = np.array([[1, 0, 0], [2, 1, 0], [3, 0, 1]], dtype=complex)
         assert np.array_equal(m, want)
 
@@ -206,17 +206,13 @@ class TestToeplitz:
         theta = random_series(2, 3, 2, 2, seed=6)
         sig = random_series(3, 1, 2, 2, seed=7)
         prod = series_multiply(theta, sig)
-        m = toeplitz_matrix(theta, 2)
+        m = toeplitz_matrix(theta)
         words = enumerate_words(2, 2)
         stacked = np.vstack([sig.coeff(w) for w in words])
         got = m @ stacked
         want = np.vstack([prod.coeff(w) for w in words])
         assert np.allclose(got, want, atol=1e-12)
 
-    def test_depth_guard(self):
-        s = scalar_series(2, 1, {(): 1.0})
-        with pytest.raises(DimMismatch):
-            toeplitz_matrix(s, 2)
 
 
 def toeplitz_norm(inst, depth):

@@ -101,6 +101,19 @@ class TestRunAllChecks:
         results = run_all_checks(inst, min(depth, 3) if d == 3 else depth)
         assert all_passed(results), render_report(results)
 
+    def test_a_nan_in_a_later_letter_pair_fails(self, monkeypatch):
+        # the last cross Gram of the lifted letters reads NaN, after finite ones
+        inst = lifting.generate(3, 2, 1, seed=1)
+        ui, uj = inst.dilation_e.letters[1:]
+        target, norm = ui.conj().T @ uj, verify.operator_norm
+
+        def with_nan(m):
+            return math.nan if m.shape == target.shape and np.array_equal(m, target) else norm(m)
+
+        monkeypatch.setattr(verify, "operator_norm", with_nan)
+        row = {r.name: r for r in run_all_checks(inst, 1)}["dilation_orthogonal_ranges"]
+        assert math.isnan(row.max_violation) and not row.passed
+
     def test_depth_must_be_positive(self, plain_instance):
         with pytest.raises(ValueError):
             run_all_checks(plain_instance, 0)
