@@ -52,10 +52,6 @@ from .rowtuple import OperatorTuple
 from .words import Word, level_start, position
 
 
-class InnerSpaceMismatch(ValueError):
-    """A flat vector does not have the row count of its space."""
-
-
 @dataclass(frozen=True, eq=False)
 class GradedSpace:
     """Flat coordinates for H (+) Fock_depth(D): base slot first, then
@@ -138,10 +134,6 @@ class Dilation:
     def apply(self, j: int, x: np.ndarray, depth: int) -> np.ndarray:
         """V_j on a flat vector or column batch at ``depth``, landing in depth + 1."""
         dom, cod = self.space(depth), self.space(depth + 1)
-        if x.shape[0] != dom.dim:
-            raise InnerSpaceMismatch(
-                f"vector has {x.shape[0]} rows, depth {depth} needs {dom.dim}"
-            )
         if not 1 <= j <= self.d:
             raise IndexError(f"letter {j} outside 1..{self.d}")
         out = np.zeros((cod.dim,) + x.shape[1:], dtype=np.complex128)

@@ -70,7 +70,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .dilation import Dilation, GradedSpace, InnerSpaceMismatch
+from .dilation import Dilation, GradedSpace
 from .lifting import LiftingInstance
 
 # columns per block of the W build and of verify's W-sized residuals (see above)
@@ -85,10 +85,6 @@ def blocks(n: int):
     return zip(starts, starts[1:] + [n])
 
 
-class StageMismatch(ValueError):
-    """Stage operation applied to coefficients of the wrong stage."""
-
-
 def stage_forward(dil: Dilation, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply the next stage unitary: consume one Fock level.
 
@@ -100,8 +96,6 @@ def stage_forward(dil: Dilation, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     with ``[g_u ; x_u]``.
     """
     words, dim, width = g.shape
-    if x.shape[0] != words:
-        raise StageMismatch(f"level of {x.shape[0]} words against {words} coefficients")
     out = dil.stage_adjoint @ np.concatenate([g, x], axis=1)
     return out.reshape((words * dil.d, dim, width))
 
@@ -116,10 +110,7 @@ def stage_backward(dil: Dilation, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     with the d children of u stacked.
     """
     words, dim, width = g.shape
-    parents = words // dil.d
-    if parents * dil.d != words:
-        raise StageMismatch(f"{words} coefficients do not form a stage of {dil.d} letters")
-    out = dil.stage @ g.reshape((parents, dil.d * dim, width))
+    out = dil.stage @ g.reshape((words // dil.d, dil.d * dim, width))
     return out[:, :dim], out[:, dim:]
 
 
@@ -151,8 +142,6 @@ def _pipeline(instance: LiftingInstance, x: np.ndarray, depth: int, adjoint: boo
     if adjoint:
         first, second = second, first
     dom, cod = first.space(depth), second.space(depth)
-    if x.shape[0] != dom.dim:
-        raise InnerSpaceMismatch(f"vector has {x.shape[0]} rows, expected {dom.dim}")
     live = np.flatnonzero((x != 0).any(axis=1))
     start, stop = (live[0], live[-1] + 1) if live.size else (0, 0)
     d, width = dom.d, x.shape[1]

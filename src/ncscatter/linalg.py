@@ -43,8 +43,7 @@ TOL_EQ = 1e-8
 
 
 class DimensionError(ValueError):
-    """Raised on impossible shape requests (e.g. an isometry with more
-    columns than rows)."""
+    """Raised by :func:`as_matrix` on data that is not a 2-d array."""
 
 
 def as_matrix(data) -> np.ndarray:
@@ -75,8 +74,6 @@ def operator_norm(m: np.ndarray) -> float:
     zero rows and columns, of the block or its transpose, whichever is
     tall; with none dropped it is ``np.linalg.norm`` of that orientation."""
     m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
     rows, cols = _support(m)
     block = m if rows.all() and cols.all() else m[np.ix_(rows, cols)]
     if block.shape[0] < block.shape[1]:
@@ -88,8 +85,6 @@ def hermitian_norm(lower: np.ndarray) -> float:
     """:func:`operator_norm` of the Hermitian matrix with lower triangle ``lower``, off
     its eigenvalues; the strict upper triangle is never read."""
     lower = np.asarray(lower)
-    if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
-        raise DimensionError(f"square matrix required, got shape {lower.shape}")
     if np.tril(~np.isfinite(lower)).any():  # eigvalsh may return finite values for NaN
         raise np.linalg.LinAlgError("non-finite entry in the lower triangle")
     return float(np.abs(np.linalg.eigvalsh(lower)).max()) if lower.size else 0.0
@@ -126,8 +121,6 @@ def fold_rows(m: np.ndarray) -> np.ndarray:
     rows of the other classes are kept, and zero rows are dropped.
     """
     m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got ndim={m.ndim}")
     if not m.size:
         return m[:0]
     nonzero = m != 0
@@ -187,8 +180,6 @@ def range_onb(m: np.ndarray) -> np.ndarray:
     real positive) so the basis is deterministic.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError("expected a matrix")
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
@@ -231,8 +222,6 @@ def random_isometry(rows: int, cols: int, seed) -> np.ndarray:
     ``v.conj().T @ v == I`` to near machine precision.  ``seed`` is an
     integer or an existing ``numpy.random.Generator``.
     """
-    if cols > rows:
-        raise DimensionError(f"cannot build a {rows}x{cols} isometry (cols > rows)")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if cols == 0:
         return np.zeros((rows, 0), dtype=np.complex128)
@@ -264,8 +253,6 @@ def principal_angles(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """
     q1 = np.asarray(q1, dtype=np.complex128)
     q2 = np.asarray(q2, dtype=np.complex128)
-    if q1.shape[1] != q2.shape[1]:
-        raise DimensionError("frames must have the same number of columns")
     if q1.shape[1] == 0:
         return np.zeros(0)
     resid = q2 - q1 @ (q1.conj().T @ q2)

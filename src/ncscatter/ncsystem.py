@@ -68,10 +68,6 @@ def simulate(coll: Colligation, signal: NCSeries, depth: int | None = None) -> T
 
 def io_violation(coll: Colligation, signal: NCSeries, out: NCSeries) -> float:
     """Recursion output against ``out``, the convolution of ``signal`` by the
-    transfer series, as the largest distance at one word.  ``out`` must
-    have the depth of ``signal``."""
-    if out.depth != signal.depth:
-        raise DimMismatch(
-            f"convolution of depth {out.depth} for a signal of depth {signal.depth}"
-        )
+    transfer series, as the largest distance at one word.  ``out`` has
+    the depth of ``signal``."""
     return linalg.stack_norm(simulate(coll, signal).y.coeffs - out.coeffs)

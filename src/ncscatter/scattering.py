@@ -28,10 +28,6 @@ from .intertwiner import apply_intertwiner_adjoint
 from .lifting import LiftingInstance
 
 
-class DepthError(ValueError):
-    """The truncation depth is too shallow for the requested object."""
-
-
 def star_wandering_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     """Adjoint-intertwiner image of the vacuum base-defect copy.
 
@@ -93,8 +89,6 @@ def complement_frame(instance: LiftingInstance, depth: int) -> np.ndarray:
     where the star frame's rounding dust enters the angle of
     :func:`verify_complement`.
     """
-    if depth < 1:
-        raise DepthError("complement needs depth at least 1")
     dil, nc = instance.dilation_e, instance.dim_c
     c = np.hstack([u[nc:, nc:] for u in dil.letters])
     below = dil.space(depth).dim - nc - c.shape[0]

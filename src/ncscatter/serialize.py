@@ -79,7 +79,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
 
 
-def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
+def matrix_from_json(obj, where: str) -> np.ndarray:
     rows = _require(obj, "rows", int, where)
     cols = _require(obj, "cols", int, where)
     data = _require(obj, "data", list, where)
@@ -130,7 +130,7 @@ def _checked_pairs(data: list, where: str) -> np.ndarray:
     return flat
 
 
-def word_from_json(obj, d: int, where: str = "word") -> Word:
+def word_from_json(obj, d: int, where: str) -> Word:
     if not isinstance(obj, list) or not set(map(type, obj)) <= {int}:
         raise SchemaError(f"{where}: a word is a list of integers")
     w = tuple(obj)

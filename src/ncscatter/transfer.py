@@ -53,20 +53,6 @@ class Colligation:
     output_map: np.ndarray
     feedthrough: np.ndarray
 
-    def __post_init__(self):
-        n, m = self.state_dim, self.in_dim
-        p = self.out_dim
-        for op in self.state_ops:
-            if op.shape != (n, n):
-                raise DimMismatch("state blocks must be square and equal-sized")
-        for op in self.input_ops:
-            if op.shape != (n, m):
-                raise DimMismatch("input blocks must map input to state")
-        if len(self.input_ops) != len(self.state_ops):
-            raise DimMismatch("need one input block per state block")
-        if self.output_map.shape != (p, n) or self.feedthrough.shape != (p, m):
-            raise DimMismatch("output rows must share the output dimension")
-
     @property
     def d(self) -> int:
         return len(self.state_ops)
@@ -192,11 +178,6 @@ def series_multiply(left: NCSeries, right: NCSeries) -> NCSeries:
     ``idx(a)·d**len(b) + idx(b)`` of level n.  The result is exact only
     up to the shallower input depth, so it stops there.
     """
-    if left.in_dim != right.out_dim or left.d != right.d:
-        raise DimMismatch(
-            f"cannot chain {left.in_dim} inputs over {left.d} letters with "
-            f"{right.out_dim} outputs over {right.d} letters"
-        )
     cap = min(left.depth, right.depth)
     d = left.d
     out = np.zeros((level_start(d, cap + 1), left.out_dim, right.in_dim), dtype=np.complex128)

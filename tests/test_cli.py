@@ -286,6 +286,60 @@ class TestExports:
         assert not out.exists()
 
 
+# argv, the (outDim, inDim, depth) of the signal file "{signal}" or None, and
+# the error text; "{inst}" is the (2, 2, 1) seed 5 instance, whose rank_e is 3
+REFUSALS = {
+    "generate-d": (["generate", "--d", "0"], None, "need at least one operator"),
+    "generate-dim-c": (["generate", "--dim-c", "0"], None, "base dimension must be positive"),
+    "generate-dim-a": (["generate", "--dim-a", "-1"], None, "corner dimension must be nonnegative"),
+    "generate-a-scale": (["generate", "--a-scale", "1.5"], None, "a_scale must lie in [0, 1]"),
+    "generate-infeasible": (
+        ["generate", "--d", "1", "--dim-a", "1"],
+        None,
+        "star defect rank 1 exceeds base defect rank 0 = (d-1)*dimC; no isometry gamma exists",
+    ),
+    "verify-depth": (
+        ["verify", "--input", "{inst}", "--depth", "0"],
+        None,
+        "verification needs depth >= 1",
+    ),
+    "simulate-signal-width": (
+        ["simulate", "--input", "{inst}", "--signal", "{signal}"],
+        (3, 2, 2),
+        "signals are series with a single column",
+    ),
+    "simulate-signal-dim": (
+        ["simulate", "--input", "{inst}", "--signal", "{signal}"],
+        (4, 1, 2),
+        "signal values have dim 4 over 2 letters, colligation takes 3 over 2",
+    ),
+    "simulate-depth-past-signal": (
+        ["simulate", "--input", "{inst}", "--signal", "{signal}", "--depth", "3"],
+        (3, 1, 2),
+        "signal is only known to depth 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, signal, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_text(inst_file, tmp_path, capsys, argv, signal, message):
+    # exit 2, nothing on stdout, one error line and no output file
+    from ncscatter.transfer import random_series
+
+    sig_path, out = tmp_path / "sig.json", tmp_path / "out.json"
+    if signal:
+        out_dim, in_dim, depth = signal
+        series = random_series(out_dim, in_dim, 2, depth, seed=1)
+        serialize.save(sig_path, serialize.series_to_json(series))
+    argv = [a.format(inst=inst_file, signal=sig_path) for a in argv]
+    flag = "--report" if argv[0] == "verify" else "-o"
+    assert main(argv + [flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestOneTolerance:
     """The exports accept exactly the instances whose lifting identities
     pass verify's ``lifting_identities`` row and whose defect ranks are
@@ -692,13 +746,43 @@ def run_in_process(argv, out):
     return code
 
 
+# address space the fuzz may map beyond what the process maps when it starts
+FUZZ_HEADROOM = 2 * 1024**3
+# one example takes about 15 ms; a runaway one fails instead of stalling the run
+FUZZ_DEADLINE_MS = 5000
+
+
+@pytest.fixture(scope="class")
+def address_space_cap():
+    """Lower the soft RLIMIT_AS to the mapped size plus ``FUZZ_HEADROOM`` for a
+    class, so that an allocation without bound fails in its example instead of
+    exhausting the machine; restored after the class.  Without the ``resource``
+    module or ``/proc/self/statm`` the class runs uncapped."""
+    try:
+        import resource
+
+        pages = int(Path("/proc/self/statm").read_text().split()[0])
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = pages * resource.getpagesize() + FUZZ_HEADROOM
+    cap = min(limit for limit in (cap, soft, hard) if limit != resource.RLIM_INFINITY)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.usefixtures("address_space_cap")
 class TestMutatedInstances:
     """Every command on a damaged instance file ends in exit 0, 1 or 2: a
     refusal prints one error line and writes no file, anything else
     prints nothing on stderr."""
 
     @hypothesis.seed(1)
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300, deadline=FUZZ_DEADLINE_MS, database=None)
     @given(obj=mutated(fuzz_instance))
     def test_exit_codes_and_stderr(self, obj):
         with tempfile.TemporaryDirectory() as tmp:
@@ -710,12 +794,13 @@ class TestMutatedInstances:
                 assert code in (0, 1, 2), cmd
 
 
+@pytest.mark.usefixtures("address_space_cap")
 class TestMutatedSignals:
     """``simulate --signal`` on a damaged signal file ends in exit 0 or 2,
     on the same terms."""
 
     @hypothesis.seed(1)
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300, deadline=FUZZ_DEADLINE_MS, database=None)
     @given(obj=mutated(fuzz_signal))
     def test_exit_codes_and_stderr(self, obj):
         with tempfile.TemporaryDirectory() as tmp:

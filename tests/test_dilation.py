@@ -10,7 +10,7 @@ from conftest import (
     table_letter,
 )
 
-from ncscatter.dilation import Dilation, GradedSpace, InnerSpaceMismatch
+from ncscatter.dilation import Dilation, GradedSpace
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.rowtuple import OperatorTuple
@@ -151,16 +151,6 @@ class TestApplyHandValues:
         dil = Dilation(balanced_pair_tuple())
         with pytest.raises(IndexError):
             dil.apply(j, np.ones(dil.space(0).dim), 0)
-
-    def test_base_dim_mismatch(self):
-        dil = Dilation(balanced_pair_tuple())
-        with pytest.raises(InnerSpaceMismatch):
-            dil.apply(1, np.array([1.0, 2.0, 3.0]), 0)
-
-    def test_defect_dim_mismatch(self):
-        dil = Dilation(balanced_pair_tuple())
-        with pytest.raises(InnerSpaceMismatch):
-            dil.apply(1, np.zeros(dil.space(1).dim + 1), 1)
 
 
 class TestCompression:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ncscatter import linalg
 from ncscatter.lifting import generate
 from ncscatter.linalg import (
-    DimensionError,
     hermitian_sqrt,
     operator_norm,
     principal_angles,
@@ -232,10 +231,6 @@ class TestRandomIsometry:
         assert np.array_equal(random_isometry(5, 3, 42), random_isometry(5, 3, 42))
         assert not np.allclose(random_isometry(5, 3, 42), random_isometry(5, 3, 43))
 
-    def test_too_many_columns(self):
-        with pytest.raises(DimensionError):
-            random_isometry(1, 2, 0)
-
     def test_zero_columns(self):
         assert random_isometry(3, 0, 0).shape == (3, 0)
 
@@ -300,10 +295,6 @@ class TestOperatorNorm:
         m[1, 2] = np.inf
         assert np.isnan(operator_norm(m))
 
-    def test_vector_input_rejected(self):
-        with pytest.raises(DimensionError):
-            operator_norm(np.ones(3))
-
 
 def hermitian_matrix(rng, n):
     a = random_matrix(rng, n, n)
@@ -350,10 +341,7 @@ class TestHermitianNorm:
         want = np.abs(np.linalg.eigvalsh(mirrored)).max()
         assert linalg.hermitian_norm(garbage) == linalg.hermitian_norm(mirrored) == want
 
-    def test_bad_shapes_and_nonfinite_entries(self):
-        for m in (np.ones(3, dtype=complex), np.ones((3, 4), dtype=complex)):
-            with pytest.raises(DimensionError):
-                linalg.hermitian_norm(m)
+    def test_nonfinite_entries(self):
         # eigvalsh alone returns [0, -0, 1] for a NaN at (0, 0) and NaNs for one at (2, 1)
         for entry in [(0, 0), (2, 1)]:
             m = np.eye(3, dtype=complex)

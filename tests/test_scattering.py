@@ -8,7 +8,6 @@ from ncscatter import linalg
 from ncscatter.lifting import generate
 from ncscatter.linalg import operator_norm
 from ncscatter.scattering import (
-    DepthError,
     base_leak,
     complement_frame,
     shifted_star_frames,
@@ -169,10 +168,6 @@ class TestComplement:
         frames = shifted_star_frames(plain_instance, 2)
         for f in blocks(frames, plain_instance.rank_c)[1:]:
             assert operator_norm(comp.conj().T @ f[plain_instance.dim_c :]) < 1e-10
-
-    def test_depth_guard(self, plain_instance):
-        with pytest.raises(DepthError):
-            complement_frame(plain_instance, 0)
 
     @pytest.mark.parametrize("shape", SWEEP_SHAPES + ((3, 2, 2), (2, 1, 1)))
     def test_corner_block_equals_the_reshape_cut(self, shape):

@@ -31,14 +31,14 @@ class TestMatrix:
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        back = serialize.matrix_from_json(serialize.matrix_to_json(m))
+        back = serialize.matrix_from_json(serialize.matrix_to_json(m), "m")
         assert np.array_equal(back, m)
 
     def test_empty_dimensions(self):
         m = np.zeros((0, 0), dtype=np.complex128)
         obj = serialize.matrix_to_json(m)
         assert obj == {"rows": 0, "cols": 0, "data": []}
-        assert serialize.matrix_from_json(obj).shape == (0, 0)
+        assert serialize.matrix_from_json(obj, "m").shape == (0, 0)
 
     def test_dump_is_byte_stable(self):
         rng = np.random.default_rng(9)
@@ -46,7 +46,7 @@ class TestMatrix:
         first = label(serialize.matrix_to_json(m))
         again = label(
             serialize.matrix_to_json(
-                serialize.matrix_from_json(serialize.load_text(first))
+                serialize.matrix_from_json(serialize.load_text(first), "m")
             )
         )
         assert first == again
@@ -64,7 +64,7 @@ class TestMatrix:
     )
     def test_malformed_rejected(self, obj):
         with pytest.raises(serialize.SchemaError):
-            serialize.matrix_from_json(obj)
+            serialize.matrix_from_json(obj, "m")
 
     def test_nonfinite_rejected_on_load(self):
         with pytest.raises(serialize.SchemaError):
@@ -118,13 +118,17 @@ class TestMatrixLoad:
     # the entry-by-entry loader is the oracle for the one-pass loader
 
     @staticmethod
+    def fast(obj):
+        return serialize.matrix_from_json(obj, "matrix")
+
+    @staticmethod
     def slow(obj):
         return serialize._checked_pairs(obj["data"], "matrix").reshape((1, -1))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(ENTRIES, max_size=6))
     def test_same_values_and_messages_as_the_loop(self, data):
-        assert outcome(serialize.matrix_from_json, data) == outcome(self.slow, data)
+        assert outcome(self.fast, data) == outcome(self.slow, data)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=8))
@@ -156,7 +160,7 @@ class TestMatrixLoad:
     def test_big_integers(self):
         # an integer that fits a float loads as that float; a larger one,
         # in either part, is not finite
-        got = serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [[2**64, -(2**64)]]})
+        got = serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [[2**64, -(2**64)]]}, "m")
         assert got[0, 0] == complex(1.8446744073709552e19, -1.8446744073709552e19)
         for entry in ([10**400, 0.5], [0.5, -(2**1024)]):
             obj = {"rows": 1, "cols": 1, "data": [entry]}
@@ -167,13 +171,13 @@ class TestMatrixLoad:
 
 class TestWords:
     def test_valid(self):
-        assert serialize.word_from_json([1, 2, 1], 2) == (1, 2, 1)
-        assert serialize.word_from_json([], 2) == ()
+        assert serialize.word_from_json([1, 2, 1], 2, "w") == (1, 2, 1)
+        assert serialize.word_from_json([], 2, "w") == ()
 
     @pytest.mark.parametrize("obj", [[0], [3], [1, "a"], "12", [True]])
     def test_invalid(self, obj):
         with pytest.raises(serialize.SchemaError):
-            serialize.word_from_json(obj, 2)
+            serialize.word_from_json(obj, 2, "w")
 
 
 class TestInstance:
